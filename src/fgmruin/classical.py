@@ -32,12 +32,13 @@ import numpy as np
 from .errors import InputError, StructuralError
 from .model import ExpPoisson, ModelSpec
 from .polyexp import (
+    RESIDUE_DROP_REL,
     ExpSum,
     ParametricRational,
     Polynomial,
-    RootClass,
     RootSet,
-    partial_fractions,
+    eliminate_growing,
+    partial_fractions,  # noqa: F401  (bench/tracer.py wraps this module's binding)
     poly_roots,
 )
 
@@ -46,11 +47,6 @@ __all__ = ["ClassicalSolution", "classical_lt", "solve_phi0", "survival_classica
 # Boundary-value candidates from distinct growing roots must agree to this
 # relative spread; disagreement means the transform assembly is wrong.
 _PHI0_SPREAD_TOL = 1e-6
-
-# Residues below this relative threshold are structural zeros: eliminated
-# growing poles and the spurious -2 alpha pole the clearing introduces at
-# theta = 0.
-_RESIDUE_DROP_REL = 1e-8
 
 # The zero-pole residue equals 1 analytically; the assembled value must
 # agree to this tolerance.
@@ -82,69 +78,6 @@ def classical_lt(model: ModelSpec) -> ParametricRational:
     return ParametricRational(num_const, num_slope, den)
 
 
-def _eliminate_growing(lt: ParametricRational, roots: RootSet, spread_tol: float):
-    """Parameter value killing the numerator at every growing root.
-
-    Each growing root g yields the candidate -num_const(g)/num_slope(g);
-    candidates must agree to ``spread_tol`` relative spread and their mean
-    is returned together with the candidate list.
-    """
-    growing = roots.distinct(RootClass.GROWING)
-    if not growing:
-        raise StructuralError("no growing denominator root to eliminate")
-    cands = []
-    for r in growing:
-        slope = complex(lt.num_slope(r.value))
-        if slope == 0:
-            raise StructuralError(f"degenerate elimination at root {r.value!r}")
-        cands.append(-complex(lt.num_const(r.value)) / slope)
-    vals = np.asarray(cands)
-    center = float(np.mean(vals.real))
-    spread = float(np.max(np.abs(vals - center)))
-    if spread > spread_tol * max(1.0, abs(center)):
-        raise StructuralError(
-            f"growing-root eliminations disagree: spread {spread:.3e} "
-            f"around {center:.6g}"
-        )
-    return center, tuple(cands)
-
-
-def _collect_terms(pairs, roots: RootSet, expected_constant: float | None):
-    """Split (pole, residue) pairs into a constant and decaying terms.
-
-    Growing poles must carry negligible residue (the elimination already
-    zeroed them); negligible decaying residues are dropped as spurious
-    clearing artifacts.  Terms come back ordered slowest decay first.
-    """
-    by_class = {r.value: r.klass for r in roots.distinct()}
-    scale = max(abs(res) for _, res in pairs)
-    constant = 0.0
-    terms = []
-    for pole, res in pairs:
-        klass = by_class[pole]
-        if klass is RootClass.ZERO:
-            if abs(res.imag) > 1e-9 * max(1.0, abs(res)):
-                raise StructuralError("zero pole produced a complex constant")
-            constant += res.real
-        elif abs(res) <= _RESIDUE_DROP_REL * scale:
-            continue
-        elif klass is RootClass.GROWING:
-            raise StructuralError(
-                f"growing pole {pole!r} kept residue {res!r} after elimination"
-            )
-        else:
-            terms.append((res, pole))
-    if expected_constant is not None and abs(constant - expected_constant) > max(
-        _CONSTANT_TOL, _CONSTANT_TOL * abs(expected_constant)
-    ):
-        raise StructuralError(
-            f"zero-pole residue {constant!r} differs from the expected "
-            f"constant {expected_constant!r}"
-        )
-    terms.sort(key=lambda t: -t[1].real)
-    return constant, tuple(terms)
-
-
 @dataclass(frozen=True)
 class ClassicalSolution:
     """Closed-form survival probability for the compound Poisson model.
@@ -168,12 +101,31 @@ class ClassicalSolution:
         return self.phi(u)
 
 
-def solve_phi0(model: ModelSpec) -> float:
-    """Survival probability at zero surplus, via growing-root elimination."""
+def _eliminate(model: ModelSpec):
+    """Roots, growing-root elimination and per-root phi(0) candidates.
+
+    The numerator weight of num_const is fixed at 1 and the weight of
+    num_slope, phi(0), is the unknown; each growing root g alone demands
+    -num_const(g)/num_slope(g), and these candidates must agree.
+    """
     lt = classical_lt(model)
     roots = poly_roots(lt.den)
-    phi0, _ = _eliminate_growing(lt, roots, _PHI0_SPREAD_TOL)
-    return phi0
+    elim = eliminate_growing(lt.den, roots, (lt.num_slope, lt.num_const), (None, 1.0))
+    phi0 = float(elim.weights[0])
+    slope, const = elim.growing_values
+    cands = -const / slope
+    spread = float(np.max(np.abs(cands - phi0)))
+    if spread > _PHI0_SPREAD_TOL * max(1.0, abs(phi0)):
+        raise StructuralError(
+            f"growing-root eliminations disagree: spread {spread:.3e} "
+            f"around {phi0:.6g}"
+        )
+    return roots, elim, phi0, tuple(complex(c) for c in cands)
+
+
+def solve_phi0(model: ModelSpec) -> float:
+    """Survival probability at zero surplus, via growing-root elimination."""
+    return _eliminate(model)[2]
 
 
 def survival_classical(model: ModelSpec) -> ClassicalSolution:
@@ -184,12 +136,8 @@ def survival_classical(model: ModelSpec) -> ClassicalSolution:
         StructuralError: If root elimination or inversion fails one of the
             internal consistency gates.
     """
-    lt = classical_lt(model)
-    roots = poly_roots(lt.den)
-    phi0, cands = _eliminate_growing(lt, roots, _PHI0_SPREAD_TOL)
+    roots, elim, phi0, cands = _eliminate(model)
     if not (0.0 < phi0 < 1.0):
         raise StructuralError(f"survival at zero fell outside (0, 1): {phi0!r}")
-    pairs = partial_fractions(lt.with_param(phi0), roots)
-    constant, terms = _collect_terms(pairs, roots, expected_constant=1.0)
-    phi = ExpSum(constant, terms)
+    phi = elim.survival(RESIDUE_DROP_REL, _CONSTANT_TOL)
     return ClassicalSolution(model, phi0, phi, roots, cands)

@@ -51,18 +51,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import InputError, StructuralError
 from .model import Erlang2, ModelSpec
 from .polyexp import (
     ExpSum,
     ParametricRational,
     Polynomial,
-    RationalFn,
-    RootClass,
     RootSet,
-    partial_fractions,
+    eliminate_growing,
+    partial_fractions,  # noqa: F401  (bench/tracer.py wraps this module's binding)
     poly_roots,
 )
 
@@ -95,14 +92,6 @@ _CONSISTENCY_TOL = 1e-5
 
 # The zero-pole residue equals 1 analytically for a consistent inversion.
 _CONSTANT_TOL = 1e-6
-
-# Spurious clearing poles carry residues at roundoff level only.
-_RESIDUE_DROP_REL = 1e-8
-
-# Equilibrated boundary-constant systems must be solved to this relative
-# accuracy, and their solutions must be real to this relative level.
-_SYSTEM_TOL = 1e-8
-_REALNESS_TOL = 1e-7
 
 
 class SignVariant(Enum):
@@ -206,146 +195,26 @@ def erlang_lt(
     return ParametricRational(_independence_w(model) * basis[1], basis[0], den)
 
 
-def _affine_candidates(
-    lt: ParametricRational, roots: RootSet
-) -> tuple[complex, ...]:
-    """delta(0) demanded by each growing root alone under frozen boundary terms.
-
-    Mutually inconsistent whenever theta != 0 because the frozen terms
-    leave per-root defects; the spread measures the pooled-mode bias.
-    """
-    dden = lt.den.derivative()
-    cands = []
-    for r in roots.distinct(RootClass.GROWING):
-        dv = complex(dden(r.value))
-        ns = complex(lt.num_slope(r.value))
-        if dv != 0 and ns != 0:
-            cands.append(-complex(lt.num_const(r.value)) / ns)
-    return tuple(cands)
-
-
-def _delta0_pooled(lt: ParametricRational, roots: RootSet) -> float:
-    """delta(0) from the aggregate zero-sum of growing residues."""
-    growing = roots.distinct(RootClass.GROWING)
-    if not growing:
-        raise StructuralError("no growing denominator root to eliminate")
-    dden = lt.den.derivative()
-    s_const = 0.0 + 0.0j
-    s_slope = 0.0 + 0.0j
-    for r in growing:
-        dv = complex(dden(r.value))
-        if dv == 0:
-            raise StructuralError(f"repeated growing root at {r.value!r}")
-        s_const += complex(lt.num_const(r.value)) / dv
-        s_slope += complex(lt.num_slope(r.value)) / dv
-    scale = max(abs(s_const), abs(s_slope))
-    if scale == 0 or abs(s_slope) <= 1e-12 * scale:
-        raise StructuralError("degenerate aggregate elimination")
-    if max(abs(s_const.imag), abs(s_slope.imag)) > _AGGREGATE_TOL * scale:
-        raise StructuralError("aggregate residue sums are not real")
-    return -s_const.real / s_slope.real
-
-
-def _boundary_constants(den: Polynomial, basis, roots: RootSet) -> np.ndarray:
-    """Solve for (delta(0), w, k...) so every growing coefficient vanishes.
-
-    One equation per growing root plus the zero-pole normalization
-    N(0) = D'(0); generically square, solved by least squares otherwise
-    with a hard residual gate either way.
-    """
-    growing = roots.distinct(RootClass.GROWING)
-    if not growing:
-        raise StructuralError("no growing denominator root to eliminate")
-    points = [complex(r.value) for r in growing] + [0.0 + 0.0j]
-    rows = np.array([[complex(p(pt)) for p in basis] for pt in points])
-    rhs = np.zeros(len(points), dtype=complex)
-    rhs[-1] = complex(den.derivative()(0.0))
-    row_scale = np.max(np.abs(rows), axis=1)
-    if np.any(row_scale == 0.0):
-        raise StructuralError("degenerate boundary-constant row")
-    rows = rows / row_scale[:, None]
-    rhs = rhs / row_scale
-    if rows.shape[0] == rows.shape[1]:
-        try:
-            x = np.linalg.solve(rows, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StructuralError(
-                f"boundary-constant system is singular: {exc}"
-            ) from exc
-    else:
-        x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-    x_scale = max(1.0, float(np.max(np.abs(x))))
-    residual = float(np.max(np.abs(rows @ x - rhs)))
-    if residual > _SYSTEM_TOL * x_scale:
-        raise StructuralError(
-            f"boundary-constant system left residual {residual:.3e}"
-        )
-    if float(np.max(np.abs(x.imag))) > _REALNESS_TOL * x_scale:
-        raise StructuralError("boundary constants are not real")
-    return x.real
-
-
-def _numerator(basis, weights) -> Polynomial:
-    num = Polynomial((0.0,))
-    for wgt, p in zip(weights, basis):
-        num = num + float(wgt) * p
-    return num
-
-
-@dataclass(frozen=True)
-class _Assembled:
-    """Inversion pieces shared by solve_delta0 and survival_erlang2."""
-
-    roots: RootSet
-    delta0: float
-    candidates: tuple[complex, ...]
-    boundary: tuple[float, ...] | None
-    constant: complex
-    terms: tuple[tuple[complex, complex], ...]
-    growing: tuple[tuple[complex, complex], ...]
-    scale: float
-
-
-def _collect(fraction: RationalFn, roots: RootSet):
-    """Classify the partial-fraction expansion by root class."""
-    pairs = partial_fractions(fraction, roots)
-    by_class = {r.value: r.klass for r in roots.distinct()}
-    scale = max(abs(res) for _, res in pairs)
-    constant = 0.0 + 0.0j
-    growing = []
-    terms = []
-    for pole, res in pairs:
-        klass = by_class[pole]
-        if klass is RootClass.ZERO:
-            constant += res
-        elif klass is RootClass.GROWING:
-            growing.append((pole, res))
-        elif abs(res) > _RESIDUE_DROP_REL * scale:
-            terms.append((res, pole))
-    terms.sort(key=lambda t: -t[1].real)
-    return constant, tuple(terms), tuple(growing), scale
-
-
 def _build(
     model: ModelSpec, variant: SignVariant, elimination: GrowthElimination
-) -> _Assembled:
+):
+    """Roots, elimination and per-root delta(0) candidates.
+
+    The candidates are the delta(0) each growing root demands alone with w
+    frozen at its independence value and no quadratic bracket; they are
+    mutually inconsistent whenever theta != 0, and their spread measures
+    the pooled-mode bias.
+    """
     den, basis = _cleared_parts(model, variant)
     roots = poly_roots(den)
-    lt = ParametricRational(_independence_w(model) * basis[1], basis[0], den)
-    candidates = _affine_candidates(lt, roots)
+    w0 = _independence_w(model)
     if elimination is GrowthElimination.POOLED:
-        delta0 = _delta0_pooled(lt, roots)
-        boundary = None
-        fraction = lt.with_param(delta0)
+        elim = eliminate_growing(den, roots, basis[:2], (None, w0), pooled=True)
     else:
-        x = _boundary_constants(den, basis, roots)
-        delta0 = float(x[0])
-        boundary = tuple(float(v) for v in x[1:])
-        fraction = RationalFn(_numerator(basis, x), den)
-    constant, terms, growing, scale = _collect(fraction, roots)
-    return _Assembled(
-        roots, delta0, candidates, boundary, constant, terms, growing, scale
-    )
+        elim = eliminate_growing(den, roots, basis, (None,) * len(basis))
+    slope, const = elim.growing_values[:2]
+    cands = tuple(complex(-w0 * b / a) for a, b in zip(slope, const) if a != 0)
+    return roots, elim, cands
 
 
 def solve_delta0(
@@ -363,9 +232,10 @@ def solve_delta0(
     is unsolvable, which happens for the inconsistent variant at some
     theta (more growing roots than boundary unknowns).
     """
-    parts = _build(model, variant, elimination)
-    at_zero = parts.constant + sum(res for res, _ in parts.terms)
-    return parts.delta0, abs(at_zero - parts.delta0)
+    _, elim, _ = _build(model, variant, elimination)
+    delta0 = float(elim.weights[0])
+    at_zero = elim.constant + sum(res for res, _ in elim.terms)
+    return delta0, abs(at_zero - delta0)
 
 
 @dataclass(frozen=True)
@@ -418,47 +288,21 @@ def survival_erlang2(
             both variants assemble cleanly and sign_variant_report is
             the arbiter between them.
     """
-    parts = _build(model, variant, elimination)
-    if not (0.0 < parts.delta0 < 1.0):
-        raise StructuralError(
-            f"survival at zero fell outside (0, 1): {parts.delta0!r}"
-        )
-    if elimination is GrowthElimination.POOLED:
-        growing_sum = sum(res for _, res in parts.growing)
-        if abs(growing_sum) > _AGGREGATE_TOL * max(1.0, parts.scale):
-            raise StructuralError(
-                f"growing residues sum to {growing_sum!r} after elimination"
-            )
-    else:
-        worst = max((abs(res) for _, res in parts.growing), default=0.0)
-        if worst > _AGGREGATE_TOL * max(1.0, parts.scale):
-            raise StructuralError(
-                f"a growing residue of size {worst:.3e} survived elimination"
-            )
-    if abs(parts.constant.imag) > 1e-9 * max(1.0, abs(parts.constant)):
-        raise StructuralError("zero pole produced a complex constant")
-    constant = parts.constant.real
-    if abs(constant - 1.0) > _CONSTANT_TOL:
-        raise StructuralError(
-            f"inverted solution tends to {constant!r}, not 1; the "
-            f"{variant.value} sign variant is not self-consistent"
-        )
-    delta = ExpSum(constant, parts.terms)
-    residual = abs(delta(0.0) - parts.delta0)
+    roots, elim, cands = _build(model, variant, elimination)
+    delta0 = float(elim.weights[0])
+    if not (0.0 < delta0 < 1.0):
+        raise StructuralError(f"survival at zero fell outside (0, 1): {delta0!r}")
+    delta = elim.survival(_AGGREGATE_TOL, _CONSTANT_TOL)
+    residual = abs(delta(0.0) - delta0)
     if residual > _CONSISTENCY_TOL:
         raise StructuralError(
             f"initial-value defect {residual:.3e} exceeds {_CONSISTENCY_TOL:.0e}"
         )
+    boundary = None
+    if elimination is GrowthElimination.INDIVIDUAL:
+        boundary = tuple(float(v) for v in elim.weights[1:])
     return ErlangSolution(
-        model,
-        variant,
-        elimination,
-        parts.delta0,
-        delta,
-        parts.roots,
-        parts.candidates,
-        parts.boundary,
-        residual,
+        model, variant, elimination, delta0, delta, roots, cands, boundary, residual
     )
 
 

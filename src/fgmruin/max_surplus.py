@@ -174,9 +174,9 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
 
     Raises:
         InputError: For non-exponential arrivals or a non-positive level.
-        UnsupportedStructureError: If characteristic roots collide with
-            each other or with the assembly rates {-alpha, -2 alpha,
-            2 lam / c}.
+        UnsupportedStructureError: If characteristic roots repeat, or
+            collide with each other or with the assembly rates {-alpha,
+            -2 alpha, 2 lam / c}.
         ConditioningError: If the equilibrated system is too ill
             conditioned to trust, including levels b so large that the
             growing root overflows the scaling.
@@ -198,9 +198,7 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     k = 2.0 * lam / c
 
     roots = poly_roots(classical_lt(model).den)
-    if roots.max_multiplicity > 1:
-        raise UnsupportedStructureError("repeated characteristic roots")
-    s_vals = [r.value for r in roots.distinct() if r.klass is not RootClass.ZERO]
+    s_vals = [r.value for r in roots.simple() if r.klass is not RootClass.ZERO]
     if len(s_vals) != 3:
         raise StructuralError(f"expected three nonzero roots, got {len(s_vals)}")
     for i, s in enumerate(s_vals):

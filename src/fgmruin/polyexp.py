@@ -6,12 +6,15 @@ after clearing denominators.  This module supplies the shared machinery:
 * ``Polynomial``: dense real polynomials with ascending coefficients.
 * ``RationalFn`` and ``ParametricRational``: ratios of polynomials, the
   latter with a numerator that is affine in one scalar parameter.
-* ``poly_roots``: companion-matrix root finding with Newton polishing,
-  multiplicity clustering, conjugate symmetrization, and sign-of-real-part
-  classification.
+* ``poly_roots``: exact zero roots divided out, then companion-matrix root
+  finding with Newton polishing, multiplicity clustering, conjugate
+  symmetrization, and sign-of-real-part classification.
 * ``partial_fractions`` / ``ExpSum``: simple-pole expansion and the
   resulting inverse transform, a constant plus a sum of complex
   exponentials closed under conjugation.
+* ``eliminate_growing``: the step every solver shares after root finding;
+  it picks the numerator weights that cancel the growing poles and collects
+  the remaining residues into the constant and decaying terms.
 """
 
 from __future__ import annotations
@@ -36,11 +39,14 @@ __all__ = [
     "ExpSum",
     "expsum_eval",
     "invert_rational",
+    "Elimination",
+    "eliminate_growing",
 ]
 
-# Classification tolerance: |root| below this is the zero root, and the
-# real part must clear it before a root counts as growing or decaying.
-ZERO_CLASS_EPS = 1e-9
+# A nonzero root decays when its real part is below -1e-9 times its modulus.
+# Companion-matrix eigenvalues are accurate relative to the coefficients, not
+# absolutely, so the threshold scales with the root instead of being a floor.
+_DECAY_REL = 1e-9
 
 # Conjugate partners must agree to this tolerance before symmetrization.
 CONJUGATE_TOL = 1e-9
@@ -49,6 +55,17 @@ CONJUGATE_TOL = 1e-9
 # relative radius merges those clusters while keeping genuinely distinct
 # roots (separated by ~1e-1 in the solver pipelines) apart.
 _CLUSTER_TOL = 2e-5
+
+# Residues at most this fraction of the largest one are structural zeros:
+# eliminated growing poles and spurious poles the clearing introduces.
+RESIDUE_DROP_REL = 1e-8
+
+# Equilibrated elimination systems must be solved to this relative accuracy,
+# and their solutions must be real to this relative level.  A row whose
+# unknown coefficients sit below 1e-12 of its right-hand side is degenerate.
+_SYSTEM_TOL = 1e-8
+_REALNESS_TOL = 1e-7
+_DEGENERATE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,68 +188,84 @@ class RootSet:
     def max_multiplicity(self) -> int:
         return max(r.multiplicity for r in self.roots)
 
+    def simple(self) -> list[Root]:
+        """The distinct roots, after checking that none is repeated."""
+        if self.max_multiplicity > 1:
+            raise UnsupportedStructureError("repeated poles are not supported")
+        return list(self.roots)
+
 
 def _classify(value: complex) -> RootClass:
-    if abs(value) < ZERO_CLASS_EPS:
-        return RootClass.ZERO
-    if value.real < -ZERO_CLASS_EPS:
+    """Class of a nonzero root by the sign of its real part.
+
+    A root decays when its real part is below -1e-9 times its modulus.
+    Purely oscillatory poles do not vanish at infinity, so they are grouped
+    with the growing class.  Only the exact zero roots that ``poly_roots``
+    divides out are ZERO.
+    """
+    if value.real < -_DECAY_REL * abs(value):
         return RootClass.DECAYING
-    # Purely oscillatory poles (|Re| <= eps, |value| >= eps) do not vanish
-    # at infinity, so they are grouped with the growing class.
     return RootClass.GROWING
 
 
-def _polish(p: Polynomial, z: complex, multiplicity: int) -> complex:
-    """Safeguarded Newton steps on the (m-1)th derivative."""
+def _polish(p: Polynomial, z: np.ndarray, multiplicity: int) -> np.ndarray:
+    """Safeguarded Newton steps on the (m-1)th derivative.
+
+    ``z`` holds every root of multiplicity m, which are polished together.
+    """
     q = p
     for _ in range(multiplicity - 1):
         q = q.derivative()
     dq = q.derivative()
     for _ in range(2):
-        fz = complex(q(z))
-        dfz = complex(dq(z))
-        if dfz == 0:
-            break
-        step = z - fz / dfz
-        if abs(q(step)) <= abs(fz):
-            z = step
+        fz = q(z)
+        dfz = dq(z)
+        movable = dfz != 0
+        step = z - np.divide(fz, dfz, out=np.zeros_like(z), where=movable)
+        z = np.where(movable & (np.abs(q(step)) <= np.abs(fz)), step, z)
     return z
 
 
-def poly_roots(p: Polynomial, cluster_tol: float = _CLUSTER_TOL) -> RootSet:
-    """Roots via companion-matrix eigenvalues with polishing.
+def poly_roots(p: Polynomial) -> RootSet:
+    """Roots with multiplicities and classes.
 
-    Nearby eigenvalues (within ``cluster_tol`` relative) are merged into a
-    single root of higher multiplicity, non-real roots are symmetrized into
-    exact conjugate pairs, and each root is classified by the sign of its
-    real part with tolerance 1e-9.
+    Exact zero low-order coefficients give the ZERO root by construction
+    and are divided out, so small nonzero roots are never confused with it.
+    The quotient's roots come from companion-matrix eigenvalues: nearby
+    eigenvalues (within 2e-5 times max(1, modulus)) merge into one root of
+    higher multiplicity, each root gets two Newton steps, non-real roots
+    are symmetrized into exact conjugate pairs, and each root is classified
+    as decaying or growing by the sign of its real part relative to its own
+    modulus.
     """
     if p.degree < 1:
         raise InputError("root finding needs degree >= 1")
-    raw = np.roots(p.coeffs[::-1])
+    k = next(i for i, c in enumerate(p.coeffs) if c != 0.0)
+    q = Polynomial(p.coeffs[k:])
+    zero = [Root(0j, k, RootClass.ZERO)] if k else []
+    if q.degree < 1:
+        return RootSet(tuple(zero), p.degree)
+    raw = np.roots(q.coeffs[::-1])
 
     # Greedy union of eigenvalues within the cluster radius.
     clusters: list[list[complex]] = []
     for z in sorted(raw, key=lambda w: (w.real, w.imag)):
         for cl in clusters:
-            if abs(z - cl[0]) <= cluster_tol * max(1.0, abs(z), abs(cl[0])):
+            if abs(z - cl[0]) <= _CLUSTER_TOL * max(1.0, abs(z), abs(cl[0])):
                 cl.append(z)
                 break
         else:
             clusters.append([complex(z)])
 
-    polished: list[tuple[complex, int]] = []
-    for cl in clusters:
-        center = complex(np.mean(cl))
-        polished.append((_polish(p, center, len(cl)), len(cl)))
+    centers = np.array([np.mean(cl) for cl in clusters], dtype=complex)
+    mults = np.array([len(cl) for cl in clusters])
+    for m in np.unique(mults):
+        centers[mults == m] = _polish(q, centers[mults == m], int(m))
 
     # Realify near-real roots, then enforce exact conjugate pairing.
-    out: list[tuple[complex, int]] = []
-    for z, m in polished:
-        if abs(z.imag) <= CONJUGATE_TOL * max(1.0, abs(z)):
-            out.append((complex(z.real, 0.0), m))
-        else:
-            out.append((z, m))
+    near_real = np.abs(centers.imag) <= CONJUGATE_TOL * np.maximum(1.0, np.abs(centers))
+    centers[near_real] = centers[near_real].real
+    out = [(complex(z), int(m)) for z, m in zip(centers, mults)]
     paired: list[tuple[complex, int]] = []
     used = [False] * len(out)
     for i, (z, m) in enumerate(out):
@@ -260,7 +293,7 @@ def poly_roots(p: Polynomial, cluster_tol: float = _CLUSTER_TOL) -> RootSet:
         paired.append((sym, m))
         paired.append((sym.conjugate(), m))
 
-    roots = tuple(Root(z, m, _classify(z)) for z, m in paired)
+    roots = tuple(zero) + tuple(Root(z, m, _classify(z)) for z, m in paired)
     total = sum(r.multiplicity for r in roots)
     if total != p.degree:
         raise StructuralError(
@@ -282,58 +315,6 @@ class RationalFn:
 
     def __call__(self, s):
         return self.num(s) / self.den(s)
-
-    def cancelled(self, tol: float = 1e-9) -> "RationalFn":
-        """Remove numerator/denominator root pairs that coincide within tol.
-
-        Rebuilds both polynomials from their surviving roots; intended for
-        cosmetic simplification, the solvers rely on residue thresholds
-        instead.
-        """
-        if self.num.is_zero or self.num.degree == 0 or self.den.degree == 0:
-            return self
-        nroots = list(np.roots(self.num.coeffs[::-1]))
-        droots = list(np.roots(self.den.coeffs[::-1]))
-        kept_d = []
-        for d in droots:
-            hit = None
-            for i, nz in enumerate(nroots):
-                if abs(d - nz) <= tol * max(1.0, abs(d)):
-                    hit = i
-                    break
-            if hit is None:
-                kept_d.append(d)
-            else:
-                nroots.pop(hit)
-        if len(kept_d) == len(droots):
-            return self
-        lead_n = self.num.coeffs[-1]
-        lead_d = self.den.coeffs[-1]
-        num = Polynomial.from_roots(_pair_up(nroots), lead_n) if nroots else Polynomial((lead_n,))
-        den = Polynomial.from_roots(_pair_up(kept_d), lead_d) if kept_d else Polynomial((lead_d,))
-        return RationalFn(num, den)
-
-
-def _pair_up(roots: Sequence[complex]) -> list[complex]:
-    """Symmetrize a conjugate-closed root list against rounding noise."""
-    out = []
-    left = list(roots)
-    while left:
-        z = left.pop()
-        if abs(z.imag) <= 1e-9 * max(1.0, abs(z)):
-            out.append(complex(z.real, 0.0))
-            continue
-        best, dist = None, np.inf
-        for i, w in enumerate(left):
-            d = abs(w - z.conjugate())
-            if d < dist:
-                best, dist = i, d
-        if best is None or dist > 1e-7 * max(1.0, abs(z)):
-            raise StructuralError("cannot pair complex roots for real rebuild")
-        w = left.pop(best)
-        sym = complex(0.5 * (z.real + w.real), 0.5 * (z.imag - w.imag))
-        out.extend([sym, sym.conjugate()])
-    return out
 
 
 @dataclass(frozen=True)
@@ -361,22 +342,17 @@ def partial_fractions(
 ) -> tuple[tuple[complex, complex], ...]:
     """Simple-pole partial fractions of a strictly proper rational function.
 
-    Returns (pole, residue) pairs with residues num(pole) / den'(pole).
-    Repeated poles are rejected; the solvers never produce them on their
-    supported inputs.
+    Returns (pole, residue) pairs with residues num(pole) / den'(pole), in
+    the order of ``roots.distinct()``.  Repeated poles are rejected; the
+    solvers never produce them on their supported inputs.
     """
     if f.num.degree >= f.den.degree:
         raise InputError("partial fractions require deg(num) < deg(den)")
     if roots is None:
         roots = poly_roots(f.den)
-    if roots.max_multiplicity > 1:
-        raise UnsupportedStructureError("repeated poles are not supported")
-    dden = f.den.derivative()
-    pairs = []
-    for r in roots.distinct():
-        res = complex(f.num(r.value)) / complex(dden(r.value))
-        pairs.append((r.value, res))
-    return tuple(pairs)
+    poles = np.array([r.value for r in roots.simple()], dtype=complex)
+    residues = f.num(poles) / f.den.derivative()(poles)
+    return tuple((complex(p), complex(r)) for p, r in zip(poles, residues))
 
 
 @dataclass(frozen=True)
@@ -435,23 +411,161 @@ def expsum_eval(e: ExpSum, u):
     return out
 
 
+def _collect(
+    poles: np.ndarray, residues: np.ndarray, zero: np.ndarray, floor: float
+) -> tuple[float, tuple[tuple[complex, complex], ...]]:
+    """Zero-pole constant and (residue, pole) terms, slowest decay first.
+
+    Residues of modulus at most ``floor`` are dropped.  The zero root is
+    exactly 0, so its residue num(0) / den'(0) is real.
+    """
+    constant = float(np.sum(residues[zero].real))
+    keep = ~zero & (np.abs(residues) > floor)
+    order = np.argsort(-poles[keep].real, kind="stable")
+    terms = tuple(
+        (complex(r), complex(p))
+        for r, p in zip(residues[keep][order], poles[keep][order])
+    )
+    return constant, terms
+
+
 def invert_rational(f: RationalFn, roots: RootSet | None = None) -> ExpSum:
     """Inverse Laplace transform of a strictly proper simple-pole rational.
 
-    Poles classified as zero feed the constant; every other pole carries a
-    coef * exp(pole * u) term.
+    Poles classified as zero feed the constant; every other pole with a
+    nonzero residue carries a coef * exp(pole * u) term.
     """
     if roots is None:
         roots = poly_roots(f.den)
     pairs = partial_fractions(f, roots)
-    by_class = {r.value: r.klass for r in roots.distinct()}
-    constant = 0.0
-    terms = []
-    for pole, res in pairs:
-        if by_class[pole] is RootClass.ZERO:
-            if abs(res.imag) > 1e-9 * max(1.0, abs(res)):
-                raise StructuralError("zero pole produced a complex constant")
-            constant += res.real
-        else:
-            terms.append((res, pole))
-    return ExpSum(constant, tuple(terms))
+    poles = np.array([p for p, _ in pairs], dtype=complex)
+    residues = np.array([r for _, r in pairs], dtype=complex)
+    zero = np.array([r.klass is RootClass.ZERO for r in roots.distinct()])
+    return ExpSum(*_collect(poles, residues, zero, 0.0))
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """Numerator weights that cancel the growing poles, and what they leave.
+
+    Attributes:
+        weights: Every basis weight, solved and fixed alike.
+        growing_values: The basis polynomials at the distinct growing
+            roots, one row per basis polynomial.
+        constant: Residue at the zero pole.
+        terms: (residue, pole) of the decaying poles, slowest decay first,
+            without the residues below 1e-8 of the largest.
+        growing_defect: The largest growing residue left, or the modulus of
+            their sum for a pooled elimination.
+        scale: The largest residue modulus over all poles.
+    """
+
+    weights: np.ndarray
+    growing_values: np.ndarray
+    constant: float
+    terms: tuple[tuple[complex, complex], ...]
+    growing_defect: float
+    scale: float
+
+    def survival(self, growing_tol: float, constant_tol: float) -> ExpSum:
+        """The inverted survival function, after its two gates.
+
+        The growing defect must stay within ``growing_tol`` times
+        max(1, scale), and the constant, the limit at infinity, within
+        ``constant_tol`` of 1.
+        """
+        if self.growing_defect > growing_tol * max(1.0, self.scale):
+            raise StructuralError(
+                f"growing residue {self.growing_defect:.3e} survived "
+                f"elimination (gate {growing_tol:.0e})"
+            )
+        if abs(self.constant - 1.0) > constant_tol:
+            raise StructuralError(
+                f"zero-pole residue {self.constant!r} differs from 1 "
+                f"(gate {constant_tol:.0e})"
+            )
+        return ExpSum(self.constant, self.terms)
+
+
+def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Real solution of an equilibrated system under the residual gate."""
+    row_scale = np.max(np.abs(rows), axis=1)
+    if np.any(row_scale <= _DEGENERATE_REL * np.maximum(row_scale, np.abs(rhs))):
+        raise StructuralError("degenerate elimination row")
+    rows = rows / row_scale[:, None]
+    rhs = rhs / row_scale
+    if rows.shape[0] == rows.shape[1]:
+        try:
+            x = np.linalg.solve(rows, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise StructuralError(f"elimination system is singular: {exc}") from exc
+    else:
+        x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+    x_scale = max(1.0, float(np.max(np.abs(x))))
+    residual = float(np.max(np.abs(rows @ x - rhs)))
+    if residual > _SYSTEM_TOL * x_scale:
+        raise StructuralError(f"elimination system left residual {residual:.3e}")
+    if float(np.max(np.abs(x.imag))) > _REALNESS_TOL * x_scale:
+        raise StructuralError("elimination weights are not real")
+    return x.real
+
+
+def eliminate_growing(
+    den: Polynomial,
+    roots: RootSet,
+    basis: Sequence[Polynomial],
+    weights: Sequence[float | None],
+    pooled: bool = False,
+) -> Elimination:
+    """Solve for the numerator weights that cancel the growing poles.
+
+    The numerator is sum(weights[i] * basis[i]) over den, with None marking
+    an unknown weight.  Each growing pole asks for a zero residue (pooled:
+    one equation, their residues sum to zero).  A zero-pole residue of 1,
+    the survival function's limit, joins the equations when it involves an
+    unknown weight; otherwise the solution's constant is left for the
+    caller to check.  D' and each basis polynomial are evaluated once at
+    all roots, the equilibrated system is solved exactly when square and by
+    least squares otherwise, and the residues of the solved numerator are
+    collected in one pass.
+
+    Raises:
+        UnsupportedStructureError: If den has a repeated root.
+        StructuralError: If there is no growing root, or the system is
+            degenerate, singular, leaves a residual above 1e-8 or has a
+            solution that is not real to 1e-7.
+    """
+    distinct = roots.simple()
+    poles = np.array([r.value for r in distinct], dtype=complex)
+    growing = np.array([r.klass is RootClass.GROWING for r in distinct])
+    zero = np.array([r.klass is RootClass.ZERO for r in distinct])
+    if not growing.any():
+        raise StructuralError("no growing denominator root to eliminate")
+    basis_at_roots = np.array([p(poles) for p in basis])
+    basis_residues = basis_at_roots / den.derivative()(poles)
+
+    unknown = np.array([w is None for w in weights])
+    fixed = np.array([0.0 if w is None else float(w) for w in weights])
+    known = fixed @ basis_residues
+    rows = basis_residues[unknown][:, growing].T
+    rhs = -known[growing]
+    if pooled:
+        rows = rows.sum(axis=0, keepdims=True)
+        rhs = rhs.sum(keepdims=True)
+    at_zero = basis_residues[unknown][:, zero].T
+    if np.any(at_zero != 0.0):
+        rows = np.vstack([rows, at_zero])
+        rhs = np.append(rhs, 1.0 - known[zero])
+    full = fixed.copy()
+    full[unknown] = _solve(rows, rhs)
+
+    residues = full @ basis_residues
+    scale = float(np.max(np.abs(residues)))
+    left = residues[growing]
+    defect = abs(left.sum()) if pooled else np.max(np.abs(left))
+    constant, terms = _collect(
+        poles[~growing], residues[~growing], zero[~growing], RESIDUE_DROP_REL * scale
+    )
+    return Elimination(
+        full, basis_at_roots[:, growing], constant, terms, float(defect), scale
+    )

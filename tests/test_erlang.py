@@ -10,9 +10,7 @@ from scipy import integrate
 from fgmruin.erlang import (
     GrowthElimination,
     SignVariant,
-    _boundary_constants,
     _cleared_parts,
-    _numerator,
     erlang_lt,
     select_sign_variant,
     sign_variant_report,
@@ -21,7 +19,7 @@ from fgmruin.erlang import (
 )
 from fgmruin.errors import InputError, StructuralError
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
-from fgmruin.polyexp import RationalFn, RootClass, poly_roots
+from fgmruin.polyexp import Polynomial, RationalFn, RootClass, poly_roots
 
 INDIVIDUAL = GrowthElimination.INDIVIDUAL
 POOLED = GrowthElimination.POOLED
@@ -181,13 +179,16 @@ class TestSolution:
 
         The complete numerator keeps every boundary unknown, so this
         only holds under the exact elimination; it is rebuilt here from
-        the solver's own parts.
+        the cleared basis and the solution's delta(0) and boundary
+        constants.
         """
         m = _model(0.5)
-        den, basis = _cleared_parts(m, PLUS)
-        x = _boundary_constants(den, basis, poly_roots(den))
-        fraction = RationalFn(_numerator(basis, x), den)
         sol = survival_erlang2(m)
+        den, basis = _cleared_parts(m, PLUS)
+        num = Polynomial((0.0,))
+        for weight, p in zip((sol.delta0, *sol.boundary_constants), basis):
+            num = num + weight * p
+        fraction = RationalFn(num, den)
         got, err = integrate.quad(lambda u: sol(u) * np.exp(-s * u), 0.0, np.inf)
         want = complex(fraction(s)).real
         assert got == pytest.approx(want, rel=1e-7)
