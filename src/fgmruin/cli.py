@@ -22,6 +22,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .classical import survival_classical
 from .erlang import (
     GrowthElimination,
@@ -148,15 +150,18 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _curve_output(args, command: str, model: ModelSpec, rows,
-                  extra: dict | None = None) -> str:
+def _curve_output(args, command: str, model: ModelSpec, grid, sol,
+                  extra: dict) -> str:
+    # One vectorized evaluation over the whole grid; the values are the
+    # same floats the per-point calls give.
+    rows = list(zip(grid, sol(np.asarray(grid)).tolist()))
     if args.format == "json":
         payload = {
             "command": command,
             "model": _model_payload(model),
             "rows": [{"u": u, "value": v} for u, v in rows],
         }
-        payload.update(extra or {})
+        payload.update(extra)
         return _json_text(payload)
     return _csv_table(("u", "value"), rows)
 
@@ -165,8 +170,7 @@ def _cmd_survival_classical(args: argparse.Namespace) -> str:
     model = _classical_model(args)
     grid = _parse_grid(args.u)
     sol = survival_classical(model)
-    rows = [(u, float(sol(u))) for u in grid]
-    return _curve_output(args, "survival-classical", model, rows,
+    return _curve_output(args, "survival-classical", model, grid, sol,
                          {"phi0": sol.phi0})
 
 
@@ -176,12 +180,12 @@ def _cmd_survival_erlang2(args: argparse.Namespace) -> str:
     variant = SignVariant(args.variant)
     elimination = GrowthElimination(args.elimination)
     sol = survival_erlang2(model, variant, elimination)
-    rows = [(u, float(sol(u))) for u in grid]
     return _curve_output(
         args,
         "survival-erlang2",
         model,
-        rows,
+        grid,
+        sol,
         {
             "delta0": sol.delta0,
             "variant": variant.value,
@@ -194,8 +198,7 @@ def _cmd_max_surplus(args: argparse.Namespace) -> str:
     model = _classical_model(args)
     grid = _parse_grid(args.u)
     sol = solve_chi(model, args.b)
-    rows = [(u, float(sol(u))) for u in grid]
-    return _curve_output(args, "max-surplus", model, rows, {"b": args.b})
+    return _curve_output(args, "max-surplus", model, grid, sol, {"b": args.b})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:

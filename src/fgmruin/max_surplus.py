@@ -20,12 +20,28 @@ condition and from the first-derivative form of the renewal equation,
                          - (theta lam/c) B(u),
 
 where A and B are convolutions of chi with the claim density f and the
-auxiliary density h, and J integrates B forward against the kernel
-e^{-2 lam (s-u)/c} up to b.  Substituting the exponential form turns each
-side into a combination of the rates {0, s_i, -alpha, -2 alpha, 2 lam/c}.
-The coefficients of rates 0 and s_i cancel identically (checked, since it
-validates the assembly), and forcing the three remaining rates to zero
-gives the missing equations.
+auxiliary density h(x) = 2 alpha e^{-2 alpha x} - alpha e^{-alpha x},
+and J(u) integrates B(s) e^{-k (s-u)} over u <= s <= b, k = 2 lam/c.
+Substituting the exponential form turns each side into a combination of
+the rates {0, s_i, -alpha, -2 alpha, k}.  Over the columns r_0 = 0 and
+r_j = s_j, with a_j = alpha/(alpha + r_j) and b_j = 2 alpha/(2 alpha + r_j),
+the four rows are, up to nonzero row factors:
+
+    boundary chi(b, b) = 1:  e^{r_j b},  right-hand side 1;
+    rate -alpha:             a_j;
+    rate -2 alpha:           b_j;
+    rate k:                  (b_j - a_j) e^{(r_j - k) b}/(k - r_j)
+                             - b_j e^{-(2 alpha + k) b}/(k + 2 alpha)
+                             + a_j e^{-(alpha + k) b}/(k + alpha).
+
+The rates 0 and s_i cancel identically: with kappa = 2 theta lam^2/c^2,
+mu = lam/c and nu = theta lam/c, each root satisfies
+
+    kappa (b_i - a_i)/(k - s_i) - mu a_i - nu (b_i - a_i) - (s_i - mu) = 0,
+
+and the remainder relative to the largest term is checked as the
+assembly defect.  (Dickson & Gray, Scand. Actuarial J. 1984, 174-186,
+give the finite-barrier form for independent claims.)
 
 Growing-root columns are rescaled by e^{-s b} and rows are equilibrated
 before solving; the raw system carries condition numbers like e^{s b}
@@ -75,44 +91,6 @@ _COND_LIMIT = 1e12
 _BOUNDARY_TOL = 1e-6
 
 
-class _RateMap:
-    """Accumulates vectors of linear-form coefficients keyed by rate."""
-
-    def __init__(self):
-        self._rates: list[complex] = []
-        self._vecs: list[np.ndarray] = []
-
-    def add(self, rate: complex, vec) -> None:
-        rate = complex(rate)
-        vec = np.asarray(vec, dtype=complex)
-        for i, r in enumerate(self._rates):
-            if abs(r - rate) <= 1e-12 * max(1.0, abs(r), abs(rate)):
-                self._vecs[i] = self._vecs[i] + vec
-                return
-        self._rates.append(rate)
-        self._vecs.append(vec.copy())
-
-    def add_scaled(self, other: "_RateMap", factor: complex) -> None:
-        for r, v in other.items():
-            self.add(r, factor * v)
-
-    def get(self, rate: complex, dim: int) -> np.ndarray:
-        rate = complex(rate)
-        for r, v in self.items():
-            if abs(r - rate) <= 1e-12 * max(1.0, abs(r), abs(rate)):
-                return v
-        return np.zeros(dim, dtype=complex)
-
-    def items(self):
-        return list(zip(self._rates, self._vecs))
-
-    @property
-    def entry_scale(self) -> float:
-        if not self._vecs:
-            return 0.0
-        return max(float(np.max(np.abs(v))) for v in self._vecs)
-
-
 def chi_characteristic(model: ModelSpec) -> Polynomial:
     """Characteristic quartic of the reach-probability ODE.
 
@@ -136,8 +114,8 @@ class ChiSolution:
         condition: Condition number of the equilibrated linear system
             (1.0 for the small-theta ratio branch).
         boundary_residual: |chi(b, b) - 1| of the assembled solution.
-        assembly_defect: Largest relative coefficient left on the rates
-            that must cancel identically during assembly.
+        assembly_defect: Largest relative remainder of the characteristic
+            identity at the roots (0.0 for the small-theta ratio branch).
     """
 
     model: ModelSpec
@@ -220,67 +198,45 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
                 "asymptotic survival solver instead"
             )
 
-    dim = 4
-    basis = np.eye(dim, dtype=complex)
+    # Columns: the constant (rate 0) and the three nonzero roots.
+    r = np.array([0.0, *s_vals], dtype=complex)
+    aj = alpha / (alpha + r)
+    bj = 2.0 * alpha / (2.0 * alpha + r)
 
-    def conv(gamma: float) -> _RateMap:
-        # Convolution of the solution form with gamma e^{-gamma x} / gamma.
-        m = _RateMap()
-        m.add(0.0, basis[0] / gamma)
-        m.add(-gamma, -basis[0] / gamma)
-        for i, s in enumerate(s_vals):
-            m.add(s, basis[i + 1] / (gamma + s))
-            m.add(-gamma, -basis[i + 1] / (gamma + s))
-        return m
-
-    a_map = _RateMap()
-    a_map.add_scaled(conv(alpha), alpha)
-    b_map = _RateMap()
-    b_map.add_scaled(conv(2.0 * alpha), 2.0 * alpha)
-    b_map.add_scaled(conv(alpha), -alpha)
-
-    j_map = _RateMap()
-    for rho, vec in b_map.items():
-        denom = 2.0 * lam - c * rho
-        j_map.add(rho, vec * (c / denom))
-        j_map.add(k, -vec * (c / denom) * np.exp((rho - k) * b))
-
-    f_map = _RateMap()
-    f_map.add_scaled(j_map, 2.0 * th * lam**2 / c**2)
-    f_map.add_scaled(a_map, -lam / c)
-    f_map.add_scaled(b_map, -th * lam / c)
-    # Subtract the left-hand side chi' - (lam/c) chi.
-    f_map.add(0.0, (lam / c) * basis[0])
-    for i, s in enumerate(s_vals):
-        f_map.add(s, -(s - lam / c) * basis[i + 1])
-
-    # Rates 0 and s_i must cancel identically; a visible remainder means
-    # the assembly does not match the solution form.
-    scale = f_map.entry_scale
-    defect = 0.0
-    for rate in [0.0, *s_vals]:
-        defect = max(defect, float(np.max(np.abs(f_map.get(rate, dim)))))
-    if defect > _ASSEMBLY_TOL * max(1.0, scale):
+    # At every root the rates 0 and s_i cancel identically; a visible
+    # remainder means the rows below do not match the solution form.
+    kappa = 2.0 * th * lam**2 / c**2
+    mu = lam / c
+    nu = th * lam / c
+    summands = np.array(
+        [kappa * (bj - aj) / (k - r), -mu * aj, -nu * (bj - aj), -(r - mu)]
+    )
+    defect = float(np.max(
+        np.abs(summands.sum(axis=0))
+        / np.maximum(1.0, np.max(np.abs(summands), axis=0))
+    ))
+    if defect > _ASSEMBLY_TOL:
         raise StructuralError(
-            f"assembly left defect {defect:.3e} on identity rates "
-            f"(scale {scale:.3e})"
+            f"assembly left relative defect {defect:.3e} on identity rates"
         )
 
-    col_scale = np.ones(dim, dtype=complex)
-    boundary = np.ones(dim, dtype=complex)
-    for i, s in enumerate(s_vals):
-        if s.real > 0:
-            col_scale[i + 1] = np.exp(-s * b)
-            boundary[i + 1] = 1.0
-        else:
-            boundary[i + 1] = np.exp(s * b)
-
-    mat = np.empty((dim, dim), dtype=complex)
-    rhs = np.zeros(dim, dtype=complex)
-    mat[0] = boundary
-    rhs[0] = 1.0
-    for row, rate in enumerate((-alpha, -2.0 * alpha, k), start=1):
-        mat[row] = f_map.get(rate, dim) * col_scale
+    # Rows: the boundary value chi(b, b) = 1, then the coefficients of
+    # the rates -alpha, -2 alpha and k, each up to a nonzero common
+    # factor that equilibration cancels.  The two column-independent
+    # tails of the rate-k row are multiples of the two rows above it, so
+    # they leave the solution unchanged; they are kept so that the
+    # equilibrated matrix and its condition number stay those of the
+    # rate-matching system.
+    col_scale = np.exp(-np.where(r.real > 0.0, r, 0.0) * b)
+    mat = np.array([
+        np.exp(r * b),
+        aj,
+        bj,
+        (bj - aj) * np.exp((r - k) * b) / (k - r)
+        - bj * np.exp(-(2.0 * alpha + k) * b) / (k + 2.0 * alpha)
+        + aj * np.exp(-(alpha + k) * b) / (k + alpha),
+    ]) * col_scale
+    rhs = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
     row_norm = np.max(np.abs(mat), axis=1)
     if np.any(row_norm == 0.0):
@@ -317,8 +273,7 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
         raise StructuralError(
             f"solution misses the boundary value by {residual:.3e}"
         )
-    rel_defect = defect / max(1.0, scale)
-    return ChiSolution(model, b, expsum, roots, condition, residual, rel_defect)
+    return ChiSolution(model, b, expsum, roots, condition, residual, defect)
 
 
 def chi(model: ModelSpec, u, b: float):

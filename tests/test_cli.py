@@ -2,8 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from fgmruin import (
+    Erlang2,
+    ExpClaim,
+    ExpPoisson,
+    FgmParam,
+    ModelSpec,
+    solve_chi,
+    survival_classical,
+    survival_erlang2,
+)
 from fgmruin.cli import main
 
 
@@ -85,6 +96,29 @@ class TestMaxSurplus:
         assert code == 4
         assert out == ""
         assert "error" in err
+
+
+class TestCurveRows:
+    """JSON curve rows are the library's values on the grid, exactly."""
+
+    @pytest.mark.parametrize(
+        "command,arrival,solve,step",
+        [
+            ("survival-classical", ExpPoisson(1.0), survival_classical, 0.25),
+            ("survival-erlang2", Erlang2(2.0), survival_erlang2, 0.25),
+            ("max-surplus", ExpPoisson(1.0), lambda m: solve_chi(m, 20.0), 0.5),
+        ],
+    )
+    def test_rows_equal_vectorized_solution(self, capsys, command, arrival,
+                                            solve, step):
+        code, out, _ = _run(capsys, command, "--theta", "0.5",
+                            "--u", f"0:{40 * step}:{step}", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        grid = [i * step for i in range(41)]
+        assert [r["u"] for r in rows] == grid
+        sol = solve(ModelSpec(1.5, ExpClaim(1.0), arrival, FgmParam(0.5)))
+        assert [r["value"] for r in rows] == sol(np.array(grid)).tolist()
 
 
 class TestSimulate:
