@@ -244,10 +244,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     return _csv_table(("u", "value", "stderr"), rows)
 
 
-def _nearest_term(terms, rate: float):
-    return min(terms, key=lambda t: abs(t[1].real - rate))
-
-
 def _compare_row(name: str, computed: float, reference: float) -> dict:
     return {
         "name": name,
@@ -257,6 +253,18 @@ def _compare_row(name: str, computed: float, reference: float) -> dict:
     }
 
 
+def _term_rows(th: float, terms, pairs) -> list[dict]:
+    """Coefficient and rate rows of the terms nearest each reference rate."""
+    rows = []
+    for i, (coef_ref, rate_ref) in enumerate(pairs, 1):
+        coef, rate = min(terms, key=lambda t: abs(t[1].real - rate_ref))
+        rows.append(_compare_row(f"theta={th:+.1f} term{i} coef",
+                                 coef.real, coef_ref))
+        rows.append(_compare_row(f"theta={th:+.1f} term{i} rate",
+                                 rate.real, rate_ref))
+    return rows
+
+
 def _reproduce_example1(args: argparse.Namespace) -> tuple[list[dict], dict]:
     rows = []
     for th in sorted(_EXAMPLE1):
@@ -264,12 +272,7 @@ def _reproduce_example1(args: argparse.Namespace) -> tuple[list[dict], dict]:
         model = ModelSpec(1.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(th))
         sol = survival_classical(model)
         rows.append(_compare_row(f"theta={th:+.1f} phi0", sol.phi0, phi0_ref))
-        for i, (coef_ref, rate_ref) in enumerate(pairs, 1):
-            coef, rate = _nearest_term(sol.phi.terms, rate_ref)
-            rows.append(_compare_row(f"theta={th:+.1f} term{i} coef",
-                                     coef.real, coef_ref))
-            rows.append(_compare_row(f"theta={th:+.1f} term{i} rate",
-                                     rate.real, rate_ref))
+        rows.extend(_term_rows(th, sol.phi.terms, pairs))
     extra = {"parameters": {"c": 1.5, "alpha": 1.0, "lambda": 1.0}}
     return rows, extra
 
@@ -288,12 +291,7 @@ def _reproduce_example2(args: argparse.Namespace) -> tuple[list[dict], dict]:
         sol = survival_erlang2(model, elimination=GrowthElimination.POOLED)
         rows.append(_compare_row(f"theta={th:+.1f} delta0", sol.delta0,
                                  delta0_ref))
-        for i, (coef_ref, rate_ref) in enumerate(pairs, 1):
-            coef, rate = _nearest_term(sol.delta.terms, rate_ref)
-            rows.append(_compare_row(f"theta={th:+.1f} term{i} coef",
-                                     coef.real, coef_ref))
-            rows.append(_compare_row(f"theta={th:+.1f} term{i} rate",
-                                     rate.real, rate_ref))
+        rows.extend(_term_rows(th, sol.delta.terms, pairs))
         exact_sol = survival_erlang2(model)
         exact.append({"theta": th, "delta0": exact_sol.delta0})
         if args.variant_report:
@@ -334,12 +332,7 @@ def _reproduce_example3(args: argparse.Namespace) -> tuple[list[dict], dict]:
     for th in sorted(_EXAMPLE3):
         model = ModelSpec(1.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(th))
         sol = solve_chi(model, _PRESET_B)
-        for i, (coef_ref, rate_ref) in enumerate(_EXAMPLE3[th], 1):
-            coef, rate = _nearest_term(sol.chi.terms, rate_ref)
-            rows.append(_compare_row(f"theta={th:+.1f} term{i} coef",
-                                     coef.real, coef_ref))
-            rows.append(_compare_row(f"theta={th:+.1f} term{i} rate",
-                                     rate.real, rate_ref))
+        rows.extend(_term_rows(th, sol.chi.terms, _EXAMPLE3[th]))
     extra = {"parameters": {"c": 1.5, "alpha": 1.0, "lambda": 1.0},
              "b": _PRESET_B}
     return rows, extra

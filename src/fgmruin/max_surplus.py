@@ -30,9 +30,10 @@ the four rows are, up to nonzero row factors:
     boundary chi(b, b) = 1:  e^{r_j b},  right-hand side 1;
     rate -alpha:             a_j;
     rate -2 alpha:           b_j;
-    rate k:                  (b_j - a_j) e^{(r_j - k) b}/(k - r_j)
-                             - b_j e^{-(2 alpha + k) b}/(k + 2 alpha)
-                             + a_j e^{-(alpha + k) b}/(k + alpha).
+    rate k:                  (b_j - a_j) e^{(r_j - k) b}/(k - r_j),
+
+leaving out the rate-k terms in e^{-(alpha + k) b} and e^{-(2 alpha + k) b},
+multiples of the rate -alpha and -2 alpha rows.
 
 The rates 0 and s_i cancel identically: with kappa = 2 theta lam^2/c^2,
 mu = lam/c and nu = theta lam/c, each root satisfies
@@ -73,8 +74,8 @@ __all__ = ["ChiSolution", "chi_characteristic", "solve_chi", "chi", "xi"]
 # rate 2 lam / c as theta -> 0.
 _SMALL_THETA = 1e-6
 
-# Distinct assembly rates must stay separated; closer approaches make the
-# rate-matching system meaningless for this solution form.
+# Characteristic roots must stay this far from the claim rates; closer
+# approaches make the rate-matching system meaningless for this solution form.
 _RATE_SEP_TOL = 1e-7
 
 # The kernel rate guard is tighter because the near-collision at small
@@ -152,9 +153,8 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
 
     Raises:
         InputError: For non-exponential arrivals or a non-positive level.
-        UnsupportedStructureError: If characteristic roots repeat, or
-            collide with each other or with the assembly rates {-alpha,
-            -2 alpha, 2 lam / c}.
+        UnsupportedStructureError: If characteristic roots repeat or
+            collide with the assembly rates {-alpha, -2 alpha, 2 lam / c}.
         ConditioningError: If the equilibrated system is too ill
             conditioned to trust, including levels b so large that the
             growing root overflows the scaling.
@@ -179,10 +179,7 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     s_vals = [r.value for r in roots.simple() if r.klass is not RootClass.ZERO]
     if len(s_vals) != 3:
         raise StructuralError(f"expected three nonzero roots, got {len(s_vals)}")
-    for i, s in enumerate(s_vals):
-        for other in s_vals[i + 1 :]:
-            if abs(s - other) <= _RATE_SEP_TOL * max(1.0, abs(s)):
-                raise UnsupportedStructureError("characteristic roots collide")
+    for s in s_vals:
         for special in (-alpha, -2.0 * alpha):
             if abs(s - special) <= _RATE_SEP_TOL * max(1.0, abs(special)):
                 raise UnsupportedStructureError(
@@ -222,19 +219,13 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
 
     # Rows: the boundary value chi(b, b) = 1, then the coefficients of
     # the rates -alpha, -2 alpha and k, each up to a nonzero common
-    # factor that equilibration cancels.  The two column-independent
-    # tails of the rate-k row are multiples of the two rows above it, so
-    # they leave the solution unchanged; they are kept so that the
-    # equilibrated matrix and its condition number stay those of the
-    # rate-matching system.
+    # factor that equilibration cancels.
     col_scale = np.exp(-np.where(r.real > 0.0, r, 0.0) * b)
     mat = np.array([
         np.exp(r * b),
         aj,
         bj,
-        (bj - aj) * np.exp((r - k) * b) / (k - r)
-        - bj * np.exp(-(2.0 * alpha + k) * b) / (k + 2.0 * alpha)
-        + aj * np.exp(-(alpha + k) * b) / (k + alpha),
+        (bj - aj) * np.exp((r - k) * b) / (k - r),
     ]) * col_scale
     rhs = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 

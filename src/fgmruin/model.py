@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InputError, LoadingError
+from .errors import ConditioningError, InputError, LoadingError
 from .polyexp import Polynomial, RationalFn
 
 __all__ = [
@@ -132,9 +132,9 @@ class ExpPoisson:
         return float(out) if out.ndim == 0 else out
 
 
-# Newton tolerance and iteration cap for the Erlang(2) quantile.
+# Largest |F(t) - v| an Erlang(2) quantile may leave; the Newton solve in
+# _erlang2_z_from_y stays within about 3e-16 of v over [0, 1).
 _ERLANG_PPF_TOL = 1e-12
-_ERLANG_PPF_MAXIT = 100
 
 
 def _erlang2_z_from_y(y):
@@ -183,40 +183,21 @@ class Erlang2:
         return float(out) if out.ndim == 0 else out
 
     def ppf(self, v):
-        """Quantile via Newton on the cdf with a bisection fallback."""
+        """Quantile t = z / beta, where z - log(1 + z) = -log(1 - v).
+
+        Raises:
+            InputError: If v lies outside [0, 1).
+            ConditioningError: If F(t) misses v by more than 1e-12.
+        """
         scalar = np.isscalar(v) or np.asarray(v).ndim == 0
         v = np.atleast_1d(np.asarray(v, dtype=float))
         if np.any((v < 0.0) | (v >= 1.0)):
             raise InputError("arrival quantile needs v in [0, 1)")
-        y = -np.log1p(-v)
-        z = _erlang2_z_from_y(y)
-        t = z / self.beta
-        # Newton polish on F directly; falls back to bisection for any
-        # element that has not met tolerance (not expected in practice).
-        for _ in range(3):
-            resid = self.cdf(t) - v
-            if np.all(np.abs(resid) <= _ERLANG_PPF_TOL):
-                break
-            pdf = np.maximum(self.pdf(t), 1e-300)
-            t = np.maximum(t - resid / pdf, 0.0)
-        bad = np.abs(self.cdf(t) - v) > _ERLANG_PPF_TOL
-        if np.any(bad):
-            t[bad] = [self._ppf_bisect(float(vi)) for vi in v[bad]]
+        t = _erlang2_z_from_y(-np.log1p(-v)) / self.beta
+        resid = float(np.max(np.abs(self.cdf(t) - v), initial=0.0))
+        if resid > _ERLANG_PPF_TOL:
+            raise ConditioningError(f"Erlang(2) quantile misses its cdf by {resid:.3e}")
         return float(t[0]) if scalar else t
-
-    def _ppf_bisect(self, v: float) -> float:
-        lo, hi = 0.0, 1.0
-        while self.cdf(hi) < v:
-            hi *= 2.0
-        for _ in range(_ERLANG_PPF_MAXIT):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < v:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _ERLANG_PPF_TOL * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
 
 
 InterArrival = Union[ExpPoisson, Erlang2]

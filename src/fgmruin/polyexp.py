@@ -111,7 +111,12 @@ class Polynomial:
         return cls((leading * desc.real)[::-1])
 
     def __call__(self, s):
-        return np.polyval(self.coeffs[::-1], s)
+        # np.polyval's Horner loop, without converting the coefficients.
+        x = np.asanyarray(s)
+        y = np.zeros_like(x)
+        for c in reversed(self.coeffs):
+            y = y * x + c
+        return y
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -195,19 +200,6 @@ class RootSet:
         return list(self.roots)
 
 
-def _classify(value: complex) -> RootClass:
-    """Class of a nonzero root by the sign of its real part.
-
-    A root decays when its real part is below -1e-9 times its modulus.
-    Purely oscillatory poles do not vanish at infinity, so they are grouped
-    with the growing class.  Only the exact zero roots that ``poly_roots``
-    divides out are ZERO.
-    """
-    if value.real < -_DECAY_REL * abs(value):
-        return RootClass.DECAYING
-    return RootClass.GROWING
-
-
 def _polish(p: Polynomial, z: np.ndarray, multiplicity: int) -> np.ndarray:
     """Safeguarded Newton steps on the (m-1)th derivative.
 
@@ -226,80 +218,76 @@ def _polish(p: Polynomial, z: np.ndarray, multiplicity: int) -> np.ndarray:
     return z
 
 
+def _conjugate_partners(values: np.ndarray) -> np.ndarray:
+    """Index of each value's conjugate partner, -1 where there is none.
+
+    A value within CONJUGATE_TOL * max(1, modulus) of the real axis is its
+    own partner.  Another value i pairs with the first non-real j within
+    CONJUGATE_TOL * max(1, |value i|) of its conjugate, provided that j
+    pairs back with i; so a repeated non-real value finds no partner.
+    """
+    v = np.asarray(values, dtype=complex)
+    scale = CONJUGATE_TOL * np.maximum(1.0, np.abs(v))
+    cplx = np.abs(v.imag) > scale
+    # No non-real value is within tolerance of its own conjugate.
+    near = (np.abs(v - v.conj()[:, None]) <= scale[:, None]) & cplx
+    idx = np.arange(len(v))
+    partner = np.where(cplx, near.argmax(axis=1), idx)
+    found = (near[idx, partner] | ~cplx) & (partner[partner] == idx)
+    return np.where(found, partner, -1)
+
+
 def poly_roots(p: Polynomial) -> RootSet:
     """Roots with multiplicities and classes.
 
     Exact zero low-order coefficients give the ZERO root by construction
     and are divided out, so small nonzero roots are never confused with it.
-    The quotient's roots come from companion-matrix eigenvalues: nearby
-    eigenvalues (within 2e-5 times max(1, modulus)) merge into one root of
-    higher multiplicity, each root gets two Newton steps, non-real roots
-    are symmetrized into exact conjugate pairs, and each root is classified
-    as decaying or growing by the sign of its real part relative to its own
-    modulus.
+    The quotient's roots come from companion-matrix eigenvalues in
+    ``np.sort_complex`` order: an eigenvalue within 2e-5 times max(1, the
+    larger modulus) of an earlier one joins its cluster, and each cluster
+    becomes one root at its mean, of multiplicity its size.  Each root
+    gets two Newton steps, non-real roots are symmetrized into exact
+    conjugate pairs (positive imaginary part first), and each root is
+    classified as decaying or growing by the sign of its real part
+    relative to its own modulus.
     """
     if p.degree < 1:
         raise InputError("root finding needs degree >= 1")
     k = next(i for i, c in enumerate(p.coeffs) if c != 0.0)
     q = Polynomial(p.coeffs[k:])
-    zero = [Root(0j, k, RootClass.ZERO)] if k else []
+    roots = [Root(0j, k, RootClass.ZERO)] if k else []
     if q.degree < 1:
-        return RootSet(tuple(zero), p.degree)
-    raw = np.roots(q.coeffs[::-1])
+        return RootSet(tuple(roots), p.degree)
+    z = np.sort_complex(np.roots(q.coeffs[::-1]))
 
-    # Greedy union of eigenvalues within the cluster radius.
-    clusters: list[list[complex]] = []
-    for z in sorted(raw, key=lambda w: (w.real, w.imag)):
-        for cl in clusters:
-            if abs(z - cl[0]) <= _CLUSTER_TOL * max(1.0, abs(z), abs(cl[0])):
-                cl.append(z)
-                break
-        else:
-            clusters.append([complex(z)])
-
-    centers = np.array([np.mean(cl) for cl in clusters], dtype=complex)
-    mults = np.array([len(cl) for cl in clusters])
+    mod = np.maximum(1.0, np.abs(z))
+    close = np.abs(z - z[:, None]) <= _CLUSTER_TOL * np.maximum(mod, mod[:, None])
+    first = close.argmax(axis=1)
+    label = np.cumsum(np.bincount(first, minlength=len(z)) > 0)[first] - 1
+    mults = np.bincount(label)
+    # Scaling by the reciprocal count rounds as np.mean does on complex.
+    centers = np.bincount(label, z.real) + 1j * np.bincount(label, z.imag)
+    centers *= 1.0 / mults
     for m in np.unique(mults):
         centers[mults == m] = _polish(q, centers[mults == m], int(m))
 
-    # Realify near-real roots, then enforce exact conjugate pairing.
-    near_real = np.abs(centers.imag) <= CONJUGATE_TOL * np.maximum(1.0, np.abs(centers))
-    centers[near_real] = centers[near_real].real
-    out = [(complex(z), int(m)) for z, m in zip(centers, mults)]
-    paired: list[tuple[complex, int]] = []
-    used = [False] * len(out)
-    for i, (z, m) in enumerate(out):
-        if used[i]:
-            continue
-        used[i] = True
-        if z.imag == 0.0:
-            paired.append((z, m))
-            continue
-        partner = None
-        for j in range(i + 1, len(out)):
-            if used[j]:
-                continue
-            w, mw = out[j]
-            if mw == m and abs(w - z.conjugate()) <= CONJUGATE_TOL * max(1.0, abs(z)):
-                partner = j
-                break
-        if partner is None:
-            raise StructuralError(f"complex root {z!r} has no conjugate partner")
-        used[partner] = True
-        w = out[partner][0]
-        sym = complex(0.5 * (z.real + w.real), 0.5 * (z.imag - w.imag))
-        if sym.imag < 0:
-            sym = sym.conjugate()
-        paired.append((sym, m))
-        paired.append((sym.conjugate(), m))
-
-    roots = tuple(zero) + tuple(Root(z, m, _classify(z)) for z, m in paired)
-    total = sum(r.multiplicity for r in roots)
-    if total != p.degree:
-        raise StructuralError(
-            f"root multiplicities sum to {total}, expected degree {p.degree}"
-        )
-    return RootSet(roots, p.degree)
+    partner = _conjugate_partners(centers)
+    unpaired = (partner < 0) | (mults[partner] != mults)
+    if unpaired.any():
+        bad = complex(centers[unpaired.argmax()])
+        raise StructuralError(f"complex root {bad!r} has no conjugate partner")
+    idx = np.arange(len(centers))
+    w = centers[partner]
+    sym = 0.5 * (centers.real + w.real) + 1j * np.abs(0.5 * (centers.imag - w.imag))
+    order = np.lexsort((idx, np.minimum(idx, partner)))
+    vals = np.where(partner < idx, sym.conj(), sym)[order]
+    # Purely oscillatory poles do not vanish at infinity: they count as growing.
+    decays = vals.real < -_DECAY_REL * np.abs(vals)
+    roots += [
+        Root(v, m, RootClass.DECAYING if d else RootClass.GROWING)
+        for v, m, d in zip(vals.tolist(), mults[order].tolist(), decays.tolist())
+    ]
+    return RootSet(tuple(roots), p.degree)
 
 
 @dataclass(frozen=True)
@@ -363,30 +351,23 @@ class ExpSum:
     terms: tuple[tuple[complex, complex], ...]
 
     def __post_init__(self):
-        unmatched = []
-        for coef, rate in self.terms:
-            if abs(rate.imag) <= CONJUGATE_TOL * max(1.0, abs(rate)):
-                if abs(coef.imag) > 1e-9 * max(1.0, abs(coef)):
-                    raise StructuralError(
-                        f"real-rate term has complex coefficient {coef!r}"
-                    )
-                continue
-            unmatched.append((coef, rate))
-        while unmatched:
-            coef, rate = unmatched.pop()
-            partner = None
-            for i, (c2, r2) in enumerate(unmatched):
-                if (
-                    abs(r2 - rate.conjugate()) <= CONJUGATE_TOL * max(1.0, abs(rate))
-                    and abs(c2 - coef.conjugate()) <= 1e-7 * max(1.0, abs(coef))
-                ):
-                    partner = i
-                    break
-            if partner is None:
-                raise StructuralError(
-                    f"complex term with rate {rate!r} lacks a conjugate partner"
-                )
-            unmatched.pop(partner)
+        if not self.terms:
+            return
+        coefs, rates = np.array(self.terms, dtype=complex).T
+        partner = _conjugate_partners(rates)
+        scale = np.maximum(1.0, np.abs(coefs))
+        real = partner == np.arange(len(rates))
+        bad = real & (np.abs(coefs.imag) > 1e-9 * scale)
+        if bad.any():
+            coef = self.terms[bad.argmax()][0]
+            raise StructuralError(f"real-rate term has complex coefficient {coef!r}")
+        dev = np.abs(coefs[partner] - coefs.conj())
+        unpaired = (partner < 0) | (dev > 1e-7 * scale)
+        if unpaired.any():
+            rate = self.terms[np.flatnonzero(unpaired)[-1]][1]
+            raise StructuralError(
+                f"complex term with rate {rate!r} lacks a conjugate partner"
+            )
 
     def __call__(self, u):
         return expsum_eval(self, u)

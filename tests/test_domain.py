@@ -36,6 +36,9 @@ SHAPE_TOL = 1e-9
 ORIGIN_TOL = 1e-8
 # Relative accuracy demanded of phi(0) against the 60-digit reference.
 PHI0_REL_TOL = 1e-8
+# |candidate - phi(0)| / max(1, phi(0)) for every growing root's candidate:
+# the elimination's 1e-8 residual gate plus its 1e-7 realness gate.
+CANDIDATE_TOL = 1.1e-7
 
 LOG_RATE = (math.log(0.2), math.log(5.0))
 
@@ -93,6 +96,8 @@ def test_every_solver_solves_the_valid_domain(params):
     sol = survival_classical(poisson)
     _check_shape(sol(grid))
     assert abs(sol(0.0) - sol.phi0) <= ORIGIN_TOL
+    spread = np.abs(np.array(sol.phi0_candidates) - sol.phi0)
+    assert np.all(spread <= CANDIDATE_TOL * max(1.0, sol.phi0))
     for elimination in GrowthElimination:
         sol = survival_erlang2(_spec(*params, erlang=True), elimination=elimination)
         _check_shape(sol(grid))

@@ -154,7 +154,10 @@ class TestErlang2:
 
     def test_cdf_ppf_roundtrip(self):
         e2 = Erlang2(2.0)
-        q = np.linspace(1e-6, 1.0 - 1e-6, 200)
+        q = np.concatenate([
+            [0.0], 10.0 ** -np.arange(300.0, 5.0, -1.0),
+            np.linspace(1e-6, 1.0 - 1e-6, 200), 1.0 - 10.0 ** -np.arange(6.0, 16.0),
+        ])
         assert np.max(np.abs(e2.cdf(e2.ppf(q)) - q)) <= 1e-12
 
     def test_scalar_and_vector_agree(self):

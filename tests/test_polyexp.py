@@ -110,12 +110,19 @@ class TestPolyRoots:
                 assert abs(den(r)) <= bound
 
     def test_conjugate_pair_symmetrized(self):
-        # (s^2 + 2s + 5)(s + 1): pair -1 +/- 2i plus a real root.
-        p = Polynomial((5, 2, 1)) * Polynomial((1, 1))
-        rs = poly_roots(p)
-        complex_vals = [r.value for r in rs.distinct() if r.value.imag != 0.0]
-        assert len(complex_vals) == 2
-        assert complex_vals[0] == complex_vals[1].conjugate()
+        cases = (
+            # (s^2 + 2s + 5)(s + 1): pair -1 +/- 2i plus a real root.
+            (Polynomial((5, 2, 1)) * Polynomial((1, 1)), 1),
+            # (s^2 + 2s + 5)(s^2 - s + 3)(s + 1): two pairs and a real root.
+            (Polynomial((5, 2, 1)) * Polynomial((3, -1, 1)) * Polynomial((1, 1)), 2),
+        )
+        for p, pairs in cases:
+            rs = poly_roots(p)
+            complex_vals = [r.value for r in rs.distinct() if r.value.imag != 0.0]
+            assert len(complex_vals) == 2 * pairs
+            for upper, lower in zip(complex_vals[::2], complex_vals[1::2]):
+                assert upper.imag > 0.0
+                assert upper == lower.conjugate()
 
     def test_multiplicities_sum_to_degree(self):
         p = Polynomial((1, 2, 1)) * Polynomial((3, 1)) * Polynomial((0, 1))
@@ -264,6 +271,20 @@ class TestExpSum:
     def test_complex_coefficient_on_real_rate_rejected(self):
         with pytest.raises(StructuralError):
             ExpSum(0.0, ((1.0 + 0.5j, -1.0 + 0j),))
+
+    def test_conjugate_rates_with_unmatched_coefficients_rejected(self):
+        rate = -1.0 + 1.0j
+        with pytest.raises(StructuralError, match="lacks a conjugate partner"):
+            ExpSum(0.0, ((1.0 + 1.0j, rate), (1.0 + 1.0j, rate.conjugate())))
+
+    def test_interleaved_conjugate_pairs_accepted(self):
+        a, ra = 1.0 + 1.0j, -1.0 + 1.0j
+        b, rb = 0.5 - 2.0j, -3.0 + 0.5j
+        e = ExpSum(0.0, ((a, ra), (b, rb), (a.conjugate(), ra.conjugate()),
+                         (b.conjugate(), rb.conjugate())))
+        for u in np.linspace(0.0, 5.0, 10):
+            want = 2.0 * (a * np.exp(ra * u) + b * np.exp(rb * u)).real
+            assert e(float(u)) == pytest.approx(want, abs=1e-12)
 
 
 class TestInvertRational:
