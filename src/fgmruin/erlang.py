@@ -234,8 +234,7 @@ def solve_delta0(
     """
     _, elim, _ = _build(model, variant, elimination)
     delta0 = float(elim.weights[0])
-    at_zero = elim.constant + sum(res for res, _ in elim.terms)
-    return delta0, abs(at_zero - delta0)
+    return delta0, abs(ExpSum(elim.constant, elim.terms)(0.0) - delta0)
 
 
 @dataclass(frozen=True)
@@ -359,19 +358,19 @@ def sign_variant_report(
     seed: int = 0,
     z_crit: float = 4.0,
     workers: int = 1,
-    elimination: GrowthElimination = DEFAULT_ELIMINATION,
 ) -> VariantReport:
     """Compare both sign variants against one simulation of delta(0).
 
-    For |theta| below 1e-9 the variants coincide and PLUS is selected
-    without simulating.
+    Each variant's delta(0) comes from INDIVIDUAL elimination, or from
+    POOLED where the INDIVIDUAL system is unsolvable.  For |theta| below
+    1e-9 the variants coincide and PLUS is selected without simulating.
     """
     from .simulate import estimate_survival
 
     if abs(model.theta) < _SMALL_THETA:
-        value, _ = solve_delta0(model, DEFAULT_SIGN_VARIANT, elimination)
+        value, _ = solve_delta0(model, DEFAULT_SIGN_VARIANT)
         rows = tuple(
-            VariantRow(v, value, 0.0, True, elimination) for v in SignVariant
+            VariantRow(v, value, 0.0, True, DEFAULT_ELIMINATION) for v in SignVariant
         )
         return VariantReport(model, 0, seed, math.nan, math.nan, rows,
                              DEFAULT_SIGN_VARIANT)
@@ -379,12 +378,10 @@ def sign_variant_report(
     est = estimate_survival(model, 0.0, n=n, seed=seed, workers=workers)
     rows = []
     for v in SignVariant:
-        used = elimination
+        used = GrowthElimination.INDIVIDUAL
         try:
-            d0, _ = solve_delta0(model, v, elimination)
+            d0, _ = solve_delta0(model, v, used)
         except StructuralError:
-            if elimination is GrowthElimination.POOLED:
-                raise
             used = GrowthElimination.POOLED
             d0, _ = solve_delta0(model, v, used)
         z = (d0 - est.value) / est.stderr
@@ -400,7 +397,6 @@ def select_sign_variant(
     n: int = 500_000,
     seed: int = 0,
     workers: int = 1,
-    elimination: GrowthElimination = DEFAULT_ELIMINATION,
 ) -> SignVariant:
     """The single sign variant consistent with simulation.
 
@@ -408,9 +404,7 @@ def select_sign_variant(
         StructuralError: If both or neither variant matches the simulated
             boundary value, leaving no unambiguous choice.
     """
-    report = sign_variant_report(
-        model, n=n, seed=seed, workers=workers, elimination=elimination
-    )
+    report = sign_variant_report(model, n=n, seed=seed, workers=workers)
     if report.selected is None:
         raise StructuralError(
             "sign variant comparison was ambiguous: "

@@ -74,13 +74,11 @@ __all__ = ["ChiSolution", "chi_characteristic", "solve_chi", "chi", "xi"]
 # rate 2 lam / c as theta -> 0.
 _SMALL_THETA = 1e-6
 
-# Characteristic roots must stay this far from the claim rates; closer
-# approaches make the rate-matching system meaningless for this solution form.
-_RATE_SEP_TOL = 1e-7
-
-# The kernel rate guard is tighter because the near-collision at small
-# theta is handled by equilibration down to this scale.
-_KERNEL_SEP_TOL = 1e-9
+# Characteristic roots must stay 1e-9 * |rate| from the assembly rates
+# -alpha, -2 alpha and 2 lam / c, where the rows lose their meaning;
+# equilibration handles any approach short of that.  rate - s is accurate
+# relative to |rate|, and the kernel rate can be far below 1.
+_RATE_SEP_TOL = 1e-9
 
 # Identity rates (0 and each s_i) must cancel to this relative level.
 _ASSEMBLY_TOL = 1e-6
@@ -153,13 +151,13 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
 
     Raises:
         InputError: For non-exponential arrivals or a non-positive level.
-        UnsupportedStructureError: If characteristic roots repeat or
-            collide with the assembly rates {-alpha, -2 alpha, 2 lam / c}.
-        ConditioningError: If the equilibrated system is too ill
-            conditioned to trust, including levels b so large that the
-            growing root overflows the scaling.
+        UnsupportedStructureError: If characteristic roots repeat, or one
+            lies within 1e-9 * |rate| of -alpha, -2 alpha or 2 lam / c.
+        ConditioningError: If the growing root s has s * b > 200 or the
+            equilibrated system's condition number exceeds 1e12.
         StructuralError: If an internal cancellation or boundary check
-            fails.
+            fails, or ExpSum finds the constant or a real-rate coefficient
+            complex beyond 1e-9.
     """
     if not isinstance(model.arrival, ExpPoisson):
         raise InputError("max-surplus solver needs exponential inter-claim times")
@@ -176,27 +174,25 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     k = 2.0 * lam / c
 
     roots = poly_roots(classical_lt(model).den)
-    s_vals = [r.value for r in roots.simple() if r.klass is not RootClass.ZERO]
-    if len(s_vals) != 3:
-        raise StructuralError(f"expected three nonzero roots, got {len(s_vals)}")
-    for s in s_vals:
-        for special in (-alpha, -2.0 * alpha):
-            if abs(s - special) <= _RATE_SEP_TOL * max(1.0, abs(special)):
-                raise UnsupportedStructureError(
-                    "characteristic root collides with a claim rate"
-                )
-        if abs(2.0 * lam - c * s) <= _KERNEL_SEP_TOL * max(1.0, 2.0 * lam):
-            raise UnsupportedStructureError(
-                "characteristic root collides with the integration kernel rate"
-            )
-        if s.real * b > 200.0:
-            raise ConditioningError(
-                "level b is too large for this growth rate; use the "
-                "asymptotic survival solver instead"
-            )
+    s_vals = np.array(
+        [r.value for r in roots.simple() if r.klass is not RootClass.ZERO]
+    )
+    rates = np.array([-alpha, -2.0 * alpha, k])
+    gap = np.abs(s_vals[:, None] - rates) / np.abs(rates)
+    if np.min(gap) <= _RATE_SEP_TOL:
+        i, j = np.unravel_index(np.argmin(gap), gap.shape)
+        raise UnsupportedStructureError(
+            f"characteristic root {complex(s_vals[i]):.6g} collides with the "
+            f"assembly rate {rates[j]:.6g}"
+        )
+    if np.max(s_vals.real) * b > 200.0:
+        raise ConditioningError(
+            "level b is too large for this growth rate; use the "
+            "asymptotic survival solver instead"
+        )
 
     # Columns: the constant (rate 0) and the three nonzero roots.
-    r = np.array([0.0, *s_vals], dtype=complex)
+    r = np.concatenate(([0.0], s_vals))
     aj = alpha / (alpha + r)
     bj = 2.0 * alpha / (2.0 * alpha + r)
 
@@ -243,21 +239,12 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
         )
     coef = np.linalg.solve(mat, rhs) * col_scale
 
-    # Realify against solver roundoff before the structural validation.
-    noise = 1e-10 * max(1.0, float(np.max(np.abs(coef))))
-    if abs(coef[0].imag) > noise:
-        raise ConditioningError("constant coefficient came out complex")
-    constant = float(coef[0].real)
-    terms = []
-    for i, s in enumerate(s_vals):
-        a_i = coef[i + 1]
-        if s.imag == 0.0:
-            if abs(a_i.imag) > noise:
-                raise ConditioningError("real-rate coefficient came out complex")
-            a_i = complex(a_i.real, 0.0)
-        terms.append((a_i, s))
-    terms.sort(key=lambda t: -t[1].real)
-    expsum = ExpSum(constant, tuple(terms))
+    # A conjugate pair of roots enters the sum once, by its upper member.
+    terms = sorted(
+        ((a, s) for a, s in zip(coef[1:], s_vals) if s.imag >= 0.0),
+        key=lambda t: -t[1].real,
+    )
+    expsum = ExpSum(coef[0], tuple(terms))
 
     residual = abs(float(expsum(b)) - 1.0)
     if residual > _BOUNDARY_TOL:

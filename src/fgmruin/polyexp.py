@@ -10,8 +10,8 @@ after clearing denominators.  This module supplies the shared machinery:
   finding with Newton polishing, multiplicity clustering, conjugate
   symmetrization, and sign-of-real-part classification.
 * ``partial_fractions`` / ``ExpSum``: simple-pole expansion and the
-  resulting inverse transform, a constant plus a sum of complex
-  exponentials closed under conjugation.
+  resulting inverse transform, a real constant plus one exponential per
+  real pole or conjugate pair, the pair stored once by its upper member.
 * ``eliminate_growing``: the step every solver shares after root finding;
   it picks the numerator weights that cancel the growing poles and collects
   the remaining residues into the constant and decaying terms.
@@ -343,65 +343,72 @@ def partial_fractions(
     return tuple((complex(p), complex(r)) for p, r in zip(poles, residues))
 
 
+def _real(value, what: str) -> float:
+    """value as a float, once its imaginary part is within 1e-9 * max(1, |value|)."""
+    z = complex(value)
+    if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
+        raise StructuralError(f"{what} {z!r}")
+    return z.real
+
+
 @dataclass(frozen=True)
 class ExpSum:
-    """constant + sum of coef * exp(rate * u) with conjugate-closed terms."""
+    """constant + sum of coef * exp(rate * u), one term per real rate or pair.
+
+    A rate within CONJUGATE_TOL * max(1, |rate|) of the real axis is real
+    and its term is coef * exp(rate * u); a rate above the axis stands for
+    its conjugate pair, 2 Re(coef * exp(rate * u)); a rate below is
+    rejected.  The constant and the real-rate terms are stored as floats.
+    """
 
     constant: float
     terms: tuple[tuple[complex, complex], ...]
 
     def __post_init__(self):
-        if not self.terms:
-            return
-        coefs, rates = np.array(self.terms, dtype=complex).T
-        partner = _conjugate_partners(rates)
-        scale = np.maximum(1.0, np.abs(coefs))
-        real = partner == np.arange(len(rates))
-        bad = real & (np.abs(coefs.imag) > 1e-9 * scale)
-        if bad.any():
-            coef = self.terms[bad.argmax()][0]
-            raise StructuralError(f"real-rate term has complex coefficient {coef!r}")
-        dev = np.abs(coefs[partner] - coefs.conj())
-        unpaired = (partner < 0) | (dev > 1e-7 * scale)
-        if unpaired.any():
-            rate = self.terms[np.flatnonzero(unpaired)[-1]][1]
-            raise StructuralError(
-                f"complex term with rate {rate!r} lacks a conjugate partner"
-            )
+        terms = []
+        for coef, rate in self.terms:
+            coef, rate = complex(coef), complex(rate)
+            if abs(rate.imag) <= CONJUGATE_TOL * max(1.0, abs(rate)):
+                coef = _real(coef, "real-rate term has complex coefficient")
+                rate = rate.real
+            elif rate.imag < 0.0:
+                raise StructuralError(
+                    f"rate {rate!r} is below the real axis; a conjugate pair "
+                    "is given by its upper member"
+                )
+            terms.append((coef, rate))
+        constant = _real(self.constant, "ExpSum has complex constant")
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "terms", tuple(terms))
 
     def __call__(self, u):
         return expsum_eval(self, u)
 
 
 def expsum_eval(e: ExpSum, u):
-    """Evaluate an ExpSum at u (scalar or array), returning real values.
-
-    The conjugate-pair imaginary residue must stay below 1e-10 relative to
-    the magnitude of the result; it is checked and discarded.
-    """
+    """Evaluate an ExpSum at u (scalar or array) in real arithmetic."""
     uu = np.asarray(u, dtype=float)
-    total = np.full(uu.shape, complex(e.constant), dtype=complex)
+    total = np.full(uu.shape, e.constant)
     for coef, rate in e.terms:
-        total = total + coef * np.exp(rate * uu)
-    scale = np.maximum(1.0, np.abs(total.real))
-    if np.any(np.abs(total.imag) > 1e-10 * scale):
-        raise StructuralError("imaginary residue exceeds tolerance in ExpSum eval")
-    out = total.real
+        term = coef * np.exp(rate * uu)
+        total = total + (term if isinstance(rate, float) else 2.0 * term.real)
     if np.isscalar(u) or uu.ndim == 0:
-        return float(out)
-    return out
+        return float(total)
+    return total
 
 
 def _collect(
     poles: np.ndarray, residues: np.ndarray, zero: np.ndarray, floor: float
 ) -> tuple[float, tuple[tuple[complex, complex], ...]]:
-    """Zero-pole constant and (residue, pole) terms, slowest decay first.
+    """Zero-pole constant and ExpSum terms, slowest decay first.
 
-    Residues of modulus at most ``floor`` are dropped.  The zero root is
-    exactly 0, so its residue num(0) / den'(0) is real.
+    Each real pole gives a (residue, pole) term and each conjugate pair
+    gives one, from its upper member.  Residues of modulus at most
+    ``floor`` are dropped.  The zero root is exactly 0, so its residue
+    num(0) / den'(0) is real.
     """
     constant = float(np.sum(residues[zero].real))
-    keep = ~zero & (np.abs(residues) > floor)
+    keep = ~zero & (np.abs(residues) > floor) & (poles.imag >= 0.0)
     order = np.argsort(-poles[keep].real, kind="stable")
     terms = tuple(
         (complex(r), complex(p))
@@ -434,8 +441,9 @@ class Elimination:
         growing_values: The basis polynomials at the distinct growing
             roots, one row per basis polynomial.
         constant: Residue at the zero pole.
-        terms: (residue, pole) of the decaying poles, slowest decay first,
-            without the residues below 1e-8 of the largest.
+        terms: (residue, pole) of the decaying poles in ExpSum form (one
+            term per conjugate pair), slowest decay first, without the
+            residues below 1e-8 of the largest.
         growing_defect: The largest growing residue left, or the modulus of
             their sum for a pooled elimination.
         scale: The largest residue modulus over all poles.

@@ -12,9 +12,8 @@ the model's copula.  Two probabilities are exposed:
 
 Estimates are averaged over fixed-size blocks, each driven by its own
 Philox stream spawned deterministically from (seed, block index).  The
-result therefore depends only on the seed, the path count, and the block
-size, not on how many worker threads ran the blocks or in which order
-they finished.
+result therefore depends only on the seed and the path count, not on how
+many worker threads ran the blocks or in which order they finished.
 """
 
 from __future__ import annotations
@@ -196,12 +195,11 @@ def estimate_reach_prob(
     n: int,
     seed: int = 0,
     workers: int = 1,
-    block_size: int = _BLOCK_SIZE,
 ) -> SimEstimate:
     """Simulated probability of reaching b before ruin from surplus u.
 
-    The estimate is a deterministic function of (seed, n, block_size);
-    ``workers`` only parallelizes the blocks.
+    The estimate is a deterministic function of (seed, n); ``workers``
+    only parallelizes the blocks.
     """
     u, n = _check_inputs(u, n)
     b = float(b)
@@ -209,13 +207,11 @@ def estimate_reach_prob(
         raise InputError("target level must be finite and at least u")
     if b == u:
         return SimEstimate(1.0, 0.0, n, seed)
-    if block_size <= 0:
-        raise InputError("block size must be positive")
     if workers < 1:
         raise InputError(f"worker count must be positive, got {workers!r}")
-    sizes = [block_size] * (n // block_size)
-    if n % block_size:
-        sizes.append(n % block_size)
+    sizes = [_BLOCK_SIZE] * (n // _BLOCK_SIZE)
+    if n % _BLOCK_SIZE:
+        sizes.append(n % _BLOCK_SIZE)
     seed = int(seed)
 
     def run(args):
@@ -259,7 +255,6 @@ def estimate_survival(
     seed: int = 0,
     workers: int = 1,
     b_proxy: float | None = None,
-    block_size: int = _BLOCK_SIZE,
 ) -> SimEstimate:
     """Simulated survival probability from initial surplus u.
 
@@ -271,8 +266,6 @@ def estimate_survival(
     proxy = survival_proxy_level(model, u) if b_proxy is None else float(b_proxy)
     if not math.isfinite(proxy) or proxy <= u:
         raise InputError("survival proxy level must be finite and exceed u")
-    est = estimate_reach_prob(
-        model, u, proxy, n, seed=seed, workers=workers, block_size=block_size
-    )
+    est = estimate_reach_prob(model, u, proxy, n, seed=seed, workers=workers)
     return SimEstimate(est.value, est.stderr, est.n, est.seed,
                        _survival_bias_bound(model, proxy))

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +278,26 @@ class TestErrorsAndOutput:
         )
         assert code == 2
         assert "cannot write" in err
+
+
+class TestEntryPoint:
+    """``python -m fgmruin`` runs ``entry()``, which exits with main's code."""
+
+    @staticmethod
+    def _module(*argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-m", "fgmruin", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_reproduce_matches_main(self, capsys):
+        proc = self._module("reproduce", "example1")
+        code, out, _ = _run(capsys, "reproduce", "example1")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
+
+    def test_loading_violation_exit_code(self):
+        proc = self._module("survival-classical", "--c", "0.5")
+        assert proc.returncode == 3
+        assert "loading" in proc.stderr

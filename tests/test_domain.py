@@ -27,7 +27,6 @@ from fgmruin import (
     survival_classical,
     survival_erlang2,
 )
-from fgmruin.errors import UnsupportedStructureError
 from fgmruin.polyexp import RootClass, poly_roots
 
 # Roundoff slack for probability bounds, monotonicity and chi(b, b) = 1.
@@ -60,23 +59,6 @@ def _check_shape(values):
     assert np.diff(values).min() >= -SHAPE_TOL
 
 
-def _chi_values(model, b):
-    """chi(., b) on a grid, or None where the claim-rate guard fires.
-
-    As theta leaves 0, one characteristic root leaves -2 alpha at a speed
-    proportional to theta.  For |theta| up to about 7e-6 on this domain it
-    is still inside solve_chi's 1e-7 claim-rate collision guard, which then
-    raises although the system is well conditioned.  That guard is a known
-    limitation kept as it is; any other failure fails the test.
-    """
-    try:
-        return solve_chi(model, b)(np.linspace(0.0, b, 21))
-    except UnsupportedStructureError as exc:
-        if abs(model.theta) < 1e-5 and "claim rate" in str(exc):
-            return None
-        raise
-
-
 @st.composite
 def _models(draw):
     loading = 10.0 ** draw(st.floats(-6.0, 1.0))
@@ -102,10 +84,10 @@ def test_every_solver_solves_the_valid_domain(params):
         sol = survival_erlang2(_spec(*params, erlang=True), elimination=elimination)
         _check_shape(sol(grid))
         assert abs(sol(0.0) - sol.delta0) <= ORIGIN_TOL
-    values = _chi_values(poisson, 10.0 / alpha)
-    if values is not None:
-        _check_shape(values)
-        assert abs(values[-1] - 1.0) <= SHAPE_TOL
+    b = 10.0 / alpha
+    values = solve_chi(poisson, b)(np.linspace(0.0, b, 21))
+    _check_shape(values)
+    assert abs(values[-1] - 1.0) <= SHAPE_TOL
 
 
 def _reference_roots(c, alpha, lam, theta):

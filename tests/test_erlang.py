@@ -194,6 +194,33 @@ class TestSolution:
         assert got == pytest.approx(want, rel=1e-7)
 
 
+    def test_decaying_pair_stored_once(self):
+        """A decaying conjugate pair enters delta once, by its upper member.
+
+        The MINUS variant at theta = 0.7 keeps the pair -1.3803 +- 0.2101i.
+        delta must equal the real part of the residue sum over both
+        members and the zero pole, computed here from the cleared parts.
+        """
+        m = _model(0.7)
+        sol = survival_erlang2(m, variant=MINUS)
+        (coef, rate), = sol.delta.terms
+        assert rate == pytest.approx(-1.3803 + 0.2101j, abs=1e-4)
+        den, basis = _cleared_parts(m, MINUS)
+        num = Polynomial((0.0,))
+        for weight, p in zip((sol.delta0, *sol.boundary_constants), basis):
+            num = num + weight * p
+        poles = np.array([r.value for r in poly_roots(den).roots
+                          if r.klass is not RootClass.GROWING])
+        residues = num(poles) / den.derivative()(poles)
+
+        def full_pair_sum(u):
+            return float(np.sum(residues * np.exp(poles * u)).real)
+
+        u = np.linspace(0.0, 20.0, 201)
+        assert np.max(np.abs(sol(u) - [full_pair_sum(x) for x in u])) <= 1e-14
+        assert abs(sol(1.3) - full_pair_sum(1.3)) <= 1e-14
+
+
 class TestSignVariants:
     @pytest.mark.parametrize("theta", [-0.5, 0.5])
     def test_flipped_variant_fails_pooled_shape_gates(self, theta):

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from fgmruin.classical import survival_classical
-from fgmruin.errors import ConditioningError, InputError, UnsupportedStructureError
+from fgmruin.errors import ConditioningError, InputError
 from fgmruin.max_surplus import ChiSolution, chi, chi_characteristic, solve_chi, xi
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
 from fgmruin.polyexp import RootClass, poly_roots
@@ -215,11 +215,26 @@ class TestRenewalEquation:
         [(1.5, 1.0, 1.0, 20.0), (0.3, 2.0, 0.5, 5.0), (1.5, 1.0, 1.0, 1.0)],
     )
     def test_residual_vanishes(self, theta, c, alpha, lam, b):
+        self._check(theta, c, alpha, lam, b)
+
+    def test_weak_dependence_example(self):
+        """Just above the ratio branch, a root 8e-8 from -2 alpha."""
+        alpha = math.exp(-1.0)
+        self._check(1e-6, 2.0 / alpha, alpha, 1.0, 10.0 / alpha)
+
+    def test_small_kernel_rate_example(self):
+        """A root 4.5e-10 from the kernel rate 2 lam / c = 0.003."""
+        self._check(2e-4, 100.0, 1.0, 0.15, 10.0)
+
+    def _check(self, theta, c, alpha, lam, b):
         sol = solve_chi(_model(theta, c=c, alpha=alpha, lam=lam), b)
         k = 2.0 * lam / c
 
-        # Scalar cmath evaluation keeps the nested quadrature fast.
-        const, terms = sol.chi.constant, sol.chi.terms
+        # Scalar cmath evaluation keeps the nested quadrature fast; a term
+        # with a non-real rate stands for its conjugate pair.
+        const = sol.chi.constant
+        terms = [(co * (2.0 if complex(r).imag else 1.0), r)
+                 for co, r in sol.chi.terms]
 
         def chi_at(u):
             return const + sum(co * cmath.exp(r * u) for co, r in terms).real
@@ -247,18 +262,38 @@ class TestRenewalEquation:
             assert abs(lhs - rhs) <= self.TOL, (u, lhs, rhs)
 
 
-class TestClaimRateGuard:
-    def test_weak_dependence_collides_with_claim_rate(self):
-        """Just above the ratio branch a root sits inside the 1e-7 guard.
+class TestAssemblyRateGuard:
+    def test_weak_dependence_example_solves(self):
+        """A root 8e-8 from -2 alpha is outside the 1e-9 assembly-rate guard.
 
-        At theta = 1e-6 one characteristic root is still within 1e-7 of
-        -2 alpha, and solve_chi raises although the system is well
-        conditioned there.  This pins the current behaviour; loosening the
-        guard is a separate gate change, and tests/test_domain.py relies on
-        the "claim rate" wording.
+        At theta = 1e-6, just above the ratio branch, one characteristic
+        root is still within 1.1e-7 * |2 alpha| of -2 alpha.  The system is
+        well conditioned there, and chi agrees with the independent ratio
+        form to about 1e-3 * theta.
         """
-        alpha = np.exp(-1.0)
+        alpha = math.exp(-1.0)
         m = _model(1e-6, c=2.0 / alpha, alpha=alpha, lam=1.0)
-        with pytest.raises(UnsupportedStructureError,
-                           match="characteristic root collides with a claim rate"):
-            solve_chi(m, 10.0 / alpha)
+        b = 10.0 / alpha
+        sol = solve_chi(m, b)
+        gap = min(abs(r.value + 2.0 * alpha) for r in sol.roots.roots)
+        assert 1e-9 < gap < 1e-7
+        assert sol.condition < 10.0
+        assert sol.boundary_residual <= 1e-12
+        u = np.linspace(0.0, b, 41)
+        phi = survival_classical(m)
+        assert np.max(np.abs(sol(u) - phi(u) / phi(b))) <= 1e-3 * m.theta
+
+    def test_small_kernel_rate_solves(self):
+        """The guard is relative to |rate|, not to max(1, |rate|).
+
+        At a loading of 99 the kernel rate 2 lam / c is 0.003, and a root
+        lies 4.5e-10 from it: inside 1e-9 in absolute terms but 1.5e-7
+        relative to the rate.  The system is well conditioned.
+        """
+        m = _model(2e-4, c=100.0, alpha=1.0, lam=0.15)
+        k = 2.0 * 0.15 / 100.0
+        sol = solve_chi(m, 10.0)
+        gap = min(abs(r.value - k) for r in sol.roots.roots)
+        assert 1e-9 * k < gap < 1e-9
+        assert sol.condition < 10.0
+        assert sol.boundary_residual <= 1e-12

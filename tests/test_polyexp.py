@@ -252,7 +252,7 @@ class TestExpSum:
     def test_conjugate_pair_matches_direct_arithmetic(self):
         coef = 1.0 + 1.0j
         rate = -1.0 + 1.0j
-        e = ExpSum(0.0, ((coef, rate), (coef.conjugate(), rate.conjugate())))
+        e = ExpSum(0.0, ((coef, rate),))
         for u in np.linspace(0.0, 5.0, 10):
             want = 2.0 * (coef * np.exp(rate * u)).real
             assert e(float(u)) == pytest.approx(want, abs=1e-12)
@@ -264,26 +264,39 @@ class TestExpSum:
         assert out.shape == u.shape
         assert out[0] == pytest.approx(0.5, abs=1e-14)
 
-    def test_unpaired_complex_term_rejected(self):
-        with pytest.raises(StructuralError):
-            ExpSum(0.0, ((1.0 + 1.0j, -1.0 + 1.0j),))
+    def test_rate_below_axis_rejected(self):
+        with pytest.raises(StructuralError, match="below the real axis"):
+            ExpSum(0.0, ((1.0 - 1.0j, -1.0 - 1.0j),))
+
+    def test_both_pair_members_rejected(self):
+        coef, rate = 1.0 + 1.0j, -1.0 + 1.0j
+        with pytest.raises(StructuralError, match="below the real axis"):
+            ExpSum(0.0, ((coef, rate), (coef.conjugate(), rate.conjugate())))
 
     def test_complex_coefficient_on_real_rate_rejected(self):
         with pytest.raises(StructuralError):
             ExpSum(0.0, ((1.0 + 0.5j, -1.0 + 0j),))
 
-    def test_conjugate_rates_with_unmatched_coefficients_rejected(self):
-        rate = -1.0 + 1.0j
-        with pytest.raises(StructuralError, match="lacks a conjugate partner"):
-            ExpSum(0.0, ((1.0 + 1.0j, rate), (1.0 + 1.0j, rate.conjugate())))
+    def test_rate_near_axis_stored_real(self):
+        e = ExpSum(1.0, ((-0.5 + 1e-12j, -2.0 + 1e-10j),))
+        coef, rate = e.terms[0]
+        assert type(coef) is float and type(rate) is float
+        assert (coef, rate) == (-0.5, -2.0)
+        assert e(1.0) == 1.0 - 0.5 * np.exp(-2.0)
+
+    def test_complex_constant_rejected(self):
+        with pytest.raises(StructuralError, match="complex constant"):
+            ExpSum(1.0 + 2e-9j, ())
+        e = ExpSum(1.0 + 5e-10j, ())
+        assert type(e.constant) is float and e.constant == 1.0
 
     def test_interleaved_conjugate_pairs_accepted(self):
         a, ra = 1.0 + 1.0j, -1.0 + 1.0j
         b, rb = 0.5 - 2.0j, -3.0 + 0.5j
-        e = ExpSum(0.0, ((a, ra), (b, rb), (a.conjugate(), ra.conjugate()),
-                         (b.conjugate(), rb.conjugate())))
+        e = ExpSum(0.25, ((a, ra), (-0.75, -0.5), (b, rb)))
         for u in np.linspace(0.0, 5.0, 10):
-            want = 2.0 * (a * np.exp(ra * u) + b * np.exp(rb * u)).real
+            want = (0.25 - 0.75 * np.exp(-0.5 * u)
+                    + 2.0 * (a * np.exp(ra * u) + b * np.exp(rb * u)).real)
             assert e(float(u)) == pytest.approx(want, abs=1e-12)
 
 

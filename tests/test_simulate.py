@@ -150,8 +150,6 @@ class TestEstimateReach:
         with pytest.raises(InputError):
             estimate_reach_prob(m, 5.0, 4.0, n=100, seed=0)
         with pytest.raises(InputError):
-            estimate_reach_prob(m, 0.0, 10.0, n=100, seed=0, block_size=0)
-        with pytest.raises(InputError):
             estimate_reach_prob(m, 0.0, 10.0, n=100, seed=0, workers=0)
 
 
