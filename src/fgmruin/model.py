@@ -185,6 +185,10 @@ class Erlang2:
     def ppf(self, v):
         """Quantile t = z / beta, where z - log(1 + z) = -log(1 - v).
 
+        The public Erlang(2) quantile.  ``sample_pairs`` does not call it: it
+        draws Erlang inter-claim times directly and takes their grade from
+        ``cdf``.
+
         Raises:
             InputError: If v lies outside [0, 1).
             ConditioningError: If F(t) misses v by more than 1e-12.
@@ -353,13 +357,22 @@ def conditional_grade(p, a):
 def sample_pairs(model: ModelSpec, rng: np.random.Generator, n: int):
     """Draw n dependent (w, x) pairs by conditional inversion.
 
-    Steps: v ~ U(0,1) gives w = F_W^{-1}(v); p ~ U(0,1) gives the claim
-    grade from the conditional copula, and x = F_X^{-1}(grade).
+    Steps: the inter-claim time w and its grade v = F_W(w) come first;
+    p ~ U(0,1) then gives the claim grade from the conditional copula
+    given v, and x = F_X^{-1}(grade).  Exponential arrivals draw
+    v ~ U(0,1) and set w = F_W^{-1}(v).  Erlang(2) arrivals draw
+    w ~ Gamma(2, 1/beta) and set v = F_W(w) in closed form, which has the
+    same joint law (v is U(0,1) and w = F_W^{-1}(v) almost surely) without
+    a numeric quantile.
     """
     if n < 0:
         raise InputError("sample count must be nonnegative")
-    v = rng.random(n)
-    w = model.arrival.ppf(v)
+    if isinstance(model.arrival, Erlang2):
+        w = rng.gamma(2.0, 1.0 / model.arrival.beta, n)
+        v = model.arrival.cdf(w)
+    else:
+        v = rng.random(n)
+        w = model.arrival.ppf(v)
     p = rng.random(n)
     a = model.theta * (1.0 - 2.0 * v)
     g = conditional_grade(p, a)

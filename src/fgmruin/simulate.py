@@ -1,8 +1,10 @@
 """Monte Carlo estimation of survival and level-reaching probabilities.
 
 Paths of the surplus process are simulated claim by claim with dependent
-(inter-claim time, claim amount) pairs drawn by conditional inversion from
-the model's copula.  Two probabilities are exposed:
+(inter-claim time, claim amount) pairs from ``model.sample_pairs``: the
+inter-claim time is drawn from its own law, and the claim amount by
+conditional inversion of the model's copula given the time's grade.  Two
+probabilities are exposed:
 
 * reach: the surplus attains a level b before ever falling below zero,
 * survival: ruin never happens, approximated by reach of a high proxy
@@ -13,7 +15,10 @@ the model's copula.  Two probabilities are exposed:
 Estimates are averaged over fixed-size blocks, each driven by its own
 Philox stream spawned deterministically from (seed, block index).  The
 result therefore depends only on the seed and the path count, not on how
-many worker threads ran the blocks or in which order they finished.
+many worker threads ran the blocks or in which order they finished.  A
+block advances all of its live paths by one claim per round and keeps the
+surplus of the paths still inside [0, b) as one compact array, in path
+order; paths that reach b or fall below zero are dropped from it.
 """
 
 from __future__ import annotations
@@ -172,19 +177,18 @@ def _run_block(model: ModelSpec, u: float, b: float, size: int, seed: int,
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     )
+    # Surplus of the paths still inside [0, b), kept in path order.
     surplus = np.full(size, u)
-    active = np.arange(size)
     reached = 0
     for _ in range(_MAX_CLAIMS):
-        if active.size == 0:
+        if surplus.size == 0:
             return reached
-        w, x = sample_pairs(model, rng, active.size)
-        pre = surplus[active] + model.c * w
+        w, x = sample_pairs(model, rng, surplus.size)
+        pre = surplus + model.c * w
         hit = pre >= b
         reached += int(np.count_nonzero(hit))
         post = pre - x
-        surplus[active] = post
-        active = active[~hit & (post >= 0.0)]
+        surplus = post[~hit & (post >= 0.0)]
     raise ConditioningError("simulation block exceeded the claim cap")
 
 
@@ -205,14 +209,14 @@ def estimate_reach_prob(
     b = float(b)
     if not math.isfinite(b) or b < u:
         raise InputError("target level must be finite and at least u")
-    if b == u:
-        return SimEstimate(1.0, 0.0, n, seed)
     if workers < 1:
         raise InputError(f"worker count must be positive, got {workers!r}")
+    seed = int(seed)
+    if b == u:
+        return SimEstimate(1.0, 0.0, n, seed)
     sizes = [_BLOCK_SIZE] * (n // _BLOCK_SIZE)
     if n % _BLOCK_SIZE:
         sizes.append(n % _BLOCK_SIZE)
-    seed = int(seed)
 
     def run(args):
         block, size = args

@@ -390,6 +390,27 @@ class TestSampling:
         se = np.sqrt(p * (1.0 - p) / n)
         assert abs(p_hat - p) <= 3.0 * se
 
+    @pytest.mark.parametrize("theta", [-1.0, 1.0])
+    def test_erlang_joint_grade_cdf_on_quartile_grid(self, theta):
+        """The Erlang sampler's grade pairs follow the FGM copula.
+
+        The empirical joint CDF of (F_W(w), F_X(x)) at each pair of the
+        quartiles 0.25, 0.5 and 0.75 must lie within four binomial
+        standard errors of C(q1, q2).
+        """
+        m = _erlang_model(theta)
+        n = 200_000
+        w, x = sample_pairs(m, np.random.default_rng(2718), n)
+        grade_w = m.arrival.cdf(w)
+        grade_x = m.claim.cdf(x)
+        q = np.array([0.25, 0.5, 0.75])
+        below_w = grade_w[:, None] <= q
+        below_x = grade_x[:, None] <= q
+        got = below_w.T.astype(float) @ below_x.astype(float) / n
+        want = fgm_cdf(q[:, None], q[None, :], theta)
+        se = np.sqrt(want * (1.0 - want) / n)
+        assert np.all(np.abs(got - want) <= 4.0 * se), np.abs(got - want) / se
+
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     def test_marginals_pass_ks(self, make):
         m = make(0.6)

@@ -7,13 +7,14 @@ from fgmruin.classical import survival_classical
 from fgmruin.erlang import solve_delta0
 from fgmruin.errors import InputError
 from fgmruin.max_surplus import chi
-from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
+from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, sample_pairs
 from fgmruin.simulate import (
     Horizon,
     Level,
     PathKind,
     PathOutcome,
     SimEstimate,
+    _run_block,
     estimate_reach_prob,
     estimate_survival,
     sample_pair,
@@ -136,6 +137,14 @@ class TestEstimateReach:
         assert est.stderr == 0.0
         assert est.n == 1000
 
+    def test_start_at_level_still_validates_and_normalizes(self):
+        m = _poisson_model(0.3)
+        with pytest.raises(InputError):
+            estimate_reach_prob(m, 5.0, 5.0, n=100, seed=np.int64(3), workers=0)
+        est = estimate_reach_prob(m, 5.0, 5.0, n=100, seed=np.int64(3))
+        assert est == SimEstimate(1.0, 0.0, 100, 3)
+        assert type(est.seed) is int
+
     def test_stderr_is_binomial(self):
         est = estimate_reach_prob(_poisson_model(0.5), 0.0, 10.0, n=20_000, seed=3)
         want = np.sqrt(est.value * (1.0 - est.value) / est.n)
@@ -191,6 +200,35 @@ class TestEstimateSurvival:
         m = _poisson_model(0.0)
         with pytest.raises(InputError):
             estimate_survival(m, 5.0, n=100, seed=0, b_proxy=4.0)
+
+
+def _run_block_reference(model, u, b, size, seed, block):
+    """The block engine written with a full-size surplus and an index array."""
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+    )
+    surplus = np.full(size, u)
+    active = np.arange(size)
+    reached = 0
+    while active.size:
+        w, x = sample_pairs(model, rng, active.size)
+        pre = surplus[active] + model.c * w
+        hit = pre >= b
+        reached += int(np.count_nonzero(hit))
+        post = pre - x
+        surplus[active] = post
+        active = active[~hit & (post >= 0.0)]
+    return reached
+
+
+class TestRunBlock:
+    @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
+    @pytest.mark.parametrize("u,b", [(0.0, 5.0), (0.0, 45.0), (5.0, 5.0), (5.0, 45.0)])
+    def test_compact_surplus_matches_index_array_loop(self, make, u, b):
+        m = make(0.5)
+        for seed, block in ((0, 0), (11, 3), (2024, 7)):
+            want = _run_block_reference(m, u, b, 4096, seed, block)
+            assert _run_block(m, u, b, 4096, seed, block) == want
 
 
 class TestDeterminism:
