@@ -173,10 +173,16 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     th = model.theta
     k = 2.0 * lam / c
 
-    roots = poly_roots(classical_lt(model).den)
+    den = classical_lt(model).den
+    roots = poly_roots(den)
     s_vals = np.array(
-        [r.value for r in roots.simple() if r.klass is not RootClass.ZERO]
+        [r.value for r in roots.roots if r.klass is not RootClass.ZERO]
     )
+    # The assembly identity divides by each root's distance to the rates,
+    # down to 1e-9 of them, so it needs the roots to about an ulp.  One
+    # Newton step gets there from the eigenvalues' few ulps: a root 1.3e-9
+    # from -2 alpha, off by 1.5e-15, left an assembly defect of 1.2e-6.
+    s_vals = s_vals - den(s_vals) / den.derivative()(s_vals)
     rates = np.array([-alpha, -2.0 * alpha, k])
     gap = np.abs(s_vals[:, None] - rates) / np.abs(rates)
     if np.min(gap) <= _RATE_SEP_TOL:

@@ -6,9 +6,10 @@ after clearing denominators.  This module supplies the shared machinery:
 * ``Polynomial``: dense real polynomials with ascending coefficients.
 * ``RationalFn`` and ``ParametricRational``: ratios of polynomials, the
   latter with a numerator that is affine in one scalar parameter.
-* ``poly_roots``: exact zero roots divided out, then companion-matrix root
-  finding with Newton polishing, multiplicity clustering, conjugate
-  symmetrization, and sign-of-real-part classification.
+* ``poly_roots``: simple roots only.  The exact zero root is divided out,
+  the rest are companion-matrix eigenvalues, and two closer than ``SEP``
+  times the larger modulus raise; conjugate symmetrization and
+  sign-of-real-part classification follow.
 * ``partial_fractions`` / ``ExpSum``: simple-pole expansion and the
   resulting inverse transform, a real constant plus one exponential per
   real pole or conjugate pair, the pair stored once by its upper member.
@@ -51,10 +52,14 @@ _DECAY_REL = 1e-9
 # Conjugate partners must agree to this tolerance before symmetrization.
 CONJUGATE_TOL = 1e-9
 
-# Eigenvalue output of a multiple root scatters like eps**(1/m); this
-# relative radius merges those clusters while keeping genuinely distinct
-# roots (separated by ~1e-1 in the solver pipelines) apart.
-_CLUSTER_TOL = 2e-5
+# Two eigenvalues closer than SEP times the larger modulus are taken as one
+# repeated root, which no solver supports.  The eigenvalues of a repeated
+# root scatter like eps**(1/m) relative to it: 5.7e-8 for the double root
+# of (s+1)^2 (s+2), 1.1e-5 for (s+1)^3 and up to 4.8e-5 for a triple root
+# among four others.  The closest distinct roots the solvers meet with
+# loading up to 1e3 sit 5.9e-4 apart (Erlang roots near 2 beta / c at
+# loading 1e3 and |theta| = 1e-9); classical roots at least 0.49 apart.
+SEP = 1e-4
 
 # Residues at most this fraction of the largest one are structural zeros:
 # eliminated growing poles and spurious poles the clearing introduces.
@@ -167,55 +172,31 @@ class RootClass(Enum):
 @dataclass(frozen=True)
 class Root:
     value: complex
-    multiplicity: int
     klass: RootClass
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots of a real polynomial with multiplicities and classes.
+    """Simple roots of a real polynomial with their classes.
 
-    Invariant: multiplicities sum to the source polynomial degree, and
-    non-real roots occur in exactly conjugate pairs.
+    Invariant: there is one root per degree of the source polynomial, no
+    two are closer than SEP times the larger modulus, and non-real roots
+    occur in exactly conjugate pairs.
     """
 
     roots: tuple[Root, ...]
     source_degree: int
 
     def values(self, klass: RootClass | None = None) -> list[complex]:
-        return [r.value for r in self.roots for _ in range(r.multiplicity)
-                if klass is None or r.klass is klass]
+        return [r.value for r in self.roots if klass is None or r.klass is klass]
 
     def distinct(self, klass: RootClass | None = None) -> list[Root]:
         return [r for r in self.roots if klass is None or r.klass is klass]
 
     @property
     def max_multiplicity(self) -> int:
-        return max(r.multiplicity for r in self.roots)
-
-    def simple(self) -> list[Root]:
-        """The distinct roots, after checking that none is repeated."""
-        if self.max_multiplicity > 1:
-            raise UnsupportedStructureError("repeated poles are not supported")
-        return list(self.roots)
-
-
-def _polish(p: Polynomial, z: np.ndarray, multiplicity: int) -> np.ndarray:
-    """Safeguarded Newton steps on the (m-1)th derivative.
-
-    ``z`` holds every root of multiplicity m, which are polished together.
-    """
-    q = p
-    for _ in range(multiplicity - 1):
-        q = q.derivative()
-    dq = q.derivative()
-    for _ in range(2):
-        fz = q(z)
-        dfz = dq(z)
-        movable = dfz != 0
-        step = z - np.divide(fz, dfz, out=np.zeros_like(z), where=movable)
-        z = np.where(movable & (np.abs(q(step)) <= np.abs(fz)), step, z)
-    return z
+        # Always 1; kept for bench/tracer.py until ROADMAP item 7 drops it.
+        return 1
 
 
 def _conjugate_partners(values: np.ndarray) -> np.ndarray:
@@ -238,54 +219,52 @@ def _conjugate_partners(values: np.ndarray) -> np.ndarray:
 
 
 def poly_roots(p: Polynomial) -> RootSet:
-    """Roots with multiplicities and classes.
+    """Simple roots with their classes.
 
-    Exact zero low-order coefficients give the ZERO root by construction
-    and are divided out, so small nonzero roots are never confused with it.
-    The quotient's roots come from companion-matrix eigenvalues in
-    ``np.sort_complex`` order: an eigenvalue within 2e-5 times max(1, the
-    larger modulus) of an earlier one joins its cluster, and each cluster
-    becomes one root at its mean, of multiplicity its size.  Each root
-    gets two Newton steps, non-real roots are symmetrized into exact
-    conjugate pairs (positive imaginary part first), and each root is
-    classified as decaying or growing by the sign of its real part
-    relative to its own modulus.
+    One exact zero low-order coefficient gives the ZERO root by
+    construction and is divided out, so small nonzero roots are never
+    confused with it.  The quotient's roots are its companion-matrix
+    eigenvalues in ``np.sort_complex`` order.  Non-real roots are
+    symmetrized into exact conjugate pairs (positive imaginary part
+    first), and each root is classified as decaying or growing by the
+    sign of its real part relative to its own modulus.
+
+    Raises:
+        InputError: If p has degree below 1.
+        UnsupportedStructureError: If zero is a repeated root, or two
+            eigenvalues lie within SEP times the larger modulus of each
+            other.
+        StructuralError: If a non-real eigenvalue has no conjugate partner.
     """
     if p.degree < 1:
         raise InputError("root finding needs degree >= 1")
     k = next(i for i, c in enumerate(p.coeffs) if c != 0.0)
+    if k > 1:
+        raise UnsupportedStructureError("repeated poles are not supported")
     q = Polynomial(p.coeffs[k:])
-    roots = [Root(0j, k, RootClass.ZERO)] if k else []
+    roots = [Root(0j, RootClass.ZERO)] if k else []
     if q.degree < 1:
         return RootSet(tuple(roots), p.degree)
     z = np.sort_complex(np.roots(q.coeffs[::-1]))
 
-    mod = np.maximum(1.0, np.abs(z))
-    close = np.abs(z - z[:, None]) <= _CLUSTER_TOL * np.maximum(mod, mod[:, None])
-    first = close.argmax(axis=1)
-    label = np.cumsum(np.bincount(first, minlength=len(z)) > 0)[first] - 1
-    mults = np.bincount(label)
-    # Scaling by the reciprocal count rounds as np.mean does on complex.
-    centers = np.bincount(label, z.real) + 1j * np.bincount(label, z.imag)
-    centers *= 1.0 / mults
-    for m in np.unique(mults):
-        centers[mults == m] = _polish(q, centers[mults == m], int(m))
+    i, j = np.triu_indices(len(z), 1)
+    if np.any(np.abs(z[i] - z[j]) < SEP * np.maximum(np.abs(z[i]), np.abs(z[j]))):
+        raise UnsupportedStructureError("repeated poles are not supported")
 
-    partner = _conjugate_partners(centers)
-    unpaired = (partner < 0) | (mults[partner] != mults)
-    if unpaired.any():
-        bad = complex(centers[unpaired.argmax()])
+    partner = _conjugate_partners(z)
+    if (partner < 0).any():
+        bad = complex(z[(partner < 0).argmax()])
         raise StructuralError(f"complex root {bad!r} has no conjugate partner")
-    idx = np.arange(len(centers))
-    w = centers[partner]
-    sym = 0.5 * (centers.real + w.real) + 1j * np.abs(0.5 * (centers.imag - w.imag))
+    idx = np.arange(len(z))
+    w = z[partner]
+    sym = 0.5 * (z.real + w.real) + 1j * np.abs(0.5 * (z.imag - w.imag))
     order = np.lexsort((idx, np.minimum(idx, partner)))
     vals = np.where(partner < idx, sym.conj(), sym)[order]
     # Purely oscillatory poles do not vanish at infinity: they count as growing.
     decays = vals.real < -_DECAY_REL * np.abs(vals)
     roots += [
-        Root(v, m, RootClass.DECAYING if d else RootClass.GROWING)
-        for v, m, d in zip(vals.tolist(), mults[order].tolist(), decays.tolist())
+        Root(v, RootClass.DECAYING if d else RootClass.GROWING)
+        for v, d in zip(vals.tolist(), decays.tolist())
     ]
     return RootSet(tuple(roots), p.degree)
 
@@ -331,14 +310,14 @@ def partial_fractions(
     """Simple-pole partial fractions of a strictly proper rational function.
 
     Returns (pole, residue) pairs with residues num(pole) / den'(pole), in
-    the order of ``roots.distinct()``.  Repeated poles are rejected; the
-    solvers never produce them on their supported inputs.
+    the order of ``roots.roots``.  ``poly_roots`` returns simple roots only,
+    so a repeated pole raises there.
     """
     if f.num.degree >= f.den.degree:
         raise InputError("partial fractions require deg(num) < deg(den)")
     if roots is None:
         roots = poly_roots(f.den)
-    poles = np.array([r.value for r in roots.simple()], dtype=complex)
+    poles = np.array(roots.values(), dtype=complex)
     residues = f.num(poles) / f.den.derivative()(poles)
     return tuple((complex(p), complex(r)) for p, r in zip(poles, residues))
 
@@ -428,7 +407,7 @@ def invert_rational(f: RationalFn, roots: RootSet | None = None) -> ExpSum:
     pairs = partial_fractions(f, roots)
     poles = np.array([p for p, _ in pairs], dtype=complex)
     residues = np.array([r for _, r in pairs], dtype=complex)
-    zero = np.array([r.klass is RootClass.ZERO for r in roots.distinct()])
+    zero = np.array([r.klass is RootClass.ZERO for r in roots.roots])
     return ExpSum(*_collect(poles, residues, zero, 0.0))
 
 
@@ -516,18 +495,17 @@ def eliminate_growing(
     caller to check.  D' and each basis polynomial are evaluated once at
     all roots, the equilibrated system is solved exactly when square and by
     least squares otherwise, and the residues of the solved numerator are
-    collected in one pass.
+    collected in one pass.  ``roots`` are those of ``poly_roots(den)``,
+    which are simple: a repeated root raises there.
 
     Raises:
-        UnsupportedStructureError: If den has a repeated root.
         StructuralError: If there is no growing root, or the system is
             degenerate, singular, leaves a residual above 1e-8 or has a
             solution that is not real to 1e-7.
     """
-    distinct = roots.simple()
-    poles = np.array([r.value for r in distinct], dtype=complex)
-    growing = np.array([r.klass is RootClass.GROWING for r in distinct])
-    zero = np.array([r.klass is RootClass.ZERO for r in distinct])
+    poles = np.array(roots.values(), dtype=complex)
+    growing = np.array([r.klass is RootClass.GROWING for r in roots.roots])
+    zero = np.array([r.klass is RootClass.ZERO for r in roots.roots])
     if not growing.any():
         raise StructuralError("no growing denominator root to eliminate")
     basis_at_roots = np.array([p(poles) for p in basis])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from test_domain import _check_shape
 
 from fgmruin.erlang import (
     GrowthElimination,
@@ -138,6 +139,32 @@ class TestBoundaryValue:
 
         limit = (10.0 * v(1e-5) - v(1e-4)) / 9.0
         assert limit == pytest.approx(1.0, abs=1e-3)
+
+
+class TestCloseKernelRoots:
+    """Loading 999 and small |theta|: four roots near 2 beta / c = 4e-4.
+
+    They sit 9.1e-4 (theta = 2e-9) to 1.8e-2 (theta = 1e-4) apart relative
+    to their modulus, under 2e-5 absolute, which a fixed absolute radius
+    once merged into a repeated pole.  Every mode and sign variant must
+    solve and stay within 0.0105 |theta| of the independent solution.
+    The shape checks apply to PLUS, as in the domain property: MINUS
+    under POOLED tops 1 by the pooled bias of the inconsistent variant
+    (1.5e-9 at theta = -1e-6).
+    """
+
+    @pytest.mark.parametrize("theta", [2e-9, -1e-6, 1e-6, 1e-4])
+    def test_close_kernel_roots_solve(self, theta):
+        grid = np.linspace(0.0, 200.0, 41)
+        want = survival_erlang2(_model(0.0, c=1000.0, alpha=0.1, beta=0.2))(grid)
+        m = _model(theta, c=1000.0, alpha=0.1, beta=0.2)
+        for variant in SignVariant:
+            for elim in GrowthElimination:
+                sol = survival_erlang2(m, variant=variant, elimination=elim)
+                got = sol(grid)
+                if variant is PLUS:
+                    _check_shape(got)
+                assert np.max(np.abs(got - want)) <= 0.0105 * abs(theta)
 
 
 class TestSolution:

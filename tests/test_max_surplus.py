@@ -39,9 +39,7 @@ class TestCharacteristic:
         p = chi_characteristic(_model(0.7))
         assert p.degree == 4
         rs = poly_roots(p)
-        zero = rs.distinct(RootClass.ZERO)
-        assert len(zero) == 1
-        assert zero[0].multiplicity == 1
+        assert len(rs.distinct(RootClass.ZERO)) == 1
 
     def test_known_root_at_independence(self):
         p = chi_characteristic(_model(0.0))
@@ -297,3 +295,15 @@ class TestAssemblyRateGuard:
         assert 1e-9 * k < gap < 1e-9
         assert sol.condition < 10.0
         assert sol.boundary_residual <= 1e-12
+
+    def test_root_just_outside_guard_passes_assembly_gate(self):
+        """A root 1.3e-9 from -2 alpha needs the roots to about an ulp.
+
+        The eigenvalue is 1.5e-15 off, relative, which leaves an assembly
+        defect of 1.2e-6, above the 1e-6 gate; refined, it is 1.4e-8.
+        """
+        m = _model(-1.333521432163324e-06, c=501.2864610575233, alpha=1.0, lam=1.0)
+        sol = solve_chi(m, 10.0)
+        gap = min(abs(r.value + 2.0) for r in sol.roots.roots) / 2.0
+        assert 1e-9 < gap < 2e-9
+        assert sol.assembly_defect <= 1e-7
