@@ -54,7 +54,6 @@ from .simulate import (
     estimate_reach_prob,
     estimate_survival,
     simulate_path,
-    survival_proxy_level,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "simulate_path",
     "estimate_reach_prob",
     "estimate_survival",
-    "survival_proxy_level",
     "RuinModelError",
     "InputError",
     "LoadingError",

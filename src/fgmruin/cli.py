@@ -213,7 +213,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     grid = _parse_grid(args.u)
     seed = _resolve_seed(args)
     rows = []
-    estimates = []
     for u in grid:
         if args.b is None:
             est = estimate_survival(model, u, n=args.n, seed=seed,
@@ -221,7 +220,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         else:
             est = estimate_reach_prob(model, u, args.b, n=args.n, seed=seed,
                                       workers=args.workers)
-        estimates.append(est)
         rows.append((u, est.value, est.stderr))
     if args.format == "json":
         payload = {
@@ -231,13 +229,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
             "n": args.n,
             "seed": seed,
             "rows": [
-                {
-                    "u": u,
-                    "value": est.value,
-                    "stderr": est.stderr,
-                    "bias_bound": est.bias_bound,
-                }
-                for u, est in zip(grid, estimates)
+                {"u": u, "value": value, "stderr": stderr}
+                for u, value, stderr in rows
             ],
         }
         return _json_text(payload)

@@ -1,24 +1,27 @@
 """Monte Carlo estimation of survival and level-reaching probabilities.
 
-Paths of the surplus process are simulated claim by claim with dependent
-(inter-claim time, claim amount) pairs from ``model.sample_pairs``: the
-inter-claim time is drawn from its own law, and the claim amount by
-conditional inversion of the model's copula given the time's grade.  Two
-probabilities are exposed:
+Paths of the surplus process are simulated claim by claim; ruin can only
+happen at a claim instant, so a path is a random walk of i.i.d. dependent
+(inter-claim time, claim amount) pairs.  Two probabilities are exposed:
 
-* reach: the surplus attains a level b before ever falling below zero,
-* survival: ruin never happens, approximated by reach of a high proxy
-  level (once the surplus is far above zero, ruin has become an
-  exponentially unlikely tail event; the reported ``bias_bound`` is a
-  heuristic cap on what the truncation can add).
+* reach: the surplus attains a level b before ever falling below zero.
+  Paths use the model's own pairs from ``model.sample_pairs``: the
+  inter-claim time is drawn from its own law, and the claim amount by
+  conditional inversion of the copula given the time's grade.
+* survival: ruin never happens.  Siegmund's importance sampler draws the
+  pairs from the exponentially tilted law e^{R(x - cw)} f(x, w), where R
+  is the adjustment coefficient; under it ruin is certain, and each path
+  runs to ruin and contributes the weight e^{-R(u - post)}, where post is
+  its surplus just after the ruinous claim.  The tilted pairs are drawn
+  exactly by rejection from the tilted margins.
 
 Estimates are averaged over fixed-size blocks, each driven by its own
 Philox stream spawned deterministically from (seed, block index).  The
 result therefore depends only on the seed and the path count, not on how
 many worker threads ran the blocks or in which order they finished.  A
 block advances all of its live paths by one claim per round and keeps the
-surplus of the paths still inside [0, b) as one compact array, in path
-order; paths that reach b or fall below zero are dropped from it.
+surplus of the paths still alive as one compact array, in path order;
+paths that reach b or fall below zero are dropped from it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .model import ModelSpec, sample_pair, sample_pairs
+from .model import Erlang2, ModelSpec, sample_pair, sample_pairs
 
 __all__ = [
     "Level",
@@ -42,13 +45,12 @@ __all__ = [
     "simulate_path",
     "estimate_reach_prob",
     "estimate_survival",
-    "survival_proxy_level",
 ]
 
 _BLOCK_SIZE = 32768
 
-# Hard cap on claims per path; positive loading drives every path out of
-# [0, b) long before this.
+# Hard cap on claims per path; the drift takes every path out of [0, b),
+# or to ruin under the tilted law, long before this.
 _MAX_CLAIMS = 1_000_000
 
 
@@ -100,18 +102,16 @@ class SimEstimate:
 
     Attributes:
         value: Estimated probability.
-        stderr: Binomial standard error.
+        stderr: Standard error: binomial for reach estimates, the sample
+            standard error of the importance weights for survival.
         n: Number of simulated paths.
         seed: Seed that reproduces the estimate exactly.
-        bias_bound: Heuristic cap on truncation bias (survival estimates
-            only; None when the estimate is exact apart from sampling).
     """
 
     value: float
     stderr: float
     n: int
     seed: int
-    bias_bound: float | None = None
 
 
 def _check_inputs(u: float, n: int) -> tuple[float, int]:
@@ -172,11 +172,27 @@ def simulate_path(
     raise ConditioningError("path exceeded the claim cap without terminating")
 
 
-def _run_block(model: ModelSpec, u: float, b: float, size: int, seed: int,
-               block: int) -> int:
-    rng = np.random.Generator(
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     )
+
+
+def _map_blocks(run, n: int, workers: int) -> list:
+    """run(size, block) over the blocks of n paths, results in block order."""
+    sizes = [_BLOCK_SIZE] * (n // _BLOCK_SIZE)
+    if n % _BLOCK_SIZE:
+        sizes.append(n % _BLOCK_SIZE)
+    blocks = range(len(sizes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+            return list(pool.map(run, sizes, blocks))
+    return [run(size, block) for size, block in zip(sizes, blocks)]
+
+
+def _run_block(model: ModelSpec, u: float, b: float, size: int, seed: int,
+               block: int) -> int:
+    rng = _block_rng(seed, block)
     # Surplus of the paths still inside [0, b), kept in path order.
     surplus = np.full(size, u)
     reached = 0
@@ -214,42 +230,206 @@ def estimate_reach_prob(
     seed = int(seed)
     if b == u:
         return SimEstimate(1.0, 0.0, n, seed)
-    sizes = [_BLOCK_SIZE] * (n // _BLOCK_SIZE)
-    if n % _BLOCK_SIZE:
-        sizes.append(n % _BLOCK_SIZE)
-
-    def run(args):
-        block, size = args
-        return _run_block(model, u, b, size, seed, block)
-
-    jobs = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            counts = list(pool.map(run, jobs))
-    else:
-        counts = [run(j) for j in jobs]
+    counts = _map_blocks(
+        lambda size, block: _run_block(model, u, b, size, seed, block), n, workers
+    )
     hits = int(sum(counts))
     p = hits / n
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n)
     return SimEstimate(p, stderr, n, seed)
 
 
-def survival_proxy_level(model: ModelSpec, u: float) -> float:
-    """Default truncation level for survival estimates: u + 40 claim means."""
-    return float(u) + 40.0 * model.m1
+# Largest |log E[e^{R(X - cW)}]| the adjustment coefficient may leave.
+_LUNDBERG_TOL = 1e-12
+
+# Most proposals a tilted path may be predicted to need: claims per path
+# times proposals per accepted pair.  Every cell of the measured table in
+# README "Errors" at loading 0.01 passes (up to 2.5e4) and every cell at
+# 3e-3 fails (from 6.3e4).
+_PROPOSAL_BUDGET = 3e4
+
+# Most proposals drawn in one batch, which bounds the sampler's memory.
+_MAX_BATCH = 1 << 18
 
 
-def _survival_bias_bound(model: ModelSpec, proxy: float) -> float:
-    """Heuristic cap on P(ruin | surplus reached proxy).
+def _arrival_parts(arrival, s: float):
+    """log f~_W(s), its s-derivative, rho(s), 1 - rho(s) and rho'(s).
 
-    Uses the independent-model adjustment coefficient alpha - lam_eff / c
-    with lam_eff = 1 / E[W]; exact for the independent compound Poisson
-    case and indicative otherwise.
+    rho = k~_W / f~_W lies in [0, 1).  Poisson: f~_W = lam / (lam + s),
+    rho = s / (2 lam + s).  Erlang(2): f~_W = (beta / (beta + s))^2,
+    rho = s (s^2 + 6 beta s + 6 beta^2) / (2 beta + s)^3.  Each part is
+    computed without cancellation.
     """
-    lam_eff = 1.0 / model.arrival.mean
-    rate = model.claim.alpha - lam_eff / model.c
-    amp = min(1.0, lam_eff / (model.c * model.claim.alpha))
-    return float(amp * math.exp(-rate * proxy))
+    if isinstance(arrival, Erlang2):
+        b = arrival.beta
+        d = 2.0 * b + s
+        return (-2.0 * math.log1p(s / b), -2.0 / (b + s),
+                s * (s * s + 6.0 * b * s + 6.0 * b * b) / d**3,
+                2.0 * b * b * (3.0 * s + 4.0 * b) / d**3, 12.0 * b * b * (b + s) / d**4)
+    lam = arrival.lam
+    d = 2.0 * lam + s
+    return -math.log1p(s / lam), -1.0 / (lam + s), s / d, 2.0 * lam / d, 2.0 * lam / d**2
+
+
+def _cgf(model: ModelSpec, r: float, gap: float) -> tuple[float, float]:
+    """log M(r) and its r-derivative, M(r) = E[e^{r(X - cW)}]; gap = alpha - r.
+
+    M(r) = f~_X(-r) f~_W(c r) + theta h~(-r) k~_W(c r).  With the claim
+    transforms alpha / (alpha - r) and h~(-r) = -alpha r / ((alpha - r)(2 alpha - r))
+    this is the product
+
+        M(r) = alpha / gap * f~_W(c r) * (2 gap + r q) / (alpha + gap),
+        q = 1 - theta rho(c r) = (1 - theta) + theta (1 - rho(c r)),
+
+    whose last factor is 1 + x with x = -theta r rho / (alpha + gap).  The
+    logarithm of each factor keeps full relative precision, at small r
+    (where M - 1 would cancel) and where R crowds alpha at large loading.
+    """
+    a, c, th = model.claim.alpha, model.c, model.theta
+    log_fw, log_fw_slope, rho, one_minus_rho, rho_slope = _arrival_parts(
+        model.arrival, c * r)
+    q = (1.0 - th) + th * one_minus_rho
+    num = 2.0 * gap + r * q
+    x = -th * r * rho / (a + gap)
+    last = math.log1p(x) if abs(x) < 0.5 else math.log(num / (a + gap))
+    value = math.log1p(r / gap) + log_fw + last
+    num_slope = q - 2.0 - th * r * c * rho_slope
+    slope = 1.0 / gap + c * log_fw_slope + num_slope / num + 1.0 / (a + gap)
+    return value, slope
+
+
+def _lundberg_root(model: ModelSpec) -> tuple[float, float]:
+    """The adjustment coefficient R and alpha - R, each to full precision.
+
+    R is the root in (0, alpha) of the Lundberg equation
+    E[e^{R(X - cW)}] = 1, solved in closed form from the model's
+    transforms; the survival solvers are not consulted.
+
+    The steps solve log M(r) = 0.  log M is a cumulant generating function,
+    hence convex, with log M(0) = 0, a negative slope at 0 (positive
+    loading) and log M -> inf as r -> alpha, so Newton steps started to the
+    right of R descend to it monotonically.  The start is
+    r = alpha - alpha/2^k for the smallest k that makes log M positive.
+    The steps move r itself when R < alpha/2 and the gap alpha - r
+    otherwise, whichever is the smaller.  R is then accurate to about
+    1e-16 / loading relative, the conditioning of the loading itself.
+
+    Raises:
+        ConditioningError: If |log E[e^{R(X - cW)}]| exceeds 1e-12.
+    """
+    a = model.claim.alpha
+    gap = 0.5 * a
+    while _cgf(model, a - gap, gap)[0] <= 0.0:
+        gap *= 0.5
+    on_r = gap == 0.5 * a
+    x, sign = gap, (1.0 if on_r else -1.0)
+    for _ in range(100):
+        r, t = (x, a - x) if on_r else (a - x, x)
+        value, slope = _cgf(model, r, t)
+        step = sign * value / slope
+        x -= step
+        if abs(step) <= 4.0 * np.finfo(float).eps * x:
+            break
+    r, t = (x, a - x) if on_r else (a - x, x)
+    resid = abs(_cgf(model, r, t)[0])
+    if not resid <= _LUNDBERG_TOL:
+        raise ConditioningError(
+            f"Lundberg equation residual {resid:.3e} exceeds {_LUNDBERG_TOL:g}"
+        )
+    return r, t
+
+
+@dataclass(frozen=True)
+class _Tilt:
+    """Exact sampler of the tilted pair law f_R(x, w) = e^{R(x - cw)} f(x, w).
+
+    Proposals come from the tilted margins, X ~ Exp(alpha - R) and W with
+    density proportional to e^{-Rcw} f_W(w), and are accepted with
+    probability (1 + theta (1 - 2F_X(x))(1 - 2F_W(w))) / (1 + |theta|).
+    """
+
+    model: ModelSpec
+    R: float
+    gap: float  # alpha - R
+    rate: float  # acceptance rate of one proposal
+
+    def propose(self, rng: np.random.Generator, k: int):
+        """k proposals, as claim-surplus steps c w - x, with their acceptance."""
+        m, R = self.model, self.R
+        a = m.claim.alpha
+        x = rng.standard_exponential(k) / self.gap
+        if isinstance(m.arrival, Erlang2):
+            b = m.arrival.beta
+            w = rng.standard_exponential((2, k)).sum(axis=0) / (b + R * m.c)
+            gw = 2.0 * np.exp(-b * w) * (1.0 + b * w) - 1.0
+        else:
+            lam = m.arrival.lam
+            w = rng.standard_exponential(k) / (lam + R * m.c)
+            gw = 2.0 * np.exp(-lam * w) - 1.0
+        gx = 2.0 * np.exp(-a * x) - 1.0
+        th = m.theta
+        accept = rng.random(k) * (1.0 + abs(th)) < 1.0 + th * gx * gw
+        return m.c * w - x, accept
+
+    def steps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n tilted steps c w - x: one batch sized to accept n, topped up if short."""
+        parts, have = [], 0
+        while have < n:
+            need = n - have
+            k = math.ceil((need + 3.0 * math.sqrt(need * (1.0 - self.rate))) / self.rate)
+            k = min(k, _MAX_BATCH)
+            step, accept = self.propose(rng, k)
+            # An index gather beats a boolean mask on a random half-full mask.
+            parts.append(step[np.flatnonzero(accept)[:need]])
+            have += parts[-1].size
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _tilt(model: ModelSpec, u: float) -> _Tilt:
+    """The tilted sampler, after checking the predicted work per path.
+
+    A path from u is predicted to need 1 + (u + 1/R) / mu_R claims, where
+    mu_R = M'(R) is the tilted drift of X - cW; this grows like
+    1 / loading^2 as the loading goes to zero.  Each claim takes
+    1 / acceptance proposals, and the acceptance rate falls towards zero at
+    large loading with theta > 0.
+
+    Raises:
+        ConditioningError: If the predicted proposals per path exceed the
+            budget.
+    """
+    R, gap = _lundberg_root(model)
+    log_fw = _arrival_parts(model.arrival, model.c * R)[0]
+    rate = min(1.0, gap / (model.claim.alpha * math.exp(log_fw) * (1.0 + abs(model.theta))))
+    # mu_R = M'(R) = M(R) (log M)'(R), and M(R) = 1.
+    claims = 1.0 + (u + 1.0 / R) / _cgf(model, R, gap)[1]
+    if claims / rate > _PROPOSAL_BUDGET:
+        loading = model.c * model.arrival.mean / model.claim.mean - 1.0
+        raise ConditioningError(
+            f"survival at relative loading {loading:.3g} cannot be simulated "
+            f"from u = {u:g}: a tilted path needs about {claims:.3g} claims at "
+            f"acceptance rate {rate:.3g}, over the budget of "
+            f"{_PROPOSAL_BUDGET:g} proposals"
+        )
+    return _Tilt(model, R, gap, rate)
+
+
+def _run_tilted_block(tilt: _Tilt, u: float, size: int, seed: int,
+                      block: int) -> tuple[float, float]:
+    """Sum and sum of squares of e^{R post} over tilted paths run to ruin."""
+    rng = _block_rng(seed, block)
+    surplus = np.full(size, u)
+    total = total_sq = 0.0
+    for _ in range(_MAX_CLAIMS):
+        if surplus.size == 0:
+            return total, total_sq
+        post = surplus + tilt.steps(rng, surplus.size)
+        ruined = post < 0.0
+        y = np.exp(tilt.R * post[np.flatnonzero(ruined)])
+        total += float(y.sum())
+        total_sq += float(y @ y)
+        surplus = post[np.flatnonzero(~ruined)]
+    raise ConditioningError("simulation block exceeded the claim cap")
 
 
 def estimate_survival(
@@ -258,18 +438,40 @@ def estimate_survival(
     n: int,
     seed: int = 0,
     workers: int = 1,
-    b_proxy: float | None = None,
 ) -> SimEstimate:
     """Simulated survival probability from initial surplus u.
 
-    Survival is approximated by the event of reaching ``b_proxy`` (default
-    ``survival_proxy_level``) before ruin; the heuristic truncation bias
-    bound is attached to the estimate.
+    Siegmund's importance sampler: under the tilted pair law
+    e^{R(x - cw)} f(x, w), with R the adjustment coefficient, the claim
+    surplus drifts up and ruin is certain, and
+
+        psi(u) = e^{-R u} E_R[e^{-R deficit}],
+
+    where the deficit is the depth of the surplus below zero at ruin.  Each
+    of the n tilted paths runs to ruin; the estimate is 1 minus the mean of
+    e^{-R(u - post)} over the paths, and its standard error is the sample
+    one.  The estimate has no truncation bias, its variance never exceeds
+    the binomial psi(1 - psi) / n, and its relative error stays flat as u
+    grows.  It is a deterministic function of (seed, n); ``workers`` only
+    parallelizes the blocks.
+
+    Raises:
+        ConditioningError: If a tilted path is predicted to need more
+            proposals than the budget (loading near zero, or a low
+            acceptance rate at large loading with theta > 0), or the
+            Lundberg equation is not solved to 1e-12.
     """
     u, n = _check_inputs(u, n)
-    proxy = survival_proxy_level(model, u) if b_proxy is None else float(b_proxy)
-    if not math.isfinite(proxy) or proxy <= u:
-        raise InputError("survival proxy level must be finite and exceed u")
-    est = estimate_reach_prob(model, u, proxy, n, seed=seed, workers=workers)
-    return SimEstimate(est.value, est.stderr, est.n, est.seed,
-                       _survival_bias_bound(model, proxy))
+    if workers < 1:
+        raise InputError(f"worker count must be positive, got {workers!r}")
+    seed = int(seed)
+    tilt = _tilt(model, u)
+    sums = _map_blocks(
+        lambda size, block: _run_tilted_block(tilt, u, size, seed, block), n, workers
+    )
+    total = sum(s for s, _ in sums)
+    total_sq = sum(q for _, q in sums)
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
+    scale = math.exp(-tilt.R * u)
+    return SimEstimate(1.0 - scale * mean, scale * math.sqrt(var / n), n, seed)

@@ -135,7 +135,7 @@ class TestSimulate:
         assert out1 == out2
         assert out1.splitlines()[0] == "u,value,stderr"
 
-    def test_json_reports_bias_bound(self, capsys):
+    def test_json_rows_report_value_and_stderr(self, capsys):
         code, out, _ = _run(
             capsys, "simulate", "--theta", "0", "--n", "2000", "--format", "json",
         )
@@ -143,11 +143,11 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["seed"] == 0
         row = payload["rows"][0]
+        assert set(row) == {"u", "value", "stderr"}
         assert 0.0 < row["value"] < 1.0
         assert row["stderr"] > 0.0
-        assert row["bias_bound"] > 0.0
 
-    def test_reach_mode_has_no_bias_bound(self, capsys):
+    def test_reach_mode_json_rows(self, capsys):
         code, out, _ = _run(
             capsys, "simulate", "--theta", "0", "--b", "10", "--n", "2000",
             "--format", "json",
@@ -155,7 +155,13 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert payload["b"] == 10.0
-        assert payload["rows"][0]["bias_bound"] is None
+        assert set(payload["rows"][0]) == {"u", "value", "stderr"}
+
+    def test_small_loading_survival_exits_4(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--c", "1.001", "--n", "1000")
+        assert code == 4
+        assert out == ""
+        assert "relative loading 0.001" in err
 
     def test_erlang_arrivals_via_beta(self, capsys):
         code, out, _ = _run(

@@ -1,11 +1,13 @@
 """Tests for the Monte Carlo path engine and estimators."""
 
+import time
+
 import numpy as np
 import pytest
 
 from fgmruin.classical import survival_classical
-from fgmruin.erlang import solve_delta0
-from fgmruin.errors import InputError
+from fgmruin.erlang import solve_delta0, survival_erlang2
+from fgmruin.errors import ConditioningError, InputError
 from fgmruin.max_surplus import chi
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, sample_pairs
 from fgmruin.simulate import (
@@ -14,12 +16,13 @@ from fgmruin.simulate import (
     PathKind,
     PathOutcome,
     SimEstimate,
+    _lundberg_root,
     _run_block,
+    _tilt,
     estimate_reach_prob,
     estimate_survival,
     sample_pair,
     simulate_path,
-    survival_proxy_level,
 )
 
 
@@ -169,8 +172,6 @@ class TestEstimateSurvival:
         est = estimate_survival(m, 0.0, n=n, seed=5)
         _binomial_gate(est, 1.0 / 3.0, n)
         assert isinstance(est, SimEstimate)
-        assert est.bias_bound is not None
-        assert 0.0 < est.bias_bound < 1e-5
 
     def test_erlang_matches_exact_boundary_value(self):
         m = _erlang_model(-1.0)
@@ -179,12 +180,30 @@ class TestEstimateSurvival:
         est = estimate_survival(m, 0.0, n=n, seed=7)
         _binomial_gate(est, truth, n)
 
-    def test_proxy_level_and_bias_bound(self):
-        m = _poisson_model(0.2)
-        assert survival_proxy_level(m, 3.0) == pytest.approx(3.0 + 40.0 * m.m1)
-        near = estimate_survival(m, 0.0, n=1000, seed=0, b_proxy=20.0)
-        far = estimate_survival(m, 0.0, n=1000, seed=0, b_proxy=60.0)
-        assert far.bias_bound < near.bias_bound
+    @pytest.mark.parametrize("make,theta,solve", [
+        (_poisson_model, 0.5, survival_classical),
+        (_erlang_model, -1.0, survival_erlang2),
+    ])
+    def test_matches_closed_form_up_to_large_surplus(self, make, theta, solve):
+        # psi(40) is 1.7e-7 (Poisson) and 5.6e-7 (Erlang): counting ruined
+        # paths would need over 1e10 of them for 1 % relative error; the
+        # tilted paths give it from 2e4.
+        m = make(theta)
+        sol = solve(m)
+        for u in (0.0, 5.0, 40.0):
+            est = estimate_survival(m, u, n=20_000, seed=23)
+            psi, psi_hat = 1.0 - float(sol(u)), 1.0 - est.value
+            assert abs(psi_hat - psi) <= 4.0 * est.stderr, (u, psi_hat, psi, est.stderr)
+        assert est.stderr <= 1e-2 * psi
+
+    @pytest.mark.parametrize("make,theta", [(_poisson_model, -1.0), (_erlang_model, 0.5)])
+    def test_stderr_below_binomial(self, make, theta):
+        # The weights e^{-R S} lie in (0, 1], so their variance is at most
+        # psi (1 - psi).
+        for u in (0.0, 5.0):
+            est = estimate_survival(make(theta), u, n=20_000, seed=3)
+            psi = 1.0 - est.value
+            assert 0.0 < est.stderr <= np.sqrt(psi * (1.0 - psi) / est.n)
 
     def test_dependence_orders_survival(self):
         # Positive dependence couples long gaps with large claims, which
@@ -196,10 +215,72 @@ class TestEstimateSurvival:
             values.append(est.value)
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_proxy_validation(self):
+    def test_input_validation(self):
         m = _poisson_model(0.0)
         with pytest.raises(InputError):
-            estimate_survival(m, 5.0, n=100, seed=0, b_proxy=4.0)
+            estimate_survival(m, -1.0, n=100, seed=0)
+        with pytest.raises(InputError):
+            estimate_survival(m, 0.0, n=0, seed=0)
+        with pytest.raises(InputError):
+            estimate_survival(m, 0.0, n=100, seed=0, workers=0)
+
+    @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
+    def test_small_loading_raises_at_once(self, make):
+        m = make(0.5, c=1.001)
+        start = time.perf_counter()
+        with pytest.raises(ConditioningError, match="relative loading 0.001"):
+            estimate_survival(m, 0.0, n=100_000, seed=0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_low_acceptance_raises_at_once(self):
+        # At loading 1e3 and theta = 1 the tilted law is far from the product
+        # of its margins: about one Erlang proposal in 8e4 is accepted.
+        m = _erlang_model(1.0, c=1001.0)
+        with pytest.raises(ConditioningError, match="acceptance rate"):
+            estimate_survival(m, 0.0, n=100_000, seed=0)
+
+
+def _slowest_rate(terms):
+    return max(rate for _, rate in terms if isinstance(rate, float) and rate < 0.0)
+
+
+class TestAdjustmentCoefficient:
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_is_the_slowest_survival_rate(self, theta):
+        m = _poisson_model(theta)
+        want = -_slowest_rate(survival_classical(m).phi.terms)
+        assert _lundberg_root(m)[0] == pytest.approx(want, rel=1e-10)
+        m = _erlang_model(theta)
+        want = -_slowest_rate(survival_erlang2(m).delta.terms)
+        assert _lundberg_root(m)[0] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [1.0 + 1e-6, 1e3])
+    @pytest.mark.parametrize("theta", [-1.0, 1.0])
+    def test_loading_extremes(self, c, theta):
+        # R crowds 0 at small loading and alpha at large loading, where the
+        # gap alpha - R must keep its own relative precision.
+        m = _poisson_model(theta, c=c)
+        want = -_slowest_rate(survival_classical(m).phi.terms)
+        R, gap = _lundberg_root(m)
+        assert R == pytest.approx(want, rel=1e-9)
+        assert gap == pytest.approx(m.claim.alpha - want, rel=1e-9)
+
+
+class TestTiltedPairs:
+    @pytest.mark.parametrize("make,theta", [(_poisson_model, 0.5), (_erlang_model, -1.0)])
+    def test_tilted_law_and_acceptance(self, make, theta):
+        m = make(theta)
+        tilt = _tilt(m, 0.0)
+        rng = np.random.default_rng(2024)
+        n = 200_000
+        _, accept = tilt.propose(rng, n)
+        rate = float(np.mean(accept))
+        assert abs(rate - tilt.rate) <= 4.0 * np.sqrt(tilt.rate * (1.0 - tilt.rate) / n)
+        # E_R[e^{-R(X - cW)}] = E[1] = 1 exactly when the pairs follow the
+        # tilted law and R solves the Lundberg equation.
+        weight = np.exp(tilt.R * tilt.steps(rng, n))
+        se = weight.std(ddof=1) / np.sqrt(n)
+        assert abs(weight.mean() - 1.0) <= 4.0 * se
 
 
 def _run_block_reference(model, u, b, size, seed, block):
