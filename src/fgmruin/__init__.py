@@ -46,14 +46,9 @@ from .model import (
     k_aux,
 )
 from .simulate import (
-    Horizon,
-    Level,
-    PathKind,
-    PathOutcome,
     SimEstimate,
     estimate_reach_prob,
     estimate_survival,
-    simulate_path,
 )
 
 __version__ = "0.1.0"
@@ -91,12 +86,7 @@ __all__ = [
     "solve_chi",
     "chi",
     "xi",
-    "Level",
-    "Horizon",
-    "PathKind",
-    "PathOutcome",
     "SimEstimate",
-    "simulate_path",
     "estimate_reach_prob",
     "estimate_survival",
     "RuinModelError",

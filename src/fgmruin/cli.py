@@ -64,6 +64,12 @@ _EXAMPLE3 = {
 _PRESET_B = 20.0
 
 
+def _check_surplus(u: float) -> float:
+    if not (math.isfinite(u) and u >= 0.0):
+        raise InputError(f"surplus u must be finite and nonnegative, got {u!r}")
+    return u
+
+
 def _parse_grid(text: str) -> list[float]:
     """Surplus grid from 'start:stop:step', a comma list, or one number."""
     # InputError subclasses ValueError, so the fallback wrap must not
@@ -76,18 +82,22 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = (float(f) for f in fields)
         except ValueError as exc:
             raise InputError(f"could not parse u grid {text!r}") from exc
-        if step <= 0.0:
-            raise InputError("grid step must be positive")
+        _check_surplus(start)
+        _check_surplus(stop)
+        if not (0.0 < step < math.inf):
+            raise InputError("grid step must be positive and finite")
         if stop < start:
             raise InputError("grid stop must not precede start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(count)]
     try:
         if "," in text:
-            return [float(f) for f in text.split(",") if f.strip()]
-        return [float(text)]
+            values = [float(f) for f in text.split(",") if f.strip()]
+        else:
+            values = [float(text)]
     except ValueError as exc:
         raise InputError(f"could not parse u grid {text!r}") from exc
+    return [_check_surplus(u) for u in values]
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:

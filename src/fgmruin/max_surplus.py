@@ -127,7 +127,7 @@ class ChiSolution:
 
     def __call__(self, u):
         uu = np.asarray(u, dtype=float)
-        if np.any(uu < 0.0) or np.any(uu > self.b):
+        if not np.all((uu >= 0.0) & (uu <= self.b)):
             raise InputError(f"chi(u, b) needs 0 <= u <= b = {self.b}")
         return self.chi(u)
 

@@ -46,7 +46,6 @@ __all__ = [
     "f_tilde_rational",
     "h_tilde_rational",
     "conditional_grade",
-    "sample_pair",
     "sample_pairs",
 ]
 
@@ -379,8 +378,3 @@ def sample_pairs(model: ModelSpec, rng: np.random.Generator, n: int):
     x = -np.log1p(-g) / model.claim.alpha
     return w, x
 
-
-def sample_pair(model: ModelSpec, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw one dependent (inter-claim time, claim amount) pair."""
-    w, x = sample_pairs(model, rng, 1)
-    return float(w[0]), float(x[0])

@@ -190,9 +190,6 @@ class RootSet:
     def values(self, klass: RootClass | None = None) -> list[complex]:
         return [r.value for r in self.roots if klass is None or r.klass is klass]
 
-    def distinct(self, klass: RootClass | None = None) -> list[Root]:
-        return [r for r in self.roots if klass is None or r.klass is klass]
-
     @property
     def max_multiplicity(self) -> int:
         # Always 1; kept for bench/tracer.py until ROADMAP item 7 drops it.

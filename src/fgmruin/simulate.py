@@ -29,20 +29,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .model import Erlang2, ModelSpec, sample_pair, sample_pairs
+from .model import Erlang2, ModelSpec, sample_pairs
 
 __all__ = [
-    "Level",
-    "Horizon",
-    "PathKind",
-    "PathOutcome",
     "SimEstimate",
-    "simulate_path",
     "estimate_reach_prob",
     "estimate_survival",
 ]
@@ -52,48 +46,6 @@ _BLOCK_SIZE = 32768
 # Hard cap on claims per path; the drift takes every path out of [0, b),
 # or to ruin under the tilted law, long before this.
 _MAX_CLAIMS = 1_000_000
-
-
-@dataclass(frozen=True)
-class Level:
-    """Stop a path when the surplus reaches b (or at ruin)."""
-
-    b: float
-
-
-@dataclass(frozen=True)
-class Horizon:
-    """Stop a path at time t_max (or at ruin)."""
-
-    t_max: float
-
-
-class PathKind(Enum):
-    """How a simulated path terminated."""
-
-    RUINED = "ruined"
-    REACHED_LEVEL = "reached-level"
-    HORIZON_SURVIVED = "horizon-survived"
-
-
-@dataclass(frozen=True)
-class PathOutcome:
-    """Terminal state of one simulated path.
-
-    Attributes:
-        kind: Terminating event.
-        time: When it happened: the ruin instant, or the moment the
-            drifting surplus crossed the target level.  None for
-            HORIZON_SURVIVED (nothing happened by t_max).
-        deficit: Severity |surplus| at ruin, strictly positive; None
-            unless kind is RUINED.
-        claims_count: Claims consumed before termination.
-    """
-
-    kind: PathKind
-    time: float | None
-    deficit: float | None
-    claims_count: int
 
 
 @dataclass(frozen=True)
@@ -114,62 +66,17 @@ class SimEstimate:
     seed: int
 
 
-def _check_inputs(u: float, n: int) -> tuple[float, int]:
+def _check_inputs(u: float, n: int, seed: int,
+                  workers: int) -> tuple[float, int, int]:
     u = float(u)
     if not (u >= 0.0) or not math.isfinite(u):
         raise InputError(f"initial surplus must be nonnegative, got {u!r}")
     n = int(n)
     if n <= 0:
         raise InputError(f"path count must be positive, got {n!r}")
-    return u, n
-
-
-def simulate_path(
-    model: ModelSpec, u: float, stop: Level | Horizon,
-    rng: np.random.Generator
-) -> PathOutcome:
-    """One path, claim by claim, until the stop condition or ruin.
-
-    Scalar reference implementation of the same dynamics the block engine
-    vectorizes.  Between claims the surplus drifts up at rate c, so with a
-    Level stop the crossing is detected on the continuous segment (the
-    pre-claim surplus reaches b if and only if the linear trajectory
-    crossed it) and timed as (b - current) / c; ruin can only happen at a
-    claim instant.
-    """
-    u = float(u)
-    if not (u >= 0.0) or not math.isfinite(u):
-        raise InputError(f"initial surplus must be nonnegative, got {u!r}")
-    if isinstance(stop, Level):
-        b = float(stop.b)
-        if not math.isfinite(b) or b < u:
-            raise InputError("target level must be finite and at least u")
-        if b == u:
-            return PathOutcome(PathKind.REACHED_LEVEL, 0.0, None, 0)
-        horizon = math.inf
-    elif isinstance(stop, Horizon):
-        if not (stop.t_max > 0.0):
-            raise InputError("horizon must be positive")
-        b = math.inf
-        horizon = float(stop.t_max)
-    else:
-        raise InputError(f"unknown stop condition {stop!r}")
-    s = u
-    t = 0.0
-    for i in range(_MAX_CLAIMS):
-        w, x = sample_pair(model, rng)
-        if t + w > horizon:
-            return PathOutcome(PathKind.HORIZON_SURVIVED, None, None, i)
-        pre = s + model.c * w
-        if pre >= b:
-            return PathOutcome(
-                PathKind.REACHED_LEVEL, t + (b - s) / model.c, None, i
-            )
-        t += w
-        s = pre - x
-        if s < 0.0:
-            return PathOutcome(PathKind.RUINED, t, -s, i + 1)
-    raise ConditioningError("path exceeded the claim cap without terminating")
+    if workers < 1:
+        raise InputError(f"worker count must be positive, got {workers!r}")
+    return u, n, int(seed)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -200,6 +107,8 @@ def _run_block(model: ModelSpec, u: float, b: float, size: int, seed: int,
         if surplus.size == 0:
             return reached
         w, x = sample_pairs(model, rng, surplus.size)
+        # The surplus rises linearly between claims, so it crosses b before
+        # the next claim if and only if the pre-claim surplus reaches b.
         pre = surplus + model.c * w
         hit = pre >= b
         reached += int(np.count_nonzero(hit))
@@ -221,13 +130,10 @@ def estimate_reach_prob(
     The estimate is a deterministic function of (seed, n); ``workers``
     only parallelizes the blocks.
     """
-    u, n = _check_inputs(u, n)
+    u, n, seed = _check_inputs(u, n, seed, workers)
     b = float(b)
     if not math.isfinite(b) or b < u:
         raise InputError("target level must be finite and at least u")
-    if workers < 1:
-        raise InputError(f"worker count must be positive, got {workers!r}")
-    seed = int(seed)
     if b == u:
         return SimEstimate(1.0, 0.0, n, seed)
     counts = _map_blocks(
@@ -461,10 +367,7 @@ def estimate_survival(
             acceptance rate at large loading with theta > 0), or the
             Lundberg equation is not solved to 1e-12.
     """
-    u, n = _check_inputs(u, n)
-    if workers < 1:
-        raise InputError(f"worker count must be positive, got {workers!r}")
-    seed = int(seed)
+    u, n, seed = _check_inputs(u, n, seed, workers)
     tilt = _tilt(model, u)
     sums = _map_blocks(
         lambda size, block: _run_tilted_block(tilt, u, size, seed, block), n, workers

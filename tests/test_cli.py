@@ -250,6 +250,14 @@ class TestErrorsAndOutput:
         assert code == 2
         assert "start:stop:step" in err
 
+    def test_non_finite_or_negative_grid_exits_2(self, capsys):
+        for argv in (["--u", "0:inf:1"], ["--u", "nan:1:1"], ["--u", "0:1:nan"],
+                     ["--u", "0:1:inf"], ["--u=nan", "--format", "json"],
+                     ["--u=-5:0:1"]):
+            code, out, err = _run(capsys, "survival-classical", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:"), argv
+
     def test_out_of_range_theta_exits_2(self, capsys):
         code, _, err = _run(capsys, "survival-classical", "--theta", "1.5")
         assert code == 2

@@ -186,14 +186,14 @@ def test_small_decaying_root_is_kept_apart_from_zero():
     params = (1.000001, 1.0, 1.0, -0.5)
     roots = poly_roots(classical_lt(_spec(*params)).den)
     assert roots.max_multiplicity == 1
-    assert [r.value for r in roots.distinct(RootClass.ZERO)] == [0.0]
+    assert roots.values(RootClass.ZERO) == [0.0]
     with mpmath.workdps(60):
         want = min(
             (r for r in _reference_roots(*params) if mpmath.re(r) < 0),
             key=lambda r: abs(r),
         )
         want = complex(want)
-    (small,) = [r.value for r in roots.distinct(RootClass.DECAYING) if abs(r.value) < 1e-3]
+    (small,) = [v for v in roots.values(RootClass.DECAYING) if abs(v) < 1e-3]
     assert small.real == pytest.approx(-8.89e-7, rel=1e-3)
     assert abs(small - want) <= PHI0_REL_TOL * abs(want)
 

@@ -22,7 +22,6 @@ from fgmruin.model import (
     h_tilde_rational,
     joint_density,
     k_aux,
-    sample_pair,
     sample_pairs,
 )
 
@@ -338,13 +337,6 @@ class TestSampling:
         w, x = sample_pairs(m, np.random.default_rng(0), 0)
         assert w.shape == (0,)
         assert x.shape == (0,)
-
-    def test_single_pair_consistent_with_batch(self):
-        m = _erlang_model(0.5)
-        w1, x1 = sample_pair(m, np.random.default_rng(99))
-        wb, xb = sample_pairs(m, np.random.default_rng(99), 1)
-        assert w1 == pytest.approx(wb[0], abs=0.0)
-        assert x1 == pytest.approx(xb[0], abs=0.0)
 
     def test_independence_has_no_correlation(self):
         m = _poisson_model(0.0)

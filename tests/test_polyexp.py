@@ -77,7 +77,7 @@ class TestPolyRoots:
         rs = poly_roots(Polynomial((2, -3, 1)))
         vals = sorted(r.real for r in rs.values())
         assert vals == pytest.approx([1.0, 2.0], abs=1e-10)
-        assert all(r.klass is RootClass.GROWING for r in rs.distinct())
+        assert all(r.klass is RootClass.GROWING for r in rs.roots)
 
     def test_triple_zero_root(self):
         with pytest.raises(UnsupportedStructureError):
@@ -93,7 +93,7 @@ class TestPolyRoots:
         rs = poly_roots(den)
         got = sorted(r.real for r in rs.values())
         assert got == pytest.approx([-2.1148, -0.2976, 0.0, 1.4123], abs=2e-4)
-        classes = sorted(r.klass.value for r in rs.distinct())
+        classes = sorted(r.klass.value for r in rs.roots)
         assert classes == ["decaying", "decaying", "growing", "zero"]
 
     def test_solver_denominator_residuals(self):
@@ -114,7 +114,7 @@ class TestPolyRoots:
         )
         for p, pairs in cases:
             rs = poly_roots(p)
-            complex_vals = [r.value for r in rs.distinct() if r.value.imag != 0.0]
+            complex_vals = [v for v in rs.values() if v.imag != 0.0]
             assert len(complex_vals) == 2 * pairs
             for upper, lower in zip(complex_vals[::2], complex_vals[1::2]):
                 assert upper.imag > 0.0

@@ -11,18 +11,13 @@ from fgmruin.errors import ConditioningError, InputError
 from fgmruin.max_surplus import chi
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, sample_pairs
 from fgmruin.simulate import (
-    Horizon,
-    Level,
-    PathKind,
-    PathOutcome,
     SimEstimate,
+    _block_rng,
     _lundberg_root,
     _run_block,
     _tilt,
     estimate_reach_prob,
     estimate_survival,
-    sample_pair,
-    simulate_path,
 )
 
 
@@ -39,74 +34,6 @@ def _binomial_gate(estimate, truth, n):
     assert abs(estimate.value - truth) <= 3.0 * se, (
         f"estimate {estimate.value:.5f} vs {truth:.5f}, 3se = {3 * se:.5f}"
     )
-
-
-class TestSimulatePath:
-    def test_huge_surplus_survives_horizon(self):
-        m = _poisson_model(0.5)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            out = simulate_path(m, 1e6, Horizon(10.0), rng)
-            assert out.kind is PathKind.HORIZON_SURVIVED
-            assert out.time is None
-            assert out.deficit is None
-
-    def test_first_claim_ruin_is_reproducible(self):
-        # Seed 1 ruins on the first claim from zero surplus; the outcome
-        # must replay the sampled pair exactly.
-        m = _poisson_model(0.0)
-        w, x = sample_pair(m, np.random.default_rng(1))
-        assert x > m.c * w
-        out = simulate_path(m, 0.0, Level(60.0), np.random.default_rng(1))
-        assert out.kind is PathKind.RUINED
-        assert out.claims_count == 1
-        assert out.time == pytest.approx(w, abs=1e-12)
-        assert out.deficit == pytest.approx(x - m.c * w, abs=1e-12)
-        again = simulate_path(m, 0.0, Level(60.0), np.random.default_rng(1))
-        assert again == out
-
-    def test_ruin_fraction_matches_theory(self):
-        # At u = 0 the independent model ruins with probability 2/3; a
-        # level of 60 leaves no measurable truncation.
-        m = _poisson_model(0.0)
-        rng = np.random.default_rng(42)
-        n = 4000
-        ruined = 0
-        for _ in range(n):
-            out = simulate_path(m, 0.0, Level(60.0), rng)
-            if out.kind is PathKind.RUINED:
-                ruined += 1
-                assert out.deficit > 0.0
-                assert out.claims_count >= 1
-        frac = ruined / n
-        se = np.sqrt((2.0 / 3.0) * (1.0 / 3.0) / n)
-        assert abs(frac - 2.0 / 3.0) <= 3.0 * se
-
-    def test_start_at_level_returns_immediately(self):
-        m = _poisson_model(0.5)
-        out = simulate_path(m, 7.0, Level(7.0), np.random.default_rng(0))
-        assert out == PathOutcome(PathKind.REACHED_LEVEL, 0.0, None, 0)
-
-    def test_level_crossing_time_before_first_claim(self):
-        # Seed 0 draws a first inter-claim time with c w > 0.5, so the
-        # premium income alone lifts u = 10 to b = 10.5.
-        m = _poisson_model(0.0)
-        out = simulate_path(m, 10.0, Level(10.5), np.random.default_rng(0))
-        assert out.kind is PathKind.REACHED_LEVEL
-        assert out.claims_count == 0
-        assert out.time == pytest.approx(0.5 / m.c, abs=1e-15)
-
-    def test_input_validation(self):
-        m = _poisson_model(0.0)
-        rng = np.random.default_rng(0)
-        with pytest.raises(InputError):
-            simulate_path(m, -1.0, Level(5.0), rng)
-        with pytest.raises(InputError):
-            simulate_path(m, 2.0, Level(1.0), rng)
-        with pytest.raises(InputError):
-            simulate_path(m, 2.0, Horizon(0.0), rng)
-        with pytest.raises(InputError):
-            simulate_path(m, 2.0, "until-broke", rng)
 
 
 class TestEstimateReach:
@@ -310,6 +237,33 @@ class TestRunBlock:
         for seed, block in ((0, 0), (11, 3), (2024, 7)):
             want = _run_block_reference(m, u, b, 4096, seed, block)
             assert _run_block(m, u, b, 4096, seed, block) == want
+
+    def test_ruin_fraction_matches_theory(self):
+        # At u = 0 the independent model ruins with probability 2/3; a
+        # level of 60 leaves no measurable truncation.
+        m = _poisson_model(0.0)
+        n = 4000
+        frac = 1.0 - estimate_reach_prob(m, 0.0, 60.0, n=n, seed=42).value
+        se = np.sqrt((2.0 / 3.0) * (1.0 / 3.0) / n)
+        assert abs(frac - 2.0 / 3.0) <= 3.0 * se
+
+    def test_first_claim_ruin_is_reproducible(self):
+        # Block 0 of seed 1 draws a first pair with x > c w, so a single
+        # path from zero surplus is ruined by its first claim.
+        m = _poisson_model(0.0)
+        w, x = sample_pairs(m, _block_rng(1, 0), 1)
+        assert x[0] > m.c * w[0]
+        assert [_run_block(m, 0.0, 60.0, 1, 1, 0) for _ in range(2)] == [0, 0]
+
+    def test_level_crossed_before_first_claim(self):
+        # Block 0 of seed 3 draws a first pair with c w >= 0.5 and x > c w:
+        # the premium income lifts u = 0 to b = 0.5 before the claim that
+        # would ruin the path.
+        m = _poisson_model(0.0)
+        w, x = sample_pairs(m, _block_rng(3, 0), 1)
+        assert m.c * w[0] >= 0.5
+        assert x[0] > m.c * w[0]
+        assert _run_block(m, 0.0, 0.5, 1, 3, 0) == 1
 
 
 class TestDeterminism:
