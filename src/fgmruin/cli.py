@@ -6,7 +6,8 @@ Monte Carlo estimates, and reproduce the bundled worked examples against
 their reference values.  Tables are emitted as CSV (header ``u,value``
 or ``u,value,stderr``, 6 significant digits, LF line endings) or as
 canonical JSON (sorted keys, full float precision) that re-serializes to
-identical bytes after parsing.
+identical bytes after parsing.  A ``start:stop:step`` surplus grid holds
+at most ``_MAX_GRID_POINTS`` (one million) points.
 
 Exit codes: 0 success, 2 usage or domain errors, 3 violation of the
 positive loading condition, 4 solver structural or conditioning
@@ -17,6 +18,8 @@ failures.  The environment variable RUIN_SEED, when set, overrides any
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -63,6 +66,9 @@ _EXAMPLE3 = {
 
 _PRESET_B = 20.0
 
+# Largest start:stop:step grid, checked before anything is allocated.
+_MAX_GRID_POINTS = 1_000_000
+
 
 def _check_surplus(u: float) -> float:
     if not (math.isfinite(u) and u >= 0.0):
@@ -70,7 +76,7 @@ def _check_surplus(u: float) -> float:
     return u
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> np.ndarray:
     """Surplus grid from 'start:stop:step', a comma list, or one number."""
     # InputError subclasses ValueError, so the fallback wrap must not
     # shadow the specific messages raised here.
@@ -88,8 +94,13 @@ def _parse_grid(text: str) -> list[float]:
             raise InputError("grid step must be positive and finite")
         if stop < start:
             raise InputError("grid stop must not precede start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
+        # The quotient overflows to inf for a step far below the span.
+        span = (stop - start) / step + 1e-9
+        if not span < _MAX_GRID_POINTS:
+            raise InputError(f"grid {text!r} has more than {_MAX_GRID_POINTS} "
+                             "points")
+        # The same floats as start + i * step.
+        return start + step * np.arange(int(span) + 1)
     try:
         if "," in text:
             values = [float(f) for f in text.split(",") if f.strip()]
@@ -97,7 +108,9 @@ def _parse_grid(text: str) -> list[float]:
             values = [float(text)]
     except ValueError as exc:
         raise InputError(f"could not parse u grid {text!r}") from exc
-    return [_check_surplus(u) for u in values]
+    if not values:
+        raise InputError("empty u grid")
+    return np.array([_check_surplus(u) for u in values])
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -133,23 +146,57 @@ def _model_payload(model: ModelSpec) -> dict:
     }
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{value:.6g}"
-
-
 def _csv_table(header: tuple[str, ...], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    """CSV text: string cells as they are, numbers to 6 significant digits."""
+    fmt = ",".join("{}" if isinstance(v, str) else "{:.6g}" for v in rows[0])
+    lines = [",".join(header), *itertools.starmap(fmt.format, rows)]
     return "\n".join(lines) + "\n"
 
 
-def _json_text(payload) -> str:
+# float.__repr__ of the values allow_nan=False refuses.
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _json_cells(column: list) -> list[str]:
+    """JSON text of one rows column, all strings or all floats."""
+    if isinstance(column[0], str):
+        return list(map(json.dumps, column))
+    # float.__repr__ is what json prints a float with; it raises TypeError
+    # on anything else, where repr() would print np.float64(...).
+    cells = list(map(float.__repr__, column))
+    if not _NON_FINITE.isdisjoint(cells):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return cells
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """The rows list as json.dumps prints it one level deep in indent=2."""
+    keys = sorted(rows[0])
+    if set(map(len, rows)) != {len(keys)}:
+        raise ValueError("JSON rows do not share one key set")
+    columns = [_json_cells([row[k] for row in rows]) for k in keys]
+    fields = ",\n".join(f"      {json.dumps(k)}: {{}}" for k in keys)
+    template = "    {{\n" + fields + "\n    }}"
+    return "[\n" + ",\n".join(map(template.format, *columns)) + "\n  ]"
+
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``
+    plus a newline, byte for byte.
+
+    ``payload["rows"]`` is a non-empty list of flat dicts that share one
+    key set and hold, per key, only strings or only floats.  The rows are printed from
+    one per-row template, because the pure-Python encoder that ``indent``
+    selects would take most of a dense curve's time.
+    """
     # sort_keys plus a trailing newline makes the bytes canonical, so a
     # parse-and-redump round trip is the identity; NaN is refused rather
     # than emitted as nonstandard JSON.
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    marker = "\x00rows\x00"
+    text = json.dumps({**payload, "rows": marker}, sort_keys=True, indent=2,
+                      allow_nan=False)
+    rows = _json_rows(payload["rows"])
+    return text.replace(json.dumps(marker), rows, 1) + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -164,7 +211,7 @@ def _curve_output(args, command: str, model: ModelSpec, grid, sol,
                   extra: dict) -> str:
     # One vectorized evaluation over the whole grid; the values are the
     # same floats the per-point calls give.
-    rows = list(zip(grid, sol(np.asarray(grid)).tolist()))
+    rows = list(zip(grid.tolist(), sol(grid).tolist()))
     if args.format == "json":
         payload = {
             "command": command,
@@ -223,7 +270,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     grid = _parse_grid(args.u)
     seed = _resolve_seed(args)
     rows = []
-    for u in grid:
+    for u in grid.tolist():
         if args.b is None:
             est = estimate_survival(model, u, n=args.n, seed=seed,
                                     workers=args.workers)
@@ -387,6 +434,7 @@ def _add_model_args(p: argparse.ArgumentParser, arrival: str) -> None:
                    help="FGM dependence parameter in [-1, 1]")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgmruin",

@@ -19,6 +19,7 @@ from fgmruin import (
     survival_classical,
     survival_erlang2,
 )
+from fgmruin import cli
 from fgmruin.cli import main
 
 
@@ -26,6 +27,19 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reference_json(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _reference_csv(header, rows):
+    def cell(value):
+        return value if isinstance(value, str) else f"{value:.6g}"
+
+    lines = [",".join(header)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 class TestSurvivalClassical:
@@ -123,6 +137,43 @@ class TestCurveRows:
         assert [r["u"] for r in rows] == grid
         sol = solve(ModelSpec(1.5, ExpClaim(1.0), arrival, FgmParam(0.5)))
         assert [r["value"] for r in rows] == sol(np.array(grid)).tolist()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("survival-classical", "--theta", "0.5",
+                          "--u", "0:40:0.1"), id="classical"),
+            pytest.param(("survival-classical", "--theta", "-1",
+                          "--u", "0,1e-300,5e-324,0.1,123456.789,1e300"),
+                         id="classical-extreme-u"),
+            pytest.param(("survival-erlang2", "--theta", "-0.5",
+                          "--u", "0:40:0.1"), id="erlang2-individual"),
+            pytest.param(("survival-erlang2", "--theta", "1",
+                          "--elimination", "pooled", "--u", "0:40:0.1"),
+                         id="erlang2-pooled"),
+            pytest.param(("max-surplus", "--theta", "0.5", "--b", "20",
+                          "--u", "0:20:0.05"), id="max-surplus"),
+            pytest.param(("simulate", "--theta", "0.5", "--u", "0,2.5",
+                          "--n", "2000", "--seed", "3"), id="simulate-survival"),
+            pytest.param(("simulate", "--beta", "2", "--theta", "-1",
+                          "--b", "10", "--u", "0:10:5", "--n", "2000",
+                          "--seed", "3"), id="simulate-reach"),
+            pytest.param(("reproduce", "example1"), id="example1"),
+            pytest.param(("reproduce", "example2"), id="example2"),
+            pytest.param(("reproduce", "example3"), id="example3"),
+            pytest.param(("reproduce", "example2", "--variant-report",
+                          "--n", "2000", "--seed", "5"),
+                         id="example2-variant-report"),
+        ],
+    )
+    def test_tables_match_reference_encoders(self, capsys, monkeypatch, argv,
+                                             fmt):
+        code, out, _ = _run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        monkeypatch.setattr(cli, "_json_text", _reference_json)
+        monkeypatch.setattr(cli, "_csv_table", _reference_csv)
+        assert _run(capsys, *argv, "--format", fmt) == (0, out, "")
 
 
 class TestSimulate:
@@ -249,6 +300,46 @@ class TestErrorsAndOutput:
         code, _, err = _run(capsys, "survival-classical", "--u", "0:10")
         assert code == 2
         assert "start:stop:step" in err
+        code, out, err = _run(capsys, "survival-classical", "--u", ",")
+        assert (code, out) == (2, "")
+        assert "empty u grid" in err
+
+    def test_grid_with_more_points_than_the_cap_exits_2(self, capsys):
+        # About 1e300 points: refused before any list is built.
+        code, out, err = _run(capsys, "survival-classical", "--u", "0:1:1e-300")
+        assert (code, out) == (2, "")
+        assert "more than 1000000 points" in err
+
+    def test_grid_with_infinite_point_count_exits_2(self, capsys):
+        # (stop - start) / step overflows to inf.
+        code, out, err = _run(capsys, "survival-classical",
+                              "--u", "0:1e300:1e-300")
+        assert (code, out) == (2, "")
+        assert "more than 1000000 points" in err
+
+    def test_grid_cap_is_inclusive(self):
+        assert cli._parse_grid("0:999999:1").size == cli._MAX_GRID_POINTS
+        with pytest.raises(cli.InputError):
+            cli._parse_grid("0:1000000:1")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                     np.float64("nan")],
+                             ids=["nan", "inf", "-inf", "np.nan"])
+    def test_json_refuses_non_finite_rows(self, bad):
+        payload = {"command": "x", "rows": [{"u": 0.0, "value": 0.5},
+                                            {"u": 1.0, "value": bad}]}
+        with pytest.raises(ValueError):
+            _reference_json(payload)
+        with pytest.raises(ValueError):
+            cli._json_text(payload)
+
+    def test_parser_reuse_keeps_defaults(self, capsys):
+        _, theta_half, _ = _run(capsys, "survival-classical", "--theta", "0.5",
+                                "--u", "0")
+        _, default, _ = _run(capsys, "survival-classical", "--u", "0")
+        _, theta_zero, _ = _run(capsys, "survival-classical", "--theta", "0",
+                                "--u", "0")
+        assert default == theta_zero != theta_half
 
     def test_non_finite_or_negative_grid_exits_2(self, capsys):
         for argv in (["--u", "0:inf:1"], ["--u", "nan:1:1"], ["--u", "0:1:nan"],
