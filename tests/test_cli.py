@@ -109,11 +109,42 @@ class TestMaxSurplus:
         assert payload["rows"][-1]["value"] == pytest.approx(1.0, abs=1e-9)
         assert payload["rows"][0]["value"] == pytest.approx(0.3546, abs=3e-3)
 
-    def test_oversized_level_exits_4(self, capsys):
-        code, out, err = _run(capsys, "max-surplus", "--theta", "-0.5", "--b", "150")
-        assert code == 4
-        assert out == ""
-        assert "error" in err
+    def test_large_level_solves(self, capsys):
+        # e^{s b} overflows at b = 150; the growing term is anchored at b.
+        code, out, err = _run(capsys, "max-surplus", "--theta", "-0.5",
+                              "--b", "150", "--u", "0,20,150",
+                              "--format", "json")
+        assert (code, err) == (0, "")
+        values = [r["value"] for r in json.loads(out)["rows"]]
+        phi = survival_classical(
+            ModelSpec(1.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(-0.5)))
+        assert values[:2] == pytest.approx(phi(np.array([0.0, 20.0])).tolist(),
+                                           abs=1e-9)
+        assert values[2] == pytest.approx(1.0, abs=1e-9)
+
+
+# Commands whose output must be byte for byte what the reference encoders
+# print, in both formats (TestCurveRows).
+_ENCODER_CASES = [
+    ("classical", ("survival-classical", "--theta", "0.5", "--u", "0:40:0.1")),
+    ("classical-extreme-u", ("survival-classical", "--theta", "-1", "--u",
+                             "0,1e-300,5e-324,0.1,123456.789,1e300")),
+    ("erlang2-individual", ("survival-erlang2", "--theta", "-0.5",
+                            "--u", "0:40:0.1")),
+    ("erlang2-pooled", ("survival-erlang2", "--theta", "1", "--elimination",
+                        "pooled", "--u", "0:40:0.1")),
+    ("max-surplus", ("max-surplus", "--theta", "0.5", "--b", "20",
+                     "--u", "0:20:0.05")),
+    ("simulate-survival", ("simulate", "--theta", "0.5", "--u", "0,2.5",
+                           "--n", "2000", "--seed", "3")),
+    ("simulate-reach", ("simulate", "--beta", "2", "--theta", "-1", "--b",
+                        "10", "--u", "0:10:5", "--n", "2000", "--seed", "3")),
+    ("example1", ("reproduce", "example1")),
+    ("example2", ("reproduce", "example2")),
+    ("example3", ("reproduce", "example3")),
+    ("example2-variant-report", ("reproduce", "example2", "--variant-report",
+                                 "--n", "2000", "--seed", "5")),
+]
 
 
 class TestCurveRows:
@@ -138,33 +169,14 @@ class TestCurveRows:
         sol = solve(ModelSpec(1.5, ExpClaim(1.0), arrival, FgmParam(0.5)))
         assert [r["value"] for r in rows] == sol(np.array(grid)).tolist()
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "argv",
+        "argv,fmt",
         [
-            pytest.param(("survival-classical", "--theta", "0.5",
-                          "--u", "0:40:0.1"), id="classical"),
-            pytest.param(("survival-classical", "--theta", "-1",
-                          "--u", "0,1e-300,5e-324,0.1,123456.789,1e300"),
-                         id="classical-extreme-u"),
-            pytest.param(("survival-erlang2", "--theta", "-0.5",
-                          "--u", "0:40:0.1"), id="erlang2-individual"),
-            pytest.param(("survival-erlang2", "--theta", "1",
-                          "--elimination", "pooled", "--u", "0:40:0.1"),
-                         id="erlang2-pooled"),
-            pytest.param(("max-surplus", "--theta", "0.5", "--b", "20",
-                          "--u", "0:20:0.05"), id="max-surplus"),
-            pytest.param(("simulate", "--theta", "0.5", "--u", "0,2.5",
-                          "--n", "2000", "--seed", "3"), id="simulate-survival"),
-            pytest.param(("simulate", "--beta", "2", "--theta", "-1",
-                          "--b", "10", "--u", "0:10:5", "--n", "2000",
-                          "--seed", "3"), id="simulate-reach"),
-            pytest.param(("reproduce", "example1"), id="example1"),
-            pytest.param(("reproduce", "example2"), id="example2"),
-            pytest.param(("reproduce", "example3"), id="example3"),
-            pytest.param(("reproduce", "example2", "--variant-report",
-                          "--n", "2000", "--seed", "5"),
-                         id="example2-variant-report"),
+            pytest.param(argv, fmt, id=f"{name}-{fmt}")
+            for name, argv in _ENCODER_CASES
+            for fmt in ("csv", "json")
+            # --variant-report is refused with CSV (TestReproduce).
+            if not (name == "example2-variant-report" and fmt == "csv")
         ],
     )
     def test_tables_match_reference_encoders(self, capsys, monkeypatch, argv,
@@ -276,6 +288,21 @@ class TestReproduce:
         assert all(r["deviation"] < 2e-3 for r in payload["rows"])
         redumped = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert redumped == out
+
+    @pytest.mark.parametrize("preset", ["example1", "example2", "example3"])
+    def test_variant_report_with_csv_exits_2(self, capsys, monkeypatch, preset):
+        # The report exists only in JSON; CSV is refused before any
+        # simulation or solve runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before the format check")
+
+        monkeypatch.setattr(cli, "sign_variant_report", refuse)
+        monkeypatch.setattr(cli, "survival_erlang2", refuse)
+        monkeypatch.setattr(cli, "survival_classical", refuse)
+        monkeypatch.setattr(cli, "solve_chi", refuse)
+        code, out, err = _run(capsys, "reproduce", preset, "--variant-report")
+        assert (code, out) == (2, "")
+        assert "--variant-report needs --format json" in err
 
     def test_example2_variant_report(self, capsys):
         code, out, _ = _run(

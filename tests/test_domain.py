@@ -29,7 +29,6 @@ from fgmruin import (
     survival_classical,
     survival_erlang2,
 )
-from fgmruin.errors import UnsupportedStructureError
 from fgmruin.polyexp import RootClass, poly_roots
 
 # Roundoff slack for probability bounds, monotonicity and chi(b, b) = 1.
@@ -131,15 +130,9 @@ def test_every_solver_solves_the_wide_domain(params):
         sol = survival_erlang2(_spec(*params, erlang=True), elimination=elimination)
         _check_shape(sol(grid))
         assert abs(sol(0.0) - sol.delta0) <= WIDE_DELTA0_ORIGIN_TOL
+    # (1001, 1, 1, -1e-6) has a characteristic root next to -2 alpha.
     b = 10.0 / alpha
-    try:
-        chi = solve_chi(poisson, b)
-    except UnsupportedStructureError as exc:
-        # solve_chi's documented limit, a root within 1e-9 * |rate| of an
-        # assembly rate; (1001, 1, 1, -1e-6) has one next to -2 alpha.
-        assert "assembly rate" in str(exc)
-        return
-    values = chi(np.linspace(0.0, b, 21))
+    values = solve_chi(poisson, b)(np.linspace(0.0, b, 21))
     _check_shape(values)
     assert abs(values[-1] - 1.0) <= SHAPE_TOL
 

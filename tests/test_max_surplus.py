@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from fgmruin.classical import survival_classical
-from fgmruin.errors import ConditioningError, InputError
+from fgmruin.errors import InputError
 from fgmruin.max_surplus import ChiSolution, chi, chi_characteristic, solve_chi, xi
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
 from fgmruin.polyexp import RootClass, poly_roots
@@ -139,11 +139,10 @@ class TestSolveChi:
     def test_independence_reduces_to_survival_ratio(self):
         m = _model(0.0)
         sol = solve_chi(m, PRESET_B)
-        assert sol.condition == 1.0
         phi = survival_classical(m)
         u = np.linspace(0.0, PRESET_B, 41)
         want = phi(u) / phi(PRESET_B)
-        assert np.max(np.abs(sol(u) - want)) <= 1e-6
+        assert np.max(np.abs(sol(u) - want)) <= 1e-12
 
     @pytest.mark.parametrize("theta", [-0.5, 0.5])
     @pytest.mark.parametrize("u", [0.0, 1.0, 5.0])
@@ -154,6 +153,32 @@ class TestSolveChi:
         want = survival_classical(m)(u)
         assert abs(chi(m, u, 40.0) - want) <= 1e-3
 
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.5])
+    @pytest.mark.parametrize(
+        "alpha,lam,c", [(1.0, 1.0, 1.5), (0.2, 0.5, 3.0), (5.0, 1.0, 0.22)]
+    )
+    def test_distant_target_equals_unconditional_survival(self, theta, alpha, lam, c):
+        # At b = 1000 / alpha, e^{s b} overflows; the anchored growing term
+        # keeps the solve finite, and chi(u, b) is phi(u) to rounding.
+        m = _model(theta, c=c, alpha=alpha, lam=lam)
+        b = 1000.0 / alpha
+        u = np.linspace(0.0, 50.0 / alpha, 101)
+        sol = solve_chi(m, b)
+        assert np.max(np.abs(sol(u) - survival_classical(m)(u))) <= 1e-9
+        assert sol(b) == pytest.approx(1.0, abs=1e-9)
+
+    def test_continuous_in_theta_at_independence(self):
+        # One system serves every theta, so the slope of chi(0) in theta
+        # is the same from 1e-2 down to 1e-10; a switch to another formula
+        # at some small theta would show as a jump in it.
+        b = 10.0
+        base = chi(_model(0.0), 0.0, b)
+        slopes = [
+            (chi(_model(th), 0.0, b) - base) / th
+            for th in (1e-2, 1e-5, 1e-7, 1e-10)
+        ]
+        assert max(slopes) - min(slopes) <= 0.01 * abs(slopes[0])
+
     def test_diagnostics_are_small(self):
         sol = solve_chi(_model(1.0), PRESET_B)
         assert sol.condition < 1e12
@@ -162,13 +187,16 @@ class TestSolveChi:
         assert isinstance(sol, ChiSolution)
 
     def test_growing_term_is_retained(self):
-        # The finite-interval solution keeps a growing exponential whose
-        # weight is exponentially small at the preset level.
+        # The finite-interval solution keeps a growing exponential, anchored
+        # at the target level: its weight there is at most 1, and it is
+        # exponentially small at u = 0.
         sol = solve_chi(_model(0.5), PRESET_B)
-        growing = [(c, r) for c, r in sol.chi.terms if r.real > 1e-9]
-        assert len(growing) == 1
-        coef, rate = growing[0]
-        assert abs(coef) * np.exp(rate.real * PRESET_B) <= 1.0
+        assert all(r.real < -1e-9 for _, r in sol.chi.terms)
+        ((coef, rate),) = sol.growing.terms
+        assert sol.growing.constant == 0.0
+        assert rate > 1e-9
+        assert abs(coef) <= 1.0
+        assert abs(coef) * np.exp(-rate * PRESET_B) <= 1e-12
 
 
 class TestValidation:
@@ -190,10 +218,14 @@ class TestValidation:
             solve_chi(_model(0.5), b)
 
     def test_oversized_target_reports_conditioning(self):
-        # The growing characteristic root makes e^{rb} overflow the
-        # solvable range long before b = 200.
-        with pytest.raises(ConditioningError):
-            solve_chi(_model(-0.5), 200.0)
+        # e^{s b} overflows long before b = 200, but the growing term is
+        # anchored at b, so the system stays well conditioned and chi(u, b)
+        # is phi(u) to rounding far below the target.
+        m = _model(-0.5)
+        sol = solve_chi(m, 200.0)
+        assert sol.condition < 1e12
+        u = np.linspace(0.0, 20.0, 81)
+        assert np.max(np.abs(sol(u) - survival_classical(m)(u))) <= 1e-9
 
 
 class TestRenewalEquation:
@@ -212,13 +244,21 @@ class TestRenewalEquation:
         "c,alpha,lam,b",
         # At b = 1 the decaying-root entries of the rate-k row are of
         # order one; at the two larger levels they are exponentially small.
-        [(1.5, 1.0, 1.0, 20.0), (0.3, 2.0, 0.5, 5.0), (1.5, 1.0, 1.0, 1.0)],
+        # At c = 0.22, alpha = 5 the growing root is about 8.5, so s b is
+        # 213 at b = 25 and 851 at b = 100, where e^{s b} overflows.
+        [(1.5, 1.0, 1.0, 20.0), (0.3, 2.0, 0.5, 5.0), (1.5, 1.0, 1.0, 1.0),
+         (0.22, 5.0, 1.0, 25.0), (0.22, 5.0, 1.0, 100.0)],
     )
     def test_residual_vanishes(self, theta, c, alpha, lam, b):
         self._check(theta, c, alpha, lam, b)
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-7])
+    def test_residual_vanishes_near_independence(self, theta):
+        """Two roots sit within about theta of -2 alpha and 2 lam / c."""
+        self._check(theta, 1.5, 1.0, 1.0, 20.0)
+
     def test_weak_dependence_example(self):
-        """Just above the ratio branch, a root 8e-8 from -2 alpha."""
+        """Weak dependence, a root 8e-8 from -2 alpha."""
         alpha = math.exp(-1.0)
         self._check(1e-6, 2.0 / alpha, alpha, 1.0, 10.0 / alpha)
 
@@ -233,11 +273,15 @@ class TestRenewalEquation:
         # Scalar cmath evaluation keeps the nested quadrature fast; a term
         # with a non-real rate stands for its conjugate pair.
         const = sol.chi.constant
-        terms = [(co * (2.0 if complex(r).imag else 1.0), r)
+        # The growing term is anchored at b.
+        terms = [(co * (2.0 if complex(r).imag else 1.0), r, 0.0)
                  for co, r in sol.chi.terms]
+        terms += [(co, r, b) for co, r in sol.growing.terms]
 
         def chi_at(u):
-            return const + sum(co * cmath.exp(r * u) for co, r in terms).real
+            return const + sum(
+                co * cmath.exp(r * (u - shift)) for co, r, shift in terms
+            ).real
 
         def conv(density, u):
             return quad(lambda x: chi_at(u - x) * density(x), 0.0, u,
@@ -252,7 +296,9 @@ class TestRenewalEquation:
         for u in (0.0, 0.3 * b, 0.7 * b):
             big_j = quad(lambda s: conv(h, s) * math.exp(-k * (s - u)), u, b,
                          epsabs=1e-14, epsrel=1e-13)[0]
-            slope = sum(co * r * cmath.exp(r * u) for co, r in terms).real
+            slope = sum(
+                co * r * cmath.exp(r * (u - shift)) for co, r, shift in terms
+            ).real
             lhs = slope - (lam / c) * chi_at(u)
             rhs = (
                 (2.0 * theta * lam**2 / c**2) * big_j
@@ -264,12 +310,11 @@ class TestRenewalEquation:
 
 class TestAssemblyRateGuard:
     def test_weak_dependence_example_solves(self):
-        """A root 8e-8 from -2 alpha is outside the 1e-9 assembly-rate guard.
+        """A root 8e-8 from -2 alpha.
 
-        At theta = 1e-6, just above the ratio branch, one characteristic
-        root is still within 1.1e-7 * |2 alpha| of -2 alpha.  The system is
-        well conditioned there, and chi agrees with the independent ratio
-        form to about 1e-3 * theta.
+        At theta = 1e-6 one characteristic root is within 1.1e-7 * |2 alpha|
+        of -2 alpha.  The system is well conditioned there, and chi agrees
+        with the independent form phi(u)/phi(b) to about 1e-3 * theta.
         """
         alpha = math.exp(-1.0)
         m = _model(1e-6, c=2.0 / alpha, alpha=alpha, lam=1.0)
@@ -284,11 +329,11 @@ class TestAssemblyRateGuard:
         assert np.max(np.abs(sol(u) - phi(u) / phi(b))) <= 1e-3 * m.theta
 
     def test_small_kernel_rate_solves(self):
-        """The guard is relative to |rate|, not to max(1, |rate|).
+        """A root 4.5e-10 from a small kernel rate.
 
         At a loading of 99 the kernel rate 2 lam / c is 0.003, and a root
-        lies 4.5e-10 from it: inside 1e-9 in absolute terms but 1.5e-7
-        relative to the rate.  The system is well conditioned.
+        lies 4.5e-10 from it, 1.5e-7 relative to the rate.  The system is
+        well conditioned.
         """
         m = _model(2e-4, c=100.0, alpha=1.0, lam=0.15)
         k = 2.0 * 0.15 / 100.0
@@ -299,10 +344,11 @@ class TestAssemblyRateGuard:
         assert sol.boundary_residual <= 1e-12
 
     def test_root_just_outside_guard_passes_assembly_gate(self):
-        """A root 1.3e-9 from -2 alpha needs the roots to about an ulp.
+        """A root 1.3e-9 from -2 alpha passes the assembly gate.
 
-        The eigenvalue is 1.5e-15 off, relative, which leaves an assembly
-        defect of 1.2e-6, above the 1e-6 gate; refined, it is 1.4e-8.
+        The identity over g(r) = (alpha + r)(2 alpha + r)(k - r) divides by
+        no gap, so the eigenvalues' few ulps of error leave a defect near
+        rounding, far below the 1e-6 gate.
         """
         m = _model(-1.333521432163324e-06, c=501.2864610575233, alpha=1.0, lam=1.0)
         sol = solve_chi(m, 10.0)
