@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError, StructuralError
 from .model import ExpPoisson, ModelSpec
 from .polyexp import (
@@ -35,9 +37,11 @@ from .polyexp import (
     ParametricRational,
     Polynomial,
     RootSet,
+    coeff_rows,
     eliminate_growing,
     partial_fractions,  # noqa: F401  (bench/tracer.py wraps this module's binding)
     poly_roots,
+    shifted_zero_constant,
 )
 
 __all__ = ["ClassicalSolution", "classical_lt", "solve_phi0", "survival_classical"]
@@ -47,28 +51,28 @@ __all__ = ["ClassicalSolution", "classical_lt", "solve_phi0", "survival_classica
 _CONSTANT_TOL = 1e-8
 
 
-def classical_lt(model: ModelSpec) -> ParametricRational:
-    """Cleared Laplace transform of phi for exponential inter-claim times.
-
-    Returns the transform as a ratio with numerator affine in phi(0); the
-    denominator constant term, zero by construction, is snapped exactly.
-    """
+def _cleared_parts(model: ModelSpec):
+    """Ascending arrays (den, num_const, num_slope); D's constant is snapped to 0."""
     if not isinstance(model.arrival, ExpPoisson):
         raise InputError("classical solver needs exponential inter-claim times")
     a = model.claim.alpha
     lam = model.arrival.lam
     c = model.c
     th = model.theta
-    s = Polynomial((0.0, 1.0))
-    q = Polynomial((a, 1.0)) * Polynomial((2.0 * a, 1.0))
-    den = (
-        Polynomial((2.0 * lam**2, -3.0 * lam * c, c**2)) * q
-        - (2.0 * lam**2 * a) * Polynomial((2.0 * a, 1.0))
-        + (lam * c * a) * (s * Polynomial((2.0 * a, 1.0)))
-        + (th * lam * c * a) * Polynomial((0.0, 0.0, 1.0))
-    ).shifted_zero_constant()
-    num_const = (-2.0 * lam * c + 2.0 * lam**2 * model.m1) * q
-    num_slope = (c**2) * (s * q)
+    lin_2a = np.array([2.0 * a, 1.0])
+    q = np.convolve([a, 1.0], lin_2a)
+    den = np.convolve([2.0 * lam**2, -3.0 * lam * c, c**2], q)
+    den[:2] -= lin_2a * (2.0 * lam**2 * a)
+    den[1:3] += lin_2a * (lam * c * a)  # times s: one place up
+    den[2] += th * lam * c * a
+    num_const = q * (-2.0 * lam * c + 2.0 * lam**2 * model.m1)
+    num_slope = np.append(0.0, q) * c**2  # times s
+    return shifted_zero_constant(den), num_const, num_slope
+
+
+def classical_lt(model: ModelSpec) -> ParametricRational:
+    """Cleared Laplace transform of phi, its numerator affine in phi(0)."""
+    den, num_const, num_slope = map(Polynomial, _cleared_parts(model))
     return ParametricRational(num_const, num_slope, den)
 
 
@@ -104,9 +108,9 @@ def _eliminate(model: ModelSpec):
     -num_const(g)/num_slope(g), and the elimination's residual gate, which
     measures each row's distance from its candidate, makes them agree.
     """
-    lt = classical_lt(model)
-    roots = poly_roots(lt.den)
-    elim = eliminate_growing(lt.den, roots, (lt.num_slope, lt.num_const), (None, 1.0))
+    den, num_const, num_slope = _cleared_parts(model)
+    roots = poly_roots(den)
+    elim = eliminate_growing(den, roots, coeff_rows(num_slope, num_const), (None, 1.0))
     phi0 = float(elim.weights[0])
     slope, const = elim.growing_values
     return roots, elim, phi0, tuple(complex(c) for c in -const / slope)

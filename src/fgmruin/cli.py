@@ -396,8 +396,8 @@ _PRESETS = {
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> str:
-    if args.variant_report and args.format != "json":
-        raise InputError("--variant-report needs --format json")
+    if args.variant_report and (args.format != "json" or args.preset != "example2"):
+        raise InputError("--variant-report needs --format json and example2")
     rows, extra = _PRESETS[args.preset](args)
     if args.format == "json":
         payload = {"command": "reproduce", "preset": args.preset,
@@ -501,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "reference values")
     p.add_argument("preset", choices=tuple(sorted(_PRESETS)))
     p.add_argument("--variant-report", action="store_true",
-                   help="for example2: include the simulated sign-variant "
+                   help="example2 only: include the simulated sign-variant "
                         "adjudication (needs --format json)")
     p.add_argument("--n", type=int, default=200_000,
                    help="paths for the variant report simulation")

@@ -51,6 +51,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import InputError, StructuralError
 from .model import Erlang2, ModelSpec
 from .polyexp import (
@@ -58,9 +60,11 @@ from .polyexp import (
     ParametricRational,
     Polynomial,
     RootSet,
+    coeff_rows,
     eliminate_growing,
     partial_fractions,  # noqa: F401  (bench/tracer.py wraps this module's binding)
     poly_roots,
+    shifted_zero_constant,
 )
 
 __all__ = [
@@ -126,13 +130,13 @@ DEFAULT_ELIMINATION = GrowthElimination.INDIVIDUAL
 
 
 def _cleared_parts(model: ModelSpec, variant: SignVariant):
-    """Denominator and numerator basis columns of the cleared transform.
+    """D, its constant snapped to zero, and the numerator basis, as arrays.
 
-    The basis columns multiply, in order, delta(0), w, k0, k1, k2.  For
-    |theta| below 1e-9 the theta corrections are dropped and the
-    transform is cleared by (alpha + s) alone, which keeps the kernel
-    root at 2 beta / c out of the denominator entirely; only the
-    delta(0) and w columns remain in that branch.
+    The basis has one zero-padded row of ascending coefficients for each of
+    delta(0), w, k0, k1, k2.  For |theta| below 1e-9 the theta corrections
+    are dropped and the transform is cleared by (alpha + s) alone, which
+    keeps the kernel root at 2 beta / c out of the denominator entirely;
+    only the delta(0) and w rows remain in that branch.
     """
     if not isinstance(model.arrival, Erlang2):
         raise InputError("Erlang solver needs Erlang(2) inter-claim times")
@@ -140,40 +144,31 @@ def _cleared_parts(model: ModelSpec, variant: SignVariant):
     beta = model.arrival.beta
     c = model.c
     th = model.theta
-    s = Polynomial((0.0, 1.0))
-    base2 = Polynomial((beta**2, -2.0 * beta * c, c**2))
-    lin_a = Polynomial((a, 1.0))
+    # Multiplying by s shifts the coefficients one place up.
+    base2 = np.array([beta**2, -2.0 * beta * c, c**2])
+    lin_a = np.array([a, 1.0])
 
     if abs(th) < _SMALL_THETA:
-        den = (base2 * lin_a - Polynomial((beta**2 * a,))).shifted_zero_constant()
-        return den, ((c**2) * (s * lin_a), lin_a)
+        den = np.convolve(base2, lin_a)
+        den[0] -= beta**2 * a
+        basis = coeff_rows(np.append(0.0, lin_a) * c**2, lin_a)
+        return shifted_zero_constant(den), basis
 
-    lin_2a = Polynomial((2.0 * a, 1.0))
-    ker = Polynomial((2.0 * beta, -c))
-    ker3 = ker * ker * ker
-    cof = ker3 * lin_a * lin_2a
-    q = lin_a * lin_2a
-    den = (
-        base2 * cof
-        - (beta**2 * a) * (lin_2a * ker3)
-        - (th * a)
-        * (
-            s
-            * (
-                (beta**2) * ker3
-                + Polynomial((4.0 * beta**5,))
-                - (variant.sigma * 6.0 * beta**4) * ker
-            )
-        )
-    ).shifted_zero_constant()
-    basis = (
-        (c**2) * (s * cof),
-        cof,
-        th * q,
-        th * (q * ker),
-        th * (q * ker * ker),
-    )
-    return den, basis
+    lin_2a = np.array([2.0 * a, 1.0])
+    ker = np.array([2.0 * beta, -c])
+    ker3 = np.convolve(np.convolve(ker, ker), ker)
+    cof = np.convolve(np.convolve(ker3, lin_a), lin_2a)
+    q = np.convolve(lin_a, lin_2a)
+    qk = np.convolve(q, ker)
+    bracket = ker3 * beta**2
+    bracket[0] += 4.0 * beta**5
+    bracket[:2] -= ker * (variant.sigma * 6.0 * beta**4)
+    den = np.convolve(base2, cof)
+    den[:5] -= np.convolve(lin_2a, ker3) * (beta**2 * a)
+    den[1:5] -= bracket * (th * a)
+    basis = coeff_rows(np.append(0.0, cof) * c**2, cof, q * th, qk * th,
+                       np.convolve(qk, ker) * th)
+    return shifted_zero_constant(den), basis
 
 
 def _independence_w(model: ModelSpec) -> float:
@@ -192,7 +187,8 @@ def erlang_lt(
     leaving delta(0) as the single free parameter.
     """
     den, basis = _cleared_parts(model, variant)
-    return ParametricRational(_independence_w(model) * basis[1], basis[0], den)
+    num_const = Polynomial(basis[1] * _independence_w(model))
+    return ParametricRational(num_const, Polynomial(basis[0]), Polynomial(den))
 
 
 def _build(

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import (
-    classical_lt,
+    _cleared_parts,
     survival_classical,  # noqa: F401  (bench/tracer.py wraps this module's binding)
 )
 from .errors import ConditioningError, InputError, StructuralError
@@ -92,7 +92,7 @@ def chi_characteristic(model: ModelSpec) -> Polynomial:
     """
     if not isinstance(model.arrival, ExpPoisson):
         raise InputError("max-surplus solver needs exponential inter-claim times")
-    return (1.0 / model.c**2) * classical_lt(model).den
+    return Polynomial(_cleared_parts(model)[0] * (1.0 / model.c**2))
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     th = model.theta
     k = 2.0 * lam / c
 
-    roots = poly_roots(classical_lt(model).den)
+    roots = poly_roots(_cleared_parts(model)[0])
     # Columns: the constant (rate 0) and the three nonzero roots.
     r = np.array([0.0] + [
         rt.value for rt in roots.roots if rt.klass is not RootClass.ZERO

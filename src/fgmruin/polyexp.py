@@ -1,7 +1,9 @@
 """Polynomial algebra, rational functions, and exponential-sum inversion.
 
 The survival solvers work with Laplace transforms that are rational in s
-after clearing denominators.  This module supplies the shared machinery:
+after clearing denominators.  The solvers keep them as arrays of ascending
+coefficients from assembly to elimination; ``Polynomial`` is the type the
+public transform functions return.  This module supplies the shared machinery:
 
 * ``Polynomial``: dense real polynomials with ascending coefficients.
 * ``RationalFn`` and ``ParametricRational``: ratios of polynomials, the
@@ -99,22 +101,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0.0,)
 
-    @property
-    def coeff_scale(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[complex], leading: float = 1.0) -> "Polynomial":
-        """Monic-from-roots constructor scaled by ``leading``.
-
-        Complex roots must occur in conjugate pairs so the product has
-        real coefficients.
-        """
-        desc = np.atleast_1d(np.poly(np.asarray(roots, dtype=complex)))
-        if np.max(np.abs(desc.imag)) > 1e-9 * max(1.0, np.max(np.abs(desc))):
-            raise StructuralError("roots are not closed under conjugation")
-        return cls((leading * desc.real)[::-1])
-
     def __call__(self, s):
         # np.polyval's Horner loop, without converting the coefficients.
         x = np.asanyarray(s)
@@ -130,9 +116,6 @@ class Polynomial:
         a[: len(other.coeffs)] += other.coeffs
         return Polynomial(a)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-1.0) * other
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             return Polynomial(np.convolve(self.coeffs, other.coeffs))
@@ -140,25 +123,35 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        cs = np.asarray(self.coeffs)
-        return Polynomial(cs[1:] * np.arange(1, len(cs)))
 
-    def shifted_zero_constant(self, rel_tol: float = 1e-9) -> "Polynomial":
-        """Return a copy with the constant coefficient snapped to zero.
+def shifted_zero_constant(c: np.ndarray) -> np.ndarray:
+    """Snap c[0], zero by construction, to 0 in place; it must be below 1e-9 max|c|."""
+    scale = float(np.max(np.abs(c)))
+    if abs(c[0]) > 1e-9 * scale:
+        raise StructuralError(f"constant coefficient {float(c[0])!r} is not "
+                              f"negligible against scale {scale!r}")
+    c[0] = 0.0
+    return c
 
-        Used by the solvers whose cleared denominators vanish at s = 0 by
-        construction; the assembled constant must already be negligible.
-        """
-        c0 = self.coeffs[0]
-        if abs(c0) > rel_tol * self.coeff_scale:
-            raise StructuralError(
-                f"constant coefficient {c0!r} is not negligible against scale "
-                f"{self.coeff_scale!r}"
-            )
-        return Polynomial((0.0,) + self.coeffs[1:])
+
+def coeff_rows(*coeffs: np.ndarray) -> np.ndarray:
+    """One zero-padded row of ascending coefficients per argument."""
+    rows = np.zeros((len(coeffs), max(len(c) for c in coeffs)))
+    for row, c in zip(rows, coeffs):
+        row[: len(c)] = c
+    return rows
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    return c[1:] * np.arange(1, len(c))
+
+
+def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """All rows at every x in one Horner loop; top zero padding changes no value."""
+    y = np.zeros((len(rows), len(x)), dtype=x.dtype)
+    for col in rows.T[::-1, :, None]:
+        y = y * x + col
+    return y
 
 
 class RootClass(Enum):
@@ -215,10 +208,11 @@ def _conjugate_partners(values: np.ndarray) -> np.ndarray:
     return np.where(found, partner, -1)
 
 
-def poly_roots(p: Polynomial) -> RootSet:
+def poly_roots(p) -> RootSet:
     """Simple roots with their classes.
 
-    One exact zero low-order coefficient gives the ZERO root by
+    p is a Polynomial or an array of ascending coefficients, the last one
+    nonzero.  One exact zero low-order coefficient gives the ZERO root by
     construction and is divided out, so small nonzero roots are never
     confused with it.  The quotient's roots are its companion-matrix
     eigenvalues in ``np.sort_complex`` order.  Non-real roots are
@@ -227,25 +221,27 @@ def poly_roots(p: Polynomial) -> RootSet:
     sign of its real part relative to its own modulus.
 
     Raises:
-        InputError: If p has degree below 1.
+        InputError: If p has degree below 1 or a zero leading coefficient.
         UnsupportedStructureError: If zero is a repeated root, or two
             eigenvalues lie within SEP times the larger modulus of each
             other.
         StructuralError: If a non-real eigenvalue has no conjugate partner.
     """
-    if p.degree < 1:
-        raise InputError("root finding needs degree >= 1")
-    k = next(i for i, c in enumerate(p.coeffs) if c != 0.0)
+    c = np.asarray(p.coeffs if isinstance(p, Polynomial) else p, dtype=float)
+    if len(c) < 2 or c[-1] == 0.0:
+        raise InputError("root finding needs degree >= 1, leading coefficient != 0")
+    k = int(np.argmax(c != 0.0))
     if k > 1:
         raise UnsupportedStructureError("repeated poles are not supported")
-    q = Polynomial(p.coeffs[k:])
     roots = [Root(0j, RootClass.ZERO)] if k else []
-    if q.degree < 1:
-        return RootSet(tuple(roots), p.degree)
-    z = np.sort_complex(np.roots(q.coeffs[::-1]))
+    if len(c) - k < 2:
+        return RootSet(tuple(roots), len(c) - 1)
+    z = np.sort_complex(np.roots(c[k:][::-1]))
 
-    i, j = np.triu_indices(len(z), 1)
-    if np.any(np.abs(z[i] - z[j]) < SEP * np.maximum(np.abs(z[i]), np.abs(z[j]))):
+    mod = np.abs(z)
+    dist = np.abs(z[:, None] - z)
+    np.fill_diagonal(dist, np.inf)
+    if np.any(dist < SEP * np.maximum(mod[:, None], mod)):
         raise UnsupportedStructureError("repeated poles are not supported")
 
     partner = _conjugate_partners(z)
@@ -263,7 +259,7 @@ def poly_roots(p: Polynomial) -> RootSet:
         Root(v, RootClass.DECAYING if d else RootClass.GROWING)
         for v, d in zip(vals.tolist(), decays.tolist())
     ]
-    return RootSet(tuple(roots), p.degree)
+    return RootSet(tuple(roots), len(c) - 1)
 
 
 @dataclass(frozen=True)
@@ -315,7 +311,7 @@ def partial_fractions(
     if roots is None:
         roots = poly_roots(f.den)
     poles = np.array(roots.values(), dtype=complex)
-    residues = f.num(poles) / f.den.derivative()(poles)
+    residues = f.num(poles) / Polynomial(_derivative(f.den.coeffs))(poles)
     return tuple((complex(p), complex(r)) for p, r in zip(poles, residues))
 
 
@@ -476,24 +472,25 @@ def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def eliminate_growing(
-    den: Polynomial,
+    den: np.ndarray,
     roots: RootSet,
-    basis: Sequence[Polynomial],
+    basis: np.ndarray,
     weights: Sequence[float | None],
     pooled: bool = False,
 ) -> Elimination:
     """Solve for the numerator weights that cancel the growing poles.
 
-    The numerator is sum(weights[i] * basis[i]) over den, with None marking
-    an unknown weight.  Each growing pole asks for a zero residue (pooled:
-    one equation, their residues sum to zero).  A zero-pole residue of 1,
-    the survival function's limit, joins the equations when it involves an
-    unknown weight; otherwise the solution's constant is left for the
-    caller to check.  D' and each basis polynomial are evaluated once at
-    all roots, the equilibrated system is solved exactly when square and by
-    least squares otherwise, and the residues of the solved numerator are
-    collected in one pass.  ``roots`` are those of ``poly_roots(den)``,
-    which are simple: a repeated root raises there.
+    den holds ascending coefficients and each row of the 2-D basis those of
+    one basis polynomial, zero-padded and no wider than D'.  The numerator
+    is sum(weights[i] * basis[i]) over den, None marking an unknown weight.
+    Each growing pole asks for a zero residue (pooled: one equation, their
+    residues sum to zero).  A zero-pole residue of 1, the survival
+    function's limit, joins the equations when it involves an unknown
+    weight; otherwise the solution's constant is left for the caller to
+    check.  D' and the basis rows are evaluated at all roots in one stacked
+    Horner loop, the equilibrated system is solved exactly when square and
+    by least squares otherwise, and the residues of the solved numerator
+    are collected in one pass.  ``roots`` are those of ``poly_roots(den)``.
 
     Raises:
         StructuralError: If there is no growing root, or the system is
@@ -505,8 +502,9 @@ def eliminate_growing(
     zero = np.array([r.klass is RootClass.ZERO for r in roots.roots])
     if not growing.any():
         raise StructuralError("no growing denominator root to eliminate")
-    basis_at_roots = np.array([p(poles) for p in basis])
-    basis_residues = basis_at_roots / den.derivative()(poles)
+    at_roots = _horner(coeff_rows(*basis, _derivative(den)), poles)
+    basis_at_roots = at_roots[:-1]
+    basis_residues = basis_at_roots / at_roots[-1]
 
     unknown = np.array([w is None for w in weights])
     fixed = np.array([0.0 if w is None else float(w) for w in weights])

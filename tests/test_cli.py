@@ -304,6 +304,21 @@ class TestReproduce:
         assert (code, out) == (2, "")
         assert "--variant-report needs --format json" in err
 
+    @pytest.mark.parametrize("preset", ["example1", "example3"])
+    def test_variant_report_outside_example2_exits_2(self, capsys, monkeypatch,
+                                                     preset):
+        # Only example2 has sign variants; the flag is refused for the
+        # other presets before any solve runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before the preset check")
+
+        monkeypatch.setattr(cli, "survival_classical", refuse)
+        monkeypatch.setattr(cli, "solve_chi", refuse)
+        code, out, err = _run(capsys, "reproduce", preset, "--variant-report",
+                              "--format", "json")
+        assert (code, out) == (2, "")
+        assert "--variant-report needs --format json and example2" in err
+
     def test_example2_variant_report(self, capsys):
         code, out, _ = _run(
             capsys, "reproduce", "example2", "--variant-report",

@@ -60,6 +60,54 @@ class TestTransform:
         with pytest.raises(InputError):
             erlang_lt(m)
 
+    @pytest.mark.parametrize("variant", [PLUS, MINUS])
+    @pytest.mark.parametrize(
+        "params", [(1.5, 1.0, 2.0, -1.0), (1.5, 1.0, 2.0, 0.5), (9.1, 0.3, 3.7, 5e-10)]
+    )
+    def test_arrays_match_factored_formulas(self, params, variant):
+        """D and the five basis rows at 20 complex points.
+
+        The formulas are the module docstring's; below |theta| = 1e-9 the
+        transform is cleared by (alpha + s) alone, leaving
+        D = (c^2 s^2 - 2 beta c s + beta^2)(alpha + s) - beta^2 alpha and the
+        basis rows c^2 s (alpha + s) and alpha + s.
+        """
+        c, a, beta, th = params
+        den, basis = _cleared_parts(_model(th, c=c, alpha=a, beta=beta), variant)
+        rng = np.random.default_rng(7)
+        for s in rng.normal(size=20) * 3.0 + 1j * rng.normal(size=20) * 3.0:
+            base2 = c * c * s * s - 2 * beta * c * s + beta**2
+            if abs(th) < 1e-9:
+                want = [
+                    (base2 * (a + s), -(beta**2) * a),
+                    (c * c * s * (a + s),),
+                    (a + s,),
+                ]
+            else:
+                ker, q = 2 * beta - c * s, (a + s) * (2 * a + s)
+                bracket = (
+                    beta**2 * ker**3, 4 * beta**5, -variant.sigma * 6 * beta**4 * ker
+                )
+                want = [
+                    (base2 * ker**3 * q, -(beta**2) * a * (2 * a + s) * ker**3)
+                    + tuple(-th * a * s * b for b in bracket),
+                    (c * c * s * ker**3 * q,),
+                    (ker**3 * q,),
+                    (th * q,),
+                    (th * q * ker,),
+                    (th * q * ker**2,),
+                ]
+            assert len(basis) == len(want) - 1
+            for coeffs, terms in zip([den, *basis], want):
+                got = np.polyval(coeffs[::-1], s)
+                scale = sum(abs(t) for t in terms)
+                assert abs(got - sum(terms)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("theta", [0.5, 0.0])
+    def test_roots_of_array_and_polynomial_agree(self, theta):
+        den = _cleared_parts(_model(theta), PLUS)[0]
+        assert poly_roots(den) == poly_roots(Polynomial(den))
+
     def test_denominator_degree_seven_with_dependence(self):
         assert erlang_lt(_model(0.5)).den.degree == 7
 
@@ -214,8 +262,8 @@ class TestSolution:
         den, basis = _cleared_parts(m, PLUS)
         num = Polynomial((0.0,))
         for weight, p in zip((sol.delta0, *sol.boundary_constants), basis):
-            num = num + weight * p
-        fraction = RationalFn(num, den)
+            num = num + weight * Polynomial(p)
+        fraction = RationalFn(num, Polynomial(den))
         got, err = integrate.quad(lambda u: sol(u) * np.exp(-s * u), 0.0, np.inf)
         want = complex(fraction(s)).real
         assert got == pytest.approx(want, rel=1e-7)
@@ -235,10 +283,10 @@ class TestSolution:
         den, basis = _cleared_parts(m, MINUS)
         num = Polynomial((0.0,))
         for weight, p in zip((sol.delta0, *sol.boundary_constants), basis):
-            num = num + weight * p
+            num = num + weight * Polynomial(p)
         poles = np.array([r.value for r in poly_roots(den).roots
                           if r.klass is not RootClass.GROWING])
-        residues = num(poles) / den.derivative()(poles)
+        residues = num(poles) / np.polyval(np.polyder(den[::-1]), poles)
 
         def full_pair_sum(u):
             return float(np.sum(residues * np.exp(poles * u)).real)

@@ -16,6 +16,7 @@ from fgmruin.polyexp import (
     invert_rational,
     partial_fractions,
     poly_roots,
+    shifted_zero_constant,
 )
 
 
@@ -44,8 +45,8 @@ class TestPolynomial:
         p = Polynomial((1, 2, 3))
         q = Polynomial((1, 2))
         _assert_coeffs(p + q, (2, 4, 3))
-        _assert_coeffs(p - p, (0,))
-        assert (p - p).is_zero
+        _assert_coeffs(p + (-1.0) * p, (0,))
+        assert (p + (-1.0) * p).is_zero
 
     def test_trailing_zeros_stripped(self):
         p = Polynomial((1.0, 2.0, 0.0, 0.0))
@@ -55,21 +56,16 @@ class TestPolynomial:
         with pytest.raises(InputError):
             Polynomial(())
 
-    def test_derivative(self):
-        _assert_coeffs(Polynomial((5, 3, 2)).derivative(), (3, 4))
-        _assert_coeffs(Polynomial((7,)).derivative(), (0,))
 
+
+class TestShiftedZeroConstant:
     def test_shifted_zero_constant_snaps(self):
-        p = Polynomial((1e-12, 1.0)).shifted_zero_constant()
-        assert p.coeffs[0] == 0.0
+        c = shifted_zero_constant(np.array([1e-12, 1.0]))
+        assert c.tolist() == [0.0, 1.0]
 
     def test_shifted_zero_constant_rejects_large(self):
         with pytest.raises(StructuralError):
-            Polynomial((0.5, 1.0)).shifted_zero_constant()
-
-    def test_from_roots_requires_conjugate_closure(self):
-        with pytest.raises(StructuralError):
-            Polynomial.from_roots([1.0 + 1.0j, 2.0])
+            shifted_zero_constant(np.array([0.5, 1.0]))
 
 
 class TestPolyRoots:
@@ -101,8 +97,9 @@ class TestPolyRoots:
         # generic backward-error budget.
         for theta in (-1.0, -0.5, 0.0, 0.5, 1.0):
             den = classical_lt(_classical_model(theta)).den
+            scale = max(abs(c) for c in den.coeffs)
             for r in poly_roots(den).values():
-                bound = 1e-10 * den.coeff_scale * max(1.0, abs(r)) ** den.degree
+                bound = 1e-10 * scale * max(1.0, abs(r)) ** den.degree
                 assert abs(den(r)) <= bound
 
     def test_conjugate_pair_symmetrized(self):
@@ -119,6 +116,18 @@ class TestPolyRoots:
             for upper, lower in zip(complex_vals[::2], complex_vals[1::2]):
                 assert upper.imag > 0.0
                 assert upper == lower.conjugate()
+
+    def test_close_pair_not_adjacent_in_sort_order_rejected(self):
+        # 1 + i and 1 + 1e-6 + i lie 1e-6 apart, but 1 + 5e-7 - 5i sorts
+        # between them, so a check of neighbours alone would miss them.
+        upper = (1 + 1j, 1 + 5e-7 - 5j, 1 + 1e-6 + 1j)
+        roots = [z for u in upper for z in (u, u.conjugate())]
+        p = np.poly(roots).real[::-1]
+        z = np.sort_complex(np.roots(p[::-1]))
+        i, j = (int(np.argmin(abs(z - w))) for w in (1 + 1j, 1 + 1e-6 + 1j))
+        assert abs(i - j) > 1
+        with pytest.raises(UnsupportedStructureError):
+            poly_roots(p)
 
     def test_repeated_nonzero_roots_rejected(self):
         cube = Polynomial((1, 1)) * Polynomial((1, 1)) * Polynomial((1, 1))
@@ -154,19 +163,20 @@ def _separated_roots(draw):
 @given(roots=_separated_roots(), leading=st.floats(0.5, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_roots_roundtrip_reconstruction(roots, leading):
-    """from_roots(poly_roots(p)) reproduces p coefficient-wise.
+    """np.poly(poly_roots(p)) reproduces p coefficient-wise.
 
     Checks the degree <= 8 reconstruction contract at relative 1e-6
     against the coefficient scale.
     """
-    p = Polynomial.from_roots(roots, leading)
+    p = Polynomial(leading * np.poly(roots).real[::-1])
     rs = poly_roots(p)
-    rebuilt = Polynomial.from_roots(rs.values(), p.coeffs[-1])
+    rebuilt = Polynomial(p.coeffs[-1] * np.poly(rs.values()).real[::-1])
+    scale = max(abs(c) for c in p.coeffs)
     assert rebuilt.degree == p.degree
     for got, want in zip(rebuilt.coeffs, p.coeffs):
-        assert got == pytest.approx(want, abs=1e-6 * p.coeff_scale)
+        assert got == pytest.approx(want, abs=1e-6 * scale)
     for r in rs.values():
-        bound = 1e-8 * p.coeff_scale * max(1.0, abs(r)) ** p.degree
+        bound = 1e-8 * scale * max(1.0, abs(r)) ** p.degree
         assert abs(p(r)) <= bound
 
 
