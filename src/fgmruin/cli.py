@@ -269,15 +269,16 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
                       FgmParam(args.theta))
     grid = _parse_grid(args.u)
     seed = _resolve_seed(args)
-    rows = []
-    for u in grid.tolist():
-        if args.b is None:
-            est = estimate_survival(model, u, n=args.n, seed=seed,
-                                    workers=args.workers)
-        else:
-            est = estimate_reach_prob(model, u, args.b, n=args.n, seed=seed,
+    us = grid.tolist()
+    if args.b is None:
+        # One set of tilted paths serves the whole grid.
+        estimates = estimate_survival(model, grid, n=args.n, seed=seed,
                                       workers=args.workers)
-        rows.append((u, est.value, est.stderr))
+    else:
+        estimates = [estimate_reach_prob(model, u, args.b, n=args.n, seed=seed,
+                                         workers=args.workers)
+                     for u in us]
+    rows = [(u, est.value, est.stderr) for u, est in zip(us, estimates)]
     if args.format == "json":
         payload = {
             "command": "simulate",
@@ -489,7 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="estimate reaching this level before ruin instead "
                         "of survival")
     p.add_argument("--n", type=int, default=100_000,
-                   help="number of simulated paths per grid point")
+                   help="number of simulated paths (per grid point with "
+                        "--b; one set serves the whole survival grid)")
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
     p.add_argument("--workers", type=int, default=1,
                    help="worker threads (estimates do not depend on this)")

@@ -15,6 +15,7 @@ from fgmruin import (
     ExpPoisson,
     FgmParam,
     ModelSpec,
+    estimate_survival,
     solve_chi,
     survival_classical,
     survival_erlang2,
@@ -219,6 +220,19 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["b"] == 10.0
         assert set(payload["rows"][0]) == {"u", "value", "stderr"}
+
+    def test_survival_grid_rows_are_one_curve_estimate(self, capsys):
+        code, out, _ = _run(
+            capsys, "simulate", "--theta", "0.5", "--u", "0:10:5", "--n", "3000",
+            "--seed", "9", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        model = ModelSpec(1.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(0.5))
+        want = estimate_survival(model, np.array([0.0, 5.0, 10.0]), n=3000, seed=9)
+        assert [r["u"] for r in rows] == [0.0, 5.0, 10.0]
+        assert [(r["value"], r["stderr"]) for r in rows] == [
+            (e.value, e.stderr) for e in want]
 
     def test_small_loading_survival_exits_4(self, capsys):
         code, out, err = _run(capsys, "simulate", "--c", "1.001", "--n", "1000")

@@ -11,10 +11,13 @@ from fgmruin.errors import ConditioningError, InputError
 from fgmruin.max_surplus import chi
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, sample_pairs
 from fgmruin.simulate import (
+    _ROUND_STEPS,
     SimEstimate,
     _block_rng,
+    _claims_per_round,
     _lundberg_root,
     _run_block,
+    _run_tilted_block,
     _tilt,
     estimate_reach_prob,
     estimate_survival,
@@ -123,6 +126,54 @@ class TestEstimateSurvival:
             assert abs(psi_hat - psi) <= 4.0 * est.stderr, (u, psi_hat, psi, est.stderr)
         assert est.stderr <= 1e-2 * psi
 
+    @pytest.mark.parametrize("make,theta,solve", [
+        (_poisson_model, 0.5, survival_classical),
+        (_erlang_model, -1.0, survival_erlang2),
+    ])
+    def test_curve_from_one_walk_matches_closed_form(self, make, theta, solve):
+        m = make(theta)
+        sol = solve(m)
+        grid = [0.0, 5.0, 20.0, 40.0]
+        estimates = estimate_survival(m, grid, n=20_000, seed=23)
+        assert [e.n for e in estimates] == [20_000] * 4
+        for u, est in zip(grid, estimates):
+            psi, psi_hat = 1.0 - float(sol(u)), 1.0 - est.value
+            assert abs(psi_hat - psi) <= 4.0 * est.stderr, (u, psi_hat, psi, est.stderr)
+
+    def test_one_level_grid_is_the_scalar_estimate(self):
+        m = _erlang_model(0.5)
+        for u in (0.0, 7.5):
+            assert estimate_survival(m, [u], n=5000, seed=4)[0] == estimate_survival(
+                m, u, n=5000, seed=4)
+        assert isinstance(estimate_survival(m, np.float64(1.0), n=100, seed=4), SimEstimate)
+
+    def test_unsorted_grid_comes_back_in_input_order(self):
+        m = _poisson_model(-0.5)
+        ascending = estimate_survival(m, [0.0, 2.0, 2.0, 9.0], n=5000, seed=8)
+        shuffled = estimate_survival(m, np.array([9.0, 2.0, 0.0, 2.0]), n=5000, seed=8)
+        assert shuffled == [ascending[3], ascending[1], ascending[0], ascending[2]]
+        values = [e.value for e in ascending]
+        assert values[1] == values[2]
+        assert values[0] < values[1] < values[3]
+
+    def test_budget_refuses_grid_by_largest_level(self):
+        m = _poisson_model(0.5, c=1.01)
+        estimate_survival(m, 100.0, n=10, seed=0)
+        start = time.perf_counter()
+        with pytest.raises(ConditioningError, match="from u = 1000"):
+            estimate_survival(m, [0.0, 1000.0, 100.0], n=100_000, seed=0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_small_loading_at_zero_surplus(self):
+        # At loading 0.01 a tilted path takes about a hundred claims, and a
+        # block's tail advances its few live paths many claims per round.
+        m = _poisson_model(0.5, c=1.01)
+        start = time.perf_counter()
+        est = estimate_survival(m, 0.0, n=20_000, seed=29)
+        assert time.perf_counter() - start < 5.0
+        truth = float(survival_classical(m)(0.0))
+        assert abs(est.value - truth) <= 4.0 * est.stderr
+
     @pytest.mark.parametrize("make,theta", [(_poisson_model, -1.0), (_erlang_model, 0.5)])
     def test_stderr_below_binomial(self, make, theta):
         # The weights e^{-R S} lie in (0, 1], so their variance is at most
@@ -150,6 +201,9 @@ class TestEstimateSurvival:
             estimate_survival(m, 0.0, n=0, seed=0)
         with pytest.raises(InputError):
             estimate_survival(m, 0.0, n=100, seed=0, workers=0)
+        for grid in ([0.0, -1.0], [0.0, np.inf], [np.nan], [], [[0.0, 1.0]]):
+            with pytest.raises(InputError):
+                estimate_survival(m, grid, n=100, seed=0)
 
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     def test_small_loading_raises_at_once(self, make):
@@ -211,22 +265,57 @@ class TestTiltedPairs:
 
 
 def _run_block_reference(model, u, b, size, seed, block):
-    """The block engine written with a full-size surplus and an index array."""
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-    )
-    surplus = np.full(size, u)
-    active = np.arange(size)
+    """The reach engine walked claim by claim in plain Python.
+
+    Each round draws the same arrays as ``_run_block``; the pre-claim level
+    check comes before the ruin check at the same claim.
+    """
+    rng = _block_rng(seed, block)
+    live = [u] * size
     reached = 0
-    while active.size:
-        w, x = sample_pairs(model, rng, active.size)
-        pre = surplus[active] + model.c * w
-        hit = pre >= b
-        reached += int(np.count_nonzero(hit))
-        post = pre - x
-        surplus[active] = post
-        active = active[~hit & (post >= 0.0)]
+    while live:
+        k = _claims_per_round(len(live))
+        w, x = sample_pairs(model, rng, len(live) * k)
+        cw, x = (model.c * w).tolist(), x.tolist()
+        survivors = []
+        for i, s in enumerate(live):
+            for j in range(i * k, (i + 1) * k):
+                s = s + (cw[j] - x[j])
+                if s + x[j] >= b:
+                    reached += 1
+                    break
+                if s < 0.0:
+                    break
+            else:
+                survivors.append(s)
+        live = survivors
     return reached
+
+
+def _run_tilted_block_reference(tilt, levels, size, seed, block):
+    """The survival engine walked claim by claim in plain Python."""
+    rng = _block_rng(seed, block)
+    live = [(0.0, 0)] * size  # (surplus gained from zero, next level)
+    total = [0.0] * len(levels)
+    total_sq = [0.0] * len(levels)
+    while live:
+        k = _claims_per_round(len(live))
+        steps = tilt.steps(rng, len(live) * k).tolist()
+        survivors = []
+        for i, (v, j) in enumerate(live):
+            for step in steps[i * k:(i + 1) * k]:
+                v = v + step
+                while j < len(levels) and v < -levels[j]:
+                    y = float(np.exp(tilt.R * (v + levels[j])))
+                    total[j] += y
+                    total_sq[j] += y * y
+                    j += 1
+                if j == len(levels):
+                    break
+            else:
+                survivors.append((v, j))
+        live = survivors
+    return total, total_sq
 
 
 class TestRunBlock:
@@ -248,22 +337,49 @@ class TestRunBlock:
         assert abs(frac - 2.0 / 3.0) <= 3.0 * se
 
     def test_first_claim_ruin_is_reproducible(self):
-        # Block 0 of seed 1 draws a first pair with x > c w, so a single
-        # path from zero surplus is ruined by its first claim.
+        # A single path draws _claims_per_round(1) pairs in its first round.
+        # Block 0 of seed 7 draws a first pair with x > c w (seed 7 is the
+        # smallest nonnegative seed that does), so a single path from zero
+        # surplus is ruined by its first claim.
         m = _poisson_model(0.0)
-        w, x = sample_pairs(m, _block_rng(1, 0), 1)
+        w, x = sample_pairs(m, _block_rng(7, 0), _claims_per_round(1))
         assert x[0] > m.c * w[0]
-        assert [_run_block(m, 0.0, 60.0, 1, 1, 0) for _ in range(2)] == [0, 0]
+        assert [_run_block(m, 0.0, 60.0, 1, 7, 0) for _ in range(2)] == [0, 0]
 
     def test_level_crossed_before_first_claim(self):
-        # Block 0 of seed 3 draws a first pair with c w >= 0.5 and x > c w:
-        # the premium income lifts u = 0 to b = 0.5 before the claim that
-        # would ruin the path.
+        # Block 0 of seed 7 draws a first pair with c w >= 0.5 and x > c w
+        # (seed 7 is the smallest nonnegative seed that does; 15 and 27 also
+        # qualify): the premium income lifts u = 0 to b = 0.5 before the
+        # claim that would ruin the path.
         m = _poisson_model(0.0)
-        w, x = sample_pairs(m, _block_rng(3, 0), 1)
+        w, x = sample_pairs(m, _block_rng(7, 0), _claims_per_round(1))
         assert m.c * w[0] >= 0.5
         assert x[0] > m.c * w[0]
-        assert _run_block(m, 0.0, 0.5, 1, 3, 0) == 1
+        assert _run_block(m, 0.0, 0.5, 1, 7, 0) == 1
+
+    def test_claims_per_round(self):
+        # One claim per path while a round's pairs fill a full batch, then
+        # about _ROUND_STEPS pairs per round, never twice that.
+        assert _claims_per_round(_ROUND_STEPS) == 1
+        assert _claims_per_round(_ROUND_STEPS - 1) == 2
+        assert _claims_per_round(1) == _ROUND_STEPS
+        for live in (1, 3, 100, 1000, _ROUND_STEPS - 1):
+            assert _ROUND_STEPS <= live * _claims_per_round(live) < 2 * _ROUND_STEPS
+
+
+class TestRunTiltedBlock:
+    @pytest.mark.parametrize("make,theta", [(_poisson_model, 0.5), (_erlang_model, -1.0)])
+    @pytest.mark.parametrize("levels", [[0.0], [5.0], [0.0, 2.0, 2.0, 10.0]])
+    def test_matches_claim_by_claim_walk(self, make, theta, levels):
+        m = make(theta)
+        levels = np.array(levels)
+        tilt = _tilt(m, float(levels[-1]))
+        for seed, block in ((0, 0), (11, 3)):
+            total, total_sq = _run_tilted_block(tilt, levels, 4096, seed, block)
+            want, want_sq = _run_tilted_block_reference(tilt, levels.tolist(), 4096,
+                                                        seed, block)
+            np.testing.assert_allclose(total, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(total_sq, want_sq, rtol=1e-12, atol=0.0)
 
 
 class TestDeterminism:
@@ -283,6 +399,13 @@ class TestDeterminism:
             est = estimate_survival(m, 1.0, n=n, seed=17, workers=workers)
             assert est.value == base.value
             assert est.stderr == base.stderr
+
+    def test_worker_count_does_not_change_curves(self):
+        m = _erlang_model(-0.5)
+        grid = [3.0, 0.0, 12.0]
+        base = estimate_survival(m, grid, n=70_000, seed=31, workers=1)
+        for workers in (2, 4):
+            assert estimate_survival(m, grid, n=70_000, seed=31, workers=workers) == base
 
     def test_different_seeds_differ(self):
         m = _poisson_model(0.5)
