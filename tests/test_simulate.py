@@ -14,8 +14,10 @@ from fgmruin.simulate import (
     _ROUND_STEPS,
     SimEstimate,
     _block_rng,
+    _cgf,
     _claims_per_round,
     _lundberg_root,
+    _mixture,
     _run_block,
     _run_tilted_block,
     _tilt,
@@ -213,12 +215,24 @@ class TestEstimateSurvival:
             estimate_survival(m, 0.0, n=100_000, seed=0)
         assert time.perf_counter() - start < 1.0
 
-    def test_low_acceptance_raises_at_once(self):
-        # At loading 1e3 and theta = 1 the tilted law is far from the product
-        # of its margins: about one Erlang proposal in 8e4 is accepted.
-        m = _erlang_model(1.0, c=1001.0)
-        with pytest.raises(ConditioningError, match="acceptance rate"):
-            estimate_survival(m, 0.0, n=100_000, seed=0)
+    def test_strong_dependence_at_large_loading(self):
+        # At loading 100 and theta = 1 the tilted law is far from the product
+        # of its margins; the mixture sampler draws it as fast as any other.
+        m = _poisson_model(1.0, c=101.0)
+        start = time.perf_counter()
+        est = estimate_survival(m, 0.0, n=200_000, seed=0)
+        assert time.perf_counter() - start < 1.0
+        psi, psi_hat = 1.0 - float(survival_classical(m)(0.0)), 1.0 - est.value
+        assert abs(psi_hat - psi) <= 4.0 * est.stderr, (psi_hat, psi, est.stderr)
+
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
+    def test_degenerate_tilt_raises(self, theta):
+        # At loading 1e3 the gap alpha - R is 9.4e-11 to 8e-6, the deficit at
+        # ruin is of order 1 / gap, and nearly every weight e^{-R deficit}
+        # underflows: the estimate would be far off with a tiny stderr.
+        m = _erlang_model(theta, c=1001.0)
+        with pytest.raises(ConditioningError, match="effective sample size"):
+            estimate_survival(m, 0.0, n=20_000, seed=0)
 
 
 def _slowest_rate(terms):
@@ -247,21 +261,82 @@ class TestAdjustmentCoefficient:
         assert gap == pytest.approx(m.claim.alpha - want, rel=1e-9)
 
 
+def _rejection_steps(model, R, rng, n):
+    """n tilted steps c w - x by rejection from the tilted margins.
+
+    Proposals X ~ Exp(alpha - R) and W from the tilted arrival law are
+    accepted with probability (1 + theta (1 - 2F_X(x))(1 - 2F_W(w))) / (1 + |theta|).
+    """
+    a, c, th = model.claim.alpha, model.c, model.theta
+    parts, have = [], 0
+    while have < n:
+        x = rng.standard_exponential(2 * n) / (a - R)
+        if isinstance(model.arrival, Erlang2):
+            b = model.arrival.beta
+            w = rng.standard_exponential((2, 2 * n)).sum(axis=0) / (b + R * c)
+            gw = 2.0 * np.exp(-b * w) * (1.0 + b * w) - 1.0
+        else:
+            lam = model.arrival.lam
+            w = rng.standard_exponential(2 * n) / (lam + R * c)
+            gw = 2.0 * np.exp(-lam * w) - 1.0
+        gx = 2.0 * np.exp(-a * x) - 1.0
+        accept = rng.random(2 * n) * (1.0 + abs(th)) < 1.0 + th * gx * gw
+        parts.append((c * w - x)[accept])
+        have += parts[-1].size
+    return np.concatenate(parts)[:n]
+
+
+_TILT_CELLS = [(make, theta, loading) for make in (_poisson_model, _erlang_model)
+               for theta in (-1.0, 0.0, 0.5, 1.0) for loading in (0.5, 100.0, 1e3)]
+_LOADING_HALF_CELLS = [(_poisson_model, 0.5), (_erlang_model, -1.0),
+                       (_poisson_model, 1.0), (_erlang_model, 1.0)]
+
+
 class TestTiltedPairs:
-    @pytest.mark.parametrize("make,theta", [(_poisson_model, 0.5), (_erlang_model, -1.0)])
-    def test_tilted_law_and_acceptance(self, make, theta):
+    @pytest.mark.parametrize("make,theta,loading", _TILT_CELLS)
+    def test_masses_sum_to_one(self, make, theta, loading):
+        # The categories' masses add up to M(R) = E[e^{R(X - cW)}] = 1, also
+        # where R crowds alpha and single masses reach 1e10.
+        m = make(theta, c=1.0 + loading)
+        masses, coef = _mixture(m, *_lundberg_root(m))
+        assert np.all(masses > 0.0)
+        assert abs(masses.sum() - 1.0) <= 1e-12
+        assert masses.size <= 14 and coef.shape[1] == masses.size
+
+    @pytest.mark.parametrize("make,theta,loading", _TILT_CELLS)
+    def test_mean_step_is_the_tilted_drift(self, make, theta, loading):
+        m = make(theta, c=1.0 + loading)
+        R, gap = _lundberg_root(m)
+        n = 200_000
+        steps = _tilt(m, 0.0).steps(np.random.default_rng(2024), n)
+        drift = -_cgf(m, R, gap)[1]
+        se = steps.std(ddof=1) / np.sqrt(n)
+        assert abs(steps.mean() - drift) <= 4.0 * se, (steps.mean(), drift, se)
+
+    @pytest.mark.parametrize("make,theta", _LOADING_HALF_CELLS)
+    def test_tilted_weight_has_mean_one(self, make, theta):
+        # E_R[e^{-R(X - cW)}] = E[1] = 1 exactly when the steps follow the
+        # tilted law and R solves the Lundberg equation.  Only at small
+        # loading: at large loading the weight's variance is infinite.
         m = make(theta)
         tilt = _tilt(m, 0.0)
-        rng = np.random.default_rng(2024)
         n = 200_000
-        _, accept = tilt.propose(rng, n)
-        rate = float(np.mean(accept))
-        assert abs(rate - tilt.rate) <= 4.0 * np.sqrt(tilt.rate * (1.0 - tilt.rate) / n)
-        # E_R[e^{-R(X - cW)}] = E[1] = 1 exactly when the pairs follow the
-        # tilted law and R solves the Lundberg equation.
-        weight = np.exp(tilt.R * tilt.steps(rng, n))
+        weight = np.exp(tilt.R * tilt.steps(np.random.default_rng(2024), n))
         se = weight.std(ddof=1) / np.sqrt(n)
         assert abs(weight.mean() - 1.0) <= 4.0 * se
+
+    @pytest.mark.parametrize("make,theta", _LOADING_HALF_CELLS)
+    def test_matches_rejection_sampler(self, make, theta):
+        # Two-sample Kolmogorov-Smirnov test at the 1 % level.
+        m = make(theta)
+        tilt = _tilt(m, 0.0)
+        n = 100_000
+        mixture = np.sort(tilt.steps(np.random.default_rng(7), n))
+        reference = np.sort(_rejection_steps(m, tilt.R, np.random.default_rng(8), n))
+        both = np.concatenate([mixture, reference])
+        gap = (np.searchsorted(mixture, both, side="right")
+               - np.searchsorted(reference, both, side="right")) / n
+        assert np.max(np.abs(gap)) <= 1.628 * np.sqrt(2.0 / n)
 
 
 def _run_block_reference(model, u, b, size, seed, block):
