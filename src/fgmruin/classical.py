@@ -51,6 +51,10 @@ __all__ = ["ClassicalSolution", "classical_lt", "solve_phi0", "survival_classica
 _CONSTANT_TOL = 1e-8
 
 
+# Rates that overflow the assembly leave non-finite coefficients, which
+# poly_roots refuses with ConditioningError; the numpy warnings on the way
+# would say nothing more.
+@np.errstate(over="ignore", invalid="ignore")
 def _cleared_parts(model: ModelSpec):
     """Ascending arrays (den, num_const, num_slope); D's constant is snapped to 0."""
     if not isinstance(model.arrival, ExpPoisson):
@@ -59,14 +63,15 @@ def _cleared_parts(model: ModelSpec):
     lam = model.arrival.lam
     c = model.c
     th = model.theta
+    lam2, c2 = lam * lam, c * c
     lin_2a = np.array([2.0 * a, 1.0])
     q = np.convolve([a, 1.0], lin_2a)
-    den = np.convolve([2.0 * lam**2, -3.0 * lam * c, c**2], q)
-    den[:2] -= lin_2a * (2.0 * lam**2 * a)
+    den = np.convolve([2.0 * lam2, -3.0 * lam * c, c2], q)
+    den[:2] -= lin_2a * (2.0 * lam2 * a)
     den[1:3] += lin_2a * (lam * c * a)  # times s: one place up
     den[2] += th * lam * c * a
-    num_const = q * (-2.0 * lam * c + 2.0 * lam**2 * model.m1)
-    num_slope = np.append(0.0, q) * c**2  # times s
+    num_const = q * (-2.0 * lam * c + 2.0 * lam2 * model.m1)
+    num_slope = np.append(0.0, q) * c2  # times s
     return shifted_zero_constant(den), num_const, num_slope
 
 

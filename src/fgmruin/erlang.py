@@ -129,6 +129,10 @@ class GrowthElimination(Enum):
 DEFAULT_ELIMINATION = GrowthElimination.INDIVIDUAL
 
 
+# Rates that overflow the assembly leave non-finite coefficients, which
+# poly_roots refuses with ConditioningError; the numpy warnings on the way
+# would say nothing more.
+@np.errstate(over="ignore", invalid="ignore")
 def _cleared_parts(model: ModelSpec, variant: SignVariant):
     """D, its constant snapped to zero, and the numerator basis, as arrays.
 
@@ -145,13 +149,14 @@ def _cleared_parts(model: ModelSpec, variant: SignVariant):
     c = model.c
     th = model.theta
     # Multiplying by s shifts the coefficients one place up.
-    base2 = np.array([beta**2, -2.0 * beta * c, c**2])
+    beta2, c2 = beta * beta, c * c
+    base2 = np.array([beta2, -2.0 * beta * c, c2])
     lin_a = np.array([a, 1.0])
 
     if abs(th) < _SMALL_THETA:
         den = np.convolve(base2, lin_a)
-        den[0] -= beta**2 * a
-        basis = coeff_rows(np.append(0.0, lin_a) * c**2, lin_a)
+        den[0] -= beta2 * a
+        basis = coeff_rows(np.append(0.0, lin_a) * c2, lin_a)
         return shifted_zero_constant(den), basis
 
     lin_2a = np.array([2.0 * a, 1.0])
@@ -160,13 +165,15 @@ def _cleared_parts(model: ModelSpec, variant: SignVariant):
     cof = np.convolve(np.convolve(ker3, lin_a), lin_2a)
     q = np.convolve(lin_a, lin_2a)
     qk = np.convolve(q, ker)
-    bracket = ker3 * beta**2
-    bracket[0] += 4.0 * beta**5
-    bracket[:2] -= ker * (variant.sigma * 6.0 * beta**4)
+    # A numpy power overflows to inf where a float's raises; squares multiply.
+    beta4, beta5 = np.float64(beta) ** 4, np.float64(beta) ** 5
+    bracket = ker3 * beta2
+    bracket[0] += 4.0 * beta5
+    bracket[:2] -= ker * (variant.sigma * 6.0 * beta4)
     den = np.convolve(base2, cof)
-    den[:5] -= np.convolve(lin_2a, ker3) * (beta**2 * a)
+    den[:5] -= np.convolve(lin_2a, ker3) * (beta2 * a)
     den[1:5] -= bracket * (th * a)
-    basis = coeff_rows(np.append(0.0, cof) * c**2, cof, q * th, qk * th,
+    basis = coeff_rows(np.append(0.0, cof) * c2, cof, q * th, qk * th,
                        np.convolve(qk, ker) * th)
     return shifted_zero_constant(den), basis
 
@@ -174,7 +181,7 @@ def _cleared_parts(model: ModelSpec, variant: SignVariant):
 def _independence_w(model: ModelSpec) -> float:
     # Value w takes when claim sizes and inter-claim times are independent.
     beta = model.arrival.beta
-    return -2.0 * beta * model.c + beta**2 * model.m1
+    return -2.0 * beta * model.c + beta * beta * model.m1
 
 
 def erlang_lt(

@@ -70,7 +70,7 @@ from .classical import (
 )
 from .errors import ConditioningError, InputError, StructuralError
 from .model import ExpPoisson, ModelSpec
-from .polyexp import ExpSum, Polynomial, RootClass, RootSet, poly_roots
+from .polyexp import ExpSum, Polynomial, RootSet, poly_roots
 
 __all__ = ["ChiSolution", "chi_characteristic", "solve_chi", "chi", "xi"]
 
@@ -92,7 +92,7 @@ def chi_characteristic(model: ModelSpec) -> Polynomial:
     """
     if not isinstance(model.arrival, ExpPoisson):
         raise InputError("max-surplus solver needs exponential inter-claim times")
-    return Polynomial(_cleared_parts(model)[0] * (1.0 / model.c**2))
+    return Polynomial(_cleared_parts(model)[0] / model.c / model.c)
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,7 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
 
     roots = poly_roots(_cleared_parts(model)[0])
     # Columns: the constant (rate 0) and the three nonzero roots.
-    r = np.array([0.0] + [
-        rt.value for rt in roots.roots if rt.klass is not RootClass.ZERO
-    ])
+    r = np.concatenate(([0.0], roots.poles[~roots.zero]))
     g = (alpha + r) * (2.0 * alpha + r) * (k - r)
 
     # At every root the rates 0 and s_i cancel identically; a visible

@@ -8,10 +8,13 @@ public transform functions return.  This module supplies the shared machinery:
 * ``Polynomial``: dense real polynomials with ascending coefficients.
 * ``RationalFn`` and ``ParametricRational``: ratios of polynomials, the
   latter with a numerator that is affine in one scalar parameter.
-* ``poly_roots``: simple roots only.  The exact zero root is divided out,
-  the rest are companion-matrix eigenvalues, and two closer than ``SEP``
-  times the larger modulus raise; conjugate symmetrization and
-  sign-of-real-part classification follow.
+* ``poly_roots``: simple roots only, as arrays in a ``RootSet``.  The exact
+  zero root is divided out, the rest are companion-matrix eigenvalues, and
+  two closer than ``SEP`` times the larger modulus raise.  LAPACK returns
+  each complex pair consecutive and exactly conjugate, upper member first;
+  one stable sort on (real part, -|imaginary part|) orders the roots, and
+  one comparison classifies them by the sign of the real part.  Non-finite
+  coefficients, as overflowing rates give, raise ``ConditioningError``.
 * ``partial_fractions`` / ``ExpSum``: simple-pole expansion and the
   resulting inverse transform, a real constant plus one exponential per
   real pole or conjugate pair, the pair stored once by its upper member.
@@ -28,14 +31,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, StructuralError, UnsupportedStructureError
+from .errors import (
+    ConditioningError,
+    InputError,
+    StructuralError,
+    UnsupportedStructureError,
+)
 
 __all__ = [
     "Polynomial",
     "RationalFn",
     "ParametricRational",
     "RootClass",
-    "Root",
     "RootSet",
     "poly_roots",
     "partial_fractions",
@@ -51,7 +58,7 @@ __all__ = [
 # absolutely, so the threshold scales with the root instead of being a floor.
 _DECAY_REL = 1e-9
 
-# Conjugate partners must agree to this tolerance before symmetrization.
+# An ExpSum rate this close to the real axis, relative to max(1, |rate|), is real.
 CONJUGATE_TOL = 1e-9
 
 # Two eigenvalues closer than SEP times the larger modulus are taken as one
@@ -162,26 +169,38 @@ class RootClass(Enum):
     GROWING = "growing"
 
 
-@dataclass(frozen=True)
-class Root:
-    value: complex
-    klass: RootClass
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSet:
-    """Simple roots of a real polynomial with their classes.
+    """Simple roots of a real polynomial as arrays, with their classes.
 
     Invariant: there is one root per degree of the source polynomial, no
     two are closer than SEP times the larger modulus, and non-real roots
-    occur in exactly conjugate pairs.
+    occur in exactly conjugate pairs, upper member first.  The exact zero
+    root, when present, comes first.
+
+    Attributes:
+        poles: Every root, complex.
+        zero: Mask of the exact zero root.
+        growing: Mask of the roots that do not decay; the rest of the
+            nonzero roots decay.
+        source_degree: Degree of the polynomial the roots came from.
     """
 
-    roots: tuple[Root, ...]
+    poles: np.ndarray
+    zero: np.ndarray
+    growing: np.ndarray
     source_degree: int
 
     def values(self, klass: RootClass | None = None) -> list[complex]:
-        return [r.value for r in self.roots if klass is None or r.klass is klass]
+        if klass is None:
+            return self.poles.tolist()
+        if klass is RootClass.ZERO:
+            mask = self.zero
+        elif klass is RootClass.GROWING:
+            mask = self.growing
+        else:
+            mask = ~(self.zero | self.growing)
+        return self.poles[mask].tolist()
 
     @property
     def max_multiplicity(self) -> int:
@@ -189,54 +208,50 @@ class RootSet:
         return 1
 
 
-def _conjugate_partners(values: np.ndarray) -> np.ndarray:
-    """Index of each value's conjugate partner, -1 where there is none.
-
-    A value within CONJUGATE_TOL * max(1, modulus) of the real axis is its
-    own partner.  Another value i pairs with the first non-real j within
-    CONJUGATE_TOL * max(1, |value i|) of its conjugate, provided that j
-    pairs back with i; so a repeated non-real value finds no partner.
-    """
-    v = np.asarray(values, dtype=complex)
-    scale = CONJUGATE_TOL * np.maximum(1.0, np.abs(v))
-    cplx = np.abs(v.imag) > scale
-    # No non-real value is within tolerance of its own conjugate.
-    near = (np.abs(v - v.conj()[:, None]) <= scale[:, None]) & cplx
-    idx = np.arange(len(v))
-    partner = np.where(cplx, near.argmax(axis=1), idx)
-    found = (near[idx, partner] | ~cplx) & (partner[partner] == idx)
-    return np.where(found, partner, -1)
-
-
 def poly_roots(p) -> RootSet:
     """Simple roots with their classes.
 
     p is a Polynomial or an array of ascending coefficients, the last one
-    nonzero.  One exact zero low-order coefficient gives the ZERO root by
+    nonzero.  One exact zero low-order coefficient gives the zero root by
     construction and is divided out, so small nonzero roots are never
-    confused with it.  The quotient's roots are its companion-matrix
-    eigenvalues in ``np.sort_complex`` order.  Non-real roots are
-    symmetrized into exact conjugate pairs (positive imaginary part
-    first), and each root is classified as decaying or growing by the
-    sign of its real part relative to its own modulus.
+    confused with it.  The quotient's roots are the eigenvalues of its
+    companion matrix, built as ``np.roots`` builds it.  LAPACK's real
+    eigensolver returns each complex pair as (wr + i wi, wr - i wi) with
+    wi > 0: consecutive and exactly conjugate, up to the sign of a zero
+    wr, which adding 0j settles.  One stable sort on
+    (real part, -|imaginary part|) orders them; each pair keeps its upper
+    member first and sits where its lower member falls in
+    ``np.sort_complex`` order.  A root decays when its real part is below
+    -1e-9 times its modulus and grows otherwise.
 
     Raises:
         InputError: If p has degree below 1 or a zero leading coefficient.
+        ConditioningError: If a coefficient is not finite, as when the
+            model's rates overflow the transform assembly.
         UnsupportedStructureError: If zero is a repeated root, or two
             eigenvalues lie within SEP times the larger modulus of each
             other.
-        StructuralError: If a non-real eigenvalue has no conjugate partner.
+        StructuralError: If a non-real eigenvalue is not followed by its
+            exact conjugate.
     """
     c = np.asarray(p.coeffs if isinstance(p, Polynomial) else p, dtype=float)
     if len(c) < 2 or c[-1] == 0.0:
         raise InputError("root finding needs degree >= 1, leading coefficient != 0")
+    if not np.isfinite(c).all():
+        raise ConditioningError(f"transform coefficients are not finite: {c.tolist()!r}")
     k = int(np.argmax(c != 0.0))
     if k > 1:
         raise UnsupportedStructureError("repeated poles are not supported")
-    roots = [Root(0j, RootClass.ZERO)] if k else []
-    if len(c) - k < 2:
-        return RootSet(tuple(roots), len(c) - 1)
-    z = np.sort_complex(np.roots(c[k:][::-1]))
+    q = c[k:][::-1]  # the quotient by s**k, descending
+    n = len(q) - 1
+    if n:
+        companion = np.eye(n, k=-1)
+        companion[0] = -q[1:] / q[0]
+        # A pair's real parts may come back as -0.0 and 0.0; adding 0j makes
+        # both 0.0, and the roots complex when all are real.
+        z = np.linalg.eigvals(companion) + 0j
+    else:
+        z = np.zeros(0, dtype=complex)
 
     mod = np.abs(z)
     dist = np.abs(z[:, None] - z)
@@ -244,22 +259,19 @@ def poly_roots(p) -> RootSet:
     if np.any(dist < SEP * np.maximum(mod[:, None], mod)):
         raise UnsupportedStructureError("repeated poles are not supported")
 
-    partner = _conjugate_partners(z)
-    if (partner < 0).any():
-        bad = complex(z[(partner < 0).argmax()])
-        raise StructuralError(f"complex root {bad!r} has no conjugate partner")
-    idx = np.arange(len(z))
-    w = z[partner]
-    sym = 0.5 * (z.real + w.real) + 1j * np.abs(0.5 * (z.imag - w.imag))
-    order = np.lexsort((idx, np.minimum(idx, partner)))
-    vals = np.where(partner < idx, sym.conj(), sym)[order]
+    z = z[np.lexsort((-np.abs(z.imag), z.real))]
+    # Each upper member must be followed by its exact conjugate, which the
+    # loop then skips; a lower member met on its own has no partner.
+    rest = iter(z.tolist())
+    for v in rest:
+        if v.imag < 0.0 or (v.imag > 0.0 and next(rest, None) != v.conjugate()):
+            raise StructuralError(f"complex root {v!r} has no conjugate partner")
+    poles = np.concatenate((np.zeros(k, dtype=complex), z))
     # Purely oscillatory poles do not vanish at infinity: they count as growing.
-    decays = vals.real < -_DECAY_REL * np.abs(vals)
-    roots += [
-        Root(v, RootClass.DECAYING if d else RootClass.GROWING)
-        for v, d in zip(vals.tolist(), decays.tolist())
-    ]
-    return RootSet(tuple(roots), len(c) - 1)
+    growing = poles.real >= -_DECAY_REL * np.abs(poles)
+    zero = np.arange(len(poles)) < k
+    growing[:k] = False
+    return RootSet(poles, zero, growing, len(c) - 1)
 
 
 @dataclass(frozen=True)
@@ -303,14 +315,14 @@ def partial_fractions(
     """Simple-pole partial fractions of a strictly proper rational function.
 
     Returns (pole, residue) pairs with residues num(pole) / den'(pole), in
-    the order of ``roots.roots``.  ``poly_roots`` returns simple roots only,
+    the order of ``roots.poles``.  ``poly_roots`` returns simple roots only,
     so a repeated pole raises there.
     """
     if f.num.degree >= f.den.degree:
         raise InputError("partial fractions require deg(num) < deg(den)")
     if roots is None:
         roots = poly_roots(f.den)
-    poles = np.array(roots.values(), dtype=complex)
+    poles = roots.poles
     residues = f.num(poles) / Polynomial(_derivative(f.den.coeffs))(poles)
     return tuple((complex(p), complex(r)) for p, r in zip(poles, residues))
 
@@ -397,11 +409,8 @@ def invert_rational(f: RationalFn, roots: RootSet | None = None) -> ExpSum:
     """
     if roots is None:
         roots = poly_roots(f.den)
-    pairs = partial_fractions(f, roots)
-    poles = np.array([p for p, _ in pairs], dtype=complex)
-    residues = np.array([r for _, r in pairs], dtype=complex)
-    zero = np.array([r.klass is RootClass.ZERO for r in roots.roots])
-    return ExpSum(*_collect(poles, residues, zero, 0.0))
+    residues = np.array([r for _, r in partial_fractions(f, roots)], dtype=complex)
+    return ExpSum(*_collect(roots.poles, residues, roots.zero, 0.0))
 
 
 @dataclass(frozen=True)
@@ -497,9 +506,7 @@ def eliminate_growing(
             degenerate, singular, leaves a residual above 1e-8 or has a
             solution that is not real to 1e-7.
     """
-    poles = np.array(roots.values(), dtype=complex)
-    growing = np.array([r.klass is RootClass.GROWING for r in roots.roots])
-    zero = np.array([r.klass is RootClass.ZERO for r in roots.roots])
+    poles, zero, growing = roots.poles, roots.zero, roots.growing
     if not growing.any():
         raise StructuralError("no growing denominator root to eliminate")
     at_roots = _horner(coeff_rows(*basis, _derivative(den)), poles)

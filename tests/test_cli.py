@@ -414,6 +414,17 @@ class TestErrorsAndOutput:
             main(["survival-classical", "--theta", "abc"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("survival-classical", "--lambda", "1"),
+        ("survival-erlang2", "--beta", "1"),
+        ("max-surplus", "--lambda", "1", "--b", "1"),
+    ])
+    def test_overflowing_rates_exit_4(self, capsys, argv):
+        code, out, err = _run(capsys, *argv, "--c", "1", "--alpha", "1e160",
+                              "--theta", "0.5", "--u", "0:1:1")
+        assert (code, out) == (4, "")
+        assert "not finite" in err
+
     def test_loading_violation_exits_3(self, capsys):
         code, _, err = _run(capsys, "survival-classical", "--c", "0.5")
         assert code == 3

@@ -18,12 +18,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fgmruin import (
+    ConditioningError,
     Erlang2,
     ExpClaim,
     ExpPoisson,
     FgmParam,
     GrowthElimination,
     ModelSpec,
+    chi_characteristic,
     classical_lt,
     solve_chi,
     survival_classical,
@@ -274,3 +276,24 @@ def test_delta0_matches_high_precision_reference(c, alpha, beta, theta):
     model = ModelSpec(c, ExpClaim(alpha), Erlang2(beta), FgmParam(theta))
     got = survival_erlang2(model, elimination=GrowthElimination.INDIVIDUAL).delta0
     assert abs(got - want) <= DELTA0_REL_TOL * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("alpha,rate,c", [
+    (1e160, 1.0, 1.0), (1e-200, 1.0, 1e201), (1.0, 1e200, 2e200),
+])
+def test_overflowing_rates_raise_conditioning_error(alpha, rate, c):
+    """Valid rates whose products overflow the assembly raise a typed error.
+
+    The rate is lambda for the classical and chi solvers and beta for the
+    Erlang solver; each model passes ModelSpec's loading check.  The chi
+    characteristic quartic carries the overflow to poly_roots as well.
+    """
+    claim, copula = ExpClaim(alpha), FgmParam(0.5)
+    poisson = ModelSpec(c, claim, ExpPoisson(rate), copula)
+    erlang = ModelSpec(c, claim, Erlang2(rate), copula)
+    for solve in (lambda: survival_classical(poisson),
+                  lambda: survival_erlang2(erlang),
+                  lambda: solve_chi(poisson, 1.0),
+                  lambda: poly_roots(chi_characteristic(poisson))):
+        with pytest.raises(ConditioningError, match="not finite"):
+            solve()

@@ -1,17 +1,25 @@
 """Tests for polynomial algebra, root finding, and Laplace inversion."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fgmruin.classical import classical_lt
-from fgmruin.errors import InputError, StructuralError, UnsupportedStructureError
-from fgmruin.model import ExpClaim, ExpPoisson, FgmParam, ModelSpec
+from fgmruin.erlang import erlang_lt
+from fgmruin.errors import (
+    ConditioningError,
+    InputError,
+    StructuralError,
+    UnsupportedStructureError,
+)
+from fgmruin.max_surplus import chi_characteristic
+from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
 from fgmruin.polyexp import (
     ExpSum,
     Polynomial,
     RationalFn,
-    RootClass,
     expsum_eval,
     invert_rational,
     partial_fractions,
@@ -73,7 +81,7 @@ class TestPolyRoots:
         rs = poly_roots(Polynomial((2, -3, 1)))
         vals = sorted(r.real for r in rs.values())
         assert vals == pytest.approx([1.0, 2.0], abs=1e-10)
-        assert all(r.klass is RootClass.GROWING for r in rs.roots)
+        assert rs.growing.all() and not rs.zero.any()
 
     def test_triple_zero_root(self):
         with pytest.raises(UnsupportedStructureError):
@@ -89,8 +97,8 @@ class TestPolyRoots:
         rs = poly_roots(den)
         got = sorted(r.real for r in rs.values())
         assert got == pytest.approx([-2.1148, -0.2976, 0.0, 1.4123], abs=2e-4)
-        classes = sorted(r.klass.value for r in rs.roots)
-        assert classes == ["decaying", "decaying", "growing", "zero"]
+        assert rs.zero.tolist() == [True, False, False, False]
+        assert rs.growing.tolist() == [False, False, False, True]
 
     def test_solver_denominator_residuals(self):
         # The eigenvalue roots of the solver quartics sit far inside the
@@ -136,6 +144,87 @@ class TestPolyRoots:
             with pytest.raises(UnsupportedStructureError):
                 poly_roots(p)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ConditioningError, match="not finite"):
+            poly_roots(np.array([0.0, bad, 1.0]))
+
+    def test_unpaired_complex_eigenvalue_rejected(self, monkeypatch):
+        # LAPACK always pairs; a solver that did not would be caught.
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: np.array([1.0 + 1.0j, 1.0 - 1.5j]))
+        with pytest.raises(StructuralError, match="no conjugate partner"):
+            poly_roots(Polynomial((3, -2, 1)))
+
+    @pytest.mark.parametrize("p", [
+        # (s + 1)(s^2 + 2s + 5): a real root on the real part of a pair.
+        Polynomial((1, 1)) * Polynomial((5, 2, 1)),
+        # (s^2 + 2s + 5)(s^2 + 2s + 2): two pairs on one real part.
+        Polynomial((5, 2, 1)) * Polynomial((2, 2, 1)),
+    ])
+    def test_tie_order_matches_reference(self, p):
+        _assert_matches_reference(p.coeffs)
+
+
+def _poly_roots_reference(c):
+    """(poles, zero, growing) by the partner search ``poly_roots`` replaced.
+
+    ``np.roots`` in ``np.sort_complex`` order; each value pairs with the
+    non-real value nearest its conjugate within 1e-9 * max(1, modulus);
+    each pair is symmetrized, upper member first, and placed where its
+    lower member sorts.  LAPACK's pairs are exactly conjugate already, so
+    ``poly_roots`` must return the same bits without these steps.
+    """
+    c = np.asarray(c, dtype=float)
+    k = int(np.argmax(c != 0.0))
+    if len(c) - k < 2:
+        return np.zeros(k, dtype=complex), np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
+    z = np.sort_complex(np.roots(c[k:][::-1]))
+    scale = 1e-9 * np.maximum(1.0, np.abs(z))
+    cplx = np.abs(z.imag) > scale
+    near = (np.abs(z - z.conj()[:, None]) <= scale[:, None]) & cplx
+    idx = np.arange(len(z))
+    partner = np.where(cplx, near.argmax(axis=1), idx)
+    assert ((near[idx, partner] | ~cplx) & (partner[partner] == idx)).all()
+    w = z[partner]
+    sym = 0.5 * (z.real + w.real) + 1j * np.abs(0.5 * (z.imag - w.imag))
+    order = np.lexsort((idx, np.minimum(idx, partner)))
+    vals = np.where(partner < idx, sym.conj(), sym)[order]
+    decays = vals.real < -1e-9 * np.abs(vals)
+    poles = np.concatenate((np.zeros(k, dtype=complex), vals))
+    zero = np.arange(len(poles)) < k
+    growing = np.concatenate((np.zeros(k, dtype=bool), ~decays))
+    return poles, zero, growing
+
+
+def _assert_matches_reference(c):
+    rs = poly_roots(c)
+    poles, zero, growing = _poly_roots_reference(c)
+    assert rs.poles.dtype == poles.dtype and rs.poles.tobytes() == poles.tobytes()
+    assert rs.zero.tolist() == zero.tolist()
+    assert rs.growing.tolist() == growing.tolist()
+
+
+def test_solver_denominators_match_reference():
+    """Classical, Erlang and chi denominators of 800 models, bit for bit.
+
+    The models cover the benchmark sweep's domain: relative loading
+    log-uniform on [1e-6, 10], theta uniform on [-1, 1], alpha and lambda
+    log-uniform on [0.2, 5], beta = 2 lambda, c = (1 + loading) lambda / alpha.
+    """
+    rng = np.random.default_rng(800)
+    n = 800
+    loading = 10.0 ** rng.uniform(-6.0, 1.0, n)
+    theta = rng.uniform(-1.0, 1.0, n)
+    alpha, lam = np.exp(rng.uniform(math.log(0.2), math.log(5.0), (2, n)))
+    for ld, th, a, la in zip(loading, theta, alpha, lam):
+        c = (1.0 + ld) * la / a
+        poisson = ModelSpec(c, ExpClaim(a), ExpPoisson(la), FgmParam(th))
+        erlang = ModelSpec(c, ExpClaim(a), Erlang2(2.0 * la), FgmParam(th))
+        for den in (classical_lt(poisson).den, erlang_lt(erlang).den,
+                    chi_characteristic(poisson)):
+            _assert_matches_reference(den.coeffs)
+
 
 @st.composite
 def _separated_roots(draw):
@@ -178,6 +267,14 @@ def test_roots_roundtrip_reconstruction(roots, leading):
     for r in rs.values():
         bound = 1e-8 * scale * max(1.0, abs(r)) ** p.degree
         assert abs(p(r)) <= bound
+
+
+@given(roots=_separated_roots(), leading=st.floats(0.5, 3.0), zero=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_roots_match_reference(roots, leading, zero):
+    assume(not (zero and 0j in roots))  # a double zero root is refused
+    c = leading * np.poly(roots).real[::-1]
+    _assert_matches_reference(np.append(0.0, c) if zero else c)
 
 
 def _residue_at(pairs, pole):
