@@ -494,7 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "--b; one set serves the whole survival grid)")
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (estimates do not depend on this)")
+                   help="kept for compatibility: must be positive, and blocks "
+                        "run one after another whatever its value")
     _add_output_args(p)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -510,7 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the variant report simulation")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for the variant report simulation")
+                   help="kept for compatibility: must be positive, and the "
+                        "variant report's blocks run one after another")
     _add_output_args(p)
     p.set_defaults(handler=_cmd_reproduce)
 

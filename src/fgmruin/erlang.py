@@ -367,6 +367,8 @@ def sign_variant_report(
     Each variant's delta(0) comes from INDIVIDUAL elimination, or from
     POOLED where the INDIVIDUAL system is unsolvable.  For |theta| below
     1e-9 the variants coincide and PLUS is selected without simulating.
+    ``workers`` is passed to ``estimate_survival``, which validates it and
+    otherwise ignores it.
     """
     from .simulate import estimate_survival
 
@@ -402,6 +404,8 @@ def select_sign_variant(
     workers: int = 1,
 ) -> SignVariant:
     """The single sign variant consistent with simulation.
+
+    ``workers`` is passed through to ``sign_variant_report``.
 
     Raises:
         StructuralError: If both or neither variant matches the simulated

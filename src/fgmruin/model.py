@@ -363,18 +363,53 @@ def sample_pairs(model: ModelSpec, rng: np.random.Generator, n: int):
     w ~ Gamma(2, 1/beta) and set v = F_W(w) in closed form, which has the
     same joint law (v is U(0,1) and w = F_W^{-1}(v) almost surely) without
     a numeric quantile.
+
+    Every step runs in place on a few length-n arrays, with the operations
+    of ``ppf``/``cdf``, ``conditional_grade`` and ``ExpClaim.ppf`` in their
+    order, so the pairs equal theirs bit for bit; -log1p(-q) / r is
+    written log1p(-q) / (-r), which rounds the same.
     """
     if n < 0:
         raise InputError("sample count must be nonnegative")
     if isinstance(model.arrival, Erlang2):
         w = rng.gamma(2.0, 1.0 / model.arrival.beta, n)
-        v = model.arrival.cdf(w)
+        # v = 1 - e^{-beta w} (1 + beta w); w >= 0, so the cdf's clip is idle.
+        v = np.multiply(w, model.arrival.beta)
+        t = np.negative(v)
+        np.exp(t, out=t)
+        v += 1.0
+        v *= t
+        np.subtract(1.0, v, out=v)
     else:
         v = rng.random(n)
-        w = model.arrival.ppf(v)
+        w = np.negative(v)
+        np.log1p(w, out=w)
+        w /= -model.arrival.lam
+        t = np.empty(n)
     p = rng.random(n)
-    a = model.theta * (1.0 - 2.0 * v)
-    g = conditional_grade(p, a)
-    x = -np.log1p(-g) / model.claim.alpha
-    return w, x
+    # a = theta (1 - 2 v), in v.
+    v *= 2.0
+    np.subtract(1.0, v, out=v)
+    v *= model.theta
+    a = v
+    # The grade 2 p / (1 + a + sqrt(max((1 + a)^2 - 4 a p, 0))), or p where |a| < 1e-12.
+    g = np.add(a, 1.0)
+    g *= g
+    np.multiply(a, 4.0, out=t)
+    t *= p
+    g -= t
+    np.maximum(g, 0.0, out=g)
+    np.sqrt(g, out=g)
+    np.add(a, 1.0, out=t)
+    t += g
+    np.copyto(t, 1.0, where=t == 0.0)
+    np.multiply(p, 2.0, out=g)
+    g /= t
+    np.abs(a, out=t)
+    np.copyto(g, p, where=t < 1e-12)
+    # x = -log1p(-g) / alpha, in g.
+    np.negative(g, out=g)
+    np.log1p(g, out=g)
+    g /= -model.claim.alpha
+    return w, g
 

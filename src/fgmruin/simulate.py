@@ -19,21 +19,24 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
   initial surpluses: ruin from u is the walk's first passage below -u.
 
 Estimates are averaged over fixed-size blocks, each driven by its own
-PCG64 stream spawned deterministically from (seed, block index).  The
-result therefore depends only on the seed and the path count, not on how
-many worker threads ran the blocks or in which order they finished.  A
-block keeps the surplus of its live paths as one compact array, in path
-order.  Each round it draws a (live, k) array of claims with
-k = ceil(_ROUND_STEPS / live), walks every row with one cumulative sum,
-and retires the paths whose stopping event fired in the row: one claim
-per round while the block is nearly full, many once few paths are live.
+PCG64 stream spawned deterministically from (seed, block index), so the
+result depends only on the seed and the path count.  The blocks run one
+after another in the calling thread; the ``workers`` argument is kept for
+compatibility, validated and otherwise ignored.  A block keeps the surplus
+of its live paths as one compact array, in path order.  Each round it
+draws a (live, k) array of claims with k = ceil(_ROUND_STEPS / live),
+walks every row with one cumulative sum, and retires the paths whose
+stopping event fired in the row: one claim per round while the block is
+nearly full, many once few paths are live.  A round of one claim per path
+reads its events from a boolean column instead of gathering each row's
+first event, and the survival rounds of one request draw into one
+workspace of buffers that every block reuses.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,16 +103,12 @@ def _claims_per_round(live: int) -> int:
     return -(-_ROUND_STEPS // live)
 
 
-def _map_blocks(run, n: int, workers: int) -> list:
-    """run(size, block) over the blocks of n paths, results in block order."""
+def _map_blocks(run, n: int) -> list:
+    """run(size, block) over the blocks of n paths, one after another."""
     sizes = [_BLOCK_SIZE] * (n // _BLOCK_SIZE)
     if n % _BLOCK_SIZE:
         sizes.append(n % _BLOCK_SIZE)
-    blocks = range(len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            return list(pool.map(run, sizes, blocks))
-    return [run(size, block) for size, block in zip(sizes, blocks)]
+    return [run(size, block) for block, size in enumerate(sizes)]
 
 
 def _next_round(live: int, drawn: int) -> tuple[int, int]:
@@ -121,8 +120,9 @@ def _next_round(live: int, drawn: int) -> tuple[int, int]:
 
 
 # numpy accumulates and takes argmax along an axis one row at a time (about
-# 0.25 and 0.4 ms for 32768 rows of one column), so the two helpers below
-# skip that pass when each row has one column.
+# 0.25 and 0.4 ms for 32768 rows of one column), so rounds with one claim
+# per path take neither: they walk with one add and read the event from a
+# boolean column.
 
 def _walk(steps: np.ndarray, start: np.ndarray) -> None:
     """Turn each row of steps into the walk from start, in place."""
@@ -134,9 +134,8 @@ def _walk(steps: np.ndarray, start: np.ndarray) -> None:
 def _first_true(mask: np.ndarray) -> np.ndarray:
     """Flat index of each row's first True; a row without one gives its first column."""
     live, k = mask.shape
-    first = np.arange(0, live * k, k)
-    if k > 1:
-        first += mask.argmax(axis=1)
+    first = mask.argmax(axis=1)
+    first += np.arange(0, live * k, k)
     return first
 
 
@@ -150,19 +149,31 @@ def _run_block(model: ModelSpec, u: float, b: float, size: int, seed: int,
         live = surplus.size
         k, drawn = _next_round(live, drawn)
         w, x = sample_pairs(model, rng, live * k)
-        # post[i, j]: surplus of path i just after its j-th claim this round.
-        post = model.c * w
-        post -= x
-        post = post.reshape(live, k)
-        _walk(post, surplus)
         # The surplus rises linearly between claims, so it crosses b before
-        # a claim if and only if the pre-claim surplus reaches b; that is
-        # checked before the same claim can ruin the path.
-        hit = post + x.reshape(live, k) >= b
-        event = hit | (post < 0.0)
-        first = _first_true(event)
-        reached += int(np.count_nonzero(hit.ravel()[first]))
-        surplus = post[~event.ravel()[first], -1]
+        # a claim if and only if the pre-claim surplus post + x reaches b;
+        # that is checked before the same claim can ruin the path.
+        post = w
+        post *= model.c
+        post -= x
+        if k == 1:
+            # One claim per path: the event is the claim itself, so the
+            # survivors are compressed through one boolean column.
+            post += surplus
+            x += post
+            hit = x >= b
+            reached += int(np.count_nonzero(hit))
+            keep = post >= 0.0
+            keep &= ~hit
+            surplus = post[keep]
+        else:
+            # post[i, j]: surplus of path i just after its j-th claim this round.
+            post = post.reshape(live, k)
+            _walk(post, surplus)
+            hit = post + x.reshape(live, k) >= b
+            event = hit | (post < 0.0)
+            first = _first_true(event)
+            reached += int(np.count_nonzero(hit.ravel()[first]))
+            surplus = post[~event.ravel()[first], -1]
     return reached
 
 
@@ -176,8 +187,9 @@ def estimate_reach_prob(
 ) -> SimEstimate:
     """Simulated probability of reaching b before ruin from surplus u.
 
-    The estimate is a deterministic function of (seed, n); ``workers``
-    only parallelizes the blocks.
+    The estimate is a deterministic function of (seed, n).  ``workers``
+    is kept for compatibility: it must be positive, and the blocks run one
+    after another whatever its value.
     """
     u = float(u)
     _, n, seed = _check_inputs(u, n, seed, workers)
@@ -186,9 +198,7 @@ def estimate_reach_prob(
         raise InputError("target level must be finite and at least u")
     if b == u:
         return SimEstimate(1.0, 0.0, n, seed)
-    counts = _map_blocks(
-        lambda size, block: _run_block(model, u, b, size, seed, block), n, workers
-    )
+    counts = _map_blocks(lambda size, block: _run_block(model, u, b, size, seed, block), n)
     hits = int(sum(counts))
     p = hits / n
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -198,9 +208,11 @@ def estimate_reach_prob(
 # Largest |log E[e^{R(X - cW)}]| the adjustment coefficient may leave.
 _LUNDBERG_TOL = 1e-12
 
-# Most claims a tilted path may be predicted to need.  Every cell of the
-# measured table in README "Errors" at loading 0.01 passes (up to 1.3e4)
-# and every cell at 3e-3 fails (from 6.3e4).
+# Most claims a tilted path may be predicted to need, its mean claims plus
+# the diffusion scale of their spread (see ``_tilt``).  Every cell of the
+# measured table in README "Errors" at loading 0.01 passes (up to 1.3e4),
+# and every cell at 3e-3 fails (from 6.3e4), the two that hit the claim cap
+# among them.
 _CLAIM_BUDGET = 3e4
 
 # Fewest effective paths, (sum w)^2 / sum w^2, a survival level may rest on
@@ -380,6 +392,22 @@ def _mixture(model: ModelSpec, R: float, gap: float) -> tuple[np.ndarray, np.nda
     return np.array(list(rows.values())), coef
 
 
+class _Workspace:
+    """Buffers the tilted rounds of one request draw into, block after block.
+
+    A round of ``live`` paths draws live * k < live + _ROUND_STEPS steps,
+    so a workspace of the largest block's size plus _ROUND_STEPS holds every
+    round; a round uses the first live * k entries of each buffer.
+    """
+
+    def __init__(self, size: int):
+        self.uniform = np.empty(size)
+        self.expo = np.empty(size)
+        self.cat = np.empty(size, dtype=np.intp)
+        self.steps = np.empty(size)
+        self.walk = np.empty(size)
+
+
 @dataclass(frozen=True)
 class _Tilt:
     """Exact sampler of the tilted step c W - X over the categories of ``_mixture``."""
@@ -387,22 +415,35 @@ class _Tilt:
     R: float
     cuts: np.ndarray  # cumulative category probabilities, the last one dropped
     coef: np.ndarray  # (J, categories): coefficient j of every category
+    claims: float  # predicted mean claims of a path to ruin from the largest u
 
-    def steps(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n tilted steps c w - x: a category from one uniform, then J exponentials."""
-        u = rng.random(n)
+    def steps(self, rng: np.random.Generator, n: int,
+              work: _Workspace | None = None) -> np.ndarray:
+        """n tilted steps c w - x: a category from one uniform, then J exponentials.
+
+        The steps are drawn into ``work`` (a fresh workspace when None) and
+        returned as a view of its first n step entries.
+        """
+        if work is None:
+            work = _Workspace(n)
+        u = rng.random(out=work.uniform[:n])
         # A sum of comparisons beats np.searchsorted on a handful of cuts,
-        # and a uint8 sum beats an intp one (there are at most 14 categories).
-        cat = np.zeros(n, dtype=np.uint8)
+        # and a uint8 sum beats an intp one (there are at most 14
+        # categories); np.take then gathers fastest through intp indices.
+        count = np.zeros(n, dtype=np.uint8)
         for cut in self.cuts:
-            cat += u >= cut
-        # Row by row, every temporary holds n floats; one (J, n) draw and
-        # gather measured 1.5-1.9x slower for the Erlang table.
-        step = self.coef[0].take(cat)
-        step *= rng.standard_exponential(n)
+            count += u >= cut
+        cat = work.cat[:n]
+        np.copyto(cat, count)
+        # Row by row: one (J, n) draw and gather measured 1.5-1.9x slower
+        # for the Erlang table.  The uniforms are spent, so their buffer
+        # takes each gathered coefficient row.
+        step = np.take(self.coef[0], cat, out=work.steps[:n])
+        e = rng.standard_exponential(out=work.expo[:n])
+        step *= e
         for coef in self.coef[1:]:
-            e = rng.standard_exponential(n)
-            e *= coef.take(cat)
+            rng.standard_exponential(out=e)
+            e *= np.take(coef, cat, out=u)
             step += e
         return step
 
@@ -410,27 +451,37 @@ class _Tilt:
 def _tilt(model: ModelSpec, u: float) -> _Tilt:
     """The tilted sampler, after checking the predicted claims per path.
 
-    A path from u is predicted to need 1 + (u + 1/R) / mu_R claims, where
-    mu_R = M'(R) is the tilted drift of X - cW; this grows like
-    1 / loading^2 as the loading goes to zero.
+    A path from u is predicted to need (u + 1/(alpha - R)) / mu_R claims,
+    where mu_R = M'(R) is the tilted drift of X - cW: by Wald's identity
+    the claims to ruin average (u + mean deficit) / mu_R, and the deficit
+    at ruin is a tilted claim phase's overshoot, whose slowest phase has
+    mean 1 / (alpha - R) (exactly the deficit's mean at theta = 0).  A
+    block runs until its slowest path is ruined, and that path runs past
+    the mean by a few times the diffusion scale sigma_R^2 / (2 mu_R^2) of
+    the claims' spread, which equals 1 / (R mu_R) within 1 % at loading
+    0.01 and below.  The budget bounds the mean plus that scale; it grows
+    like 1 / loading^2 as the loading goes to zero.
 
     Raises:
-        ConditioningError: If the predicted claims per path exceed the
-            budget.
+        ConditioningError: If the predicted claims per path and their
+            spread exceed the budget.
     """
     R, gap = _lundberg_root(model)
     # mu_R = M'(R) = M(R) (log M)'(R), and M(R) = 1.
-    claims = 1.0 + (u + 1.0 / R) / _cgf(model, R, gap)[1]
-    if claims > _CLAIM_BUDGET:
+    mu = _cgf(model, R, gap)[1]
+    claims = (u + 1.0 / gap) / mu
+    spread = 1.0 / (R * mu)
+    if claims + spread > _CLAIM_BUDGET:
         loading = model.c * model.arrival.mean / model.claim.mean - 1.0
         raise ConditioningError(
             f"survival at relative loading {loading:.3g} cannot be simulated "
-            f"from u = {u:g}: a tilted path needs about {claims:.3g} claims, "
-            f"over the budget of {_CLAIM_BUDGET:g}"
+            f"from u = {u:g}: a tilted path needs about {claims:.3g} claims "
+            f"plus a spread of about {spread:.3g}, over the budget of "
+            f"{_CLAIM_BUDGET:g}"
         )
     masses, coef = _mixture(model, R, gap)
     cum = np.cumsum(masses)
-    return _Tilt(R, cum[:-1] / cum[-1], coef)
+    return _Tilt(R, cum[:-1] / cum[-1], coef, claims)
 
 
 def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray,
@@ -464,31 +515,41 @@ def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray,
 def _top_passages(steps: np.ndarray, level: float, R: float):
     """Rows whose walk first drops below -level this round, and their weights."""
     below = steps < -level
-    first = _first_true(below)
-    fired = below.ravel()[first]
-    return fired, np.exp(R * (steps.ravel()[first[fired]] + level))
+    if steps.shape[1] == 1:
+        fired = below.ravel()
+        passage = steps.ravel()[fired]
+    else:
+        first = _first_true(below)
+        fired = below.ravel()[first]
+        passage = steps.ravel()[first[fired]]
+    return fired, np.exp(R * (passage + level))
 
 
 def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
-                      block: int) -> tuple[np.ndarray, np.ndarray]:
+                      block: int, work: _Workspace | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Per level, sum and sum of squares of e^{R post} over tilted paths.
 
     ``levels`` are the initial surpluses u_j in ascending order.  Every path
     walks V, the surplus gained from zero, and its first passage below -u_j
     is ruin from u_j, with post = u_j + V there.  A path retires once it
-    passes the largest level; with one level, that is the whole pass.
+    passes the largest level; with one level, that is the whole pass.  The
+    rounds draw into ``work``, a fresh workspace when None.
     """
     rng = _block_rng(seed, block)
+    if work is None:
+        work = _Workspace(size + _ROUND_STEPS)
     top = levels.size - 1
     total = np.zeros(levels.size)
     total_sq = np.zeros(levels.size)
-    walk = np.zeros(size)
+    walk = work.walk[:size]
+    walk.fill(0.0)
     pending = np.zeros(size, dtype=np.intp) if top else None
     drawn = 0
     while walk.size:
         live = walk.size
         k, drawn = _next_round(live, drawn)
-        steps = tilt.steps(rng, live * k).reshape(live, k)
+        steps = tilt.steps(rng, live * k, work).reshape(live, k)
         _walk(steps, walk)
         if top:
             level, y, pending = _lower_passages(steps, levels, pending, tilt.R)
@@ -498,7 +559,10 @@ def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
         total[top] += y.sum()
         total_sq[top] += y @ y
         keep = ~fired
-        walk = steps[keep, -1]
+        # The steps and the walk have separate buffers, so the survivors'
+        # last column is compressed straight into the walk's.
+        walk = work.walk[:np.count_nonzero(keep)]
+        np.compress(keep, steps[:, -1], out=walk)
         if top:
             pending = pending[keep]
     return total, total_sq
@@ -524,8 +588,9 @@ def estimate_survival(
     e^{-R(u - post)} over the paths, and its standard error is the sample
     one.  The estimate has no truncation bias, its variance never exceeds
     the binomial psi(1 - psi) / n, and its relative error stays flat as u
-    grows.  It is a deterministic function of (seed, n); ``workers`` only
-    parallelizes the blocks.
+    grows.  It is a deterministic function of (seed, n).  ``workers`` is
+    kept for compatibility: it must be positive, and the blocks run one
+    after another whatever its value.
 
     ``u`` may be a number, giving one ``SimEstimate``, or a 1-D grid in any
     order, giving a list with one ``SimEstimate`` per level in input order.
@@ -545,9 +610,9 @@ def estimate_survival(
     order = np.argsort(levels.ravel(), kind="stable")
     ascending = levels.ravel()[order]
     tilt = _tilt(model, float(ascending[-1]))
+    work = _Workspace(min(n, _BLOCK_SIZE) + _ROUND_STEPS)
     sums = _map_blocks(
-        lambda size, block: _run_tilted_block(tilt, ascending, size, seed, block),
-        n, workers,
+        lambda size, block: _run_tilted_block(tilt, ascending, size, seed, block, work), n
     )
     total = sum(s for s, _ in sums)
     total_sq = sum(q for _, q in sums)

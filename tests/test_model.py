@@ -338,6 +338,26 @@ class TestSampling:
         assert w.shape == (0,)
         assert x.shape == (0,)
 
+    @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
+    @pytest.mark.parametrize("theta", [-1.0, -1e-13, 0.0, 0.5, 1.0])
+    def test_pairs_equal_margin_and_grade_functions(self, make, theta):
+        # The in-place sampler must give, bit for bit, what the public
+        # quantile or cdf, conditional_grade and the claim quantile give on
+        # the same draws; theta = -1e-13 takes the |a| < 1e-12 branch.
+        m = make(theta, alpha=0.7)
+        n = 50_000
+        w, x = sample_pairs(m, np.random.default_rng(99), n)
+        rng = np.random.default_rng(99)
+        if isinstance(m.arrival, Erlang2):
+            want_w = rng.gamma(2.0, 1.0 / m.arrival.beta, n)
+            v = m.arrival.cdf(want_w)
+        else:
+            v = rng.random(n)
+            want_w = m.arrival.ppf(v)
+        grade = conditional_grade(rng.random(n), theta * (1.0 - 2.0 * v))
+        assert np.array_equal(w, want_w)
+        assert np.array_equal(x, m.claim.ppf(grade))
+
     def test_independence_has_no_correlation(self):
         m = _poisson_model(0.0)
         n = 100_000
