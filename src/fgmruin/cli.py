@@ -4,10 +4,11 @@ Subcommands compute survival probability curves (classical Poisson and
 Erlang(2) inter-claim times), maximum-surplus-before-ruin curves, and
 Monte Carlo estimates, and reproduce the bundled worked examples against
 their reference values.  Tables are emitted as CSV (header ``u,value``
-or ``u,value,stderr``, 6 significant digits, LF line endings) or as
+or ``u,value,stderr``, numbers as C ``%.6g``, LF line endings) or as
 canonical JSON (sorted keys, full float precision) that re-serializes to
-identical bytes after parsing.  A ``start:stop:step`` surplus grid holds
-at most ``_MAX_GRID_POINTS`` (one million) points.
+identical bytes after parsing.  Either writer prints a table's body with
+one ``%`` over a flat tuple of all its cells.  A ``start:stop:step``
+surplus grid holds at most ``_MAX_GRID_POINTS`` (one million) points.
 
 Exit codes: 0 success, 2 usage or domain errors, 3 violation of the
 positive loading condition, 4 solver structural or conditioning
@@ -22,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -147,10 +149,18 @@ def _model_payload(model: ModelSpec) -> dict:
 
 
 def _csv_table(header: tuple[str, ...], rows) -> str:
-    """CSV text: string cells as they are, numbers to 6 significant digits."""
-    fmt = ",".join("{}" if isinstance(v, str) else "{:.6g}" for v in rows[0])
-    lines = [",".join(header), *itertools.starmap(fmt.format, rows)]
-    return "\n".join(lines) + "\n"
+    """CSV text: string cells as they are, numbers as C ``%.6g``.
+
+    ``rows`` is a 2-D float array or a sequence of equal-length tuples.  The
+    first row picks the row format, and one ``%`` over every cell prints
+    the body; ``'%.6g' % x`` is ``'{:.6g}'.format(x)``.
+    """
+    fmt = ",".join("%s" if isinstance(v, str) else "%.6g" for v in rows[0])
+    if isinstance(rows, np.ndarray):
+        cells = tuple(rows.ravel().tolist())
+    else:
+        cells = tuple(itertools.chain.from_iterable(rows))
+    return ",".join(header) + "\n" + ((fmt + "\n") * len(rows)) % cells
 
 
 # float.__repr__ of the values allow_nan=False refuses.
@@ -170,14 +180,28 @@ def _json_cells(column: list) -> list[str]:
 
 
 def _json_rows(rows: list[dict]) -> str:
-    """The rows list as json.dumps prints it one level deep in indent=2."""
+    """The rows list as json.dumps prints it one level deep in indent=2.
+
+    The cells, flat in sorted-key order, are encoded a column slice at a
+    time, and one ``%`` fills the row template repeated once per row.
+    """
     keys = sorted(rows[0])
     if set(map(len, rows)) != {len(keys)}:
         raise ValueError("JSON rows do not share one key set")
-    columns = [_json_cells([row[k] for row in rows]) for k in keys]
-    fields = ",\n".join(f"      {json.dumps(k)}: {{}}" for k in keys)
-    template = "    {{\n" + fields + "\n    }}"
-    return "[\n" + ",\n".join(map(template.format, *columns)) + "\n  ]"
+    width = len(keys)
+    pick = operator.itemgetter(*keys)
+    if width == 1:
+        # A one-key itemgetter returns the bare value, not a tuple.
+        cells = list(map(pick, rows))
+    else:
+        cells = list(itertools.chain.from_iterable(map(pick, rows)))
+    for j in range(width):
+        cells[j::width] = _json_cells(cells[j::width])
+    fields = ",\n".join(
+        "      %s: %%s" % json.dumps(k).replace("%", "%%") for k in keys
+    )
+    template = "    {\n" + fields + "\n    }"
+    return "[\n" + ",\n".join([template] * len(rows)) % tuple(cells) + "\n  ]"
 
 
 def _json_text(payload: dict) -> str:
@@ -185,9 +209,10 @@ def _json_text(payload: dict) -> str:
     plus a newline, byte for byte.
 
     ``payload["rows"]`` is a non-empty list of flat dicts that share one
-    key set and hold, per key, only strings or only floats.  The rows are printed from
-    one per-row template, because the pure-Python encoder that ``indent``
-    selects would take most of a dense curve's time.
+    key set and hold, per key, only strings or only floats.  The rows are
+    printed by ``_json_rows`` with one ``%`` over all their cells, because
+    the pure-Python encoder that ``indent`` selects would take most of a
+    dense curve's time.
     """
     # sort_keys plus a trailing newline makes the bytes canonical, so a
     # parse-and-redump round trip is the identity; NaN is refused rather
@@ -211,16 +236,17 @@ def _curve_output(args, command: str, model: ModelSpec, grid, sol,
                   extra: dict) -> str:
     # One vectorized evaluation over the whole grid; the values are the
     # same floats the per-point calls give.
-    rows = list(zip(grid.tolist(), sol(grid).tolist()))
+    values = sol(grid)
     if args.format == "json":
         payload = {
             "command": command,
             "model": _model_payload(model),
-            "rows": [{"u": u, "value": v} for u, v in rows],
+            "rows": [{"u": u, "value": v}
+                     for u, v in zip(grid.tolist(), values.tolist())],
         }
         payload.update(extra)
         return _json_text(payload)
-    return _csv_table(("u", "value"), rows)
+    return _csv_table(("u", "value"), np.column_stack((grid, values)))
 
 
 def _cmd_survival_classical(args: argparse.Namespace) -> str:
@@ -278,7 +304,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         estimates = [estimate_reach_prob(model, u, args.b, n=args.n, seed=seed,
                                          workers=args.workers)
                      for u in us]
-    rows = [(u, est.value, est.stderr) for u, est in zip(us, estimates)]
     if args.format == "json":
         payload = {
             "command": "simulate",
@@ -287,12 +312,14 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
             "n": args.n,
             "seed": seed,
             "rows": [
-                {"u": u, "value": value, "stderr": stderr}
-                for u, value, stderr in rows
+                {"u": u, "value": est.value, "stderr": est.stderr}
+                for u, est in zip(us, estimates)
             ],
         }
         return _json_text(payload)
-    return _csv_table(("u", "value", "stderr"), rows)
+    table = np.column_stack((grid, [est.value for est in estimates],
+                             [est.stderr for est in estimates]))
+    return _csv_table(("u", "value", "stderr"), table)
 
 
 def _compare_row(name: str, computed: float, reference: float) -> dict:

@@ -138,7 +138,7 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
         InputError: For non-exponential arrivals or a non-positive level.
         UnsupportedStructureError: If characteristic roots repeat.
         ConditioningError: If the equilibrated system's condition number
-            exceeds 1e12.
+            exceeds 1e12 or is not finite.
         StructuralError: If the assembly identity or the boundary value
             check fails, or ExpSum finds the constant or a real-rate
             coefficient complex beyond 1e-9.
@@ -161,21 +161,27 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     g = (alpha + r) * (2.0 * alpha + r) * (k - r)
 
     # At every root the rates 0 and s_i cancel identically; a visible
-    # remainder means the rows below do not match the solution form.
-    kappa = 2.0 * th * lam**2 / c**2
-    mu = lam / c
-    nu = th * lam / c
+    # remainder means the rows below do not match the solution form.  The
+    # summands are homogeneous of degree 4 in the rates, so they are formed
+    # with every rate divided by alpha, where they stay finite (positive
+    # loading keeps k / alpha below 2); at alpha = 1 this changes no bit.
+    kappa = 2.0 * th * lam**2 / c**2 / alpha / alpha
+    mu = lam / c / alpha
+    nu = th * lam / c / alpha
+    ra = r / alpha
+    two, gap = 2.0 + ra, k / alpha - ra
     summands = np.array([
-        kappa * alpha * r,
-        -mu * alpha * (2.0 * alpha + r) * (k - r),
-        -nu * alpha * r * (k - r),
-        -(r - mu) * g,
+        kappa * ra,
+        -mu * two * gap,
+        -nu * ra * gap,
+        -(ra - mu) * ((1.0 + ra) * two * gap),
     ])
     defect = float(np.max(
         np.abs(summands.sum(axis=0))
         / np.maximum(1.0, np.max(np.abs(summands), axis=0))
     ))
-    if defect > _ASSEMBLY_TOL:
+    # Written so that a NaN defect fails the gate.
+    if not defect <= _ASSEMBLY_TOL:
         raise StructuralError(
             f"assembly left relative defect {defect:.3e} on identity rates"
         )
@@ -197,7 +203,11 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     mat = mat / row_norm[:, None]
     rhs = rhs / row_norm
 
-    condition = float(np.linalg.cond(mat))
+    try:
+        condition = float(np.linalg.cond(mat))
+    except np.linalg.LinAlgError:
+        # An overflowed or all-zero row leaves entries that are not finite.
+        condition = math.inf
     if not np.isfinite(condition) or condition > _COND_LIMIT:
         raise ConditioningError(
             f"coefficient system condition {condition:.3e} exceeds "
@@ -214,7 +224,7 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     growing = ExpSum(0.0, ((coef[grow], r[grow]),))
 
     residual = abs(decaying(b) + growing(0.0) - 1.0)
-    if residual > _BOUNDARY_TOL:
+    if not residual <= _BOUNDARY_TOL:
         raise StructuralError(
             f"solution misses the boundary value by {residual:.3e}"
         )

@@ -153,6 +153,9 @@ def _derivative(c: np.ndarray) -> np.ndarray:
     return c[1:] * np.arange(1, len(c))
 
 
+# Roots of huge modulus overflow the powers, which eliminate_growing refuses
+# with ConditioningError; the numpy warnings on the way would say nothing more.
+@np.errstate(over="ignore", invalid="ignore")
 def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """All rows at every x in one Horner loop; top zero padding changes no value."""
     y = np.zeros((len(rows), len(x)), dtype=x.dtype)
@@ -502,6 +505,7 @@ def eliminate_growing(
     are collected in one pass.  ``roots`` are those of ``poly_roots(den)``.
 
     Raises:
+        ConditioningError: If a basis row or D' overflows at a root.
         StructuralError: If there is no growing root, or the system is
             degenerate, singular, leaves a residual above 1e-8 or has a
             solution that is not real to 1e-7.
@@ -510,6 +514,8 @@ def eliminate_growing(
     if not growing.any():
         raise StructuralError("no growing denominator root to eliminate")
     at_roots = _horner(coeff_rows(*basis, _derivative(den)), poles)
+    if not np.isfinite(at_roots).all():
+        raise ConditioningError("basis values at the roots overflow")
     basis_at_roots = at_roots[:-1]
     basis_residues = basis_at_roots / at_roots[-1]
 

@@ -145,6 +145,10 @@ _ENCODER_CASES = [
     ("example3", ("reproduce", "example3")),
     ("example2-variant-report", ("reproduce", "example2", "--variant-report",
                                  "--n", "2000", "--seed", "5")),
+    # The dense grids of the benchmark's curve workload.
+    ("classical-dense", ("survival-classical", "--u", "0:50:0.01")),
+    ("erlang2-dense", ("survival-erlang2", "--u", "0:50:0.01")),
+    ("max-surplus-dense", ("max-surplus", "--b", "20", "--u", "0:20:0.004")),
 ]
 
 
@@ -187,6 +191,56 @@ class TestCurveRows:
         monkeypatch.setattr(cli, "_json_text", _reference_json)
         monkeypatch.setattr(cli, "_csv_table", _reference_csv)
         assert _run(capsys, *argv, "--format", fmt) == (0, out, "")
+
+
+class TestTableWriters:
+    """The writers print what the reference encoders print, cell for cell."""
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
+    def test_csv_extreme_cells(self, as_array):
+        rows = [(-0.0, 5e-324), (1e300, float("nan")), (float("inf"), -np.inf),
+                (0.1, 123456.789)]
+        want = _reference_csv(("u", "value"), rows)
+        table = np.array(rows) if as_array else rows
+        assert cli._csv_table(("u", "value"), table) == want
+
+    def test_csv_strings_next_to_numpy_floats(self):
+        # The shape of reproduce rows; a % in a string cell is printed as is.
+        rows = [("theta=-1.0 phi0", np.float64(0.31470004), 0.3147,
+                 np.float64(4.4e-09)),
+                ("a%sb %d", 1.0, np.float64(-0.0), 2.5e-300)]
+        header = ("name", "computed", "reference", "deviation")
+        assert cli._csv_table(header, rows) == _reference_csv(header, rows)
+
+    @pytest.mark.parametrize("key", ["a", "z"], ids=["first", "last"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_json_refuses_non_finite_in_any_column(self, key, bad):
+        rows = [{"a": 0.0, "m": 1.0, "z": 2.0}, {"a": 3.0, "m": 4.0, "z": 5.0}]
+        rows[1][key] = bad
+        payload = {"command": "x", "rows": rows}
+        with pytest.raises(ValueError):
+            _reference_json(payload)
+        with pytest.raises(ValueError):
+            cli._json_text(payload)
+
+    @pytest.mark.parametrize("rows", [
+        [{"u": 0.5}, {"u": 5e-324}, {"u": -0.0}],
+        [{"name": "one"}],
+        [{"50%": 0.5, "a%s": 1.0, "%%": 2.0, "{}": 3.0},
+         {"50%": -1e300, "a%s": 0.1, "%%": 5e-324, "{}": 1e-7}],
+    ], ids=["one-float-key", "one-string-key", "percent-keys"])
+    def test_json_key_shapes(self, rows):
+        payload = {"command": "x", "rows": rows}
+        assert cli._json_text(payload) == _reference_json(payload)
+
+    def test_json_strings_next_to_numpy_floats(self):
+        rows = [{"name": "theta=+0.5 phi0", "computed": np.float64(0.35480001),
+                 "reference": 0.3548, "deviation": np.float64(1e-08)},
+                {"name": 'quote " slash \\ e\u0301 %s', "computed": -0.0,
+                 "reference": np.float64(1e300), "deviation": 5e-324}]
+        payload = {"command": "reproduce", "rows": rows}
+        assert cli._json_text(payload) == _reference_json(payload)
 
 
 class TestSimulate:
@@ -473,3 +527,13 @@ class TestEntryPoint:
         proc = self._module("survival-classical", "--c", "0.5")
         assert proc.returncode == 3
         assert "loading" in proc.stderr
+
+    def test_erlang_basis_overflow_prints_one_error_line(self):
+        # The roots near -1e160 overflow the basis values; the process
+        # prints the typed error alone, with no numpy warning before it.
+        proc = self._module("survival-erlang2", "--c", "1", "--alpha", "1e160",
+                            "--beta", "1", "--theta", "0", "--u", "0:1:1")
+        assert (proc.returncode, proc.stdout) == (4, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")

@@ -11,6 +11,7 @@ loadings, where four growing roots crowd near the kernel root 2 beta / c.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -297,3 +298,18 @@ def test_overflowing_rates_raise_conditioning_error(alpha, rate, c):
                   lambda: poly_roots(chi_characteristic(poisson))):
         with pytest.raises(ConditioningError, match="not finite"):
             solve()
+
+
+def test_erlang_basis_overflow_raises_conditioning_error():
+    """Finite transform coefficients whose roots overflow the basis values.
+
+    On the small-theta branch at alpha = 1e160 the coefficients pass
+    poly_roots, but the basis evaluated at roots near -1e160 overflows; the
+    solver raises the typed error without a numpy warning.
+    """
+    model = ModelSpec(1.0, ExpClaim(1e160), Erlang2(1.0), FgmParam(0.0))
+    for elimination in GrowthElimination:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError, match="overflow"):
+                survival_erlang2(model, elimination=elimination)

@@ -2,13 +2,15 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fgmruin import max_surplus
 from fgmruin.classical import survival_classical
-from fgmruin.errors import InputError
+from fgmruin.errors import ConditioningError, InputError, StructuralError
 from fgmruin.max_surplus import ChiSolution, chi, chi_characteristic, solve_chi, xi
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
 from fgmruin.polyexp import RootClass, poly_roots
@@ -197,6 +199,47 @@ class TestSolveChi:
         assert rate > 1e-9
         assert abs(coef) <= 1.0
         assert abs(coef) * np.exp(-rate * PRESET_B) <= 1e-12
+
+
+class TestGates:
+    def test_huge_rates_keep_defect_finite(self):
+        # The defect's summands are of degree 4 in the rates; at
+        # alpha = lam = 1e100 they overflow unless the rates are scaled,
+        # and the same model at alpha = lam = 1, b = 10 gives chi.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_chi(_model(0.5, c=2.0, alpha=1e100, lam=1e100), 1e-99)
+        assert math.isfinite(sol.assembly_defect)
+        assert sol.assembly_defect <= 1e-14
+        want = solve_chi(_model(0.5, c=2.0), 10.0)(0.0)
+        assert abs(sol(0.0) - want) <= 1e-15 * want
+
+    def test_overflowed_system_raises_conditioning_error(self):
+        # Claims a hundred orders of magnitude faster than arrivals: the
+        # identity holds, but the system's rows overflow or vanish, where
+        # np.linalg.cond would raise LinAlgError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ConditioningError, match="condition inf"):
+                solve_chi(_model(0.5, c=2.0, alpha=1e100), 10.0)
+
+    def test_nan_defect_fails_assembly_gate(self, monkeypatch):
+        real = max_surplus.poly_roots
+
+        def nan_root(p):
+            roots = real(p)
+            roots.poles[-1] = complex("nan")
+            return roots
+
+        monkeypatch.setattr(max_surplus, "poly_roots", nan_root)
+        with pytest.raises(StructuralError, match="assembly"):
+            solve_chi(_model(0.5), 10.0)
+
+    def test_nan_residual_fails_boundary_gate(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.full(b.shape, np.nan))
+        with pytest.raises(StructuralError, match="boundary"):
+            solve_chi(_model(0.5), 10.0)
 
 
 class TestValidation:
