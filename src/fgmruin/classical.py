@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import InputError, StructuralError
 from .model import ExpPoisson, ModelSpec
@@ -35,7 +36,6 @@ from .polyexp import (
     RESIDUE_DROP_REL,
     ExpSum,
     ParametricRational,
-    Polynomial,
     RootSet,
     coeff_rows,
     eliminate_growing,
@@ -85,6 +85,8 @@ def classical_lt(model: ModelSpec) -> ParametricRational:
 class ClassicalSolution:
     """Closed-form survival probability for the compound Poisson model.
 
+    Calling it evaluates phi(u); u below 0 or NaN raises InputError.
+
     Attributes:
         model: Input model.
         phi0: Survival probability at zero initial surplus.
@@ -102,6 +104,8 @@ class ClassicalSolution:
     phi0_candidates: tuple[complex, ...]
 
     def __call__(self, u):
+        if not np.all(np.asarray(u, dtype=float) >= 0.0):
+            raise InputError("phi(u) needs u >= 0")
         return self.phi(u)
 
 

@@ -52,13 +52,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import InputError, StructuralError
 from .model import Erlang2, ModelSpec
 from .polyexp import (
     ExpSum,
     ParametricRational,
-    Polynomial,
     RootSet,
     coeff_rows,
     eliminate_growing,
@@ -194,7 +194,8 @@ def erlang_lt(
     leaving delta(0) as the single free parameter.
     """
     den, basis = _cleared_parts(model, variant)
-    num_const = Polynomial(basis[1] * _independence_w(model))
+    # The basis rows are zero-padded; trim() keeps degree() the true degree.
+    num_const = Polynomial(basis[1] * _independence_w(model)).trim()
     return ParametricRational(num_const, Polynomial(basis[0]), Polynomial(den))
 
 
@@ -244,6 +245,8 @@ def solve_delta0(
 class ErlangSolution:
     """Closed-form survival probability for the Erlang(2) renewal model.
 
+    Calling it evaluates delta(u); u below 0 or NaN raises InputError.
+
     Attributes:
         model: Input model.
         variant: Sign variant the transform was built with.
@@ -272,6 +275,8 @@ class ErlangSolution:
     consistency_residual: float
 
     def __call__(self, u):
+        if not np.all(np.asarray(u, dtype=float) >= 0.0):
+            raise InputError("delta(u) needs u >= 0")
         return self.delta(u)
 
 
@@ -296,7 +301,7 @@ def survival_erlang2(
         raise StructuralError(f"survival at zero fell outside (0, 1): {delta0!r}")
     delta = elim.survival(_AGGREGATE_TOL, _CONSTANT_TOL)
     residual = abs(delta(0.0) - delta0)
-    if residual > _CONSISTENCY_TOL:
+    if not residual <= _CONSISTENCY_TOL:
         raise StructuralError(
             f"initial-value defect {residual:.3e} exceeds {_CONSISTENCY_TOL:.0e}"
         )

@@ -63,6 +63,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .classical import (
     _cleared_parts,
@@ -70,7 +71,7 @@ from .classical import (
 )
 from .errors import ConditioningError, InputError, StructuralError
 from .model import ExpPoisson, ModelSpec
-from .polyexp import ExpSum, Polynomial, RootSet, poly_roots
+from .polyexp import ExpSum, RootSet, poly_roots
 
 __all__ = ["ChiSolution", "chi_characteristic", "solve_chi", "chi", "xi"]
 

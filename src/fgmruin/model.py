@@ -13,9 +13,8 @@ theta correction built from the auxiliary densities
 
     h(x) = f_X(x) (1 - 2 F_X(x)),    k(t) = f_W(t) (1 - 2 F_W(t)).
 
-Laplace transforms of f_X and h are exposed both as point evaluations and
-as exact rational functions; the rational form is what the solvers build
-their cleared transforms from.
+Laplace transforms of f_X and h are exposed as point evaluations; the
+solvers clear them into polynomial coefficient arrays of their own.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Union
 import numpy as np
 
 from .errors import ConditioningError, InputError, LoadingError
-from .polyexp import Polynomial, RationalFn
 
 __all__ = [
     "FgmParam",
@@ -43,8 +41,6 @@ __all__ = [
     "k_aux",
     "f_tilde",
     "h_tilde",
-    "f_tilde_rational",
-    "h_tilde_rational",
     "conditional_grade",
     "sample_pairs",
 ]
@@ -321,19 +317,6 @@ def h_tilde(s, claim: ExpClaim):
         raise InputError("transform pole: s in {-alpha, -2 alpha}")
     out = 2.0 * a / (2.0 * a + s) - a / (a + s)
     return complex(out) if out.ndim == 0 else out
-
-
-def f_tilde_rational(claim: ExpClaim) -> RationalFn:
-    """Exact rational form alpha / (alpha + s)."""
-    a = claim.alpha
-    return RationalFn(Polynomial((a,)), Polynomial((a, 1.0)))
-
-
-def h_tilde_rational(claim: ExpClaim) -> RationalFn:
-    """Exact rational form alpha s / ((alpha + s)(2 alpha + s))."""
-    a = claim.alpha
-    den = Polynomial((a, 1.0)) * Polynomial((2.0 * a, 1.0))
-    return RationalFn(Polynomial((0.0, a)), den)
 
 
 def conditional_grade(p, a):

@@ -1,11 +1,11 @@
-"""Polynomial algebra, rational functions, and exponential-sum inversion.
+"""Rational functions and exponential-sum inversion.
 
 The survival solvers work with Laplace transforms that are rational in s
 after clearing denominators.  The solvers keep them as arrays of ascending
-coefficients from assembly to elimination; ``Polynomial`` is the type the
-public transform functions return.  This module supplies the shared machinery:
+coefficients from assembly to elimination; the public transform functions
+return them as ``numpy.polynomial.Polynomial``.  This module supplies the
+shared machinery:
 
-* ``Polynomial``: dense real polynomials with ascending coefficients.
 * ``RationalFn`` and ``ParametricRational``: ratios of polynomials, the
   latter with a numerator that is affine in one scalar parameter.
 * ``poly_roots``: simple roots only, as arrays in a ``RootSet``.  The exact
@@ -26,10 +26,10 @@ public transform functions return.  This module supplies the shared machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import (
     ConditioningError,
@@ -39,16 +39,13 @@ from .errors import (
 )
 
 __all__ = [
-    "Polynomial",
     "RationalFn",
     "ParametricRational",
-    "RootClass",
     "RootSet",
     "poly_roots",
     "partial_fractions",
     "ExpSum",
     "expsum_eval",
-    "invert_rational",
     "Elimination",
     "eliminate_growing",
 ]
@@ -80,55 +77,6 @@ RESIDUE_DROP_REL = 1e-8
 _SYSTEM_TOL = 1e-8
 _REALNESS_TOL = 1e-7
 _DEGENERATE_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial with ascending coefficients c[0] + c[1] s + ...
-
-    Trailing zero coefficients are stripped at construction so that the
-    leading coefficient is nonzero for any nonzero polynomial.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __init__(self, coeffs: Iterable[float]):
-        cs = [float(c) for c in coeffs]
-        if not cs:
-            raise InputError("polynomial needs at least one coefficient")
-        while len(cs) > 1 and cs[-1] == 0.0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
-
-    def __call__(self, s):
-        # np.polyval's Horner loop, without converting the coefficients.
-        x = np.asanyarray(s)
-        y = np.zeros_like(x)
-        for c in reversed(self.coeffs):
-            y = y * x + c
-        return y
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n)
-        a[: len(self.coeffs)] += self.coeffs
-        a[: len(other.coeffs)] += other.coeffs
-        return Polynomial(a)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
-        return Polynomial(np.asarray(self.coeffs) * float(other))
-
-    __rmul__ = __mul__
 
 
 def shifted_zero_constant(c: np.ndarray) -> np.ndarray:
@@ -164,14 +112,6 @@ def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-class RootClass(Enum):
-    """Sign-of-real-part classification of a transform pole."""
-
-    ZERO = "zero"
-    DECAYING = "decaying"
-    GROWING = "growing"
-
-
 @dataclass(frozen=True, eq=False)
 class RootSet:
     """Simple roots of a real polynomial as arrays, with their classes.
@@ -194,16 +134,8 @@ class RootSet:
     growing: np.ndarray
     source_degree: int
 
-    def values(self, klass: RootClass | None = None) -> list[complex]:
-        if klass is None:
-            return self.poles.tolist()
-        if klass is RootClass.ZERO:
-            mask = self.zero
-        elif klass is RootClass.GROWING:
-            mask = self.growing
-        else:
-            mask = ~(self.zero | self.growing)
-        return self.poles[mask].tolist()
+    def values(self) -> list[complex]:
+        return self.poles.tolist()
 
     @property
     def max_multiplicity(self) -> int:
@@ -214,10 +146,10 @@ class RootSet:
 def poly_roots(p) -> RootSet:
     """Simple roots with their classes.
 
-    p is a Polynomial or an array of ascending coefficients, the last one
-    nonzero.  One exact zero low-order coefficient gives the zero root by
-    construction and is divided out, so small nonzero roots are never
-    confused with it.  The quotient's roots are the eigenvalues of its
+    p is a numpy Polynomial or an array of ascending coefficients, the
+    last one nonzero.  One exact zero low-order coefficient gives the zero
+    root by construction and is divided out, so small nonzero roots are
+    never confused with it.  The quotient's roots are the eigenvalues of its
     companion matrix, built as ``np.roots`` builds it.  LAPACK's real
     eigensolver returns each complex pair as (wr + i wi, wr - i wi) with
     wi > 0: consecutive and exactly conjugate, up to the sign of a zero
@@ -237,7 +169,7 @@ def poly_roots(p) -> RootSet:
         StructuralError: If a non-real eigenvalue is not followed by its
             exact conjugate.
     """
-    c = np.asarray(p.coeffs if isinstance(p, Polynomial) else p, dtype=float)
+    c = np.asarray(p.coef if isinstance(p, Polynomial) else p, dtype=float)
     if len(c) < 2 or c[-1] == 0.0:
         raise InputError("root finding needs degree >= 1, leading coefficient != 0")
     if not np.isfinite(c).all():
@@ -285,7 +217,7 @@ class RationalFn:
     den: Polynomial
 
     def __post_init__(self):
-        if self.den.is_zero:
+        if not self.den.coef.any():
             raise InputError("rational function needs a nonzero denominator")
 
     def __call__(self, s):
@@ -321,12 +253,12 @@ def partial_fractions(
     the order of ``roots.poles``.  ``poly_roots`` returns simple roots only,
     so a repeated pole raises there.
     """
-    if f.num.degree >= f.den.degree:
+    if f.num.degree() >= f.den.degree():
         raise InputError("partial fractions require deg(num) < deg(den)")
     if roots is None:
         roots = poly_roots(f.den)
     poles = roots.poles
-    residues = f.num(poles) / Polynomial(_derivative(f.den.coeffs))(poles)
+    residues = f.num(poles) / f.den.deriv()(poles)
     return tuple((complex(p), complex(r)) for p, r in zip(poles, residues))
 
 
@@ -404,18 +336,6 @@ def _collect(
     return constant, terms
 
 
-def invert_rational(f: RationalFn, roots: RootSet | None = None) -> ExpSum:
-    """Inverse Laplace transform of a strictly proper simple-pole rational.
-
-    Poles classified as zero feed the constant; every other pole with a
-    nonzero residue carries a coef * exp(pole * u) term.
-    """
-    if roots is None:
-        roots = poly_roots(f.den)
-    residues = np.array([r for _, r in partial_fractions(f, roots)], dtype=complex)
-    return ExpSum(*_collect(roots.poles, residues, roots.zero, 0.0))
-
-
 @dataclass(frozen=True)
 class Elimination:
     """Numerator weights that cancel the growing poles, and what they leave.
@@ -447,12 +367,12 @@ class Elimination:
         max(1, scale), and the constant, the limit at infinity, within
         ``constant_tol`` of 1.
         """
-        if self.growing_defect > growing_tol * max(1.0, self.scale):
+        if not self.growing_defect <= growing_tol * max(1.0, self.scale):
             raise StructuralError(
                 f"growing residue {self.growing_defect:.3e} survived "
                 f"elimination (gate {growing_tol:.0e})"
             )
-        if abs(self.constant - 1.0) > constant_tol:
+        if not abs(self.constant - 1.0) <= constant_tol:
             raise StructuralError(
                 f"zero-pole residue {self.constant!r} differs from 1 "
                 f"(gate {constant_tol:.0e})"
@@ -476,9 +396,9 @@ def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
     x_scale = max(1.0, float(np.max(np.abs(x))))
     residual = float(np.max(np.abs(rows @ x - rhs)))
-    if residual > _SYSTEM_TOL * x_scale:
+    if not residual <= _SYSTEM_TOL * x_scale:
         raise StructuralError(f"elimination system left residual {residual:.3e}")
-    if float(np.max(np.abs(x.imag))) > _REALNESS_TOL * x_scale:
+    if not float(np.max(np.abs(x.imag))) <= _REALNESS_TOL * x_scale:
         raise StructuralError("elimination weights are not real")
     return x.real
 

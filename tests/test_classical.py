@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
@@ -22,7 +23,7 @@ from fgmruin.model import (
     f_tilde,
     h_tilde,
 )
-from fgmruin.polyexp import Polynomial, expsum_eval, partial_fractions, poly_roots
+from fgmruin.polyexp import expsum_eval, partial_fractions, poly_roots
 
 EXAMPLE = dict(c=1.5, alpha=1.0, lam=1.0)
 
@@ -107,7 +108,7 @@ class TestTransform:
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_denominator_degree(self):
-        assert classical_lt(_model(0.7)).den.degree == 4
+        assert classical_lt(_model(0.7)).den.degree() == 4
 
     def test_zero_root_present(self):
         rs = poly_roots(classical_lt(_model(0.3)).den)
@@ -137,7 +138,7 @@ class TestBoundaryValue:
         m = _model(-0.5)
         lt = classical_lt(m)
         rs = poly_roots(lt.den)
-        dden = np.polyder(lt.den.coeffs[::-1])
+        dden = np.polyder(lt.den.coef[::-1])
         expected = {
             -0.2976: (-0.5747, -0.3848),
             -2.1148: (0.0042, 0.0200),
@@ -216,6 +217,13 @@ class TestSurvivalFunction:
         u = np.array([0.0, 1.0, 5.0])
         assert np.allclose(sol(u), expsum_eval(sol.phi, u))
         assert sol(0.0) == pytest.approx(sol.phi0, abs=1e-12)
+
+    @pytest.mark.parametrize("u", [-1.0, -1e-300, np.nan, [0.0, 1.0, -2.0]])
+    def test_rejects_negative_or_nan_surplus(self, u):
+        # At theta = 0 the exponential sum reads 0.0696 at u = -1.
+        sol = survival_classical(_model(0.0))
+        with pytest.raises(InputError, match="u >= 0"):
+            sol(u)
 
 
 @given(

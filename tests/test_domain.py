@@ -28,11 +28,12 @@ from fgmruin import (
     ModelSpec,
     chi_characteristic,
     classical_lt,
+    erlang_lt,
     solve_chi,
     survival_classical,
     survival_erlang2,
 )
-from fgmruin.polyexp import RootClass, poly_roots
+from fgmruin.polyexp import partial_fractions, poly_roots
 
 # Roundoff slack for probability bounds, monotonicity and chi(b, b) = 1.
 SHAPE_TOL = 1e-9
@@ -48,6 +49,10 @@ DELTA0_REL_TOL = 1e-6
 # 3.4e-8 off the 60-digit reference at theta = 2e-9 while delta(0+) is
 # within 1.4e-13, and up to 1.9e-7 off delta(0+) on a 4000-model sweep.
 WIDE_DELTA0_ORIGIN_TOL = 1e-6
+# |public residue - solver term coefficient| relative to the largest
+# residue: the two paths round the same sums in a different order.  On
+# 6000 random models per solver the worst was 1.0e-15.
+TRANSFORM_PATH_TOL = 1e-14
 # |candidate - phi(0)| / max(1, phi(0)) for every growing root's candidate:
 # the elimination's 1e-8 residual gate plus its 1e-7 realness gate.
 CANDIDATE_TOL = 1.1e-7
@@ -182,14 +187,15 @@ def test_small_decaying_root_is_kept_apart_from_zero():
     params = (1.000001, 1.0, 1.0, -0.5)
     roots = poly_roots(classical_lt(_spec(*params)).den)
     assert roots.max_multiplicity == 1
-    assert roots.values(RootClass.ZERO) == [0.0]
+    assert roots.poles[roots.zero].tolist() == [0.0]
     with mpmath.workdps(60):
         want = min(
             (r for r in _reference_roots(*params) if mpmath.re(r) < 0),
             key=lambda r: abs(r),
         )
         want = complex(want)
-    (small,) = [v for v in roots.values(RootClass.DECAYING) if abs(v) < 1e-3]
+    decaying = roots.poles[~(roots.zero | roots.growing)]
+    (small,) = [v for v in decaying.tolist() if abs(v) < 1e-3]
     assert small.real == pytest.approx(-8.89e-7, rel=1e-3)
     assert abs(small - want) <= PHI0_REL_TOL * abs(want)
 
@@ -313,3 +319,51 @@ def test_erlang_basis_overflow_raises_conditioning_error():
             warnings.simplefilter("error")
             with pytest.raises(ConditioningError, match="overflow"):
                 survival_erlang2(model, elimination=elimination)
+
+
+def _random_models(n, seed):
+    """Poisson and Erlang models with rates log-uniform on [0.2, 5],
+    loading 10**U[-2, 2] and theta uniform on [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    alpha, lam, beta = np.exp(rng.uniform(*LOG_RATE, (3, n)))
+    loading = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    theta = rng.uniform(-1.0, 1.0, n)
+    for a, la, be, ld, th in zip(alpha, lam, beta, loading, theta):
+        poisson = ModelSpec((1.0 + ld) * la / a, ExpClaim(a), ExpPoisson(la),
+                            FgmParam(th))
+        erlang = ModelSpec((1.0 + ld) * 0.5 * be / a, ExpClaim(a), Erlang2(be),
+                           FgmParam(th))
+        yield poisson, erlang
+
+
+def _assert_transform_matches_terms(lt, param, terms):
+    """The public transform's residues at the decaying poles are the terms."""
+    f = lt.with_param(param)
+    roots = poly_roots(f.den)
+    residues = dict(partial_fractions(f, roots))
+    scale = max(abs(r) for r in residues.values())
+    upper = [p for p in roots.poles[~(roots.zero | roots.growing)].tolist()
+             if p.imag >= 0.0]
+    matched = set()
+    for coef, rate in terms:
+        pole = min(upper, key=lambda p: abs(p - rate))
+        matched.add(pole)
+        assert abs(residues[pole] - coef) <= TRANSFORM_PATH_TOL * scale
+    for pole in set(upper) - matched:
+        # The solver drops residues at most 1e-8 of its largest one.
+        assert abs(residues[pole]) <= 2e-8 * scale
+
+
+def test_public_transforms_match_solver_terms():
+    """classical_lt and erlang_lt invert to the solvers' decaying terms.
+
+    erlang_lt encodes the POOLED numerator, so it is checked against the
+    POOLED solution.
+    """
+    for poisson, erlang in _random_models(400, 18):
+        sol = survival_classical(poisson)
+        _assert_transform_matches_terms(classical_lt(poisson), sol.phi0,
+                                        sol.phi.terms)
+        sol = survival_erlang2(erlang, elimination=GrowthElimination.POOLED)
+        _assert_transform_matches_terms(erlang_lt(erlang), sol.delta0,
+                                        sol.delta.terms)

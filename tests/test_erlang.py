@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from test_domain import _check_shape
@@ -20,7 +21,7 @@ from fgmruin.erlang import (
 )
 from fgmruin.errors import InputError, StructuralError
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
-from fgmruin.polyexp import Polynomial, RationalFn, RootClass, poly_roots
+from fgmruin.polyexp import RationalFn, poly_roots
 
 INDIVIDUAL = GrowthElimination.INDIVIDUAL
 POOLED = GrowthElimination.POOLED
@@ -111,17 +112,17 @@ class TestTransform:
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_denominator_degree_seven_with_dependence(self):
-        assert erlang_lt(_model(0.5)).den.degree == 7
+        assert erlang_lt(_model(0.5)).den.degree() == 7
 
     def test_denominator_degree_three_at_independence(self):
-        assert erlang_lt(_model(0.0)).den.degree == 3
+        assert erlang_lt(_model(0.0)).den.degree() == 3
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_root_structure(self, theta):
         rs = poly_roots(erlang_lt(_model(theta)).den)
-        assert len(rs.values(RootClass.ZERO)) == 1
-        assert len(rs.values(RootClass.GROWING)) == 4
-        assert len(rs.values(RootClass.DECAYING)) == 2
+        assert np.count_nonzero(rs.zero) == 1
+        assert np.count_nonzero(rs.growing) == 4
+        assert np.count_nonzero(~(rs.zero | rs.growing)) == 2
 
     def test_full_root_set_strong_negative_dependence(self):
         """All seven denominator roots at theta = -1 match the pinned set."""
@@ -240,6 +241,14 @@ class TestSolution:
         sol = survival_erlang2(_model(-1.0), elimination=POOLED)
         assert sol.elimination is POOLED
         assert sol.boundary_constants is None
+
+    @pytest.mark.parametrize("elimination", [INDIVIDUAL, POOLED])
+    @pytest.mark.parametrize("u", [-3.0, -1e-300, np.nan, [0.0, 1.0, -2.0]])
+    def test_rejects_negative_or_nan_surplus(self, u, elimination):
+        # At theta = 0.5 the exponential sum reads -5.34 at u = -3.
+        sol = survival_erlang2(_model(0.5), elimination=elimination)
+        with pytest.raises(InputError, match="u >= 0"):
+            sol(u)
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_monotone_and_bounded(self, theta):

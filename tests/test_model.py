@@ -14,12 +14,10 @@ from fgmruin.model import (
     ModelSpec,
     conditional_grade,
     f_tilde,
-    f_tilde_rational,
     fgm_cdf,
     fgm_density,
     h_aux,
     h_tilde,
-    h_tilde_rational,
     joint_density,
     k_aux,
     sample_pairs,
@@ -296,14 +294,6 @@ class TestTransforms:
             h_tilde(-1.0, claim)
         with pytest.raises(InputError):
             h_tilde(-2.0, claim)
-
-    def test_rational_forms_agree_pointwise(self):
-        claim = ExpClaim(1.7)
-        fr = f_tilde_rational(claim)
-        hr = h_tilde_rational(claim)
-        for s in (0.3, 2.0, 1.0 + 1.0j, -0.4 + 2.0j):
-            assert np.isclose(fr(s), f_tilde(s, claim), rtol=1e-13)
-            assert np.isclose(hr(s), h_tilde(s, claim), rtol=1e-13)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
