@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import InputError, StructuralError
+from .errors import InputError
 from .model import ExpPoisson, ModelSpec
 from .polyexp import (
     RESIDUE_DROP_REL,
@@ -110,24 +110,16 @@ class ClassicalSolution:
 
 
 def _eliminate(model: ModelSpec):
-    """Roots, growing-root elimination and per-root phi(0) candidates.
-
-    The numerator weight of num_const is fixed at 1 and the weight of
-    num_slope, phi(0), is the unknown; each growing root g alone demands
-    -num_const(g)/num_slope(g), and the elimination's residual gate, which
-    measures each row's distance from its candidate, makes them agree.
-    """
+    """Roots and the elimination: num_const's weight is 1, phi(0) the unknown."""
     den, num_const, num_slope = _cleared_parts(model)
     roots = poly_roots(den)
-    elim = eliminate_growing(den, roots, coeff_rows(num_slope, num_const), (None, 1.0))
-    phi0 = float(elim.weights[0])
-    slope, const = elim.growing_values
-    return roots, elim, phi0, tuple(complex(c) for c in -const / slope)
+    return roots, eliminate_growing(den, roots, coeff_rows(num_slope, num_const),
+                                    (None, 1.0))
 
 
 def solve_phi0(model: ModelSpec) -> float:
     """Survival probability at zero surplus, via growing-root elimination."""
-    return _eliminate(model)[2]
+    return float(_eliminate(model)[1].weights[0])
 
 
 def survival_classical(model: ModelSpec) -> ClassicalSolution:
@@ -138,8 +130,7 @@ def survival_classical(model: ModelSpec) -> ClassicalSolution:
         StructuralError: If root elimination or inversion fails one of the
             internal consistency gates.
     """
-    roots, elim, phi0, cands = _eliminate(model)
-    if not (0.0 < phi0 < 1.0):
-        raise StructuralError(f"survival at zero fell outside (0, 1): {phi0!r}")
+    roots, elim = _eliminate(model)
     phi = elim.survival(RESIDUE_DROP_REL, _CONSTANT_TOL)
-    return ClassicalSolution(model, phi0, phi, roots, cands)
+    return ClassicalSolution(model, float(elim.weights[0]), phi, roots,
+                             elim.candidates(1.0))

@@ -202,23 +202,15 @@ def erlang_lt(
 def _build(
     model: ModelSpec, variant: SignVariant, elimination: GrowthElimination
 ):
-    """Roots, elimination and per-root delta(0) candidates.
-
-    The candidates are the delta(0) each growing root demands alone with w
-    frozen at its independence value and no quadratic bracket; they are
-    mutually inconsistent whenever theta != 0, and their spread measures
-    the pooled-mode bias.
-    """
+    """Roots and growing-root elimination."""
     den, basis = _cleared_parts(model, variant)
     roots = poly_roots(den)
-    w0 = _independence_w(model)
     if elimination is GrowthElimination.POOLED:
+        w0 = _independence_w(model)
         elim = eliminate_growing(den, roots, basis[:2], (None, w0), pooled=True)
     else:
         elim = eliminate_growing(den, roots, basis, (None,) * len(basis))
-    slope, const = elim.growing_values[:2]
-    cands = tuple(complex(-w0 * b / a) for a, b in zip(slope, const) if a != 0)
-    return roots, elim, cands
+    return roots, elim
 
 
 def solve_delta0(
@@ -233,10 +225,10 @@ def solve_delta0(
     applied here, so under POOLED elimination even the inconsistent sign
     variant yields a candidate value for comparison reports.  INDIVIDUAL
     elimination can still raise StructuralError when its linear system
-    is unsolvable, which happens for the inconsistent variant at some
-    theta (more growing roots than boundary unknowns).
+    is unsolvable, as for the inconsistent variant at some theta < 0: six
+    equations for five unknowns, refused by name before any solve.
     """
-    _, elim, _ = _build(model, variant, elimination)
+    _, elim = _build(model, variant, elimination)
     delta0 = float(elim.weights[0])
     return delta0, abs(ExpSum(elim.constant, elim.terms)(0.0) - delta0)
 
@@ -295,11 +287,9 @@ def survival_erlang2(
             both variants assemble cleanly and sign_variant_report is
             the arbiter between them.
     """
-    roots, elim, cands = _build(model, variant, elimination)
-    delta0 = float(elim.weights[0])
-    if not (0.0 < delta0 < 1.0):
-        raise StructuralError(f"survival at zero fell outside (0, 1): {delta0!r}")
+    roots, elim = _build(model, variant, elimination)
     delta = elim.survival(_AGGREGATE_TOL, _CONSTANT_TOL)
+    delta0 = float(elim.weights[0])
     residual = abs(delta(0.0) - delta0)
     if not residual <= _CONSISTENCY_TOL:
         raise StructuralError(
@@ -308,6 +298,9 @@ def survival_erlang2(
     boundary = None
     if elimination is GrowthElimination.INDIVIDUAL:
         boundary = tuple(float(v) for v in elim.weights[1:])
+    # Each growing root's demand with w frozen at its independence value and
+    # no quadratic bracket; their spread measures the pooled-mode bias.
+    cands = elim.candidates(_independence_w(model))
     return ErlangSolution(
         model, variant, elimination, delta0, delta, roots, cands, boundary, residual
     )

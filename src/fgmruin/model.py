@@ -89,7 +89,7 @@ class ExpClaim:
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
-        if np.any((q < 0.0) | (q >= 1.0)):
+        if not np.all((q >= 0.0) & (q < 1.0)):
             raise InputError("claim quantile needs q in [0, 1)")
         out = -np.log1p(-q) / self.alpha
         return float(out) if out.ndim == 0 else out
@@ -121,7 +121,7 @@ class ExpPoisson:
 
     def ppf(self, v):
         v = np.asarray(v, dtype=float)
-        if np.any((v < 0.0) | (v >= 1.0)):
+        if not np.all((v >= 0.0) & (v < 1.0)):
             raise InputError("arrival quantile needs v in [0, 1)")
         out = -np.log1p(-v) / self.lam
         return float(out) if out.ndim == 0 else out
@@ -185,16 +185,16 @@ class Erlang2:
         ``cdf``.
 
         Raises:
-            InputError: If v lies outside [0, 1).
+            InputError: If v lies outside [0, 1) or is NaN.
             ConditioningError: If F(t) misses v by more than 1e-12.
         """
         scalar = np.isscalar(v) or np.asarray(v).ndim == 0
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        if np.any((v < 0.0) | (v >= 1.0)):
+        if not np.all((v >= 0.0) & (v < 1.0)):
             raise InputError("arrival quantile needs v in [0, 1)")
         t = _erlang2_z_from_y(-np.log1p(-v)) / self.beta
         resid = float(np.max(np.abs(self.cdf(t) - v), initial=0.0))
-        if resid > _ERLANG_PPF_TOL:
+        if not resid <= _ERLANG_PPF_TOL:
             raise ConditioningError(f"Erlang(2) quantile misses its cdf by {resid:.3e}")
         return float(t[0]) if scalar else t
 
@@ -239,7 +239,7 @@ def fgm_cdf(u, v, theta: Union[float, FgmParam]):
     th = _theta_of(theta)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0)) or np.any((v < 0.0) | (v > 1.0)):
+    if not (np.all((u >= 0.0) & (u <= 1.0)) and np.all((v >= 0.0) & (v <= 1.0))):
         raise InputError("copula arguments must lie in [0, 1]")
     out = u * v * (1.0 + th * (1.0 - u) * (1.0 - v))
     return float(out) if out.ndim == 0 else out
@@ -250,7 +250,7 @@ def fgm_density(u, v, theta: Union[float, FgmParam]):
     th = _theta_of(theta)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0)) or np.any((v < 0.0) | (v > 1.0)):
+    if not (np.all((u >= 0.0) & (u <= 1.0)) and np.all((v >= 0.0) & (v <= 1.0))):
         raise InputError("copula arguments must lie in [0, 1]")
     out = 1.0 + th * (1.0 - 2.0 * u) * (1.0 - 2.0 * v)
     return float(out) if out.ndim == 0 else out
@@ -264,7 +264,7 @@ def joint_density(x, t, model: ModelSpec):
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(x < 0.0) or np.any(t < 0.0):
+    if not (np.all(x >= 0.0) and np.all(t >= 0.0)):
         raise InputError("joint density arguments must be nonnegative")
     fx = model.claim.pdf(x)
     fw = model.arrival.pdf(t)

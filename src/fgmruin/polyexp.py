@@ -19,8 +19,9 @@ shared machinery:
   resulting inverse transform, a real constant plus one exponential per
   real pole or conjugate pair, the pair stored once by its upper member.
 * ``eliminate_growing``: the step every solver shares after root finding;
-  it picks the numerator weights that cancel the growing poles and collects
-  the remaining residues into the constant and decaying terms.
+  it solves a square system for the numerator weights that cancel the
+  growing poles and collects the remaining residues into the constant and
+  decaying terms.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import (
     ConditioningError,
@@ -97,21 +99,6 @@ def coeff_rows(*coeffs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _derivative(c: np.ndarray) -> np.ndarray:
-    return c[1:] * np.arange(1, len(c))
-
-
-# Roots of huge modulus overflow the powers, which eliminate_growing refuses
-# with ConditioningError; the numpy warnings on the way would say nothing more.
-@np.errstate(over="ignore", invalid="ignore")
-def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """All rows at every x in one Horner loop; top zero padding changes no value."""
-    y = np.zeros((len(rows), len(x)), dtype=x.dtype)
-    for col in rows.T[::-1, :, None]:
-        y = y * x + col
-    return y
-
-
 @dataclass(frozen=True, eq=False)
 class RootSet:
     """Simple roots of a real polynomial as arrays, with their classes.
@@ -126,13 +113,11 @@ class RootSet:
         zero: Mask of the exact zero root.
         growing: Mask of the roots that do not decay; the rest of the
             nonzero roots decay.
-        source_degree: Degree of the polynomial the roots came from.
     """
 
     poles: np.ndarray
     zero: np.ndarray
     growing: np.ndarray
-    source_degree: int
 
     def values(self) -> list[complex]:
         return self.poles.tolist()
@@ -206,7 +191,7 @@ def poly_roots(p) -> RootSet:
     growing = poles.real >= -_DECAY_REL * np.abs(poles)
     zero = np.arange(len(poles)) < k
     growing[:k] = False
-    return RootSet(poles, zero, growing, len(c) - 1)
+    return RootSet(poles, zero, growing)
 
 
 @dataclass(frozen=True)
@@ -361,12 +346,16 @@ class Elimination:
     scale: float
 
     def survival(self, growing_tol: float, constant_tol: float) -> ExpSum:
-        """The inverted survival function, after its two gates.
+        """The inverted survival function, after its three gates.
 
-        The growing defect must stay within ``growing_tol`` times
+        The first weight, the survival probability at zero, must lie in
+        (0, 1), the growing defect within ``growing_tol`` times
         max(1, scale), and the constant, the limit at infinity, within
         ``constant_tol`` of 1.
         """
+        w = float(self.weights[0])
+        if not 0.0 < w < 1.0:
+            raise StructuralError(f"survival at zero fell outside (0, 1): {w!r}")
         if not self.growing_defect <= growing_tol * max(1.0, self.scale):
             raise StructuralError(
                 f"growing residue {self.growing_defect:.3e} survived "
@@ -379,21 +368,29 @@ class Elimination:
             )
         return ExpSum(self.constant, self.terms)
 
+    def candidates(self, w: float) -> tuple[complex, ...]:
+        """The first weight each growing root demands alone, the second fixed at w.
+
+        A root where the first basis polynomial vanishes is skipped.
+        """
+        slope, const = self.growing_values[:2]
+        return tuple(complex(-w * b / a) for a, b in zip(slope, const) if a != 0)
+
 
 def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Real solution of an equilibrated system under the residual gate."""
+    """Real solution of a square equilibrated system under the residual gate."""
+    if rows.shape[0] != rows.shape[1]:
+        raise StructuralError(f"{rows.shape[0]} elimination equations for "
+                              f"{rows.shape[1]} unknown weights")
     row_scale = np.max(np.abs(rows), axis=1)
     if np.any(row_scale <= _DEGENERATE_REL * np.maximum(row_scale, np.abs(rhs))):
         raise StructuralError("degenerate elimination row")
     rows = rows / row_scale[:, None]
     rhs = rhs / row_scale
-    if rows.shape[0] == rows.shape[1]:
-        try:
-            x = np.linalg.solve(rows, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StructuralError(f"elimination system is singular: {exc}") from exc
-    else:
-        x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+    try:
+        x = np.linalg.solve(rows, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise StructuralError(f"elimination system is singular: {exc}") from exc
     x_scale = max(1.0, float(np.max(np.abs(x))))
     residual = float(np.max(np.abs(rows @ x - rhs)))
     if not residual <= _SYSTEM_TOL * x_scale:
@@ -419,21 +416,24 @@ def eliminate_growing(
     residues sum to zero).  A zero-pole residue of 1, the survival
     function's limit, joins the equations when it involves an unknown
     weight; otherwise the solution's constant is left for the caller to
-    check.  D' and the basis rows are evaluated at all roots in one stacked
-    Horner loop, the equilibrated system is solved exactly when square and
-    by least squares otherwise, and the residues of the solved numerator
-    are collected in one pass.  ``roots`` are those of ``poly_roots(den)``.
+    check.  D' and the basis rows are evaluated at all roots in one
+    ``polyval`` call, the equilibrated square system is solved exactly, and
+    the residues of the solved numerator are collected in one pass.
+    ``roots`` are those of ``poly_roots(den)``.
 
     Raises:
         ConditioningError: If a basis row or D' overflows at a root.
-        StructuralError: If there is no growing root, or the system is
-            degenerate, singular, leaves a residual above 1e-8 or has a
-            solution that is not real to 1e-7.
+        StructuralError: If there is no growing root, or the system is not
+            square, degenerate or singular, leaves a residual above 1e-8
+            or has a solution that is not real to 1e-7.
     """
     poles, zero, growing = roots.poles, roots.zero, roots.growing
     if not growing.any():
         raise StructuralError("no growing denominator root to eliminate")
-    at_roots = _horner(coeff_rows(*basis, _derivative(den)), poles)
+    # Roots of huge modulus overflow the powers, which the finiteness check
+    # refuses; the numpy warnings on the way would say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_roots = polyval(poles, coeff_rows(*basis, polyder(den)).T)
     if not np.isfinite(at_roots).all():
         raise ConditioningError("basis values at the roots overflow")
     basis_at_roots = at_roots[:-1]

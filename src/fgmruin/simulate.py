@@ -417,15 +417,12 @@ class _Tilt:
     coef: np.ndarray  # (J, categories): coefficient j of every category
     claims: float  # predicted mean claims of a path to ruin from the largest u
 
-    def steps(self, rng: np.random.Generator, n: int,
-              work: _Workspace | None = None) -> np.ndarray:
+    def steps(self, rng: np.random.Generator, n: int, work: _Workspace) -> np.ndarray:
         """n tilted steps c w - x: a category from one uniform, then J exponentials.
 
-        The steps are drawn into ``work`` (a fresh workspace when None) and
-        returned as a view of its first n step entries.
+        The steps are drawn into ``work`` and returned as a view of its
+        first n step entries.
         """
-        if work is None:
-            work = _Workspace(n)
         u = rng.random(out=work.uniform[:n])
         # A sum of comparisons beats np.searchsorted on a handful of cuts,
         # and a uint8 sum beats an intp one (there are at most 14
@@ -526,19 +523,16 @@ def _top_passages(steps: np.ndarray, level: float, R: float):
 
 
 def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
-                      block: int, work: _Workspace | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      block: int, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Per level, sum and sum of squares of e^{R post} over tilted paths.
 
     ``levels`` are the initial surpluses u_j in ascending order.  Every path
     walks V, the surplus gained from zero, and its first passage below -u_j
     is ruin from u_j, with post = u_j + V there.  A path retires once it
     passes the largest level; with one level, that is the whole pass.  The
-    rounds draw into ``work``, a fresh workspace when None.
+    rounds draw into ``work``, of at least size + _ROUND_STEPS entries.
     """
     rng = _block_rng(seed, block)
-    if work is None:
-        work = _Workspace(size + _ROUND_STEPS)
     top = levels.size - 1
     total = np.zeros(levels.size)
     total_sq = np.zeros(levels.size)

@@ -279,6 +279,22 @@ class TestSolution:
         want = complex(fraction(s)).real
         assert got == pytest.approx(want, rel=1e-7)
 
+    def test_single_candidate_at_independence(self):
+        sol = survival_erlang2(_model(0.0))
+        (cand,) = sol.delta0_candidates
+        assert abs(cand - sol.delta0) <= 4.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("theta", [0.5, -1.0])
+    def test_candidates_come_in_conjugate_pairs(self, theta):
+        # Four growing roots, one candidate each; conjugate roots demand
+        # conjugate values, and the candidates do not depend on the mode.
+        cands = survival_erlang2(_model(theta)).delta0_candidates
+        assert len(cands) == 4
+        np.testing.assert_allclose(np.sort_complex(cands),
+                                   np.sort_complex(np.conj(cands)), rtol=1e-15)
+        pooled = survival_erlang2(_model(theta), elimination=POOLED)
+        assert pooled.delta0_candidates == cands
+
 
     def test_decaying_pair_stored_once(self):
         """A decaying conjugate pair enters delta once, by its upper member.
@@ -316,7 +332,7 @@ class TestSignVariants:
     def test_flipped_variant_unsolvable_exactly_at_negative_theta(self):
         # Five growing roots against four boundary unknowns: the exact
         # system is genuinely overdetermined there.
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="elimination equations for"):
             solve_delta0(_model(-1.0), variant=MINUS, elimination=INDIVIDUAL)
 
     def test_flipped_variant_builds_at_positive_theta(self):

@@ -246,6 +246,22 @@ class TestJointDensity:
             joint_density(1.0, -0.1, m)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ExpClaim(1.0).ppf(np.nan),
+    lambda: ExpPoisson(1.0).ppf(np.nan),
+    lambda: Erlang2(2.0).ppf(np.nan),
+    lambda: fgm_cdf(np.nan, 0.5, 0.5),
+    lambda: fgm_density(0.5, np.nan, 0.5),
+    lambda: joint_density(np.nan, 1.0, _poisson_model(0.5)),
+], ids=["claim-ppf", "poisson-ppf", "erlang-ppf", "fgm-cdf", "fgm-density",
+        "joint-density"])
+def test_nan_argument_rejected(call):
+    # NaN fails every comparison, so a domain check written as "any out of
+    # range" lets it through; each check must ask for all in range.
+    with pytest.raises(InputError):
+        call()
+
+
 class TestAuxiliaries:
     def test_h_aux_values(self):
         claim = ExpClaim(1.0)

@@ -429,8 +429,16 @@ class TestNanGates:
         (math.nan, 0.0), (1.0, math.nan), (math.nan, math.nan),
     ])
     def test_elimination_survival_refuses_nan(self, constant, defect):
-        elim = Elimination(np.ones(1), np.ones((1, 1)), constant, (), defect, 1.0)
-        with pytest.raises(StructuralError):
+        # The growing gate comes before the constant gate.
+        gate = "growing residue" if math.isnan(defect) else "zero-pole residue"
+        elim = Elimination(np.full(1, 0.5), np.ones((1, 1)), constant, (), defect, 1.0)
+        with pytest.raises(StructuralError, match=gate):
+            elim.survival(1e-8, 1e-8)
+
+    @pytest.mark.parametrize("weight", [math.nan, 1.0])
+    def test_elimination_survival_refuses_weight_outside_unit_interval(self, weight):
+        elim = Elimination(np.full(1, weight), np.ones((1, 1)), 1.0, (), 0.0, 1.0)
+        with pytest.raises(StructuralError, match=r"fell outside \(0, 1\)"):
             elim.survival(1e-8, 1e-8)
 
     def test_solve_refuses_nan_row(self):

@@ -309,7 +309,7 @@ class TestTiltedPairs:
         m = make(theta, c=1.0 + loading)
         R, gap = _lundberg_root(m)
         n = 200_000
-        steps = _tilt(m, 0.0).steps(np.random.default_rng(2024), n)
+        steps = _tilt(m, 0.0).steps(np.random.default_rng(2024), n, _Workspace(n))
         drift = -_cgf(m, R, gap)[1]
         se = steps.std(ddof=1) / np.sqrt(n)
         assert abs(steps.mean() - drift) <= 4.0 * se, (steps.mean(), drift, se)
@@ -322,7 +322,7 @@ class TestTiltedPairs:
         m = make(theta)
         tilt = _tilt(m, 0.0)
         n = 200_000
-        weight = np.exp(tilt.R * tilt.steps(np.random.default_rng(2024), n))
+        weight = np.exp(tilt.R * tilt.steps(np.random.default_rng(2024), n, _Workspace(n)))
         se = weight.std(ddof=1) / np.sqrt(n)
         assert abs(weight.mean() - 1.0) <= 4.0 * se
 
@@ -360,7 +360,7 @@ class TestTiltedPairs:
         m = make(theta)
         tilt = _tilt(m, 0.0)
         n = 100_000
-        mixture = np.sort(tilt.steps(np.random.default_rng(7), n))
+        mixture = np.sort(tilt.steps(np.random.default_rng(7), n, _Workspace(n)))
         reference = np.sort(_rejection_steps(m, tilt.R, np.random.default_rng(8), n))
         both = np.concatenate([mixture, reference])
         gap = (np.searchsorted(mixture, both, side="right")
@@ -372,9 +372,10 @@ def _claims_to_ruin(tilt, n, rng):
     """Mean claims n tilted walks from zero draw, the ruinous one included."""
     walk = np.zeros(n)
     claims = 0
+    work = _Workspace(n + _ROUND_STEPS)
     while walk.size:
         k = _claims_per_round(walk.size)
-        steps = np.cumsum(tilt.steps(rng, walk.size * k).reshape(-1, k), axis=1)
+        steps = np.cumsum(tilt.steps(rng, walk.size * k, work).reshape(-1, k), axis=1)
         steps += walk[:, None]
         below = steps < 0.0
         fired = below.any(axis=1)
@@ -418,9 +419,10 @@ def _run_tilted_block_reference(tilt, levels, size, seed, block):
     live = [(0.0, 0)] * size  # (surplus gained from zero, next level)
     total = [0.0] * len(levels)
     total_sq = [0.0] * len(levels)
+    work = _Workspace(size + _ROUND_STEPS)
     while live:
         k = _claims_per_round(len(live))
-        steps = tilt.steps(rng, len(live) * k).tolist()
+        steps = tilt.steps(rng, len(live) * k, work).tolist()
         survivors = []
         for i, (v, j) in enumerate(live):
             for step in steps[i * k:(i + 1) * k]:
@@ -495,7 +497,8 @@ class TestRunTiltedBlock:
         levels = np.array(levels)
         tilt = _tilt(m, float(levels[-1]))
         for seed, block in ((0, 0), (11, 3)):
-            total, total_sq = _run_tilted_block(tilt, levels, 4096, seed, block)
+            total, total_sq = _run_tilted_block(tilt, levels, 4096, seed, block,
+                                                _Workspace(4096 + _ROUND_STEPS))
             want, want_sq = _run_tilted_block_reference(tilt, levels.tolist(), 4096,
                                                         seed, block)
             np.testing.assert_allclose(total, want, rtol=1e-12, atol=0.0)
