@@ -42,6 +42,7 @@ from .polyexp import (
     partial_fractions,  # noqa: F401  (bench/tracer.py wraps this module's binding)
     poly_roots,
     shifted_zero_constant,
+    times_linear,
 )
 
 __all__ = ["ClassicalSolution", "classical_lt", "solve_phi0", "survival_classical"]
@@ -56,7 +57,10 @@ _CONSTANT_TOL = 1e-8
 # would say nothing more.
 @np.errstate(over="ignore", invalid="ignore")
 def _cleared_parts(model: ModelSpec):
-    """Ascending arrays (den, num_const, num_slope); D's constant is snapped to 0."""
+    """Ascending (den, num_const, num_slope); D's constant is snapped to 0.
+
+    den is an array; the numerator coefficients are lists of floats.
+    """
     if not isinstance(model.arrival, ExpPoisson):
         raise InputError("classical solver needs exponential inter-claim times")
     a = model.claim.alpha
@@ -65,13 +69,14 @@ def _cleared_parts(model: ModelSpec):
     th = model.theta
     lam2, c2 = lam * lam, c * c
     lin_2a = np.array([2.0 * a, 1.0])
-    q = np.convolve([a, 1.0], lin_2a)
+    q = times_linear([a, 1.0], 2.0 * a, 1.0)
     den = np.convolve([2.0 * lam2, -3.0 * lam * c, c2], q)
     den[:2] -= lin_2a * (2.0 * lam2 * a)
     den[1:3] += lin_2a * (lam * c * a)  # times s: one place up
     den[2] += th * lam * c * a
-    num_const = q * (-2.0 * lam * c + 2.0 * lam2 * model.m1)
-    num_slope = np.append(0.0, q) * c2  # times s
+    w = -2.0 * lam * c + 2.0 * lam2 * model.m1
+    num_const = [x * w for x in q]
+    num_slope = [x * c2 for x in (0.0, *q)]  # times s
     return shifted_zero_constant(den), num_const, num_slope
 
 

@@ -65,6 +65,7 @@ from .polyexp import (
     partial_fractions,  # noqa: F401  (bench/tracer.py wraps this module's binding)
     poly_roots,
     shifted_zero_constant,
+    times_linear,
 )
 
 __all__ = [
@@ -150,31 +151,30 @@ def _cleared_parts(model: ModelSpec, variant: SignVariant):
     th = model.theta
     # Multiplying by s shifts the coefficients one place up.
     beta2, c2 = beta * beta, c * c
-    base2 = np.array([beta2, -2.0 * beta * c, c2])
-    lin_a = np.array([a, 1.0])
+    base2 = [beta2, -2.0 * beta * c, c2]
 
     if abs(th) < _SMALL_THETA:
-        den = np.convolve(base2, lin_a)
+        den = np.array(times_linear(base2, a, 1.0))
         den[0] -= beta2 * a
-        basis = coeff_rows(np.append(0.0, lin_a) * c2, lin_a)
+        basis = coeff_rows([x * c2 for x in (0.0, a, 1.0)], [a, 1.0])
         return shifted_zero_constant(den), basis
 
-    lin_2a = np.array([2.0 * a, 1.0])
-    ker = np.array([2.0 * beta, -c])
-    ker3 = np.convolve(np.convolve(ker, ker), ker)
-    cof = np.convolve(np.convolve(ker3, lin_a), lin_2a)
-    q = np.convolve(lin_a, lin_2a)
-    qk = np.convolve(q, ker)
+    k0, k1 = 2.0 * beta, -c  # the kernel factor 2 beta - c s
+    ker3 = times_linear(times_linear([k0, k1], k0, k1), k0, k1)
+    cof = times_linear(times_linear(ker3, a, 1.0), 2.0 * a, 1.0)
+    q = times_linear([a, 1.0], 2.0 * a, 1.0)
+    qk = times_linear(q, k0, k1)
     # A numpy power overflows to inf where a float's raises; squares multiply.
     beta4, beta5 = np.float64(beta) ** 4, np.float64(beta) ** 5
-    bracket = ker3 * beta2
+    bracket = np.multiply(ker3, beta2)
     bracket[0] += 4.0 * beta5
-    bracket[:2] -= ker * (variant.sigma * 6.0 * beta4)
+    bracket[:2] -= np.multiply([k0, k1], variant.sigma * 6.0 * beta4)
     den = np.convolve(base2, cof)
-    den[:5] -= np.convolve(lin_2a, ker3) * (beta2 * a)
+    den[:5] -= np.multiply(times_linear(ker3, 2.0 * a, 1.0), beta2 * a)
     den[1:5] -= bracket * (th * a)
-    basis = coeff_rows(np.append(0.0, cof) * c2, cof, q * th, qk * th,
-                       np.convolve(qk, ker) * th)
+    qkk = times_linear(qk, k0, k1)
+    basis = coeff_rows([x * c2 for x in (0.0, *cof)], cof,
+                       [x * th for x in q], [x * th for x in qk], [x * th for x in qkk])
     return shifted_zero_constant(den), basis
 
 

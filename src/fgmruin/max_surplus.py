@@ -84,6 +84,13 @@ _COND_LIMIT = 1e12
 # chi(b, b) must reproduce the boundary value.
 _BOUNDARY_TOL = 1e-6
 
+# What each row of the coefficient system imposes, in row order.
+_ROWS = ("the boundary value chi(b, b) = 1", "rate -alpha", "rate -2 alpha", "rate k")
+
+# The smallest row norm equilibration divides by: numpy's complex division
+# scales by the divisor's reciprocal, which overflows for a subnormal.
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
 
 def chi_characteristic(model: ModelSpec) -> Polynomial:
     """Characteristic quartic of the reach-probability ODE.
@@ -138,8 +145,10 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     Raises:
         InputError: For non-exponential arrivals or a non-positive level.
         UnsupportedStructureError: If characteristic roots repeat.
-        ConditioningError: If the equilibrated system's condition number
-            exceeds 1e12 or is not finite.
+        ConditioningError: If a row of the system vanishes (its largest
+            entry is below the smallest normal float) or overflows, or the
+            equilibrated system's condition number exceeds 1e12 or is not
+            finite.
         StructuralError: If the assembly identity or the boundary value
             check fails, or ExpSum finds the constant or a real-rate
             coefficient complex beyond 1e-9.
@@ -159,7 +168,8 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     roots = poly_roots(_cleared_parts(model)[0])
     # Columns: the constant (rate 0) and the three nonzero roots.
     r = np.concatenate(([0.0], roots.poles[~roots.zero]))
-    g = (alpha + r) * (2.0 * alpha + r) * (k - r)
+    plus_a, plus_2a, k_minus = alpha + r, 2.0 * alpha + r, k - r
+    g = plus_a * plus_2a * k_minus
 
     # At every root the rates 0 and s_i cancel identically; a visible
     # remainder means the rows below do not match the solution form.  The
@@ -177,10 +187,9 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
         -nu * ra * gap,
         -(ra - mu) * ((1.0 + ra) * two * gap),
     ])
-    defect = float(np.max(
-        np.abs(summands.sum(axis=0))
-        / np.maximum(1.0, np.max(np.abs(summands), axis=0))
-    ))
+    size = np.abs(summands)
+    defect = float((np.abs(summands.sum(axis=0))
+                    / np.maximum(1.0, size.max(axis=0))).max())
     # Written so that a NaN defect fails the gate.
     if not defect <= _ASSEMBLY_TOL:
         raise StructuralError(
@@ -191,38 +200,50 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     # the rates -alpha, -2 alpha and k, each up to a nonzero common
     # factor that equilibration cancels.  The growing column is anchored
     # at b, so its unknown weighs e^{s (u - b)}.
-    grow = int(np.argmax(r.real))
+    grow = int(r.real.argmax())
     shift = b * (np.arange(4) == grow)
+    at_b, at_shift = np.exp(r * (b - shift)), np.exp(-r * shift)
     mat = np.array([
-        g * np.exp(r * (b - shift)),
-        alpha * (2.0 * alpha + r) * (k - r) * np.exp(-r * shift),
-        2.0 * alpha * (alpha + r) * (k - r) * np.exp(-r * shift),
-        alpha * r * np.exp(r * (b - shift)),
+        g * at_b,
+        alpha * plus_2a * k_minus * at_shift,
+        2.0 * alpha * plus_a * k_minus * at_shift,
+        alpha * r * at_b,
     ])
-    rhs = np.array([1.0, 0.0, 0.0, 0.0])
-    row_norm = np.max(np.abs(mat), axis=1)
+    row_norm = np.abs(mat).max(axis=1)
+    # A row that underflows in every column, to zero or to subnormals, or
+    # that overflows leaves nothing to equilibrate.
+    usable = (row_norm >= _NORMAL_MIN) & (row_norm < math.inf)
+    if not usable.all():
+        i = int(usable.argmin())
+        raise ConditioningError(
+            f"coefficient system row for {_ROWS[i]} vanished or overflowed "
+            f"(row norm {float(row_norm[i])!r})"
+        )
     mat = mat / row_norm[:, None]
-    rhs = rhs / row_norm
+    rhs = np.array([1.0, 0.0, 0.0, 0.0]) / row_norm
 
+    # The 2-norm condition number, as np.linalg.cond computes it: a NaN or
+    # zero smallest singular value counts as an infinite condition.
     try:
-        condition = float(np.linalg.cond(mat))
+        sv = np.linalg.svd(mat, compute_uv=False).tolist()
     except np.linalg.LinAlgError:
-        # An overflowed or all-zero row leaves entries that are not finite.
-        condition = math.inf
-    if not np.isfinite(condition) or condition > _COND_LIMIT:
+        sv = [math.nan]
+    condition = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
+    if not condition <= _COND_LIMIT:
         raise ConditioningError(
             f"coefficient system condition {condition:.3e} exceeds "
             f"{_COND_LIMIT:.0e}"
         )
-    coef = np.linalg.solve(mat, rhs) * g
+    coef = (np.linalg.solve(mat, rhs) * g).tolist()
+    rates = r.tolist()
 
     # A conjugate pair of roots enters the sum once, by its upper member.
     terms = sorted(
-        ((coef[j], r[j]) for j in range(1, 4) if j != grow and r[j].imag >= 0.0),
+        ((coef[j], rates[j]) for j in range(1, 4) if j != grow and rates[j].imag >= 0.0),
         key=lambda t: -t[1].real,
     )
     decaying = ExpSum(coef[0], tuple(terms))
-    growing = ExpSum(0.0, ((coef[grow], r[grow]),))
+    growing = ExpSum(0.0, ((coef[grow], rates[grow]),))
 
     residual = abs(decaying(b) + growing(0.0) - 1.0)
     if not residual <= _BOUNDARY_TOL:

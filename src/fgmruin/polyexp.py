@@ -1,11 +1,15 @@
 """Rational functions and exponential-sum inversion.
 
 The survival solvers work with Laplace transforms that are rational in s
-after clearing denominators.  The solvers keep them as arrays of ascending
-coefficients from assembly to elimination; the public transform functions
-return them as ``numpy.polynomial.Polynomial``.  This module supplies the
-shared machinery:
+after clearing denominators.  The solvers keep them as ascending
+coefficients from assembly to elimination, the denominator as an array;
+the public transform functions return them as
+``numpy.polynomial.Polynomial``.  This module supplies the shared
+machinery:
 
+* ``times_linear`` and ``coeff_rows``: products with a linear factor in
+  plain float arithmetic, with ``np.convolve``'s bits, and zero-padded
+  rows of coefficients.
 * ``RationalFn`` and ``ParametricRational``: ratios of polynomials, the
   latter with a numerator that is affine in one scalar parameter.
 * ``poly_roots``: simple roots only, as arrays in a ``RootSet``.  The exact
@@ -19,9 +23,11 @@ shared machinery:
   resulting inverse transform, a real constant plus one exponential per
   real pole or conjugate pair, the pair stored once by its upper member.
 * ``eliminate_growing``: the step every solver shares after root finding;
-  it solves a square system for the numerator weights that cancel the
-  growing poles and collects the remaining residues into the constant and
-  decaying terms.
+  it evaluates the basis and D' = sum(i den[i] s**(i-1)) at every root in
+  one ``polyval`` call over a block of coefficient columns, solves a
+  square system for the numerator weights that cancel the growing poles
+  and collects the remaining residues into the constant and decaying
+  terms.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     ConditioningError,
@@ -83,7 +89,7 @@ _DEGENERATE_REL = 1e-12
 
 def shifted_zero_constant(c: np.ndarray) -> np.ndarray:
     """Snap c[0], zero by construction, to 0 in place; it must be below 1e-9 max|c|."""
-    scale = float(np.max(np.abs(c)))
+    scale = float(np.abs(c).max())
     if abs(c[0]) > 1e-9 * scale:
         raise StructuralError(f"constant coefficient {float(c[0])!r} is not "
                               f"negligible against scale {scale!r}")
@@ -91,12 +97,21 @@ def shifted_zero_constant(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def coeff_rows(*coeffs: np.ndarray) -> np.ndarray:
+def coeff_rows(*coeffs: list[float]) -> np.ndarray:
     """One zero-padded row of ascending coefficients per argument."""
-    rows = np.zeros((len(coeffs), max(len(c) for c in coeffs)))
-    for row, c in zip(rows, coeffs):
-        row[: len(c)] = c
-    return rows
+    width = max(map(len, coeffs))
+    return np.array([[*c, *[0.0] * (width - len(c))] for c in coeffs])
+
+
+def times_linear(c: list[float], a0: float, a1: float) -> list[float]:
+    """Ascending coefficients of c(s) (a0 + a1 s), with np.convolve's bits.
+
+    np.convolve adds each coefficient's products onto 0.0.  Here there are
+    at most two, and two summands add to the same bits in either order.
+    """
+    lo = [x * a0 for x in c]
+    hi = [x * a1 for x in c]
+    return [0.0 + lo[0], *[0.0 + (x + y) for x, y in zip(lo[1:], hi)], 0.0 + hi[-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +174,9 @@ def poly_roots(p) -> RootSet:
         raise InputError("root finding needs degree >= 1, leading coefficient != 0")
     if not np.isfinite(c).all():
         raise ConditioningError(f"transform coefficients are not finite: {c.tolist()!r}")
-    k = int(np.argmax(c != 0.0))
-    if k > 1:
+    # One exact zero low-order coefficient gives the zero root; two repeat it.
+    k = 0 if c[0] != 0.0 else 1
+    if k and c[1] == 0.0:
         raise UnsupportedStructureError("repeated poles are not supported")
     q = c[k:][::-1]  # the quotient by s**k, descending
     n = len(q) - 1
@@ -170,28 +186,32 @@ def poly_roots(p) -> RootSet:
         # A pair's real parts may come back as -0.0 and 0.0; adding 0j makes
         # both 0.0, and the roots complex when all are real.
         z = np.linalg.eigvals(companion) + 0j
+        z = z[np.lexsort((-np.abs(z.imag), z.real))]
     else:
         z = np.zeros(0, dtype=complex)
 
+    # |z_i - z_j| < SEP max(|z_i|, |z_j|) for some pair exactly when
+    # |z_i - z_j| < SEP |z_i| for some ordered pair: the distance is symmetric.
     mod = np.abs(z)
     dist = np.abs(z[:, None] - z)
-    np.fill_diagonal(dist, np.inf)
-    if np.any(dist < SEP * np.maximum(mod[:, None], mod)):
+    dist.flat[:: n + 1] = np.inf
+    if (dist < SEP * mod[:, None]).any():
         raise UnsupportedStructureError("repeated poles are not supported")
 
-    z = z[np.lexsort((-np.abs(z.imag), z.real))]
     # Each upper member must be followed by its exact conjugate, which the
     # loop then skips; a lower member met on its own has no partner.
     rest = iter(z.tolist())
     for v in rest:
         if v.imag < 0.0 or (v.imag > 0.0 and next(rest, None) != v.conjugate()):
             raise StructuralError(f"complex root {v!r} has no conjugate partner")
-    poles = np.concatenate((np.zeros(k, dtype=complex), z))
     # Purely oscillatory poles do not vanish at infinity: they count as growing.
-    growing = poles.real >= -_DECAY_REL * np.abs(poles)
-    zero = np.arange(len(poles)) < k
-    growing[:k] = False
-    return RootSet(poles, zero, growing)
+    growing = z.real >= -_DECAY_REL * mod
+    zero = np.zeros(n + k, dtype=bool)
+    if k:
+        z = np.concatenate(([0j], z))
+        growing = np.concatenate(([False], growing))
+        zero[0] = True
+    return RootSet(z, zero, growing)
 
 
 @dataclass(frozen=True)
@@ -292,33 +312,31 @@ class ExpSum:
 def expsum_eval(e: ExpSum, u):
     """Evaluate an ExpSum at u (scalar or array) in real arithmetic."""
     uu = np.asarray(u, dtype=float)
-    total = np.full(uu.shape, e.constant)
+    total = e.constant
     for coef, rate in e.terms:
         term = coef * np.exp(rate * uu)
         total = total + (term if isinstance(rate, float) else 2.0 * term.real)
-    if np.isscalar(u) or uu.ndim == 0:
+    if uu.ndim == 0:
         return float(total)
-    return total
+    return total if e.terms else np.full(uu.shape, total)
 
 
 def _collect(
-    poles: np.ndarray, residues: np.ndarray, zero: np.ndarray, floor: float
+    poles: np.ndarray, residues: np.ndarray, size: np.ndarray,
+    zero: np.ndarray, growing: np.ndarray, floor: float,
 ) -> tuple[float, tuple[tuple[complex, complex], ...]]:
-    """Zero-pole constant and ExpSum terms, slowest decay first.
+    """Zero-pole constant and ExpSum terms of the decaying poles, slowest first.
 
-    Each real pole gives a (residue, pole) term and each conjugate pair
-    gives one, from its upper member.  Residues of modulus at most
-    ``floor`` are dropped.  The zero root is exactly 0, so its residue
-    num(0) / den'(0) is real.
+    size holds the residues' moduli.  Each real decaying pole gives a
+    (residue, pole) term and each conjugate pair gives one, from its upper
+    member.  Residues of modulus at most ``floor`` are dropped.  The zero
+    root is exactly 0, so its residue num(0) / den'(0) is real.
     """
-    constant = float(np.sum(residues[zero].real))
-    keep = ~zero & (np.abs(residues) > floor) & (poles.imag >= 0.0)
-    order = np.argsort(-poles[keep].real, kind="stable")
-    terms = tuple(
-        (complex(r), complex(p))
-        for r, p in zip(residues[keep][order], poles[keep][order])
-    )
-    return constant, terms
+    constant = float(residues[zero].real.sum())
+    keep = ~(zero | growing) & (size > floor) & (poles.imag >= 0.0)
+    poles, residues = poles[keep], residues[keep]
+    order = np.argsort(-poles.real, kind="stable")
+    return constant, tuple(zip(residues[order].tolist(), poles[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -382,8 +400,8 @@ def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if rows.shape[0] != rows.shape[1]:
         raise StructuralError(f"{rows.shape[0]} elimination equations for "
                               f"{rows.shape[1]} unknown weights")
-    row_scale = np.max(np.abs(rows), axis=1)
-    if np.any(row_scale <= _DEGENERATE_REL * np.maximum(row_scale, np.abs(rhs))):
+    row_scale = np.abs(rows).max(axis=1)
+    if (row_scale <= _DEGENERATE_REL * np.maximum(row_scale, np.abs(rhs))).any():
         raise StructuralError("degenerate elimination row")
     rows = rows / row_scale[:, None]
     rhs = rhs / row_scale
@@ -391,11 +409,11 @@ def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(rows, rhs)
     except np.linalg.LinAlgError as exc:
         raise StructuralError(f"elimination system is singular: {exc}") from exc
-    x_scale = max(1.0, float(np.max(np.abs(x))))
-    residual = float(np.max(np.abs(rows @ x - rhs)))
+    x_scale = max(1.0, float(np.abs(x).max()))
+    residual = float(np.abs(rows @ x - rhs).max())
     if not residual <= _SYSTEM_TOL * x_scale:
         raise StructuralError(f"elimination system left residual {residual:.3e}")
-    if not float(np.max(np.abs(x.imag))) <= _REALNESS_TOL * x_scale:
+    if not float(np.abs(x.imag).max()) <= _REALNESS_TOL * x_scale:
         raise StructuralError("elimination weights are not real")
     return x.real
 
@@ -416,7 +434,8 @@ def eliminate_growing(
     residues sum to zero).  A zero-pole residue of 1, the survival
     function's limit, joins the equations when it involves an unknown
     weight; otherwise the solution's constant is left for the caller to
-    check.  D' and the basis rows are evaluated at all roots in one
+    check.  The basis rows and D' = sum(i den[i] s**(i-1)) are laid out as
+    the columns of one coefficient block and evaluated at all roots in one
     ``polyval`` call, the equilibrated square system is solved exactly, and
     the residues of the solved numerator are collected in one pass.
     ``roots`` are those of ``poly_roots(den)``.
@@ -430,37 +449,40 @@ def eliminate_growing(
     poles, zero, growing = roots.poles, roots.zero, roots.growing
     if not growing.any():
         raise StructuralError("no growing denominator root to eliminate")
+    nb, width = basis.shape
+    cols = np.zeros((len(den) - 1, nb + 1))
+    cols[:width, :nb] = basis.T
+    cols[:, nb] = den[1:] * np.arange(1, len(den))
     # Roots of huge modulus overflow the powers, which the finiteness check
     # refuses; the numpy warnings on the way would say nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
-        at_roots = polyval(poles, coeff_rows(*basis, polyder(den)).T)
+        at_roots = polyval(poles, cols)
     if not np.isfinite(at_roots).all():
         raise ConditioningError("basis values at the roots overflow")
     basis_at_roots = at_roots[:-1]
     basis_residues = basis_at_roots / at_roots[-1]
 
-    unknown = np.array([w is None for w in weights])
-    fixed = np.array([0.0 if w is None else float(w) for w in weights])
-    known = fixed @ basis_residues
-    rows = basis_residues[unknown][:, growing].T
+    unknown = [i for i, w in enumerate(weights) if w is None]
+    full = np.array([0.0 if w is None else float(w) for w in weights])
+    known = full @ basis_residues
+    free = basis_residues[unknown]
+    rows = free[:, growing].T
     rhs = -known[growing]
     if pooled:
         rows = rows.sum(axis=0, keepdims=True)
         rhs = rhs.sum(keepdims=True)
-    at_zero = basis_residues[unknown][:, zero].T
-    if np.any(at_zero != 0.0):
-        rows = np.vstack([rows, at_zero])
-        rhs = np.append(rhs, 1.0 - known[zero])
-    full = fixed.copy()
+    at_zero = free[:, zero].T
+    if (at_zero != 0.0).any():
+        rows = np.concatenate((rows, at_zero))
+        rhs = np.concatenate((rhs, 1.0 - known[zero]))
     full[unknown] = _solve(rows, rhs)
 
     residues = full @ basis_residues
-    scale = float(np.max(np.abs(residues)))
-    left = residues[growing]
-    defect = abs(left.sum()) if pooled else np.max(np.abs(left))
-    constant, terms = _collect(
-        poles[~growing], residues[~growing], zero[~growing], RESIDUE_DROP_REL * scale
-    )
+    size = np.abs(residues)
+    scale = float(size.max())
+    defect = abs(residues[growing].sum()) if pooled else size[growing].max()
+    constant, terms = _collect(poles, residues, size, zero, growing,
+                               RESIDUE_DROP_REL * scale)
     return Elimination(
         full, basis_at_roots[:, growing], constant, terms, float(defect), scale
     )

@@ -537,3 +537,14 @@ class TestEntryPoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:")
+
+    def test_vanished_chi_row_prints_one_error_line(self):
+        # The rate-k row of the chi system underflows to zero; the process
+        # names it in one typed error, with no numpy warning before it.
+        proc = self._module("max-surplus", "--c", "2", "--alpha", "1e50",
+                            "--lambda", "1", "--theta", "0.5", "--b", "10",
+                            "--u", "0:10:5")
+        assert (proc.returncode, proc.stdout) == (4, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "rate k" in lines[0]

@@ -216,12 +216,24 @@ class TestGates:
 
     def test_overflowed_system_raises_conditioning_error(self):
         # Claims a hundred orders of magnitude faster than arrivals: the
-        # identity holds, but the system's rows overflow or vanish, where
-        # np.linalg.cond would raise LinAlgError.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(ConditioningError, match="condition inf"):
-                solve_chi(_model(0.5, c=2.0, alpha=1e100), 10.0)
+        # identity holds, but the rate-k row underflows in every column.
+        with pytest.raises(ConditioningError, match="row for rate k vanished"):
+            solve_chi(_model(0.5, c=2.0, alpha=1e100), 10.0)
+
+    def test_vanished_row_refused_before_equilibration(self):
+        # At alpha = 1e50 alpha r e^{r b} underflows to zero in every column;
+        # dividing that row by its zero norm used to warn twice and leave a
+        # NaN row for the condition gate.
+        with pytest.raises(ConditioningError) as exc:
+            solve_chi(_model(0.5, c=2.0, alpha=1e50), 10.0)
+        assert str(exc.value) == ("coefficient system row for rate k vanished "
+                                  "or overflowed (row norm 0.0)")
+
+    def test_subnormal_row_refused_before_equilibration(self):
+        # With every rate at 1e-105, g ~ alpha^3 leaves the boundary row a
+        # subnormal norm, whose reciprocal overflows the complex division.
+        with pytest.raises(ConditioningError, match="row for the boundary value"):
+            solve_chi(_model(0.5, c=2.0, alpha=1e-105, lam=1e-105), 1e106)
 
     def test_nan_defect_fails_assembly_gate(self, monkeypatch):
         real = max_surplus.poly_roots

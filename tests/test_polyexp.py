@@ -58,6 +58,16 @@ class TestPolyRoots:
         with pytest.raises(InputError):
             poly_roots(Polynomial((4.0,)))
 
+    def test_linear_with_zero_constant_gives_one_zero_root(self):
+        rs = poly_roots([0.0, 2.0])
+        assert rs.poles.tolist() == [0j]
+        assert rs.zero.tolist() == [True]
+        assert rs.growing.tolist() == [False]
+
+    def test_double_zero_root_rejected(self):
+        with pytest.raises(UnsupportedStructureError):
+            poly_roots([0.0, 0.0, 1.0])
+
     def test_survival_denominator_roots(self):
         """The quartic from the worked survival example factors as printed."""
         den = classical_lt(_classical_model(-0.5)).den
@@ -334,6 +344,24 @@ class TestExpSum:
         out = expsum_eval(e, u)
         assert out.shape == u.shape
         assert out[0] == pytest.approx(0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("u", [1.5, np.float64(1.5), np.array(1.5)])
+    def test_scalar_input_gives_float(self, u):
+        e = ExpSum(1.0, ((-0.5 + 0j, -2.0 + 0j), (0.25 + 0.5j, -1.0 + 3.0j)))
+        out = expsum_eval(e, u)
+        assert type(out) is float
+        assert out == expsum_eval(e, np.array([1.5]))[0]
+
+    def test_vector_input_gives_array(self):
+        e = ExpSum(1.0, ((-0.5 + 0j, -2.0 + 0j),))
+        out = expsum_eval(e, np.array([0.0]))
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 3)])
+    def test_no_terms_keeps_input_shape(self, shape):
+        out = expsum_eval(ExpSum(0.75, ()), np.zeros(shape))
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        assert (out == 0.75).all()
 
     def test_rate_below_axis_rejected(self):
         with pytest.raises(StructuralError, match="below the real axis"):
