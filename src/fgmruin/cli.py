@@ -6,8 +6,10 @@ Monte Carlo estimates, and reproduce the bundled worked examples against
 their reference values.  Tables are emitted as CSV (header ``u,value``
 or ``u,value,stderr``, numbers as C ``%.6g``, LF line endings) or as
 canonical JSON (sorted keys, full float precision) that re-serializes to
-identical bytes after parsing.  Either writer prints a table's body with
-one ``%`` over a flat tuple of all its cells.  A ``start:stop:step``
+identical bytes after parsing.  Every command hands its writer the table
+as columns, a mapping from column name to a float or string column, and
+either writer prints the body with one ``%`` over a flat tuple of the
+columns' cells interleaved row by row.  A ``start:stop:step``
 surplus grid holds at most ``_MAX_GRID_POINTS`` (one million) points.
 
 Exit codes: 0 success, 2 usage or domain errors, 3 violation of the
@@ -20,10 +22,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -148,79 +148,73 @@ def _model_payload(model: ModelSpec) -> dict:
     }
 
 
-def _csv_table(header: tuple[str, ...], rows) -> str:
-    """CSV text: string cells as they are, numbers as C ``%.6g``.
+def _fill_rows(table: dict, keys: list, as_json: bool, row, sep: str) -> str:
+    """The table's rows, ``sep`` between them, filled by one ``%``.
 
-    ``rows`` is a 2-D float array or a sequence of equal-length tuples.  The
-    first row picks the row format, and one ``%`` over every cell prints
-    the body; ``'%.6g' % x`` is ``'{:.6g}'.format(x)``.
+    ``table`` maps each key to a column: a non-empty sequence of floats
+    (np.float64 included) or of strings, all of one length.  ``row(specs)``
+    is the row template for the columns' ``%`` specs in ``keys`` order.
+    Float cells print as ``%r`` (float.__repr__, what json prints) with
+    ``as_json`` and as C ``%.6g`` without; string cells print as
+    ``json.dumps`` gives them with ``as_json`` and as they are without.
     """
-    fmt = ",".join("%s" if isinstance(v, str) else "%.6g" for v in rows[0])
-    if isinstance(rows, np.ndarray):
-        cells = tuple(rows.ravel().tolist())
-    else:
-        cells = tuple(itertools.chain.from_iterable(rows))
-    return ",".join(header) + "\n" + ((fmt + "\n") * len(rows)) % cells
+    columns = [table[k] for k in keys]
+    count = len(columns[0])
+    if any(len(col) != count for col in columns):
+        raise ValueError("table columns differ in length")
+    specs = []
+    cells = [None] * (count * len(columns))
+    for j, col in enumerate(columns):
+        if isinstance(col[0], str):
+            specs.append("%s")
+            if as_json:
+                col = list(map(json.dumps, col))
+        else:
+            col = np.asarray(col, dtype=float)
+            if as_json and not np.isfinite(col).all():
+                raise ValueError("Out of range float values are not JSON compliant")
+            specs.append("%r" if as_json else "%.6g")
+            # Python floats, so that %r prints 0.5 and not np.float64(0.5).
+            col = col.tolist()
+        cells[j::len(columns)] = col
+    return sep.join([row(specs)] * count) % tuple(cells)
 
 
-# float.__repr__ of the values allow_nan=False refuses.
-_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+def _csv_table(table: dict) -> str:
+    """CSV text of a column table, the header in the table's key order.
 
-
-def _json_cells(column: list) -> list[str]:
-    """JSON text of one rows column, all strings or all floats."""
-    if isinstance(column[0], str):
-        return list(map(json.dumps, column))
-    # float.__repr__ is what json prints a float with; it raises TypeError
-    # on anything else, where repr() would print np.float64(...).
-    cells = list(map(float.__repr__, column))
-    if not _NON_FINITE.isdisjoint(cells):
-        raise ValueError("Out of range float values are not JSON compliant")
-    return cells
-
-
-def _json_rows(rows: list[dict]) -> str:
-    """The rows list as json.dumps prints it one level deep in indent=2.
-
-    The cells, flat in sorted-key order, are encoded a column slice at a
-    time, and one ``%`` fills the row template repeated once per row.
+    String cells print as they are and numbers as C ``%.6g``, which is
+    ``'{:.6g}'.format(x)``.
     """
-    keys = sorted(rows[0])
-    if set(map(len, rows)) != {len(keys)}:
-        raise ValueError("JSON rows do not share one key set")
-    width = len(keys)
-    pick = operator.itemgetter(*keys)
-    if width == 1:
-        # A one-key itemgetter returns the bare value, not a tuple.
-        cells = list(map(pick, rows))
-    else:
-        cells = list(itertools.chain.from_iterable(map(pick, rows)))
-    for j in range(width):
-        cells[j::width] = _json_cells(cells[j::width])
-    fields = ",\n".join(
-        "      %s: %%s" % json.dumps(k).replace("%", "%%") for k in keys
-    )
-    template = "    {\n" + fields + "\n    }"
-    return "[\n" + ",\n".join([template] * len(rows)) % tuple(cells) + "\n  ]"
+    keys = list(table)
+    body = _fill_rows(table, keys, False, lambda specs: ",".join(specs) + "\n", "")
+    return ",".join(keys) + "\n" + body
 
 
 def _json_text(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``
-    plus a newline, byte for byte.
+    plus a newline, byte for byte, where ``payload["rows"]`` is a column
+    table (see ``_fill_rows``) printed as its list of row dicts.
 
-    ``payload["rows"]`` is a non-empty list of flat dicts that share one
-    key set and hold, per key, only strings or only floats.  The rows are
-    printed by ``_json_rows`` with one ``%`` over all their cells, because
-    the pure-Python encoder that ``indent`` selects would take most of a
-    dense curve's time.
+    The rows are filled with one ``%`` over all their cells, because the
+    pure-Python encoder that ``indent`` selects would take most of a dense
+    curve's time.
     """
     # sort_keys plus a trailing newline makes the bytes canonical, so a
     # parse-and-redump round trip is the identity; NaN is refused rather
     # than emitted as nonstandard JSON.
+    table = payload["rows"]
+    keys = sorted(table)
+
+    def row(specs):
+        fields = ",\n".join("      %s: %s" % (json.dumps(k).replace("%", "%%"), spec)
+                            for k, spec in zip(keys, specs))
+        return "    {\n" + fields + "\n    }"
+
+    rows = "[\n" + _fill_rows(table, keys, True, row, ",\n") + "\n  ]"
     marker = "\x00rows\x00"
     text = json.dumps({**payload, "rows": marker}, sort_keys=True, indent=2,
                       allow_nan=False)
-    rows = _json_rows(payload["rows"])
     return text.replace(json.dumps(marker), rows, 1) + "\n"
 
 
@@ -236,17 +230,13 @@ def _curve_output(args, command: str, model: ModelSpec, grid, sol,
                   extra: dict) -> str:
     # One vectorized evaluation over the whole grid; the values are the
     # same floats the per-point calls give.
-    values = sol(grid)
+    table = {"u": grid, "value": sol(grid)}
     if args.format == "json":
-        payload = {
-            "command": command,
-            "model": _model_payload(model),
-            "rows": [{"u": u, "value": v}
-                     for u, v in zip(grid.tolist(), values.tolist())],
-        }
+        payload = {"command": command, "model": _model_payload(model),
+                   "rows": table}
         payload.update(extra)
         return _json_text(payload)
-    return _csv_table(("u", "value"), np.column_stack((grid, values)))
+    return _csv_table(table)
 
 
 def _cmd_survival_classical(args: argparse.Namespace) -> str:
@@ -295,7 +285,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
                       FgmParam(args.theta))
     grid = _parse_grid(args.u)
     seed = _resolve_seed(args)
-    us = grid.tolist()
     if args.b is None:
         # One set of tilted paths serves the whole grid.
         estimates = estimate_survival(model, grid, n=args.n, seed=seed,
@@ -303,35 +292,25 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     else:
         estimates = [estimate_reach_prob(model, u, args.b, n=args.n, seed=seed,
                                          workers=args.workers)
-                     for u in us]
+                     for u in grid.tolist()]
+    table = {"u": grid, "value": [est.value for est in estimates],
+             "stderr": [est.stderr for est in estimates]}
     if args.format == "json":
-        payload = {
-            "command": "simulate",
-            "model": _model_payload(model),
-            "b": args.b,
-            "n": args.n,
-            "seed": seed,
-            "rows": [
-                {"u": u, "value": est.value, "stderr": est.stderr}
-                for u, est in zip(us, estimates)
-            ],
-        }
+        payload = {"command": "simulate", "model": _model_payload(model),
+                   "b": args.b, "n": args.n, "seed": seed, "rows": table}
         return _json_text(payload)
-    table = np.column_stack((grid, [est.value for est in estimates],
-                             [est.stderr for est in estimates]))
-    return _csv_table(("u", "value", "stderr"), table)
+    return _csv_table(table)
 
 
-def _compare_row(name: str, computed: float, reference: float) -> dict:
-    return {
-        "name": name,
-        "computed": computed,
-        "reference": reference,
-        "deviation": abs(computed - reference),
-    }
+# The columns of a reproduce table, one _compare_row tuple per row.
+_COMPARE_COLUMNS = ("name", "computed", "reference", "deviation")
 
 
-def _term_rows(th: float, terms, pairs) -> list[dict]:
+def _compare_row(name: str, computed: float, reference: float) -> tuple:
+    return name, computed, reference, abs(computed - reference)
+
+
+def _term_rows(th: float, terms, pairs) -> list[tuple]:
     """Coefficient and rate rows of the terms nearest each reference rate."""
     rows = []
     for i, (coef_ref, rate_ref) in enumerate(pairs, 1):
@@ -343,7 +322,7 @@ def _term_rows(th: float, terms, pairs) -> list[dict]:
     return rows
 
 
-def _reproduce_example1(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _reproduce_example1(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     rows = []
     for th in sorted(_EXAMPLE1):
         phi0_ref, pairs = _EXAMPLE1[th]
@@ -355,7 +334,7 @@ def _reproduce_example1(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return rows, extra
 
 
-def _reproduce_example2(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _reproduce_example2(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     # The reference table follows the POOLED convention, so the
     # side-by-side comparison is computed under it; the exact INDIVIDUAL
     # boundary values are reported alongside.
@@ -405,7 +384,7 @@ def _reproduce_example2(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return rows, extra
 
 
-def _reproduce_example3(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _reproduce_example3(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     rows = []
     for th in sorted(_EXAMPLE3):
         model = ModelSpec(1.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(th))
@@ -427,14 +406,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> str:
     if args.variant_report and (args.format != "json" or args.preset != "example2"):
         raise InputError("--variant-report needs --format json and example2")
     rows, extra = _PRESETS[args.preset](args)
+    table = dict(zip(_COMPARE_COLUMNS, zip(*rows)))
     if args.format == "json":
         payload = {"command": "reproduce", "preset": args.preset,
-                   "rows": rows}
+                   "rows": table}
         payload.update(extra)
         return _json_text(payload)
-    table = [(r["name"], r["computed"], r["reference"], r["deviation"])
-             for r in rows]
-    return _csv_table(("name", "computed", "reference", "deviation"), table)
+    return _csv_table(table)
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:

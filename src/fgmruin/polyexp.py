@@ -32,6 +32,7 @@ machinery:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,11 +89,19 @@ _DEGENERATE_REL = 1e-12
 
 
 def shifted_zero_constant(c: np.ndarray) -> np.ndarray:
-    """Snap c[0], zero by construction, to 0 in place; it must be below 1e-9 max|c|."""
+    """Snap c[0], zero by construction, to 0 in place; it must be below 1e-9 max|c|.
+
+    The leading coefficient of a cleared denominator is a product of rates
+    and never zero; it is refused as ``ConditioningError`` when that
+    product underflowed to 0.0.
+    """
     scale = float(np.abs(c).max())
     if abs(c[0]) > 1e-9 * scale:
         raise StructuralError(f"constant coefficient {float(c[0])!r} is not "
                               f"negligible against scale {scale!r}")
+    if c[-1] == 0.0:
+        raise ConditioningError("leading coefficient of the cleared denominator "
+                                "underflowed to 0.0")
     c[0] = 0.0
     return c
 
@@ -162,7 +171,8 @@ def poly_roots(p) -> RootSet:
     Raises:
         InputError: If p has degree below 1 or a zero leading coefficient.
         ConditioningError: If a coefficient is not finite, as when the
-            model's rates overflow the transform assembly.
+            model's rates overflow the transform assembly, or the
+            companion row overflows although every coefficient is finite.
         UnsupportedStructureError: If zero is a repeated root, or two
             eigenvalues lie within SEP times the larger modulus of each
             other.
@@ -172,7 +182,9 @@ def poly_roots(p) -> RootSet:
     c = np.asarray(p.coef if isinstance(p, Polynomial) else p, dtype=float)
     if len(c) < 2 or c[-1] == 0.0:
         raise InputError("root finding needs degree >= 1, leading coefficient != 0")
-    if not np.isfinite(c).all():
+    # NaN fails the comparison too.
+    top = float(np.abs(c).max())
+    if not top < math.inf:
         raise ConditioningError(f"transform coefficients are not finite: {c.tolist()!r}")
     # One exact zero low-order coefficient gives the zero root; two repeat it.
     k = 0 if c[0] != 0.0 else 1
@@ -181,6 +193,12 @@ def poly_roots(p) -> RootSet:
     q = c[k:][::-1]  # the quotient by s**k, descending
     n = len(q) - 1
     if n:
+        # Division rounds monotonically, so the row -q[1:] / q[0] overflows
+        # exactly when top / |q[0]| does; Python floats give inf, no warning.
+        if top / abs(float(q[0])) == math.inf:
+            raise ConditioningError(
+                f"companion row -q[1:] / q[0] overflows: leading coefficient "
+                f"{float(q[0])!r} against largest coefficient {top!r}")
         companion = np.eye(n, k=-1)
         companion[0] = -q[1:] / q[0]
         # A pair's real parts may come back as -0.0 and 0.0; adding 0j makes

@@ -30,16 +30,24 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _table_rows(table):
+    """A column table's rows, its columns zipped back cell by cell."""
+    return list(zip(*table.values()))
+
+
 def _reference_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    table = payload["rows"]
+    rows = [dict(zip(table, row)) for row in _table_rows(table)]
+    return json.dumps({**payload, "rows": rows}, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
-def _reference_csv(header, rows):
+def _reference_csv(table):
     def cell(value):
         return value if isinstance(value, str) else f"{value:.6g}"
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines = [",".join(table)]
+    lines.extend(",".join(cell(v) for v in row) for row in _table_rows(table))
     return "\n".join(lines) + "\n"
 
 
@@ -198,49 +206,60 @@ class TestTableWriters:
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
     def test_csv_extreme_cells(self, as_array):
-        rows = [(-0.0, 5e-324), (1e300, float("nan")), (float("inf"), -np.inf),
-                (0.1, 123456.789)]
-        want = _reference_csv(("u", "value"), rows)
-        table = np.array(rows) if as_array else rows
-        assert cli._csv_table(("u", "value"), table) == want
+        columns = ((-0.0, 1e300, float("inf"), 0.1),
+                   (5e-324, float("nan"), -np.inf, 123456.789))
+        kind = np.array if as_array else tuple
+        table = {"u": kind(columns[0]), "value": kind(columns[1])}
+        assert cli._csv_table(table) == _reference_csv(table)
 
     def test_csv_strings_next_to_numpy_floats(self):
-        # The shape of reproduce rows; a % in a string cell is printed as is.
-        rows = [("theta=-1.0 phi0", np.float64(0.31470004), 0.3147,
-                 np.float64(4.4e-09)),
-                ("a%sb %d", 1.0, np.float64(-0.0), 2.5e-300)]
-        header = ("name", "computed", "reference", "deviation")
-        assert cli._csv_table(header, rows) == _reference_csv(header, rows)
+        # The shape of reproduce tables; a % in a string cell is printed as is.
+        table = {"name": ("theta=-1.0 phi0", "a%sb %d"),
+                 "computed": (np.float64(0.31470004), 1.0),
+                 "reference": (0.3147, np.float64(-0.0)),
+                 "deviation": (np.float64(4.4e-09), 2.5e-300)}
+        assert cli._csv_table(table) == _reference_csv(table)
 
-    @pytest.mark.parametrize("key", ["a", "z"], ids=["first", "last"])
+    @pytest.mark.parametrize("key", ["a", "m", "z"],
+                             ids=["first", "middle", "last"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf],
                              ids=["nan", "inf", "-inf"])
     def test_json_refuses_non_finite_in_any_column(self, key, bad):
-        rows = [{"a": 0.0, "m": 1.0, "z": 2.0}, {"a": 3.0, "m": 4.0, "z": 5.0}]
-        rows[1][key] = bad
-        payload = {"command": "x", "rows": rows}
+        table = {"a": [0.0, 3.0], "m": [1.0, 4.0], "z": [2.0, 5.0]}
+        table[key][1] = bad
+        payload = {"command": "x", "rows": table}
         with pytest.raises(ValueError):
             _reference_json(payload)
         with pytest.raises(ValueError):
             cli._json_text(payload)
 
-    @pytest.mark.parametrize("rows", [
-        [{"u": 0.5}, {"u": 5e-324}, {"u": -0.0}],
-        [{"name": "one"}],
-        [{"50%": 0.5, "a%s": 1.0, "%%": 2.0, "{}": 3.0},
-         {"50%": -1e300, "a%s": 0.1, "%%": 5e-324, "{}": 1e-7}],
+    @pytest.mark.parametrize("table", [
+        {"u": np.array([0.5, 5e-324, -0.0])},
+        {"name": ["one"]},
+        {"50%": [0.5, -1e300], "a%s": [1.0, 0.1], "%%": [2.0, 5e-324],
+         "{}": [3.0, 1e-7]},
     ], ids=["one-float-key", "one-string-key", "percent-keys"])
-    def test_json_key_shapes(self, rows):
-        payload = {"command": "x", "rows": rows}
+    def test_json_key_shapes(self, table):
+        payload = {"command": "x", "rows": table}
         assert cli._json_text(payload) == _reference_json(payload)
 
     def test_json_strings_next_to_numpy_floats(self):
-        rows = [{"name": "theta=+0.5 phi0", "computed": np.float64(0.35480001),
-                 "reference": 0.3548, "deviation": np.float64(1e-08)},
-                {"name": 'quote " slash \\ e\u0301 %s', "computed": -0.0,
-                 "reference": np.float64(1e300), "deviation": 5e-324}]
-        payload = {"command": "reproduce", "rows": rows}
+        table = {"name": ["theta=+0.5 phi0", 'quote " slash \\ e\u0301 %s'],
+                 "computed": [np.float64(0.35480001), -0.0],
+                 "reference": [0.3548, np.float64(1e300)],
+                 "deviation": [np.float64(1e-08), 5e-324]}
+        payload = {"command": "reproduce", "rows": table}
         assert cli._json_text(payload) == _reference_json(payload)
+
+    @pytest.mark.parametrize("table", [
+        {"u": [0.0, 1.0], "value": [0.5]},
+        {"name": ["a"], "value": np.array([0.5, 1.0])},
+    ], ids=["float-columns", "string-column"])
+    def test_columns_of_unequal_length_refused(self, table):
+        with pytest.raises(ValueError, match="differ in length"):
+            cli._csv_table(table)
+        with pytest.raises(ValueError, match="differ in length"):
+            cli._json_text({"command": "x", "rows": table})
 
 
 class TestSimulate:
@@ -436,8 +455,8 @@ class TestErrorsAndOutput:
                                      np.float64("nan")],
                              ids=["nan", "inf", "-inf", "np.nan"])
     def test_json_refuses_non_finite_rows(self, bad):
-        payload = {"command": "x", "rows": [{"u": 0.0, "value": 0.5},
-                                            {"u": 1.0, "value": bad}]}
+        payload = {"command": "x", "rows": {"u": [0.0, 1.0],
+                                            "value": [0.5, bad]}}
         with pytest.raises(ValueError):
             _reference_json(payload)
         with pytest.raises(ValueError):
@@ -548,3 +567,23 @@ class TestEntryPoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "rate k" in lines[0]
+
+    # Valid rates whose cleared denominator leaves finite arithmetic: the
+    # companion row -q[1:] / q[0] overflows (classical, chi), or the Erlang
+    # leading coefficient, of order c**5, underflows to 0.0.
+    _TINY_C = ("--c", "2.740722066331817e-123", "--alpha", "7.2295534740352e+147")
+
+    @pytest.mark.parametrize("argv,reason", [
+        (("survival-classical", *_TINY_C, "--lambda", "1.690252308629954e+23",
+          "--theta", "0"), "companion row"),
+        (("max-surplus", *_TINY_C, "--lambda", "1.690252308629954e+23",
+          "--theta", "0"), "companion row"),
+        (("survival-erlang2", *_TINY_C, "--beta", "1.690252308629954e+23",
+          "--theta", "0.5"), "leading coefficient"),
+    ], ids=["classical", "max-surplus", "erlang2"])
+    def test_extreme_rates_print_one_error_line(self, argv, reason):
+        proc = self._module(*argv, "--u", "0:1:1")
+        assert (proc.returncode, proc.stdout) == (4, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and reason in lines[0]

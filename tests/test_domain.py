@@ -306,6 +306,33 @@ def test_overflowing_rates_raise_conditioning_error(alpha, rate, c):
             solve()
 
 
+def test_vanished_leading_coefficient_raises_conditioning_error():
+    """A cleared denominator whose leading coefficient underflows to 0.0.
+
+    At c = 2.7e-123 the Erlang leading coefficient, of order c**5, is 0.0
+    although the model passes ModelSpec's loading check (about 233).  The
+    assembly refuses it before root finding as a conditioning failure, not
+    as the usage error poly_roots would raise for a zero leading coefficient.
+    """
+    model = ModelSpec(2.740722066331817e-123, ExpClaim(7.2295534740352e+147),
+                      Erlang2(1.690252308629954e+23), FgmParam(0.5))
+    for elimination in GrowthElimination:
+        with pytest.raises(ConditioningError, match="leading coefficient"):
+            survival_erlang2(model, elimination=elimination)
+    with pytest.raises(ConditioningError, match="leading coefficient"):
+        erlang_lt(model)
+
+
+def test_overflowing_companion_row_raises_conditioning_error():
+    """Finite coefficients whose companion row -q[1:] / q[0] overflows."""
+    model = ModelSpec(2.740722066331817e-123, ExpClaim(7.2295534740352e+147),
+                      ExpPoisson(1.690252308629954e+23), FgmParam(0.0))
+    for solve in (lambda: survival_classical(model),
+                  lambda: solve_chi(model, 1.0)):
+        with pytest.raises(ConditioningError, match="companion row"):
+            solve()
+
+
 def test_erlang_basis_overflow_raises_conditioning_error():
     """Finite transform coefficients whose roots overflow the basis values.
 

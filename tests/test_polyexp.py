@@ -126,6 +126,11 @@ class TestPolyRoots:
         with pytest.raises(ConditioningError, match="not finite"):
             poly_roots(np.array([0.0, bad, 1.0]))
 
+    def test_overflowing_companion_row_rejected(self):
+        # Every coefficient is finite, but 1e300 / 1e-10 is not.
+        with pytest.raises(ConditioningError, match="companion row"):
+            poly_roots([1.0, 1e300, 1e-10])
+
     def test_unpaired_complex_eigenvalue_rejected(self, monkeypatch):
         # LAPACK always pairs; a solver that did not would be caught.
         monkeypatch.setattr(np.linalg, "eigvals",
