@@ -3,24 +3,25 @@
 The survival probability phi(u) of the surplus process with exponential
 inter-claim times satisfies a second-order integro-differential equation
 whose Laplace transform is rational once the claim transforms are cleared.
-With f~ = alpha/(alpha+s) and h~ = alpha s/((alpha+s)(2 alpha+s)), the
-cleared denominator is the quartic
+The solver works at unit rates, alpha = lam = 1, where the premium is
+c' = c alpha / lam (``model.unit_rates``).  With f~ = 1/(1+s) and
+h~ = s/((1+s)(2+s)), the cleared denominator is the quartic
 
-    D(s) = (c^2 s^2 - 3 lam c s + 2 lam^2)(alpha+s)(2 alpha+s)
-           - 2 lam^2 alpha (2 alpha+s) + lam c alpha s (2 alpha+s)
-           + theta lam c alpha s^2
+    D(s) = (c'^2 s^2 - 3 c' s + 2)(1+s)(2+s) - 2 (2+s) + c' s (2+s)
+           + theta c' s^2
 
 with D(0) = 0, and the numerator is affine in the unknown phi(0):
 
-    N(s) = phi(0) c^2 s (alpha+s)(2 alpha+s)
-           + (-2 lam c + 2 lam^2 m1)(alpha+s)(2 alpha+s).
+    N(s) = phi(0) c'^2 s (1+s)(2+s) + (2 - 2 c')(1+s)(2+s).
 
 phi(0) is pinned by boundedness: the transform must be analytic in the
 right half-plane, so the numerator has to vanish at every root of D with
 positive real part.  Partial fractions over the remaining poles then give
 phi(u) in closed form as a constant plus decaying exponentials; the
 constant equals N(0)/D'(0) = 1 identically, which is checked rather than
-assumed.
+assumed.  The model's phi(u) is the unit-rate one at alpha u: on the way
+out the roots and rates are multiplied by alpha.  ``classical_lt`` gives
+the model's lam^2 alpha N(s / alpha) over lam^2 alpha^2 D(s / alpha).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import InputError
-from .model import ExpPoisson, ModelSpec
+from .model import ExpPoisson, ModelSpec, unit_rates
 from .polyexp import (
     RESIDUE_DROP_REL,
     ExpSum,
@@ -41,8 +42,7 @@ from .polyexp import (
     eliminate_growing,
     partial_fractions,  # noqa: F401  (bench/tracer.py wraps this module's binding)
     poly_roots,
-    shifted_zero_constant,
-    times_linear,
+    rescaled,
 )
 
 __all__ = ["ClassicalSolution", "classical_lt", "solve_phi0", "survival_classical"]
@@ -52,38 +52,33 @@ __all__ = ["ClassicalSolution", "classical_lt", "solve_phi0", "survival_classica
 _CONSTANT_TOL = 1e-8
 
 
-# Rates that overflow the assembly leave non-finite coefficients, which
-# poly_roots refuses with ConditioningError; the numpy warnings on the way
-# would say nothing more.
+# An overflowing premium leaves non-finite coefficients, which poly_roots
+# refuses; the numpy warnings on the way would say nothing more.
 @np.errstate(over="ignore", invalid="ignore")
-def _cleared_parts(model: ModelSpec):
-    """Ascending (den, num_const, num_slope); D's constant is snapped to 0.
+def _cleared_parts(c: float, th: float):
+    """Ascending (den, num_const, num_slope) at unit rates and premium c.
 
-    den is an array; the numerator coefficients are lists of floats.
+    den is an array, its constant exactly 0 (4 - 4); the others are lists.
     """
-    if not isinstance(model.arrival, ExpPoisson):
-        raise InputError("classical solver needs exponential inter-claim times")
-    a = model.claim.alpha
-    lam = model.arrival.lam
-    c = model.c
-    th = model.theta
-    lam2, c2 = lam * lam, c * c
-    lin_2a = np.array([2.0 * a, 1.0])
-    q = times_linear([a, 1.0], 2.0 * a, 1.0)
-    den = np.convolve([2.0 * lam2, -3.0 * lam * c, c2], q)
-    den[:2] -= lin_2a * (2.0 * lam2 * a)
-    den[1:3] += lin_2a * (lam * c * a)  # times s: one place up
-    den[2] += th * lam * c * a
-    w = -2.0 * lam * c + 2.0 * lam2 * model.m1
+    c2 = c * c
+    q = [2.0, 3.0, 1.0]  # (1 + s)(2 + s)
+    den = np.convolve([2.0, -3.0 * c, c2], q)
+    den[:2] -= [4.0, 2.0]
+    den[1:3] += [2.0 * c, c]  # c s (2 + s): one place up
+    den[2] += th * c
+    w = 2.0 - 2.0 * c
     num_const = [x * w for x in q]
     num_slope = [x * c2 for x in (0.0, *q)]  # times s
-    return shifted_zero_constant(den), num_const, num_slope
+    return den, num_const, num_slope
 
 
 def classical_lt(model: ModelSpec) -> ParametricRational:
-    """Cleared Laplace transform of phi, its numerator affine in phi(0)."""
-    den, num_const, num_slope = map(Polynomial, _cleared_parts(model))
-    return ParametricRational(num_const, num_slope, den)
+    """Cleared Laplace transform of phi in model units, affine in phi(0)."""
+    c, alpha = unit_rates(model, ExpPoisson)
+    den, num_const, num_slope = _cleared_parts(c, model.theta)
+    k = model.arrival.lam * model.arrival.lam * alpha
+    return ParametricRational(rescaled(num_const, k, alpha), rescaled(num_slope, k, alpha),
+                              rescaled(den, k * alpha, alpha))
 
 
 @dataclass(frozen=True)
@@ -115,16 +110,17 @@ class ClassicalSolution:
 
 
 def _eliminate(model: ModelSpec):
-    """Roots and the elimination: num_const's weight is 1, phi(0) the unknown."""
-    den, num_const, num_slope = _cleared_parts(model)
+    """alpha, unit-rate roots and elimination: num_const weighs 1, phi(0) is free."""
+    c, alpha = unit_rates(model, ExpPoisson)
+    den, num_const, num_slope = _cleared_parts(c, model.theta)
     roots = poly_roots(den)
-    return roots, eliminate_growing(den, roots, coeff_rows(num_slope, num_const),
-                                    (None, 1.0))
+    return alpha, roots, eliminate_growing(den, roots, coeff_rows(num_slope, num_const),
+                                           (None, 1.0))
 
 
 def solve_phi0(model: ModelSpec) -> float:
     """Survival probability at zero surplus, via growing-root elimination."""
-    return float(_eliminate(model)[1].weights[0])
+    return float(_eliminate(model)[2].weights[0])
 
 
 def survival_classical(model: ModelSpec) -> ClassicalSolution:
@@ -132,10 +128,13 @@ def survival_classical(model: ModelSpec) -> ClassicalSolution:
 
     Raises:
         InputError: If the arrival law is not exponential.
+        ConditioningError: If the loading rounds to zero at unit rates, or
+            a coefficient, root or residue leaves the float range.
         StructuralError: If root elimination or inversion fails one of the
             internal consistency gates.
     """
-    roots, elim = _eliminate(model)
-    phi = elim.survival(RESIDUE_DROP_REL, _CONSTANT_TOL)
+    alpha, roots, elim = _eliminate(model)
+    roots = roots.scaled(alpha)
+    phi = elim.survival(RESIDUE_DROP_REL, _CONSTANT_TOL, alpha)
     return ClassicalSolution(model, float(elim.weights[0]), phi, roots,
                              elim.candidates(1.0))

@@ -3,28 +3,34 @@
 With Erlang(2, beta) inter-claim times the survival probability delta(u)
 satisfies a second-order equation whose Laplace transform involves the
 claim transforms f~ and h~ together with kernel corrections carrying
-powers of 1/(2 beta - c s).  Clearing all denominators yields a degree-7
+powers of 1/(2 beta - c s).  The solver works at unit rates,
+alpha = beta = 1, where the premium is c' = c alpha / beta
+(``model.unit_rates``).  Clearing all denominators yields a degree-7
 identity with denominator
 
-    D(s) = (c^2 s^2 - 2 beta c s + beta^2)(2 beta - c s)^3 (alpha+s)(2 alpha+s)
-           - beta^2 alpha (2 alpha+s)(2 beta - c s)^3
-           - theta alpha s [beta^2 (2 beta - c s)^3 + 4 beta^5
-                            - sigma 6 beta^4 (2 beta - c s)]
+    D(s) = (c'^2 s^2 - 2 c' s + 1)(2 - c' s)^3 (1+s)(2+s)
+           - (2+s)(2 - c' s)^3
+           - theta s [(2 - c' s)^3 + 4 - sigma 6 (2 - c' s)]
 
 and numerator
 
-    N(s) = delta(0) c^2 s (2 beta - c s)^3 (alpha+s)(2 alpha+s)
-           + w (2 beta - c s)^3 (alpha+s)(2 alpha+s)
-           + theta (alpha+s)(2 alpha+s)
-             [k0 + k1 (2 beta - c s) + k2 (2 beta - c s)^2]
+    N(s) = delta(0) c'^2 s (2 - c' s)^3 (1+s)(2+s)
+           + w (2 - c' s)^3 (1+s)(2+s)
+           + theta (1+s)(2+s) [k0 + k1 (2 - c' s) + k2 (2 - c' s)^2]
 
 where w collects first-derivative boundary data of delta at zero and the
 quadratic bracket collects the constants introduced by the operator
-responsible for the 1/(2 beta - c s) kernels.  The sign sigma of the
+responsible for the 1/(2 - c' s) kernels.  The sign sigma of the
 last kernel correction in D is ambiguous between two candidate
 conventions, kept as ``SignVariant.PLUS`` (sigma = +1) and
 ``SignVariant.MINUS`` (sigma = -1); simulation singles out PLUS (see
 ``sign_variant_report``), so it is the default.
+
+The model's delta(u) is the unit-rate one at alpha u: on the way out the
+roots and rates are multiplied by alpha.  ``erlang_lt`` gives the model's
+beta^5 alpha N(s / alpha) over beta^5 alpha^2 D(s / alpha), and (w, k0,
+k1, k2) in model units are the unit values times (beta^2, beta^5, beta^4,
+beta^3) / alpha.
 
 D has a zero root, two roots with negative real part, and four with
 positive real part.  Boundedness of delta forces a vanishing coefficient
@@ -35,7 +41,7 @@ five linear conditions in the five unknowns delta(0), w, k0, k1, k2.
   * INDIVIDUAL (default): solve the five-by-five system exactly so each
     growing coefficient vanishes separately; the result agrees with
     simulation to Monte Carlo precision.
-  * POOLED: freeze w at its independence value -2 beta c + beta^2 m1,
+  * POOLED: freeze w at its unit-rate independence value 1 - 2 c',
     drop the quadratic bracket, and require only that the growing
     residues sum to zero, which is the same as asking the truncated
     inversion to reproduce its own initial value.  The neglected
@@ -55,7 +61,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import InputError, StructuralError
-from .model import Erlang2, ModelSpec
+from .model import Erlang2, ModelSpec, unit_rates
 from .polyexp import (
     ExpSum,
     ParametricRational,
@@ -64,7 +70,7 @@ from .polyexp import (
     eliminate_growing,
     partial_fractions,  # noqa: F401  (bench/tracer.py wraps this module's binding)
     poly_roots,
-    shifted_zero_constant,
+    rescaled,
     times_linear,
 )
 
@@ -100,7 +106,7 @@ _CONSTANT_TOL = 1e-6
 
 
 class SignVariant(Enum):
-    """Sign of the 6 beta^4 kernel correction in the transform denominator."""
+    """Sign of the 6 (2 - c' s) kernel correction in the transform denominator."""
 
     PLUS = "plus"
     MINUS = "minus"
@@ -130,87 +136,85 @@ class GrowthElimination(Enum):
 DEFAULT_ELIMINATION = GrowthElimination.INDIVIDUAL
 
 
-# Rates that overflow the assembly leave non-finite coefficients, which
-# poly_roots refuses with ConditioningError; the numpy warnings on the way
-# would say nothing more.
+# An overflowing premium leaves non-finite coefficients, which poly_roots
+# refuses; the numpy warnings on the way would say nothing more.
 @np.errstate(over="ignore", invalid="ignore")
-def _cleared_parts(model: ModelSpec, variant: SignVariant):
-    """D, its constant snapped to zero, and the numerator basis, as arrays.
+def _cleared_parts(c: float, th: float, variant: SignVariant):
+    """D at unit rates and premium c, and the numerator basis, as arrays.
 
+    D's constant is exactly 0, formed from integers (16 - 16, or 1 - 1).
     The basis has one zero-padded row of ascending coefficients for each of
     delta(0), w, k0, k1, k2.  For |theta| below 1e-9 the theta corrections
-    are dropped and the transform is cleared by (alpha + s) alone, which
-    keeps the kernel root at 2 beta / c out of the denominator entirely;
-    only the delta(0) and w rows remain in that branch.
+    are dropped and the transform is cleared by (1 + s) alone, which
+    keeps the kernel root at 2/c out of the denominator entirely; only the
+    delta(0) and w rows remain in that branch.
     """
-    if not isinstance(model.arrival, Erlang2):
-        raise InputError("Erlang solver needs Erlang(2) inter-claim times")
-    a = model.claim.alpha
-    beta = model.arrival.beta
-    c = model.c
-    th = model.theta
     # Multiplying by s shifts the coefficients one place up.
-    beta2, c2 = beta * beta, c * c
-    base2 = [beta2, -2.0 * beta * c, c2]
+    c2 = c * c
+    base2 = [1.0, -2.0 * c, c2]
 
     if abs(th) < _SMALL_THETA:
-        den = np.array(times_linear(base2, a, 1.0))
-        den[0] -= beta2 * a
-        basis = coeff_rows([x * c2 for x in (0.0, a, 1.0)], [a, 1.0])
-        return shifted_zero_constant(den), basis
+        den = np.array(times_linear(base2, 1.0, 1.0))
+        den[0] -= 1.0
+        basis = coeff_rows([x * c2 for x in (0.0, 1.0, 1.0)], [1.0, 1.0])
+        return den, basis
 
-    k0, k1 = 2.0 * beta, -c  # the kernel factor 2 beta - c s
-    ker3 = times_linear(times_linear([k0, k1], k0, k1), k0, k1)
-    cof = times_linear(times_linear(ker3, a, 1.0), 2.0 * a, 1.0)
-    q = times_linear([a, 1.0], 2.0 * a, 1.0)
-    qk = times_linear(q, k0, k1)
-    # A numpy power overflows to inf where a float's raises; squares multiply.
-    beta4, beta5 = np.float64(beta) ** 4, np.float64(beta) ** 5
-    bracket = np.multiply(ker3, beta2)
-    bracket[0] += 4.0 * beta5
-    bracket[:2] -= np.multiply([k0, k1], variant.sigma * 6.0 * beta4)
+    ker = [2.0, -c]  # the kernel factor 2 - c s
+    ker3 = times_linear(times_linear(ker, *ker), *ker)
+    q = [2.0, 3.0, 1.0]  # (1 + s)(2 + s)
+    cof = times_linear(times_linear(ker3, 1.0, 1.0), 2.0, 1.0)
+    qk = times_linear(q, *ker)
+    bracket = np.array(ker3)
+    bracket[0] += 4.0
+    bracket[:2] -= np.multiply(ker, variant.sigma * 6.0)
     den = np.convolve(base2, cof)
-    den[:5] -= np.multiply(times_linear(ker3, 2.0 * a, 1.0), beta2 * a)
-    den[1:5] -= bracket * (th * a)
-    qkk = times_linear(qk, k0, k1)
+    den[:5] -= times_linear(ker3, 2.0, 1.0)
+    den[1:5] -= bracket * th
+    qkk = times_linear(qk, *ker)
     basis = coeff_rows([x * c2 for x in (0.0, *cof)], cof,
                        [x * th for x in q], [x * th for x in qk], [x * th for x in qkk])
-    return shifted_zero_constant(den), basis
+    return den, basis
 
 
-def _independence_w(model: ModelSpec) -> float:
-    # Value w takes when claim sizes and inter-claim times are independent.
-    beta = model.arrival.beta
-    return -2.0 * beta * model.c + beta * beta * model.m1
+def _independence_w(c: float) -> float:
+    # Value w takes at unit rates when claims and inter-claim times are independent.
+    return 1.0 - 2.0 * c
 
 
 def erlang_lt(
     model: ModelSpec, variant: SignVariant = DEFAULT_SIGN_VARIANT
 ) -> ParametricRational:
-    """Cleared Laplace transform of delta, affine in delta(0).
+    """Cleared Laplace transform of delta in model units, affine in delta(0).
 
     The numerator follows the POOLED convention: w is frozen at its
     independence value and the quadratic boundary bracket is dropped,
     leaving delta(0) as the single free parameter.
     """
-    den, basis = _cleared_parts(model, variant)
+    c, alpha = unit_rates(model, Erlang2)
+    den, basis = _cleared_parts(c, model.theta, variant)
+    # The numerator is k N(s / alpha): k = beta^2, times beta^3 alpha where
+    # (2 - c' s)^3 (2 + s) clears the kernels too (degree 7).
+    beta = model.arrival.beta
+    k = beta * beta * (1.0 if len(den) == 4 else beta * beta * beta * alpha)
     # The basis rows are zero-padded; trim() keeps degree() the true degree.
-    num_const = Polynomial(basis[1] * _independence_w(model)).trim()
-    return ParametricRational(num_const, Polynomial(basis[0]), Polynomial(den))
+    num_const = rescaled(basis[1], k * _independence_w(c), alpha).trim()
+    return ParametricRational(num_const, rescaled(basis[0], k, alpha),
+                              rescaled(den, k * alpha, alpha))
 
 
 def _build(
     model: ModelSpec, variant: SignVariant, elimination: GrowthElimination
 ):
-    """Roots and growing-root elimination."""
-    den, basis = _cleared_parts(model, variant)
+    """c', alpha, the unit-rate roots and growing-root elimination."""
+    c, alpha = unit_rates(model, Erlang2)
+    den, basis = _cleared_parts(c, model.theta, variant)
     roots = poly_roots(den)
     if elimination is GrowthElimination.POOLED:
-        w0 = _independence_w(model)
+        w0 = _independence_w(c)
         elim = eliminate_growing(den, roots, basis[:2], (None, w0), pooled=True)
     else:
         elim = eliminate_growing(den, roots, basis, (None,) * len(basis))
-    return roots, elim
+    return c, alpha, roots, elim
 
 
 def solve_delta0(
@@ -228,7 +232,7 @@ def solve_delta0(
     is unsolvable, as for the inconsistent variant at some theta < 0: six
     equations for five unknowns, refused by name before any solve.
     """
-    _, elim = _build(model, variant, elimination)
+    elim = _build(model, variant, elimination)[3]
     delta0 = float(elim.weights[0])
     return delta0, abs(ExpSum(elim.constant, elim.terms)(0.0) - delta0)
 
@@ -249,9 +253,8 @@ class ErlangSolution:
         delta0_candidates: Values demanded by each growing root alone
             with the boundary terms frozen at their independence values;
             their spread is the bias the POOLED mode accepts.
-        boundary_constants: (w, k0, k1, k2) recovered by INDIVIDUAL
-            elimination (just (w,) in the small-theta branch); None
-            under POOLED.
+        boundary_constants: (w, k0, k1, k2) in model units from INDIVIDUAL
+            elimination (just (w,) in the small-theta branch); None under POOLED.
         consistency_residual: |delta(0+) - delta0| of the assembled
             form, the initial-value defect left by elimination.
     """
@@ -281,14 +284,17 @@ def survival_erlang2(
 
     Raises:
         InputError: If the arrival law is not Erlang(2).
+        ConditioningError: If the loading rounds to zero at unit rates, or
+            a coefficient, root or residue leaves the float range.
         StructuralError: If the inversion violates an internal check.
             Under POOLED elimination the inconsistent sign variant fails
             the tends-to-1 gate by design; under INDIVIDUAL elimination
             both variants assemble cleanly and sign_variant_report is
             the arbiter between them.
     """
-    roots, elim = _build(model, variant, elimination)
-    delta = elim.survival(_AGGREGATE_TOL, _CONSTANT_TOL)
+    c, alpha, roots, elim = _build(model, variant, elimination)
+    roots = roots.scaled(alpha)
+    delta = elim.survival(_AGGREGATE_TOL, _CONSTANT_TOL, alpha)
     delta0 = float(elim.weights[0])
     residual = abs(delta(0.0) - delta0)
     if not residual <= _CONSISTENCY_TOL:
@@ -297,10 +303,14 @@ def survival_erlang2(
         )
     boundary = None
     if elimination is GrowthElimination.INDIVIDUAL:
-        boundary = tuple(float(v) for v in elim.weights[1:])
+        # From the numerator beta^5 alpha N(s / alpha), in which the kernel
+        # factor 2 beta - c s is beta (2 - c' s / alpha).
+        b, f = model.arrival.beta, model.arrival.beta / alpha
+        units = (f * b, f * b * b * b * b, f * b * b * b, f * b * b)
+        boundary = tuple(float(v) * u for v, u in zip(elim.weights[1:], units))
     # Each growing root's demand with w frozen at its independence value and
     # no quadratic bracket; their spread measures the pooled-mode bias.
-    cands = elim.candidates(_independence_w(model))
+    cands = elim.candidates(_independence_w(c))
     return ErlangSolution(
         model, variant, elimination, delta0, delta, roots, cands, boundary, residual
     )

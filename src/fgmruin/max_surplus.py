@@ -2,54 +2,56 @@
 
 chi(u, b) is the probability that the surplus process started at u attains
 the level b >= u before it ever falls below zero; xi = 1 - chi is the
-probability of ruin with maximum surplus below b.  For exponential claims
-chi satisfies a fourth-order linear ODE in u whose characteristic quartic
-coincides with the cleared transform denominator of the survival solver
-divided by c^2, so
+probability of ruin with maximum surplus below b.  The solver works at
+unit rates, alpha = lam = 1, with the premium c' = c alpha / lam
+(``model.unit_rates``) and the level b' = alpha b; the model's chi(u, b)
+is the unit-rate chi at (alpha u, b'), so on the way out the roots and
+rates are multiplied by alpha.  For exponential claims chi satisfies a
+fourth-order linear ODE in u whose characteristic quartic coincides with
+the cleared transform denominator of the survival solver divided by
+c'^2, so
 
-    chi(u, b) = a_0 + a_1 e^{s_1 u} + a_2 e^{s_2 u} + a_3 e^{s_3 u}
+    chi(u, b') = a_0 + a_1 e^{s_1 u} + a_2 e^{s_2 u} + a_3 e^{s_3 u}
 
 over the nonzero quartic roots s_i (one of positive real part; its
-coefficient is invisibly small for moderate b yet required for the
-boundary value chi(b, b) = 1).
+coefficient is invisibly small for moderate b' yet required for the
+boundary value chi(b', b') = 1).
 
 The four coefficients solve a linear system assembled from the boundary
 condition and from the first-derivative form of the renewal equation,
 
-    chi' - (lam/c) chi = (2 theta lam^2/c^2) J(u) - (lam/c) A(u)
-                         - (theta lam/c) B(u),
+    chi' - (1/c') chi = (2 theta/c'^2) J(u) - (1/c') A(u)
+                        - (theta/c') B(u),
 
 where A and B are convolutions of chi with the claim density f and the
-auxiliary density h(x) = 2 alpha e^{-2 alpha x} - alpha e^{-alpha x},
-and J(u) integrates B(s) e^{-k (s-u)} over u <= s <= b, k = 2 lam/c.
-Substituting the exponential form turns each side into a combination of
-the rates {0, s_i, -alpha, -2 alpha, k}.  Each column r_j in {0, s_1, s_2,
-s_3} is scaled by g(r) = (alpha + r)(2 alpha + r)(k - r), so the unknown
-y_j gives the coefficient y_j g(r_j), and the four rows are, up to nonzero
-row factors:
+auxiliary density h(x) = 2 e^{-2 x} - e^{-x}, and J(u) integrates
+B(s) e^{-k (s-u)} over u <= s <= b', k = 2/c'.  Substituting the
+exponential form turns each side into a combination of the rates
+{0, s_i, -1, -2, k}.  Each column r_j in {0, s_1, s_2, s_3} is scaled by
+g(r) = (1 + r)(2 + r)(k - r), so the unknown y_j gives the coefficient
+y_j g(r_j), and the four rows are, up to nonzero row factors:
 
-    boundary chi(b, b) = 1:  g(r_j) e^{r_j b},  right-hand side 1;
-    rate -alpha:             alpha (2 alpha + r_j)(k - r_j);
-    rate -2 alpha:           2 alpha (alpha + r_j)(k - r_j);
-    rate k (times e^{k b}):  alpha r_j e^{r_j b},
+    boundary chi(b', b') = 1:  g(r_j) e^{r_j b'},  right-hand side 1;
+    rate -1:                   (2 + r_j)(k - r_j);
+    rate -2:                   2 (1 + r_j)(k - r_j);
+    rate k (times e^{k b'}):   r_j e^{r_j b'},
 
-leaving out the rate-k terms in e^{-(alpha + k) b} and e^{-(2 alpha + k) b},
-multiples of the rate -alpha and -2 alpha rows.  No entry divides by the
-distance between a root and a rate.  As theta -> 0 two roots tend to
--2 alpha and k; at theta = 0 they equal them, g vanishes and so do their
-coefficients.  One system thus serves every theta, and at theta = 0 it
-gives chi(u, b) = phi(u)/phi(b).
+leaving out the rate-k terms in e^{-(1 + k) b'} and e^{-(2 + k) b'},
+multiples of the rate -1 and -2 rows.  No entry divides by the distance
+between a root and a rate.  As theta -> 0 two roots tend to -2 and k; at
+theta = 0 they equal them, g vanishes and so do their coefficients.  One
+system thus serves every theta, and at theta = 0 it gives
+chi(u, b) = phi(u)/phi(b).
 
-The growing term is anchored at b: its column is scaled by e^{-s b}, and
-it is kept apart as a' e^{s (u - b)}.  Every entry then lies within the
-floating-point range at any b, and rows are equilibrated before solving.
+The growing term is anchored at b': its column is scaled by e^{-s b'}, and
+it is kept apart as a' e^{s (u - b')}.  Every entry then lies within the
+floating-point range at any b', and rows are equilibrated before solving.
 
-The rates 0 and s_i cancel identically: with kappa = 2 theta lam^2/c^2,
-mu = lam/c and nu = theta lam/c, each root satisfies the identity over
-the same factor g,
+The rates 0 and s_i cancel identically: with kappa = 2 theta/c'^2,
+mu = 1/c' and nu = theta/c', each root satisfies the identity over the
+same factor g,
 
-    kappa alpha r - mu alpha (2 alpha + r)(k - r) - nu alpha r (k - r)
-        - (r - mu) g(r) = 0,
+    kappa r - mu (2 + r)(k - r) - nu r (k - r) - (r - mu) g(r) = 0,
 
 and the remainder relative to the largest term (or to 1, if that is
 larger) is checked as the assembly defect.  (Dickson & Gray, Scand.
@@ -67,10 +69,11 @@ from numpy.polynomial import Polynomial
 
 from .classical import (
     _cleared_parts,
+    classical_lt,
     survival_classical,  # noqa: F401  (bench/tracer.py wraps this module's binding)
 )
 from .errors import ConditioningError, InputError, StructuralError
-from .model import ExpPoisson, ModelSpec
+from .model import ExpPoisson, ModelSpec, unit_rates
 from .polyexp import ExpSum, RootSet, poly_roots
 
 __all__ = ["ChiSolution", "chi_characteristic", "solve_chi", "chi", "xi"]
@@ -93,14 +96,12 @@ _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 def chi_characteristic(model: ModelSpec) -> Polynomial:
-    """Characteristic quartic of the reach-probability ODE.
+    """Characteristic quartic of the reach-probability ODE, in model units.
 
     Equals the cleared survival-transform denominator scaled by 1/c^2; the
     roots are shared between the two solvers.
     """
-    if not isinstance(model.arrival, ExpPoisson):
-        raise InputError("max-surplus solver needs exponential inter-claim times")
-    return Polynomial(_cleared_parts(model)[0] / model.c / model.c)
+    return classical_lt(model).den / model.c / model.c
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,10 @@ class ChiSolution:
         chi: The constant and decaying terms of chi(u, b).
         growing: The growing term as a function of u - b, a' e^{s (u - b)}.
         roots: Characteristic roots (shared with the survival transform).
-        condition: Condition number of the equilibrated linear system.
+        condition: Condition number of the equilibrated unit-rate system.
         boundary_residual: |chi(b, b) - 1| of the assembled solution.
         assembly_defect: Largest relative remainder of the characteristic
-            identity at the roots.
+            identity at the unit-rate roots.
     """
 
     model: ModelSpec
@@ -139,53 +140,45 @@ class ChiSolution:
         return 1.0 - self(u)
 
 
+# Entries that leave the float range fail the defect, row, condition or
+# boundary gate; the numpy warnings on the way would say nothing more.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     """Coefficients of chi(u, b) for one target level b.
 
     Raises:
         InputError: For non-exponential arrivals or a non-positive level.
         UnsupportedStructureError: If characteristic roots repeat.
-        ConditioningError: If a row of the system vanishes (its largest
-            entry is below the smallest normal float) or overflows, or the
-            equilibrated system's condition number exceeds 1e12 or is not
-            finite.
+        ConditioningError: If the loading rounds to zero at unit rates, a
+            row of the system vanishes (below the smallest normal float) or
+            overflows, the equilibrated system's condition number exceeds
+            1e12 or is not finite, or a root times alpha overflows.
         StructuralError: If the assembly identity or the boundary value
             check fails, or ExpSum finds the constant or a real-rate
             coefficient complex beyond 1e-9.
     """
-    if not isinstance(model.arrival, ExpPoisson):
-        raise InputError("max-surplus solver needs exponential inter-claim times")
+    c, alpha = unit_rates(model, ExpPoisson)
     b = float(b)
     if not (b > 0.0) or not math.isfinite(b):
         raise InputError(f"target level b must be positive, got {b!r}")
-
-    alpha = model.claim.alpha
-    lam = model.arrival.lam
-    c = model.c
     th = model.theta
-    k = 2.0 * lam / c
+    k = 2.0 / c
+    b_unit = b * alpha
 
-    roots = poly_roots(_cleared_parts(model)[0])
+    roots = poly_roots(_cleared_parts(c, th)[0])
     # Columns: the constant (rate 0) and the three nonzero roots.
     r = np.concatenate(([0.0], roots.poles[~roots.zero]))
-    plus_a, plus_2a, k_minus = alpha + r, 2.0 * alpha + r, k - r
-    g = plus_a * plus_2a * k_minus
+    plus_1, plus_2, k_minus = 1.0 + r, 2.0 + r, k - r
+    g = plus_1 * plus_2 * k_minus
 
     # At every root the rates 0 and s_i cancel identically; a visible
-    # remainder means the rows below do not match the solution form.  The
-    # summands are homogeneous of degree 4 in the rates, so they are formed
-    # with every rate divided by alpha, where they stay finite (positive
-    # loading keeps k / alpha below 2); at alpha = 1 this changes no bit.
-    kappa = 2.0 * th * lam**2 / c**2 / alpha / alpha
-    mu = lam / c / alpha
-    nu = th * lam / c / alpha
-    ra = r / alpha
-    two, gap = 2.0 + ra, k / alpha - ra
+    # remainder means the rows below do not match the solution form.
+    mu = 1.0 / c
     summands = np.array([
-        kappa * ra,
-        -mu * two * gap,
-        -nu * ra * gap,
-        -(ra - mu) * ((1.0 + ra) * two * gap),
+        2.0 * th / c**2 * r,
+        -mu * plus_2 * k_minus,
+        -(th / c) * r * k_minus,
+        -(r - mu) * g,
     ])
     size = np.abs(summands)
     defect = float((np.abs(summands.sum(axis=0))
@@ -196,18 +189,18 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
             f"assembly left relative defect {defect:.3e} on identity rates"
         )
 
-    # Rows: the boundary value chi(b, b) = 1, then the coefficients of
-    # the rates -alpha, -2 alpha and k, each up to a nonzero common
-    # factor that equilibration cancels.  The growing column is anchored
-    # at b, so its unknown weighs e^{s (u - b)}.
+    # Rows: the boundary value chi(b', b') = 1, then the coefficients of
+    # the rates -1, -2 and k, each up to a nonzero common factor that
+    # equilibration cancels.  The growing column is anchored at b', so
+    # its unknown weighs e^{s (u - b')}.
     grow = int(r.real.argmax())
-    shift = b * (np.arange(4) == grow)
-    at_b, at_shift = np.exp(r * (b - shift)), np.exp(-r * shift)
+    shift = b_unit * (np.arange(4) == grow)
+    at_b, at_shift = np.exp(r * (b_unit - shift)), np.exp(-r * shift)
     mat = np.array([
         g * at_b,
-        alpha * plus_2a * k_minus * at_shift,
-        2.0 * alpha * plus_a * k_minus * at_shift,
-        alpha * r * at_b,
+        plus_2 * k_minus * at_shift,
+        2.0 * plus_1 * k_minus * at_shift,
+        r * at_b,
     ])
     row_norm = np.abs(mat).max(axis=1)
     # A row that underflows in every column, to zero or to subnormals, or
@@ -235,7 +228,8 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
             f"{_COND_LIMIT:.0e}"
         )
     coef = (np.linalg.solve(mat, rhs) * g).tolist()
-    rates = r.tolist()
+    roots = roots.scaled(alpha)
+    rates = (r * alpha).tolist()
 
     # A conjugate pair of roots enters the sum once, by its upper member.
     terms = sorted(

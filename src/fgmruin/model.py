@@ -43,6 +43,7 @@ __all__ = [
     "h_tilde",
     "conditional_grade",
     "sample_pairs",
+    "unit_rates",
 ]
 
 
@@ -232,6 +233,25 @@ class ModelSpec:
     @property
     def m1(self) -> float:
         return self.claim.mean
+
+
+def unit_rates(model: ModelSpec, law: type) -> tuple[float, float]:
+    """(c', alpha): the premium at unit rates, c alpha / lam (or / beta), and alpha.
+
+    Money in mean claims 1/alpha and time in 1/lam (or 1/beta) make both rates
+    1; the closed forms then depend on c' and theta alone, evaluated at alpha u.
+    Raises InputError unless the arrivals follow ``law``, ConditioningError
+    unless the loading c' - 1 (or 2 c' - 1) is a positive finite float.
+    """
+    if not isinstance(model.arrival, law):
+        raise InputError(f"the solver needs {law.__name__} inter-claim times")
+    poisson = law is ExpPoisson
+    c = model.c / (model.arrival.lam if poisson else model.arrival.beta) * model.claim.alpha
+    loading = (c if poisson else 2.0 * c) - 1.0
+    if not 0.0 < loading < math.inf:
+        raise ConditioningError(f"loading {loading!r} at unit rates (c' = {c!r}) "
+                                "is not a positive finite float")
+    return c, model.claim.alpha
 
 
 def fgm_cdf(u, v, theta: Union[float, FgmParam]):

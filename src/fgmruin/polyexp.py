@@ -18,7 +18,8 @@ machinery:
   each complex pair consecutive and exactly conjugate, upper member first;
   one stable sort on (real part, -|imaginary part|) orders the roots, and
   one comparison classifies them by the sign of the real part.  Non-finite
-  coefficients, as overflowing rates give, raise ``ConditioningError``.
+  coefficients, as an overflowing premium gives, raise ``ConditioningError``.
+  ``RootSet.scaled`` takes unit-rate roots to model units.
 * ``partial_fractions`` / ``ExpSum``: simple-pole expansion and the
   resulting inverse transform, a real constant plus one exponential per
   real pole or conjugate pair, the pair stored once by its upper member.
@@ -28,6 +29,7 @@ machinery:
   square system for the numerator weights that cancel the growing poles
   and collects the remaining residues into the constant and decaying
   terms.
+* ``rescaled``: a transform assembled at unit rates, in model units.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ __all__ = [
 # absolutely, so the threshold scales with the root instead of being a floor.
 _DECAY_REL = 1e-9
 
-# An ExpSum rate this close to the real axis, relative to max(1, |rate|), is real.
+# An ExpSum rate this close to the real axis, relative to |rate|, is real.  A
+# solver's pair is never that close: SEP keeps its members 1e-4 |rate| apart.
 CONJUGATE_TOL = 1e-9
 
 # Two eigenvalues closer than SEP times the larger modulus are taken as one
@@ -72,7 +75,7 @@ CONJUGATE_TOL = 1e-9
 # root scatter like eps**(1/m) relative to it: 5.7e-8 for the double root
 # of (s+1)^2 (s+2), 1.1e-5 for (s+1)^3 and up to 4.8e-5 for a triple root
 # among four others.  The closest distinct roots the solvers meet with
-# loading up to 1e3 sit 5.9e-4 apart (Erlang roots near 2 beta / c at
+# loading up to 1e3 sit 5.9e-4 apart (Erlang roots near 2/c' at
 # loading 1e3 and |theta| = 1e-9); classical roots at least 0.49 apart.
 SEP = 1e-4
 
@@ -88,22 +91,10 @@ _REALNESS_TOL = 1e-7
 _DEGENERATE_REL = 1e-12
 
 
-def shifted_zero_constant(c: np.ndarray) -> np.ndarray:
-    """Snap c[0], zero by construction, to 0 in place; it must be below 1e-9 max|c|.
-
-    The leading coefficient of a cleared denominator is a product of rates
-    and never zero; it is refused as ``ConditioningError`` when that
-    product underflowed to 0.0.
-    """
-    scale = float(np.abs(c).max())
-    if abs(c[0]) > 1e-9 * scale:
-        raise StructuralError(f"constant coefficient {float(c[0])!r} is not "
-                              f"negligible against scale {scale!r}")
-    if c[-1] == 0.0:
-        raise ConditioningError("leading coefficient of the cleared denominator "
-                                "underflowed to 0.0")
-    c[0] = 0.0
-    return c
+@np.errstate(over="ignore", invalid="ignore")
+def rescaled(c, k: float, alpha: float) -> Polynomial:
+    """k p(s / alpha) for p's ascending coefficients c: coefficient i times k alpha**-i."""
+    return Polynomial(np.asarray(c) * (k * np.float64(alpha) ** -np.arange(len(c))))
 
 
 def coeff_rows(*coeffs: list[float]) -> np.ndarray:
@@ -146,6 +137,14 @@ class RootSet:
     def values(self) -> list[complex]:
         return self.poles.tolist()
 
+    def scaled(self, alpha: float) -> "RootSet":
+        """The roots times alpha; ConditioningError if one overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            poles = self.poles * alpha
+        if not np.isfinite(poles).all():
+            raise ConditioningError(f"roots times alpha = {alpha!r} overflow")
+        return RootSet(poles, self.zero, self.growing)
+
     @property
     def max_multiplicity(self) -> int:
         # Always 1; kept for bench/tracer.py until ROADMAP item 7 drops it.
@@ -171,7 +170,7 @@ def poly_roots(p) -> RootSet:
     Raises:
         InputError: If p has degree below 1 or a zero leading coefficient.
         ConditioningError: If a coefficient is not finite, as when the
-            model's rates overflow the transform assembly, or the
+            premium's powers overflow the transform assembly, or the
             companion row overflows although every coefficient is finite.
         UnsupportedStructureError: If zero is a repeated root, or two
             eigenvalues lie within SEP times the larger modulus of each
@@ -297,10 +296,10 @@ def _real(value, what: str) -> float:
 class ExpSum:
     """constant + sum of coef * exp(rate * u), one term per real rate or pair.
 
-    A rate within CONJUGATE_TOL * max(1, |rate|) of the real axis is real
-    and its term is coef * exp(rate * u); a rate above the axis stands for
-    its conjugate pair, 2 Re(coef * exp(rate * u)); a rate below is
-    rejected.  The constant and the real-rate terms are stored as floats.
+    A rate within CONJUGATE_TOL * |rate| of the real axis is real and its
+    term is coef * exp(rate * u); a rate above the axis stands for its
+    conjugate pair, 2 Re(coef * exp(rate * u)); a rate below is rejected.
+    The constant and the real-rate terms are stored as floats.
     """
 
     constant: float
@@ -310,7 +309,7 @@ class ExpSum:
         terms = []
         for coef, rate in self.terms:
             coef, rate = complex(coef), complex(rate)
-            if abs(rate.imag) <= CONJUGATE_TOL * max(1.0, abs(rate)):
+            if abs(rate.imag) <= CONJUGATE_TOL * abs(rate):
                 coef = _real(coef, "real-rate term has complex coefficient")
                 rate = rate.real
             elif rate.imag < 0.0:
@@ -381,13 +380,15 @@ class Elimination:
     growing_defect: float
     scale: float
 
-    def survival(self, growing_tol: float, constant_tol: float) -> ExpSum:
+    def survival(self, growing_tol: float, constant_tol: float,
+                 alpha: float) -> ExpSum:
         """The inverted survival function, after its three gates.
 
         The first weight, the survival probability at zero, must lie in
         (0, 1), the growing defect within ``growing_tol`` times
         max(1, scale), and the constant, the limit at infinity, within
-        ``constant_tol`` of 1.
+        ``constant_tol`` of 1.  The rates are the poles times alpha, taking
+        a unit-rate solution to model units.
         """
         w = float(self.weights[0])
         if not 0.0 < w < 1.0:
@@ -402,7 +403,7 @@ class Elimination:
                 f"zero-pole residue {self.constant!r} differs from 1 "
                 f"(gate {constant_tol:.0e})"
             )
-        return ExpSum(self.constant, self.terms)
+        return ExpSum(self.constant, tuple((c, p * alpha) for c, p in self.terms))
 
     def candidates(self, w: float) -> tuple[complex, ...]:
         """The first weight each growing root demands alone, the second fixed at w.
@@ -459,7 +460,8 @@ def eliminate_growing(
     ``roots`` are those of ``poly_roots(den)``.
 
     Raises:
-        ConditioningError: If a basis row or D' overflows at a root.
+        ConditioningError: If a basis row, D' or a residue overflows at a
+            root.
         StructuralError: If there is no growing root, or the system is not
             square, degenerate or singular, leaves a residual above 1e-8
             or has a solution that is not real to 1e-7.
@@ -470,15 +472,15 @@ def eliminate_growing(
     nb, width = basis.shape
     cols = np.zeros((len(den) - 1, nb + 1))
     cols[:width, :nb] = basis.T
-    cols[:, nb] = den[1:] * np.arange(1, len(den))
-    # Roots of huge modulus overflow the powers, which the finiteness check
+    # D' and the roots' powers can overflow, which the finiteness check
     # refuses; the numpy warnings on the way would say nothing more.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cols[:, nb] = den[1:] * np.arange(1, len(den))
         at_roots = polyval(poles, cols)
-    if not np.isfinite(at_roots).all():
-        raise ConditioningError("basis values at the roots overflow")
-    basis_at_roots = at_roots[:-1]
-    basis_residues = basis_at_roots / at_roots[-1]
+        basis_at_roots = at_roots[:-1]
+        basis_residues = basis_at_roots / at_roots[-1]
+    if not (np.isfinite(at_roots).all() and np.isfinite(basis_residues).all()):
+        raise ConditioningError("basis values or residues at the roots overflow")
 
     unknown = [i for i, w in enumerate(weights) if w is None]
     full = np.array([0.0 if w is None else float(w) for w in weights])

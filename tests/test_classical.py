@@ -78,31 +78,39 @@ class TestTransform:
         "params", [(1.5, 1.0, 1.0, -1.0), (1.5, 1.0, 1.0, 0.5), (7.3, 0.4, 2.9, 0.0)]
     )
     def test_arrays_match_factored_formulas(self, params):
-        """D and both parts of N at 20 complex points, against the docstring."""
+        """D and both parts of N at 20 complex points, against the formulas.
+
+        The unit-rate parts follow the docstring with alpha = lam = 1 and
+        c' = c alpha / lam; classical_lt, rescaled from them, follows the
+        same formulas in model units.
+        """
         c, a, lam, th = params
         m = _model(th, c=c, alpha=a, lam=lam)
-        den, num_const, num_slope = _cleared_parts(m)
+        lt = classical_lt(m)
+        model_units = (c, a, lam), (lt.den.coef, lt.num_const.coef, lt.num_slope.coef)
+        unit_rates = (c * a / lam, 1.0, 1.0), _cleared_parts(c * a / lam, th)
         rng = np.random.default_rng(7)
-        for s in rng.normal(size=20) * 3.0 + 1j * rng.normal(size=20) * 3.0:
-            q = (a + s) * (2 * a + s)
-            parts = {
-                "den": (
-                    (c * c * s * s - 3 * lam * c * s + 2 * lam**2) * q,
-                    -2 * lam**2 * a * (2 * a + s),
-                    lam * c * a * s * (2 * a + s),
-                    th * lam * c * a * s * s,
-                ),
-                "num_const": ((-2 * lam * c + 2 * lam**2 * m.m1) * q,),
-                "num_slope": (c * c * s * q,),
-            }
-            arrays = {"den": den, "num_const": num_const, "num_slope": num_slope}
-            for name, terms in parts.items():
-                got = np.polyval(arrays[name][::-1], s)
-                scale = sum(abs(t) for t in terms)
-                assert abs(got - sum(terms)) <= 1e-12 * scale, name
+        for (c, a, lam), arrays in (model_units, unit_rates):
+            for s in rng.normal(size=20) * 3.0 + 1j * rng.normal(size=20) * 3.0:
+                q = (a + s) * (2 * a + s)
+                parts = (
+                    (
+                        (c * c * s * s - 3 * lam * c * s + 2 * lam**2) * q,
+                        -2 * lam**2 * a * (2 * a + s),
+                        lam * c * a * s * (2 * a + s),
+                        th * lam * c * a * s * s,
+                    ),
+                    ((-2 * lam * c + 2 * lam**2 / a) * q,),
+                    (c * c * s * q,),
+                )
+                for name, coeffs, terms in zip(("den", "num_const", "num_slope"),
+                                               arrays, parts):
+                    got = np.polyval(np.asarray(coeffs)[::-1], s)
+                    scale = sum(abs(t) for t in terms)
+                    assert abs(got - sum(terms)) <= 1e-12 * scale, name
 
     def test_roots_of_array_and_polynomial_agree(self):
-        den = _cleared_parts(_model(0.5))[0]
+        den = _cleared_parts(1.5, 0.5)[0]
         a, b = poly_roots(den), poly_roots(Polynomial(den))
         for field in ("poles", "zero", "growing"):
             assert np.array_equal(getattr(a, field), getattr(b, field))

@@ -568,18 +568,19 @@ class TestEntryPoint:
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "rate k" in lines[0]
 
-    # Valid rates whose cleared denominator leaves finite arithmetic: the
-    # companion row -q[1:] / q[0] overflows (classical, chi), or the Erlang
-    # leading coefficient, of order c**5, underflows to 0.0.
-    _TINY_C = ("--c", "2.740722066331817e-123", "--alpha", "7.2295534740352e+147")
+    # Valid rates whose loading leaves finite arithmetic at unit rates.  The
+    # premium c' = c alpha / lam is 1.6e64 for classical, whose elimination
+    # row degenerates, and for Erlang, whose septic overflows; for chi it is
+    # 1.0 in floats, a loading lost to rounding.
+    _HUGE_C = ("--c", "6.97555843942281e-50", "--alpha", "4.9834877079678096e-51")
 
     @pytest.mark.parametrize("argv,reason", [
-        (("survival-classical", *_TINY_C, "--lambda", "1.690252308629954e+23",
-          "--theta", "0"), "companion row"),
-        (("max-surplus", *_TINY_C, "--lambda", "1.690252308629954e+23",
-          "--theta", "0"), "companion row"),
-        (("survival-erlang2", *_TINY_C, "--beta", "1.690252308629954e+23",
-          "--theta", "0.5"), "leading coefficient"),
+        (("survival-classical", *_HUGE_C, "--lambda", "2.193236181193759e-164",
+          "--theta", "0"), "degenerate elimination row"),
+        (("max-surplus", "--c", "8.13025555540308e-51", "--alpha", "2.7721999910025694e+32",
+          "--lambda", "2.253869437753701e-18", "--theta", "0", "--b", "1"), "loading 0.0"),
+        (("survival-erlang2", *_HUGE_C, "--beta", "2.193236181193759e-164",
+          "--theta", "0.5"), "not finite"),
     ], ids=["classical", "max-surplus", "erlang2"])
     def test_extreme_rates_print_one_error_line(self, argv, reason):
         proc = self._module(*argv, "--u", "0:1:1")
@@ -587,3 +588,33 @@ class TestEntryPoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:") and reason in lines[0]
+
+    # Rates that only change the units of a moderate model, c' about 117.  In
+    # model units the companion row -q[1:] / q[0] overflowed (classical,
+    # max-surplus), or the Erlang leading coefficient, of order c**5,
+    # underflowed to 0.0.
+    _TINY_C = ("--c", "2.740722066331817e-123", "--alpha", "7.2295534740352e+147")
+
+    @pytest.mark.parametrize("argv", [
+        ("survival-classical", *_TINY_C, "--lambda", "1.690252308629954e+23",
+         "--theta", "0"),
+        ("max-surplus", *_TINY_C, "--lambda", "1.690252308629954e+23",
+         "--theta", "0", "--b", "1e-147"),
+        ("survival-erlang2", *_TINY_C, "--beta", "1.690252308629954e+23",
+         "--theta", "0.5"),
+    ], ids=["classical", "max-surplus", "erlang2"])
+    def test_rescaled_rates_print_unit_rate_values(self, argv):
+        proc = self._module(*argv, "--u", "0:1e-147:5e-148")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        alpha = 7.2295534740352e+147
+        c = 2.740722066331817e-123 / 1.690252308629954e+23 * alpha
+        copula = FgmParam(float(argv[argv.index("--theta") + 1]))
+        if argv[0] == "survival-erlang2":
+            unit = survival_erlang2(ModelSpec(c, ExpClaim(1.0), Erlang2(1.0), copula))
+        else:
+            poisson = ModelSpec(c, ExpClaim(1.0), ExpPoisson(1.0), copula)
+            unit = (solve_chi(poisson, 1e-147 * alpha) if argv[0] == "max-surplus"
+                    else survival_classical(poisson))
+        for u, value in rows:
+            assert float(value) == pytest.approx(unit(float(u) * alpha), rel=1e-5)

@@ -33,6 +33,7 @@ from fgmruin import (
     survival_classical,
     survival_erlang2,
 )
+from fgmruin.model import unit_rates
 from fgmruin.polyexp import partial_fractions, poly_roots
 
 # Roundoff slack for probability bounds, monotonicity and chi(b, b) = 1.
@@ -285,15 +286,14 @@ def test_delta0_matches_high_precision_reference(c, alpha, beta, theta):
     assert abs(got - want) <= DELTA0_REL_TOL * abs(want), (got, want)
 
 
-@pytest.mark.parametrize("alpha,rate,c", [
-    (1e160, 1.0, 1.0), (1e-200, 1.0, 1e201), (1.0, 1e200, 2e200),
-])
+@pytest.mark.parametrize("alpha,rate,c", [(1e160, 1.0, 1.0)])
 def test_overflowing_rates_raise_conditioning_error(alpha, rate, c):
-    """Valid rates whose products overflow the assembly raise a typed error.
+    """A loading whose powers overflow the assembly raises a typed error.
 
     The rate is lambda for the classical and chi solvers and beta for the
-    Erlang solver; each model passes ModelSpec's loading check.  The chi
-    characteristic quartic carries the overflow to poly_roots as well.
+    Erlang solver; at unit rates the premium is c' = 1e160, whose square
+    overflows.  The chi characteristic quartic carries the overflow to
+    poly_roots as well.
     """
     claim, copula = ExpClaim(alpha), FgmParam(0.5)
     poisson = ModelSpec(c, claim, ExpPoisson(rate), copula)
@@ -306,45 +306,91 @@ def test_overflowing_rates_raise_conditioning_error(alpha, rate, c):
             solve()
 
 
-def test_vanished_leading_coefficient_raises_conditioning_error():
-    """A cleared denominator whose leading coefficient underflows to 0.0.
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("c,alpha,rate", [
+    (1e201, 1e-200, 1.0), (2e200, 1.0, 1e200),
+    (2.740722066331817e-123, 7.2295534740352e+147, 1.690252308629954e+23),
+])
+def test_rescaled_rates_solve_like_unit_rates(c, alpha, rate, theta):
+    """Models that only change the units of a moderate model solve like it.
 
-    At c = 2.7e-123 the Erlang leading coefficient, of order c**5, is 0.0
-    although the model passes ModelSpec's loading check (about 233).  The
-    assembly refuses it before root finding as a conditioning failure, not
-    as the usage error poly_roots would raise for a zero leading coefficient.
+    The rate is lambda for the classical and chi solvers and beta for the
+    Erlang solver.  In model units these transforms overflowed, had a
+    companion row -q[1:] / q[0] that overflowed or, for Erlang, a leading
+    coefficient of order c**5 that underflowed to 0.0.  At unit rates they
+    are premiums c' of 10, 2 and about 117, and each solution is the
+    unit-rate one at alpha u, with no numpy warning.
+    """
+    claim, copula = ExpClaim(alpha), FgmParam(theta)
+    poisson = ModelSpec(c, claim, ExpPoisson(rate), copula)
+    erlang = ModelSpec(c, claim, Erlang2(rate), copula)
+    c_unit, _ = unit_rates(poisson, ExpPoisson)
+    unit = ModelSpec(c_unit, ExpClaim(1.0), ExpPoisson(1.0), copula)
+    unit_erlang = ModelSpec(c_unit, ExpClaim(1.0), Erlang2(1.0), copula)
+    u = np.linspace(0.0, 9.0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = [(survival_classical(poisson), survival_classical(unit)),
+                 (solve_chi(poisson, 10.0 / alpha), solve_chi(unit, 10.0))]
+        for elimination in GrowthElimination:
+            pairs.append((survival_erlang2(erlang, elimination=elimination),
+                          survival_erlang2(unit_erlang, elimination=elimination)))
+    for got, want in pairs:
+        np.testing.assert_allclose(got(u / alpha), want(u), rtol=1e-14, atol=0.0)
+
+
+def test_vanished_leading_coefficient_raises_conditioning_error():
+    """The model-unit Erlang denominator of c = 2.7e-123 is refused.
+
+    In model units the leading coefficient is of order c**5, 0.0 in floats,
+    and ``erlang_lt``'s rescaled coefficients leave the float range; root
+    finding on them raises a conditioning failure, not the usage error for
+    a zero leading coefficient.  The solver never forms them: at unit rates
+    (c' about 117) it solves, as ``test_rescaled_rates_solve_like_unit_rates``
+    checks against the unit-rate model.
     """
     model = ModelSpec(2.740722066331817e-123, ExpClaim(7.2295534740352e+147),
                       Erlang2(1.690252308629954e+23), FgmParam(0.5))
-    for elimination in GrowthElimination:
-        with pytest.raises(ConditioningError, match="leading coefficient"):
-            survival_erlang2(model, elimination=elimination)
-    with pytest.raises(ConditioningError, match="leading coefficient"):
-        erlang_lt(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        den = erlang_lt(model).den
+        with pytest.raises(ConditioningError, match="not finite"):
+            poly_roots(den)
+        for elimination in GrowthElimination:
+            assert 0.0 < survival_erlang2(model, elimination=elimination).delta0 < 1.0
 
 
 def test_overflowing_companion_row_raises_conditioning_error():
-    """Finite coefficients whose companion row -q[1:] / q[0] overflows."""
+    """The model-unit classical denominator of c = 2.7e-123 is refused.
+
+    In model units its companion row -q[1:] / q[0] overflowed; ``classical_lt``'s
+    rescaled coefficients now leave the float range themselves, and root
+    finding on them raises a conditioning failure.  The classical and chi
+    solvers never form them: at unit rates (c' about 117) both solve.
+    """
     model = ModelSpec(2.740722066331817e-123, ExpClaim(7.2295534740352e+147),
                       ExpPoisson(1.690252308629954e+23), FgmParam(0.0))
-    for solve in (lambda: survival_classical(model),
-                  lambda: solve_chi(model, 1.0)):
-        with pytest.raises(ConditioningError, match="companion row"):
-            solve()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for den in (classical_lt(model).den, chi_characteristic(model)):
+            with pytest.raises(ConditioningError, match="not finite"):
+                poly_roots(den)
+        assert 0.0 < survival_classical(model).phi0 < 1.0
+        assert 0.0 < solve_chi(model, 10.0 / model.claim.alpha)(0.0) < 1.0
 
 
 def test_erlang_basis_overflow_raises_conditioning_error():
-    """Finite transform coefficients whose roots overflow the basis values.
+    """A loading of 2e160 on the small-theta branch raises a typed error.
 
-    On the small-theta branch at alpha = 1e160 the coefficients pass
-    poly_roots, but the basis evaluated at roots near -1e160 overflows; the
-    solver raises the typed error without a numpy warning.
+    At alpha = 1e160 with beta = c = 1 the unit-rate premium is c' = 1e160,
+    whose square overflows the coefficients, which poly_roots refuses; the
+    solver raises without a numpy warning.
     """
     model = ModelSpec(1.0, ExpClaim(1e160), Erlang2(1.0), FgmParam(0.0))
     for elimination in GrowthElimination:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConditioningError, match="overflow"):
+            with pytest.raises(ConditioningError, match="not finite"):
                 survival_erlang2(model, elimination=elimination)
 
 

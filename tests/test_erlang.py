@@ -55,6 +55,21 @@ def _model(theta, c=1.5, alpha=1.0, beta=2.0):
     return ModelSpec(c, ExpClaim(alpha), Erlang2(beta), FgmParam(theta))
 
 
+def _model_unit_basis(m):
+    """The five numerator basis polynomials in model units, as factored.
+
+    c^2 s (2 beta - c s)^3 (alpha + s)(2 alpha + s), its quotient by c^2 s,
+    and theta (alpha + s)(2 alpha + s) times 1, 2 beta - c s and its square:
+    the weights delta(0), w, k0, k1 and k2 multiply them.
+    """
+    c, a, beta, th = m.c, m.claim.alpha, m.arrival.beta, m.theta
+    ker = Polynomial([2.0 * beta, -c])
+    q = Polynomial([a, 1.0]) * Polynomial([2.0 * a, 1.0])
+    cof = ker**3 * q
+    return [c * c * Polynomial([0.0, 1.0]) * cof, cof, th * q, th * q * ker,
+            th * q * ker**2]
+
+
 class TestTransform:
     def test_rejects_poisson_arrivals(self):
         m = ModelSpec(1.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(0.0))
@@ -66,47 +81,58 @@ class TestTransform:
         "params", [(1.5, 1.0, 2.0, -1.0), (1.5, 1.0, 2.0, 0.5), (9.1, 0.3, 3.7, 5e-10)]
     )
     def test_arrays_match_factored_formulas(self, params, variant):
-        """D and the five basis rows at 20 complex points.
+        """D and the basis rows at 20 complex points, in both units.
 
-        The formulas are the module docstring's; below |theta| = 1e-9 the
+        In model units D is the module docstring's beta^5 alpha^2 D(s / alpha),
+        with the kernel factor 2 beta - c s; below |theta| = 1e-9 the
         transform is cleared by (alpha + s) alone, leaving
         D = (c^2 s^2 - 2 beta c s + beta^2)(alpha + s) - beta^2 alpha and the
-        basis rows c^2 s (alpha + s) and alpha + s.
+        basis rows c^2 s (alpha + s) and alpha + s.  erlang_lt, rescaled from
+        the unit-rate parts, must follow these formulas, and the parts must
+        follow them at alpha = beta = 1 and c' = c alpha / beta.
         """
         c, a, beta, th = params
-        den, basis = _cleared_parts(_model(th, c=c, alpha=a, beta=beta), variant)
+        lt = erlang_lt(_model(th, c=c, alpha=a, beta=beta), variant)
+        w = -2.0 * beta * c + beta * beta / a
+        c_unit = c * a / beta
+        den, basis = _cleared_parts(c_unit, th, variant)
+        # In model units the transform gives D and, at w's independence
+        # value, the delta(0) row and w times w's row.
+        cases = (((c, a, beta), (lt.den, lt.num_slope, lt.num_const), (1.0, 1.0, w)),
+                 ((c_unit, 1.0, 1.0), [Polynomial(p) for p in (den, *basis)],
+                  (1.0,) * (len(basis) + 1)))
         rng = np.random.default_rng(7)
-        for s in rng.normal(size=20) * 3.0 + 1j * rng.normal(size=20) * 3.0:
-            base2 = c * c * s * s - 2 * beta * c * s + beta**2
-            if abs(th) < 1e-9:
-                want = [
-                    (base2 * (a + s), -(beta**2) * a),
-                    (c * c * s * (a + s),),
-                    (a + s,),
-                ]
-            else:
-                ker, q = 2 * beta - c * s, (a + s) * (2 * a + s)
-                bracket = (
-                    beta**2 * ker**3, 4 * beta**5, -variant.sigma * 6 * beta**4 * ker
-                )
-                want = [
-                    (base2 * ker**3 * q, -(beta**2) * a * (2 * a + s) * ker**3)
-                    + tuple(-th * a * s * b for b in bracket),
-                    (c * c * s * ker**3 * q,),
-                    (ker**3 * q,),
-                    (th * q,),
-                    (th * q * ker,),
-                    (th * q * ker**2,),
-                ]
-            assert len(basis) == len(want) - 1
-            for coeffs, terms in zip([den, *basis], want):
-                got = np.polyval(coeffs[::-1], s)
-                scale = sum(abs(t) for t in terms)
-                assert abs(got - sum(terms)) <= 1e-12 * scale
+        for (c, a, beta), polys, weights in cases:
+            for s in rng.normal(size=20) * 3.0 + 1j * rng.normal(size=20) * 3.0:
+                base2 = c * c * s * s - 2 * beta * c * s + beta**2
+                if abs(th) < 1e-9:
+                    want = [
+                        (base2 * (a + s), -(beta**2) * a),
+                        (c * c * s * (a + s),),
+                        (a + s,),
+                    ]
+                else:
+                    ker, q = 2 * beta - c * s, (a + s) * (2 * a + s)
+                    bracket = (
+                        beta**2 * ker**3, 4 * beta**5, -variant.sigma * 6 * beta**4 * ker
+                    )
+                    want = [
+                        (base2 * ker**3 * q, -(beta**2) * a * (2 * a + s) * ker**3)
+                        + tuple(-th * a * s * b for b in bracket),
+                        (c * c * s * ker**3 * q,),
+                        (ker**3 * q,),
+                        (th * q,),
+                        (th * q * ker,),
+                        (th * q * ker**2,),
+                    ]
+                assert len(basis) == len(want) - 1
+                for poly, weight, terms in zip(polys, weights, want):
+                    scale = sum(abs(weight * t) for t in terms)
+                    assert abs(poly(s) - weight * sum(terms)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("theta", [0.5, 0.0])
     def test_roots_of_array_and_polynomial_agree(self, theta):
-        den = _cleared_parts(_model(theta), PLUS)[0]
+        den = _cleared_parts(0.75, theta, PLUS)[0]
         a, b = poly_roots(den), poly_roots(Polynomial(den))
         for field in ("poles", "zero", "growing"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
@@ -265,16 +291,15 @@ class TestSolution:
 
         The complete numerator keeps every boundary unknown, so this
         only holds under the exact elimination; it is rebuilt here from
-        the cleared basis and the solution's delta(0) and boundary
-        constants.
+        the factored basis in model units and the solution's delta(0) and
+        boundary constants, which the solver maps back from unit rates.
         """
         m = _model(0.5)
         sol = survival_erlang2(m)
-        den, basis = _cleared_parts(m, PLUS)
         num = Polynomial((0.0,))
-        for weight, p in zip((sol.delta0, *sol.boundary_constants), basis):
-            num = num + weight * Polynomial(p)
-        fraction = RationalFn(num, Polynomial(den))
+        for weight, p in zip((sol.delta0, *sol.boundary_constants), _model_unit_basis(m)):
+            num = num + weight * p
+        fraction = RationalFn(num, erlang_lt(m, PLUS).den)
         got, err = integrate.quad(lambda u: sol(u) * np.exp(-s * u), 0.0, np.inf)
         want = complex(fraction(s)).real
         assert got == pytest.approx(want, rel=1e-7)
@@ -301,16 +326,17 @@ class TestSolution:
 
         The MINUS variant at theta = 0.7 keeps the pair -1.3803 +- 0.2101i.
         delta must equal the real part of the residue sum over both
-        members and the zero pole, computed here from the cleared parts.
+        members and the zero pole, computed here from the transform in
+        model units.
         """
         m = _model(0.7)
         sol = survival_erlang2(m, variant=MINUS)
         (coef, rate), = sol.delta.terms
         assert rate == pytest.approx(-1.3803 + 0.2101j, abs=1e-4)
-        den, basis = _cleared_parts(m, MINUS)
+        den = erlang_lt(m, MINUS).den.coef
         num = Polynomial((0.0,))
-        for weight, p in zip((sol.delta0, *sol.boundary_constants), basis):
-            num = num + weight * Polynomial(p)
+        for weight, p in zip((sol.delta0, *sol.boundary_constants), _model_unit_basis(m)):
+            num = num + weight * p
         roots = poly_roots(den)
         poles = roots.poles[~roots.growing]
         residues = num(poles) / np.polyval(np.polyder(den[::-1]), poles)

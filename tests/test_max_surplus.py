@@ -204,8 +204,8 @@ class TestSolveChi:
 class TestGates:
     def test_huge_rates_keep_defect_finite(self):
         # The defect's summands are of degree 4 in the rates; at
-        # alpha = lam = 1e100 they overflow unless the rates are scaled,
-        # and the same model at alpha = lam = 1, b = 10 gives chi.
+        # alpha = lam = 1e100 they would overflow in model units, and the
+        # same model at alpha = lam = 1, b = 10 gives chi.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_chi(_model(0.5, c=2.0, alpha=1e100, lam=1e100), 1e-99)
@@ -229,11 +229,16 @@ class TestGates:
         assert str(exc.value) == ("coefficient system row for rate k vanished "
                                   "or overflowed (row norm 0.0)")
 
-    def test_subnormal_row_refused_before_equilibration(self):
-        # With every rate at 1e-105, g ~ alpha^3 leaves the boundary row a
-        # subnormal norm, whose reciprocal overflows the complex division.
-        with pytest.raises(ConditioningError, match="row for the boundary value"):
-            solve_chi(_model(0.5, c=2.0, alpha=1e-105, lam=1e-105), 1e106)
+    def test_tiny_rates_solve_like_unit_rates(self):
+        # Every rate at 1e-105 rescales alpha = lam = 1 and b = 10.  In model
+        # units g ~ alpha^3 left the boundary row a subnormal norm, and the
+        # row gate refused it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_chi(_model(0.5, c=2.0, alpha=1e-105, lam=1e-105), 1e106)
+        want = solve_chi(_model(0.5, c=2.0), 10.0)
+        u = np.linspace(0.0, 9.0, 10)
+        np.testing.assert_allclose(sol(u * 1e105), want(u), rtol=1e-14, atol=0.0)
 
     def test_nan_defect_fails_assembly_gate(self, monkeypatch):
         real = max_surplus.poly_roots

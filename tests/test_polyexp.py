@@ -25,22 +25,11 @@ from fgmruin.polyexp import (
     expsum_eval,
     partial_fractions,
     poly_roots,
-    shifted_zero_constant,
 )
 
 
 def _classical_model(theta):
     return ModelSpec(1.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(theta))
-
-
-class TestShiftedZeroConstant:
-    def test_shifted_zero_constant_snaps(self):
-        c = shifted_zero_constant(np.array([1e-12, 1.0]))
-        assert c.tolist() == [0.0, 1.0]
-
-    def test_shifted_zero_constant_rejects_large(self):
-        with pytest.raises(StructuralError):
-            shifted_zero_constant(np.array([0.5, 1.0]))
 
 
 class TestPolyRoots:
@@ -388,6 +377,14 @@ class TestExpSum:
         assert (coef, rate) == (-0.5, -2.0)
         assert e(1.0) == 1.0 - 0.5 * np.exp(-2.0)
 
+    def test_pair_at_small_rates_stays_a_pair(self):
+        # Realness is relative to |rate|, so a pair near 1e-105 is no more
+        # real than the same pair near 1.
+        e = ExpSum(0.0, ((0.1 + 0.2j, complex(-1e-105, 5e-106)),))
+        ((coef, rate),) = e.terms
+        assert (coef, rate) == (0.1 + 0.2j, complex(-1e-105, 5e-106))
+        assert e(0.0) == 0.2
+
     def test_complex_constant_rejected(self):
         with pytest.raises(StructuralError, match="complex constant"):
             ExpSum(1.0 + 2e-9j, ())
@@ -466,13 +463,13 @@ class TestNanGates:
         gate = "growing residue" if math.isnan(defect) else "zero-pole residue"
         elim = Elimination(np.full(1, 0.5), np.ones((1, 1)), constant, (), defect, 1.0)
         with pytest.raises(StructuralError, match=gate):
-            elim.survival(1e-8, 1e-8)
+            elim.survival(1e-8, 1e-8, 1.0)
 
     @pytest.mark.parametrize("weight", [math.nan, 1.0])
     def test_elimination_survival_refuses_weight_outside_unit_interval(self, weight):
         elim = Elimination(np.full(1, weight), np.ones((1, 1)), 1.0, (), 0.0, 1.0)
         with pytest.raises(StructuralError, match=r"fell outside \(0, 1\)"):
-            elim.survival(1e-8, 1e-8)
+            elim.survival(1e-8, 1e-8, 1.0)
 
     def test_solve_refuses_nan_row(self):
         rows = np.array([[1.0, 2.0], [math.nan, 1.0]])

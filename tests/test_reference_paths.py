@@ -1,7 +1,8 @@
 """Bit-equality of the closed-form hot path against its plain numpy form.
 
 The reference below is the straightforward numpy form of the same
-arithmetic: the transforms cleared with ``np.convolve``, D' from
+arithmetic: the transforms cleared at unit rates with ``np.convolve``
+(alpha = lam = beta = 1 and the premium c' of ``model.unit_rates``), D' from
 ``polyder``, the basis and D' as zero-padded rows, the roots through
 ``argmax``, ``fill_diagonal`` and ``np.maximum``, ExpSum evaluation from an
 ``np.full`` start and the chi condition number from ``np.linalg.cond``.  On
@@ -22,7 +23,6 @@ from fgmruin.erlang import (
     GrowthElimination,
     SignVariant,
     _cleared_parts as erlang_parts,
-    _independence_w,
 )
 from fgmruin.errors import (
     ConditioningError,
@@ -31,7 +31,7 @@ from fgmruin.errors import (
     StructuralError,
     UnsupportedStructureError,
 )
-from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
+from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, unit_rates
 from fgmruin.polyexp import (
     _DECAY_REL,
     _DEGENERATE_REL,
@@ -56,56 +56,44 @@ def _ref_rows(*coeffs):
     return rows
 
 
-def _ref_snap(c):
-    scale = float(np.max(np.abs(c)))
-    if abs(c[0]) > 1e-9 * scale:
-        raise StructuralError(f"constant coefficient {float(c[0])!r} is not "
-                              f"negligible against scale {scale!r}")
-    c[0] = 0.0
-    return c
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _ref_classical_parts(model):
-    a, lam, c, th = model.claim.alpha, model.arrival.lam, model.c, model.theta
-    lam2, c2 = lam * lam, c * c
-    lin_2a = np.array([2.0 * a, 1.0])
-    q = np.convolve([a, 1.0], lin_2a)
-    den = np.convolve([2.0 * lam2, -3.0 * lam * c, c2], q)
-    den[:2] -= lin_2a * (2.0 * lam2 * a)
-    den[1:3] += lin_2a * (lam * c * a)
-    den[2] += th * lam * c * a
-    num_const = q * (-2.0 * lam * c + 2.0 * lam2 * model.m1)
+def _ref_classical_parts(c, th):
+    c2 = c * c
+    lin_2 = np.array([2.0, 1.0])
+    q = np.convolve([1.0, 1.0], lin_2)
+    den = np.convolve([2.0, -3.0 * c, c2], q)
+    den[:2] -= lin_2 * 2.0
+    den[1:3] += lin_2 * c
+    den[2] += th * c
+    num_const = q * (2.0 - 2.0 * c)
     num_slope = np.append(0.0, q) * c2
-    return _ref_snap(den), num_const, num_slope
+    return den, num_const, num_slope
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ref_erlang_parts(model, variant):
-    a, beta, c, th = model.claim.alpha, model.arrival.beta, model.c, model.theta
-    beta2, c2 = beta * beta, c * c
-    base2 = np.array([beta2, -2.0 * beta * c, c2])
-    lin_a = np.array([a, 1.0])
+def _ref_erlang_parts(c, th, variant):
+    c2 = c * c
+    base2 = np.array([1.0, -2.0 * c, c2])
+    lin_1 = np.array([1.0, 1.0])
     if abs(th) < 1e-9:
-        den = np.convolve(base2, lin_a)
-        den[0] -= beta2 * a
-        return _ref_snap(den), _ref_rows(np.append(0.0, lin_a) * c2, lin_a)
-    lin_2a = np.array([2.0 * a, 1.0])
-    ker = np.array([2.0 * beta, -c])
+        den = np.convolve(base2, lin_1)
+        den[0] -= 1.0
+        return den, _ref_rows(np.append(0.0, lin_1) * c2, lin_1)
+    lin_2 = np.array([2.0, 1.0])
+    ker = np.array([2.0, -c])
     ker3 = np.convolve(np.convolve(ker, ker), ker)
-    cof = np.convolve(np.convolve(ker3, lin_a), lin_2a)
-    q = np.convolve(lin_a, lin_2a)
+    cof = np.convolve(np.convolve(ker3, lin_1), lin_2)
+    q = np.convolve(lin_1, lin_2)
     qk = np.convolve(q, ker)
-    beta4, beta5 = np.float64(beta) ** 4, np.float64(beta) ** 5
-    bracket = ker3 * beta2
-    bracket[0] += 4.0 * beta5
-    bracket[:2] -= ker * (variant.sigma * 6.0 * beta4)
+    bracket = ker3.copy()
+    bracket[0] += 4.0
+    bracket[:2] -= ker * (variant.sigma * 6.0)
     den = np.convolve(base2, cof)
-    den[:5] -= np.convolve(lin_2a, ker3) * (beta2 * a)
-    den[1:5] -= bracket * (th * a)
+    den[:5] -= np.convolve(lin_2, ker3)
+    den[1:5] -= bracket * th
     basis = _ref_rows(np.append(0.0, cof) * c2, cof, q * th, qk * th,
                       np.convolve(qk, ker) * th)
-    return _ref_snap(den), basis
+    return den, basis
 
 
 def _ref_poly_roots(c):
@@ -216,17 +204,16 @@ def _ref_expsum_eval(e, u):
 
 def _ref_chi_gates(model, b):
     """The chi assembly defect and condition number, through their gates."""
-    alpha, lam, c, th = model.claim.alpha, model.arrival.lam, model.c, model.theta
-    k = 2.0 * lam / c
-    poles, zero, _ = _ref_poly_roots(_ref_classical_parts(model)[0])
+    c, alpha = unit_rates(model, ExpPoisson)
+    th, b = model.theta, b * alpha
+    k = 2.0 / c
+    poles, zero, _ = _ref_poly_roots(_ref_classical_parts(c, th)[0])
     r = np.concatenate(([0.0], poles[~zero]))
-    g = (alpha + r) * (2.0 * alpha + r) * (k - r)
-    kappa = 2.0 * th * lam**2 / c**2 / alpha / alpha
-    mu, nu = lam / c / alpha, th * lam / c / alpha
-    ra = r / alpha
-    two, gap = 2.0 + ra, k / alpha - ra
-    summands = np.array([kappa * ra, -mu * two * gap, -nu * ra * gap,
-                         -(ra - mu) * ((1.0 + ra) * two * gap)])
+    g = (1.0 + r) * (2.0 + r) * (k - r)
+    kappa = 2.0 * th / c**2
+    mu, nu = 1.0 / c, th / c
+    summands = np.array([kappa * r, -mu * (2.0 + r) * (k - r), -nu * r * (k - r),
+                         -(r - mu) * g])
     defect = float(np.max(np.abs(summands.sum(axis=0))
                           / np.maximum(1.0, np.max(np.abs(summands), axis=0))))
     if not defect <= 1e-6:
@@ -236,9 +223,9 @@ def _ref_chi_gates(model, b):
     shift = b * (np.arange(4) == grow)
     mat = np.array([
         g * np.exp(r * (b - shift)),
-        alpha * (2.0 * alpha + r) * (k - r) * np.exp(-r * shift),
-        2.0 * alpha * (alpha + r) * (k - r) * np.exp(-r * shift),
-        alpha * r * np.exp(r * (b - shift)),
+        (2.0 + r) * (k - r) * np.exp(-r * shift),
+        2.0 * (1.0 + r) * (k - r) * np.exp(-r * shift),
+        r * np.exp(r * (b - shift)),
     ])
     mat = mat / np.max(np.abs(mat), axis=1)[:, None]
     try:
@@ -293,7 +280,7 @@ def _models(n=500, seed=20240611):
 
 
 def _extreme_models():
-    """Rates that overflow the assembly or the basis values, refused by type."""
+    """A loading that overflows the assembly, and rates that only rescale."""
     out = []
     for c, alpha, lam, theta in ((1.0, 1e160, 1.0, 0.5), (1.0, 1e160, 1.0, 0.0),
                                  (1e201, 1e-200, 1.0, 0.5), (2e200, 1.0, 1e200, 0.5)):
@@ -344,8 +331,9 @@ def _check_elimination(name, i, den, basis, weights, pooled):
 def test_classical_matches_reference():
     solved = 0
     for i, (model, _) in enumerate(MODELS):
-        den, num_const, num_slope = classical_parts(model)
-        ref = _ref_classical_parts(model)
+        c = unit_rates(model, ExpPoisson)[0]
+        den, num_const, num_slope = classical_parts(c, model.theta)
+        ref = _ref_classical_parts(c, model.theta)
         _assert_same("classical parts", i, (den, np.array(num_const), np.array(num_slope)),
                      ref)
         basis = coeff_rows(num_slope, num_const)
@@ -360,13 +348,15 @@ def test_classical_matches_reference():
 def test_erlang_matches_reference(variant, elimination):
     solved = 0
     for i, (_, model) in enumerate(MODELS):
-        parts = _outcome(erlang_parts, model, variant)
-        _assert_same("Erlang parts", i, parts, _outcome(_ref_erlang_parts, model, variant))
+        c = unit_rates(model, Erlang2)[0]
+        parts = _outcome(erlang_parts, c, model.theta, variant)
+        _assert_same("Erlang parts", i, parts,
+                     _outcome(_ref_erlang_parts, c, model.theta, variant))
         if parts[0] != "ok":
             continue
         den, basis = parts[1]
         if elimination is GrowthElimination.POOLED:
-            args = (basis[:2], (None, _independence_w(model)), True)
+            args = (basis[:2], (None, 1.0 - 2.0 * c), True)
         else:
             args = (basis, (None,) * len(basis), False)
         solved += _check_elimination("Erlang", i, den, *args)

@@ -1,0 +1,122 @@
+"""The closed forms are free of units.
+
+Measuring money in mean claims 1/alpha and time in 1/lam (or 1/beta) leaves
+each closed form with two parameters, the loading and theta, and the solvers
+work in those units.  A change of units must therefore change no outcome:
+the same values, up to the rounding of c' = c alpha / lam and of alpha u, or
+the same typed refusal.  And on a coarse (loading, theta) grid, with a level
+axis b' = alpha b for chi, every refusal left belongs to the MINUS sign
+variant, which simulation rejects, and none to the units.  At unit rates
+the zero root of each cleared denominator is exact.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from fgmruin import (
+    Erlang2,
+    ExpClaim,
+    ExpPoisson,
+    FgmParam,
+    GrowthElimination,
+    ModelSpec,
+    RuinModelError,
+    SignVariant,
+    solve_chi,
+    survival_classical,
+    survival_erlang2,
+)
+from fgmruin.classical import _cleared_parts as classical_parts
+from fgmruin.erlang import _cleared_parts as erlang_parts
+
+# Largest difference, in units in the last place of the value, between a
+# model with every rate times 10**k and the same model at k = 0.  Measured
+# at most 27 ulps (the MINUS variant's exact elimination) over k in
+# [-300, 300]; classical and chi at most 3.
+SCALE_ULPS = 64
+
+U = np.linspace(0.0, 10.0, 11)
+
+
+def _outcome(solve, u):
+    """("ok", values at u) or ("error", type name, message)."""
+    try:
+        return ("ok", np.asarray(solve()(u)))
+    except RuinModelError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _outcomes(k):
+    """Every solver mode on one loading-1 model with each rate times 10**k."""
+    s = 10.0**k
+    claim, copula = ExpClaim(s), FgmParam(0.5)
+    poisson = ModelSpec(2.0, claim, ExpPoisson(s), copula)
+    erlang = ModelSpec(2.0, claim, Erlang2(2.0 * s), copula)
+    out = {
+        "classical": _outcome(lambda: survival_classical(poisson), U / s),
+        "chi": _outcome(lambda: solve_chi(poisson, 10.0 / s), U / s),
+    }
+    for v in SignVariant:
+        for e in GrowthElimination:
+            out[v.value, e.value] = _outcome(
+                lambda v=v, e=e: survival_erlang2(erlang, v, e), U / s)
+    return out
+
+
+def test_rescaled_rates_give_the_unit_rate_outcome():
+    """Rates times 10**k, k in [-300, 300] in steps of 10: the k = 0 outcome."""
+    want = _outcomes(0)
+    # Both outcomes occur at k = 0: the MINUS variant fails the pooled gates.
+    assert want["minus", "pooled"][0] == "error" and want["classical"][0] == "ok"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-300, 301, 10):
+            for name, got in _outcomes(k).items():
+                if want[name][0] == "error":
+                    assert got == want[name], (k, name)
+                    continue
+                assert got[0] == "ok", (k, name, got)
+                ulps = np.abs(got[1] - want[name][1]) / np.spacing(want[name][1])
+                assert ulps.max() <= SCALE_ULPS, (k, name, ulps.max())
+
+
+LOADINGS = 10.0 ** np.arange(-6.0, 4.0)
+THETAS = (-1.0, -0.5, -1e-6, 0.0, 5e-10, 1e-4, 0.5, 1.0)
+LEVELS = (0.1, 10.0, 1000.0)
+
+# The MINUS variant's refusals: more growing roots than boundary unknowns,
+# or a survival value that the pooled or exact elimination cannot place.
+MINUS_REFUSALS = ("6 elimination equations for 5 unknown weights",
+                  "survival at zero fell outside (0, 1)", "zero-pole residue")
+
+
+@pytest.mark.parametrize("loading", LOADINGS, ids=[f"{x:.0e}" for x in LOADINGS])
+def test_unit_rate_grid_refuses_only_the_minus_variant(loading):
+    """classical, chi at every level and PLUS solve the whole grid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in THETAS:
+            copula = FgmParam(theta)
+            poisson = ModelSpec(1.0 + loading, ExpClaim(1.0), ExpPoisson(1.0), copula)
+            erlang = ModelSpec((1.0 + loading) / 2.0, ExpClaim(1.0), Erlang2(1.0), copula)
+            phi = survival_classical(poisson)
+            assert 0.0 < phi.phi0 < 1.0
+            for b in LEVELS:
+                assert abs(solve_chi(poisson, b)(b) - 1.0) <= 1e-9
+            for e in GrowthElimination:
+                assert 0.0 < survival_erlang2(erlang, SignVariant.PLUS, e).delta0 < 1.0
+                try:
+                    survival_erlang2(erlang, SignVariant.MINUS, e)
+                except RuinModelError as exc:
+                    assert str(exc).startswith(MINUS_REFUSALS), (theta, e, exc)
+
+
+@pytest.mark.parametrize("c", [0.5 + 2.0**-53, 1.0 + 2.0**-52, 1.5, 1e3, 1e150, 1e300])
+def test_unit_rate_denominators_vanish_exactly_at_zero(c):
+    """D(0) is formed from integers alone (4 - 4, 16 - 16, 1 - 1): exactly 0."""
+    assert classical_parts(c, 0.5)[0][0] == 0.0
+    for theta in (0.0, 0.5):
+        for variant in SignVariant:
+            assert erlang_parts(c, theta, variant)[0][0] == 0.0
