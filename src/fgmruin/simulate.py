@@ -17,6 +17,11 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
   no rejection: one uniform picks a category, whose coefficients scale a
   few standard exponentials.  One walk from zero serves a whole grid of
   initial surpluses: ruin from u is the walk's first passage below -u.
+  The tilt is solved and walked at unit rates, in the units of
+  ``model.unit_rates`` (money in mean claims 1/alpha, time in 1/lam or
+  1/beta), where it depends on the premium c' and theta alone: R, the
+  walk and the levels alpha u are in claim units, and the estimates do
+  not depend on the model's units.
 
 Estimates are averaged over fixed-size blocks, each driven by its own
 PCG64 stream spawned deterministically from (seed, block index), so the
@@ -37,12 +42,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .model import Erlang2, ModelSpec, sample_pairs
+from .model import Erlang2, ModelSpec, sample_pairs, unit_rates
 
 __all__ = [
     "SimEstimate",
@@ -91,6 +97,8 @@ def _check_inputs(u, n: int, seed: int,
         raise InputError(f"path count must be positive, got {n!r}")
     if workers < 1:
         raise InputError(f"worker count must be positive, got {workers!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     return levels, n, int(seed)
 
 
@@ -187,9 +195,10 @@ def estimate_reach_prob(
 ) -> SimEstimate:
     """Simulated probability of reaching b before ruin from surplus u.
 
-    The estimate is a deterministic function of (seed, n).  ``workers``
-    is kept for compatibility: it must be positive, and the blocks run one
-    after another whatever its value.
+    The estimate is a deterministic function of (seed, n), and the seed
+    must be a nonnegative integer.  ``workers`` is kept for compatibility:
+    it must be positive, and the blocks run one after another whatever its
+    value.  The paths are walked in the model's units.
     """
     u = float(u)
     _, n, seed = _check_inputs(u, n, seed, workers)
@@ -198,7 +207,10 @@ def estimate_reach_prob(
         raise InputError("target level must be finite and at least u")
     if b == u:
         return SimEstimate(1.0, 0.0, n, seed)
-    counts = _map_blocks(lambda size, block: _run_block(model, u, b, size, seed, block), n)
+    # A surplus past the largest float (premiums near 1e308) overflows to
+    # inf, which reaches b: the right outcome, so numpy need not warn.
+    with np.errstate(over="ignore"):
+        counts = _map_blocks(lambda size, block: _run_block(model, u, b, size, seed, block), n)
     hits = int(sum(counts))
     p = hits / n
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -223,136 +235,151 @@ _CLAIM_BUDGET = 3e4
 # has ESS below 4, and every one with ESS of 58 or more is within 2.7.
 _ESS_FLOOR = 30.0
 
+# Largest relative loading the tilt is solved at.  The transforms in
+# ``_arrival_parts`` overflow from a loading of about 2.3e77 (Erlang,
+# (2 + c'R)^4) or 1.3e154 (Poisson, (2 + c'R)^2), and the claim phase
+# 1 / (1 - R) grows like loading^4 (Erlang, theta = 1: 1e298 at 1e75).  Far
+# below the bound the weights fail the ESS floor at any feasible n: ESS / n
+# is about 2 / loading with Poisson times at theta = 0, and smaller with
+# Erlang times or theta near 1 (README "Errors").
+_MAX_LOADING = 1e75
 
-def _arrival_parts(arrival, s: float):
-    """log f~_W(s), its s-derivative, rho(s), 1 - rho(s) and rho'(s).
 
-    rho = k~_W / f~_W lies in [0, 1).  Poisson: f~_W = lam / (lam + s),
-    rho = s / (2 lam + s).  Erlang(2): f~_W = (beta / (beta + s))^2,
-    rho = s (s^2 + 6 beta s + 6 beta^2) / (2 beta + s)^3.  Each part is
-    computed without cancellation.
+def _loading(c: float, erlang: bool) -> float:
+    """The relative loading c' E[W] - 1 at unit rates, E[W] = 2 for Erlang(2)."""
+    return (2.0 * c if erlang else c) - 1.0
+
+
+def _arrival_parts(erlang: bool, s: float):
+    """log f~_W(s), its s-derivative, rho(s), 1 - rho(s) and rho'(s), at unit rate.
+
+    rho = k~_W / f~_W lies in [0, 1).  Poisson: f~_W = 1 / (1 + s),
+    rho = s / (2 + s).  Erlang(2): f~_W = 1 / (1 + s)^2,
+    rho = s (s^2 + 6 s + 6) / (2 + s)^3.  Each part is computed without
+    cancellation.
     """
-    if isinstance(arrival, Erlang2):
-        b = arrival.beta
-        d = 2.0 * b + s
-        return (-2.0 * math.log1p(s / b), -2.0 / (b + s),
-                s * (s * s + 6.0 * b * s + 6.0 * b * b) / d**3,
-                2.0 * b * b * (3.0 * s + 4.0 * b) / d**3, 12.0 * b * b * (b + s) / d**4)
-    lam = arrival.lam
-    d = 2.0 * lam + s
-    return -math.log1p(s / lam), -1.0 / (lam + s), s / d, 2.0 * lam / d, 2.0 * lam / d**2
+    d = 2.0 + s
+    if erlang:
+        return (-2.0 * math.log1p(s), -2.0 / (1.0 + s),
+                s * (s * s + 6.0 * s + 6.0) / d**3,
+                2.0 * (3.0 * s + 4.0) / d**3, 12.0 * (1.0 + s) / d**4)
+    return -math.log1p(s), -1.0 / (1.0 + s), s / d, 2.0 / d, 2.0 / d**2
 
 
-def _cgf(model: ModelSpec, r: float, gap: float) -> tuple[float, float]:
-    """log M(r) and its r-derivative, M(r) = E[e^{r(X - cW)}]; gap = alpha - r.
+def _cgf(c: float, theta: float, erlang: bool, r: float,
+         gap: float) -> tuple[float, float]:
+    """log M(r) and its r-derivative at unit rates, M(r) = E[e^{r(X - c W)}].
 
-    M(r) = f~_X(-r) f~_W(c r) + theta h~(-r) k~_W(c r).  With the claim
-    transforms alpha / (alpha - r) and h~(-r) = -alpha r / ((alpha - r)(2 alpha - r))
-    this is the product
+    Claims are Exp(1), inter-claim times Exp(1) or Erlang(2, 1) (``erlang``),
+    c is the unit-rate premium c' and gap = 1 - r.  M(r) = f~_X(-r) f~_W(c r)
+    + theta h~(-r) k~_W(c r).  With the claim transforms 1 / (1 - r) and
+    h~(-r) = -r / ((1 - r)(2 - r)) this is the product
 
-        M(r) = alpha / gap * f~_W(c r) * (2 gap + r q) / (alpha + gap),
+        M(r) = 1 / gap * f~_W(c r) * (2 gap + r q) / (1 + gap),
         q = 1 - theta rho(c r) = (1 - theta) + theta (1 - rho(c r)),
 
-    whose last factor is 1 + x with x = -theta r rho / (alpha + gap).  The
+    whose last factor is 1 + x with x = -theta r rho / (1 + gap).  The
     logarithm of each factor keeps full relative precision, at small r
-    (where M - 1 would cancel) and where R crowds alpha at large loading.
+    (where M - 1 would cancel) and where R crowds 1 at large loading.
     """
-    a, c, th = model.claim.alpha, model.c, model.theta
-    log_fw, log_fw_slope, rho, one_minus_rho, rho_slope = _arrival_parts(
-        model.arrival, c * r)
-    q = (1.0 - th) + th * one_minus_rho
+    log_fw, log_fw_slope, rho, one_minus_rho, rho_slope = _arrival_parts(erlang, c * r)
+    q = (1.0 - theta) + theta * one_minus_rho
     num = 2.0 * gap + r * q
-    x = -th * r * rho / (a + gap)
-    last = math.log1p(x) if abs(x) < 0.5 else math.log(num / (a + gap))
+    x = -theta * r * rho / (1.0 + gap)
+    last = math.log1p(x) if abs(x) < 0.5 else math.log(num / (1.0 + gap))
     value = math.log1p(r / gap) + log_fw + last
-    num_slope = q - 2.0 - th * r * c * rho_slope
-    slope = 1.0 / gap + c * log_fw_slope + num_slope / num + 1.0 / (a + gap)
+    num_slope = q - 2.0 - theta * r * c * rho_slope
+    slope = 1.0 / gap + c * log_fw_slope + num_slope / num + 1.0 / (1.0 + gap)
     return value, slope
 
 
-def _lundberg_root(model: ModelSpec) -> tuple[float, float]:
-    """The adjustment coefficient R and alpha - R, each to full precision.
+def _lundberg_root(c: float, theta: float, erlang: bool) -> tuple[float, float]:
+    """The adjustment coefficient R at unit rates and 1 - R, each to full precision.
 
-    R is the root in (0, alpha) of the Lundberg equation
-    E[e^{R(X - cW)}] = 1, solved in closed form from the model's
-    transforms; the survival solvers are not consulted.
+    R is the root in (0, 1) of the Lundberg equation E[e^{R(X - c W)}] = 1,
+    solved in closed form from the unit-rate transforms of ``_cgf``; the
+    survival solvers are not consulted.  The model's coefficient is alpha R.
 
     The steps solve log M(r) = 0.  log M is a cumulant generating function,
     hence convex, with log M(0) = 0, a negative slope at 0 (positive
-    loading) and log M -> inf as r -> alpha, so Newton steps started to the
-    right of R descend to it monotonically.  The start is
-    r = alpha - alpha/2^k for the smallest k that makes log M positive.
-    The steps move r itself when R < alpha/2 and the gap alpha - r
-    otherwise, whichever is the smaller.  R is then accurate to about
-    1e-16 / loading relative, the conditioning of the loading itself.
+    loading) and log M -> inf as r -> 1, so Newton steps started to the
+    right of R descend to it monotonically.  The start is r = 1 - 1/2^k for
+    the smallest k that makes log M positive.  The steps move r itself when
+    R < 1/2 and the gap 1 - r otherwise, whichever is the smaller.  R is
+    then accurate to about 1e-16 / loading relative, the conditioning of
+    the loading itself.
 
     Raises:
-        ConditioningError: If |log E[e^{R(X - cW)}]| exceeds 1e-12.
+        ConditioningError: If the relative loading exceeds 1e75
+            (``_MAX_LOADING``), or |log E[e^{R(X - cW)}]| exceeds 1e-12.
     """
-    a = model.claim.alpha
-    gap = 0.5 * a
-    while _cgf(model, a - gap, gap)[0] <= 0.0:
+    loading = _loading(c, erlang)
+    if loading > _MAX_LOADING:
+        raise ConditioningError(
+            f"survival at relative loading {loading:.3g} cannot be simulated: "
+            f"above loading {_MAX_LOADING:g} the importance weights underflow "
+            f"and the tilt nears the float range"
+        )
+    gap = 0.5
+    while _cgf(c, theta, erlang, 1.0 - gap, gap)[0] <= 0.0:
         gap *= 0.5
-    on_r = gap == 0.5 * a
+    on_r = gap == 0.5
     x, sign = gap, (1.0 if on_r else -1.0)
     for _ in range(100):
-        r, t = (x, a - x) if on_r else (a - x, x)
-        value, slope = _cgf(model, r, t)
+        r, t = (x, 1.0 - x) if on_r else (1.0 - x, x)
+        value, slope = _cgf(c, theta, erlang, r, t)
         step = sign * value / slope
         x -= step
         if abs(step) <= 4.0 * np.finfo(float).eps * x:
             break
-    r, t = (x, a - x) if on_r else (a - x, x)
-    resid = abs(_cgf(model, r, t)[0])
+    r, t = (x, 1.0 - x) if on_r else (1.0 - x, x)
+    resid = abs(_cgf(c, theta, erlang, r, t)[0])
     if not resid <= _LUNDBERG_TOL:
         raise ConditioningError(
-            f"Lundberg equation residual {resid:.3e} exceeds {_LUNDBERG_TOL:g}"
+            f"Lundberg equation residual {resid:.3e} exceeds {_LUNDBERG_TOL:g} "
+            f"at relative loading {loading:.3g} and theta {theta:g}"
         )
     return r, t
 
 
-def _claim_pieces(alpha: float, gap: float):
-    """e^{Rx} f_X(x), then times 1 + a and 1 - a, as lists of (mass, phase rates).
+def _exp_pieces(mu: float, B: float):
+    """e^{-t y} g(y), then times 1 + b and 1 - b, as lists of (mass, phase rates).
 
-    With a = 1 - 2 F_X(x) = 2 e^{-alpha x} - 1 and A = alpha + gap: the
-    whole is alpha / gap times Exp(gap), the 1 + a piece 2 alpha / A times
-    Exp(A), and the 1 - a piece 2 alpha^2 / (gap A) times Exp(gap) + Exp(A).
+    g(y) = e^{-y} is the unit exponential density, b = 1 - 2 G(y) = 2 e^{-y} - 1,
+    mu = 1 + t and B = 2 + t: the whole is 1 / mu times Exp(mu), the 1 + b
+    piece 2 / B times Exp(B), the 1 - b piece 2 / (mu B) times
+    Exp(mu) + Exp(B).  This is the tilted claim (t = -R, so mu = 1 - R) and
+    the Poisson time (t = c R).
     """
-    A = alpha + gap
-    return ([(alpha / gap, (gap,))],
-            [(2.0 * alpha / A, (A,))],
-            [(2.0 * alpha * (alpha / (gap * A)), (gap, A))])
+    return ([(1.0 / mu, (mu,))],
+            [(2.0 / B, (B,))],
+            [(2.0 * (1.0 / (mu * B)), (mu, B))])
 
 
-def _arrival_pieces(arrival, s: float):
-    """e^{-sw} f_W(w), then times 1 + b and 1 - b, as lists of (mass, phase rates).
+def _arrival_pieces(erlang: bool, s: float):
+    """e^{-sw} f_W(w), then times 1 + b and 1 - b, at unit rate.
 
-    b = 1 - 2 F_W(w).  Poisson, mu = lam + s and B = 2 lam + s: the whole is
-    lam / mu times Exp(mu), the 1 + b piece 2 lam / B times Exp(B), the
-    1 - b piece 2 lam^2 / (mu B) times Exp(mu) + Exp(B).  Erlang(2),
-    nu = beta + s and k = 2 beta + s: the whole is (beta / nu)^2 times
-    Gamma(2, nu); 1 + b = 2 e^{-beta w}(1 + beta w) gives Gamma(2, k) and
-    Gamma(3, k); 1 - b = 2 F_W(w), with W the sum of two Exp(beta), gives
-    Gamma(3, k) + Exp(nu) and Gamma(2, k) + Gamma(2, nu).
+    b = 1 - 2 F_W(w).  Poisson: ``_exp_pieces`` at t = s.  Erlang(2),
+    nu = 1 + s and k = 2 + s: the whole is nu^-2 times Gamma(2, nu);
+    1 + b = 2 e^{-w}(1 + w) gives Gamma(2, k) and Gamma(3, k); 1 - b =
+    2 F_W(w), with W the sum of two Exp(1), gives Gamma(3, k) + Exp(nu) and
+    Gamma(2, k) + Gamma(2, nu).
     """
-    if isinstance(arrival, Erlang2):
-        b = arrival.beta
-        nu, k = b + s, 2.0 * b + s
-        return ([((b / nu) ** 2, (nu, nu))],
-                [(2.0 * (b / k) ** 2, (k, k)), (4.0 * (b / k) ** 3, (k, k, k))],
-                [(4.0 * (b / k) ** 3 * (b / nu), (k, k, k, nu)),
-                 (2.0 * (b / k) ** 2 * (b / nu) ** 2, (k, k, nu, nu))])
-    lam = arrival.lam
-    mu, B = lam + s, 2.0 * lam + s
-    return ([(lam / mu, (mu,))],
-            [(2.0 * lam / B, (B,))],
-            [(2.0 * lam * (lam / (mu * B)), (mu, B))])
+    if not erlang:
+        return _exp_pieces(1.0 + s, 2.0 + s)
+    nu, k = 1.0 + s, 2.0 + s
+    return ([((1.0 / nu) ** 2, (nu, nu))],
+            [(2.0 * (1.0 / k) ** 2, (k, k)), (4.0 * (1.0 / k) ** 3, (k, k, k))],
+            [(4.0 * (1.0 / k) ** 3 * (1.0 / nu), (k, k, k, nu)),
+             (2.0 * (1.0 / k) ** 2 * (1.0 / nu) ** 2, (k, k, nu, nu))])
 
 
-def _mixture(model: ModelSpec, R: float, gap: float) -> tuple[np.ndarray, np.ndarray]:
+def _mixture(c: float, theta: float, erlang: bool, R: float,
+             gap: float) -> tuple[np.ndarray, np.ndarray]:
     """Category masses and (J, categories) coefficients of the tilted step c W - X.
 
-    With a = 1 - 2 F_X(x), b = 1 - 2 F_W(w) and s = sgn theta,
+    At unit rates, with c the premium c', R the unit-rate coefficient and
+    gap = 1 - R.  With a = 1 - 2 F_X(x), b = 1 - 2 F_W(w) and s = sgn theta,
 
         1 + theta a b = (1 - |theta|) + |theta|/2 [(1 + a)(1 + s b) + (1 - a)(1 - s b)],
 
@@ -366,14 +393,13 @@ def _mixture(model: ModelSpec, R: float, gap: float) -> tuple[np.ndarray, np.nda
     step is its J coefficients (padded with zeros) times J standard
     exponentials; identical categories merge.  The masses sum to M(R) = 1.
     """
-    c, th = model.c, model.theta
-    x_whole, x_plus, x_minus = _claim_pieces(model.claim.alpha, gap)
-    w_whole, w_plus, w_minus = _arrival_pieces(model.arrival, R * c)
-    if th < 0.0:
+    x_whole, x_plus, x_minus = _exp_pieces(gap, 1.0 + gap)
+    w_whole, w_plus, w_minus = _arrival_pieces(erlang, R * c)
+    if theta < 0.0:
         w_plus, w_minus = w_minus, w_plus
-    half = 0.5 * abs(th)
+    half = 0.5 * abs(theta)
     rows: dict[tuple, float] = {}
-    for weight, xs, ws in ((1.0 - abs(th), x_whole, w_whole),
+    for weight, xs, ws in ((1.0 - abs(theta), x_whole, w_whole),
                            (half, x_plus, w_plus), (half, x_minus, w_minus)):
         if weight == 0.0:
             continue
@@ -410,12 +436,13 @@ class _Workspace:
 
 @dataclass(frozen=True)
 class _Tilt:
-    """Exact sampler of the tilted step c W - X over the categories of ``_mixture``."""
+    """Exact sampler of the tilted step c' W - X at unit rates, over ``_mixture``'s categories."""
 
-    R: float
+    R: float  # adjustment coefficient at unit rates; steps are in claim units
     cuts: np.ndarray  # cumulative category probabilities, the last one dropped
     coef: np.ndarray  # (J, categories): coefficient j of every category
     claims: float  # predicted mean claims of a path to ruin from the largest u
+    alpha: float  # claim rate: a model level u is alpha u in claim units
 
     def steps(self, rng: np.random.Generator, n: int, work: _Workspace) -> np.ndarray:
         """n tilted steps c w - x: a category from one uniform, then J exponentials.
@@ -446,39 +473,45 @@ class _Tilt:
 
 
 def _tilt(model: ModelSpec, u: float) -> _Tilt:
-    """The tilted sampler, after checking the predicted claims per path.
+    """The tilted sampler at unit rates, after checking the predicted claims per path.
 
-    A path from u is predicted to need (u + 1/(alpha - R)) / mu_R claims,
-    where mu_R = M'(R) is the tilted drift of X - cW: by Wald's identity
-    the claims to ruin average (u + mean deficit) / mu_R, and the deficit
-    at ruin is a tilted claim phase's overshoot, whose slowest phase has
-    mean 1 / (alpha - R) (exactly the deficit's mean at theta = 0).  A
-    block runs until its slowest path is ruined, and that path runs past
-    the mean by a few times the diffusion scale sigma_R^2 / (2 mu_R^2) of
-    the claims' spread, which equals 1 / (R mu_R) within 1 % at loading
-    0.01 and below.  The budget bounds the mean plus that scale; it grows
-    like 1 / loading^2 as the loading goes to zero.
+    The walk is in claim units (money in mean claims 1/alpha), where the
+    tilt depends on c' and theta alone (``model.unit_rates``) and u is
+    alpha u.  A path from u is predicted to need (alpha u + 1/(1 - R)) / mu_R
+    claims, where mu_R = M'(R) is the tilted drift of X - c'W at unit rates:
+    by Wald's identity the claims to ruin average (alpha u + mean deficit) /
+    mu_R, and the deficit at ruin is a tilted claim phase's overshoot, whose
+    slowest phase has mean 1 / (1 - R) (exactly the deficit's mean at
+    theta = 0).  A block runs until its slowest path is ruined, and that
+    path runs past the mean by a few times the diffusion scale
+    sigma_R^2 / (2 mu_R^2) of the claims' spread, which equals 1 / (R mu_R)
+    within 1 % at loading 0.01 and below.  The budget bounds the mean plus
+    that scale; it grows like 1 / loading^2 as the loading goes to zero.
+    Claim counts are free of units, so none of this depends on alpha; an
+    alpha u past the float range is inf claims away and fails the budget.
 
     Raises:
-        ConditioningError: If the predicted claims per path and their
-            spread exceed the budget.
+        ConditioningError: If the loading or the Lundberg solve fails
+            ``_lundberg_root``, or if the predicted claims per path and
+            their spread exceed the budget (alpha u overflowing included).
     """
-    R, gap = _lundberg_root(model)
+    c, alpha = unit_rates(model, type(model.arrival))
+    erlang = isinstance(model.arrival, Erlang2)
+    R, gap = _lundberg_root(c, model.theta, erlang)
     # mu_R = M'(R) = M(R) (log M)'(R), and M(R) = 1.
-    mu = _cgf(model, R, gap)[1]
-    claims = (u + 1.0 / gap) / mu
+    mu = _cgf(c, model.theta, erlang, R, gap)[1]
+    claims = (alpha * u + 1.0 / gap) / mu
     spread = 1.0 / (R * mu)
     if claims + spread > _CLAIM_BUDGET:
-        loading = model.c * model.arrival.mean / model.claim.mean - 1.0
         raise ConditioningError(
-            f"survival at relative loading {loading:.3g} cannot be simulated "
-            f"from u = {u:g}: a tilted path needs about {claims:.3g} claims "
-            f"plus a spread of about {spread:.3g}, over the budget of "
+            f"survival at relative loading {_loading(c, erlang):.3g} cannot be "
+            f"simulated from u = {u:g}: a tilted path needs about {claims:.3g} "
+            f"claims plus a spread of about {spread:.3g}, over the budget of "
             f"{_CLAIM_BUDGET:g}"
         )
-    masses, coef = _mixture(model, R, gap)
+    masses, coef = _mixture(c, model.theta, erlang, R, gap)
     cum = np.cumsum(masses)
-    return _Tilt(R, cum[:-1] / cum[-1], coef, claims)
+    return _Tilt(R, cum[:-1] / cum[-1], coef, claims, alpha)
 
 
 def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray,
@@ -526,7 +559,8 @@ def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
                       block: int, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Per level, sum and sum of squares of e^{R post} over tilted paths.
 
-    ``levels`` are the initial surpluses u_j in ascending order.  Every path
+    ``levels`` are the initial surpluses u_j in claim units, in ascending
+    order.  Every path
     walks V, the surplus gained from zero, and its first passage below -u_j
     is ruin from u_j, with post = u_j + V there.  A path retires once it
     passes the largest level; with one level, that is the whole pass.  The
@@ -592,9 +626,16 @@ def estimate_survival(
     until it is ruined from the largest u, so every level is unbiased with
     its own standard error but the estimates are correlated across u.
 
+    The tilt is solved and walked at unit rates, with the levels alpha u
+    (see ``_tilt``), so the estimate depends on c', theta and alpha u
+    alone, not on the model's units.
+
     Raises:
-        ConditioningError: If a tilted path from the largest u is predicted
-            to need more claims than the budget (loading near zero), if the
+        InputError: If u, n, seed or workers is out of its domain; the seed
+            must be a nonnegative integer.
+        ConditioningError: If the relative loading exceeds 1e75, if a
+            tilted path from the largest u is predicted to need more claims
+            than the budget (loading near zero, or alpha u overflowing), if the
             Lundberg equation is not solved to 1e-12, or if at some level
             the weights' effective sample size (sum w)^2 / sum w^2 falls
             below min(30, n / 100) (large loading with theta near 1, where
@@ -604,9 +645,11 @@ def estimate_survival(
     order = np.argsort(levels.ravel(), kind="stable")
     ascending = levels.ravel()[order]
     tilt = _tilt(model, float(ascending[-1]))
+    # Claim units; the largest level passed _tilt's budget, so none is inf.
+    scaled = tilt.alpha * ascending
     work = _Workspace(min(n, _BLOCK_SIZE) + _ROUND_STEPS)
     sums = _map_blocks(
-        lambda size, block: _run_tilted_block(tilt, ascending, size, seed, block, work), n
+        lambda size, block: _run_tilted_block(tilt, scaled, size, seed, block, work), n
     )
     total = sum(s for s, _ in sums)
     total_sq = sum(q for _, q in sums)
@@ -622,7 +665,7 @@ def estimate_survival(
         )
     mean = total / n
     var = np.maximum(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
-    scale = np.exp(-tilt.R * ascending)
+    scale = np.exp(-tilt.R * scaled)
     value = 1.0 - scale * mean
     stderr = scale * np.sqrt(var / n)
     estimates = [None] * ascending.size

@@ -340,6 +340,27 @@ class TestSimulate:
         assert out_env == out_123
         assert out_env != out_0
 
+    @pytest.mark.parametrize("argv", [
+        ("--seed", "-1"), ("--seed", "-1", "--b", "5"), ("--seed", "-1", "--beta", "2"),
+    ])
+    def test_negative_seed_exits_2(self, capsys, argv):
+        code, out, err = _run(capsys, "simulate", "--n", "100", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must be a nonnegative integer")
+        assert err.count("\n") == 1
+
+    def test_negative_seed_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RUIN_SEED", "-5")
+        code, out, err = _run(capsys, "simulate", "--n", "100")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a nonnegative integer, got -5\n"
+
+    def test_huge_loading_exits_4(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--c", "1e160", "--n", "100")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: survival at relative loading 1e+160")
+        assert err.count("\n") == 1
+
     def test_invalid_seed_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("RUIN_SEED", "not-a-seed")
         code, _, err = _run(capsys, "simulate", "--n", "100")

@@ -9,7 +9,8 @@ from fgmruin.classical import survival_classical
 from fgmruin.erlang import solve_delta0, survival_erlang2
 from fgmruin.errors import ConditioningError, InputError
 from fgmruin.max_surplus import chi
-from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, sample_pairs
+from fgmruin.model import (Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, sample_pairs,
+                           unit_rates)
 from fgmruin.simulate import (
     _ROUND_STEPS,
     SimEstimate,
@@ -208,6 +209,13 @@ class TestEstimateSurvival:
             with pytest.raises(InputError):
                 estimate_survival(m, grid, n=100, seed=0)
 
+    def test_overflowing_level_refused_by_name(self):
+        # alpha u = 1e400 has no float: it is inf claims away from ruin.
+        m = ModelSpec(1.5, ExpClaim(1e200), ExpPoisson(1e200), FgmParam(0.5))
+        with pytest.raises(ConditioningError, match="u = 1e\\+200: a tilted path needs about inf"):
+            estimate_survival(m, [0.0, 1e200], n=100, seed=0)
+        assert estimate_survival(m, [0.0, 5e-200], n=100, seed=0)[1].value > 0.5
+
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     def test_small_loading_raises_at_once(self, make):
         m = make(0.5, c=1.001)
@@ -240,15 +248,39 @@ def _slowest_rate(terms):
     return max(rate for _, rate in terms if isinstance(rate, float) and rate < 0.0)
 
 
+def _unit_args(model):
+    """(c', theta, Erlang times?): the tilt helpers' arguments, as ``_tilt`` forms them."""
+    return (unit_rates(model, type(model.arrival))[0], model.theta,
+            isinstance(model.arrival, Erlang2))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda m, seed: estimate_survival(m, 0.0, n=1000, seed=seed),
+    lambda m, seed: estimate_reach_prob(m, 0.0, 5.0, n=1000, seed=seed),
+], ids=["survival", "reach"])
+class TestSeed:
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", None])
+    def test_refused_unless_a_nonnegative_integer(self, estimate, seed):
+        with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+            estimate(_poisson_model(0.5), seed)
+
+    def test_numpy_integer_is_the_same_seed(self, estimate):
+        m = _poisson_model(0.5)
+        got = estimate(m, np.int64(7))
+        assert got == estimate(m, 7)
+        assert type(got.seed) is int
+
+
 class TestAdjustmentCoefficient:
     @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_is_the_slowest_survival_rate(self, theta):
+        # alpha = 1, so the unit-rate R is the model's.
         m = _poisson_model(theta)
         want = -_slowest_rate(survival_classical(m).phi.terms)
-        assert _lundberg_root(m)[0] == pytest.approx(want, rel=1e-10)
+        assert _lundberg_root(*_unit_args(m))[0] == pytest.approx(want, rel=1e-10)
         m = _erlang_model(theta)
         want = -_slowest_rate(survival_erlang2(m).delta.terms)
-        assert _lundberg_root(m)[0] == pytest.approx(want, rel=1e-10)
+        assert _lundberg_root(*_unit_args(m))[0] == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("c", [1.0 + 1e-6, 1e3])
     @pytest.mark.parametrize("theta", [-1.0, 1.0])
@@ -257,7 +289,7 @@ class TestAdjustmentCoefficient:
         # gap alpha - R must keep its own relative precision.
         m = _poisson_model(theta, c=c)
         want = -_slowest_rate(survival_classical(m).phi.terms)
-        R, gap = _lundberg_root(m)
+        R, gap = _lundberg_root(*_unit_args(m))
         assert R == pytest.approx(want, rel=1e-9)
         assert gap == pytest.approx(m.claim.alpha - want, rel=1e-9)
 
@@ -299,7 +331,8 @@ class TestTiltedPairs:
         # The categories' masses add up to M(R) = E[e^{R(X - cW)}] = 1, also
         # where R crowds alpha and single masses reach 1e10.
         m = make(theta, c=1.0 + loading)
-        masses, coef = _mixture(m, *_lundberg_root(m))
+        args = _unit_args(m)
+        masses, coef = _mixture(*args, *_lundberg_root(*args))
         assert np.all(masses > 0.0)
         assert abs(masses.sum() - 1.0) <= 1e-12
         assert masses.size <= 14 and coef.shape[1] == masses.size
@@ -307,10 +340,11 @@ class TestTiltedPairs:
     @pytest.mark.parametrize("make,theta,loading", _TILT_CELLS)
     def test_mean_step_is_the_tilted_drift(self, make, theta, loading):
         m = make(theta, c=1.0 + loading)
-        R, gap = _lundberg_root(m)
+        args = _unit_args(m)
+        R, gap = _lundberg_root(*args)
         n = 200_000
         steps = _tilt(m, 0.0).steps(np.random.default_rng(2024), n, _Workspace(n))
-        drift = -_cgf(m, R, gap)[1]
+        drift = -_cgf(*args, R, gap)[1]
         se = steps.std(ddof=1) / np.sqrt(n)
         assert abs(steps.mean() - drift) <= 4.0 * se, (steps.mean(), drift, se)
 
