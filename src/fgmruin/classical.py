@@ -104,7 +104,7 @@ class ClassicalSolution:
     phi0_candidates: tuple[complex, ...]
 
     def __call__(self, u):
-        if not np.all(np.asarray(u, dtype=float) >= 0.0):
+        if not (np.asarray(u, dtype=float) >= 0.0).all():
             raise InputError("phi(u) needs u >= 0")
         return self.phi(u)
 

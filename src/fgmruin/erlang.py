@@ -270,7 +270,7 @@ class ErlangSolution:
     consistency_residual: float
 
     def __call__(self, u):
-        if not np.all(np.asarray(u, dtype=float) >= 0.0):
+        if not (np.asarray(u, dtype=float) >= 0.0).all():
             raise InputError("delta(u) needs u >= 0")
         return self.delta(u)
 
@@ -307,7 +307,7 @@ def survival_erlang2(
         # factor 2 beta - c s is beta (2 - c' s / alpha).
         b, f = model.arrival.beta, model.arrival.beta / alpha
         units = (f * b, f * b * b * b * b, f * b * b * b, f * b * b)
-        boundary = tuple(float(v) * u for v, u in zip(elim.weights[1:], units))
+        boundary = tuple(v * u for v, u in zip(elim.weights[1:].tolist(), units))
     # Each growing root's demand with w frozen at its independence value and
     # no quadratic bracket; their spread measures the pooled-mode bias.
     cands = elim.candidates(_independence_w(c))
@@ -373,13 +373,13 @@ def sign_variant_report(
     """Compare both sign variants against one simulation of delta(0).
 
     Each variant's delta(0) comes from INDIVIDUAL elimination, or from
-    POOLED where the INDIVIDUAL system is unsolvable.  For |theta| below
-    1e-9 the variants coincide and PLUS is selected without simulating.
-    ``workers`` is passed to ``estimate_survival``, which validates it and
-    otherwise ignores it.
+    POOLED where the INDIVIDUAL system is unsolvable.  n, seed and workers
+    pass ``estimate_survival``'s checks first (workers is otherwise ignored);
+    below |theta| = 1e-9 the variants coincide: PLUS, without simulating.
     """
-    from .simulate import estimate_survival
+    from .simulate import _check_inputs, estimate_survival
 
+    _check_inputs(0.0, n, seed, workers)
     if abs(model.theta) < _SMALL_THETA:
         value, _ = solve_delta0(model, DEFAULT_SIGN_VARIANT)
         rows = tuple(

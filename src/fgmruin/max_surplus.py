@@ -131,7 +131,7 @@ class ChiSolution:
 
     def __call__(self, u):
         uu = np.asarray(u, dtype=float)
-        if not np.all((uu >= 0.0) & (uu <= self.b)):
+        if not ((uu >= 0.0) & (uu <= self.b)).all():
             raise InputError(f"chi(u, b) needs 0 <= u <= b = {self.b}")
         return self.chi(u) + self.growing(uu - self.b)
 
@@ -166,8 +166,8 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     b_unit = b * alpha
 
     roots = poly_roots(_cleared_parts(c, th)[0])
-    # Columns: the constant (rate 0) and the three nonzero roots.
-    r = np.concatenate(([0.0], roots.poles[~roots.zero]))
+    # Columns: the constant (rate 0; D(0) is exactly 0) and the three nonzero roots.
+    r = roots.poles
     plus_1, plus_2, k_minus = 1.0 + r, 2.0 + r, k - r
     g = plus_1 * plus_2 * k_minus
 
@@ -193,8 +193,9 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     # the rates -1, -2 and k, each up to a nonzero common factor that
     # equilibration cancels.  The growing column is anchored at b', so
     # its unknown weighs e^{s (u - b')}.
-    grow = int(r.real.argmax())
-    shift = b_unit * (np.arange(4) == grow)
+    reals = [v.real for v in r.tolist()]
+    grow = reals.index(max(reals))
+    shift = np.array([b_unit * (j == grow) for j in range(4)])
     at_b, at_shift = np.exp(r * (b_unit - shift)), np.exp(-r * shift)
     mat = np.array([
         g * at_b,
@@ -205,13 +206,12 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     row_norm = np.abs(mat).max(axis=1)
     # A row that underflows in every column, to zero or to subnormals, or
     # that overflows leaves nothing to equilibrate.
-    usable = (row_norm >= _NORMAL_MIN) & (row_norm < math.inf)
-    if not usable.all():
-        i = int(usable.argmin())
-        raise ConditioningError(
-            f"coefficient system row for {_ROWS[i]} vanished or overflowed "
-            f"(row norm {float(row_norm[i])!r})"
-        )
+    for what, norm in zip(_ROWS, row_norm.tolist()):
+        if not _NORMAL_MIN <= norm < math.inf:
+            raise ConditioningError(
+                f"coefficient system row for {what} vanished or overflowed "
+                f"(row norm {norm!r})"
+            )
     mat = mat / row_norm[:, None]
     rhs = np.array([1.0, 0.0, 0.0, 0.0]) / row_norm
 
@@ -229,7 +229,7 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
         )
     coef = (np.linalg.solve(mat, rhs) * g).tolist()
     roots = roots.scaled(alpha)
-    rates = (r * alpha).tolist()
+    rates = roots.poles.tolist()
 
     # A conjugate pair of roots enters the sum once, by its upper member.
     terms = sorted(

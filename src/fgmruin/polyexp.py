@@ -4,8 +4,12 @@ The survival solvers work with Laplace transforms that are rational in s
 after clearing denominators.  The solvers keep them as ascending
 coefficients from assembly to elimination, the denominator as an array;
 the public transform functions return them as
-``numpy.polynomial.Polynomial``.  This module supplies the shared
-machinery:
+``numpy.polynomial.Polynomial``.  numpy computes every value that reaches
+a result or a gate.  The decisions on the 3 to 8 roots and weights
+(finiteness, order, class, the elimination gates, the kept terms) run on
+Python lists of those values, cheaper than a numpy call each; they read
+moduli from ``np.abs``, whose last bit Python's complex ``abs`` can miss,
+and do no complex arithmetic.  This module supplies the shared machinery:
 
 * ``times_linear`` and ``coeff_rows``: products with a linear factor in
   plain float arithmetic, with ``np.convolve``'s bits, and zero-padded
@@ -24,11 +28,9 @@ machinery:
   resulting inverse transform, a real constant plus one exponential per
   real pole or conjugate pair, the pair stored once by its upper member.
 * ``eliminate_growing``: the step every solver shares after root finding;
-  it evaluates the basis and D' = sum(i den[i] s**(i-1)) at every root in
-  one ``polyval`` call over a block of coefficient columns, solves a
-  square system for the numerator weights that cancel the growing poles
-  and collects the remaining residues into the constant and decaying
-  terms.
+  it solves a square system for the numerator weights that cancel the
+  growing poles and collects the remaining residues into the constant and
+  decaying terms.
 * ``rescaled``: a transform assembled at unit rates, in model units.
 """
 
@@ -139,11 +141,11 @@ class RootSet:
 
     def scaled(self, alpha: float) -> "RootSet":
         """The roots times alpha; ConditioningError if one overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            poles = self.poles * alpha
-        if not np.isfinite(poles).all():
+        # numpy scales each part alone, so this is exactly its overflow test.
+        top = max(max(abs(v.real), abs(v.imag)) for v in self.poles.tolist())
+        if not top * abs(alpha) < math.inf:
             raise ConditioningError(f"roots times alpha = {alpha!r} overflow")
-        return RootSet(poles, self.zero, self.growing)
+        return RootSet(self.poles * alpha, self.zero, self.growing)
 
     @property
     def max_multiplicity(self) -> int:
@@ -161,9 +163,10 @@ def poly_roots(p) -> RootSet:
     companion matrix, built as ``np.roots`` builds it.  LAPACK's real
     eigensolver returns each complex pair as (wr + i wi, wr - i wi) with
     wi > 0: consecutive and exactly conjugate, up to the sign of a zero
-    wr, which adding 0j settles.  One stable sort on
-    (real part, -|imaginary part|) orders them; each pair keeps its upper
-    member first and sits where its lower member falls in
+    wr, which adding 0j settles.  numpy gives their moduli and distances,
+    and Python lists of those values take the decisions.  One stable sort
+    on (real part, -|imaginary part|) orders them; each pair keeps its
+    upper member first and sits where its lower member falls in
     ``np.sort_complex`` order.  A root decays when its real part is below
     -1e-9 times its modulus and grows otherwise.
 
@@ -179,56 +182,50 @@ def poly_roots(p) -> RootSet:
             exact conjugate.
     """
     c = np.asarray(p.coef if isinstance(p, Polynomial) else p, dtype=float)
-    if len(c) < 2 or c[-1] == 0.0:
+    coef = c.tolist()
+    if len(coef) < 2 or coef[-1] == 0.0:
         raise InputError("root finding needs degree >= 1, leading coefficient != 0")
-    # NaN fails the comparison too.
-    top = float(np.abs(c).max())
-    if not top < math.inf:
-        raise ConditioningError(f"transform coefficients are not finite: {c.tolist()!r}")
+    if not all(map(math.isfinite, coef)):
+        raise ConditioningError(f"transform coefficients are not finite: {coef!r}")
     # One exact zero low-order coefficient gives the zero root; two repeat it.
-    k = 0 if c[0] != 0.0 else 1
-    if k and c[1] == 0.0:
+    k = 0 if coef[0] != 0.0 else 1
+    if k and coef[1] == 0.0:
         raise UnsupportedStructureError("repeated poles are not supported")
-    q = c[k:][::-1]  # the quotient by s**k, descending
-    n = len(q) - 1
+    n = len(coef) - 1 - k  # the degree of the quotient by s**k
+    poles, growing = [0j] * k, [False] * k
     if n:
-        # Division rounds monotonically, so the row -q[1:] / q[0] overflows
-        # exactly when top / |q[0]| does; Python floats give inf, no warning.
-        if top / abs(float(q[0])) == math.inf:
+        lead, top = coef[-1], max(map(abs, coef))
+        # Division rounds monotonically, so the companion row overflows
+        # exactly when top / |lead| does; Python floats give inf, no warning.
+        if top / abs(lead) == math.inf:
             raise ConditioningError(
                 f"companion row -q[1:] / q[0] overflows: leading coefficient "
-                f"{float(q[0])!r} against largest coefficient {top!r}")
+                f"{lead!r} against largest coefficient {top!r}")
         companion = np.eye(n, k=-1)
-        companion[0] = -q[1:] / q[0]
+        # -q[1:] / q[0] for q = c[k:][::-1]: x / -y rounds as -x / y.
+        companion[0] = c[k:-1][::-1] / -lead
         # A pair's real parts may come back as -0.0 and 0.0; adding 0j makes
         # both 0.0, and the roots complex when all are real.
         z = np.linalg.eigvals(companion) + 0j
-        z = z[np.lexsort((-np.abs(z.imag), z.real))]
-    else:
-        z = np.zeros(0, dtype=complex)
-
-    # |z_i - z_j| < SEP max(|z_i|, |z_j|) for some pair exactly when
-    # |z_i - z_j| < SEP |z_i| for some ordered pair: the distance is symmetric.
-    mod = np.abs(z)
-    dist = np.abs(z[:, None] - z)
-    dist.flat[:: n + 1] = np.inf
-    if (dist < SEP * mod[:, None]).any():
-        raise UnsupportedStructureError("repeated poles are not supported")
-
-    # Each upper member must be followed by its exact conjugate, which the
-    # loop then skips; a lower member met on its own has no partner.
-    rest = iter(z.tolist())
-    for v in rest:
-        if v.imag < 0.0 or (v.imag > 0.0 and next(rest, None) != v.conjugate()):
-            raise StructuralError(f"complex root {v!r} has no conjugate partner")
-    # Purely oscillatory poles do not vanish at infinity: they count as growing.
-    growing = z.real >= -_DECAY_REL * mod
-    zero = np.zeros(n + k, dtype=bool)
-    if k:
-        z = np.concatenate(([0j], z))
-        growing = np.concatenate(([False], growing))
-        zero[0] = True
-    return RootSet(z, zero, growing)
+        # |z_i - z_j| < SEP max(|z_i|, |z_j|) for some pair exactly when
+        # |z_i - z_j| < SEP |z_i| for some ordered pair, as the distance is
+        # symmetric: each row's nearest other root decides (fmin skips NaN).
+        mod = np.abs(z).tolist()
+        dist = np.abs(z[:, None] - z)
+        dist.flat[:: n + 1] = np.inf
+        if any(d < SEP * m for d, m in zip(np.fmin.reduce(dist, axis=1).tolist(), mod)):
+            raise UnsupportedStructureError("repeated poles are not supported")
+        ranked = sorted(zip(z.tolist(), mod), key=lambda vm: (vm[0].real, -abs(vm[0].imag)))
+        poles += [v for v, _ in ranked]
+        # Each upper member must be followed by its exact conjugate, which
+        # the loop then skips; a lower member met on its own has no partner.
+        rest = iter(poles[k:])
+        for v in rest:
+            if v.imag < 0.0 or (v.imag > 0.0 and next(rest, None) != v.conjugate()):
+                raise StructuralError(f"complex root {v!r} has no conjugate partner")
+        # Oscillatory poles do not vanish at infinity: they count as growing.
+        growing += [v.real >= -_DECAY_REL * m for v, m in ranked]
+    return RootSet(np.array(poles), np.array([True] * k + [False] * n), np.array(growing))
 
 
 @dataclass(frozen=True)
@@ -339,21 +336,20 @@ def expsum_eval(e: ExpSum, u):
 
 
 def _collect(
-    poles: np.ndarray, residues: np.ndarray, size: np.ndarray,
-    zero: np.ndarray, growing: np.ndarray, floor: float,
+    poles: list[complex], residues: list[complex], size: list[float],
+    k: int, growing: list[bool], floor: float,
 ) -> tuple[float, tuple[tuple[complex, complex], ...]]:
     """Zero-pole constant and ExpSum terms of the decaying poles, slowest first.
 
-    size holds the residues' moduli.  Each real decaying pole gives a
-    (residue, pole) term and each conjugate pair gives one, from its upper
-    member.  Residues of modulus at most ``floor`` are dropped.  The zero
-    root is exactly 0, so its residue num(0) / den'(0) is real.
+    size holds the residues' moduli; k is 1 when the first pole is the zero
+    root, exactly 0, whose residue num(0) / den'(0) is real.  Each real
+    decaying pole or conjugate pair (by its upper member) gives a (residue,
+    pole) term; residues of modulus at most ``floor`` are dropped.
     """
-    constant = float(residues[zero].real.sum())
-    keep = ~(zero | growing) & (size > floor) & (poles.imag >= 0.0)
-    poles, residues = poles[keep], residues[keep]
-    order = np.argsort(-poles.real, kind="stable")
-    return constant, tuple(zip(residues[order].tolist(), poles[order].tolist()))
+    terms = [(r, p) for p, r, m, g in zip(poles[k:], residues[k:], size[k:], growing[k:])
+             if not g and m > floor and p.imag >= 0.0]
+    terms.sort(key=lambda rp: -rp[1].real)
+    return (residues[0].real if k else 0.0), tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -411,7 +407,8 @@ class Elimination:
         A root where the first basis polynomial vanishes is skipped.
         """
         slope, const = self.growing_values[:2]
-        return tuple(complex(-w * b / a) for a, b in zip(slope, const) if a != 0)
+        nonzero = [j for j, a in enumerate(slope.tolist()) if a != 0]
+        return tuple((-w * const[nonzero] / slope[nonzero]).tolist())
 
 
 def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -420,7 +417,9 @@ def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise StructuralError(f"{rows.shape[0]} elimination equations for "
                               f"{rows.shape[1]} unknown weights")
     row_scale = np.abs(rows).max(axis=1)
-    if (row_scale <= _DEGENERATE_REL * np.maximum(row_scale, np.abs(rhs))).any():
+    # s <= rel * np.maximum(s, r): a NaN s or r passes, as NaN compares false.
+    if any(s <= _DEGENERATE_REL * max(s, r)
+           for s, r in zip(row_scale.tolist(), np.abs(rhs).tolist()) if r == r):
         raise StructuralError("degenerate elimination row")
     rows = rows / row_scale[:, None]
     rhs = rhs / row_scale
@@ -428,11 +427,12 @@ def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(rows, rhs)
     except np.linalg.LinAlgError as exc:
         raise StructuralError(f"elimination system is singular: {exc}") from exc
-    x_scale = max(1.0, float(np.abs(x).max()))
+    # A NaN weight makes every residual NaN, which fails whatever the scale.
+    x_scale = max(1.0, *np.abs(x).tolist())
     residual = float(np.abs(rows @ x - rhs).max())
     if not residual <= _SYSTEM_TOL * x_scale:
         raise StructuralError(f"elimination system left residual {residual:.3e}")
-    if not float(np.abs(x.imag).max()) <= _REALNESS_TOL * x_scale:
+    if not all(abs(v.imag) <= _REALNESS_TOL * x_scale for v in x.tolist()):
         raise StructuralError("elimination weights are not real")
     return x.real
 
@@ -456,8 +456,9 @@ def eliminate_growing(
     check.  The basis rows and D' = sum(i den[i] s**(i-1)) are laid out as
     the columns of one coefficient block and evaluated at all roots in one
     ``polyval`` call, the equilibrated square system is solved exactly, and
-    the residues of the solved numerator are collected in one pass.
-    ``roots`` are those of ``poly_roots(den)``.
+    the residues of the solved numerator are collected in one pass.  numpy
+    computes these values; the masks, the solve's gates and the kept terms
+    are decided on Python lists of them.  ``roots`` come from ``poly_roots(den)``.
 
     Raises:
         ConditioningError: If a basis row, D' or a residue overflows at a
@@ -466,9 +467,10 @@ def eliminate_growing(
             square, degenerate or singular, leaves a residual above 1e-8
             or has a solution that is not real to 1e-7.
     """
-    poles, zero, growing = roots.poles, roots.zero, roots.growing
-    if not growing.any():
+    poles, growing, grows = roots.poles, roots.growing, roots.growing.tolist()
+    if True not in grows:
         raise StructuralError("no growing denominator root to eliminate")
+    k = int(roots.zero[0])  # 1 with the zero root, which then comes first
     nb, width = basis.shape
     cols = np.zeros((len(den) - 1, nb + 1))
     cols[:width, :nb] = basis.T
@@ -491,18 +493,17 @@ def eliminate_growing(
     if pooled:
         rows = rows.sum(axis=0, keepdims=True)
         rhs = rhs.sum(keepdims=True)
-    at_zero = free[:, zero].T
-    if (at_zero != 0.0).any():
-        rows = np.concatenate((rows, at_zero))
-        rhs = np.concatenate((rhs, 1.0 - known[zero]))
+    if k and any(free[:, 0].tolist()):
+        rows = np.concatenate((rows, free[:, :1].T))
+        rhs = np.concatenate((rhs, 1.0 - known[:1]))
     full[unknown] = _solve(rows, rhs)
 
     residues = full @ basis_residues
     size = np.abs(residues)
     scale = float(size.max())
     defect = abs(residues[growing].sum()) if pooled else size[growing].max()
-    constant, terms = _collect(poles, residues, size, zero, growing,
-                               RESIDUE_DROP_REL * scale)
+    constant, terms = _collect(poles.tolist(), residues.tolist(), size.tolist(),
+                               k, grows, RESIDUE_DROP_REL * scale)
     return Elimination(
         full, basis_at_roots[:, growing], constant, terms, float(defect), scale
     )

@@ -92,14 +92,13 @@ def _check_inputs(u, n: int, seed: int,
     if levels.ndim > 1 or levels.size == 0 or not np.all(
             (levels >= 0.0) & (levels < math.inf)):
         raise InputError(f"initial surplus must be nonnegative, got {u!r}")
-    n = int(n)
-    if n <= 0:
-        raise InputError(f"path count must be positive, got {n!r}")
-    if workers < 1:
-        raise InputError(f"worker count must be positive, got {workers!r}")
+    if not isinstance(n, numbers.Integral) or n <= 0:
+        raise InputError(f"path count must be a positive integer, got {n!r}")
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise InputError(f"worker count must be a positive integer, got {workers!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    return levels, n, int(seed)
+    return levels, int(n), int(seed)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -195,10 +194,10 @@ def estimate_reach_prob(
 ) -> SimEstimate:
     """Simulated probability of reaching b before ruin from surplus u.
 
-    The estimate is a deterministic function of (seed, n), and the seed
-    must be a nonnegative integer.  ``workers`` is kept for compatibility:
-    it must be positive, and the blocks run one after another whatever its
-    value.  The paths are walked in the model's units.
+    The estimate is a deterministic function of (seed, n); n must be a
+    positive integer and the seed a nonnegative one.  ``workers`` is kept
+    for compatibility: it must be a positive integer, and the blocks run
+    one after another whatever its value.  Paths walk in model units.
     """
     u = float(u)
     _, n, seed = _check_inputs(u, n, seed, workers)
@@ -617,8 +616,8 @@ def estimate_survival(
     one.  The estimate has no truncation bias, its variance never exceeds
     the binomial psi(1 - psi) / n, and its relative error stays flat as u
     grows.  It is a deterministic function of (seed, n).  ``workers`` is
-    kept for compatibility: it must be positive, and the blocks run one
-    after another whatever its value.
+    kept for compatibility: it must be a positive integer, and the blocks
+    run one after another whatever its value.
 
     ``u`` may be a number, giving one ``SimEstimate``, or a 1-D grid in any
     order, giving a list with one ``SimEstimate`` per level in input order.
@@ -631,8 +630,8 @@ def estimate_survival(
     alone, not on the model's units.
 
     Raises:
-        InputError: If u, n, seed or workers is out of its domain; the seed
-            must be a nonnegative integer.
+        InputError: If u, n, seed or workers is out of its domain; n and
+            workers must be positive integers, the seed a nonnegative one.
         ConditioningError: If the relative loading exceeds 1e75, if a
             tilted path from the largest u is predicted to need more claims
             than the budget (loading near zero, or alpha u overflowing), if the

@@ -374,8 +374,20 @@ class TestSignVariants:
         report = sign_variant_report(_model(0.0), n=1000, seed=5)
         assert report.selected is PLUS
         assert report.n == 0
+        assert report.seed == 5
         assert math.isnan(report.mc_value)
         assert all(row.consistent for row in report.rows)
+        d0, _ = solve_delta0(_model(0.0))
+        assert [(r.variant, r.delta0, r.z_score, r.elimination) for r in report.rows] == [
+            (v, d0, 0.0, INDIVIDUAL) for v in (PLUS, MINUS)]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n": -5, "seed": 1}, {"n": 1000, "seed": 1.5}, {"n": 1000, "seed": -1},
+        {"n": 1000, "seed": 1, "workers": 0},
+    ])
+    def test_report_validates_inputs_at_independence(self, kwargs):
+        with pytest.raises(InputError):
+            sign_variant_report(_model(0.0), **kwargs)
 
     def test_selection_by_simulation(self):
         choice = select_sign_variant(_model(-1.0), n=20_000, seed=11)

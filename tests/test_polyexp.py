@@ -18,10 +18,14 @@ from fgmruin.errors import (
 from fgmruin.max_surplus import chi_characteristic
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
 from fgmruin.polyexp import (
+    SEP,
     Elimination,
     ExpSum,
     RationalFn,
+    RootSet,
     _solve,
+    coeff_rows,
+    eliminate_growing,
     expsum_eval,
     partial_fractions,
     poly_roots,
@@ -114,6 +118,34 @@ class TestPolyRoots:
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ConditioningError, match="not finite"):
             poly_roots(np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("c", [
+        [math.nan, 1.0, 1.0], [1.0, 2.0, math.nan, 1.0], [1.0, 1.0, math.nan],
+        [math.inf, 1.0, 1.0], [0.0, 1.0, -math.inf], [0.0, 1.0, math.nan, 1.0],
+    ], ids=["nan-constant", "nan-middle", "nan-leading", "inf-constant",
+            "inf-leading-zero-root", "nan-middle-zero-root"])
+    def test_non_finite_coefficient_anywhere_rejected(self, c):
+        with pytest.raises(ConditioningError, match="not finite"):
+            poly_roots(np.array(c))
+
+    @pytest.mark.parametrize("z", [1.0, -3.0, 2.0 + 5.0j])
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_separation_edge(self, z, zero):
+        # z and z (1 + eps) lie eps |z| apart, the larger modulus being
+        # |z| (1 + eps): they are one repeated root when eps < SEP (1 + eps).
+        # The eigenvalues of a pair 1e-4 apart are good to about 1e-12, far
+        # inside the 1 % margins either side.
+        def roots_of(eps):
+            pair = [z, z * (1.0 + eps)]
+            if isinstance(z, complex):
+                pair += [w.conjugate() for w in pair]
+            c = np.poly(pair + [-0.5]).real[::-1]
+            return poly_roots(np.append(0.0, c) if zero else c)
+
+        with pytest.raises(UnsupportedStructureError):
+            roots_of(0.99 * SEP)
+        rs = roots_of(1.01 * SEP)
+        assert len(rs.poles) == (5 if isinstance(z, complex) else 3) + zero
 
     def test_overflowing_companion_row_rejected(self):
         # Every coefficient is finite, but 1e300 / 1e-10 is not.
@@ -475,3 +507,62 @@ class TestNanGates:
         rows = np.array([[1.0, 2.0], [math.nan, 1.0]])
         with pytest.raises(StructuralError):
             _solve(rows, np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("row,rhs,gate", [
+        # A NaN right-hand side passes the degenerate-row gate (s <= 1e-12
+        # max(s, NaN) is false) and leaves a NaN residual.
+        ([3.0, 1.0], math.nan, "left residual nan"),
+        ([3.0, 1.0], complex(1.0, math.nan), "left residual nan"),
+        ([0.0, 0.0], math.nan, "left residual nan"),
+        # An infinite one makes its row degenerate, and so does a zero row.
+        ([3.0, 1.0], math.inf, "degenerate elimination row"),
+        ([0.0, 0.0], 0.5, "degenerate elimination row"),
+        ([0.0, 0.0], 0.0, "degenerate elimination row"),
+    ])
+    def test_solve_gate_edges(self, row, rhs, gate):
+        rows = np.array([[1.0, 2.0], row], dtype=complex)
+        # A zero row divides by zero on the way to its residual gate.
+        with np.errstate(invalid="ignore", divide="ignore"), \
+                pytest.raises(StructuralError, match=gate):
+            _solve(rows, np.array([1.0, rhs], dtype=complex))
+
+
+# den = s (s - 2)(s + 1)(s + 2): D'(-1) = 3 and D'(-2) = -8, integers that
+# Horner's rule reaches exactly at the exact roots.
+_EXACT_DEN = np.array([0.0, -4.0, -4.0, 1.0, 1.0])
+
+
+def _exact_roots(*poles):
+    """A RootSet of exact poles, the zero root first and the positive growing."""
+    z = np.array(poles, dtype=complex)
+    return RootSet(z, z == 0, z.real > 0)
+
+
+class TestCollect:
+    """Which decaying terms eliminate_growing keeps, and in which order."""
+
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_residue_exactly_at_drop_floor_is_dropped(self, drop):
+        # The unknown row s (s + 1)(s + 2) vanishes at 0, -1 and -2; 3 s (s + 2)
+        # gives -1 at -1, the largest residue, and beta s (s + 1) gives
+        # -beta / 4 at -2.  beta = 4e-8 puts that residue exactly at the
+        # floor 1e-8 * 1, which is dropped; one ulp more is kept.
+        beta = 4e-8 if drop else np.nextafter(4e-8, 1.0)
+        basis = coeff_rows([0.0, 2.0, 3.0, 1.0], [0.0, 6.0, 3.0], [0.0, beta, beta])
+        elim = eliminate_growing(_EXACT_DEN, _exact_roots(0, -2, -1, 2), basis,
+                                 (None, 1.0, 1.0))
+        assert elim.scale == 1.0
+        assert elim.constant == 0.0
+        terms = [(-beta / 4.0 + 0j, -2 + 0j)] * (not drop) + [(-1 + 0j, -1 + 0j)]
+        assert sorted(elim.terms, key=lambda t: t[1].real) == terms
+
+    @pytest.mark.parametrize("pairs", [(2.0, 1.0), (1.0, 2.0)])
+    def test_equal_real_parts_keep_root_order(self, pairs):
+        # Two decaying pairs on Re s = -1: the stable sort on -Re keeps them
+        # in the order of the roots.
+        upper = [-1.0 + y * 1j for y in pairs]
+        poles = [0j, *(z for u in upper for z in (u, u.conjugate())), 1 + 0j]
+        den = np.poly(poles).real[::-1]
+        elim = eliminate_growing(den, _exact_roots(*poles), coeff_rows([0.0, 1.0], [1.0]),
+                                 (None, 1.0))
+        assert [rate for _, rate in elim.terms] == upper

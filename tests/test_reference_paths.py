@@ -4,8 +4,10 @@ The reference below is the straightforward numpy form of the same
 arithmetic: the transforms cleared at unit rates with ``np.convolve``
 (alpha = lam = beta = 1 and the premium c' of ``model.unit_rates``), D' from
 ``polyder``, the basis and D' as zero-padded rows, the roots through
-``argmax``, ``fill_diagonal`` and ``np.maximum``, ExpSum evaluation from an
-``np.full`` start and the chi condition number from ``np.linalg.cond``.  On
+``argmax``, ``fill_diagonal`` and ``np.maximum``, the roots in model units
+as ``poles * alpha`` with an ``np.isfinite`` gate, the candidates as
+``-w * b / a`` over masked arrays, ExpSum evaluation from an ``np.full``
+start and the chi condition number from ``np.linalg.cond``.  On
 seeded models over loading 1e-6 to 1e3 and |theta| <= 1 (some at theta = 0,
 some at |theta| < 1e-9) the package must give the same bits, and wherever
 the reference refuses, the same error type and message.
@@ -191,6 +193,22 @@ def _ref_eliminate(den, roots, basis, weights, pooled=False):
     return full, basis_at_roots[:, growing], constant, terms, float(defect), scale
 
 
+def _ref_scaled(poles, alpha):
+    """Roots times alpha, refused when one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = poles * alpha
+    if not np.all(np.isfinite(scaled)):
+        raise ConditioningError(f"roots times alpha = {alpha!r} overflow")
+    return scaled
+
+
+def _ref_candidates(growing_values, w):
+    """-w b / a over the growing roots where the first basis value a is nonzero."""
+    slope, const = growing_values[:2]
+    keep = slope != 0
+    return tuple(complex(v) for v in -w * const[keep] / slope[keep])
+
+
 def _ref_expsum_eval(e, u):
     uu = np.asarray(u, dtype=float)
     total = np.full(uu.shape, e.constant)
@@ -303,23 +321,36 @@ def _elimination_tuple(elim):
             elim.growing_defect, elim.scale)
 
 
-def _roots(den):
-    rs = poly_roots(den)
+def _parts(rs):
     return rs.poles, rs.zero, rs.growing
 
 
-def _check_elimination(name, i, den, basis, weights, pooled):
-    """Compare roots, elimination and ExpSum values; 1 if the model solved."""
+def _roots(den):
+    return _parts(poly_roots(den))
+
+
+def _check_elimination(name, i, den, basis, weights, pooled, alpha, w):
+    """Compare roots, elimination and ExpSum values; 1 if the model solved.
+
+    The roots are also scaled by the model's alpha and by 1e308, which
+    overflows every root of modulus above about 1.8, and the elimination's
+    candidates are taken with the second weight fixed at w.
+    """
     ref_roots = _outcome(_ref_poly_roots, den)
     _assert_same(f"{name} roots", i, _outcome(_roots, den), ref_roots)
     if ref_roots[0] != "ok":
         return 0
+    roots = poly_roots(den)
+    for a in (alpha, 1e308):
+        _assert_same(f"{name} scaled roots", i, _outcome(lambda: _parts(roots.scaled(a))),
+                     _outcome(lambda: (_ref_scaled(ref_roots[1][0], a), *ref_roots[1][1:])))
     want = _outcome(_ref_eliminate, den, ref_roots[1], basis, weights, pooled)
-    got = _outcome(lambda *a: _elimination_tuple(eliminate_growing(*a)),
-                   den, poly_roots(den), basis, weights, pooled)
+    elim = _outcome(eliminate_growing, den, roots, basis, weights, pooled)
+    got = ("ok", _elimination_tuple(elim[1])) if elim[0] == "ok" else elim
     _assert_same(f"{name} elimination", i, got, want)
     if got[0] != "ok":
         return 0
+    _assert_same(f"{name} candidates", i, elim[1].candidates(w), _ref_candidates(want[1][1], w))
     e = _outcome(ExpSum, got[1][2], got[1][3])
     if e[0] == "ok":
         for u in (GRID, 0.0, np.float64(1.5), np.array(2.5)):
@@ -331,14 +362,15 @@ def _check_elimination(name, i, den, basis, weights, pooled):
 def test_classical_matches_reference():
     solved = 0
     for i, (model, _) in enumerate(MODELS):
-        c = unit_rates(model, ExpPoisson)[0]
+        c, alpha = unit_rates(model, ExpPoisson)
         den, num_const, num_slope = classical_parts(c, model.theta)
         ref = _ref_classical_parts(c, model.theta)
         _assert_same("classical parts", i, (den, np.array(num_const), np.array(num_slope)),
                      ref)
         basis = coeff_rows(num_slope, num_const)
         _assert_same("classical basis", i, basis, _ref_rows(ref[2], ref[1]))
-        solved += _check_elimination("classical", i, den, basis, (None, 1.0), False)
+        solved += _check_elimination("classical", i, den, basis, (None, 1.0), False,
+                                     alpha, 1.0)
     assert solved >= len(MODELS) // 2
 
 
@@ -348,7 +380,7 @@ def test_classical_matches_reference():
 def test_erlang_matches_reference(variant, elimination):
     solved = 0
     for i, (_, model) in enumerate(MODELS):
-        c = unit_rates(model, Erlang2)[0]
+        c, alpha = unit_rates(model, Erlang2)
         parts = _outcome(erlang_parts, c, model.theta, variant)
         _assert_same("Erlang parts", i, parts,
                      _outcome(_ref_erlang_parts, c, model.theta, variant))
@@ -359,7 +391,7 @@ def test_erlang_matches_reference(variant, elimination):
             args = (basis[:2], (None, 1.0 - 2.0 * c), True)
         else:
             args = (basis, (None,) * len(basis), False)
-        solved += _check_elimination("Erlang", i, den, *args)
+        solved += _check_elimination("Erlang", i, den, *args, alpha, 1.0 - 2.0 * c)
     assert solved >= len(MODELS) // 2
 
 

@@ -271,6 +271,30 @@ class TestSeed:
         assert type(got.seed) is int
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda m, **kw: estimate_survival(m, 0.0, seed=1, **kw),
+    lambda m, **kw: estimate_reach_prob(m, 0.0, 5.0, seed=1, **kw),
+], ids=["survival", "reach"])
+class TestCounts:
+    """The path and worker counts are integers, as the seed is."""
+
+    @pytest.mark.parametrize("n", [1000.7, 2.0, "3"])
+    def test_path_count_refused_unless_an_integer(self, estimate, n):
+        with pytest.raises(InputError, match="path count must be a positive integer"):
+            estimate(_poisson_model(0.5), n=n)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, "3"])
+    def test_worker_count_refused_unless_an_integer(self, estimate, workers):
+        with pytest.raises(InputError, match="worker count must be a positive integer"):
+            estimate(_poisson_model(0.5), n=1000, workers=workers)
+
+    def test_numpy_integers_pass(self, estimate):
+        m = _poisson_model(0.5)
+        got = estimate(m, n=np.int64(1000), workers=np.int64(5))
+        assert got == estimate(m, n=1000)
+        assert type(got.n) is int
+
+
 class TestAdjustmentCoefficient:
     @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_is_the_slowest_survival_rate(self, theta):
