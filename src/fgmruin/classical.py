@@ -110,17 +110,17 @@ class ClassicalSolution:
 
 
 def _eliminate(model: ModelSpec):
-    """alpha, unit-rate roots and elimination: num_const weighs 1, phi(0) is free."""
+    """c', alpha, unit-rate roots and elimination: num_const weighs 1, phi(0) is free."""
     c, alpha = unit_rates(model, ExpPoisson)
     den, num_const, num_slope = _cleared_parts(c, model.theta)
     roots = poly_roots(den)
-    return alpha, roots, eliminate_growing(den, roots, coeff_rows(num_slope, num_const),
+    return c, alpha, roots, eliminate_growing(den, roots, coeff_rows(num_slope, num_const),
                                            (None, 1.0))
 
 
 def solve_phi0(model: ModelSpec) -> float:
     """Survival probability at zero surplus, via growing-root elimination."""
-    return float(_eliminate(model)[2].weights[0])
+    return float(_eliminate(model)[3].weights[0])
 
 
 def survival_classical(model: ModelSpec) -> ClassicalSolution:
@@ -133,8 +133,8 @@ def survival_classical(model: ModelSpec) -> ClassicalSolution:
         StructuralError: If root elimination or inversion fails one of the
             internal consistency gates.
     """
-    alpha, roots, elim = _eliminate(model)
+    c, alpha, roots, elim = _eliminate(model)
     roots = roots.scaled(alpha)
-    phi = elim.survival(RESIDUE_DROP_REL, _CONSTANT_TOL, alpha)
+    phi = elim.survival(RESIDUE_DROP_REL, _CONSTANT_TOL, alpha, c - 1.0)
     return ClassicalSolution(model, float(elim.weights[0]), phi, roots,
                              elim.candidates(1.0))

@@ -294,7 +294,7 @@ def survival_erlang2(
     """
     c, alpha, roots, elim = _build(model, variant, elimination)
     roots = roots.scaled(alpha)
-    delta = elim.survival(_AGGREGATE_TOL, _CONSTANT_TOL, alpha)
+    delta = elim.survival(_AGGREGATE_TOL, _CONSTANT_TOL, alpha, 2.0 * c - 1.0)
     delta0 = float(elim.weights[0])
     residual = abs(delta(0.0) - delta0)
     if not residual <= _CONSISTENCY_TOL:

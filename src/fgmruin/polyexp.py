@@ -377,18 +377,23 @@ class Elimination:
     scale: float
 
     def survival(self, growing_tol: float, constant_tol: float,
-                 alpha: float) -> ExpSum:
+                 alpha: float, loading: float) -> ExpSum:
         """The inverted survival function, after its three gates.
 
         The first weight, the survival probability at zero, must lie in
         (0, 1), the growing defect within ``growing_tol`` times
         max(1, scale), and the constant, the limit at infinity, within
         ``constant_tol`` of 1.  The rates are the poles times alpha, taking
-        a unit-rate solution to model units.
+        a unit-rate solution to model units.  ``loading``, the relative
+        loading at unit rates, only names the case in the first gate's
+        refusal: at a huge loading the weight rounds to 1 (w - 1 = 0).
         """
         w = float(self.weights[0])
         if not 0.0 < w < 1.0:
-            raise StructuralError(f"survival at zero fell outside (0, 1): {w!r}")
+            raise StructuralError(
+                f"survival at zero fell outside (0, 1): {w!r} (w - 1 = {w - 1.0:.3g}) "
+                f"at relative loading {loading:.3g} at unit rates"
+            )
         if not self.growing_defect <= growing_tol * max(1.0, self.scale):
             raise StructuralError(
                 f"growing residue {self.growing_defect:.3e} survived "

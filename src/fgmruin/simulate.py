@@ -35,7 +35,13 @@ stopping event fired in the row: one claim per round while the block is
 nearly full, many once few paths are live.  A round of one claim per path
 reads its events from a boolean column instead of gathering each row's
 first event, and the survival rounds of one request draw into one
-workspace of buffers that every block reuses.
+workspace of buffers that every block reuses.  A tilted round picks its
+categories from one comparison block against the cuts, compacts the
+ruined paths of a one-claim round with ``np.compress``, and on a grid
+searches only the paths whose round minimum passed the level they had
+pending.  Each of these computes the same values in the same order as a
+comparison per cut, a boolean gather and a search of every path, so the
+estimates keep their bits.
 """
 
 from __future__ import annotations
@@ -422,12 +428,15 @@ class _Workspace:
 
     A round of ``live`` paths draws live * k < live + _ROUND_STEPS steps,
     so a workspace of the largest block's size plus _ROUND_STEPS holds every
-    round; a round uses the first live * k entries of each buffer.
+    round; a round uses the first live * k entries of each buffer.  The
+    category comparisons take a (cuts, size) block of booleans, ``cuts``
+    being the tilt's cut count (at most 13).
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, cuts: int):
         self.uniform = np.empty(size)
         self.expo = np.empty(size)
+        self.mask = np.empty((cuts, size), dtype=bool)
         self.cat = np.empty(size, dtype=np.intp)
         self.steps = np.empty(size)
         self.walk = np.empty(size)
@@ -446,18 +455,22 @@ class _Tilt:
     def steps(self, rng: np.random.Generator, n: int, work: _Workspace) -> np.ndarray:
         """n tilted steps c w - x: a category from one uniform, then J exponentials.
 
-        The steps are drawn into ``work`` and returned as a view of its
-        first n step entries.
+        A step's category is the number of cuts at or below its uniform,
+        counted for all n at once: one comparison of the uniforms against
+        every cut into ``work``'s boolean block, then one sum along the cut
+        axis.  The steps are drawn into ``work`` and returned as a view of
+        its first n step entries.
         """
         u = rng.random(out=work.uniform[:n])
-        # A sum of comparisons beats np.searchsorted on a handful of cuts,
-        # and a uint8 sum beats an intp one (there are at most 14
-        # categories); np.take then gathers fastest through intp indices.
-        count = np.zeros(n, dtype=np.uint8)
-        for cut in self.cuts:
-            count += u >= cut
+        # The comparison block beats np.searchsorted on a handful of cuts
+        # and a loop of one comparison per cut (17 against 40 us for 4096
+        # draws of the Erlang table on numpy 2.4), and a uint8 sum beats an
+        # intp one (there are at most 14 categories); np.take then gathers
+        # fastest through intp indices.
+        mask = work.mask[:, :n]
+        np.greater_equal(u, self.cuts[:, None], out=mask)
         cat = work.cat[:n]
-        np.copyto(cat, count)
+        np.copyto(cat, np.add.reduce(mask, axis=0, dtype=np.uint8))
         # Row by row: one (J, n) draw and gather measured 1.5-1.9x slower
         # for the Erlang table.  The uniforms are spent, so their buffer
         # takes each gathered coefficient row.
@@ -518,35 +531,41 @@ def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray,
     """First passages below -u_j, j < top, within one round's walk.
 
     ``steps`` holds each live path's walk over the round and ``pending``
-    the index of the next level it has not yet passed.  Returns the level
-    of each passage, its weight e^{R(V + u_j)} and the updated ``pending``.
-    A path first passes a level where the walk drops below it, and there
-    the walk equals its running minimum over the round.
+    the index of the next level it has not yet passed, which is updated in
+    place.  Only the rows whose round minimum drops below their pending
+    level pass any level, so only those are searched.  Returns the level
+    of each passage and its weight e^{R(V + u_j)}, row by row and level by
+    level.  A path first passes a level where the walk drops below it, and
+    there the walk equals its running minimum over the round.
     """
     top = levels.size - 1
-    # Lower levels passed by the end of the round: u_j < -min V.
-    new = np.searchsorted(levels[:top], -steps.min(axis=1))
-    np.maximum(new, pending, out=new)
-    count = new - pending
-    rows = np.flatnonzero(count)
-    count = count[rows]
+    # -min V over the round: with one claim per round, the one column.
+    depth = -(steps.min(axis=1) if steps.shape[1] > 1 else steps[:, 0])
+    rows = np.flatnonzero(levels[pending] < depth)
+    # Lower levels those rows passed by the end of the round: u_j < -min V.
+    # Every level up to a row's pending one is among them, unless that is
+    # the top, whose passage _top_passages takes: the count is then 0.
+    new = np.searchsorted(levels[:top], depth[rows])
+    start = pending[rows]
+    count = new - start
+    pending[rows] = new
     # One (row, level) pair per passage, from the row's pending level up.
     pair = np.repeat(np.arange(rows.size), count)
-    level = np.arange(pair.size) + np.repeat(pending[rows] - (np.cumsum(count) - count),
-                                             count)
+    level = np.arange(pair.size) + np.repeat(start - (np.cumsum(count) - count), count)
     low = steps[rows]
     if low.shape[1] > 1:
         np.minimum.accumulate(low, axis=1, out=low)
     first = (low[pair] >= -levels[level, None]).sum(axis=1)
-    return level, np.exp(R * (low[pair, first] + levels[level])), new
+    return level, np.exp(R * (low[pair, first] + levels[level]))
 
 
 def _top_passages(steps: np.ndarray, level: float, R: float):
     """Rows whose walk first drops below -level this round, and their weights."""
     below = steps < -level
     if steps.shape[1] == 1:
+        # Compaction keeps the fired rows' values in row order.
         fired = below.ravel()
-        passage = steps.ravel()[fired]
+        passage = np.compress(fired, steps.ravel())
     else:
         first = _first_true(below)
         fired = below.ravel()[first]
@@ -579,7 +598,7 @@ def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
         steps = tilt.steps(rng, live * k, work).reshape(live, k)
         _walk(steps, walk)
         if top:
-            level, y, pending = _lower_passages(steps, levels, pending, tilt.R)
+            level, y = _lower_passages(steps, levels, pending, tilt.R)
             total[:top] += np.bincount(level, weights=y, minlength=top)
             total_sq[:top] += np.bincount(level, weights=y * y, minlength=top)
         fired, y = _top_passages(steps, levels[top], tilt.R)
@@ -587,11 +606,12 @@ def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
         total_sq[top] += y @ y
         keep = ~fired
         # The steps and the walk have separate buffers, so the survivors'
-        # last column is compressed straight into the walk's.
-        walk = work.walk[:np.count_nonzero(keep)]
+        # last column is compressed straight into the walk's; every fired
+        # row gave one passage.
+        walk = work.walk[:live - y.size]
         np.compress(keep, steps[:, -1], out=walk)
         if top:
-            pending = pending[keep]
+            pending = np.compress(keep, pending)
     return total, total_sq
 
 
@@ -646,7 +666,7 @@ def estimate_survival(
     tilt = _tilt(model, float(ascending[-1]))
     # Claim units; the largest level passed _tilt's budget, so none is inf.
     scaled = tilt.alpha * ascending
-    work = _Workspace(min(n, _BLOCK_SIZE) + _ROUND_STEPS)
+    work = _Workspace(min(n, _BLOCK_SIZE) + _ROUND_STEPS, tilt.cuts.size)
     sums = _map_blocks(
         lambda size, block: _run_tilted_block(tilt, scaled, size, seed, block, work), n
     )

@@ -348,6 +348,22 @@ class TestSolution:
         assert np.max(np.abs(sol(u) - [full_pair_sum(x) for x in u])) <= 1e-14
         assert abs(sol(1.3) - full_pair_sum(1.3)) <= 1e-14
 
+    @pytest.mark.parametrize("loading,theta,message", [
+        (1e9, 0.0, "1.0 (w - 1 = 0) at relative loading 1e+09 at unit rates"),
+        (1e7, -1.0, "1.0000000000129248 (w - 1 = 1.29e-11) at relative loading 1e+07 "
+                    "at unit rates"),
+    ])
+    def test_huge_loading_refusal_names_loading_and_distance(self, loading, theta, message):
+        """Past loading 1e8 delta(0) = 1 - O(1/loading^2) rounds to 1 or above it.
+
+        The refusal names the unit-rate loading and w - 1, 0 where the
+        weight rounds to exactly 1.
+        """
+        m = ModelSpec((1.0 + loading) / 2.0, ExpClaim(1.0), Erlang2(1.0), FgmParam(theta))
+        with pytest.raises(StructuralError) as err:
+            survival_erlang2(m)
+        assert str(err.value) == "survival at zero fell outside (0, 1): " + message
+
 
 class TestSignVariants:
     @pytest.mark.parametrize("theta", [-0.5, 0.5])

@@ -495,13 +495,13 @@ class TestNanGates:
         gate = "growing residue" if math.isnan(defect) else "zero-pole residue"
         elim = Elimination(np.full(1, 0.5), np.ones((1, 1)), constant, (), defect, 1.0)
         with pytest.raises(StructuralError, match=gate):
-            elim.survival(1e-8, 1e-8, 1.0)
+            elim.survival(1e-8, 1e-8, 1.0, 1.0)
 
     @pytest.mark.parametrize("weight", [math.nan, 1.0])
     def test_elimination_survival_refuses_weight_outside_unit_interval(self, weight):
         elim = Elimination(np.full(1, weight), np.ones((1, 1)), 1.0, (), 0.0, 1.0)
         with pytest.raises(StructuralError, match=r"fell outside \(0, 1\)"):
-            elim.survival(1e-8, 1e-8, 1.0)
+            elim.survival(1e-8, 1e-8, 1.0, 1.0)
 
     def test_solve_refuses_nan_row(self):
         rows = np.array([[1.0, 2.0], [math.nan, 1.0]])

@@ -11,6 +11,12 @@ start and the chi condition number from ``np.linalg.cond``.  On
 seeded models over loading 1e-6 to 1e3 and |theta| <= 1 (some at theta = 0,
 some at |theta| < 1e-9) the package must give the same bits, and wherever
 the reference refuses, the same error type and message.
+
+The tilted Monte Carlo round has its plain form too: categories from one
+comparison per cut, boolean gathers of the passages and survivors, and
+``searchsorted`` on every live row for the lower levels of a grid.  A block
+must sum the same bits per level, on single levels, duplicate levels and a
+41-level grid.
 """
 
 import math
@@ -46,6 +52,14 @@ from fgmruin.polyexp import (
     eliminate_growing,
     expsum_eval,
     poly_roots,
+)
+from fgmruin.simulate import (
+    _ROUND_STEPS,
+    _Workspace,
+    _block_rng,
+    _claims_per_round,
+    _run_tilted_block,
+    _tilt,
 )
 
 # -- reference -------------------------------------------------------------
@@ -256,6 +270,58 @@ def _ref_chi_gates(model, b):
     return defect, condition
 
 
+def _ref_tilted_steps(tilt, rng, n):
+    """n tilted steps: a category from one comparison per cut, then J exponentials."""
+    u = rng.random(n)
+    count = np.zeros(n, dtype=np.uint8)
+    for cut in tilt.cuts:
+        count += u >= cut
+    cat = count.astype(np.intp)
+    step = tilt.coef[0][cat] * rng.standard_exponential(n)
+    for coef in tilt.coef[1:]:
+        step += rng.standard_exponential(n) * coef[cat]
+    return step
+
+
+def _ref_tilted_block(tilt, levels, size, seed, block):
+    """Per level, sum and sum of squares of e^{R post}: every row searched, boolean gathers."""
+    rng = _block_rng(seed, block)
+    top = levels.size - 1
+    total = np.zeros(levels.size)
+    total_sq = np.zeros(levels.size)
+    walk = np.zeros(size)
+    pending = np.zeros(size, dtype=np.intp)
+    while walk.size:
+        live = walk.size
+        k = _claims_per_round(live)
+        steps = _ref_tilted_steps(tilt, rng, live * k).reshape(live, k)
+        steps[:, 0] += walk
+        steps = np.cumsum(steps, axis=1)
+        if top:
+            new = np.maximum(np.searchsorted(levels[:top], -steps.min(axis=1)), pending)
+            count = new - pending
+            rows = np.flatnonzero(count)
+            count = count[rows]
+            pair = np.repeat(np.arange(rows.size), count)
+            level = np.arange(pair.size) + np.repeat(pending[rows] - (np.cumsum(count) - count),
+                                                     count)
+            low = np.minimum.accumulate(steps[rows], axis=1)
+            first = (low[pair] >= -levels[level, None]).sum(axis=1)
+            y = np.exp(tilt.R * (low[pair, first] + levels[level]))
+            total[:top] += np.bincount(level, weights=y, minlength=top)
+            total_sq[:top] += np.bincount(level, weights=y * y, minlength=top)
+            pending = new
+        below = steps < -levels[top]
+        first = below.argmax(axis=1)
+        fired = below[np.arange(live), first]
+        y = np.exp(tilt.R * (steps[np.arange(live), first][fired] + levels[top]))
+        total[top] += y.sum()
+        total_sq[top] += y @ y
+        walk = steps[~fired, -1]
+        pending = pending[~fired]
+    return total, total_sq
+
+
 # -- comparison --------------------------------------------------------------
 
 
@@ -411,3 +477,21 @@ def test_chi_gates_match_reference():
             # Past the condition gate only the unchanged boundary gate refuses.
             assert got[2].startswith("solution misses the boundary value"), (i, got)
     assert solved >= len(MODELS) // 2
+
+
+@pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(2.0)], ids=["poisson", "erlang"])
+@pytest.mark.parametrize("theta", [-1.0, 0.5])
+@pytest.mark.parametrize("levels,loading,size", [
+    ([0.0], 0.5, 4096), ([5.0], 0.5, 4096), ([0.0, 2.0, 2.0, 10.0], 0.5, 4096),
+    (list(range(41)), 0.01, 256),
+], ids=["u0", "u5", "duplicates", "41-levels"])
+def test_tilted_block_matches_reference(arrival, theta, levels, loading, size):
+    # Poisson(1) and Erlang(2, 2) with Exp(1) claims both have mean
+    # inter-claim time 1, so c = 1 + loading; the levels are in claim units.
+    model = ModelSpec(1.0 + loading, ExpClaim(1.0), arrival, FgmParam(theta))
+    levels = np.array(levels, dtype=float)
+    tilt = _tilt(model, float(levels[-1]))
+    work = _Workspace(size + _ROUND_STEPS, tilt.cuts.size)
+    for seed, block in ((0, 0), (11, 3)):
+        got = _run_tilted_block(tilt, levels, size, seed, block, work)
+        _assert_same("tilted block", seed, got, _ref_tilted_block(tilt, levels, size, seed, block))

@@ -367,7 +367,8 @@ class TestTiltedPairs:
         args = _unit_args(m)
         R, gap = _lundberg_root(*args)
         n = 200_000
-        steps = _tilt(m, 0.0).steps(np.random.default_rng(2024), n, _Workspace(n))
+        tilt = _tilt(m, 0.0)
+        steps = tilt.steps(np.random.default_rng(2024), n, _Workspace(n, tilt.cuts.size))
         drift = -_cgf(*args, R, gap)[1]
         se = steps.std(ddof=1) / np.sqrt(n)
         assert abs(steps.mean() - drift) <= 4.0 * se, (steps.mean(), drift, se)
@@ -380,19 +381,24 @@ class TestTiltedPairs:
         m = make(theta)
         tilt = _tilt(m, 0.0)
         n = 200_000
-        weight = np.exp(tilt.R * tilt.steps(np.random.default_rng(2024), n, _Workspace(n)))
+        work = _Workspace(n, tilt.cuts.size)
+        weight = np.exp(tilt.R * tilt.steps(np.random.default_rng(2024), n, work))
         se = weight.std(ddof=1) / np.sqrt(n)
         assert abs(weight.mean() - 1.0) <= 4.0 * se
 
-    @pytest.mark.parametrize("make,theta", [(_poisson_model, 0.5), (_erlang_model, -1.0)])
+    @pytest.mark.parametrize("make,theta", [(_poisson_model, 0.5), (_erlang_model, -1.0),
+                                            (_erlang_model, 0.5)])
     def test_workspace_reuse_matches_fresh_draws(self, make, theta):
         # One workspace reused over shrinking rounds, as a block reuses it,
-        # must draw what fresh arrays draw: no category or exponential of a
-        # longer round may leak into a shorter one.
+        # must draw what fresh arrays draw: no category, comparison or
+        # exponential of a longer round may leak into a shorter one.  Erlang
+        # at theta = 0.5 has the largest table, 14 categories.
         tilt = _tilt(make(theta), 0.0)
-        work = _Workspace(5000)
+        if (make, theta) == (_erlang_model, 0.5):
+            assert tilt.cuts.size == 13
+        work = _Workspace(5000, tilt.cuts.size)
         fresh, reused = np.random.default_rng(5), np.random.default_rng(5)
-        for n in (5000, 3000, 2999, 1, 0, 2500, 40):
+        for n in (5000, 3000, 2999, _ROUND_STEPS, 1, 0, 2500, _ROUND_STEPS, 40, 1):
             u = fresh.random(n)
             cat = (u[:, None] >= tilt.cuts).sum(axis=1)
             want = tilt.coef[0][cat] * fresh.standard_exponential(n)
@@ -418,7 +424,7 @@ class TestTiltedPairs:
         m = make(theta)
         tilt = _tilt(m, 0.0)
         n = 100_000
-        mixture = np.sort(tilt.steps(np.random.default_rng(7), n, _Workspace(n)))
+        mixture = np.sort(tilt.steps(np.random.default_rng(7), n, _Workspace(n, tilt.cuts.size)))
         reference = np.sort(_rejection_steps(m, tilt.R, np.random.default_rng(8), n))
         both = np.concatenate([mixture, reference])
         gap = (np.searchsorted(mixture, both, side="right")
@@ -430,7 +436,7 @@ def _claims_to_ruin(tilt, n, rng):
     """Mean claims n tilted walks from zero draw, the ruinous one included."""
     walk = np.zeros(n)
     claims = 0
-    work = _Workspace(n + _ROUND_STEPS)
+    work = _Workspace(n + _ROUND_STEPS, tilt.cuts.size)
     while walk.size:
         k = _claims_per_round(walk.size)
         steps = np.cumsum(tilt.steps(rng, walk.size * k, work).reshape(-1, k), axis=1)
@@ -477,7 +483,7 @@ def _run_tilted_block_reference(tilt, levels, size, seed, block):
     live = [(0.0, 0)] * size  # (surplus gained from zero, next level)
     total = [0.0] * len(levels)
     total_sq = [0.0] * len(levels)
-    work = _Workspace(size + _ROUND_STEPS)
+    work = _Workspace(size + _ROUND_STEPS, tilt.cuts.size)
     while live:
         k = _claims_per_round(len(live))
         steps = tilt.steps(rng, len(live) * k, work).tolist()
@@ -556,7 +562,7 @@ class TestRunTiltedBlock:
         tilt = _tilt(m, float(levels[-1]))
         for seed, block in ((0, 0), (11, 3)):
             total, total_sq = _run_tilted_block(tilt, levels, 4096, seed, block,
-                                                _Workspace(4096 + _ROUND_STEPS))
+                                                _Workspace(4096 + _ROUND_STEPS, tilt.cuts.size))
             want, want_sq = _run_tilted_block_reference(tilt, levels.tolist(), 4096,
                                                         seed, block)
             np.testing.assert_allclose(total, want, rtol=1e-12, atol=0.0)
