@@ -367,7 +367,8 @@ def _reproduce_example2(args: argparse.Namespace) -> tuple[list[tuple], dict]:
                     {
                         "variant": r.variant.value,
                         "delta0": r.delta0,
-                        "z_score": r.z_score,
+                        # JSON has no infinity: an infinite z is null.
+                        "z_score": r.z_score if math.isfinite(r.z_score) else None,
                         "consistent": r.consistent,
                         "elimination": r.elimination.value,
                     }

@@ -11,12 +11,15 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
 * survival: ruin never happens.  Siegmund's importance sampler draws the
   pairs from the exponentially tilted law e^{R(x - cw)} f(x, w), where R
   is the adjustment coefficient; under it ruin is certain, and each path
-  runs to ruin and contributes the weight e^{-R(u - post)}, where post is
-  its surplus just after the ruinous claim.  The tilted law is a finite
-  mixture of sums of exponential phases, so each step is drawn exactly, with
-  no rejection: one uniform picks a category, whose coefficients scale a
-  few standard exponentials.  One walk from zero serves a whole grid of
-  initial surpluses: ruin from u is the walk's first passage below -u.
+  runs to ruin, where the plain weight e^{-R(u - post)} = e^{-R u} e^{-R D}
+  has all its randomness in the deficit D = -post below zero.  The tilted
+  law is a finite mixture of sums of exponential phases, so each step is
+  drawn exactly, with no rejection: one uniform picks a category, whose
+  coefficients scale a few standard exponentials.  The estimate averages
+  E[e^{-R D}] given the ruinous step's category and threshold, a closed
+  form (``_Deficit``), in place of e^{-R D}, from the same draws.  One walk
+  from zero serves a whole grid of initial surpluses: ruin from u is the
+  walk's first passage below -u.
   The tilt is solved and walked at unit rates, in the units of
   ``model.unit_rates`` (money in mean claims 1/alpha, time in 1/lam or
   1/beta), where it depends on the premium c' and theta alone: R, the
@@ -36,12 +39,13 @@ nearly full, many once few paths are live.  A round of one claim per path
 reads its events from a boolean column instead of gathering each row's
 first event, and the survival rounds of one request draw into one
 workspace of buffers that every block reuses.  A tilted round picks its
-categories from one comparison block against the cuts, compacts the
-ruined paths of a one-claim round with ``np.compress``, and on a grid
-searches only the paths whose round minimum passed the level they had
-pending.  Each of these computes the same values in the same order as a
-comparison per cut, a boolean gather and a search of every path, so the
-estimates keep their bits.
+categories from one comparison block against the cuts, gathers its
+passages by index, and on a grid searches only the paths whose round
+minimum passed the level they had pending.  Each of these computes the
+same values in the same order as a comparison per cut, a boolean gather
+and a search of every path, so the plain weights keep their bits.  The
+top level's thresholds and categories are logged one per path, and their
+conditioned weights are computed once per block.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,7 +86,9 @@ class SimEstimate:
     Attributes:
         value: Estimated probability.
         stderr: Standard error: binomial for reach estimates, the sample
-            standard error of the importance weights for survival.
+            standard error of the conditioned importance weights for
+            survival, floored at what one path can move the mean (0 where
+            every weight is equal, as at theta = 0).
         n: Number of simulated paths.
         seed: Seed that reproduces the estimate exactly.
     """
@@ -236,8 +243,9 @@ _CLAIM_BUDGET = 3e4
 # (n / 100 when that is smaller).  Where the gap alpha - R is tiny (loading
 # 100 and above with Erlang times or theta near 1) the deficit at ruin is of
 # order 1 / gap and almost every weight e^{-R deficit} underflows.  In the
-# measured table in README "Errors" every estimate more than 3 stderr off
-# has ESS below 4, and every one with ESS of 58 or more is within 2.7.
+# measured table in README "Errors" every plain estimate more than 3 stderr
+# off has ESS below 4, and every one with ESS of 58 or more is within 2.7.
+# The gate reads these plain weights, never the conditioned ones.
 _ESS_FLOOR = 30.0
 
 # Largest relative loading the tilt is solved at.  The transforms in
@@ -430,7 +438,10 @@ class _Workspace:
     so a workspace of the largest block's size plus _ROUND_STEPS holds every
     round; a round uses the first live * k entries of each buffer.  The
     category comparisons take a (cuts, size) block of booleans, ``cuts``
-    being the tilt's cut count (at most 13).
+    being the tilt's cut count (at most 13).  After a round ``cat`` and
+    ``claim`` hold each step's category and claim part (see ``_Tilt.steps``).
+    ``threshold`` and ``ruin_cat`` log the threshold and category of every
+    passage of a block's top level, one per path, for ``_Deficit.weights``.
     """
 
     def __init__(self, size: int, cuts: int):
@@ -438,8 +449,94 @@ class _Workspace:
         self.expo = np.empty(size)
         self.mask = np.empty((cuts, size), dtype=bool)
         self.cat = np.empty(size, dtype=np.intp)
+        self.claim = np.empty(size)
         self.steps = np.empty(size)
         self.walk = np.empty(size)
+        self.threshold = np.empty(size)
+        self.ruin_cat = np.empty(size, dtype=np.intp)
+
+
+class _Deficit(NamedTuple):
+    """The conditioned weight E[e^{-R D} | category, y] of a ruinous step.
+
+    ``_mixture`` sorts each category's coefficients ascending, so its claim
+    pieces lead.  They are the claim's phases, of scales s1 = 1 / (1 - R)
+    and s2 = 1 / (2 - R) at unit rates: a category's claim part C is
+    Exp(s1), Exp(s2) or, from the 1 - a piece, Exp(s1) + Exp(s2) (scales
+    as means).  A step ruins from u_j when C passes the threshold y, the
+    walk before the step plus u_j plus the step's positive part, and
+    overshoots it by the deficit D.  With k_i = 1 / (1 + R s_i):
+
+    * one piece: D has C's law by memorylessness, and the weight is k_i;
+    * two pieces: y is crossed in the s1 phase with probability e^{-y/s1},
+      and D is then the rest of it plus the whole s2 phase, or in the s2
+      phase with probability P2 = s2 / (s2 - s1) (e^{-y/s2} - e^{-y/s1}),
+      and D is the rest of that one.  The weight is the ratio
+      [e^{-y/s1} k1 k2 + P2 k2] / (e^{-y/s1} + P2).  Divided through by
+      e^{-y/s1} and s1 - s2 it is t0 + t1 r with t0 = k1 k2,
+      t1 = k2 (1 - k1) = k2 R s1 k1 and r = q / (q + h), where
+      q = -expm1(-g y), g = 1/s2 - 1/s1 and h = g s1 = (s1 - s2) / s2; at
+      s1 = s2 it is r = y / (y + s1), the limit.  Every term is
+      nonnegative, so no digit cancels at any y / s, and r lies in [0, 1).
+
+    A category without a claim piece never ruins; its t0 is 1 and its t1 0.
+    The table holds t0 less ``center`` (``base``) and t1 (``slope``) per
+    category; the sums of the centred weights hold no cancelling digits.
+    ``spread`` is the largest weight a ruin can give less the smallest: one
+    path moves the mean weight of n paths by at most spread / n.
+    """
+
+    s1: float
+    s2: float
+    base: np.ndarray
+    slope: np.ndarray
+    center: float
+    spread: float
+
+    @classmethod
+    def of(cls, coef: np.ndarray, masses: np.ndarray, R: float) -> tuple[int, _Deficit]:
+        """The claim rows of ``_mixture``'s table (1 or 2) and its weights.
+
+        The centre is the likeliest ruinous category's t0: at theta = 0 the
+        only ruinous category's, so that every centred weight is 0.
+        """
+        neg = coef[:2] < 0.0
+        one = neg[0]
+        two = neg[1] if coef.shape[0] > 1 else np.zeros_like(one)
+        scale = -coef[:2, two]
+        if np.any(scale != scale[:, :1]):
+            raise ValueError("two-piece categories with different claim scales")
+        s1, s2 = (float(v) for v in scale[:, 0]) if two.any() else (1.0, 1.0)
+        k = 1.0 / (1.0 + R * np.where(one, -coef[0], 1.0))
+        k2 = 1.0 / (1.0 + R * s2)
+        t0 = np.where(one, np.where(two, k * k2, k), 1.0)
+        slope = np.where(two, k2 * (R * s1 * k), 0.0)
+        center = float(t0[np.argmax(np.where(one, masses, -1.0))])
+        # r rises from 0 at y = 0 to s2 / s1 as y grows.
+        spread = float(np.max((t0 + slope * (s2 / s1))[one]) - np.min(t0[one]))
+        return int(neg.sum(axis=0).max()), cls(s1, s2, t0 - center, slope, center, spread)
+
+    def weights(self, y: np.ndarray, cat: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Centred weights t0 + t1 r - center at thresholds y >= 0 of categories cat.
+
+        A threshold that rounds an ulp below 0 moves its weight by about an
+        ulp.  The weights replace y, which is returned; x is a spare buffer
+        of y's size (fresh temporaries of a block's size measured about
+        twice as slow, in page faults).
+        """
+        if self.s1 > self.s2:
+            g = (self.s1 - self.s2) / (self.s1 * self.s2)
+            np.multiply(y, -g, out=x)
+            np.expm1(x, out=x)
+            np.subtract(x, (self.s1 - self.s2) / self.s2, out=y)
+            x /= y
+        else:
+            np.add(y, self.s1, out=x)
+            np.divide(y, x, out=x)
+        x *= np.take(self.slope, cat, out=y, mode="clip")
+        y = np.take(self.base, cat, out=y, mode="clip")
+        y += x
+        return y
 
 
 @dataclass(frozen=True)
@@ -451,6 +548,8 @@ class _Tilt:
     coef: np.ndarray  # (J, categories): coefficient j of every category
     claims: float  # predicted mean claims of a path to ruin from the largest u
     alpha: float  # claim rate: a model level u is alpha u in claim units
+    pieces: int  # leading coefficient rows that hold claim pieces, 1 or 2
+    deficit: _Deficit  # conditioned weight of a ruinous step
 
     def steps(self, rng: np.random.Generator, n: int, work: _Workspace) -> np.ndarray:
         """n tilted steps c w - x: a category from one uniform, then J exponentials.
@@ -459,7 +558,10 @@ class _Tilt:
         counted for all n at once: one comparison of the uniforms against
         every cut into ``work``'s boolean block, then one sum along the cut
         axis.  The steps are drawn into ``work`` and returned as a view of
-        its first n step entries.
+        its first n step entries; ``work.cat`` keeps their categories and
+        ``work.claim`` their claim parts, the sum over the first ``pieces``
+        coefficient rows (every claim piece, and for a category with fewer
+        claim pieces some positive part it is never read for).
         """
         u = rng.random(out=work.uniform[:n])
         # The comparison block beats np.searchsorted on a handful of cuts
@@ -473,14 +575,27 @@ class _Tilt:
         np.copyto(cat, np.add.reduce(mask, axis=0, dtype=np.uint8))
         # Row by row: one (J, n) draw and gather measured 1.5-1.9x slower
         # for the Erlang table.  The uniforms are spent, so their buffer
-        # takes each gathered coefficient row.
-        step = np.take(self.coef[0], cat, out=work.steps[:n])
+        # takes each gathered coefficient row.  A category is always in
+        # range, so mode="clip" moves none, and it spares the buffered copy
+        # that np.take makes of ``out`` in its default mode (38 against
+        # 66 us for 32768 gathers).  The claim rows accumulate in the claim
+        # buffer, and the first row past them adds into the step buffer:
+        # the same sums in the same order as one running step.
+        claim = np.take(self.coef[0], cat, out=work.claim[:n], mode="clip")
         e = rng.standard_exponential(out=work.expo[:n])
-        step *= e
-        for coef in self.coef[1:]:
+        claim *= e
+        step = work.steps[:n]
+        for row, coef in enumerate(self.coef[1:], 1):
             rng.standard_exponential(out=e)
-            e *= np.take(coef, cat, out=u)
-            step += e
+            e *= np.take(coef, cat, out=u, mode="clip")
+            if row < self.pieces:
+                claim += e
+            elif row == self.pieces:
+                np.add(claim, e, out=step)
+            else:
+                step += e
+        if self.coef.shape[0] == self.pieces:
+            np.copyto(step, claim)
         return step
 
 
@@ -523,20 +638,21 @@ def _tilt(model: ModelSpec, u: float) -> _Tilt:
         )
     masses, coef = _mixture(c, model.theta, erlang, R, gap)
     cum = np.cumsum(masses)
-    return _Tilt(R, cum[:-1] / cum[-1], coef, claims, alpha)
+    pieces, deficit = _Deficit.of(coef, masses, R)
+    return _Tilt(R, cum[:-1] / cum[-1], coef, claims, alpha, pieces, deficit)
 
 
-def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray,
-                    R: float):
+def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray):
     """First passages below -u_j, j < top, within one round's walk.
 
     ``steps`` holds each live path's walk over the round and ``pending``
     the index of the next level it has not yet passed, which is updated in
     place.  Only the rows whose round minimum drops below their pending
-    level pass any level, so only those are searched.  Returns the level
-    of each passage and its weight e^{R(V + u_j)}, row by row and level by
-    level.  A path first passes a level where the walk drops below it, and
-    there the walk equals its running minimum over the round.
+    level pass any level, so only those are searched.  Returns, row by row
+    and level by level, the level of each passage, the flat index of its
+    step in the round and V + u_j there.  A path first passes a level where
+    the walk drops below it, and there the walk equals its running minimum
+    over the round.
     """
     top = levels.size - 1
     # -min V over the round: with one claim per round, the one column.
@@ -556,63 +672,82 @@ def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray,
     if low.shape[1] > 1:
         np.minimum.accumulate(low, axis=1, out=low)
     first = (low[pair] >= -levels[level, None]).sum(axis=1)
-    return level, np.exp(R * (low[pair, first] + levels[level]))
+    at = rows[pair] * steps.shape[1] + first
+    return level, at, low[pair, first] + levels[level]
 
 
-def _top_passages(steps: np.ndarray, level: float, R: float):
-    """Rows whose walk first drops below -level this round, and their weights."""
+def _top_passages(steps: np.ndarray, level: float):
+    """Rows whose walk first drops below -level this round, the flat index
+    of each passage's step in the round and V + level there."""
     below = steps < -level
     if steps.shape[1] == 1:
-        # Compaction keeps the fired rows' values in row order.
         fired = below.ravel()
-        passage = np.compress(fired, steps.ravel())
+        at = np.flatnonzero(fired)
     else:
         first = _first_true(below)
         fired = below.ravel()[first]
-        passage = steps.ravel()[first[fired]]
-    return fired, np.exp(R * (passage + level))
+        at = first[fired]
+    return fired, at, steps.ravel()[at] + level
 
 
 def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
-                      block: int, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Per level, sum and sum of squares of e^{R post} over tilted paths.
+                      block: int, work: _Workspace) -> np.ndarray:
+    """Per level, sums over tilted paths of the plain and conditioned weights.
 
     ``levels`` are the initial surpluses u_j in claim units, in ascending
-    order.  Every path
-    walks V, the surplus gained from zero, and its first passage below -u_j
-    is ruin from u_j, with post = u_j + V there.  A path retires once it
-    passes the largest level; with one level, that is the whole pass.  The
-    rounds draw into ``work``, of at least size + _ROUND_STEPS entries.
+    order.  Every path walks V, the surplus gained from zero, and its first
+    passage below -u_j is ruin from u_j, with post = u_j + V there.  A path
+    retires once it passes the largest level; with one level, that is the
+    whole pass.  The rounds draw into ``work``, of at least size +
+    _ROUND_STEPS entries.  Returns a (4, levels) array: the sum and sum of
+    squares of the plain weights e^{R post}, then of the centred
+    conditioned ones (``_Deficit.weights``) at the threshold post - claim
+    part.  The lower levels' weights are conditioned round by round; the
+    top level's, one per path, once the block is done, from its log in
+    ``work``.
     """
     rng = _block_rng(seed, block)
     top = levels.size - 1
-    total = np.zeros(levels.size)
-    total_sq = np.zeros(levels.size)
+    sums = np.zeros((4, levels.size))
     walk = work.walk[:size]
     walk.fill(0.0)
     pending = np.zeros(size, dtype=np.intp) if top else None
-    drawn = 0
+    drawn = ruined = 0
     while walk.size:
         live = walk.size
         k, drawn = _next_round(live, drawn)
         steps = tilt.steps(rng, live * k, work).reshape(live, k)
+        cat, claim = work.cat[:live * k], work.claim[:live * k]
         _walk(steps, walk)
         if top:
-            level, y = _lower_passages(steps, levels, pending, tilt.R)
-            total[:top] += np.bincount(level, weights=y, minlength=top)
-            total_sq[:top] += np.bincount(level, weights=y * y, minlength=top)
-        fired, y = _top_passages(steps, levels[top], tilt.R)
-        total[top] += y.sum()
-        total_sq[top] += y @ y
+            level, at, v = _lower_passages(steps, levels, pending)
+            y = np.exp(tilt.R * v)
+            sums[0, :top] += np.bincount(level, weights=y, minlength=top)
+            sums[1, :top] += np.bincount(level, weights=y * y, minlength=top)
+            y = tilt.deficit.weights(v - claim[at], cat[at], np.empty(v.size))
+            sums[2, :top] += np.bincount(level, weights=y, minlength=top)
+            sums[3, :top] += np.bincount(level, weights=y * y, minlength=top)
+        fired, at, v = _top_passages(steps, levels[top])
+        y = np.exp(tilt.R * v)
+        sums[0, top] += y.sum()
+        sums[1, top] += y @ y
+        end = ruined + at.size
+        y = np.take(claim, at, out=work.threshold[ruined:end], mode="clip")
+        np.subtract(v, y, out=y)
+        np.take(cat, at, out=work.ruin_cat[ruined:end], mode="clip")
+        ruined = end
         keep = ~fired
         # The steps and the walk have separate buffers, so the survivors'
         # last column is compressed straight into the walk's; every fired
         # row gave one passage.
-        walk = work.walk[:live - y.size]
+        walk = work.walk[:live - at.size]
         np.compress(keep, steps[:, -1], out=walk)
         if top:
             pending = np.compress(keep, pending)
-    return total, total_sq
+    y = tilt.deficit.weights(work.threshold[:size], work.ruin_cat[:size], work.expo[:size])
+    sums[2, top] = y.sum()
+    sums[3, top] = y @ y
+    return sums
 
 
 def estimate_survival(
@@ -628,16 +763,23 @@ def estimate_survival(
     e^{R(x - cw)} f(x, w), with R the adjustment coefficient, the claim
     surplus drifts up and ruin is certain, and
 
-        psi(u) = e^{-R u} E_R[e^{-R deficit}],
+        psi(u) = e^{-R u} E_R[e^{-R D}],
 
-    where the deficit is the depth of the surplus below zero at ruin.  Each
-    of the n tilted paths runs to ruin; the estimate is 1 minus the mean of
-    e^{-R(u - post)} over the paths, and its standard error is the sample
-    one.  The estimate has no truncation bias, its variance never exceeds
-    the binomial psi(1 - psi) / n, and its relative error stays flat as u
-    grows.  It is a deterministic function of (seed, n).  ``workers`` is
-    kept for compatibility: it must be a positive integer, and the blocks
-    run one after another whatever its value.
+    where the deficit D is the depth of the surplus below zero at ruin.
+    Each of the n tilted paths runs to ruin, and e^{-R D} is replaced by
+    its conditional mean given the ruinous step's category and the
+    threshold its claim part had to pass (``_Deficit``): unbiased by the
+    tower property, from the same draws, with 4.6 to 84 times less
+    variance in the measured cells (README "Monte Carlo").  The estimate is
+    1 minus e^{-R u} times the mean conditioned weight; its standard error
+    is the sample one, floored at e^{-R u} times the spread of the weights
+    a ruin can give over n (README "Errors").  The weights lie in (0, 1],
+    so the variance never exceeds the binomial psi(1 - psi) / n; at
+    theta = 0 they are all 1 - R and the estimate is exact, with stderr 0.
+    The estimate has no truncation bias and its relative error stays flat
+    as u grows.  It is a deterministic function of (seed, n).  ``workers``
+    is kept for compatibility: it must be a positive integer, and the
+    blocks run one after another whatever its value.
 
     ``u`` may be a number, giving one ``SimEstimate``, or a 1-D grid in any
     order, giving a list with one ``SimEstimate`` per level in input order.
@@ -656,9 +798,12 @@ def estimate_survival(
             tilted path from the largest u is predicted to need more claims
             than the budget (loading near zero, or alpha u overflowing), if the
             Lundberg equation is not solved to 1e-12, or if at some level
-            the weights' effective sample size (sum w)^2 / sum w^2 falls
-            below min(30, n / 100) (large loading with theta near 1, where
-            the weights underflow).
+            the plain weights' effective sample size (sum w)^2 / sum w^2,
+            w = e^{-R D}, falls below min(30, n / 100) (large loading with
+            theta near 1, where the weights underflow).  The gate reads the
+            plain weights, not the conditioned ones: at Erlang loading 1e4
+            the conditioned weights are near-constant while a rare category
+            that carries the mass is never drawn.
     """
     levels, n, seed = _check_inputs(u, n, seed, workers)
     order = np.argsort(levels.ravel(), kind="stable")
@@ -667,11 +812,9 @@ def estimate_survival(
     # Claim units; the largest level passed _tilt's budget, so none is inf.
     scaled = tilt.alpha * ascending
     work = _Workspace(min(n, _BLOCK_SIZE) + _ROUND_STEPS, tilt.cuts.size)
-    sums = _map_blocks(
+    total, total_sq, cond, cond_sq = sum(_map_blocks(
         lambda size, block: _run_tilted_block(tilt, scaled, size, seed, block, work), n
-    )
-    total = sum(s for s, _ in sums)
-    total_sq = sum(q for _, q in sums)
+    ))
     ess = np.divide(total * total, total_sq, out=np.zeros_like(total), where=total_sq > 0.0)
     floor = min(_ESS_FLOOR, n / 100.0)
     low = np.flatnonzero(ess < floor)
@@ -682,11 +825,15 @@ def estimate_survival(
             f"weights of {n} tilted paths have effective sample size {ess[j]:.3g}, "
             f"below the floor of {floor:g}"
         )
-    mean = total / n
-    var = np.maximum(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
+    mean = cond / n
+    var = np.maximum(cond_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
     scale = np.exp(-tilt.R * scaled)
-    value = 1.0 - scale * mean
-    stderr = scale * np.sqrt(var / n)
+    value = 1.0 - scale * (tilt.deficit.center + mean)
+    # One path moves the mean by at most spread / n.  A ruin rarer than
+    # about 1 / n is seldom drawn, shows in no sample variance and shifts
+    # the mean by less than that; at loading 100 - 1000 the sample stderr
+    # alone fell 40 - 80 times short (README "Errors").
+    stderr = scale * np.maximum(np.sqrt(var / n), tilt.deficit.spread / n)
     estimates = [None] * ascending.size
     for i, j in enumerate(order.tolist()):
         estimates[j] = SimEstimate(float(value[i]), float(stderr[i]), n, seed)

@@ -20,8 +20,9 @@ from fgmruin import (
     survival_classical,
     survival_erlang2,
 )
-from fgmruin import cli
+from fgmruin import cli, simulate
 from fgmruin.cli import main
+from fgmruin.simulate import SimEstimate
 
 
 def _run(capsys, *argv):
@@ -273,8 +274,9 @@ class TestSimulate:
         assert out1.splitlines()[0] == "u,value,stderr"
 
     def test_json_rows_report_value_and_stderr(self, capsys):
+        # At theta = 0 the survival estimate is exact, with stderr 0.
         code, out, _ = _run(
-            capsys, "simulate", "--theta", "0", "--n", "2000", "--format", "json",
+            capsys, "simulate", "--theta", "0.5", "--n", "2000", "--format", "json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -443,6 +445,35 @@ class TestReproduce:
             variants = {r["variant"]: r for r in block["rows"]}
             assert variants["plus"]["consistent"]
             assert not variants["minus"]["consistent"]
+
+
+    def test_example2_variant_report_from_one_path(self, capsys):
+        code, out, _ = _run(
+            capsys, "reproduce", "example2", "--variant-report",
+            "--format", "json", "--n", "1", "--seed", "5",
+        )
+        assert code == 0
+        blocks = json.loads(out)["sign_variant"]
+        assert len(blocks) == 4
+        for block in blocks:
+            assert block["n"] == 1
+            assert block["mc_stderr"] > 0.0
+            assert all(isinstance(r["z_score"], float) for r in block["rows"])
+
+    def test_example2_variant_report_at_zero_stderr(self, capsys, monkeypatch):
+        # JSON has no infinity: an exact estimate that misses delta(0)
+        # gives an infinite z, printed as null.
+        monkeypatch.setattr(simulate, "estimate_survival",
+                            lambda model, u, n, seed, workers: SimEstimate(1.0, 0.0, n, seed))
+        code, out, _ = _run(
+            capsys, "reproduce", "example2", "--variant-report",
+            "--format", "json", "--n", "10", "--seed", "5",
+        )
+        assert code == 0
+        for block in json.loads(out)["sign_variant"]:
+            assert block["mc_ci95"] == [1.0, 1.0]
+            assert [(r["z_score"], r["consistent"]) for r in block["rows"]] == [
+                (None, False), (None, False)]
 
 
 class TestErrorsAndOutput:

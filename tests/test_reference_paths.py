@@ -21,6 +21,7 @@ must sum the same bits per level, on single levels, duplicate levels and a
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyder, polyval
@@ -55,6 +56,7 @@ from fgmruin.polyexp import (
 )
 from fgmruin.simulate import (
     _ROUND_STEPS,
+    _Deficit,
     _Workspace,
     _block_rng,
     _claims_per_round,
@@ -271,30 +273,60 @@ def _ref_chi_gates(model, b):
 
 
 def _ref_tilted_steps(tilt, rng, n):
-    """n tilted steps: a category from one comparison per cut, then J exponentials."""
+    """n tilted steps, a category from one comparison per cut, then J exponentials;
+    also each step's category and claim part, the sum of its negative terms."""
     u = rng.random(n)
     count = np.zeros(n, dtype=np.uint8)
     for cut in tilt.cuts:
         count += u >= cut
     cat = count.astype(np.intp)
     step = tilt.coef[0][cat] * rng.standard_exponential(n)
+    claim = np.minimum(step, 0.0)
     for coef in tilt.coef[1:]:
-        step += rng.standard_exponential(n) * coef[cat]
-    return step
+        term = rng.standard_exponential(n) * coef[cat]
+        step += term
+        claim += np.minimum(term, 0.0)
+    return step, cat, claim
+
+
+def _ref_conditioned(tilt, y, cat):
+    """E[e^{-R D} | category, threshold y] less the tilt's centre, as the plain ratio.
+
+    A category's claim scales are its negative coefficients.  One gives
+    1 / (1 + R s1); two give [e^{-y/s1} k1 k2 + P2 k2] / (e^{-y/s1} + P2),
+    P2 = s2 / (s2 - s1) (e^{-y/s2} - e^{-y/s1}), divided through by e^{-y/s1}.
+    """
+    s1 = -tilt.coef[0][cat]
+    s2 = -tilt.coef[1][cat] if tilt.coef.shape[0] > 1 else np.zeros(cat.size)
+    k1 = 1.0 / (1.0 + tilt.R * s1)
+    two = s2 > 0.0
+    s2 = np.where(two, s2, 1.0)
+    k2 = 1.0 / (1.0 + tilt.R * s2)
+    p2 = s2 / (s2 - s1) * np.expm1(-np.maximum(y, 0.0) * (1.0 / s2 - 1.0 / s1))
+    w = np.where(two, (k1 * k2 + p2 * k2) / (1.0 + p2), k1)
+    return w - tilt.deficit.center
 
 
 def _ref_tilted_block(tilt, levels, size, seed, block):
-    """Per level, sum and sum of squares of e^{R post}: every row searched, boolean gathers."""
+    """Per level, sums and sums of squares of e^{R post} and of the conditioned
+    weights: every row searched, boolean gathers."""
     rng = _block_rng(seed, block)
     top = levels.size - 1
-    total = np.zeros(levels.size)
-    total_sq = np.zeros(levels.size)
+    sums = np.zeros((4, levels.size))
     walk = np.zeros(size)
     pending = np.zeros(size, dtype=np.intp)
+
+    def add(level, v, at):
+        w = _ref_conditioned(tilt, v - claim[at], cat[at])
+        for row, x in enumerate((w, w * w), 2):
+            sums[row] += np.bincount(level, weights=x, minlength=levels.size)
+        return np.exp(tilt.R * v)
+
     while walk.size:
         live = walk.size
         k = _claims_per_round(live)
-        steps = _ref_tilted_steps(tilt, rng, live * k).reshape(live, k)
+        steps, cat, claim = _ref_tilted_steps(tilt, rng, live * k)
+        steps = steps.reshape(live, k)
         steps[:, 0] += walk
         steps = np.cumsum(steps, axis=1)
         if top:
@@ -307,19 +339,20 @@ def _ref_tilted_block(tilt, levels, size, seed, block):
                                                      count)
             low = np.minimum.accumulate(steps[rows], axis=1)
             first = (low[pair] >= -levels[level, None]).sum(axis=1)
-            y = np.exp(tilt.R * (low[pair, first] + levels[level]))
-            total[:top] += np.bincount(level, weights=y, minlength=top)
-            total_sq[:top] += np.bincount(level, weights=y * y, minlength=top)
+            y = add(level, low[pair, first] + levels[level], rows[pair] * k + first)
+            sums[0, :top] += np.bincount(level, weights=y, minlength=top)
+            sums[1, :top] += np.bincount(level, weights=y * y, minlength=top)
             pending = new
         below = steps < -levels[top]
         first = below.argmax(axis=1)
         fired = below[np.arange(live), first]
-        y = np.exp(tilt.R * (steps[np.arange(live), first][fired] + levels[top]))
-        total[top] += y.sum()
-        total_sq[top] += y @ y
+        at = (np.arange(live) * k + first)[fired]
+        y = add(np.full(at.size, top), steps.ravel()[at] + levels[top], at)
+        sums[0, top] += y.sum()
+        sums[1, top] += y @ y
         walk = steps[~fired, -1]
         pending = pending[~fired]
-    return total, total_sq
+    return sums
 
 
 # -- comparison --------------------------------------------------------------
@@ -494,4 +527,65 @@ def test_tilted_block_matches_reference(arrival, theta, levels, loading, size):
     work = _Workspace(size + _ROUND_STEPS, tilt.cuts.size)
     for seed, block in ((0, 0), (11, 3)):
         got = _run_tilted_block(tilt, levels, size, seed, block, work)
-        _assert_same("tilted block", seed, got, _ref_tilted_block(tilt, levels, size, seed, block))
+        want = _ref_tilted_block(tilt, levels, size, seed, block)
+        _assert_same("tilted block", seed, got[:2], want[:2])
+        # The conditioned sums: the ratio against t0 + t1 r, bincount against
+        # a sum per round.  Measured apart by at most 2e-14 relative.
+        np.testing.assert_allclose(got[2:], want[2:], rtol=1e-12, atol=1e-12)
+
+
+def _mp_conditioned(R, scales, y):
+    """E[e^{-R (C - y)} | C > y] for C a sum of exponentials of the given
+    scales (means), from C's density f in 60 digits.
+
+    The conditional mean is the ratio of the integrals of e^{-R t} f(y + t)
+    and f(y + t) over t > 0.  An exponential term e^{-c/s} integrates to
+    e^{-y/s} / (R + 1/s) and e^{-y/s} s; c e^{-c/s} (two equal scales) to
+    e^{-y/s} (y / (R + 1/s) + 1 / (R + 1/s)^2) and e^{-y/s} (y s + s^2).
+    """
+    with mpmath.workdps(60):
+        R, y = mpmath.mpf(R), mpmath.mpf(y)
+        s = [mpmath.mpf(v) for v in scales]
+        if len(s) == 1 or s[0] == s[1]:
+            a = R + 1 / s[0]
+            top, bottom = 1 / a, s[0]
+            if len(s) == 2:
+                top, bottom = y / a + 1 / a**2, y * s[0] + s[0] ** 2
+            return float(top / bottom)
+        e = [mpmath.exp(-y / v) for v in s]
+        top = e[0] / (R + 1 / s[0]) - e[1] / (R + 1 / s[1])
+        return float(top / (e[0] * s[0] - e[1] * s[1]))
+
+
+@pytest.mark.parametrize("R", [0.3, 1.0 - 1e-9])
+@pytest.mark.parametrize("equal", [False, True], ids=["s1>s2", "s1=s2"])
+def test_conditioned_weight_matches_60_digit_form(R, equal):
+    # A table of four categories: claim pieces s1 and s2 together, s1
+    # alone, s2 alone, and none (a category that never ruins), at y / s
+    # from 0 to 1e6.  At R = 1 - 1e-9, s1 = 1 / (1 - R) is 1e9, the scale
+    # of a huge loading.
+    s1 = 1.0 / (1.0 - R)
+    s2 = s1 if equal else 1.0 / (2.0 - R)
+    coef = np.array([[-s1, -s1, -s2, 0.5],
+                     [-s2, 0.25, 0.25, 2.0],
+                     [0.5, 0.0, 0.0, 0.0]])
+    pieces, deficit = _Deficit.of(coef, np.array([0.1, 0.4, 0.3, 0.2]), R)
+    assert pieces == 2
+    ratio = np.array([0.0, 1e-8, 0.5, 3.0, 50.0, 1e3, 1e6])
+    for cat, scales in ((0, (s1, s2)), (1, (s1,)), (2, (s2,))):
+        y = ratio * scales[-1]
+        got = deficit.weights(y.copy(), np.full(y.size, cat), np.empty(y.size)) + deficit.center
+        assert np.all((got > 0.0) & (got <= 1.0)), got
+        want = [_mp_conditioned(R, scales, v) for v in y]
+        # The weights come centred, which costs a few ulps of the centre
+        # where a weight is far below it (1e-18 against 1e-9 here).
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=4 * np.spacing(deficit.center))
+    assert deficit.weights(np.array([3.0]), np.array([3]), np.empty(1)) + deficit.center == 1.0
+
+
+def test_conditioned_weight_needs_one_pair_of_claim_scales():
+    # The scalar formula serves every two-piece category, so they must
+    # share their scales, as ``_mixture``'s do.
+    coef = np.array([[-4.0, -3.0], [-1.0, -1.0]])
+    with pytest.raises(ValueError, match="different claim scales"):
+        _Deficit.of(coef, np.array([0.5, 0.5]), 0.3)

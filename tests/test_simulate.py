@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo path engine and estimators."""
 
+import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -180,12 +182,36 @@ class TestEstimateSurvival:
 
     @pytest.mark.parametrize("make,theta", [(_poisson_model, -1.0), (_erlang_model, 0.5)])
     def test_stderr_below_binomial(self, make, theta):
-        # The weights e^{-R S} lie in (0, 1], so their variance is at most
-        # psi (1 - psi).
+        # The conditioned weights E[e^{-R D} | category, threshold] lie in
+        # (0, 1], as e^{-R D} does, so their variance is at most
+        # psi (1 - psi); conditioning only lowers it.
         for u in (0.0, 5.0):
             est = estimate_survival(make(theta), u, n=20_000, seed=3)
             psi = 1.0 - est.value
             assert 0.0 < est.stderr <= np.sqrt(psi * (1.0 - psi) / est.n)
+
+    @pytest.mark.parametrize("make,c,alpha", [(_poisson_model, 1.5, 2.0),
+                                              (_erlang_model, 1.5, 1.0)])
+    def test_exact_at_independence(self, make, c, alpha):
+        # At theta = 0 every ruinous step's claim part is one Exp(1 - R)
+        # phase in claim units, so every conditioned weight is 1 - R and
+        # psi(u) = (1 - R) e^{-R alpha u} comes out exactly, with stderr 0.
+        # R solves the unit-rate Lundberg equation: r = 1 - 1/c' (Poisson)
+        # or c'^2 r^2 - (c'^2 - 2 c') r - (2 c' - 1) = 0 (Erlang(2)), in
+        # 40 digits.
+        m = make(0.0, c=c, alpha=alpha)
+        grid = [0.0, 2.5, 10.0]
+        with mpmath.workdps(40):
+            cp = mpmath.mpf(unit_rates(m, type(m.arrival))[0])
+            if isinstance(m.arrival, Erlang2):
+                a, b = cp * cp, -(cp * cp - 2 * cp)
+                R = (-b + mpmath.sqrt(b * b + 4 * a * (2 * cp - 1))) / (2 * a)
+            else:
+                R = 1 - 1 / cp
+            want = [float(1 - (1 - R) * mpmath.exp(-R * alpha * u)) for u in grid]
+        for u, phi, est in zip(grid, want, estimate_survival(m, grid, n=2000, seed=1)):
+            assert abs(est.value - phi) <= 1e-12, (u, est)
+            assert est.stderr <= 1e-12, (u, est)
 
     def test_dependence_orders_survival(self):
         # Positive dependence couples long gaps with large claims, which
@@ -233,6 +259,20 @@ class TestEstimateSurvival:
         assert time.perf_counter() - start < 1.0
         psi, psi_hat = 1.0 - float(survival_classical(m)(0.0)), 1.0 - est.value
         assert abs(psi_hat - psi) <= 4.0 * est.stderr, (psi_hat, psi, est.stderr)
+
+    @pytest.mark.parametrize("make,c,solve", [(_poisson_model, 1001.0, survival_classical),
+                                              (_erlang_model, 101.0, survival_erlang2)])
+    def test_stderr_covers_rare_small_claim_ruins(self, make, c, solve):
+        # At loading 1000 (Poisson) or 100 (Erlang) and theta = -1 a ruin by
+        # the small claim phase alone weighs about 0.5 against about 1e-3 and
+        # is rarer than one in 1e5 paths.  Without the one-path floor the
+        # sample stderr was 5.8e-10 and 1.1e-10, and these estimates sat 50
+        # and 44 of it from the closed form.
+        m = make(-1.0, c=c)
+        est = estimate_survival(m, 5.0, n=131072, seed=0)
+        psi, psi_hat = 1.0 - float(solve(m)(5.0)), 1.0 - est.value
+        assert abs(psi_hat - psi) <= 4.0 * est.stderr, (psi_hat, psi, est.stderr)
+        assert est.stderr <= 1e-2 * psi
 
     @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
     def test_degenerate_tilt_raises(self, theta):
@@ -477,31 +517,56 @@ def _run_block_reference(model, u, b, size, seed, block):
     return reached
 
 
+def _conditioned_weight(R, column, y):
+    """E[e^{-R D} | the claim part passes y] for a category's coefficients, in plain Python.
+
+    The claim pieces are the negative coefficients.  Two pieces give the
+    ratio [e^{-y/s1} k1 k2 + P2 k2] / (e^{-y/s1} + P2) with
+    P2 = s2 / (s2 - s1) (e^{-y/s2} - e^{-y/s1}), divided through by e^{-y/s1}.
+    """
+    s = sorted((-c for c in column if c < 0.0), reverse=True)
+    k = [1.0 / (1.0 + R * si) for si in s]
+    if len(s) == 1:
+        return k[0]
+    (s1, s2), (k1, k2) = s, k
+    p2 = s2 / (s2 - s1) * math.expm1(-max(y, 0.0) * (1.0 / s2 - 1.0 / s1))
+    return (k1 * k2 + p2 * k2) / (1.0 + p2)
+
+
 def _run_tilted_block_reference(tilt, levels, size, seed, block):
-    """The survival engine walked claim by claim in plain Python."""
+    """The survival engine walked claim by claim in plain Python.
+
+    Returns per level the sums of the plain weights e^{R(V + u_j)} and
+    their squares, then of the conditioned weights less the tilt's centre.
+    """
     rng = _block_rng(seed, block)
     live = [(0.0, 0)] * size  # (surplus gained from zero, next level)
-    total = [0.0] * len(levels)
-    total_sq = [0.0] * len(levels)
+    sums = [[0.0] * len(levels) for _ in range(4)]
     work = _Workspace(size + _ROUND_STEPS, tilt.cuts.size)
+    columns = tilt.coef.T.tolist()
     while live:
         k = _claims_per_round(len(live))
-        steps = tilt.steps(rng, len(live) * k, work).tolist()
+        n = len(live) * k
+        steps = tilt.steps(rng, n, work).tolist()
+        cats, claims = work.cat[:n].tolist(), work.claim[:n].tolist()
         survivors = []
         for i, (v, j) in enumerate(live):
-            for step in steps[i * k:(i + 1) * k]:
-                v = v + step
+            for at in range(i * k, (i + 1) * k):
+                v = v + steps[at]
                 while j < len(levels) and v < -levels[j]:
                     y = float(np.exp(tilt.R * (v + levels[j])))
-                    total[j] += y
-                    total_sq[j] += y * y
+                    w = _conditioned_weight(tilt.R, columns[cats[at]],
+                                            v + levels[j] - claims[at])
+                    w -= tilt.deficit.center
+                    for row, x in enumerate((y, y * y, w, w * w)):
+                        sums[row][j] += x
                     j += 1
                 if j == len(levels):
                     break
             else:
                 survivors.append((v, j))
         live = survivors
-    return total, total_sq
+    return sums
 
 
 class TestRunBlock:
@@ -561,12 +626,13 @@ class TestRunTiltedBlock:
         levels = np.array(levels)
         tilt = _tilt(m, float(levels[-1]))
         for seed, block in ((0, 0), (11, 3)):
-            total, total_sq = _run_tilted_block(tilt, levels, 4096, seed, block,
-                                                _Workspace(4096 + _ROUND_STEPS, tilt.cuts.size))
-            want, want_sq = _run_tilted_block_reference(tilt, levels.tolist(), 4096,
-                                                        seed, block)
-            np.testing.assert_allclose(total, want, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(total_sq, want_sq, rtol=1e-12, atol=0.0)
+            got = _run_tilted_block(tilt, levels, 4096, seed, block,
+                                    _Workspace(4096 + _ROUND_STEPS, tilt.cuts.size))
+            want = _run_tilted_block_reference(tilt, levels.tolist(), 4096, seed, block)
+            np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, atol=0.0)
+            # The centred weights are of order 0.1 and sum with either sign;
+            # the two forms of the weight differ by a few ulps of 1.
+            np.testing.assert_allclose(got[2:], want[2:], rtol=1e-12, atol=1e-12)
 
 
 class TestDeterminism:
