@@ -7,7 +7,11 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
 * reach: the surplus attains a level b before ever falling below zero.
   Paths use the model's own pairs from ``model.sample_pairs``: the
   inter-claim time is drawn from its own law, and the claim amount by
-  conditional inversion of the copula given the time's grade.
+  conditional inversion of the copula given the time's grade.  The hit
+  fraction is corrected by a regression control variate from the same
+  draws: the Lundberg martingale e^{-R S_n} of the walk, stopped and
+  conditioned on its stopping step (``_Martingale``), whose mean
+  e^{-R u} is known.
 * survival: ruin never happens.  Siegmund's importance sampler draws the
   pairs from the exponentially tilted law e^{R(x - cw)} f(x, w), where R
   is the adjustment coefficient; under it ruin is certain, and each path
@@ -20,11 +24,12 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
   form (``_Deficit``), in place of e^{-R D}, from the same draws.  One walk
   from zero serves a whole grid of initial surpluses: ruin from u is the
   walk's first passage below -u.
-  The tilt is solved and walked at unit rates, in the units of
-  ``model.unit_rates`` (money in mean claims 1/alpha, time in 1/lam or
-  1/beta), where it depends on the premium c' and theta alone: R, the
-  walk and the levels alpha u are in claim units, and the estimates do
-  not depend on the model's units.
+
+Both walk at unit rates, in the units of ``model.unit_rates`` (money in
+mean claims 1/alpha, time in 1/lam or 1/beta), where the walk, R and the
+weights depend on the premium c' and theta alone: the levels alpha u and
+alpha b are in claim units, and the estimates do not depend on the
+model's units.
 
 Estimates are averaged over fixed-size blocks, each driven by its own
 PCG64 stream spawned deterministically from (seed, block index), so the
@@ -44,8 +49,10 @@ passages by index, and on a grid searches only the paths whose round
 minimum passed the level they had pending.  Each of these computes the
 same values in the same order as a comparison per cut, a boolean gather
 and a search of every path, so the plain weights keep their bits.  The
-top level's thresholds and categories are logged one per path, and their
-conditioned weights are computed once per block.
+top level's thresholds and categories, and each reach path's surplus
+before and after the premium of its stopping step, are logged one per
+path, and their conditioned weights or controls are computed once per
+block.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .model import Erlang2, ModelSpec, sample_pairs, unit_rates
+from .model import Erlang2, ExpClaim, ModelSpec, sample_pairs, unit_rates
 
 __all__ = [
     "SimEstimate",
@@ -85,10 +92,12 @@ class SimEstimate:
 
     Attributes:
         value: Estimated probability.
-        stderr: Standard error: binomial for reach estimates, the sample
-            standard error of the conditioned importance weights for
-            survival, floored at what one path can move the mean (0 where
-            every weight is equal, as at theta = 0).
+        stderr: Standard error: for reach estimates that of the
+            residual of the control-variate regression (binomial where the
+            control has no variance), for survival the sample standard
+            error of the conditioned importance weights, floored at what
+            one path can move the mean (0 where every weight is equal, as
+            at theta = 0).
         n: Number of simulated paths.
         seed: Seed that reproduces the estimate exactly.
     """
@@ -159,12 +168,145 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
     return first
 
 
-def _run_block(model: ModelSpec, u: float, b: float, size: int, seed: int,
-               block: int) -> int:
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+class _Martingale(NamedTuple):
+    """The Lundberg martingale e^{-R S_n} of a reach walk, conditioned on its stopping step.
+
+    The walk is at unit rates (``model.unit_rates``): money in mean claims
+    1/alpha, time in 1/lam or 1/beta, premium c'.  At claim instants the
+    surplus S_n is a random walk and E[e^{R(X - c'W)}] = 1, so e^{-R S_n}
+    is a martingale with mean e^{-R alpha u}.  A path stops at step N with
+    its pre-claim surplus P = S_{N-1} + c'W: it has reached b if P >= b,
+    and is ruined if the claim passes P.  Given W the claim is the signed
+    mixture (1 - tb) Exp(1) + tb Exp(2), tb = theta (1 - 2 F_W(W)), the law
+    ``sample_pairs`` inverts, so e^{-R S_N} given the step has a closed
+    form Y, with k1 = 1 / (1 - R) and k2 = 2 / (2 - R):
+    e^{-R P} [(1 - tb) k1 + tb k2] on reach and
+    [(1 - tb) k1 + tb e^{-P} k2] / [(1 - tb) + tb e^{-P}] on ruin.  By
+    optional stopping and the tower property E[Y] = e^{-R alpha u}.
+
+    ``controls`` returns Z = 1 - (1 - R) Y, with kappa = R / (2 - R):
+    1 - e^{-R P} (1 - kappa tb) on reach, kappa f on ruin, where
+    f = tb e^{-P} / (1 - tb + tb e^{-P}) lies in [-1, 1].  Z lies in
+    [-1, 1] at any loading (k1 alone reaches 1e298 at loading 1e75) and
+    keeps its relative precision as R goes to 0, where the regression
+    slope grows like 1 / R; its mean is ``mean``(alpha u).  Where
+    ``_lundberg_root`` refuses, R is 0 and every Z is 0, a control with no
+    variance.
+    """
+
+    model: ModelSpec  # the model at unit rates, whose pairs the paths walk
+    alpha: float  # claim rate: a model level u is alpha u in claim units
+    R: float  # adjustment coefficient at unit rates, 0 where it is refused
+    gap: float  # 1 - R
+    kappa: float  # R / (2 - R)
+
+    @classmethod
+    def of(cls, model: ModelSpec) -> _Martingale:
+        law = type(model.arrival)
+        c, alpha = unit_rates(model, law)
+        unit = ModelSpec(c, ExpClaim(1.0), law(1.0), model.copula)
+        try:
+            R, gap = _lundberg_root(c, model.theta, law is Erlang2)
+        except ConditioningError:
+            R, gap = 0.0, 1.0
+        return cls(unit, alpha, R, gap, R / (1.0 + gap))
+
+    def mean(self, u: float) -> float:
+        """E[Z] = 1 - (1 - R) e^{-R u} = R - (1 - R) expm1(-R u), from u in claim units."""
+        return self.R - self.gap * math.expm1(-self.R * u)
+
+    def controls(self, top: np.ndarray, before: np.ndarray, reach: np.ndarray,
+                 spare: list[np.ndarray]) -> np.ndarray:
+        """Z of each path from its logged P (``top``) and S_{N-1} (``before``).
+
+        ``reach`` is 1.0 where P >= b and 0.0 elsewhere; the income c'W is P
+        less S_{N-1}.  Both formulas are evaluated on every path and blended
+        by ``reach`` (a gather or ``where`` on a mask that interleaves the
+        two kinds of path measured 20 times slower than a multiply).  Every
+        buffer but ``reach`` is overwritten; Z is returned in ``spare[0]``,
+        and ``spare`` holds two more arrays of its size.  P is clipped to the
+        largest float (a premium near 1e308 overflows it to inf, where R = 0
+        would give 0 * inf) and e^{-P} is taken at P <= 700, so the ruin
+        ratio never divides 0 by 0 (tb = 1 once W rounds below an ulp at
+        theta = 1) and moves by less than 1e-288.
+        """
+        model = self.model
+        theta = model.theta
+        z, tb, t = spare
+        np.minimum(top, _FLOAT_MAX, out=top)
+        w = np.subtract(before, top, out=before)
+        w *= 1.0 / model.c
+        # tb = theta (2 e^{-W} - 1) or theta (2 e^{-W} (1 + W) - 1); w holds -W.
+        np.exp(w, out=tb)
+        if isinstance(model.arrival, Erlang2):
+            np.subtract(1.0, w, out=w)
+            tb *= w
+        tb *= 2.0 * theta
+        tb -= theta
+        # Ruin: kappa tb e^{-P} / (1 - tb + tb e^{-P}), in z.
+        np.minimum(top, 700.0, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z *= tb
+        np.subtract(1.0, tb, out=t)
+        t += z
+        z /= t
+        z *= self.kappa
+        # Reach: K - expm1(-R P) (1 - K), K = kappa tb, in tb; then blended.
+        tb *= self.kappa
+        np.multiply(top, -self.R, out=w)
+        np.expm1(w, out=w)
+        np.subtract(1.0, tb, out=t)
+        w *= t
+        tb -= w
+        tb -= z
+        tb *= reach
+        z += tb
+        return z
+
+
+class _ReachLog:
+    """Block-size buffers a reach request's blocks log their stopping steps into.
+
+    ``top`` and ``before`` hold each path's pre-claim surplus P and its
+    surplus S_{N-1} before the step at which it stopped, in stopping order;
+    ``reach`` and ``spare`` are room for ``_Martingale.controls``.  The
+    spares are three arrays, not one (3, size) block: freeing a 768 KB
+    block raised glibc's mmap threshold for the rest of the process, after
+    which every numpy temporary of a block's size measured faster.
+    """
+
+    def __init__(self, size: int):
+        self.top = np.empty(size)
+        self.before = np.empty(size)
+        self.reach = np.empty(size)
+        self.spare = tuple(np.empty(size) for _ in range(3))
+
+
+def _slope(cov: float, var: float) -> float:
+    """The regression slope cov / var of I on Z, 0 where Z has no variance."""
+    return cov / var if var > 0.0 else 0.0
+
+
+def _run_block(walk: _Martingale, u: float, b: float, size: int, seed: int,
+               block: int, log: _ReachLog) -> np.ndarray:
+    """Sums over the block's paths of the reach indicator I and the control Z.
+
+    u and b are in claim units, and the paths walk ``walk.model``.  Each
+    path's P and S_{N-1} are logged in ``log`` round by round, and the
+    controls are computed once the block is done.  Returns [size, hits,
+    sum Z, sum (Z - mean Z)^2, sum (I - mean I)(Z - mean Z), sum e^2], the
+    means taken over the block and e = I - mean I - beta_b (Z - mean Z) the
+    residual of the block's own slope beta_b (``_slope``).
+    """
     rng = _block_rng(seed, block)
+    model = walk.model
     # Surplus of the paths still inside [0, b), kept in path order.
     surplus = np.full(size, u)
-    reached = drawn = 0
+    stopped = drawn = 0
     while surplus.size:
         live = surplus.size
         k, drawn = _next_round(live, drawn)
@@ -177,24 +319,50 @@ def _run_block(model: ModelSpec, u: float, b: float, size: int, seed: int,
         post -= x
         if k == 1:
             # One claim per path: the event is the claim itself, so the
-            # survivors are compressed through one boolean column.
+            # survivors are compressed through one boolean column, and the
+            # stopped paths' P and S_{N-1} gathered by index.
             post += surplus
             x += post
-            hit = x >= b
-            reached += int(np.count_nonzero(hit))
-            keep = post >= 0.0
-            keep &= ~hit
-            surplus = post[keep]
+            stop = post < 0.0
+            stop |= x >= b
+            at = stop.nonzero()[0]
+            end = stopped + at.size
+            x.take(at, out=log.top[stopped:end], mode="clip")
+            surplus.take(at, out=log.before[stopped:end], mode="clip")
+            np.logical_not(stop, out=stop)
+            surplus = post[stop]
         else:
             # post[i, j]: surplus of path i just after its j-th claim this round.
             post = post.reshape(live, k)
             _walk(post, surplus)
-            hit = post + x.reshape(live, k) >= b
-            event = hit | (post < 0.0)
+            top = x.reshape(live, k)
+            top += post
+            event = top >= b
+            event |= post < 0.0
             first = _first_true(event)
-            reached += int(np.count_nonzero(hit.ravel()[first]))
-            surplus = post[~event.ravel()[first], -1]
-    return reached
+            fired = event.ravel()[first]
+            at = first[fired]
+            end = stopped + at.size
+            top.take(at, out=log.top[stopped:end], mode="clip")
+            # S_{N-1} is the walk one column back, or the round's start.
+            before = post.take(at - 1, out=log.before[stopped:end], mode="clip")
+            np.copyto(before, surplus[fired], where=at % k == 0)
+            surplus = post[~fired, -1]
+        stopped = end
+    reach = np.greater_equal(log.top[:size], b, out=log.reach[:size])
+    hits = reach.sum()
+    z = walk.controls(log.top[:size], log.before[:size], reach,
+                      [a[:size] for a in log.spare])
+    total = z.sum()
+    z -= total / size
+    reach -= hits / size
+    sq = z @ z
+    cross = reach @ z
+    # The residual of the block's own fit, path by path: its sum of squares
+    # holds no cancelling digits, unlike Var I - Cov^2 / Var Z.
+    e = np.multiply(z, -_slope(cross, sq), out=log.spare[1][:size])
+    e += reach
+    return np.array([size, hits, total, sq, cross, e @ e])
 
 
 def estimate_reach_prob(
@@ -207,10 +375,32 @@ def estimate_reach_prob(
 ) -> SimEstimate:
     """Simulated probability of reaching b before ruin from surplus u.
 
+    Each path walks at unit rates (see ``_Martingale``) from alpha u until
+    its pre-claim surplus reaches alpha b or a claim ruins it.  The hit
+    fraction I-bar is corrected by a regression control variate on the
+    same draws: the conditioned stopped Lundberg martingale Z, whose mean
+    is known,
+
+        chi = I-bar - beta (Z-bar - E[Z]),  beta = Cov(I, Z) / Var(Z),
+
+    clipped to [0, 1], with the standard error
+    sqrt((Var I - Cov(I, Z)^2 / Var Z) / n), the moments combined from
+    per-block centred sums.  beta is 0 where Z has no variance, as where
+    ``_lundberg_root`` refuses the loading (above 1e75); the estimate is
+    then the hit fraction with its binomial standard error.  At the
+    benchmark's reach requests the control divides the variance by about
+    170 - 230 (README "Monte Carlo").
+
     The estimate is a deterministic function of (seed, n); n must be a
     positive integer and the seed a nonnegative one.  ``workers`` is kept
     for compatibility: it must be a positive integer, and the blocks run
-    one after another whatever its value.  Paths walk in model units.
+    one after another whatever its value.
+
+    Raises:
+        InputError: If u, b, n, seed or workers is out of its domain.
+        ConditioningError: If ``model.unit_rates`` refuses the premium at
+            unit rates (c' overflowing, or a loading that rounds to 0), or
+            a block exceeds the claim cap.
     """
     u = float(u)
     _, n, seed = _check_inputs(u, n, seed, workers)
@@ -219,14 +409,29 @@ def estimate_reach_prob(
         raise InputError("target level must be finite and at least u")
     if b == u:
         return SimEstimate(1.0, 0.0, n, seed)
+    walk = _Martingale.of(model)
+    start, level = walk.alpha * u, walk.alpha * b
+    log = _ReachLog(min(n, _BLOCK_SIZE))
     # A surplus past the largest float (premiums near 1e308) overflows to
     # inf, which reaches b: the right outcome, so numpy need not warn.
     with np.errstate(over="ignore"):
-        counts = _map_blocks(lambda size, block: _run_block(model, u, b, size, seed, block), n)
-    hits = int(sum(counts))
-    p = hits / n
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    return SimEstimate(p, stderr, n, seed)
+        size, hits, total, sq, cross, resid = np.array(_map_blocks(
+            lambda size, block: _run_block(walk, start, level, size, seed, block, log), n
+        )).T
+    # Chan, Golub and LeVeque's pairwise update, over the blocks at once.
+    # The residual sum of squares about the pooled slope beta is each
+    # block's own plus Var_b Z (beta - beta_b)^2 plus the blocks' mean
+    # residuals: every term is nonnegative.
+    p = hits.sum() / n
+    mean = total.sum() / n
+    shift_i, shift_z = hits / size - p, total / size - mean
+    beta = _slope(cross.sum() + (size * shift_i) @ shift_z, sq.sum() + (size * shift_z) @ shift_z)
+    value = min(max(float(p - beta * (mean - walk.mean(start))), 0.0), 1.0)
+    slopes = np.array([_slope(c, v) for c, v in zip(cross.tolist(), sq.tolist())])
+    shift = shift_i - beta * shift_z
+    rss = resid.sum() + sq @ (beta - slopes) ** 2 + (size * shift) @ shift
+    stderr = math.sqrt(rss) / n
+    return SimEstimate(value, stderr, n, seed)
 
 
 # Largest |log E[e^{R(X - cW)}]| the adjustment coefficient may leave.

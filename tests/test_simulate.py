@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo path engine and estimators."""
 
 import math
+import re
 import time
 
 import mpmath
@@ -16,6 +17,8 @@ from fgmruin.model import (Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, s
 from fgmruin.simulate import (
     _ROUND_STEPS,
     SimEstimate,
+    _Martingale,
+    _ReachLog,
     _Workspace,
     _block_rng,
     _cgf,
@@ -69,6 +72,11 @@ class TestEstimateReach:
         n = 200_000
         est = estimate_reach_prob(m, 1.0, 20.0, n=n, seed=7)
         _binomial_gate(est, truth, n)
+        # The control variate leaves a stderr near 5e-7, and the estimate
+        # agrees to 4 of it (z = +1.98 here; over 100 other seeds the mean z
+        # is -0.08).
+        assert est.stderr < 1e-5
+        assert abs(est.value - truth) <= 4.0 * est.stderr
 
     def test_start_at_level_is_certain(self):
         est = estimate_reach_prob(_poisson_model(0.3), 5.0, 5.0, n=1000, seed=0)
@@ -84,10 +92,35 @@ class TestEstimateReach:
         assert est == SimEstimate(1.0, 0.0, 100, 3)
         assert type(est.seed) is int
 
-    def test_stderr_is_binomial(self):
-        est = estimate_reach_prob(_poisson_model(0.5), 0.0, 10.0, n=20_000, seed=3)
-        want = np.sqrt(est.value * (1.0 - est.value) / est.n)
-        assert est.stderr == pytest.approx(want, rel=1e-12)
+    @pytest.mark.parametrize("theta,b", [(-1.0, 20.0), (0.5, 1.0)])
+    def test_stderr_covers_spread_over_seeds(self, theta, b):
+        # The spread of 40 estimates over their mean stderr measured 1.07
+        # (theta = -1, b = 20) and 0.78 (theta = 0.5, b = 1), and 0.78 - 1.14
+        # over five sets of 40 seeds each; the binomial stderr would put it
+        # near 0.08 and 0.35.
+        m = _poisson_model(theta)
+        est = [estimate_reach_prob(m, 0.0, b, n=20_000, seed=s) for s in range(40)]
+        spread = np.std([e.value for e in est], ddof=1)
+        assert 0.7 <= spread / np.mean([e.stderr for e in est]) <= 1.4
+
+    def test_erlang_matches_fluid_embedding(self):
+        # chi = 0.847683 from the fluid embedding (ROADMAP item 26).  Seeds
+        # 1 - 3 read z = +0.44, -1.58 and +0.18; the plain hit fraction of
+        # seed 1 reads 0.84675 with binomial stderr 8.1e-4.
+        m = ModelSpec(1.0, ExpClaim(1.0), Erlang2(1.0), FgmParam(0.5))
+        est = estimate_reach_prob(m, 1.0, 5.0, n=200_000, seed=1)
+        assert est.stderr < 1e-4
+        assert abs(est.value - 0.847683) <= 4.0 * est.stderr
+
+    def test_refused_where_the_unit_rate_premium_is_not_a_float(self):
+        # c' = c alpha / lam overflows, or rounds to 1 (loading 0).
+        for m, why in ((ModelSpec(1e300, ExpClaim(1e10), ExpPoisson(1.0), FgmParam(0.5)),
+                        "c' = inf"),
+                       (ModelSpec(8.13025555540308e-51, ExpClaim(2.7721999910025694e+32),
+                                  ExpPoisson(2.253869437753701e-18), FgmParam(0.0)),
+                        "loading 0.0")):
+            with pytest.raises(ConditioningError, match=re.escape(why)):
+                estimate_reach_prob(m, 0.0, 1.0, n=100, seed=0)
 
     def test_input_validation(self):
         m = _poisson_model(0.0)
@@ -493,11 +526,14 @@ def _run_block_reference(model, u, b, size, seed, block):
     """The reach engine walked claim by claim in plain Python.
 
     Each round draws the same arrays as ``_run_block``; the pre-claim level
-    check comes before the ruin check at the same claim.
+    check comes before the ruin check at the same claim.  Returns the hit
+    count and, path by path, the pre-claim surplus P and the income c w of
+    the step at which the path stopped.
     """
     rng = _block_rng(seed, block)
     live = [u] * size
     reached = 0
+    stops = []
     while live:
         k = _claims_per_round(len(live))
         w, x = sample_pairs(model, rng, len(live) * k)
@@ -508,13 +544,48 @@ def _run_block_reference(model, u, b, size, seed, block):
                 s = s + (cw[j] - x[j])
                 if s + x[j] >= b:
                     reached += 1
+                    stops.append((s + x[j], cw[j]))
                     break
                 if s < 0.0:
+                    stops.append((s + x[j], cw[j]))
                     break
             else:
                 survivors.append(s)
         live = survivors
-    return reached
+    return reached, stops
+
+
+def _control_sums_reference(walk, b, stops):
+    """The sums of ``_run_block`` from the stopped steps, in plain Python.
+
+    Y = E[e^{-R S_N} | the stopping step] in the form of the ``_Martingale``
+    docstring, e^{-R P} [(1 - tb) k1 + tb k2] on reach and
+    [(1 - tb) k1 + tb e^{-P} k2] / [(1 - tb) + tb e^{-P}] on ruin, and the
+    control Z = 1 - (1 - R) Y.
+    """
+    R, theta, c = walk.R, walk.model.theta, walk.model.c
+    erlang = isinstance(walk.model.arrival, Erlang2)
+    k1, k2 = 1.0 / (1.0 - R), 2.0 / (2.0 - R)
+    ind, z = [], []
+    for top, income in stops:
+        w = income / c
+        tb = theta * (2.0 * math.exp(-w) * ((1.0 + w) if erlang else 1.0) - 1.0)
+        if top >= b:
+            y = math.exp(-R * top) * ((1.0 - tb) * k1 + tb * k2)
+        else:
+            e = math.exp(-top)
+            y = ((1.0 - tb) * k1 + tb * e * k2) / ((1.0 - tb) + tb * e)
+        ind.append(float(top >= b))
+        z.append(1.0 - (1.0 - R) * y)
+    size = len(z)
+    mean_i, mean_z = sum(ind) / size, math.fsum(z) / size
+    zc = [v - mean_z for v in z]
+    ic = [v - mean_i for v in ind]
+    sq = math.fsum(v * v for v in zc)
+    cross = math.fsum(a * v for a, v in zip(ic, zc))
+    slope = cross / sq if sq > 0.0 else 0.0
+    resid = math.fsum((a - slope * v) ** 2 for a, v in zip(ic, zc))
+    return [size, sum(ind), math.fsum(z), sq, cross, resid]
 
 
 def _conditioned_weight(R, column, y):
@@ -569,14 +640,31 @@ def _run_tilted_block_reference(tilt, levels, size, seed, block):
     return sums
 
 
+def _reach_block(model, u, b, size, seed, block):
+    """``_run_block`` of the unit-rate walk of model, with u and b in claim units."""
+    walk = _Martingale.of(model)
+    return _run_block(walk, u, b, size, seed, block, _ReachLog(size))
+
+
 class TestRunBlock:
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     @pytest.mark.parametrize("u,b", [(0.0, 5.0), (0.0, 45.0), (5.0, 5.0), (5.0, 45.0)])
     def test_compact_surplus_matches_index_array_loop(self, make, u, b):
-        m = make(0.5)
+        walk = _Martingale.of(make(0.5))
         for seed, block in ((0, 0), (11, 3), (2024, 7)):
-            want = _run_block_reference(m, u, b, 4096, seed, block)
-            assert _run_block(m, u, b, 4096, seed, block) == want
+            want, _ = _run_block_reference(walk.model, u, b, 4096, seed, block)
+            assert _run_block(walk, u, b, 4096, seed, block, _ReachLog(4096))[1] == want
+
+    @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
+    @pytest.mark.parametrize("theta", [-1.0, 0.5])
+    @pytest.mark.parametrize("u,b", [(0.0, 1.0), (0.0, 20.0), (3.0, 10.0)])
+    def test_control_sums_match_claim_by_claim_walk(self, make, theta, u, b):
+        walk = _Martingale.of(make(theta))
+        for seed, block in ((0, 0), (11, 3)):
+            _, stops = _run_block_reference(walk.model, u, b, 3000, seed, block)
+            got = _run_block(walk, u, b, 3000, seed, block, _ReachLog(3000))
+            want = _control_sums_reference(walk, b, stops)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_ruin_fraction_matches_theory(self):
         # At u = 0 the independent model ruins with probability 2/3; a
@@ -595,7 +683,7 @@ class TestRunBlock:
         m = _poisson_model(0.0)
         w, x = sample_pairs(m, _block_rng(7, 0), _claims_per_round(1))
         assert x[0] > m.c * w[0]
-        assert [_run_block(m, 0.0, 60.0, 1, 7, 0) for _ in range(2)] == [0, 0]
+        assert [_reach_block(m, 0.0, 60.0, 1, 7, 0)[1] for _ in range(2)] == [0, 0]
 
     def test_level_crossed_before_first_claim(self):
         # Block 0 of seed 7 draws a first pair with c w >= 0.5 and x > c w
@@ -606,7 +694,7 @@ class TestRunBlock:
         w, x = sample_pairs(m, _block_rng(7, 0), _claims_per_round(1))
         assert m.c * w[0] >= 0.5
         assert x[0] > m.c * w[0]
-        assert _run_block(m, 0.0, 0.5, 1, 7, 0) == 1
+        assert _reach_block(m, 0.0, 0.5, 1, 7, 0)[1] == 1
 
     def test_claims_per_round(self):
         # One claim per path while a round's pairs fill a full batch, then
