@@ -15,8 +15,11 @@ the reference refuses, the same error type and message.
 The tilted Monte Carlo round has its plain form too: categories from one
 comparison per cut, boolean gathers of the passages and survivors, and
 ``searchsorted`` on every live row for the lower levels of a grid.  A block
-must sum the same bits per level, on single levels, duplicate levels and a
-41-level grid.
+must sum the same bits of the plain weights per level, on single levels,
+duplicate levels and a 41-level grid, and the weights conditioned on the
+walk before each passage to a measured tolerance.  That weight's table is
+pinned against 60-digit sums over a category table and against quadrature
+of the tilted pair law, which shares no code with the sampler.
 """
 
 import math
@@ -25,6 +28,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyder, polyval
+from scipy import integrate, special
 
 from fgmruin import max_surplus
 from fgmruin.classical import _cleared_parts as classical_parts
@@ -56,10 +60,12 @@ from fgmruin.polyexp import (
 )
 from fgmruin.simulate import (
     _ROUND_STEPS,
-    _Deficit,
+    _RuinWeight,
     _Workspace,
     _block_rng,
     _claims_per_round,
+    _lundberg_root,
+    _ruin_table,
     _run_tilted_block,
     _tilt,
 )
@@ -273,38 +279,27 @@ def _ref_chi_gates(model, b):
 
 
 def _ref_tilted_steps(tilt, rng, n):
-    """n tilted steps, a category from one comparison per cut, then J exponentials;
-    also each step's category and claim part, the sum of its negative terms."""
+    """n tilted steps, a category from one comparison per cut, then J exponentials."""
     u = rng.random(n)
     count = np.zeros(n, dtype=np.uint8)
     for cut in tilt.cuts:
         count += u >= cut
     cat = count.astype(np.intp)
     step = tilt.coef[0][cat] * rng.standard_exponential(n)
-    claim = np.minimum(step, 0.0)
     for coef in tilt.coef[1:]:
-        term = rng.standard_exponential(n) * coef[cat]
-        step += term
-        claim += np.minimum(term, 0.0)
-    return step, cat, claim
+        step += rng.standard_exponential(n) * coef[cat]
+    return step
 
 
-def _ref_conditioned(tilt, y, cat):
-    """E[e^{-R D} | category, threshold y] less the tilt's centre, as the plain ratio.
+def _ref_conditioned(tilt, v):
+    """E[e^{-R D} | the walk before the ruinous step] less the tilt's centre, as a ratio.
 
-    A category's claim scales are its negative coefficients.  One gives
-    1 / (1 + R s1); two give [e^{-y/s1} k1 k2 + P2 k2] / (e^{-y/s1} + P2),
-    P2 = s2 / (s2 - s1) (e^{-y/s2} - e^{-y/s1}), divided through by e^{-y/s1}.
+    (B1 + B2 q) / (A1 + A2 q) at q = e^{-v}, with A1 = 1, A2 = a and
+    B_i = k_i A_i, k1 = 1 - R and k2 = 1 - R / 2.
     """
-    s1 = -tilt.coef[0][cat]
-    s2 = -tilt.coef[1][cat] if tilt.coef.shape[0] > 1 else np.zeros(cat.size)
-    k1 = 1.0 / (1.0 + tilt.R * s1)
-    two = s2 > 0.0
-    s2 = np.where(two, s2, 1.0)
-    k2 = 1.0 / (1.0 + tilt.R * s2)
-    p2 = s2 / (s2 - s1) * np.expm1(-np.maximum(y, 0.0) * (1.0 / s2 - 1.0 / s1))
-    w = np.where(two, (k1 * k2 + p2 * k2) / (1.0 + p2), k1)
-    return w - tilt.deficit.center
+    q = np.exp(-v)
+    a = tilt.ruin.a
+    return ((1.0 - tilt.R) + (1.0 - 0.5 * tilt.R) * a * q) / (1.0 + a * q) - tilt.ruin.center
 
 
 def _ref_tilted_block(tilt, levels, size, seed, block):
@@ -317,7 +312,7 @@ def _ref_tilted_block(tilt, levels, size, seed, block):
     pending = np.zeros(size, dtype=np.intp)
 
     def add(level, v, at):
-        w = _ref_conditioned(tilt, v - claim[at], cat[at])
+        w = _ref_conditioned(tilt, before[at] + levels[level])
         for row, x in enumerate((w, w * w), 2):
             sums[row] += np.bincount(level, weights=x, minlength=levels.size)
         return np.exp(tilt.R * v)
@@ -325,10 +320,11 @@ def _ref_tilted_block(tilt, levels, size, seed, block):
     while walk.size:
         live = walk.size
         k = _claims_per_round(live)
-        steps, cat, claim = _ref_tilted_steps(tilt, rng, live * k)
-        steps = steps.reshape(live, k)
+        steps = _ref_tilted_steps(tilt, rng, live * k).reshape(live, k)
         steps[:, 0] += walk
         steps = np.cumsum(steps, axis=1)
+        # The walk before each step: the round's start, then the walk itself.
+        before = np.concatenate([walk[:, None], steps[:, :-1]], axis=1).ravel()
         if top:
             new = np.maximum(np.searchsorted(levels[:top], -steps.min(axis=1)), pending)
             count = new - pending
@@ -529,63 +525,140 @@ def test_tilted_block_matches_reference(arrival, theta, levels, loading, size):
         got = _run_tilted_block(tilt, levels, size, seed, block, work)
         want = _ref_tilted_block(tilt, levels, size, seed, block)
         _assert_same("tilted block", seed, got[:2], want[:2])
-        # The conditioned sums: the ratio against t0 + t1 r, bincount against
-        # a sum per round.  Measured apart by at most 2e-14 relative.
+        # The conditioned sums: the ratio (B1 + B2 q) / (A1 + A2 q) against
+        # scale / (e^v + a), bincount against a sum per round.  Measured apart
+        # by at most 2e-12, and 2.5e-13 relative (on a sum of 2e-4).
         np.testing.assert_allclose(got[2:], want[2:], rtol=1e-12, atol=1e-12)
 
 
-def _mp_conditioned(R, scales, y):
-    """E[e^{-R (C - y)} | C > y] for C a sum of exponentials of the given
-    scales (means), from C's density f in 60 digits.
+def _mp_ruin_weight(R, masses, coef, v):
+    """g(v) / h(v) for a table of categories, in 60 digits.
 
-    The conditional mean is the ratio of the integrals of e^{-R t} f(y + t)
-    and f(y + t) over t > 0.  An exponential term e^{-c/s} integrates to
-    e^{-y/s} / (R + 1/s) and e^{-y/s} s; c e^{-c/s} (two equal scales) to
-    e^{-y/s} (y / (R + 1/s) + 1 / (R + 1/s)^2) and e^{-y/s} (y s + s^2).
+    A category's negative coefficients are the scales s_i of its claim
+    phases, its positive ones those of its positive part P.  The claim
+    part C has the density f(x) = sum_i c_i e^{-x/s_i} / s_i with
+    c_i = prod_{j != i} s_i / (s_i - s_j), so past t = v + P it has the
+    mass sum_i c_i e^{-t/s_i} and the mean of e^{-R (C - t)} weighted by it
+    is sum_i c_i e^{-t/s_i} / (1 + R s_i); over each exponential of P,
+    of scale x, e^{-P/s} averages 1 / (1 + x / s).
     """
     with mpmath.workdps(60):
-        R, y = mpmath.mpf(R), mpmath.mpf(y)
-        s = [mpmath.mpf(v) for v in scales]
-        if len(s) == 1 or s[0] == s[1]:
-            a = R + 1 / s[0]
-            top, bottom = 1 / a, s[0]
-            if len(s) == 2:
-                top, bottom = y / a + 1 / a**2, y * s[0] + s[0] ** 2
-            return float(top / bottom)
-        e = [mpmath.exp(-y / v) for v in s]
-        top = e[0] / (R + 1 / s[0]) - e[1] / (R + 1 / s[1])
-        return float(top / (e[0] * s[0] - e[1] * s[1]))
+        R, v = mpmath.mpf(R), mpmath.mpf(v)
+        g = h = mpmath.mpf(0)
+        for p, column in zip(masses.tolist(), coef.T.tolist()):
+            scales = [mpmath.mpf(-x) for x in column if x < 0.0]
+            for i, s in enumerate(scales):
+                term = mpmath.mpf(p) * mpmath.exp(-v / s)
+                for j, t in enumerate(scales):
+                    if j != i:
+                        term *= s / (s - t)
+                for x in column:
+                    if x > 0.0:
+                        term /= 1 + mpmath.mpf(x) / s
+                h += term
+                g += term / (1 + R * s)
+        return float(g / h)
 
 
 @pytest.mark.parametrize("R", [0.3, 1.0 - 1e-9])
-@pytest.mark.parametrize("equal", [False, True], ids=["s1>s2", "s1=s2"])
-def test_conditioned_weight_matches_60_digit_form(R, equal):
-    # A table of four categories: claim pieces s1 and s2 together, s1
-    # alone, s2 alone, and none (a category that never ruins), at y / s
-    # from 0 to 1e6.  At R = 1 - 1e-9, s1 = 1 / (1 - R) is 1e9, the scale
-    # of a huge loading.
-    s1 = 1.0 / (1.0 - R)
-    s2 = s1 if equal else 1.0 / (2.0 - R)
+@pytest.mark.parametrize("two", [True, False], ids=["two-phase", "one-phase"])
+def test_ruin_weight_matches_60_digit_form(R, two):
+    # Tables of four categories: claim phases s1 and s2 together (or s1
+    # alone, in the one-phase table), s1 alone, s2 alone, and none (a
+    # category that never ruins), at v from 0 to 1e6.  At R = 1 - 1e-9,
+    # s1 = 1 / (1 - R) is 1e9, the scale of a huge loading.
+    gap = 1.0 - R
+    s1, s2 = 1.0 / gap, 1.0 / (1.0 + gap)
     coef = np.array([[-s1, -s1, -s2, 0.5],
-                     [-s2, 0.25, 0.25, 2.0],
+                     [-s2 if two else 3.0, 0.25, 0.25, 2.0],
                      [0.5, 0.0, 0.0, 0.0]])
-    pieces, deficit = _Deficit.of(coef, np.array([0.1, 0.4, 0.3, 0.2]), R)
-    assert pieces == 2
-    ratio = np.array([0.0, 1e-8, 0.5, 3.0, 50.0, 1e3, 1e6])
-    for cat, scales in ((0, (s1, s2)), (1, (s1,)), (2, (s2,))):
-        y = ratio * scales[-1]
-        got = deficit.weights(y.copy(), np.full(y.size, cat), np.empty(y.size)) + deficit.center
-        assert np.all((got > 0.0) & (got <= 1.0)), got
-        want = [_mp_conditioned(R, scales, v) for v in y]
-        # The weights come centred, which costs a few ulps of the centre
-        # where a weight is far below it (1e-18 against 1e-9 here).
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=4 * np.spacing(deficit.center))
-    assert deficit.weights(np.array([3.0]), np.array([3]), np.empty(1)) + deficit.center == 1.0
+    masses = np.array([0.4, 0.3, 0.1, 0.2])
+    ruin = _RuinWeight.of(masses, coef, R, gap)
+    # A2 < 0 where the two-phase category's term outweighs the s2 one's.
+    assert (ruin.a < 0.0) == (two and R < 0.5)
+    v = np.array([0.0, 1e-8, 0.5, 3.0, 50.0, 1e3, 1e6])
+    got = ruin.weights(v.copy()) + ruin.center
+    assert np.all((got > 0.0) & (got <= 1.0)), got
+    want = [_mp_ruin_weight(R, masses, coef, x) for x in v]
+    # The weights come centred, which costs a few ulps of the centre;
+    # measured apart by at most 3.1e-16 relative.
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=4 * np.spacing(ruin.center))
+    # W' is monotone in v, from W'(0) to the centre.
+    assert abs(got[0] - ruin.center) == pytest.approx(ruin.spread, rel=1e-15)
 
 
 def test_conditioned_weight_needs_one_pair_of_claim_scales():
-    # The scalar formula serves every two-piece category, so they must
-    # share their scales, as ``_mixture``'s do.
-    coef = np.array([[-4.0, -3.0], [-1.0, -1.0]])
-    with pytest.raises(ValueError, match="different claim scales"):
-        _Deficit.of(coef, np.array([0.5, 0.5]), 0.3)
+    # The table's two terms are the claim's two phases, so every claim
+    # coefficient must be one of them, at most once per category, as in
+    # ``_mixture``'s tables.
+    gap = 0.7
+    for coef in (np.array([[-4.0, -3.0], [-1.0, -1.0]]),
+                 np.array([[-1.0 / gap, -1.0 / gap], [-1.0 / gap, 1.0]])):
+        with pytest.raises(ValueError, match="claim's two scales"):
+            _ruin_table(np.array([0.5, 0.5]), coef, gap)
+
+
+def _quad_ruin_weight(model, R, gap, v):
+    """g(v) / h(v) from the tilted pair law at unit rates, by quadrature over the time.
+
+    The tilted density of (X, W) is e^{R(x - c w)} e^{-x} f_W(w)
+    [1 + theta (2 e^{-x} - 1) b(w)], b = 1 - 2 F_W(w).  A step ruins from v
+    when x > t = v + c w.  Integrated over x > t, the density gives
+    e^{-R c w} f_W(w) [(1 - theta b) e^{-gap t} / gap
+    + 2 theta b e^{-(1 + gap) t} / (1 + gap)], and the density times
+    e^{-R(x - t)} gives e^{R v} f_W(w) [(1 - theta b) e^{-t} + theta b e^{-2t}].
+    Each is integrated over y = c w by quad.
+    """
+    c, theta = model.c, model.theta
+    # The density and the distribution function F_W, free of cancellation
+    # at small w, where 1 - theta b = (1 - theta) + 2 theta F_W.
+    if isinstance(model.arrival, Erlang2):
+        def law(w):
+            return w * math.exp(-w), special.gammainc(2.0, w)
+    else:
+        def law(w):
+            return math.exp(-w), -math.expm1(-w)
+
+    def parts(y):
+        density, cdf = law(y / c)
+        tb = theta * (1.0 - 2.0 * cdf)
+        t = v + y
+        h = (((1.0 - theta) + 2.0 * theta * cdf) * math.exp(-gap * t) / gap
+             + 2.0 * tb * math.exp(-(1.0 + gap) * t) / (1.0 + gap)) * math.exp(-R * y)
+        g = (((1.0 - theta) + 2.0 * theta * cdf) * math.exp(-t) + tb * math.exp(-2.0 * t)) * math.exp(R * v)
+        return density / c * h, density / c * g
+
+    h = integrate.quad(lambda y: parts(y)[0], 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    g = integrate.quad(lambda y: parts(y)[1], 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return g[0] / h[0]
+
+
+@pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(1.0)], ids=["poisson", "erlang"])
+@pytest.mark.parametrize("theta", [-1.0, -0.5, 0.5, 1.0])
+@pytest.mark.parametrize("c", [1.5, 101.0, 1e4])
+def test_ruin_weight_matches_quadrature(arrival, theta, c):
+    # The closed form W'(v) = g / h from ``_mixture``'s categories against
+    # the same ratio integrated from the tilted pair law itself, which
+    # shares no code with the tilt (R and 1 - R aside, from _lundberg_root).
+    # Measured apart by at most 3.4e-15 relative.
+    model = ModelSpec(c, ExpClaim(1.0), arrival, FgmParam(theta))
+    tilt = _tilt(model, 0.0)
+    R, gap = _lundberg_root(c, theta, isinstance(arrival, Erlang2))
+    assert tilt.R == R and tilt.ruin.center == gap
+    v = np.array([0.0, 0.5, 3.0, 30.0])
+    got = tilt.ruin.weights(v.copy()) + tilt.ruin.center
+    want = [_quad_ruin_weight(model, R, gap, x) for x in v]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(1.0)], ids=["poisson", "erlang"])
+@pytest.mark.parametrize("c", [1.5, 101.0, 1e4])
+def test_ruin_weight_is_one_minus_R_at_independence(arrival, c):
+    # At theta = 0 every ruinous category has the one claim phase of scale
+    # 1 / (1 - R): every weight is 1 - R, and the table leaves no spread.
+    model = ModelSpec(c, ExpClaim(1.0), arrival, FgmParam(0.0))
+    tilt = _tilt(model, 0.0)
+    assert tilt.ruin.center == 1.0 - tilt.R or tilt.ruin.center == _lundberg_root(
+        c, 0.0, isinstance(arrival, Erlang2))[1]
+    assert tilt.ruin.a == 0.0 and tilt.ruin.scale == 0.0 and tilt.ruin.spread == 0.0
+    assert np.all(tilt.ruin.weights(np.array([0.0, 0.5, 3.0, 30.0])) == 0.0)
