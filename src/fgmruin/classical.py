@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import InputError
 from .model import ExpPoisson, ModelSpec, unit_rates

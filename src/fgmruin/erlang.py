@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import InputError, StructuralError
 from .model import Erlang2, ModelSpec, unit_rates

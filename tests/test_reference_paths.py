@@ -17,9 +17,10 @@ comparison per cut, boolean gathers of the passages and survivors, and
 ``searchsorted`` on every live row for the lower levels of a grid.  A block
 must sum the same bits of the plain weights per level, on single levels,
 duplicate levels and a 41-level grid, and the weights conditioned on the
-walk before each passage to a measured tolerance.  That weight's table is
-pinned against 60-digit sums over a category table and against quadrature
-of the tilted pair law, which shares no code with the sampler.
+walk before each passage to a measured tolerance.  That weight's closed
+form, from the arrival transforms, is pinned against 60-digit sums over the
+sampler's own category tables and against quadrature of the tilted pair
+law, which shares no code with the sampler.
 """
 
 import math
@@ -65,7 +66,7 @@ from fgmruin.simulate import (
     _block_rng,
     _claims_per_round,
     _lundberg_root,
-    _ruin_table,
+    _mixture,
     _run_tilted_block,
     _tilt,
 )
@@ -560,42 +561,28 @@ def _mp_ruin_weight(R, masses, coef, v):
         return float(g / h)
 
 
-@pytest.mark.parametrize("R", [0.3, 1.0 - 1e-9])
-@pytest.mark.parametrize("two", [True, False], ids=["two-phase", "one-phase"])
-def test_ruin_weight_matches_60_digit_form(R, two):
-    # Tables of four categories: claim phases s1 and s2 together (or s1
-    # alone, in the one-phase table), s1 alone, s2 alone, and none (a
-    # category that never ruins), at v from 0 to 1e6.  At R = 1 - 1e-9,
-    # s1 = 1 / (1 - R) is 1e9, the scale of a huge loading.
-    gap = 1.0 - R
-    s1, s2 = 1.0 / gap, 1.0 / (1.0 + gap)
-    coef = np.array([[-s1, -s1, -s2, 0.5],
-                     [-s2 if two else 3.0, 0.25, 0.25, 2.0],
-                     [0.5, 0.0, 0.0, 0.0]])
-    masses = np.array([0.4, 0.3, 0.1, 0.2])
-    ruin = _RuinWeight.of(masses, coef, R, gap)
-    # A2 < 0 where the two-phase category's term outweighs the s2 one's.
-    assert (ruin.a < 0.0) == (two and R < 0.5)
+@pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(1.0)], ids=["poisson", "erlang"])
+@pytest.mark.parametrize("theta", [-1.0, -0.5, 0.5, 1.0])
+@pytest.mark.parametrize("c", [1.5, 101.0, 1e4, 1e6, 1e10])
+def test_ruin_weight_matches_60_digit_form(arrival, theta, c):
+    # The closed form from the arrival transforms against g / h summed over
+    # ``_mixture``'s own categories in 60 digits, at v from 0 to 1e6.  At
+    # c' = 1e10 every claim scale 1 / (1 - R) is 1e9 or more, the scale of a
+    # huge loading.  Measured apart by at most 6.8e-16 relative.
+    erlang = isinstance(arrival, Erlang2)
+    R, gap = _lundberg_root(c, theta, erlang)
+    assert c < 1e10 or 1.0 / gap >= 1e9
+    masses, coef = _mixture(c, theta, erlang, R, gap)
+    ruin = _RuinWeight.of(c, theta, erlang, R, gap)
+    assert ruin.a > -0.5
     v = np.array([0.0, 1e-8, 0.5, 3.0, 50.0, 1e3, 1e6])
     got = ruin.weights(v.copy()) + ruin.center
     assert np.all((got > 0.0) & (got <= 1.0)), got
     want = [_mp_ruin_weight(R, masses, coef, x) for x in v]
-    # The weights come centred, which costs a few ulps of the centre;
-    # measured apart by at most 3.1e-16 relative.
+    # The weights come centred, which costs a few ulps of the centre.
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=4 * np.spacing(ruin.center))
     # W' is monotone in v, from W'(0) to the centre.
     assert abs(got[0] - ruin.center) == pytest.approx(ruin.spread, rel=1e-15)
-
-
-def test_conditioned_weight_needs_one_pair_of_claim_scales():
-    # The table's two terms are the claim's two phases, so every claim
-    # coefficient must be one of them, at most once per category, as in
-    # ``_mixture``'s tables.
-    gap = 0.7
-    for coef in (np.array([[-4.0, -3.0], [-1.0, -1.0]]),
-                 np.array([[-1.0 / gap, -1.0 / gap], [-1.0 / gap, 1.0]])):
-        with pytest.raises(ValueError, match="claim's two scales"):
-            _ruin_table(np.array([0.5, 0.5]), coef, gap)
 
 
 def _quad_ruin_weight(model, R, gap, v):
