@@ -7,11 +7,13 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
 * reach: the surplus attains a level b before ever falling below zero.
   Paths use the model's own pairs from ``model.sample_pairs``: the
   inter-claim time is drawn from its own law, and the claim amount by
-  conditional inversion of the copula given the time's grade.  The hit
-  fraction is corrected by a regression control variate from the same
-  draws: the Lundberg martingale e^{-R S_n} of the walk, stopped and
-  conditioned on its stopping step (``_Martingale``), whose mean
-  e^{-R u} is known.
+  conditional inversion of the copula given the time's grade.  Each path
+  contributes I', the probability that its stopping step reaches b given
+  the walk before that step, a closed form in that walk alone, in place
+  of its reach indicator, and the mean of I' is corrected by a regression
+  control variate from the same draws: the Lundberg martingale e^{-R S_n}
+  of the walk, stopped and averaged the same way (``_Martingale``), whose
+  mean e^{-R u} is known.
 * survival: ruin never happens.  Siegmund's importance sampler draws the
   pairs from the exponentially tilted law e^{R(x - cw)} f(x, w), where R
   is the adjustment coefficient; under it ruin is certain, and each path
@@ -51,10 +53,10 @@ gathers its passages by index, and on a grid searches only the paths
 whose round minimum passed the level they had pending.  Each of these
 computes the same values in the same order as a comparison per cut, a
 boolean gather and a search of every path, so the plain weights keep
-their bits.  The walk before each top-level passage, and each reach
-path's surplus before and after the premium of its stopping step, are
-logged one per path, and their conditioned weights or controls are
-computed once per block.
+their bits.  The walk before each top-level passage, and the walk before
+each reach path's stopping step, are logged one per path, and their
+conditioned weights, or conditioned indicators and controls, are computed
+once per block.
 """
 
 from __future__ import annotations
@@ -95,11 +97,15 @@ class SimEstimate:
     Attributes:
         value: Estimated probability.
         stderr: Standard error: for reach estimates that of the
-            residual of the control-variate regression (binomial where the
-            control has no variance), for survival the sample standard
-            error of the importance weights conditioned on the walk
-            before each ruinous step, floored at what one path can move
-            the mean (0 where every weight is equal, as at theta = 0).
+            residual of the control-variate regression of the conditioned
+            indicator on the conditioned control (the indicator's own
+            where the control has no variance), floored at the rounding
+            error of the value, which binds where the residual is
+            constant, as at theta = 0 with Poisson times; for survival
+            the sample standard error of the importance weights
+            conditioned on the walk before each ruinous step, floored at
+            what one path can move the mean (0 where every weight is
+            equal, as at theta = 0).
         n: Number of simulated paths.
         seed: Seed that reproduces the estimate exactly.
     """
@@ -190,33 +196,77 @@ def _before(walk: np.ndarray, start: np.ndarray, at: np.ndarray,
     return before
 
 
-_FLOAT_MAX = float(np.finfo(float).max)
+def _poly(coef: tuple, w: np.ndarray, out: np.ndarray):
+    """sum_k coef[k] w^k into ``out``, or the number coef[0] itself where there is no w term."""
+    if len(coef) == 1:
+        return coef[0]
+    np.multiply(w, coef[-1], out=out)
+    for a in coef[-2:0:-1]:
+        out += a
+        out *= w
+    out += coef[0]
+    return out
+
+
+class _Stopping(NamedTuple):
+    """The coefficients of ``_Martingale.masses`` at one level: numbers, and polynomials in w*."""
+
+    b: float  # the level in claim units
+    reach: tuple  # h+
+    a_inf: float  # h- = a_inf t + d0 t q + m0(w*) + p m1(w*)
+    d0: float
+    m0: tuple
+    m1: tuple
+    z0: tuple  # z = kappa d0 t q + z0(w*) + p z1(w*)
+    z1: tuple
 
 
 class _Martingale(NamedTuple):
-    """The Lundberg martingale e^{-R S_n} of a reach walk, conditioned on its stopping step.
+    """The Lundberg martingale of a reach walk, conditioned on the walk before its stopping step.
 
     The walk is at unit rates (``model.unit_rates``): money in mean claims
-    1/alpha, time in 1/lam or 1/beta, premium c'.  At claim instants the
-    surplus S_n is a random walk and E[e^{R(X - c'W)}] = 1, so e^{-R S_n}
-    is a martingale with mean e^{-R alpha u}.  A path stops at step N with
-    its pre-claim surplus P = S_{N-1} + c'W: it has reached b if P >= b,
-    and is ruined if the claim passes P.  Given W the claim is the signed
-    mixture (1 - tb) Exp(1) + tb Exp(2), tb = theta (1 - 2 F_W(W)), the law
-    ``sample_pairs`` inverts, so e^{-R S_N} given the step has a closed
-    form Y, with k1 = 1 / (1 - R) and k2 = 2 / (2 - R):
-    e^{-R P} [(1 - tb) k1 + tb k2] on reach and
-    [(1 - tb) k1 + tb e^{-P} k2] / [(1 - tb) + tb e^{-P}] on ruin.  By
-    optional stopping and the tower property E[Y] = e^{-R alpha u}.
+    1/alpha, time in 1/lam or 1/beta, premium c = c'.  At claim instants the
+    surplus S_n is a random walk and E[e^{R(X - cW)}] = 1, so e^{-R S_n}
+    is a martingale with mean e^{-R alpha u}.  From s = S_{N-1} in [0, b)
+    the next step's pre-claim surplus is P = s + cW: the path reaches b if
+    P >= b, that is W >= w* = (b - s) / c, and is ruined if the claim
+    passes P.  Given W the claim is the signed mixture
+    (1 - tb) Exp(1) + tb Exp(2), tb = theta (1 - 2 F_W(W)), the law
+    ``sample_pairs`` inverts, so E[e^{-R S_N} | W] is
+    e^{-R P} [(1 - tb) k1 + tb k2] on reach, k1 = 1 / (1 - R) and
+    k2 = 2 / (2 - R), and the claim passes P with probability
+    e^{-P} (1 - tb + tb e^{-P}).  The control is Z = 1 - (1 - R) e^{-R S_N},
+    which lies in [-1, 1] at any loading (k1 alone reaches 1e298 at loading
+    1e75) and keeps its relative precision as R goes to 0, where the
+    regression slope grows like 1 / R; with kappa = R / (2 - R) its mean
+    given the step is 1 - e^{-R P} (1 - kappa tb) on reach and, times the
+    ruin probability, kappa tb e^{-2P} on ruin.
 
-    ``controls`` returns Z = 1 - (1 - R) Y, with kappa = R / (2 - R):
-    1 - e^{-R P} (1 - kappa tb) on reach, kappa f on ruin, where
-    f = tb e^{-P} / (1 - tb + tb e^{-P}) lies in [-1, 1].  Z lies in
-    [-1, 1] at any loading (k1 alone reaches 1e298 at loading 1e75) and
-    keeps its relative precision as R goes to 0, where the regression
-    slope grows like 1 / R; its mean is ``mean``(alpha u).  Where
-    ``_lundberg_root`` refuses, R is 0 and every Z is 0, a control with no
-    variance.
+    Given s, the step stops by reaching with mass H+ = P(W >= w*) and by
+    ruin with mass H- = E[e^{-P} (1 - tb + tb e^{-P}); W < w*], and Z's
+    mean over them is Z+ = E[1 - e^{-R P} (1 - kappa tb); W >= w*] and
+    Z- = E[kappa tb e^{-2P}; W < w*].  ``controls`` returns, per path,
+    I' = H+ / (H+ + H-) and Z' = (Z+ + Z-) / (H+ + H-): the indicator and
+    the control averaged given s and that the path stops at this step.  By
+    the tower property over the stopping step n,
+    E[1{N = n} I'] = E[1{N > n - 1} H+] = E[1{N = n} I], and likewise for
+    Z, so I' is unbiased and Z' keeps the mean ``mean``(alpha u).
+
+    Each mass is an integral over W of e^{-aW} f_W or e^{-aW} f_W Fbar_W
+    (Fbar_W = 1 - F_W, and 1 - 2 F_W = 2 Fbar_W - 1) times e^{-s} or
+    e^{-2s}, over [0, w*) or [w*, inf), and each such integral is a
+    constant less, or is, e^{-a w*} times a polynomial in w*: of degree 0
+    for Poisson times, up to 2 for Erlang(2) (``stopping``).  Scaled by
+    p = e^{-w*}, and since s + c w* = b turns every other exponential into
+    e^{-b} or e^{-2b}, the masses are combinations of t = e^{w* - s},
+    t q = e^{w* - 2s} (q = e^{-s}), p and 1 with polynomial coefficients:
+    h+ = H+ / p is 1 or 1 + w*, h- = H- / p and z = (Z+ + Z-) / p are
+    ``masses``.  I' = h+ / (h+ + h-) then never divides by less than 1,
+    nor 0 by 0 where e^{-s} and e^{-w*} both underflow (b past 745).  t and
+    t q are taken at w* - s <= 700, both shifted alike (this binds only
+    past b = 700 c, and moves I' and Z' by less than e^{-700}).  Where
+    ``_lundberg_root`` refuses, R is 0 and every Z' is 0, a control with
+    no variance.
     """
 
     model: ModelSpec  # the model at unit rates, whose pairs the paths walk
@@ -240,95 +290,150 @@ class _Martingale(NamedTuple):
         """E[Z] = 1 - (1 - R) e^{-R u} = R - (1 - R) expm1(-R u), from u in claim units."""
         return self.R - self.gap * math.expm1(-self.R * u)
 
-    def controls(self, top: np.ndarray, before: np.ndarray, reach: np.ndarray,
-                 spare: list[np.ndarray]) -> np.ndarray:
-        """Z of each path from its logged P (``top``) and S_{N-1} (``before``).
+    def stopping(self, b: float) -> _Stopping:
+        """The coefficients of ``masses`` at level b in claim units.
 
-        ``reach`` is 1.0 where P >= b and 0.0 elsewhere; the income c'W is P
-        less S_{N-1}.  Both formulas are evaluated on every path and blended
-        by ``reach`` (a gather or ``where`` on a mask that interleaves the
-        two kinds of path measured 20 times slower than a multiply).  Every
-        buffer but ``reach`` is overwritten; Z is returned in ``spare[0]``,
-        and ``spare`` holds two more arrays of its size.  P is clipped to the
-        largest float (a premium near 1e308 overflows it to inf, where R = 0
-        would give 0 * inf) and e^{-P} is taken at P <= 700, so the ruin
-        ratio never divides 0 by 0 (tb = 1 once W rounds below an ulp at
-        theta = 1) and moves by less than 1e-288.
+        The integrals of e^{-aW} f_W and e^{-aW} f_W Fbar_W over [w*, inf)
+        are e^{-a w*} U(a)(w*) and e^{-a w*} V(a)(w*), with U(a) = V(a) =
+        [1/a] for Poisson times and U(a) = [1/a^2, 1/a],
+        V(a) = [1/a^2 + 2/a^3, 1/a + 2/a^2, 1/a] for Erlang(2), low degree
+        first; over [0, w*) they are the constant term less that.  So,
+        with a = (1 + theta) U(1 + c), a_p = 2 theta V(2 + c),
+        d = theta U(1 + 2c) and d_p = 2 theta V(2 + 2c), the ruin mass is
+        H- / p = t [a - a_p]_0 - e^{-b} (a(w*) - p a_p(w*))
+        + t q [d_p - d]_0 - e^{-2b} (p d_p(w*) - d(w*)), and Z- is kappa
+        times its d terms.  Above w*, e^{-R P} = e^{-R b} e^{-R c (W - w*)},
+        so with a1 = 1 + R c and g = e^{-R b},
+        Z+ / p = (1 - g) h+ + g (h+ - U(a1)(w*)) - kappa theta g U(a1)(w*)
+        + 2 kappa theta g p V(2 + R c)(w*).  h+ - U(a1) is R c [1/a1] or
+        R c [(a1 + 1)/a1^2, 1/a1], and R c - kappa theta =
+        R (c - theta / (2 - R)), so no term of Z+ cancels but by the
+        loading's own conditioning.
         """
-        model = self.model
-        theta = model.theta
-        z, tb, t = spare
-        np.minimum(top, _FLOAT_MAX, out=top)
-        w = np.subtract(before, top, out=before)
-        w *= 1.0 / model.c
-        # tb = theta (2 e^{-W} - 1) or theta (2 e^{-W} (1 + W) - 1); w holds -W.
-        np.exp(w, out=tb)
-        if isinstance(model.arrival, Erlang2):
-            np.subtract(1.0, w, out=w)
-            tb *= w
-        tb *= 2.0 * theta
-        tb -= theta
-        # Ruin: kappa tb e^{-P} / (1 - tb + tb e^{-P}), in z.
-        np.minimum(top, 700.0, out=z)
-        np.negative(z, out=z)
+        R, theta, c, kappa = self.R, self.model.theta, self.model.c, self.kappa
+        erlang = isinstance(self.model.arrival, Erlang2)
+
+        # Divisions, not powers: a reaches 2e308 at the largest premiums,
+        # where a power overflows and a quotient underflows to 0.
+        def u_(k, a):
+            return (k / a / a, k / a) if erlang else (k / a,)
+
+        def v_(k, a):
+            if not erlang:
+                return (k / a,)
+            return (k / a / a * (1.0 + 2.0 / a), k / a * (1.0 + 2.0 / a), k / a)
+
+        def add(x, y, kx=1.0, ky=1.0):
+            """kx x + ky y, term by term."""
+            return tuple(kx * i + ky * j for i, j in zip(x, y, strict=True))
+
+        a1 = 1.0 + R * c
+        g, one_g = math.exp(-R * b), -math.expm1(-R * b)
+        e1, e2 = math.exp(-b), math.exp(-2.0 * b)
+        # R c / a1 <= 1, and kappa theta / a1.
+        rc, kt = R * c / a1, kappa * theta / a1
+        lead = one_g + g * (rc - kt)
+        if erlang:
+            z_reach = (one_g + g * (rc * (1.0 + 1.0 / a1) - kt / a1), lead)
+        else:
+            z_reach = (lead,)
+        a, a_p = u_(1.0 + theta, 1.0 + c), v_(2.0 * theta, 2.0 + c)
+        d, d_p = u_(theta, 1.0 + 2.0 * c), v_(2.0 * theta, 2.0 + 2.0 * c)
+        return _Stopping(
+            b, (1.0, 1.0) if erlang else (1.0,), a[0] - a_p[0], d_p[0] - d[0],
+            add(d, a, e2, -e1), add(a_p, d_p, e1, -e2),
+            add(z_reach, d, 1.0, kappa * e2),
+            add(v_(2.0 * kappa * theta * g, 2.0 + R * c), d_p, 1.0, -kappa * e2))
+
+    def masses(self, s: np.ndarray, stop: _Stopping, spare) -> tuple:
+        """h+ = H+ / p, h- = H- / p and z = (Z+ + Z-) / p of each path from its logged s.
+
+        Computed in place over ``s`` and the arrays of ``spare``: h- is
+        returned in ``spare[0]`` and z in ``spare[1]``; h+ is the number 1
+        (Poisson) or 1 + w* in ``spare[3]`` (Erlang(2)).  Poisson times use
+        the first four spares, Erlang(2) times five.
+        """
+        h, z, t, w, x = spare[:5]
+        c = self.model.c
+        np.subtract(stop.b, s, out=w)
+        w *= 1.0 / c
+        # t = e^{w* - s} and t q = e^{w* - 2s}, in t and s; w* - s < b / c.
+        np.subtract(w, s, out=t)
+        if stop.b > 700.0 * c:
+            np.minimum(t, 700.0, out=t)
+        np.subtract(t, s, out=s)
+        np.exp(t, out=t)
+        np.exp(s, out=s)
+        # p, in z until z needs it no more.
+        np.negative(w, out=z)
         np.exp(z, out=z)
-        z *= tb
-        np.subtract(1.0, tb, out=t)
-        t += z
-        z /= t
-        z *= self.kappa
-        # Reach: K - expm1(-R P) (1 - K), K = kappa tb, in tb; then blended.
-        tb *= self.kappa
-        np.multiply(top, -self.R, out=w)
-        np.expm1(w, out=w)
-        np.subtract(1.0, tb, out=t)
-        w *= t
-        tb -= w
-        tb -= z
-        tb *= reach
-        z += tb
-        return z
+        np.multiply(z, _poly(stop.m1, w, x), out=h)
+        h += _poly(stop.m0, w, x)
+        t *= stop.a_inf
+        h += t
+        s *= stop.d0
+        h += s
+        z *= _poly(stop.z1, w, x)
+        z += _poly(stop.z0, w, x)
+        s *= self.kappa
+        z += s
+        return _poly(stop.reach, w, w), h, z
+
+    def controls(self, s: np.ndarray, stop: _Stopping, spare) -> tuple:
+        """I' and Z' of each path from its logged s, in ``spare[0]`` and ``spare[1]``.
+
+        Computed in place over ``s`` and ``spare`` (see ``masses``), with
+        one division per path, for 1 / (h+ + h-).
+        """
+        reach, total, z = self.masses(s, stop, spare)
+        total += reach
+        np.divide(1.0, total, out=total)
+        z *= total
+        if not isinstance(reach, float):
+            total *= reach
+        return total, z
 
 
 class _ReachLog:
     """Block-size buffers a reach request's blocks log their stopping steps into.
 
-    ``top`` and ``before`` hold each path's pre-claim surplus P and its
-    surplus S_{N-1} before the step at which it stopped, in stopping order;
-    ``reach`` and ``spare`` are room for ``_Martingale.controls``.  The
-    spares are three arrays, not one (3, size) block: freeing a 768 KB
-    block raised glibc's mmap threshold for the rest of the process, after
-    which every numpy temporary of a block's size measured faster.
+    ``before`` holds each path's walk s = S_{N-1} before the step at which
+    it stopped, in stopping order, and ``spare`` is room for
+    ``_Martingale.controls``.  The spares are five arrays, not one
+    (5, size) block: freeing a 768 KB block raised glibc's mmap threshold
+    for the rest of the process, after which every numpy temporary of a
+    block's size measured faster.
     """
 
     def __init__(self, size: int):
-        self.top = np.empty(size)
         self.before = np.empty(size)
-        self.reach = np.empty(size)
-        self.spare = tuple(np.empty(size) for _ in range(3))
+        self.spare = tuple(np.empty(size) for _ in range(5))
 
 
 def _slope(cov: float, var: float) -> float:
-    """The regression slope cov / var of I on Z, 0 where Z has no variance."""
+    """The regression slope cov / var of I' on Z', 0 where Z' has no variance."""
     return cov / var if var > 0.0 else 0.0
 
 
-def _run_block(walk: _Martingale, u: float, b: float, size: int, seed: int,
+def _run_block(walk: _Martingale, u: float, stop: _Stopping, size: int, seed: int,
                block: int, log: _ReachLog) -> np.ndarray:
-    """Sums over the block's paths of the reach indicator I and the control Z.
+    """Sums over the block's paths of the conditioned indicator I' and control Z'.
 
-    u and b are in claim units, and the paths walk ``walk.model``.  Each
-    path's P and S_{N-1} are logged in ``log`` round by round, and the
-    controls are computed once the block is done.  Returns [size, hits,
-    sum Z, sum (Z - mean Z)^2, sum (I - mean I)(Z - mean Z), sum e^2], the
-    means taken over the block and e = I - mean I - beta_b (Z - mean Z) the
-    residual of the block's own slope beta_b (``_slope``).
+    u and the level ``stop.b`` are in claim units, and the paths walk
+    ``walk.model``.  Each path's S_{N-1} is logged in ``log`` round by
+    round, and I' and Z' are computed once the block is done.  Returns
+    [size, hits, sum I', sum Z', sum (Z' - mean Z')^2,
+    sum (I' - mean I')(Z' - mean Z'), sum e^2], the means taken over the
+    block and e = I' - mean I' - beta_b (Z' - mean Z') the residual of the
+    block's own slope beta_b (``_slope``); hits counts the paths that
+    reached b, which the estimate does not use.
     """
     rng = _block_rng(seed, block)
     model = walk.model
+    b = stop.b
     # Surplus of the paths still inside [0, b), kept in path order.
     surplus = np.full(size, u)
-    stopped = drawn = 0
+    stopped = drawn = hits = 0
     while surplus.size:
         live = surplus.size
         k, drawn = _next_round(live, drawn)
@@ -344,30 +449,30 @@ def _run_block(walk: _Martingale, u: float, b: float, size: int, seed: int,
         _walk(post, surplus)
         top = x.reshape(live, k)
         top += post
-        event = top >= b
-        event |= post < 0.0
+        reach = top >= b
+        event = post < 0.0
+        event |= reach
         fired, at = _first_events(event)
+        # With one claim per path every reach is its path's first event.
+        hits += np.count_nonzero(reach if k == 1 else reach.take(at))
         end = stopped + at.size
-        top.take(at, out=log.top[stopped:end], mode="clip")
         _before(post, surplus, at, log.before[stopped:end])
         # np.compress, not a boolean index: about 1.7 times faster on a
         # (32768, 1) round (numpy 2.4).
         surplus = np.compress(~fired, post[:, -1])
         stopped = end
-    reach = np.greater_equal(log.top[:size], b, out=log.reach[:size])
-    hits = reach.sum()
-    z = walk.controls(log.top[:size], log.before[:size], reach,
-                      [a[:size] for a in log.spare])
-    total = z.sum()
-    z -= total / size
-    reach -= hits / size
+    spare = [a[:size] for a in log.spare]
+    i, z = walk.controls(log.before[:size], stop, spare)
+    total_i, total_z = i.sum(), z.sum()
+    z -= total_z / size
+    i -= total_i / size
     sq = z @ z
-    cross = reach @ z
+    cross = i @ z
     # The residual of the block's own fit, path by path: its sum of squares
-    # holds no cancelling digits, unlike Var I - Cov^2 / Var Z.
-    e = np.multiply(z, -_slope(cross, sq), out=log.spare[1][:size])
-    e += reach
-    return np.array([size, hits, total, sq, cross, e @ e])
+    # holds no cancelling digits, unlike Var I' - Cov^2 / Var Z'.
+    e = np.multiply(z, -_slope(cross, sq), out=spare[2])
+    e += i
+    return np.array([size, hits, total_i, total_z, sq, cross, e @ e])
 
 
 def estimate_reach_prob(
@@ -381,20 +486,35 @@ def estimate_reach_prob(
     """Simulated probability of reaching b before ruin from surplus u.
 
     Each path walks at unit rates (see ``_Martingale``) from alpha u until
-    its pre-claim surplus reaches alpha b or a claim ruins it.  The hit
-    fraction I-bar is corrected by a regression control variate on the
-    same draws: the conditioned stopped Lundberg martingale Z, whose mean
-    is known,
+    its pre-claim surplus reaches alpha b or a claim ruins it.  Each path
+    contributes I', the probability that its stopping step reaches b given
+    the walk s before that step and that the path stops there, in place of
+    its reach indicator I, and Z', the stopped Lundberg martingale's
+    control averaged the same way, whose mean is known (``_Martingale``).
+    Both are closed forms in s alone, from the same draws.  The mean of I'
+    is corrected by a regression control variate,
 
-        chi = I-bar - beta (Z-bar - E[Z]),  beta = Cov(I, Z) / Var(Z),
+        chi = I'-bar - beta (Z'-bar - E[Z]),  beta = Cov(I', Z') / Var(Z'),
 
     clipped to [0, 1], with the standard error
-    sqrt((Var I - Cov(I, Z)^2 / Var Z) / n), the moments combined from
-    per-block centred sums.  beta is 0 where Z has no variance, as where
+    sqrt((Var I' - Cov(I', Z')^2 / Var Z') / n), the moments combined from
+    per-block centred sums.  beta is 0 where Z' has no variance, as where
     ``_lundberg_root`` refuses the loading (above 1e75); the estimate is
-    then the hit fraction with its binomial standard error.  At the
-    benchmark's reach requests the control divides the variance by about
-    170 - 230 (README "Monte Carlo").
+    then the mean of I' with its sample standard error.  At the
+    benchmark's reach requests the conditioning divides the control
+    variate's variance by about 5 - 9 (README "Monte Carlo").
+
+    The standard error is floored at the rounding error of the value
+    itself.  I' and Z' are each computed to a few ulps (the closed forms
+    agree with 30-digit quadrature to 2e-15 relative), and so are their
+    block sums and the value's three means; the value, I'-bar less
+    beta (Z'-bar - E[Z]), then carries an error of a few ulps of
+    |I'-bar| + |beta| (|Z'-bar| + |E[Z]|), and the floor is 4 ulps of it.
+    It binds only where the residual I' - beta Z' is constant, as at
+    theta = 0 with Poisson times, where I' is a fixed multiple of Z' and
+    the estimate is exact: the sample standard error there is roundoff
+    alone (about 1e-18), against which an estimate 1 ulp off would read
+    |z| near 100.
 
     The estimate is a deterministic function of (seed, n); n must be a
     positive integer and the seed a nonnegative one.  ``workers`` is kept
@@ -415,27 +535,29 @@ def estimate_reach_prob(
     if b == u:
         return SimEstimate(1.0, 0.0, n, seed)
     walk = _Martingale.of(model)
-    start, level = walk.alpha * u, walk.alpha * b
+    start, stop = walk.alpha * u, walk.stopping(walk.alpha * b)
     log = _ReachLog(min(n, _BLOCK_SIZE))
     # A surplus past the largest float (premiums near 1e308) overflows to
     # inf, which reaches b: the right outcome, so numpy need not warn.
     with np.errstate(over="ignore"):
-        size, hits, total, sq, cross, resid = np.array(_map_blocks(
-            lambda size, block: _run_block(walk, start, level, size, seed, block, log), n
+        size, _, total_i, total_z, sq, cross, resid = np.array(_map_blocks(
+            lambda size, block: _run_block(walk, start, stop, size, seed, block, log), n
         )).T
     # Chan, Golub and LeVeque's pairwise update, over the blocks at once.
     # The residual sum of squares about the pooled slope beta is each
-    # block's own plus Var_b Z (beta - beta_b)^2 plus the blocks' mean
+    # block's own plus Var_b Z' (beta - beta_b)^2 plus the blocks' mean
     # residuals: every term is nonnegative.
-    p = hits.sum() / n
-    mean = total.sum() / n
-    shift_i, shift_z = hits / size - p, total / size - mean
+    p = total_i.sum() / n
+    mean = total_z.sum() / n
+    shift_i, shift_z = total_i / size - p, total_z / size - mean
     beta = _slope(cross.sum() + (size * shift_i) @ shift_z, sq.sum() + (size * shift_z) @ shift_z)
-    value = min(max(float(p - beta * (mean - walk.mean(start))), 0.0), 1.0)
+    known = walk.mean(start)
+    value = min(max(float(p - beta * (mean - known)), 0.0), 1.0)
     slopes = np.array([_slope(c, v) for c, v in zip(cross.tolist(), sq.tolist())])
     shift = shift_i - beta * shift_z
     rss = resid.sum() + sq @ (beta - slopes) ** 2 + (size * shift) @ shift
-    stderr = math.sqrt(rss) / n
+    rounding = 4.0 * np.finfo(float).eps * (abs(p) + abs(beta) * (abs(mean) + abs(known)))
+    stderr = max(math.sqrt(rss) / n, float(rounding))
     return SimEstimate(value, stderr, n, seed)
 
 

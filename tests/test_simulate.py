@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -72,11 +73,34 @@ class TestEstimateReach:
         n = 200_000
         est = estimate_reach_prob(m, 1.0, 20.0, n=n, seed=7)
         _binomial_gate(est, truth, n)
-        # The control variate leaves a stderr near 5e-7, and the estimate
-        # agrees with solve_chi to 4 of it (z = +1.98 here; over 100 other
-        # seeds the mean z is -0.08).
-        assert est.stderr < 1e-5
+        # At theta = 0, I' is a fixed multiple of Z', so the estimate is
+        # exact: it reads 2 ulps from solve_chi (z = -0.16), and the stderr
+        # is the rounding floor, 1.4e-15 (the sample stderr is about 1e-18).
+        assert est.stderr < 1e-14
         assert abs(est.value - float(chi(m, 1.0, 20.0))) <= 4.0 * est.stderr
+
+    def test_far_level_takes_the_ratio_of_the_masses(self):
+        # From u = 800, e^{-s} underflows at every stopping step (and e^{-w*}
+        # would with it below s = 883): I' comes from the masses scaled by
+        # e^{w*}, never from 0 / 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_reach_prob(_poisson_model(0.5), 800.0, 2000.0, n=1000, seed=1)
+        assert math.isfinite(est.value) and 0.0 <= est.value <= 1.0
+        assert math.isfinite(est.stderr)
+
+    def test_refused_root_gives_the_mean_of_the_conditioned_indicator(self):
+        # Above loading 1e75 R is refused and every Z' is 0: the estimate is
+        # the mean of I', here 1 on every path, and the stderr is its
+        # rounding floor, 4 ulps of it.
+        m = _poisson_model(0.5, c=1e80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_reach_prob(m, 0.0, 1.0, n=2000, seed=1)
+            sums = _reach_block(m, 0.0, 1.0, 2000, 1, 0)
+        assert sums[3] == sums[4] == 0.0
+        assert est.value == sums[2] / 2000
+        assert 0.0 < est.stderr <= 1e-15
 
     def test_start_at_level_is_certain(self):
         est = estimate_reach_prob(_poisson_model(0.3), 5.0, 5.0, n=1000, seed=0)
@@ -94,10 +118,10 @@ class TestEstimateReach:
 
     @pytest.mark.parametrize("theta,b", [(-1.0, 20.0), (0.5, 1.0)])
     def test_stderr_covers_spread_over_seeds(self, theta, b):
-        # The spread of 40 estimates over their mean stderr measured 1.07
-        # (theta = -1, b = 20) and 0.78 (theta = 0.5, b = 1), and 0.78 - 1.14
+        # The spread of 40 estimates over their mean stderr measured 0.93
+        # (theta = -1, b = 20) and 1.16 (theta = 0.5, b = 1), and 0.84 - 1.16
         # over five sets of 40 seeds each; the binomial stderr would put it
-        # near 0.08 and 0.35.
+        # near 0.03 and 0.005.
         m = _poisson_model(theta)
         est = [estimate_reach_prob(m, 0.0, b, n=20_000, seed=s) for s in range(40)]
         spread = np.std([e.value for e in est], ddof=1)
@@ -105,8 +129,9 @@ class TestEstimateReach:
 
     def test_erlang_matches_fluid_embedding(self):
         # chi = 0.847683 from the fluid embedding (ROADMAP item 26).  Seeds
-        # 1 - 3 read z = +0.44, -1.58 and +0.18; the plain hit fraction of
-        # seed 1 reads 0.84675 with binomial stderr 8.1e-4.
+        # 1 - 3 read z = +0.72, -0.27 and -1.87 with stderr 1.24e-5; the
+        # plain hit fraction of seed 1 reads 0.84675 with binomial stderr
+        # 8.1e-4.
         m = ModelSpec(1.0, ExpClaim(1.0), Erlang2(1.0), FgmParam(0.5))
         est = estimate_reach_prob(m, 1.0, 5.0, n=200_000, seed=1)
         assert est.stderr < 1e-4
@@ -419,6 +444,71 @@ class TestAdjustmentCoefficient:
         assert gap == pytest.approx(m.claim.alpha - want, rel=1e-9)
 
 
+def _stopping_quad(walk, b, s):
+    """(H+, H-, Z+, Z-) at the walk s before the stopping step, by 30-digit quadrature over W.
+
+    The integrands of the ``_Martingale`` docstring at unit rates, with
+    f_W and Fbar_W of Exp(1) or Erlang(2, 1) and tb = theta (2 Fbar_W - 1).
+    """
+    with mpmath.workdps(30):
+        R, theta, c, b, s = (mpmath.mpf(v) for v in (walk.R, walk.model.theta,
+                                                     walk.model.c, b, s))
+        kappa = R / (2 - R)
+        ws = (b - s) / c
+        if isinstance(walk.model.arrival, Erlang2):
+            f, fbar = (lambda w: w * mpmath.exp(-w)), (lambda w: (1 + w) * mpmath.exp(-w))
+        else:
+            f = fbar = lambda w: mpmath.exp(-w)
+
+        def tb(w):
+            return theta * (2 * fbar(w) - 1)
+
+        def below(g):
+            return mpmath.quad(lambda w: f(w) * g(w, s + c * w), [0, ws])
+
+        def above(g):
+            return mpmath.quad(lambda w: f(w) * g(w, s + c * w), [ws, ws + 1, mpmath.inf])
+
+        return (above(lambda w, p: 1),
+                below(lambda w, p: mpmath.exp(-p) * (1 - tb(w) + tb(w) * mpmath.exp(-p))),
+                above(lambda w, p: 1 - mpmath.exp(-R * p) * (1 - kappa * tb(w))),
+                below(lambda w, p: kappa * tb(w) * mpmath.exp(-2 * p)))
+
+
+# The closed forms of ``_Martingale.masses`` against ``_stopping_quad``:
+# both arrivals, theta in {-1, -0.5, 0, 0.5, 1}, c' in {1.05, 1.5, 11},
+# b' in {1, 20} and s in {0, b'/2, b' - 1e-9}.  Measured apart by at most
+# 7.2e-16 (H+), 2.1e-15 (H-, relative to H+ + H-), 1.5e-15 (I') and
+# 1.1e-15 (Z') relative.
+_STOPPING_RTOL = 1e-14
+
+
+class TestStoppingMasses:
+    @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("c", [1.05, 1.5, 11.0])
+    def test_closed_forms_match_quadrature(self, make, theta, c):
+        # Unit rates: alpha = 1 and lam or beta = 1, so c' = c.
+        walk = _Martingale.of(make(theta, c=c, **({"beta": 1.0} if make is _erlang_model else {})))
+        for b in (1.0, 20.0):
+            s = np.array([0.0, b / 2.0, b - 1e-9])
+            stop = walk.stopping(b)
+            reach, h_minus, _ = walk.masses(s.copy(), stop, [np.empty(3) for _ in range(5)])
+            ind, z = walk.controls(s.copy(), stop, [np.empty(3) for _ in range(5)])
+            p = np.exp(-(b - s) / c)
+            for j, sj in enumerate(s.tolist()):
+                h_plus, h_minus_q, z_plus, z_minus = _stopping_quad(walk, b, sj)
+                mass = h_plus + h_minus_q
+                got = (float(np.broadcast_to(reach, s.shape)[j]) * p[j], h_minus[j] * p[j],
+                       ind[j], z[j])
+                want = (h_plus, h_minus_q, h_plus / mass, (z_plus + z_minus) / mass)
+                # H- is a difference of O(w*) terms as w* goes to 0, and
+                # enters I' and Z' only against H+ + H-: it is held to that.
+                scale = (h_plus, mass, want[2], abs(want[3]))
+                err = [float(abs(g - w) / d) for g, w, d in zip(got, want, scale)]
+                assert max(err) <= _STOPPING_RTOL, (b, sj, err)
+
+
 def _rejection_steps(model, R, rng, n):
     """n tilted steps c w - x by rejection from the tilted margins.
 
@@ -555,8 +645,8 @@ def _run_block_reference(model, u, b, size, seed, block):
 
     Each round draws the same arrays as ``_run_block``; the pre-claim level
     check comes before the ruin check at the same claim.  Returns the hit
-    count and, path by path, the pre-claim surplus P and the income c w of
-    the step at which the path stopped.
+    count and, path by path, the walk s before the step at which the path
+    stopped.
     """
     rng = _block_rng(seed, block)
     live = [u] * size
@@ -569,13 +659,13 @@ def _run_block_reference(model, u, b, size, seed, block):
         survivors = []
         for i, s in enumerate(live):
             for j in range(i * k, (i + 1) * k):
-                s = s + (cw[j] - x[j])
+                before, s = s, s + (cw[j] - x[j])
                 if s + x[j] >= b:
                     reached += 1
-                    stops.append((s + x[j], cw[j]))
+                    stops.append(before)
                     break
                 if s < 0.0:
-                    stops.append((s + x[j], cw[j]))
+                    stops.append(before)
                     break
             else:
                 survivors.append(s)
@@ -583,37 +673,72 @@ def _run_block_reference(model, u, b, size, seed, block):
     return reached, stops
 
 
-def _control_sums_reference(walk, b, stops):
-    """The sums of ``_run_block`` from the stopped steps, in plain Python.
+def _integral(terms, lo, hi):
+    """The integral over [lo, hi] (hi may be inf) of sum coef w^k e^{-a w}, terms (coef, k, a).
 
-    Y = E[e^{-R S_N} | the stopping step] in the form of the ``_Martingale``
-    docstring, e^{-R P} [(1 - tb) k1 + tb k2] on reach and
-    [(1 - tb) k1 + tb e^{-P} k2] / [(1 - tb) + tb e^{-P}] on ruin, and the
-    control Z = 1 - (1 - R) Y.
+    The tail from lo is e^{-a lo} sum_j k! / j! lo^j / a^{k - j + 1}.
+    """
+    def tail(k, a, x):
+        if x == math.inf:
+            return 0.0
+        return math.exp(-a * x) * sum(math.factorial(k) / math.factorial(j) * x**j
+                                      / a ** (k - j + 1) for j in range(k + 1))
+    return sum(coef * (tail(k, a, lo) - tail(k, a, hi)) for coef, k, a in terms)
+
+
+def _times(f, g):
+    """The product of two sums of terms (coef, k, a)."""
+    return [(c1 * c2, k1 + k2, a1 + a2) for c1, k1, a1 in f for c2, k2, a2 in g]
+
+
+def _stopping_reference(walk, b, s):
+    """(H+, H-, Z+, Z-) at the walk s before the stopping step, in plain Python.
+
+    The integrands of the ``_Martingale`` docstring over the inter-claim
+    time w, each expanded into terms coef w^k e^{-a w} and integrated term
+    by term: f_W = w^m e^{-w}, Fbar_W = (1 + w)^m e^{-w} (m = 1 for
+    Erlang(2)), tb = theta (2 Fbar_W - 1), P = s + c w.
     """
     R, theta, c = walk.R, walk.model.theta, walk.model.c
+    kappa = R / (2.0 - R)
     erlang = isinstance(walk.model.arrival, Erlang2)
-    k1, k2 = 1.0 / (1.0 - R), 2.0 / (2.0 - R)
+    f = [(1.0, 1 if erlang else 0, 1.0)]
+    fbar = [(1.0, 0, 1.0)] + ([(1.0, 1, 1.0)] if erlang else [])
+    tb = [(-theta, 0, 0.0)] + [(2.0 * theta * k, j, a) for k, j, a in fbar]
+    one = [(1.0, 0, 0.0)]
+    e_p = [(math.exp(-s), 0, c)]  # e^{-P}
+    e_2p = [(math.exp(-2.0 * s), 0, 2.0 * c)]  # e^{-2P}
+    e_rp = [(math.exp(-R * s), 0, R * c)]  # e^{-R P}
+    ws = (b - s) / c
+    ruin = _times(f, _times(e_p, one + [(-k, j, a) for k, j, a in tb])
+                  + _times(e_2p, tb))
+    z_ruin = _times(f, _times(e_2p, [(kappa * k, j, a) for k, j, a in tb]))
+    z_reach = _times(f, one + [(-k, j, a) for k, j, a in _times(
+        e_rp, one + [(-kappa * k, j, a) for k, j, a in tb])])
+    return (_integral(f, ws, math.inf), _integral(ruin, 0.0, ws),
+            _integral(z_reach, ws, math.inf), _integral(z_ruin, 0.0, ws))
+
+
+def _control_sums_reference(walk, b, hits, stops):
+    """The sums of ``_run_block`` from the walk before each stopping step, in plain Python.
+
+    I' = H+ / (H+ + H-) and Z' = (Z+ + Z-) / (H+ + H-) from
+    ``_stopping_reference``.
+    """
     ind, z = [], []
-    for top, income in stops:
-        w = income / c
-        tb = theta * (2.0 * math.exp(-w) * ((1.0 + w) if erlang else 1.0) - 1.0)
-        if top >= b:
-            y = math.exp(-R * top) * ((1.0 - tb) * k1 + tb * k2)
-        else:
-            e = math.exp(-top)
-            y = ((1.0 - tb) * k1 + tb * e * k2) / ((1.0 - tb) + tb * e)
-        ind.append(float(top >= b))
-        z.append(1.0 - (1.0 - R) * y)
+    for s in stops:
+        h_plus, h_minus, z_plus, z_minus = _stopping_reference(walk, b, s)
+        ind.append(h_plus / (h_plus + h_minus))
+        z.append((z_plus + z_minus) / (h_plus + h_minus))
     size = len(z)
-    mean_i, mean_z = sum(ind) / size, math.fsum(z) / size
+    mean_i, mean_z = math.fsum(ind) / size, math.fsum(z) / size
     zc = [v - mean_z for v in z]
     ic = [v - mean_i for v in ind]
     sq = math.fsum(v * v for v in zc)
     cross = math.fsum(a * v for a, v in zip(ic, zc))
     slope = cross / sq if sq > 0.0 else 0.0
     resid = math.fsum((a - slope * v) ** 2 for a, v in zip(ic, zc))
-    return [size, sum(ind), math.fsum(z), sq, cross, resid]
+    return [size, hits, math.fsum(ind), math.fsum(z), sq, cross, resid]
 
 
 def _ruin_terms(masses, columns):
@@ -688,7 +813,7 @@ def _run_tilted_block_reference(model, tilt, levels, size, seed, block):
 def _reach_block(model, u, b, size, seed, block):
     """``_run_block`` of the unit-rate walk of model, with u and b in claim units."""
     walk = _Martingale.of(model)
-    return _run_block(walk, u, b, size, seed, block, _ReachLog(size))
+    return _run_block(walk, u, walk.stopping(b), size, seed, block, _ReachLog(size))
 
 
 class TestRunBlock:
@@ -698,7 +823,8 @@ class TestRunBlock:
         walk = _Martingale.of(make(0.5))
         for seed, block in ((0, 0), (11, 3), (2024, 7)):
             want, _ = _run_block_reference(walk.model, u, b, 4096, seed, block)
-            assert _run_block(walk, u, b, 4096, seed, block, _ReachLog(4096))[1] == want
+            got = _run_block(walk, u, walk.stopping(b), 4096, seed, block, _ReachLog(4096))
+            assert got[1] == want
 
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     @pytest.mark.parametrize("theta", [-1.0, 0.5])
@@ -706,9 +832,9 @@ class TestRunBlock:
     def test_control_sums_match_claim_by_claim_walk(self, make, theta, u, b):
         walk = _Martingale.of(make(theta))
         for seed, block in ((0, 0), (11, 3)):
-            _, stops = _run_block_reference(walk.model, u, b, 3000, seed, block)
-            got = _run_block(walk, u, b, 3000, seed, block, _ReachLog(3000))
-            want = _control_sums_reference(walk, b, stops)
+            hits, stops = _run_block_reference(walk.model, u, b, 3000, seed, block)
+            got = _run_block(walk, u, walk.stopping(b), 3000, seed, block, _ReachLog(3000))
+            want = _control_sums_reference(walk, b, hits, stops)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_ruin_fraction_matches_theory(self):

@@ -130,8 +130,8 @@ def test_unit_rate_denominators_vanish_exactly_at_zero(c):
 # Largest relative difference of a simulated value or stderr between a model
 # with every rate times 10**k and the same model at k = 0.  Measured at most
 # 3.6e-15 over every k in [-300, 300] (n = 2000, both laws, theta -1 and
-# 0.5).  Reach counts the same hits; its control variate moves with the
-# last bit of c' (at k = +-300), by at most 4.6e-16 of the value or stderr
+# 0.5).  Reach counts the same hits; its conditioned indicator and control
+# move with the last bit of c', by at most 3.1e-15 of the value or stderr
 # (n = 4000, k in steps of 25).
 MC_SCALE_REL = 1e-14
 
