@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "f_tilde",
     "h_tilde",
     "conditional_grade",
+    "PairTilt",
     "sample_pairs",
     "unit_rates",
 ]
@@ -356,8 +357,178 @@ def conditional_grade(p, a):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_pairs(model: ModelSpec, rng: np.random.Generator, n: int):
-    """Draw n dependent (w, x) pairs by conditional inversion.
+def _arrival_parts(erlang: bool, s: float):
+    """log f~_W(s), its s-derivative, rho(s), 1 - rho(s) and rho'(s), at unit rate.
+
+    rho = k~_W / f~_W lies in [0, 1).  Poisson: f~_W = 1 / (1 + s),
+    rho = s / (2 + s).  Erlang(2): f~_W = 1 / (1 + s)^2,
+    rho = s (s^2 + 6 s + 6) / (2 + s)^3.  Each part is computed without
+    cancellation.
+    """
+    d = 2.0 + s
+    if erlang:
+        return (-2.0 * math.log1p(s), -2.0 / (1.0 + s),
+                s * (s * s + 6.0 * s + 6.0) / d**3,
+                2.0 * (3.0 * s + 4.0) / d**3, 12.0 * (1.0 + s) / d**4)
+    return -math.log1p(s), -1.0 / (1.0 + s), s / d, 2.0 / d, 2.0 / d**2
+
+
+def _cgf(c: float, theta: float, erlang: bool, r: float,
+         gap: float) -> tuple[float, float]:
+    """log M(r) and its r-derivative at unit rates, M(r) = E[e^{r(X - c W)}].
+
+    Claims are Exp(1), inter-claim times Exp(1) or Erlang(2, 1) (``erlang``),
+    c is the unit-rate premium c' and gap = 1 - r.  M(r) = f~_X(-r) f~_W(c r)
+    + theta h~(-r) k~_W(c r).  With the claim transforms 1 / (1 - r) and
+    h~(-r) = -r / ((1 - r)(2 - r)) this is the product
+
+        M(r) = 1 / gap * f~_W(c r) * (2 gap + r q) / (1 + gap),
+        q = 1 - theta rho(c r) = (1 - theta) + theta (1 - rho(c r)),
+
+    whose last factor is 1 + x with x = -theta r rho / (1 + gap).  The
+    logarithm of each factor keeps full relative precision, at small r
+    (where M - 1 would cancel) and where R crowds 1 at large loading.
+    """
+    log_fw, log_fw_slope, rho, one_minus_rho, rho_slope = _arrival_parts(erlang, c * r)
+    q = (1.0 - theta) + theta * one_minus_rho
+    num = 2.0 * gap + r * q
+    x = -theta * r * rho / (1.0 + gap)
+    last = math.log1p(x) if abs(x) < 0.5 else math.log(num / (1.0 + gap))
+    value = math.log1p(r / gap) + log_fw + last
+    num_slope = q - 2.0 - theta * r * c * rho_slope
+    slope = 1.0 / gap + c * log_fw_slope + num_slope / num + 1.0 / (1.0 + gap)
+    return value, slope
+
+
+def _exp_pieces(mu: float, B: float):
+    """e^{-t y} g(y), then times 1 + b and 1 - b, as lists of (mass, phase rates).
+
+    g(y) = e^{-y} is the unit exponential density, b = 1 - 2 G(y) = 2 e^{-y} - 1,
+    mu = 1 + t and B = 2 + t: the whole is 1 / mu times Exp(mu), the 1 + b
+    piece 2 / B times Exp(B), the 1 - b piece 2 / (mu B) times
+    Exp(mu) + Exp(B).  This is the tilted claim (t = -R, so mu = 1 - R) and
+    the Poisson time (t = c R).
+    """
+    return ([(1.0 / mu, (mu,))],
+            [(2.0 / B, (B,))],
+            [(2.0 * (1.0 / (mu * B)), (mu, B))])
+
+
+def _arrival_pieces(erlang: bool, s: float):
+    """e^{-sw} f_W(w), then times 1 + b and 1 - b, at unit rate.
+
+    b = 1 - 2 F_W(w).  Poisson: ``_exp_pieces`` at t = s.  Erlang(2),
+    nu = 1 + s and k = 2 + s: the whole is nu^-2 times Gamma(2, nu);
+    1 + b = 2 e^{-w}(1 + w) gives Gamma(2, k) and Gamma(3, k); 1 - b =
+    2 F_W(w), with W the sum of two Exp(1), gives Gamma(3, k) + Exp(nu) and
+    Gamma(2, k) + Gamma(2, nu).
+    """
+    if not erlang:
+        return _exp_pieces(1.0 + s, 2.0 + s)
+    nu, k = 1.0 + s, 2.0 + s
+    return ([((1.0 / nu) ** 2, (nu, nu))],
+            [(2.0 * (1.0 / k) ** 2, (k, k)), (4.0 * (1.0 / k) ** 3, (k, k, k))],
+            [(4.0 * (1.0 / k) ** 3 * (1.0 / nu), (k, k, k, nu)),
+             (2.0 * (1.0 / k) ** 2 * (1.0 / nu) ** 2, (k, k, nu, nu))])
+
+
+def _pair_categories(c: float, theta: float, erlang: bool, R: float, gap: float) -> list:
+    """(mass, claim phase rates, time phase rates) of each category of the tilted pair law.
+
+    At unit rates, with c the premium c', R in [0, 1) and gap = 1 - R.
+    With a = 1 - 2 F_X(x), b = 1 - 2 F_W(w) and s = sgn theta,
+
+        1 + theta a b = (1 - |theta|) + |theta|/2 [(1 + a)(1 + s b) + (1 - a)(1 - s b)],
+
+    and every term is nonnegative, so the tilted law e^{R(x - cw)} f(x, w)
+    mixes products of the claim pieces e^{R x} f_X (1, 1 + a, 1 - a)
+    (``_exp_pieces`` at t = -R) and the arrival pieces e^{-R c w} f_W
+    (``_arrival_pieces`` at s = R c).  A category's claim is the sum of
+    exponentials at its claim rates and its time the sum at its time rates,
+    independently.  The masses sum to M(R), which is 1 at the adjustment
+    coefficient and at R = 0.
+    """
+    x_whole, x_plus, x_minus = _exp_pieces(gap, 1.0 + gap)
+    w_whole, w_plus, w_minus = _arrival_pieces(erlang, R * c)
+    if theta < 0.0:
+        w_plus, w_minus = w_minus, w_plus
+    half = 0.5 * abs(theta)
+    rows = []
+    for weight, xs, ws in ((1.0 - abs(theta), x_whole, w_whole),
+                           (half, x_plus, w_plus), (half, x_minus, w_minus)):
+        if weight == 0.0:
+            continue
+        for mx, x_rates in xs:
+            for mw, w_rates in ws:
+                rows.append((weight * mx * mw, x_rates, w_rates))
+    return rows
+
+
+class PairTilt(NamedTuple):
+    """The tilted pair law e^{alpha R(x - c w)} f(x, w), as ``sample_pairs`` draws it.
+
+    Each (w, x) pair is one category of ``_pair_categories``, picked by one
+    uniform, and its time and claim are sums of standard exponentials times
+    the category's phase means (rows padded with zeros).  ``of`` builds the
+    table once per request.
+    """
+
+    cuts: np.ndarray  # cumulative category probabilities, the last one dropped
+    w: np.ndarray  # (time phases, categories): the mean of each time phase
+    x: np.ndarray  # (claim phases, categories): the mean of each claim phase
+
+    @classmethod
+    def of(cls, model: ModelSpec, R: float, gap: float) -> PairTilt:
+        """The table of ``model`` tilted by alpha R, R in [0, 1) at unit rates and gap = 1 - R.
+
+        The phases are the unit-rate ones in model units: the time's means
+        over lam or beta and the claim's over alpha (by 1.0 at unit rates).
+        """
+        erlang = isinstance(model.arrival, Erlang2)
+        c, alpha = unit_rates(model, type(model.arrival))
+        rows = _pair_categories(c, model.theta, erlang, R, gap)
+
+        def means(k, unit):
+            width = max(len(row[k]) for row in rows)
+            return np.array([[unit / r for r in row[k]] + [0.0] * (width - len(row[k]))
+                             for row in rows]).T.copy()
+
+        cum = np.cumsum([row[0] for row in rows])
+        rate = model.arrival.beta if erlang else model.arrival.lam
+        return cls(cum[:-1] / cum[-1], means(2, 1.0 / rate), means(1, 1.0 / alpha))
+
+
+def _tilted_pairs(tilt: PairTilt, rng: np.random.Generator, n: int):
+    """n pairs from ``tilt``: a category from one uniform, then the time's and the claim's phases.
+
+    A pair's category is the number of cuts at or below its uniform,
+    counted for all n at once by one comparison block and one uint8 sum,
+    as in the survival sampler; the gathers use mode="clip", which moves no
+    category and spares the buffered copy of the default mode.
+    """
+    u = rng.random(n)
+    cat = np.add.reduce(np.greater_equal(u, tilt.cuts[:, None]), axis=0,
+                        dtype=np.uint8).astype(np.intp)
+    e = np.empty(n)
+    pair = []
+    for means in (tilt.w, tilt.x):
+        v = np.take(means[0], cat, mode="clip")
+        v *= rng.standard_exponential(out=e)
+        for row in means[1:]:
+            rng.standard_exponential(out=e)
+            e *= np.take(row, cat, out=u, mode="clip")
+            v += e
+        pair.append(v)
+    return pair[0], pair[1]
+
+
+def sample_pairs(model: ModelSpec, rng: np.random.Generator, n: int,
+                 tilt: PairTilt | None = None):
+    """Draw n dependent (w, x) pairs by conditional inversion, or from a tilted law.
+
+    With a ``tilt`` (``PairTilt.of`` the same model) the pairs follow the
+    tilted law e^{alpha R(x - c w)} f(x, w) instead, drawn exactly as sums
+    of exponential phases (``_tilted_pairs``).  Without one:
 
     Steps: the inter-claim time w and its grade v = F_W(w) come first;
     p ~ U(0,1) then gives the claim grade from the conditional copula
@@ -374,6 +545,8 @@ def sample_pairs(model: ModelSpec, rng: np.random.Generator, n: int):
     """
     if n < 0:
         raise InputError("sample count must be nonnegative")
+    if tilt is not None:
+        return _tilted_pairs(tilt, rng, n)
     if isinstance(model.arrival, Erlang2):
         w = rng.gamma(2.0, 1.0 / model.arrival.beta, n)
         # v = 1 - e^{-beta w} (1 + beta w); w >= 0, so the cdf's clip is idle.

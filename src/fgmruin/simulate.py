@@ -5,15 +5,14 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
 (inter-claim time, claim amount) pairs.  Two probabilities are exposed:
 
 * reach: the surplus attains a level b before ever falling below zero.
-  Paths use the model's own pairs from ``model.sample_pairs``: the
-  inter-claim time is drawn from its own law, and the claim amount by
-  conditional inversion of the copula given the time's grade.  Each path
-  contributes I', the probability that its stopping step reaches b given
-  the walk before that step, a closed form in that walk alone, in place
-  of its reach indicator, and the mean of I' is corrected by a regression
-  control variate from the same draws: the Lundberg martingale e^{-R S_n}
-  of the walk, stopped and averaged the same way (``_Martingale``), whose
-  mean e^{-R u} is known.
+  Paths draw their pairs from Siegmund's tilted law, as survival does,
+  exactly, through ``model.sample_pairs`` with a ``PairTilt``: a category
+  from one uniform, then the time's and the claim's exponential phases.
+  Under the tilt most paths are ruined within a few claims.  Each path
+  contributes D, a closed form in the walk before its stopping step that
+  combines the step's likelihood-weighted ruin and reach probabilities
+  through the known mean of the likelihood ratio (a control variate whose
+  slope makes D vanish at theta = 0; ``_Martingale``).
 * survival: ruin never happens.  Siegmund's importance sampler draws the
   pairs from the exponentially tilted law e^{R(x - cw)} f(x, w), where R
   is the adjustment coefficient; under it ruin is certain, and each path
@@ -55,8 +54,8 @@ computes the same values in the same order as a comparison per cut, a
 boolean gather and a search of every path, so the plain weights keep
 their bits.  The walk before each top-level passage, and the walk before
 each reach path's stopping step, are logged one per path, and their
-conditioned weights, or conditioned indicators and controls, are computed
-once per block.
+conditioned weights, or corrections, are computed once per block.  Sums
+over a block's length avoid BLAS, whose dot runs on every core.
 """
 
 from __future__ import annotations
@@ -70,7 +69,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .model import Erlang2, ExpClaim, ModelSpec, sample_pairs, unit_rates
+from .model import (Erlang2, ExpClaim, ModelSpec, PairTilt, _arrival_parts, _cgf,
+                    _pair_categories, sample_pairs, unit_rates)
 
 __all__ = [
     "SimEstimate",
@@ -96,12 +96,10 @@ class SimEstimate:
 
     Attributes:
         value: Estimated probability.
-        stderr: Standard error: for reach estimates that of the
-            residual of the control-variate regression of the conditioned
-            indicator on the conditioned control (the indicator's own
-            where the control has no variance), floored at the rounding
-            error of the value, which binds where the residual is
-            constant, as at theta = 0 with Poisson times; for survival
+        stderr: Standard error: for reach estimates the sample standard
+            error of the conditioned corrections D, scaled as the value,
+            floored at the rounding error of the value, which binds where
+            D is constant, as at theta = 0 with Poisson times; for survival
             the sample standard error of the importance weights
             conditioned on the walk before each ruinous step, floored at
             what one path can move the mean (0 where every weight is
@@ -208,90 +206,127 @@ def _poly(coef: tuple, w: np.ndarray, out: np.ndarray):
     return out
 
 
+# Largest relative loading a reach walk is tilted at.  Near theta = 1 the
+# masses of ``_Martingale.stopping`` lose about eps loading (Poisson) or
+# eps loading^2 (Erlang) relative: 1.2e-10 and 1.5e-6 at 1e6 against
+# 60-digit quadrature, which moves chi by less than 1e-16 there, since D
+# carries the factor 1 - R (2e-12 and 1e-22); from 1e17 and 1e10 they read
+# 0 or garbage.  Past the bound the walk is the model's own, which stops at
+# its first claim on all but about 1 / loading of the paths.
+_REACH_TILT_MAX = 1e6
+
+
 class _Stopping(NamedTuple):
-    """The coefficients of ``_Martingale.masses`` at one level: numbers, and polynomials in w*."""
+    """The coefficients of ``_Martingale.corrections`` at one level: numbers, and polynomials in w*."""
 
     b: float  # the level in claim units
-    reach: tuple  # h+
-    a_inf: float  # h- = a_inf t + d0 t q + m0(w*) + p m1(w*)
+    clip: bool  # whether e^{w* - s + R b} may pass e^700
+    a_inf: float  # d = a_inf t + keep d0 t q + m0(w*) + p m1(w*)
+    keep: float  # 1 - kappa
     d0: float
     m0: tuple
     m1: tuple
-    z0: tuple  # z = kappa d0 t q + z0(w*) + p z1(w*)
-    z1: tuple
+    f0: tuple  # f = -kappa d0 t q + f0(w*) + p f1(w*)
+    f1: tuple
+    exact: float  # 1 - g U0
 
 
 class _Martingale(NamedTuple):
-    """The Lundberg martingale of a reach walk, conditioned on the walk before its stopping step.
+    """The likelihood ratio of a tilted reach walk, conditioned on the walk before its stopping step.
 
     The walk is at unit rates (``model.unit_rates``): money in mean claims
     1/alpha, time in 1/lam or 1/beta, premium c = c'.  At claim instants the
-    surplus S_n is a random walk and E[e^{R(X - cW)}] = 1, so e^{-R S_n}
-    is a martingale with mean e^{-R alpha u}.  From s = S_{N-1} in [0, b)
-    the next step's pre-claim surplus is P = s + cW: the path reaches b if
-    P >= b, that is W >= w* = (b - s) / c, and is ruined if the claim
-    passes P.  Given W the claim is the signed mixture
-    (1 - tb) Exp(1) + tb Exp(2), tb = theta (1 - 2 F_W(W)), the law
-    ``sample_pairs`` inverts, so E[e^{-R S_N} | W] is
-    e^{-R P} [(1 - tb) k1 + tb k2] on reach, k1 = 1 / (1 - R) and
-    k2 = 2 / (2 - R), and the claim passes P with probability
-    e^{-P} (1 - tb + tb e^{-P}).  The control is Z = 1 - (1 - R) e^{-R S_N},
-    which lies in [-1, 1] at any loading (k1 alone reaches 1e298 at loading
-    1e75) and keeps its relative precision as R goes to 0, where the
-    regression slope grows like 1 / R; with kappa = R / (2 - R) its mean
-    given the step is 1 - e^{-R P} (1 - kappa tb) on reach and, times the
-    ruin probability, kappa tb e^{-2P} on ruin.
+    surplus S_n is a random walk, and E[e^{R(X - cW)}] = 1.  The paths draw
+    their pairs from the tilted law e^{R(x - cw)} f(x, w) (``pairs``), as
+    the survival sampler does, under which ruin comes within a few claims;
+    stopped at N, the first step that reaches b or ruins, a path's
+    likelihood ratio against the model's own law is e^{R(S_N - u)}.
 
-    Given s, the step stops by reaching with mass H+ = P(W >= w*) and by
-    ruin with mass H- = E[e^{-P} (1 - tb + tb e^{-P}); W < w*], and Z's
-    mean over them is Z+ = E[1 - e^{-R P} (1 - kappa tb); W >= w*] and
-    Z- = E[kappa tb e^{-2P}; W < w*].  ``controls`` returns, per path,
-    I' = H+ / (H+ + H-) and Z' = (Z+ + Z-) / (H+ + H-): the indicator and
-    the control averaged given s and that the path stops at this step.  By
-    the tower property over the stopping step n,
-    E[1{N = n} I'] = E[1{N > n - 1} H+] = E[1{N = n} I], and likewise for
-    Z, so I' is unbiased and Z' keeps the mean ``mean``(alpha u).
+    From s = S_{N-1} in [0, b) the next step's pre-claim surplus is
+    P = s + cW: the path reaches b if P >= b, that is W >= w* = (b - s) / c,
+    and is ruined if the claim passes P.  Under the model's law the claim
+    given W is the signed mixture (1 - tb) Exp(1) + tb Exp(2),
+    tb = theta (1 - 2 F_W(W)), so given s the step stops by reaching with
+    mass H+ = P(W >= w*), by ruin with mass
+    H- = E[e^{-P} (1 - tb + tb e^{-P}); W < w*], and weighs e^{-R S_N} over
+    both by
 
-    Each mass is an integral over W of e^{-aW} f_W or e^{-aW} f_W Fbar_W
-    (Fbar_W = 1 - F_W, and 1 - 2 F_W = 2 Fbar_W - 1) times e^{-s} or
-    e^{-2s}, over [0, w*) or [w*, inf), and each such integral is a
-    constant less, or is, e^{-a w*} times a polynomial in w*: of degree 0
-    for Poisson times, up to 2 for Erlang(2) (``stopping``).  Scaled by
-    p = e^{-w*}, and since s + c w* = b turns every other exponential into
-    e^{-b} or e^{-2b}, the masses are combinations of t = e^{w* - s},
-    t q = e^{w* - 2s} (q = e^{-s}), p and 1 with polynomial coefficients:
-    h+ = H+ / p is 1 or 1 + w*, h- = H- / p and z = (Z+ + Z-) / p are
-    ``masses``.  I' = h+ / (h+ + h-) then never divides by less than 1,
-    nor 0 by 0 where e^{-s} and e^{-w*} both underflow (b past 745).  t and
-    t q are taken at w* - s <= 700, both shifted alike (this binds only
-    past b = 700 c, and moves I' and Z' by less than e^{-700}).  Where
-    ``_lundberg_root`` refuses, R is 0 and every Z' is 0, a control with
-    no variance.
+        M = E[e^{-R P} ((1 - tb) k1 + tb k2); W >= w*]
+          + E[e^{-P} ((1 - tb) k1 + tb k2 e^{-P}); W < w*],
+
+    k1 = 1 / (1 - R) and k2 = 2 / (2 - R) (e^{R X} over each claim phase).
+    The tilted step stops with mass e^{R s} M, so given s and that the path
+    stops there, 1{ruin} e^{R S_N} averages I' = H- / M and 1{reach}
+    e^{R S_N} averages J' = H+ / M.  By the tower property over the
+    stopping step n, E_R[1{N = n} I'] = E_R[1{N = n} 1{ruin} e^{R S_N}],
+    so E_R[I'] = e^{R u} psi_b and E_R[J'] = e^{R u} chi, and
+    E_R[I' + J'] = e^{R u} is known: under the model's law every path
+    leaves [0, b).  I' lies in [0, 1], since e^{-R S_N} > 1 on ruin.
+
+    Both chi = 1 - e^{-R u} E[I'] and chi = e^{-R u} E[J'] hold, and so
+    does every combination; with g = e^{-R b} and U0 below,
+
+        chi = (1 - e^{-R u} (1 - R - E[D])) / (1 - g U0),
+        D = (1 - R) - I' - g U0 J'.
+
+    At theta = 0 with Poisson times D is 0 on every path (U0 = 1 / (1 + R c)
+    is then H+ / M's ratio to the reach part of M, and the ruin part of M is
+    k1 H-), so the estimate is exact; at any theta D is bounded, whereas
+    J' is large on the rare tilted paths that reach b and carries their
+    whole mean.  A slope fitted to the sample in its place read |z| up to
+    1e15 at b = 100 and 4 - 237 at b = 20 (loadings 0.5 - 100), where few or
+    no tilted paths reached b and the fit weighed J' by about 1 / g.
+
+    With kappa = R / (2 - R), k2 - k1 = -kappa k1, so the reach integrand
+    is k1 e^{-R P} (1 - kappa tb), and the ruin integrand is k1 times
+    e^{-P} (1 - tb) + (1 - kappa) tb e^{-2P}.  Each mass is an integral over
+    W of e^{-aW} f_W or e^{-aW} f_W Fbar_W (Fbar_W = 1 - F_W, and
+    1 - 2 F_W = 2 Fbar_W - 1) times e^{-s}, e^{-2s} or e^{-R s}, over
+    [0, w*) or [w*, inf), and each such integral is a constant less, or is,
+    e^{-a w*} times a polynomial in w*: of degree 0 for Poisson times, up to
+    2 for Erlang(2) (``stopping``).  Scaled by 1 / (g p), p = e^{-w*}, and
+    since s + c w* = b turns every other exponential into e^{-b}, e^{-2b}
+    or g, the masses are combinations of t = e^{w* - s + R b},
+    t q = e^{w* - 2s + R b} (q = e^{-s}), p and 1 with polynomial
+    coefficients, and D = (1 - R) f / d with d = M / (k1 g p) and
+    f = ((1 - R) M - H- - g U0 H+) / (g p), both computed directly:
+    ``corrections`` returns f / d.  f cancels no term of D's own size:
+    at theta = 0 its reach part is U(1 + R c) less its value U0 at w* = 0.
+    t and t q are taken at w* - s + R b <= 700, both shifted alike: this
+    binds only past b (1 / c + R) = 700, where the ruin terms outweigh
+    every other by e^700, and moves D by less than e^{-700} relative.
+    Where ``_lundberg_root`` refuses, R is 0, the walk is the model's own,
+    U0 is 0 and D = H+ / (H+ + H-), the reach probability of the step.
     """
 
-    model: ModelSpec  # the model at unit rates, whose pairs the paths walk
+    model: ModelSpec  # the model at unit rates, whose tilted pairs the paths walk
     alpha: float  # claim rate: a model level u is alpha u in claim units
     R: float  # adjustment coefficient at unit rates, 0 where it is refused
     gap: float  # 1 - R
     kappa: float  # R / (2 - R)
+    pairs: PairTilt  # the tilted pair law at R
 
     @classmethod
     def of(cls, model: ModelSpec) -> _Martingale:
         law = type(model.arrival)
         c, alpha = unit_rates(model, law)
         unit = ModelSpec(c, ExpClaim(1.0), law(1.0), model.copula)
-        try:
-            R, gap = _lundberg_root(c, model.theta, law is Erlang2)
-        except ConditioningError:
-            R, gap = 0.0, 1.0
-        return cls(unit, alpha, R, gap, R / (1.0 + gap))
+        R, gap = 0.0, 1.0
+        if _loading(c, law is Erlang2) <= _REACH_TILT_MAX:
+            try:
+                R, gap = _lundberg_root(c, model.theta, law is Erlang2)
+            except ConditioningError:
+                pass
+        return cls(unit, alpha, R, gap, R / (1.0 + gap), PairTilt.of(unit, R, gap))
 
-    def mean(self, u: float) -> float:
-        """E[Z] = 1 - (1 - R) e^{-R u} = R - (1 - R) expm1(-R u), from u in claim units."""
-        return self.R - self.gap * math.expm1(-self.R * u)
+    def chi(self, u: float, stop: _Stopping, mean: float) -> float:
+        """chi from u in claim units and the mean of ``corrections``, (1 - R) times D's."""
+        scale = math.exp(-self.R * u)
+        # 1 - e^{-R u} (1 - R), as two nonnegative terms.
+        return (self.R * scale - math.expm1(-self.R * u) + scale * self.gap * mean) / stop.exact
 
     def stopping(self, b: float) -> _Stopping:
-        """The coefficients of ``masses`` at level b in claim units.
+        """The coefficients of ``corrections`` at level b in claim units.
 
         The integrals of e^{-aW} f_W and e^{-aW} f_W Fbar_W over [w*, inf)
         are e^{-a w*} U(a)(w*) and e^{-a w*} V(a)(w*), with U(a) = V(a) =
@@ -300,17 +335,20 @@ class _Martingale(NamedTuple):
         first; over [0, w*) they are the constant term less that.  So,
         with a = (1 + theta) U(1 + c), a_p = 2 theta V(2 + c),
         d = theta U(1 + 2c) and d_p = 2 theta V(2 + 2c), the ruin mass is
-        H- / p = t [a - a_p]_0 - e^{-b} (a(w*) - p a_p(w*))
-        + t q [d_p - d]_0 - e^{-2b} (p d_p(w*) - d(w*)), and Z- is kappa
-        times its d terms.  Above w*, e^{-R P} = e^{-R b} e^{-R c (W - w*)},
-        so with a1 = 1 + R c and g = e^{-R b},
-        Z+ / p = (1 - g) h+ + g (h+ - U(a1)(w*)) - kappa theta g U(a1)(w*)
-        + 2 kappa theta g p V(2 + R c)(w*).  h+ - U(a1) is R c [1/a1] or
-        R c [(a1 + 1)/a1^2, 1/a1], and R c - kappa theta =
-        R (c - theta / (2 - R)), so no term of Z+ cancels but by the
-        loading's own conditioning.
+        H- / p = t' [a - a_p]_0 - e^{-b} (a(w*) - p a_p(w*))
+        + t' q [d_p - d]_0 - e^{-2b} (p d_p(w*) - d(w*)), t' = e^{w* - s},
+        and the ruin part of M / k1 is the same with its d terms times
+        1 - kappa = 2 (1 - R) / (2 - R).  Above w*,
+        e^{-R P} = g e^{-R c (W - w*)}, and 1 - kappa tb =
+        (1 + kappa theta) - 2 kappa theta Fbar_W, so with a1 = 1 + R c the
+        reach part of M / k1 is g p [(1 + kappa theta) U(a1)(w*)
+        - 2 kappa theta p V(2 + R c)(w*)], and U0 = U(a1)(0), 1 / a1 or
+        1 / a1^2.  Divided by g, e^{-b} and e^{-2b} become e^{-(1 - R) b}
+        and e^{-(2 - R) b}, and (1 + kappa theta) U(a1) - U0 (1 or 1 + w*)
+        is [kappa theta / a1] or [kappa theta / a1^2,
+        ((1 + kappa theta) R c + kappa theta) / a1^2].
         """
-        R, theta, c, kappa = self.R, self.model.theta, self.model.c, self.kappa
+        R, theta, c, kappa, gap = self.R, self.model.theta, self.model.c, self.kappa, self.gap
         erlang = isinstance(self.model.arrival, Erlang2)
 
         # Divisions, not powers: a reaches 2e308 at the largest premiums,
@@ -327,71 +365,64 @@ class _Martingale(NamedTuple):
             """kx x + ky y, term by term."""
             return tuple(kx * i + ky * j for i, j in zip(x, y, strict=True))
 
-        a1 = 1.0 + R * c
-        g, one_g = math.exp(-R * b), -math.expm1(-R * b)
-        e1, e2 = math.exp(-b), math.exp(-2.0 * b)
-        # R c / a1 <= 1, and kappa theta / a1.
-        rc, kt = R * c / a1, kappa * theta / a1
-        lead = one_g + g * (rc - kt)
-        if erlang:
-            z_reach = (one_g + g * (rc * (1.0 + 1.0 / a1) - kt / a1), lead)
-        else:
-            z_reach = (lead,)
+        keep = 2.0 * gap / (1.0 + gap)
+        # 1 + kappa theta, a sum of two nonnegative terms for theta < 0 too.
+        lift = 1.0 + kappa * theta if theta >= 0.0 else (1.0 + theta) - theta * keep
+        a1, rc, kt = 1.0 + R * c, R * c, kappa * theta
+        e1, e2 = math.exp(-gap * b), math.exp(-(1.0 + gap) * b)
         a, a_p = u_(1.0 + theta, 1.0 + c), v_(2.0 * theta, 2.0 + c)
         d, d_p = u_(theta, 1.0 + 2.0 * c), v_(2.0 * theta, 2.0 + 2.0 * c)
+        r0, r1 = u_(lift, a1), v_(-2.0 * kt, 2.0 + rc)
+        # 1 - g U0 = (a1 - g) / a1 or (a1^2 - g) / a1^2, free of cancellation.
+        if not R:
+            # No tilt and no control: U0 is 0, and f is H+ / p, that is r0.
+            lead, exact = r0, 1.0
+        elif erlang:
+            lead = (kt / a1 / a1, (lift * rc + kt) / a1 / a1)
+            exact = (rc * (2.0 + rc) - math.expm1(-R * b)) / a1 / a1
+        else:
+            lead, exact = (kt / a1,), (rc - math.expm1(-R * b)) / a1
+        d0 = d_p[0] - d[0]
         return _Stopping(
-            b, (1.0, 1.0) if erlang else (1.0,), a[0] - a_p[0], d_p[0] - d[0],
-            add(d, a, e2, -e1), add(a_p, d_p, e1, -e2),
-            add(z_reach, d, 1.0, kappa * e2),
-            add(v_(2.0 * kappa * theta * g, 2.0 + R * c), d_p, 1.0, -kappa * e2))
+            b, b * (1.0 / c + R) > 700.0, a[0] - a_p[0], keep, d0,
+            add(r0, add(d, a, keep * e2, -e1)), add(r1, add(a_p, d_p, e1, -keep * e2)),
+            add(lead, d, 1.0, -kappa * e2), add(r1, d_p, 1.0, kappa * e2), exact)
 
-    def masses(self, s: np.ndarray, stop: _Stopping, spare) -> tuple:
-        """h+ = H+ / p, h- = H- / p and z = (Z+ + Z-) / p of each path from its logged s.
+    def corrections(self, s: np.ndarray, stop: _Stopping, spare) -> np.ndarray:
+        """D / (1 - R) = f / d of each path from its logged s, returned in ``spare[0]``.
 
-        Computed in place over ``s`` and the arrays of ``spare``: h- is
-        returned in ``spare[0]`` and z in ``spare[1]``; h+ is the number 1
-        (Poisson) or 1 + w* in ``spare[3]`` (Erlang(2)).  Poisson times use
-        the first four spares, Erlang(2) times five.
+        Computed in place over ``s`` and the first four arrays of
+        ``spare`` (Erlang(2) times use a fifth), with one division per
+        path.
         """
-        h, z, t, w, x = spare[:5]
+        f, d, t, w, x = spare[:5]
         c = self.model.c
         np.subtract(stop.b, s, out=w)
         w *= 1.0 / c
-        # t = e^{w* - s} and t q = e^{w* - 2s}, in t and s; w* - s < b / c.
+        # t = e^{w* - s + R b} and t q = e^{w* - 2s + R b}, in t and s.
         np.subtract(w, s, out=t)
-        if stop.b > 700.0 * c:
+        t += self.R * stop.b
+        if stop.clip:
             np.minimum(t, 700.0, out=t)
         np.subtract(t, s, out=s)
         np.exp(t, out=t)
         np.exp(s, out=s)
-        # p, in z until z needs it no more.
-        np.negative(w, out=z)
-        np.exp(z, out=z)
-        np.multiply(z, _poly(stop.m1, w, x), out=h)
-        h += _poly(stop.m0, w, x)
+        # p, in f until the p terms are taken.
+        np.negative(w, out=f)
+        np.exp(f, out=f)
+        np.multiply(f, _poly(stop.m1, w, x), out=d)
+        f *= _poly(stop.f1, w, x)
+        d += _poly(stop.m0, w, x)
+        f += _poly(stop.f0, w, x)
         t *= stop.a_inf
-        h += t
+        d += t
         s *= stop.d0
-        h += s
-        z *= _poly(stop.z1, w, x)
-        z += _poly(stop.z0, w, x)
-        s *= self.kappa
-        z += s
-        return _poly(stop.reach, w, w), h, z
-
-    def controls(self, s: np.ndarray, stop: _Stopping, spare) -> tuple:
-        """I' and Z' of each path from its logged s, in ``spare[0]`` and ``spare[1]``.
-
-        Computed in place over ``s`` and ``spare`` (see ``masses``), with
-        one division per path, for 1 / (h+ + h-).
-        """
-        reach, total, z = self.masses(s, stop, spare)
-        total += reach
-        np.divide(1.0, total, out=total)
-        z *= total
-        if not isinstance(reach, float):
-            total *= reach
-        return total, z
+        np.multiply(s, stop.keep, out=t)
+        d += t
+        s *= -self.kappa
+        f += s
+        f /= d
+        return f
 
 
 class _ReachLog:
@@ -399,7 +430,7 @@ class _ReachLog:
 
     ``before`` holds each path's walk s = S_{N-1} before the step at which
     it stopped, in stopping order, and ``spare`` is room for
-    ``_Martingale.controls``.  The spares are five arrays, not one
+    ``_Martingale.corrections``.  The spares are five arrays, not one
     (5, size) block: freeing a 768 KB block raised glibc's mmap threshold
     for the rest of the process, after which every numpy temporary of a
     block's size measured faster.
@@ -410,22 +441,20 @@ class _ReachLog:
         self.spare = tuple(np.empty(size) for _ in range(5))
 
 
-def _slope(cov: float, var: float) -> float:
-    """The regression slope cov / var of I' on Z', 0 where Z' has no variance."""
-    return cov / var if var > 0.0 else 0.0
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a b, without BLAS: OpenBLAS runs a dot of a block's length on every core."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _run_block(walk: _Martingale, u: float, stop: _Stopping, size: int, seed: int,
                block: int, log: _ReachLog) -> np.ndarray:
-    """Sums over the block's paths of the conditioned indicator I' and control Z'.
+    """Sums over the block's paths of the conditioned correction D / (1 - R).
 
     u and the level ``stop.b`` are in claim units, and the paths walk
-    ``walk.model``.  Each path's S_{N-1} is logged in ``log`` round by
-    round, and I' and Z' are computed once the block is done.  Returns
-    [size, hits, sum I', sum Z', sum (Z' - mean Z')^2,
-    sum (I' - mean I')(Z' - mean Z'), sum e^2], the means taken over the
-    block and e = I' - mean I' - beta_b (Z' - mean Z') the residual of the
-    block's own slope beta_b (``_slope``); hits counts the paths that
+    ``walk.model`` under the tilt ``walk.pairs``.  Each path's S_{N-1} is
+    logged in ``log`` round by round, and the corrections are computed
+    once the block is done.  Returns [size, hits, sum e, sum (e - mean e)^2]
+    over the block's corrections e; hits counts the tilted paths that
     reached b, which the estimate does not use.
     """
     rng = _block_rng(seed, block)
@@ -437,7 +466,7 @@ def _run_block(walk: _Martingale, u: float, stop: _Stopping, size: int, seed: in
     while surplus.size:
         live = surplus.size
         k, drawn = _next_round(live, drawn)
-        w, x = sample_pairs(model, rng, live * k)
+        w, x = sample_pairs(model, rng, live * k, walk.pairs)
         # The surplus rises linearly between claims, so it crosses b before
         # a claim if and only if the pre-claim surplus post + x reaches b;
         # that is checked before the same claim can ruin the path.
@@ -461,18 +490,10 @@ def _run_block(walk: _Martingale, u: float, stop: _Stopping, size: int, seed: in
         # (32768, 1) round (numpy 2.4).
         surplus = np.compress(~fired, post[:, -1])
         stopped = end
-    spare = [a[:size] for a in log.spare]
-    i, z = walk.controls(log.before[:size], stop, spare)
-    total_i, total_z = i.sum(), z.sum()
-    z -= total_z / size
-    i -= total_i / size
-    sq = z @ z
-    cross = i @ z
-    # The residual of the block's own fit, path by path: its sum of squares
-    # holds no cancelling digits, unlike Var I' - Cov^2 / Var Z'.
-    e = np.multiply(z, -_slope(cross, sq), out=spare[2])
-    e += i
-    return np.array([size, hits, total_i, total_z, sq, cross, e @ e])
+    e = walk.corrections(log.before[:size], stop, [a[:size] for a in log.spare])
+    total = e.sum()
+    e -= total / size
+    return np.array([size, hits, total, _dot(e, e)])
 
 
 def estimate_reach_prob(
@@ -485,36 +506,33 @@ def estimate_reach_prob(
 ) -> SimEstimate:
     """Simulated probability of reaching b before ruin from surplus u.
 
-    Each path walks at unit rates (see ``_Martingale``) from alpha u until
-    its pre-claim surplus reaches alpha b or a claim ruins it.  Each path
-    contributes I', the probability that its stopping step reaches b given
-    the walk s before that step and that the path stops there, in place of
-    its reach indicator I, and Z', the stopped Lundberg martingale's
-    control averaged the same way, whose mean is known (``_Martingale``).
-    Both are closed forms in s alone, from the same draws.  The mean of I'
-    is corrected by a regression control variate,
+    Each path walks at unit rates from alpha u, drawing its pairs from
+    Siegmund's tilted law as survival does, until its pre-claim surplus
+    reaches alpha b or a claim ruins it; under the tilt most paths are
+    ruined within a few claims.  Each path contributes D, its conditioned
+    ruin and reach weights given the walk before its stopping step,
+    combined through the known mean of the likelihood ratio (a control
+    variate with the slope of the theta = 0 identity; ``_Martingale``), a
+    closed form in that walk alone.  With R the unit-rate adjustment
+    coefficient and g = e^{-R alpha b},
 
-        chi = I'-bar - beta (Z'-bar - E[Z]),  beta = Cov(I', Z') / Var(Z'),
+        chi = (1 - e^{-R alpha u} (1 - R - D-bar)) / (1 - g U0),
 
-    clipped to [0, 1], with the standard error
-    sqrt((Var I' - Cov(I', Z')^2 / Var Z') / n), the moments combined from
-    per-block centred sums.  beta is 0 where Z' has no variance, as where
-    ``_lundberg_root`` refuses the loading (above 1e75); the estimate is
-    then the mean of I' with its sample standard error.  At the
-    benchmark's reach requests the conditioning divides the control
-    variate's variance by about 5 - 9 (README "Monte Carlo").
+    clipped to [0, 1], with the standard error e^{-R alpha u} / (1 - g U0)
+    times D's sample standard error, the moments combined from per-block
+    centred sums.  Where ``_lundberg_root`` refuses the loading (above
+    1e75) R is 0, the walk is the model's own and the estimate is the mean
+    of the reach probability of each path's stopping step.  README "Monte
+    Carlo" tabulates where the tilt shortens the walk and where it does
+    not.
 
     The standard error is floored at the rounding error of the value
-    itself.  I' and Z' are each computed to a few ulps (the closed forms
-    agree with 30-digit quadrature to 2e-15 relative), and so are their
-    block sums and the value's three means; the value, I'-bar less
-    beta (Z'-bar - E[Z]), then carries an error of a few ulps of
-    |I'-bar| + |beta| (|Z'-bar| + |E[Z]|), and the floor is 4 ulps of it.
-    It binds only where the residual I' - beta Z' is constant, as at
-    theta = 0 with Poisson times, where I' is a fixed multiple of Z' and
-    the estimate is exact: the sample standard error there is roundoff
-    alone (about 1e-18), against which an estimate 1 ulp off would read
-    |z| near 100.
+    itself: 4 ulps of the value plus the scaled |D-bar|.  D is computed to
+    a few ulps of itself (the closed forms agree with 30-digit quadrature
+    to 2e-15 relative), and so are its sums.  The floor binds only where
+    D is constant, as at theta = 0 with Poisson times, where it is 0 and
+    the estimate is exact: the sample standard error there is 0, against
+    which an estimate 1 ulp off would read |z| near 100.
 
     The estimate is a deterministic function of (seed, n); n must be a
     positive integer and the seed a nonnegative one.  ``workers`` is kept
@@ -540,25 +558,18 @@ def estimate_reach_prob(
     # A surplus past the largest float (premiums near 1e308) overflows to
     # inf, which reaches b: the right outcome, so numpy need not warn.
     with np.errstate(over="ignore"):
-        size, _, total_i, total_z, sq, cross, resid = np.array(_map_blocks(
+        size, _, total, sq = np.array(_map_blocks(
             lambda size, block: _run_block(walk, start, stop, size, seed, block, log), n
         )).T
     # Chan, Golub and LeVeque's pairwise update, over the blocks at once.
-    # The residual sum of squares about the pooled slope beta is each
-    # block's own plus Var_b Z' (beta - beta_b)^2 plus the blocks' mean
-    # residuals: every term is nonnegative.
-    p = total_i.sum() / n
-    mean = total_z.sum() / n
-    shift_i, shift_z = total_i / size - p, total_z / size - mean
-    beta = _slope(cross.sum() + (size * shift_i) @ shift_z, sq.sum() + (size * shift_z) @ shift_z)
-    known = walk.mean(start)
-    value = min(max(float(p - beta * (mean - known)), 0.0), 1.0)
-    slopes = np.array([_slope(c, v) for c, v in zip(cross.tolist(), sq.tolist())])
-    shift = shift_i - beta * shift_z
-    rss = resid.sum() + sq @ (beta - slopes) ** 2 + (size * shift) @ shift
-    rounding = 4.0 * np.finfo(float).eps * (abs(p) + abs(beta) * (abs(mean) + abs(known)))
-    stderr = max(math.sqrt(rss) / n, float(rounding))
-    return SimEstimate(value, stderr, n, seed)
+    mean = total.sum() / n
+    shift = total / size - mean
+    spread = math.sqrt(float(sq.sum()) + _dot(size * shift, shift)) / n
+    value = walk.chi(start, stop, float(mean))
+    # The value's own rounding and that of the scaled mean of the corrections.
+    unit = math.exp(-walk.R * start) * walk.gap / stop.exact
+    rounding = 4.0 * float(np.finfo(float).eps) * (abs(value) + unit * abs(float(mean)))
+    return SimEstimate(min(max(value, 0.0), 1.0), max(unit * spread, rounding), n, seed)
 
 
 # Largest |log E[e^{R(X - cW)}]| the adjustment coefficient may leave.
@@ -593,49 +604,6 @@ _MAX_LOADING = 1e75
 def _loading(c: float, erlang: bool) -> float:
     """The relative loading c' E[W] - 1 at unit rates, E[W] = 2 for Erlang(2)."""
     return (2.0 * c if erlang else c) - 1.0
-
-
-def _arrival_parts(erlang: bool, s: float):
-    """log f~_W(s), its s-derivative, rho(s), 1 - rho(s) and rho'(s), at unit rate.
-
-    rho = k~_W / f~_W lies in [0, 1).  Poisson: f~_W = 1 / (1 + s),
-    rho = s / (2 + s).  Erlang(2): f~_W = 1 / (1 + s)^2,
-    rho = s (s^2 + 6 s + 6) / (2 + s)^3.  Each part is computed without
-    cancellation.
-    """
-    d = 2.0 + s
-    if erlang:
-        return (-2.0 * math.log1p(s), -2.0 / (1.0 + s),
-                s * (s * s + 6.0 * s + 6.0) / d**3,
-                2.0 * (3.0 * s + 4.0) / d**3, 12.0 * (1.0 + s) / d**4)
-    return -math.log1p(s), -1.0 / (1.0 + s), s / d, 2.0 / d, 2.0 / d**2
-
-
-def _cgf(c: float, theta: float, erlang: bool, r: float,
-         gap: float) -> tuple[float, float]:
-    """log M(r) and its r-derivative at unit rates, M(r) = E[e^{r(X - c W)}].
-
-    Claims are Exp(1), inter-claim times Exp(1) or Erlang(2, 1) (``erlang``),
-    c is the unit-rate premium c' and gap = 1 - r.  M(r) = f~_X(-r) f~_W(c r)
-    + theta h~(-r) k~_W(c r).  With the claim transforms 1 / (1 - r) and
-    h~(-r) = -r / ((1 - r)(2 - r)) this is the product
-
-        M(r) = 1 / gap * f~_W(c r) * (2 gap + r q) / (1 + gap),
-        q = 1 - theta rho(c r) = (1 - theta) + theta (1 - rho(c r)),
-
-    whose last factor is 1 + x with x = -theta r rho / (1 + gap).  The
-    logarithm of each factor keeps full relative precision, at small r
-    (where M - 1 would cancel) and where R crowds 1 at large loading.
-    """
-    log_fw, log_fw_slope, rho, one_minus_rho, rho_slope = _arrival_parts(erlang, c * r)
-    q = (1.0 - theta) + theta * one_minus_rho
-    num = 2.0 * gap + r * q
-    x = -theta * r * rho / (1.0 + gap)
-    last = math.log1p(x) if abs(x) < 0.5 else math.log(num / (1.0 + gap))
-    value = math.log1p(r / gap) + log_fw + last
-    num_slope = q - 2.0 - theta * r * c * rho_slope
-    slope = 1.0 / gap + c * log_fw_slope + num_slope / num + 1.0 / (1.0 + gap)
-    return value, slope
 
 
 def _lundberg_root(c: float, theta: float, erlang: bool) -> tuple[float, float]:
@@ -687,77 +655,29 @@ def _lundberg_root(c: float, theta: float, erlang: bool) -> tuple[float, float]:
     return r, t
 
 
-def _exp_pieces(mu: float, B: float):
-    """e^{-t y} g(y), then times 1 + b and 1 - b, as lists of (mass, phase rates).
-
-    g(y) = e^{-y} is the unit exponential density, b = 1 - 2 G(y) = 2 e^{-y} - 1,
-    mu = 1 + t and B = 2 + t: the whole is 1 / mu times Exp(mu), the 1 + b
-    piece 2 / B times Exp(B), the 1 - b piece 2 / (mu B) times
-    Exp(mu) + Exp(B).  This is the tilted claim (t = -R, so mu = 1 - R) and
-    the Poisson time (t = c R).
-    """
-    return ([(1.0 / mu, (mu,))],
-            [(2.0 / B, (B,))],
-            [(2.0 * (1.0 / (mu * B)), (mu, B))])
-
-
-def _arrival_pieces(erlang: bool, s: float):
-    """e^{-sw} f_W(w), then times 1 + b and 1 - b, at unit rate.
-
-    b = 1 - 2 F_W(w).  Poisson: ``_exp_pieces`` at t = s.  Erlang(2),
-    nu = 1 + s and k = 2 + s: the whole is nu^-2 times Gamma(2, nu);
-    1 + b = 2 e^{-w}(1 + w) gives Gamma(2, k) and Gamma(3, k); 1 - b =
-    2 F_W(w), with W the sum of two Exp(1), gives Gamma(3, k) + Exp(nu) and
-    Gamma(2, k) + Gamma(2, nu).
-    """
-    if not erlang:
-        return _exp_pieces(1.0 + s, 2.0 + s)
-    nu, k = 1.0 + s, 2.0 + s
-    return ([((1.0 / nu) ** 2, (nu, nu))],
-            [(2.0 * (1.0 / k) ** 2, (k, k)), (4.0 * (1.0 / k) ** 3, (k, k, k))],
-            [(4.0 * (1.0 / k) ** 3 * (1.0 / nu), (k, k, k, nu)),
-             (2.0 * (1.0 / k) ** 2 * (1.0 / nu) ** 2, (k, k, nu, nu))])
-
-
 def _mixture(c: float, theta: float, erlang: bool, R: float,
              gap: float) -> tuple[np.ndarray, np.ndarray]:
     """Category masses and (J, categories) coefficients of the tilted step c W - X.
 
     At unit rates, with c the premium c', R the unit-rate coefficient and
-    gap = 1 - R.  With a = 1 - 2 F_X(x), b = 1 - 2 F_W(w) and s = sgn theta,
-
-        1 + theta a b = (1 - |theta|) + |theta|/2 [(1 + a)(1 + s b) + (1 - a)(1 - s b)],
-
-    and every term is nonnegative, so the tilted law e^{R(x - cw)} f(x, w)
-    mixes products of the claim and arrival pieces above.  A component's
-    step is c times a sum of arrival phases minus a sum of claim phases.
-    Its i-th claim phase is paired with its i-th arrival phase: by
+    gap = 1 - R.  The tilted pair law mixes the categories of
+    ``model._pair_categories``, whose step is c times a sum of arrival
+    phases minus a sum of claim phases.  Its i-th claim phase is paired with its i-th arrival phase: by
     memorylessness c Exp(r_w) - Exp(r_x) is c / r_w times a standard
     exponential with probability c r_x / (c r_x + r_w), and -1 / r_x times
     one otherwise.  Each choice of component and signs is a category whose
     step is its J coefficients (padded with zeros) times J standard
     exponentials; identical categories merge.  The masses sum to M(R) = 1.
     """
-    x_whole, x_plus, x_minus = _exp_pieces(gap, 1.0 + gap)
-    w_whole, w_plus, w_minus = _arrival_pieces(erlang, R * c)
-    if theta < 0.0:
-        w_plus, w_minus = w_minus, w_plus
-    half = 0.5 * abs(theta)
     rows: dict[tuple, float] = {}
-    for weight, xs, ws in ((1.0 - abs(theta), x_whole, w_whole),
-                           (half, x_plus, w_plus), (half, x_minus, w_minus)):
-        if weight == 0.0:
-            continue
-        for mx, x_rates in xs:
-            for mw, w_rates in ws:
-                pairs = [((c * rx / (c * rx + rw), c / rw), (rw / (c * rx + rw), -1.0 / rx))
-                         for rw, rx in zip(w_rates, x_rates)]
-                alone = ([c / rw for rw in w_rates[len(x_rates):]]
-                         + [-1.0 / rx for rx in x_rates[len(w_rates):]])
-                for signs in itertools.product(*pairs):
-                    mass = weight * mx * mw * math.prod(p for p, _ in signs)
-                    row = tuple(sorted([v for _, v in signs] + alone))
-                    rows[row] = rows.get(row, 0.0) + mass
+    for mass, x_rates, w_rates in _pair_categories(c, theta, erlang, R, gap):
+        pairs = [((c * rx / (c * rx + rw), c / rw), (rw / (c * rx + rw), -1.0 / rx))
+                 for rw, rx in zip(w_rates, x_rates)]
+        alone = ([c / rw for rw in w_rates[len(x_rates):]]
+                 + [-1.0 / rx for rx in x_rates[len(w_rates):]])
+        for signs in itertools.product(*pairs):
+            row = tuple(sorted([v for _, v in signs] + alone))
+            rows[row] = rows.get(row, 0.0) + mass * math.prod(p for p, _ in signs)
     width = max(len(row) for row in rows)
     coef = np.array([row + (0.0,) * (width - len(row)) for row in rows]).T.copy()
     return np.array(list(rows.values())), coef
@@ -1019,7 +939,7 @@ def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
         fired, at = _first_events(steps < -levels[top])
         y = np.exp(tilt.R * (steps.ravel()[at] + levels[top]))
         sums[0, top] += y.sum()
-        sums[1, top] += y @ y
+        sums[1, top] += _dot(y, y)
         end = ruined + at.size
         _before(steps, walk, at, work.before[ruined:end])
         ruined = end
@@ -1035,7 +955,7 @@ def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
     y += levels[top]
     y = tilt.ruin.weights(y)
     sums[2, top] = y.sum()
-    sums[3, top] = y @ y
+    sums[3, top] = _dot(y, y)
     return sums
 
 

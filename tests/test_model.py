@@ -12,6 +12,7 @@ from fgmruin.model import (
     ExpPoisson,
     FgmParam,
     ModelSpec,
+    PairTilt,
     conditional_grade,
     f_tilde,
     fgm_cdf,
@@ -438,3 +439,38 @@ class TestSampling:
         res_x = stats.kstest(x, m.claim.cdf)
         assert res_w.pvalue > 0.001
         assert res_x.pvalue > 0.001
+
+
+class TestTiltedSampling:
+    @pytest.mark.parametrize("make,c,rate", [(_poisson_model, 1.5, 1.0),
+                                             (_erlang_model, 0.75, 1.0),
+                                             (_erlang_model, 1.5, 2.0)])
+    @pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
+    @pytest.mark.parametrize("tilted", [True, False], ids=["tilted", "R=0"])
+    def test_reweighted_pairs_follow_the_copula(self, make, c, rate, theta, tilted):
+        """Tilted pairs reweighted by e^{-alpha R(x - c w)} have the model's joint law.
+
+        E_R[phi e^{-alpha R(X - cW)}] = E[phi] for the tilted law
+        e^{alpha R(x - cw)} f(x, w), so the weights average 1 and the
+        weighted joint grade cdf at the quartile grid is the FGM copula's,
+        each within four standard errors; at R = 0 the table is the
+        model's own law and every weight is 1.  The last model has
+        alpha = beta = 2, with the unit-rate premium of the one before.
+        """
+        from fgmruin.simulate import _lundberg_root
+
+        m = make(theta, c=c, alpha=rate, **({"beta": rate} if make is _erlang_model else {}))
+        unit_c = c * m.claim.alpha / rate
+        R, gap = _lundberg_root(unit_c, theta, make is _erlang_model) if tilted else (0.0, 1.0)
+        n = 200_000
+        w, x = sample_pairs(m, np.random.default_rng(5), n, PairTilt.of(m, R, gap))
+        y = np.exp(-m.claim.alpha * R * (x - c * w))
+        assert abs(y.mean() - 1.0) <= 4.0 * y.std() / np.sqrt(n)
+        q = np.array([0.25, 0.5, 0.75])
+        cell = (m.arrival.cdf(w)[:, None, None] <= q[:, None]) & (
+            m.claim.cdf(x)[:, None, None] <= q[None, :])
+        got = (cell * y[:, None, None]).mean(axis=0)
+        se = (cell * y[:, None, None]).std(axis=0) / np.sqrt(n)
+        want = fgm_cdf(q[:, None], q[None, :], theta)
+        assert np.all(np.abs(got - want) <= 4.0 * se), np.abs(got - want) / se
+

@@ -346,7 +346,8 @@ def _ref_tilted_block(tilt, levels, size, seed, block):
         at = (np.arange(live) * k + first)[fired]
         y = add(np.full(at.size, top), steps.ravel()[at] + levels[top], at)
         sums[0, top] += y.sum()
-        sums[1, top] += y @ y
+        # The engine's non-BLAS dot, whose sum order sets the last bits.
+        sums[1, top] += np.einsum("i,i->", y, y)
         walk = steps[~fired, -1]
         pending = pending[~fired]
     return sums

@@ -60,6 +60,22 @@ class TestEstimateReach:
         est = estimate_reach_prob(m, u, b, n=n, seed=7)
         _binomial_gate(est, chi(m, u, b), n)
 
+    @pytest.mark.parametrize("loading", [0.05, 0.5, 2.0, 10.0, 100.0])
+    def test_grid_matches_boundary_solver(self, loading):
+        # Poisson times, theta in {-1, 0, 0.5, 1} and (u, b) in {(0, 20),
+        # (18, 20), (0, 100)}, n = 5e4 at seed 1: 60 cells in about 1.1 s.
+        # Worst |z| 2.12 (the exact theta = 0 cell at loading 0.05, b = 100,
+        # against solve_chi's own rounding); 2.25 - 2.45 at seeds 2 - 5.  At
+        # theta = 0 the estimate is exact and its stderr the rounding floor.
+        for theta in (-1.0, 0.0, 0.5, 1.0):
+            m = _poisson_model(theta, c=1.0 + loading)
+            for u, b in ((0.0, 20.0), (18.0, 20.0), (0.0, 100.0)):
+                est = estimate_reach_prob(m, u, b, n=50_000, seed=1)
+                z = (est.value - float(chi(m, u, b))) / est.stderr
+                assert abs(z) <= 4.0, (theta, u, b, est, z)
+                if theta == 0.0:
+                    assert est.stderr <= 4.0 * np.finfo(float).eps, (u, b, est)
+
     def test_matches_preset_point_value(self):
         m = _poisson_model(0.5)
         n = 200_000
@@ -73,16 +89,16 @@ class TestEstimateReach:
         n = 200_000
         est = estimate_reach_prob(m, 1.0, 20.0, n=n, seed=7)
         _binomial_gate(est, truth, n)
-        # At theta = 0, I' is a fixed multiple of Z', so the estimate is
-        # exact: it reads 2 ulps from solve_chi (z = -0.16), and the stderr
-        # is the rounding floor, 1.4e-15 (the sample stderr is about 1e-18).
+        # At theta = 0 every path's correction D is 0, so the estimate is
+        # exact: it reads solve_chi's value to the bit, and the stderr is
+        # the rounding floor, 4.6e-16 (the sample stderr is 0).
         assert est.stderr < 1e-14
         assert abs(est.value - float(chi(m, 1.0, 20.0))) <= 4.0 * est.stderr
 
     def test_far_level_takes_the_ratio_of_the_masses(self):
         # From u = 800, e^{-s} underflows at every stopping step (and e^{-w*}
-        # would with it below s = 883): I' comes from the masses scaled by
-        # e^{w*}, never from 0 / 0.
+        # would with it below s = 883): D comes from the masses scaled by
+        # e^{w* + R b}, never from 0 / 0.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = estimate_reach_prob(_poisson_model(0.5), 800.0, 2000.0, n=1000, seed=1)
@@ -90,17 +106,28 @@ class TestEstimateReach:
         assert math.isfinite(est.stderr)
 
     def test_refused_root_gives_the_mean_of_the_conditioned_indicator(self):
-        # Above loading 1e75 R is refused and every Z' is 0: the estimate is
-        # the mean of I', here 1 on every path, and the stderr is its
-        # rounding floor, 4 ulps of it.
+        # Above loading 1e6 the walk is the model's own (R = 0) and each
+        # path contributes the reach probability of its stopping step, here
+        # 1 on every path: the estimate is their mean and the stderr its
+        # rounding floor, 4 ulps of the value plus the mean.
         m = _poisson_model(0.5, c=1e80)
+        assert _Martingale.of(m).R == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = estimate_reach_prob(m, 0.0, 1.0, n=2000, seed=1)
             sums = _reach_block(m, 0.0, 1.0, 2000, 1, 0)
-        assert sums[3] == sums[4] == 0.0
+        assert sums[3] == 0.0
         assert est.value == sums[2] / 2000
-        assert 0.0 < est.stderr <= 1e-15
+        assert 0.0 < est.stderr <= 2e-15
+
+    def test_tilt_stops_at_its_loading_bound(self):
+        # Near theta = 1 the masses cancel past loading 1e6; the walk is
+        # tilted up to there and the model's own above.
+        for make, c in ((_poisson_model, 1.0), (_erlang_model, 0.5)):
+            below = make(1.0, c=c * (1.0 + 1e6), **({"beta": 1.0} if make is _erlang_model else {}))
+            above = make(1.0, c=c * (1.0 + 2e6), **({"beta": 1.0} if make is _erlang_model else {}))
+            assert _Martingale.of(below).R > 0.0
+            assert _Martingale.of(above).R == 0.0
 
     def test_start_at_level_is_certain(self):
         est = estimate_reach_prob(_poisson_model(0.3), 5.0, 5.0, n=1000, seed=0)
@@ -118,8 +145,8 @@ class TestEstimateReach:
 
     @pytest.mark.parametrize("theta,b", [(-1.0, 20.0), (0.5, 1.0)])
     def test_stderr_covers_spread_over_seeds(self, theta, b):
-        # The spread of 40 estimates over their mean stderr measured 0.93
-        # (theta = -1, b = 20) and 1.16 (theta = 0.5, b = 1), and 0.84 - 1.16
+        # The spread of 40 estimates over their mean stderr measured 1.05
+        # (theta = -1, b = 20) and 0.89 (theta = 0.5, b = 1), and 0.80 - 1.17
         # over five sets of 40 seeds each; the binomial stderr would put it
         # near 0.03 and 0.005.
         m = _poisson_model(theta)
@@ -129,9 +156,9 @@ class TestEstimateReach:
 
     def test_erlang_matches_fluid_embedding(self):
         # chi = 0.847683 from the fluid embedding (ROADMAP item 26).  Seeds
-        # 1 - 3 read z = +0.72, -0.27 and -1.87 with stderr 1.24e-5; the
-        # plain hit fraction of seed 1 reads 0.84675 with binomial stderr
-        # 8.1e-4.
+        # 1 - 3 read z = -0.85, +1.28 and -0.52 with stderr 2.58e-5; the
+        # plain hit fraction of the model's own walk at seed 1 read 0.84675
+        # with binomial stderr 8.1e-4.
         m = ModelSpec(1.0, ExpClaim(1.0), Erlang2(1.0), FgmParam(0.5))
         est = estimate_reach_prob(m, 1.0, 5.0, n=200_000, seed=1)
         assert est.stderr < 1e-4
@@ -445,15 +472,19 @@ class TestAdjustmentCoefficient:
 
 
 def _stopping_quad(walk, b, s):
-    """(H+, H-, Z+, Z-) at the walk s before the stopping step, by 30-digit quadrature over W.
+    """(H+, H-, M) at the walk s before the stopping step, by 30-digit quadrature over W.
 
     The integrands of the ``_Martingale`` docstring at unit rates, with
-    f_W and Fbar_W of Exp(1) or Erlang(2, 1) and tb = theta (2 Fbar_W - 1).
+    f_W and Fbar_W of Exp(1) or Erlang(2, 1) and tb = theta (2 Fbar_W - 1);
+    M weighs e^{-R S_N} by the claim's phases, k1 = 1 / (1 - R) and
+    k2 = 2 / (2 - R), from ``walk.gap``.
     """
     with mpmath.workdps(30):
-        R, theta, c, b, s = (mpmath.mpf(v) for v in (walk.R, walk.model.theta,
-                                                     walk.model.c, b, s))
-        kappa = R / (2 - R)
+        R, gap, theta, c, b, s = (mpmath.mpf(v) for v in (walk.R, walk.gap, walk.model.theta,
+                                                          walk.model.c, b, s))
+        # 1 - R from the root's own gap: 1 - R of the rounded R is off by
+        # 1e-13 relative where R nears 1.
+        k1, k2 = 1 / gap, 2 / (1 + gap)
         ws = (b - s) / c
         if isinstance(walk.model.arrival, Erlang2):
             f, fbar = (lambda w: w * mpmath.exp(-w)), (lambda w: (1 + w) * mpmath.exp(-w))
@@ -471,16 +502,24 @@ def _stopping_quad(walk, b, s):
 
         return (above(lambda w, p: 1),
                 below(lambda w, p: mpmath.exp(-p) * (1 - tb(w) + tb(w) * mpmath.exp(-p))),
-                above(lambda w, p: 1 - mpmath.exp(-R * p) * (1 - kappa * tb(w))),
-                below(lambda w, p: kappa * tb(w) * mpmath.exp(-2 * p)))
+                above(lambda w, p: mpmath.exp(-R * p) * ((1 - tb(w)) * k1 + tb(w) * k2))
+                + below(lambda w, p: mpmath.exp(-p) * ((1 - tb(w)) * k1
+                                                       + tb(w) * k2 * mpmath.exp(-p))))
 
 
-# The closed forms of ``_Martingale.masses`` against ``_stopping_quad``:
+def _u0(walk):
+    """U0 = U(1 + R c)(0), the theta = 0 ratio of H+ to M's reach part at w* = 0."""
+    a1 = 1.0 + walk.R * walk.model.c
+    return 1.0 / a1 / a1 if isinstance(walk.model.arrival, Erlang2) else 1.0 / a1
+
+
+# The closed forms of ``_Martingale.corrections`` against ``_stopping_quad``:
 # both arrivals, theta in {-1, -0.5, 0, 0.5, 1}, c' in {1.05, 1.5, 11},
 # b' in {1, 20} and s in {0, b'/2, b' - 1e-9}.  Measured apart by at most
-# 7.2e-16 (H+), 2.1e-15 (H-, relative to H+ + H-), 1.5e-15 (I') and
-# 1.1e-15 (Z') relative.
-_STOPPING_RTOL = 1e-14
+# 3.5e-15 (M) and 1.3e-15 (D / (1 - R), relative to 1 + |D / (1 - R)|),
+# except at Erlang c' = 11 (loading 21), where near theta = 1 the loading's
+# own conditioning, about eps loading^2, leaves 1.05e-14 on both.
+_STOPPING_RTOL = 3e-14
 
 
 class TestStoppingMasses:
@@ -490,22 +529,20 @@ class TestStoppingMasses:
     def test_closed_forms_match_quadrature(self, make, theta, c):
         # Unit rates: alpha = 1 and lam or beta = 1, so c' = c.
         walk = _Martingale.of(make(theta, c=c, **({"beta": 1.0} if make is _erlang_model else {})))
+        u0 = _u0(walk)
         for b in (1.0, 20.0):
             s = np.array([0.0, b / 2.0, b - 1e-9])
             stop = walk.stopping(b)
-            reach, h_minus, _ = walk.masses(s.copy(), stop, [np.empty(3) for _ in range(5)])
-            ind, z = walk.controls(s.copy(), stop, [np.empty(3) for _ in range(5)])
-            p = np.exp(-(b - s) / c)
+            spare = [np.empty(3) for _ in range(5)]
+            e = walk.corrections(s.copy(), stop, spare)
+            # d = M / (k1 g p) is left in spare[1].
+            g = math.exp(-walk.R * b)
+            mass = spare[1] / walk.gap * g * np.exp(-(b - s) / c)
             for j, sj in enumerate(s.tolist()):
-                h_plus, h_minus_q, z_plus, z_minus = _stopping_quad(walk, b, sj)
-                mass = h_plus + h_minus_q
-                got = (float(np.broadcast_to(reach, s.shape)[j]) * p[j], h_minus[j] * p[j],
-                       ind[j], z[j])
-                want = (h_plus, h_minus_q, h_plus / mass, (z_plus + z_minus) / mass)
-                # H- is a difference of O(w*) terms as w* goes to 0, and
-                # enters I' and Z' only against H+ + H-: it is held to that.
-                scale = (h_plus, mass, want[2], abs(want[3]))
-                err = [float(abs(g - w) / d) for g, w, d in zip(got, want, scale)]
+                h_plus, h_minus, m = _stopping_quad(walk, b, sj)
+                want = (walk.gap * m - h_minus - g * u0 * h_plus) / (walk.gap * m)
+                err = (float(abs(mass[j] - m) / m),
+                       float(abs(e[j] - want) / (1 + abs(want))))
                 assert max(err) <= _STOPPING_RTOL, (b, sj, err)
 
 
@@ -640,21 +677,22 @@ def _claims_to_ruin(tilt, n, rng):
     return claims / n
 
 
-def _run_block_reference(model, u, b, size, seed, block):
+def _run_block_reference(walk, u, b, size, seed, block):
     """The reach engine walked claim by claim in plain Python.
 
-    Each round draws the same arrays as ``_run_block``; the pre-claim level
-    check comes before the ruin check at the same claim.  Returns the hit
-    count and, path by path, the walk s before the step at which the path
-    stopped.
+    Each round draws the same tilted pairs as ``_run_block``; the
+    pre-claim level check comes before the ruin check at the same claim.
+    Returns the hit count and, path by path, the walk s before the step at
+    which the path stopped.
     """
     rng = _block_rng(seed, block)
+    model = walk.model
     live = [u] * size
     reached = 0
     stops = []
     while live:
         k = _claims_per_round(len(live))
-        w, x = sample_pairs(model, rng, len(live) * k)
+        w, x = sample_pairs(model, rng, len(live) * k, walk.pairs)
         cw, x = (model.c * w).tolist(), x.tolist()
         survivors = []
         for i, s in enumerate(live):
@@ -692,7 +730,7 @@ def _times(f, g):
 
 
 def _stopping_reference(walk, b, s):
-    """(H+, H-, Z+, Z-) at the walk s before the stopping step, in plain Python.
+    """(H+, H-, M) at the walk s before the stopping step, in plain Python.
 
     The integrands of the ``_Martingale`` docstring over the inter-claim
     time w, each expanded into terms coef w^k e^{-a w} and integrated term
@@ -700,45 +738,39 @@ def _stopping_reference(walk, b, s):
     Erlang(2)), tb = theta (2 Fbar_W - 1), P = s + c w.
     """
     R, theta, c = walk.R, walk.model.theta, walk.model.c
-    kappa = R / (2.0 - R)
+    k1, k2 = 1.0 / walk.gap, 2.0 / (1.0 + walk.gap)
     erlang = isinstance(walk.model.arrival, Erlang2)
     f = [(1.0, 1 if erlang else 0, 1.0)]
     fbar = [(1.0, 0, 1.0)] + ([(1.0, 1, 1.0)] if erlang else [])
     tb = [(-theta, 0, 0.0)] + [(2.0 * theta * k, j, a) for k, j, a in fbar]
     one = [(1.0, 0, 0.0)]
+    not_tb = one + [(-k, j, a) for k, j, a in tb]
     e_p = [(math.exp(-s), 0, c)]  # e^{-P}
     e_2p = [(math.exp(-2.0 * s), 0, 2.0 * c)]  # e^{-2P}
     e_rp = [(math.exp(-R * s), 0, R * c)]  # e^{-R P}
     ws = (b - s) / c
-    ruin = _times(f, _times(e_p, one + [(-k, j, a) for k, j, a in tb])
-                  + _times(e_2p, tb))
-    z_ruin = _times(f, _times(e_2p, [(kappa * k, j, a) for k, j, a in tb]))
-    z_reach = _times(f, one + [(-k, j, a) for k, j, a in _times(
-        e_rp, one + [(-kappa * k, j, a) for k, j, a in tb])])
+    ruin = _times(f, _times(e_p, not_tb) + _times(e_2p, tb))
+    m_ruin = _times(f, _times(e_p, [(k1 * k, j, a) for k, j, a in not_tb])
+                    + _times(e_2p, [(k2 * k, j, a) for k, j, a in tb]))
+    m_reach = _times(f, _times(e_rp, [(k1 * k, j, a) for k, j, a in not_tb]
+                               + [(k2 * k, j, a) for k, j, a in tb]))
     return (_integral(f, ws, math.inf), _integral(ruin, 0.0, ws),
-            _integral(z_reach, ws, math.inf), _integral(z_ruin, 0.0, ws))
+            _integral(m_reach, ws, math.inf) + _integral(m_ruin, 0.0, ws))
 
 
 def _control_sums_reference(walk, b, hits, stops):
     """The sums of ``_run_block`` from the walk before each stopping step, in plain Python.
 
-    I' = H+ / (H+ + H-) and Z' = (Z+ + Z-) / (H+ + H-) from
-    ``_stopping_reference``.
+    D / (1 - R) = 1 - (H- + g U0 H+) / ((1 - R) M) from ``_stopping_reference``.
     """
-    ind, z = [], []
+    g, u0 = math.exp(-walk.R * b), _u0(walk)
+    e = []
     for s in stops:
-        h_plus, h_minus, z_plus, z_minus = _stopping_reference(walk, b, s)
-        ind.append(h_plus / (h_plus + h_minus))
-        z.append((z_plus + z_minus) / (h_plus + h_minus))
-    size = len(z)
-    mean_i, mean_z = math.fsum(ind) / size, math.fsum(z) / size
-    zc = [v - mean_z for v in z]
-    ic = [v - mean_i for v in ind]
-    sq = math.fsum(v * v for v in zc)
-    cross = math.fsum(a * v for a, v in zip(ic, zc))
-    slope = cross / sq if sq > 0.0 else 0.0
-    resid = math.fsum((a - slope * v) ** 2 for a, v in zip(ic, zc))
-    return [size, hits, math.fsum(ind), math.fsum(z), sq, cross, resid]
+        h_plus, h_minus, m = _stopping_reference(walk, b, s)
+        e.append(1.0 - (h_minus + g * u0 * h_plus) / (walk.gap * m))
+    size = len(e)
+    mean = math.fsum(e) / size
+    return [size, hits, math.fsum(e), math.fsum((v - mean) ** 2 for v in e)]
 
 
 def _ruin_terms(masses, columns):
@@ -822,7 +854,7 @@ class TestRunBlock:
     def test_compact_surplus_matches_index_array_loop(self, make, u, b):
         walk = _Martingale.of(make(0.5))
         for seed, block in ((0, 0), (11, 3), (2024, 7)):
-            want, _ = _run_block_reference(walk.model, u, b, 4096, seed, block)
+            want, _ = _run_block_reference(walk, u, b, 4096, seed, block)
             got = _run_block(walk, u, walk.stopping(b), 4096, seed, block, _ReachLog(4096))
             assert got[1] == want
 
@@ -832,7 +864,7 @@ class TestRunBlock:
     def test_control_sums_match_claim_by_claim_walk(self, make, theta, u, b):
         walk = _Martingale.of(make(theta))
         for seed, block in ((0, 0), (11, 3)):
-            hits, stops = _run_block_reference(walk.model, u, b, 3000, seed, block)
+            hits, stops = _run_block_reference(walk, u, b, 3000, seed, block)
             got = _run_block(walk, u, walk.stopping(b), 3000, seed, block, _ReachLog(3000))
             want = _control_sums_reference(walk, b, hits, stops)
             np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -847,25 +879,26 @@ class TestRunBlock:
         assert abs(frac - 2.0 / 3.0) <= 3.0 * se
 
     def test_first_claim_ruin_is_reproducible(self):
-        # A single path draws _claims_per_round(1) pairs in its first round.
-        # Block 0 of seed 7 draws a first pair with x > c w (seed 7 is the
-        # smallest nonnegative seed that does), so a single path from zero
-        # surplus is ruined by its first claim.
+        # A single path draws _claims_per_round(1) tilted pairs in its first
+        # round.  Block 0 of seed 0 draws a first pair with x > c w, so a
+        # single path from zero surplus is ruined by its first claim.
         m = _poisson_model(0.0)
-        w, x = sample_pairs(m, _block_rng(7, 0), _claims_per_round(1))
+        walk = _Martingale.of(m)
+        w, x = sample_pairs(walk.model, _block_rng(0, 0), _claims_per_round(1), walk.pairs)
         assert x[0] > m.c * w[0]
-        assert [_reach_block(m, 0.0, 60.0, 1, 7, 0)[1] for _ in range(2)] == [0, 0]
+        assert [_reach_block(m, 0.0, 60.0, 1, 0, 0)[1] for _ in range(2)] == [0, 0]
 
     def test_level_crossed_before_first_claim(self):
-        # Block 0 of seed 7 draws a first pair with c w >= 0.5 and x > c w
-        # (seed 7 is the smallest nonnegative seed that does; 15 and 27 also
-        # qualify): the premium income lifts u = 0 to b = 0.5 before the
-        # claim that would ruin the path.
+        # Block 0 of seed 3 draws a first tilted pair with c w >= 0.5 and
+        # x > c w (seed 3 is the smallest nonnegative seed that does; 6 and 8
+        # also qualify): the premium income lifts u = 0 to b = 0.5 before
+        # the claim that would ruin the path.
         m = _poisson_model(0.0)
-        w, x = sample_pairs(m, _block_rng(7, 0), _claims_per_round(1))
+        walk = _Martingale.of(m)
+        w, x = sample_pairs(walk.model, _block_rng(3, 0), _claims_per_round(1), walk.pairs)
         assert m.c * w[0] >= 0.5
         assert x[0] > m.c * w[0]
-        assert _reach_block(m, 0.0, 0.5, 1, 7, 0)[1] == 1
+        assert _reach_block(m, 0.0, 0.5, 1, 3, 0)[1] == 1
 
     def test_claims_per_round(self):
         # One claim per path while a round's pairs fill a full batch, then

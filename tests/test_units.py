@@ -130,9 +130,9 @@ def test_unit_rate_denominators_vanish_exactly_at_zero(c):
 # Largest relative difference of a simulated value or stderr between a model
 # with every rate times 10**k and the same model at k = 0.  Measured at most
 # 3.6e-15 over every k in [-300, 300] (n = 2000, both laws, theta -1 and
-# 0.5).  Reach counts the same hits; its conditioned indicator and control
-# move with the last bit of c', by at most 3.1e-15 of the value or stderr
-# (n = 4000, k in steps of 25).
+# 0.5).  Reach walks the tilted unit-rate law; its value and stderr move
+# with the last bit of c', by at most 8.5e-16 relative (n = 4000, k in
+# steps of 25).
 MC_SCALE_REL = 1e-14
 
 
