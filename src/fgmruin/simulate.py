@@ -7,7 +7,8 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
 * reach: the surplus attains a level b before ever falling below zero.
   Paths draw their pairs from Siegmund's tilted law, as survival does,
   exactly, through ``model.sample_pairs`` with a ``PairTilt``: a category
-  from one uniform, then the time's and the claim's exponential phases.
+  from one uniform, then the time's and the claim's exponential phases,
+  by the kernel that draws the survival steps (``model._draw_phases``).
   Under the tilt most paths are ruined within a few claims.  Each path
   contributes D, a closed form in the walk before its stopping step that
   combines the step's likelihood-weighted ruin and reach probabilities
@@ -69,8 +70,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .model import (Erlang2, ExpClaim, ModelSpec, PairTilt, _arrival_parts, _cgf,
-                    _pair_categories, sample_pairs, unit_rates)
+from .model import (Erlang2, ExpClaim, ModelSpec, PairTilt, _arrival_parts, _cgf, _Draws,
+                    _draw_phases, _pair_categories, sample_pairs, unit_rates)
 
 __all__ = [
     "SimEstimate",
@@ -116,10 +117,14 @@ class SimEstimate:
 
 def _check_inputs(u, n: int, seed: int,
                   workers: int) -> tuple[np.ndarray, int, int]:
-    levels = np.asarray(u, dtype=float)
+    try:
+        levels = np.asarray(u, dtype=float)
+    except (TypeError, ValueError):
+        levels = np.empty(0)
     if levels.ndim > 1 or levels.size == 0 or not np.all(
             (levels >= 0.0) & (levels < math.inf)):
-        raise InputError(f"initial surplus must be nonnegative, got {u!r}")
+        raise InputError(f"initial surplus must be a nonnegative number or 1-D grid of them, "
+                         f"got {u!r}")
     if not isinstance(n, numbers.Integral) or n <= 0:
         raise InputError(f"path count must be a positive integer, got {n!r}")
     if not isinstance(workers, numbers.Integral) or workers < 1:
@@ -295,13 +300,14 @@ class _Martingale(NamedTuple):
     t and t q are taken at w* - s + R b <= 700, both shifted alike: this
     binds only past b (1 / c + R) = 700, where the ruin terms outweigh
     every other by e^700, and moves D by less than e^{-700} relative.
-    Where ``_lundberg_root`` refuses, R is 0, the walk is the model's own,
-    U0 is 0 and D = H+ / (H+ + H-), the reach probability of the step.
+    Above loading 1e6 (``_REACH_TILT_MAX``), or where ``_lundberg_root``
+    refuses, R is 0, the walk is the model's own, U0 is 0 and
+    D = H+ / (H+ + H-), the reach probability of the step.
     """
 
     model: ModelSpec  # the model at unit rates, whose tilted pairs the paths walk
     alpha: float  # claim rate: a model level u is alpha u in claim units
-    R: float  # adjustment coefficient at unit rates, 0 where it is refused
+    R: float  # adjustment coefficient at unit rates, 0 past the tilt bound or where refused
     gap: float  # 1 - R
     kappa: float  # R / (2 - R)
     pairs: PairTilt  # the tilted pair law at R
@@ -520,11 +526,11 @@ def estimate_reach_prob(
 
     clipped to [0, 1], with the standard error e^{-R alpha u} / (1 - g U0)
     times D's sample standard error, the moments combined from per-block
-    centred sums.  Where ``_lundberg_root`` refuses the loading (above
-    1e75) R is 0, the walk is the model's own and the estimate is the mean
-    of the reach probability of each path's stopping step.  README "Monte
-    Carlo" tabulates where the tilt shortens the walk and where it does
-    not.
+    centred sums.  Above relative loading 1e6 (``_REACH_TILT_MAX``), or
+    where ``_lundberg_root`` refuses, R is 0, the walk is the model's own
+    and the estimate is the mean of the reach probability of each path's
+    stopping step.  README "Monte Carlo" tabulates where the tilt shortens
+    the walk and where it does not.
 
     The standard error is floored at the rounding error of the value
     itself: 4 ulps of the value plus the scaled |D-bar|.  D is computed to
@@ -540,14 +546,20 @@ def estimate_reach_prob(
     one after another whatever its value.
 
     Raises:
-        InputError: If u, b, n, seed or workers is out of its domain.
+        InputError: If u, b, n, seed or workers is out of its domain; u
+            and b must be numbers, not grids or one-element arrays.
         ConditioningError: If ``model.unit_rates`` refuses the premium at
             unit rates (c' overflowing, or a loading that rounds to 0), or
             a block exceeds the claim cap.
     """
-    u = float(u)
-    _, n, seed = _check_inputs(u, n, seed, workers)
-    b = float(b)
+    levels, n, seed = _check_inputs(u, n, seed, workers)
+    if levels.ndim:
+        raise InputError(f"initial surplus must be a number, got {u!r}")
+    u = float(levels)
+    try:
+        b = float(b)
+    except (TypeError, ValueError):
+        raise InputError(f"target level must be a number, got {b!r}") from None
     if not math.isfinite(b) or b < u:
         raise InputError("target level must be finite and at least u")
     if b == u:
@@ -683,23 +695,21 @@ def _mixture(c: float, theta: float, erlang: bool, R: float,
     return np.array(list(rows.values())), coef
 
 
-class _Workspace:
+class _Workspace(_Draws):
     """Buffers the tilted rounds of one request draw into, block after block.
 
     A round of ``live`` paths draws live * k < live + _ROUND_STEPS steps,
     so a workspace of the largest block's size plus _ROUND_STEPS holds every
-    round; a round uses the first live * k entries of each buffer.  The
-    category comparisons take a (cuts, size) block of booleans, ``cuts``
-    being the tilt's cut count (at most 13), and ``cat`` holds each step's
-    category.  ``before`` logs the walk before every passage of a block's
-    top level, one per path, for ``_RuinWeight.weights``.
+    round; a round uses the first live * k entries of each buffer.  Besides
+    ``_draw_phases``'s buffers, whose boolean block is (cuts, size),
+    ``cuts`` being the tilt's cut count (at most 13), ``steps`` takes each
+    round's steps and ``walk`` the live paths' walk, and ``before`` logs
+    the walk before every passage of a block's top level, one per path, for
+    ``_RuinWeight.weights``.
     """
 
     def __init__(self, size: int, cuts: int):
-        self.uniform = np.empty(size)
-        self.expo = np.empty(size)
-        self.mask = np.empty((cuts, size), dtype=bool)
-        self.cat = np.empty(size, dtype=np.intp)
+        super().__init__(size, cuts)
         self.steps = np.empty(size)
         self.walk = np.empty(size)
         self.before = np.empty(size)
@@ -786,37 +796,12 @@ class _Tilt:
     ruin: _RuinWeight  # conditioned weight of a ruinous step
 
     def steps(self, rng: np.random.Generator, n: int, work: _Workspace) -> np.ndarray:
-        """n tilted steps c w - x: a category from one uniform, then J exponentials.
+        """n tilted steps c w - x, drawn by ``model._draw_phases`` into ``work``.
 
-        A step's category is the number of cuts at or below its uniform,
-        counted for all n at once: one comparison of the uniforms against
-        every cut into ``work``'s boolean block, then one sum along the cut
-        axis.  The steps are drawn into ``work`` and returned as a view of
-        its first n step entries.
+        Returns a view of ``work``'s first n step entries.
         """
-        u = rng.random(out=work.uniform[:n])
-        # The comparison block beats np.searchsorted on a handful of cuts
-        # and a loop of one comparison per cut (17 against 40 us for 4096
-        # draws of the Erlang table on numpy 2.4), and a uint8 sum beats an
-        # intp one (there are at most 14 categories); np.take then gathers
-        # fastest through intp indices.
-        mask = work.mask[:, :n]
-        np.greater_equal(u, self.cuts[:, None], out=mask)
-        cat = work.cat[:n]
-        np.copyto(cat, np.add.reduce(mask, axis=0, dtype=np.uint8))
-        # Row by row: one (J, n) draw and gather measured 1.5-1.9x slower
-        # for the Erlang table.  The uniforms are spent, so their buffer
-        # takes each gathered coefficient row.  A category is always in
-        # range, so mode="clip" moves none, and it spares the buffered copy
-        # that np.take makes of ``out`` in its default mode (38 against
-        # 66 us for 32768 gathers).
-        step = np.take(self.coef[0], cat, out=work.steps[:n], mode="clip")
-        e = rng.standard_exponential(out=work.expo[:n])
-        step *= e
-        for coef in self.coef[1:]:
-            rng.standard_exponential(out=e)
-            e *= np.take(coef, cat, out=u, mode="clip")
-            step += e
+        step = work.steps[:n]
+        _draw_phases(rng, self.cuts, (self.coef,), (step,), work)
         return step
 
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from fgmruin.errors import InputError, LoadingError
@@ -13,7 +12,6 @@ from fgmruin.model import (
     FgmParam,
     ModelSpec,
     PairTilt,
-    conditional_grade,
     f_tilde,
     fgm_cdf,
     fgm_density,
@@ -322,17 +320,6 @@ class TestTransforms:
         assert h_tilde(s, claim) == pytest.approx(val, abs=1e-8)
 
 
-@given(
-    p=st.floats(1e-9, 1.0 - 1e-9, allow_nan=False),
-    a=st.floats(-1.0, 1.0, allow_nan=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_conditional_grade_solves_its_equation(p, a):
-    g = conditional_grade(p, a)
-    assert 0.0 <= g <= 1.0
-    assert abs(g + a * g * (1.0 - g) - p) < 1e-12
-
-
 class TestSampling:
     def test_rejects_negative_count(self):
         m = _poisson_model(0.0)
@@ -347,23 +334,23 @@ class TestSampling:
 
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     @pytest.mark.parametrize("theta", [-1.0, -1e-13, 0.0, 0.5, 1.0])
-    def test_pairs_equal_margin_and_grade_functions(self, make, theta):
-        # The in-place sampler must give, bit for bit, what the public
-        # quantile or cdf, conditional_grade and the claim quantile give on
-        # the same draws; theta = -1e-13 takes the |a| < 1e-12 branch.
+    def test_pairs_equal_the_untilted_table(self, make, theta):
+        # Without a tilt the pairs are those of the R = 0 table, bit for
+        # bit; theta = -1e-13 keeps a category of mass 5e-14.
         m = make(theta, alpha=0.7)
         n = 50_000
         w, x = sample_pairs(m, np.random.default_rng(99), n)
-        rng = np.random.default_rng(99)
-        if isinstance(m.arrival, Erlang2):
-            want_w = rng.gamma(2.0, 1.0 / m.arrival.beta, n)
-            v = m.arrival.cdf(want_w)
-        else:
-            v = rng.random(n)
-            want_w = m.arrival.ppf(v)
-        grade = conditional_grade(rng.random(n), theta * (1.0 - 2.0 * v))
+        want_w, want_x = sample_pairs(m, np.random.default_rng(99), n, PairTilt.of(m, 0.0, 1.0))
         assert np.array_equal(w, want_w)
-        assert np.array_equal(x, m.claim.ppf(grade))
+        assert np.array_equal(x, want_x)
+
+    def test_untilted_pairs_need_no_unit_rate_premium(self):
+        # c' = c alpha / lam overflows, but R c' = 0 at R = 0: the model's
+        # own law does not depend on the premium.
+        m = ModelSpec(1e300, ExpClaim(1e10), ExpPoisson(1.0), FgmParam(0.5))
+        w, x = sample_pairs(m, np.random.default_rng(0), 1000)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(x))
+        assert np.all(w > 0.0) and np.all(x > 0.0)
 
     def test_independence_has_no_correlation(self):
         m = _poisson_model(0.0)

@@ -120,6 +120,16 @@ class TestEstimateReach:
         assert est.value == sums[2] / 2000
         assert 0.0 < est.stderr <= 2e-15
 
+    @pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
+    def test_walk_past_the_tilt_bound_matches_boundary_solver(self, theta):
+        # Loading 1e7 - 1 is past _REACH_TILT_MAX, so the walk is the
+        # model's own, and a path's first step does not always stop it.
+        # Measured |z| 0.44 - 0.88, with stderr 1.78e-15.
+        m = _poisson_model(theta, c=1e7)
+        assert _Martingale.of(m).R == 0.0
+        est = estimate_reach_prob(m, 0.0, 1.0, n=20_000, seed=1)
+        assert abs(est.value - float(chi(m, 0.0, 1.0))) <= 4.0 * est.stderr, est
+
     def test_tilt_stops_at_its_loading_bound(self):
         # Near theta = 1 the masses cancel past loading 1e6; the walk is
         # tilted up to there and the model's own above.
@@ -184,6 +194,13 @@ class TestEstimateReach:
             estimate_reach_prob(m, 5.0, 4.0, n=100, seed=0)
         with pytest.raises(InputError):
             estimate_reach_prob(m, 0.0, 10.0, n=100, seed=0, workers=0)
+
+    @pytest.mark.parametrize("u,b", [([0.0, 1.0], 10.0), (0.0, [10.0]), (None, 10.0),
+                                     (0.0, None), (np.array([0.0]), 10.0),
+                                     (0.0, np.array([10.0])), ("x", 10.0), (0.0, "x")])
+    def test_non_numbers_refused_by_type(self, u, b):
+        with pytest.raises(InputError):
+            estimate_reach_prob(_poisson_model(0.5), u, b, n=100, seed=0)
 
 
 class TestEstimateSurvival:
@@ -317,7 +334,7 @@ class TestEstimateSurvival:
             estimate_survival(m, 0.0, n=0, seed=0)
         with pytest.raises(InputError):
             estimate_survival(m, 0.0, n=100, seed=0, workers=0)
-        for grid in ([0.0, -1.0], [0.0, np.inf], [np.nan], [], [[0.0, 1.0]]):
+        for grid in ([0.0, -1.0], [0.0, np.inf], [np.nan], [], [[0.0, 1.0]], "x", None, [0.0, "x"]):
             with pytest.raises(InputError):
                 estimate_survival(m, grid, n=100, seed=0)
 
