@@ -21,12 +21,13 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
   has all its randomness in the deficit D = -post below zero.  The tilted
   law is a finite mixture of sums of exponential phases, so each step is
   drawn exactly, with no rejection: one uniform picks a category, whose
-  coefficients scale a few standard exponentials.  The estimate averages
-  E[e^{-R D}] given the walk before the ruinous step, a closed form in
-  that walk alone whose one parameter comes from the arrival transforms
-  at c' and 2c' (``_RuinWeight``), in place of e^{-R D}, from the same
-  draws.  One walk from zero serves a whole grid of initial surpluses:
-  ruin from u is the walk's first passage below -u.
+  coefficients, all of one sign, scale one to four standard exponentials
+  (``_mixture`` races the claim phases against the time phases).  The
+  estimate averages E[e^{-R D}] given the walk before the ruinous step, a
+  closed form in that walk alone whose one parameter comes from the
+  arrival transforms at c' and 2c' (``_RuinWeight``), in place of
+  e^{-R D}, from the same draws.  One walk from zero serves a whole grid
+  of initial surpluses: ruin from u is the walk's first passage below -u.
 
 Both walk at unit rates, in the units of ``model.unit_rates`` (money in
 mean claims 1/alpha, time in 1/lam or 1/beta), where the walk, R and the
@@ -48,22 +49,22 @@ first stopping event with one helper (``_first_events``), which in a round
 of one claim per path reads the events from a boolean column instead of
 gathering each row's first event, and the survival rounds of one request
 draw into one workspace of buffers that every block reuses.  A tilted
-round picks its categories from one comparison block against the cuts,
-gathers its passages by index, and on a grid searches only the paths
-whose round minimum passed the level they had pending.  Each of these
-computes the same values in the same order as a comparison per cut, a
-boolean gather and a search of every path, so the plain weights keep
-their bits.  The walk before each top-level passage, and the walk before
-each reach path's stopping step, are logged one per path, and their
-conditioned weights, or corrections, are computed once per block.  Sums
-over a block's length avoid BLAS, whose dot runs on every core.
+round draws a phase row only for the steps whose category uses it, where
+those carry under half the mass (``model._draw_phases``).  It picks its
+categories from one comparison block against the cuts, gathers its
+passages by index, and on a grid searches only the paths whose round
+minimum passed the level they had pending.  Each of these computes the
+same values in the same order as a comparison per cut, a boolean gather
+and a search of every path, so the plain weights keep their bits.  The
+walk before each top-level passage, and the walk before each reach path's
+stopping step, are logged one per path, and their conditioned weights,
+or corrections, are computed once per block.  Sums over a block's length
+avoid BLAS, whose dot runs on every core.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,7 +72,8 @@ import numpy as np
 
 from .errors import ConditioningError, InputError
 from .model import (Erlang2, ExpClaim, ModelSpec, PairTilt, _arrival_parts, _cgf, _Draws,
-                    _draw_phases, _pair_categories, sample_pairs, unit_rates)
+                    _draw_phases, _is_int, _pair_categories, _Phases, sample_pairs,
+                    unit_rates)
 
 __all__ = [
     "SimEstimate",
@@ -125,11 +127,11 @@ def _check_inputs(u, n: int, seed: int,
             (levels >= 0.0) & (levels < math.inf)):
         raise InputError(f"initial surplus must be a nonnegative number or 1-D grid of them, "
                          f"got {u!r}")
-    if not isinstance(n, numbers.Integral) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise InputError(f"path count must be a positive integer, got {n!r}")
-    if not isinstance(workers, numbers.Integral) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise InputError(f"worker count must be a positive integer, got {workers!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     return levels, int(n), int(seed)
 
@@ -674,25 +676,35 @@ def _mixture(c: float, theta: float, erlang: bool, R: float,
     At unit rates, with c the premium c', R the unit-rate coefficient and
     gap = 1 - R.  The tilted pair law mixes the categories of
     ``model._pair_categories``, whose step is c times a sum of arrival
-    phases minus a sum of claim phases.  Its i-th claim phase is paired with its i-th arrival phase: by
-    memorylessness c Exp(r_w) - Exp(r_x) is c / r_w times a standard
-    exponential with probability c r_x / (c r_x + r_w), and -1 / r_x times
-    one otherwise.  Each choice of component and signs is a category whose
-    step is its J coefficients (padded with zeros) times J standard
-    exponentials; identical categories merge.  The masses sum to M(R) = 1.
+    phases minus a sum of claim phases.  The two sides race, one phase each
+    at a time: by memorylessness c Exp(r_w) - Exp(r_x) is c / r_w times a
+    standard exponential with probability c r_x / (c r_x + r_w), and
+    -1 / r_x times one otherwise, so the claim phase ends first and the
+    time phase's rest races the next claim phase, or the other way round.
+    Once one side has no phase left the step is the other side's rest:
+    plus the time phases from the racing one on, or minus the claim phases.
+    Each race's outcome is a category whose step is its J coefficients, of
+    one sign (padded with zeros), times J standard exponentials; identical
+    categories merge, and they come in ascending order of J, so the users
+    of each coefficient row are a suffix of the categories.  The masses sum
+    to M(R) = 1.
     """
     rows: dict[tuple, float] = {}
     for mass, x_rates, w_rates in _pair_categories(c, theta, erlang, R, gap):
-        pairs = [((c * rx / (c * rx + rw), c / rw), (rw / (c * rx + rw), -1.0 / rx))
-                 for rw, rx in zip(w_rates, x_rates)]
-        alone = ([c / rw for rw in w_rates[len(x_rates):]]
-                 + [-1.0 / rx for rx in x_rates[len(w_rates):]])
-        for signs in itertools.product(*pairs):
-            row = tuple(sorted([v for _, v in signs] + alone))
-            rows[row] = rows.get(row, 0.0) + mass * math.prod(p for p, _ in signs)
-    width = max(len(row) for row in rows)
-    coef = np.array([row + (0.0,) * (width - len(row)) for row in rows]).T.copy()
-    return np.array(list(rows.values())), coef
+        races = [(0, 0, mass)]  # (claim phases ended, time phases ended, mass)
+        while races:
+            i, j, p = races.pop()
+            if i < len(x_rates) and j < len(w_rates):
+                rx, rw = x_rates[i], w_rates[j]
+                races += [(i + 1, j, p * (c * rx / (c * rx + rw))),
+                          (i, j + 1, p * (rw / (c * rx + rw)))]
+                continue
+            row = tuple(sorted([c / r for r in w_rates[j:]] + [-1.0 / r for r in x_rates[i:]]))
+            rows[row] = rows.get(row, 0.0) + p
+    order = sorted(rows, key=len)
+    width = len(order[-1])
+    coef = np.array([row + (0.0,) * (width - len(row)) for row in order]).T.copy()
+    return np.array([rows[row] for row in order]), coef
 
 
 class _Workspace(_Draws):
@@ -702,7 +714,7 @@ class _Workspace(_Draws):
     so a workspace of the largest block's size plus _ROUND_STEPS holds every
     round; a round uses the first live * k entries of each buffer.  Besides
     ``_draw_phases``'s buffers, whose boolean block is (cuts, size),
-    ``cuts`` being the tilt's cut count (at most 13), ``steps`` takes each
+    ``cuts`` being the tilt's cut count (at most 12), ``steps`` takes each
     round's steps and ``walk`` the live paths' walk, and ``before`` logs
     the walk before every passage of a block's top level, one per path, for
     ``_RuinWeight.weights``.
@@ -786,11 +798,17 @@ class _RuinWeight(NamedTuple):
 
 @dataclass(frozen=True)
 class _Tilt:
-    """Exact sampler of the tilted step c' W - X at unit rates, over ``_mixture``'s categories."""
+    """Exact sampler of the tilted step c' W - X at unit rates, over ``_mixture``'s categories.
+
+    Each category is a same-sign sum of one to four exponential phases, and
+    the categories ascend in phase count, so ``phases`` draws each row only
+    for the categories from its first user on where they carry under half
+    the mass.
+    """
 
     R: float  # adjustment coefficient at unit rates; steps are in claim units
     cuts: np.ndarray  # cumulative category probabilities, the last one dropped
-    coef: np.ndarray  # (J, categories): coefficient j of every category
+    phases: _Phases  # (J, categories): coefficient j of every category, and the rows' first users
     claims: float  # predicted mean claims of a path to ruin from the largest u
     alpha: float  # claim rate: a model level u is alpha u in claim units
     ruin: _RuinWeight  # conditioned weight of a ruinous step
@@ -801,7 +819,7 @@ class _Tilt:
         Returns a view of ``work``'s first n step entries.
         """
         step = work.steps[:n]
-        _draw_phases(rng, self.cuts, (self.coef,), (step,), work)
+        _draw_phases(rng, self.cuts, (self.phases,), (step,), work)
         return step
 
 
@@ -844,7 +862,8 @@ def _tilt(model: ModelSpec, u: float) -> _Tilt:
         )
     masses, coef = _mixture(c, model.theta, erlang, R, gap)
     cum = np.cumsum(masses)
-    return _Tilt(R, cum[:-1] / cum[-1], coef, claims, alpha,
+    cuts = cum[:-1] / cum[-1]
+    return _Tilt(R, cuts, _Phases.of(cuts, coef), claims, alpha,
                  _RuinWeight.of(c, model.theta, erlang, R, gap))
 
 

@@ -326,6 +326,10 @@ class TestSampling:
         with pytest.raises(InputError):
             sample_pairs(m, np.random.default_rng(0), -1)
 
+    def test_numpy_integer_count(self):
+        w, x = sample_pairs(_poisson_model(0.5), np.random.default_rng(0), np.int64(3))
+        assert w.shape == x.shape == (3,)
+
     def test_zero_count_gives_empty(self):
         m = _poisson_model(0.0)
         w, x = sample_pairs(m, np.random.default_rng(0), 0)

@@ -280,15 +280,21 @@ def _ref_chi_gates(model, b):
 
 
 def _ref_tilted_steps(tilt, rng, n):
-    """n tilted steps, a category from one comparison per cut, then J exponentials."""
+    """n tilted steps, a category from one comparison per cut, then up to J exponentials.
+
+    Row j takes one exponential for each step whose category is its first
+    user f or later (f = 0: every step), in step order.
+    """
     u = rng.random(n)
     count = np.zeros(n, dtype=np.uint8)
     for cut in tilt.cuts:
         count += u >= cut
     cat = count.astype(np.intp)
-    step = tilt.coef[0][cat] * rng.standard_exponential(n)
-    for coef in tilt.coef[1:]:
-        step += rng.standard_exponential(n) * coef[cat]
+    coef, first = tilt.phases
+    step = coef[0][cat] * rng.standard_exponential(n)
+    for row, f in zip(coef[1:], first[1:]):
+        users = cat >= f
+        step[users] += rng.standard_exponential(np.count_nonzero(users)) * row[cat[users]]
     return step
 
 

@@ -465,6 +465,19 @@ class TestCounts:
         assert type(got.n) is int
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True])
+@pytest.mark.parametrize("call", [
+    lambda m, v: sample_pairs(m, np.random.default_rng(0), v),
+    lambda m, v: estimate_survival(m, 0.0, n=v),
+    lambda m, v: estimate_survival(m, 0.0, n=1000, seed=v),
+    lambda m, v: estimate_reach_prob(m, 0.0, 5.0, n=1000, workers=v),
+], ids=["pairs", "paths", "seed", "workers"])
+def test_counts_refused_by_type_unless_integers(call, value):
+    # A bool is an Integral, but no count: n=True would simulate one path.
+    with pytest.raises(InputError, match="must be a (nonnegative|positive) integer"):
+        call(_poisson_model(0.5), value)
+
+
 class TestAdjustmentCoefficient:
     @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_is_the_slowest_survival_rate(self, theta):
@@ -489,14 +502,17 @@ class TestAdjustmentCoefficient:
 
 
 def _stopping_quad(walk, b, s):
-    """(H+, H-, M) at the walk s before the stopping step, by 30-digit quadrature over W.
+    """(H+, H-, M) at the walk s before the stopping step, by 22-digit quadrature over W.
 
     The integrands of the ``_Martingale`` docstring at unit rates, with
     f_W and Fbar_W of Exp(1) or Erlang(2, 1) and tb = theta (2 Fbar_W - 1);
     M weighs e^{-R S_N} by the claim's phases, k1 = 1 / (1 - R) and
-    k2 = 2 / (2 - R), from ``walk.gap``.
+    k2 = 2 / (2 - R), from ``walk.gap``.  Over the cells of
+    ``TestStoppingMasses`` M agrees with 50-digit quadrature to 1.8e-19
+    relative, and the test's D to its float rounding (1.5e-16, as at 30
+    digits); at 20 digits M strayed by up to 3.1e-15, at two points.
     """
-    with mpmath.workdps(30):
+    with mpmath.workdps(22):
         R, gap, theta, c, b, s = (mpmath.mpf(v) for v in (walk.R, walk.gap, walk.model.theta,
                                                           walk.model.c, b, s))
         # 1 - R from the root's own gap: 1 - R of the rounded R is off by
@@ -604,7 +620,31 @@ class TestTiltedPairs:
         masses, coef = _mixture(*args, *_lundberg_root(*args))
         assert np.all(masses > 0.0)
         assert abs(masses.sum() - 1.0) <= 1e-12
-        assert masses.size <= 14 and coef.shape[1] == masses.size
+        assert masses.size <= 13 and coef.shape[1] == masses.size
+
+    @pytest.mark.parametrize("make,theta,loading", _TILT_CELLS + [
+        (make, theta, 0.01) for make in (_poisson_model, _erlang_model)
+        for theta in (-1.0, 0.0, 0.5, 1.0)])
+    def test_raced_table_identities(self, make, theta, loading):
+        # The table's exact mean step is the tilted drift -(log M)'(R), and
+        # its exact E[e^{R step}] = sum p prod 1 / (1 - R coef) is M(R) = 1.
+        # Measured apart by at most 2.8e-14 and 2.2e-14 of |drift| (both at
+        # loading 0.01), and the masses' sum by 1.6e-15.
+        args = _unit_args(make(theta, c=1.0 + loading))
+        R, gap = _lundberg_root(*args)
+        masses, coef = _mixture(*args, R, gap)
+        drift = -_cgf(*args, R, gap)[1]
+        assert abs(masses.sum() - 1.0) <= 1e-14
+        assert abs(masses @ coef.sum(axis=0) - drift) <= 1e-13 * abs(drift)
+        assert abs(masses @ np.prod(1.0 / (1.0 - R * coef), axis=0) - 1.0) <= 1e-13 * abs(drift)
+        # A category's phases are of one sign, its nonzero coefficients come
+        # first, and the categories ascend in phase count, so the users of
+        # each row are a suffix of the categories.
+        used = coef != 0.0
+        count = used.sum(axis=0)
+        assert np.all((coef > 0.0).all(axis=0, where=used) | (coef < 0.0).all(axis=0, where=used))
+        assert np.array_equal(used, np.arange(coef.shape[0])[:, None] < count)
+        assert np.all(np.diff(count) >= 0)
 
     @pytest.mark.parametrize("make,theta,loading", _TILT_CELLS)
     def test_mean_step_is_the_tilted_drift(self, make, theta, loading):
@@ -637,18 +677,23 @@ class TestTiltedPairs:
         # One workspace reused over shrinking rounds, as a block reuses it,
         # must draw what fresh arrays draw: no category, comparison or
         # exponential of a longer round may leak into a shorter one.  Erlang
-        # at theta = 0.5 has the largest table, 14 categories.
+        # at theta = 0.5 has the largest table, 13 categories; each table
+        # here draws at least one row sparsely.
         tilt = _tilt(make(theta), 0.0)
         if (make, theta) == (_erlang_model, 0.5):
-            assert tilt.cuts.size == 13
+            assert tilt.cuts.size == 12
+        coef, first = tilt.phases
+        assert any(first)
         work = _Workspace(5000, tilt.cuts.size)
         fresh, reused = np.random.default_rng(5), np.random.default_rng(5)
         for n in (5000, 3000, 2999, _ROUND_STEPS, 1, 0, 2500, _ROUND_STEPS, 40, 1):
             u = fresh.random(n)
             cat = (u[:, None] >= tilt.cuts).sum(axis=1)
-            want = tilt.coef[0][cat] * fresh.standard_exponential(n)
-            for coef in tilt.coef[1:]:
-                want += fresh.standard_exponential(n) * coef[cat]
+            want = coef[0][cat] * fresh.standard_exponential(n)
+            for row, f in zip(coef[1:], first[1:]):
+                # A row takes exponentials for the categories from f on.
+                at = np.flatnonzero(cat >= f)
+                want[at] += fresh.standard_exponential(at.size) * row[cat[at]]
             assert np.array_equal(tilt.steps(reused, n, work), want)
 
     @pytest.mark.parametrize("loading", [0.01, 0.1])
@@ -833,7 +878,7 @@ def _run_tilted_block_reference(model, tilt, levels, size, seed, block):
     rng = _block_rng(seed, block)
     args = _unit_args(model)
     terms = _ruin_terms(_mixture(*args, *_lundberg_root(*args))[0].tolist(),
-                        tilt.coef.T.tolist())
+                        tilt.phases.coef.T.tolist())
     live = [(0.0, 0)] * size  # (surplus gained from zero, next level)
     sums = [[0.0] * len(levels) for _ in range(4)]
     work = _Workspace(size + _ROUND_STEPS, tilt.cuts.size)
