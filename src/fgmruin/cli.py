@@ -500,8 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "--b; one set serves the whole survival grid)")
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
     p.add_argument("--workers", type=int, default=1,
-                   help="kept for compatibility: must be positive, and blocks "
-                        "run one after another whatever its value")
+                   help="kept for compatibility: must be positive, and "
+                        "changes nothing")
     _add_output_args(p)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -517,8 +517,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the variant report simulation")
     p.add_argument("--workers", type=int, default=1,
-                   help="kept for compatibility: must be positive, and the "
-                        "variant report's blocks run one after another")
+                   help="kept for compatibility: must be positive, and "
+                        "changes nothing")
     _add_output_args(p)
     p.set_defaults(handler=_cmd_reproduce)
 

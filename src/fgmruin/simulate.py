@@ -35,20 +35,23 @@ weights depend on the premium c' and theta alone: the levels alpha u and
 alpha b are in claim units, and the estimates do not depend on the
 model's units.
 
-Estimates are averaged over fixed-size blocks, each driven by its own
-PCG64 stream spawned deterministically from (seed, block index), so the
-result depends only on the seed and the path count.  The blocks run one
-after another in the calling thread; the ``workers`` argument is kept for
-compatibility, validated and otherwise ignored.  A block keeps the surplus
-of its live paths as one compact array, in path order.  Each round it
-draws a (live, k) array of claims with k = ceil(_ROUND_STEPS / live),
-walks every row with one cumulative sum, and retires the paths whose
-stopping event fired in the row: one claim per round while the block is
-nearly full, many once few paths are live.  Both walks find each path's
-first stopping event with one helper (``_first_events``), which in a round
-of one claim per path reads the events from a boolean column instead of
-gathering each row's first event, and the survival rounds of one request
-draw into one workspace of buffers that every block reuses.  A tilted
+Each request draws from one PCG64 stream built from its seed, so the
+result depends only on the seed and the path count.  It walks its paths in
+one pool at most ``_BLOCK_SIZE`` wide, in the calling thread; the
+``workers`` argument is kept for compatibility, validated and otherwise
+ignored.  The pool keeps the walk of its live paths as one compact array.
+Each round it draws a (live, k) array of claims with
+k = ceil(_ROUND_STEPS / live), walks every row with one cumulative sum,
+and retires the paths whose stopping event fired in the row; the survivors
+keep their order and fresh paths join at the end, until all n have entered
+(``_Pool``).  So rounds run at full width, one claim per path, until the
+last paths enter, and the request drains only once, with many claims per
+path once few are live.  Every draw is fresh and its place fixed by the
+rounds before it, so the paths are i.i.d. whatever round they enter in.
+Both walks find each path's first stopping event with one helper
+(``_first_events``), which in a round of one claim per path reads the
+events from a boolean column instead of gathering each row's first event,
+and the rounds of a request draw into one workspace of buffers.  A tilted
 round draws a phase row only for the steps whose category uses it, where
 those carry under half the mass (``model._draw_phases``).  It picks its
 categories from one comparison block against the cuts, gathers its
@@ -57,9 +60,10 @@ minimum passed the level they had pending.  Each of these computes the
 same values in the same order as a comparison per cut, a boolean gather
 and a search of every path, so the plain weights keep their bits.  The
 walk before each top-level passage, and the walk before each reach path's
-stopping step, are logged one per path, and their conditioned weights,
-or corrections, are computed once per block.  Sums over a block's length
-avoid BLAS, whose dot runs on every core.
+stopping step, are logged one per path, and their conditioned weights, or
+corrections, are computed in chunks, whenever the next round could
+overflow the log.  Sums over a pool's length avoid BLAS, whose dot runs on
+every core.
 """
 
 from __future__ import annotations
@@ -81,15 +85,18 @@ __all__ = [
     "estimate_survival",
 ]
 
+# Most paths a request walks at once, its pool's width.
 _BLOCK_SIZE = 32768
 
 # Pairs one round aims to draw.  While this many paths or more are live,
 # each advances one claim per round; once fewer are, each advances several,
-# so the tail of a block takes few rounds.
+# so the tail of a request takes few rounds.
 _ROUND_STEPS = _BLOCK_SIZE // 16
 
-# Hard cap on claims drawn per path in a block; the drift takes every path
-# out of [0, b), or to ruin under the tilted law, long before this.
+# Hard cap on the claims a path draws after it enters the pool; the drift
+# takes every path out of [0, b), or to ruin under the tilted law, long
+# before this.  It counts no claim drawn before the path entered, so it
+# binds no sooner for a larger n.
 _MAX_CLAIMS = 1_000_000
 
 
@@ -136,29 +143,60 @@ def _check_inputs(u, n: int, seed: int,
     return levels, int(n), int(seed)
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-
-
 def _claims_per_round(live: int) -> int:
     """Claims each of ``live`` paths advances in one round."""
     return -(-_ROUND_STEPS // live)
 
 
-def _map_blocks(run, n: int) -> list:
-    """run(size, block) over the blocks of n paths, one after another."""
-    sizes = [_BLOCK_SIZE] * (n // _BLOCK_SIZE)
-    if n % _BLOCK_SIZE:
-        sizes.append(n % _BLOCK_SIZE)
-    return [run(size, block) for block, size in enumerate(sizes)]
+class _Pool:
+    """Which of a request's n paths have entered its pool of live paths, and when.
 
+    The pool is at most ``width`` paths wide.  Each round its survivors
+    keep their order and fresh paths join at the end, until all n have
+    entered, so the paths that entered in one round (a cohort) stay
+    contiguous and the oldest live path comes first.  ``clock`` counts the
+    claims a path live since the first round has drawn, ``ends`` holds each
+    live cohort's end in the pool and ``entry`` its clock on entering: no
+    path draws more than ``_MAX_CLAIMS`` claims after it enters, however
+    many paths the request walks.
+    """
 
-def _next_round(live: int, drawn: int) -> tuple[int, int]:
-    """Claims per path for the next round and the running total, under the cap."""
-    k = _claims_per_round(live)
-    if drawn + k > _MAX_CLAIMS:
-        raise ConditioningError("simulation block exceeded the claim cap")
-    return k, drawn + k
+    def __init__(self, n: int, width: int):
+        self.waiting = n
+        self.width = width
+        self.clock = 0
+        self.ends = np.zeros(0, dtype=np.intp)
+        self.entry: list[int] = []
+
+    def refill(self, live: int) -> int:
+        """How many fresh paths join ``live`` survivors at the end of the pool."""
+        fresh = min(self.waiting, self.width - live)
+        if fresh:
+            self.waiting -= fresh
+            self.ends = np.append(self.ends, live + fresh)
+            self.entry.append(self.clock)
+        return fresh
+
+    def claims(self, live: int) -> int:
+        """Claims per path for the next round of ``live`` paths, under the cap."""
+        k = _claims_per_round(live)
+        self.clock += k
+        if self.clock - self.entry[0] > _MAX_CLAIMS:
+            raise ConditioningError(
+                f"a simulated path would draw more than the cap of {_MAX_CLAIMS} claims")
+        return k
+
+    def retire(self, at: np.ndarray, k: int) -> None:
+        """Drop the rows of a round of k claims per path that stopped at the flat indices ``at``.
+
+        ``at`` ascends, so the rows before a cohort's end that stopped are
+        the indices below end * k.
+        """
+        self.ends -= np.searchsorted(at, self.ends * k)
+        gone = int(np.searchsorted(self.ends, 0, side="right"))
+        if gone:
+            self.ends = self.ends[gone:]
+            del self.entry[:gone]
 
 
 # numpy accumulates and takes argmax along an axis one row at a time (about
@@ -434,46 +472,67 @@ class _Martingale(NamedTuple):
 
 
 class _ReachLog:
-    """Block-size buffers a reach request's blocks log their stopping steps into.
+    """Pool-wide buffers a reach request walks and logs its stopping steps into.
 
-    ``before`` holds each path's walk s = S_{N-1} before the step at which
-    it stopped, in stopping order, and ``spare`` is room for
-    ``_Martingale.corrections``.  The spares are five arrays, not one
-    (5, size) block: freeing a 768 KB block raised glibc's mmap threshold
-    for the rest of the process, after which every numpy temporary of a
-    block's size measured faster.
+    ``surplus`` holds the live paths' surplus, in pool order.  ``before``
+    holds the walk s = S_{N-1} of each stopped path before the step at
+    which it stopped, in stopping order, until the next round could
+    overflow it, and ``spare`` is room for ``_Martingale.corrections``.
+    The spares are five arrays, not one (5, size) block: freeing a 768 KB
+    block raised glibc's mmap threshold for the rest of the process, after
+    which every numpy temporary of a pool's width measured faster.
     """
 
     def __init__(self, size: int):
+        self.surplus = np.empty(size)
         self.before = np.empty(size)
         self.spare = tuple(np.empty(size) for _ in range(5))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum a b, without BLAS: OpenBLAS runs a dot of a block's length on every core."""
+    """sum a b, without BLAS: OpenBLAS runs a dot of a pool's length on every core."""
     return float(np.einsum("i,i->", a, b))
 
 
-def _run_block(walk: _Martingale, u: float, stop: _Stopping, size: int, seed: int,
-               block: int, log: _ReachLog) -> np.ndarray:
-    """Sums over the block's paths of the conditioned correction D / (1 - R).
+def _run_reach(walk: _Martingale, u: float, stop: _Stopping, n: int, seed: int) -> np.ndarray:
+    """Moments over n paths of the conditioned correction D / (1 - R).
 
     u and the level ``stop.b`` are in claim units, and the paths walk
-    ``walk.model`` under the tilt ``walk.pairs``.  Each path's S_{N-1} is
-    logged in ``log`` round by round, and the corrections are computed
-    once the block is done.  Returns [size, hits, sum e, sum (e - mean e)^2]
-    over the block's corrections e; hits counts the tilted paths that
-    reached b, which the estimate does not use.
+    ``walk.model`` under the tilt ``walk.pairs``, in one pool (``_Pool``)
+    where each fresh path starts from u.  Each stopped path's S_{N-1} is
+    logged round by round, and the log is turned into corrections whenever
+    the next round could overflow it, and once the pool drains; the chunks'
+    centred sums are pooled by Chan, Golub and LeVeque's pairwise update.
+    Returns [n, hits, sum e, sum (e - mean e)^2] over the corrections e;
+    hits counts the tilted paths that reached b, which the estimate does
+    not use.
     """
-    rng = _block_rng(seed, block)
+    width = min(n, _BLOCK_SIZE)
+    rng = np.random.default_rng(seed)
+    log, pool = _ReachLog(width), _Pool(n, width)
     model = walk.model
     b = stop.b
-    # Surplus of the paths still inside [0, b), kept in path order.
-    surplus = np.full(size, u)
-    stopped = drawn = hits = 0
-    while surplus.size:
+    chunks = []  # (size, sum e, sum (e - mean e)^2) per chunk of the log
+
+    def flush(count: int) -> None:
+        e = walk.corrections(log.before[:count], stop, [a[:count] for a in log.spare])
+        total = e.sum()
+        e -= total / count
+        chunks.append((count, total, _dot(e, e)))
+
+    # Surplus of the live paths, in pool order.
+    surplus = log.surplus[:0]
+    stopped = hits = 0
+    while True:
         live = surplus.size
-        k, drawn = _next_round(live, drawn)
+        fresh = pool.refill(live)
+        if fresh:
+            surplus = log.surplus[:live + fresh]
+            surplus[live:] = u
+            live += fresh
+        if not live:
+            break
+        k = pool.claims(live)
         w, x = sample_pairs(model, rng, live * k, walk.pairs)
         # The surplus rises linearly between claims, so it crosses b before
         # a claim if and only if the pre-claim surplus post + x reaches b;
@@ -492,16 +551,20 @@ def _run_block(walk: _Martingale, u: float, stop: _Stopping, size: int, seed: in
         fired, at = _first_events(event)
         # With one claim per path every reach is its path's first event.
         hits += np.count_nonzero(reach if k == 1 else reach.take(at))
+        if stopped + at.size > log.before.size:
+            flush(stopped)
+            stopped = 0
         end = stopped + at.size
         _before(post, surplus, at, log.before[stopped:end])
+        stopped = end
+        pool.retire(at, k)
         # np.compress, not a boolean index: about 1.7 times faster on a
         # (32768, 1) round (numpy 2.4).
-        surplus = np.compress(~fired, post[:, -1])
-        stopped = end
-    e = walk.corrections(log.before[:size], stop, [a[:size] for a in log.spare])
-    total = e.sum()
-    e -= total / size
-    return np.array([size, hits, total, _dot(e, e)])
+        surplus = np.compress(~fired, post[:, -1], out=log.surplus[:live - at.size])
+    flush(stopped)
+    size, total, sq = np.array(chunks).T
+    shift = total / size - total.sum() / n
+    return np.array([n, hits, total.sum(), float(sq.sum()) + _dot(size * shift, shift)])
 
 
 def estimate_reach_prob(
@@ -527,12 +590,12 @@ def estimate_reach_prob(
         chi = (1 - e^{-R alpha u} (1 - R - D-bar)) / (1 - g U0),
 
     clipped to [0, 1], with the standard error e^{-R alpha u} / (1 - g U0)
-    times D's sample standard error, the moments combined from per-block
-    centred sums.  Above relative loading 1e6 (``_REACH_TILT_MAX``), or
-    where ``_lundberg_root`` refuses, R is 0, the walk is the model's own
-    and the estimate is the mean of the reach probability of each path's
-    stopping step.  README "Monte Carlo" tabulates where the tilt shortens
-    the walk and where it does not.
+    times D's sample standard error, the moments combined from the centred
+    sums of chunks of the paths (``_run_reach``).  Above relative loading
+    1e6 (``_REACH_TILT_MAX``), or where ``_lundberg_root`` refuses, R is 0,
+    the walk is the model's own and the estimate is the mean of the reach
+    probability of each path's stopping step.  README "Monte Carlo"
+    tabulates where the tilt shortens the walk and where it does not.
 
     The standard error is floored at the rounding error of the value
     itself: 4 ulps of the value plus the scaled |D-bar|.  D is computed to
@@ -544,15 +607,14 @@ def estimate_reach_prob(
 
     The estimate is a deterministic function of (seed, n); n must be a
     positive integer and the seed a nonnegative one.  ``workers`` is kept
-    for compatibility: it must be a positive integer, and the blocks run
-    one after another whatever its value.
+    for compatibility: it must be a positive integer, and changes nothing.
 
     Raises:
         InputError: If u, b, n, seed or workers is out of its domain; u
             and b must be numbers, not grids or one-element arrays.
         ConditioningError: If ``model.unit_rates`` refuses the premium at
             unit rates (c' overflowing, or a loading that rounds to 0), or
-            a block exceeds the claim cap.
+            a path would draw more than 1e6 claims (``_MAX_CLAIMS``).
     """
     levels, n, seed = _check_inputs(u, n, seed, workers)
     if levels.ndim:
@@ -568,21 +630,16 @@ def estimate_reach_prob(
         return SimEstimate(1.0, 0.0, n, seed)
     walk = _Martingale.of(model)
     start, stop = walk.alpha * u, walk.stopping(walk.alpha * b)
-    log = _ReachLog(min(n, _BLOCK_SIZE))
     # A surplus past the largest float (premiums near 1e308) overflows to
     # inf, which reaches b: the right outcome, so numpy need not warn.
     with np.errstate(over="ignore"):
-        size, _, total, sq = np.array(_map_blocks(
-            lambda size, block: _run_block(walk, start, stop, size, seed, block, log), n
-        )).T
-    # Chan, Golub and LeVeque's pairwise update, over the blocks at once.
-    mean = total.sum() / n
-    shift = total / size - mean
-    spread = math.sqrt(float(sq.sum()) + _dot(size * shift, shift)) / n
-    value = walk.chi(start, stop, float(mean))
+        _, _, total, sq = _run_reach(walk, start, stop, n, seed)
+    mean = float(total) / n
+    spread = math.sqrt(sq) / n
+    value = walk.chi(start, stop, mean)
     # The value's own rounding and that of the scaled mean of the corrections.
     unit = math.exp(-walk.R * start) * walk.gap / stop.exact
-    rounding = 4.0 * float(np.finfo(float).eps) * (abs(value) + unit * abs(float(mean)))
+    rounding = 4.0 * float(np.finfo(float).eps) * (abs(value) + unit * abs(mean))
     return SimEstimate(min(max(value, 0.0), 1.0), max(unit * spread, rounding), n, seed)
 
 
@@ -708,15 +765,15 @@ def _mixture(c: float, theta: float, erlang: bool, R: float,
 
 
 class _Workspace(_Draws):
-    """Buffers the tilted rounds of one request draw into, block after block.
+    """Buffers the tilted rounds of one request draw into.
 
     A round of ``live`` paths draws live * k < live + _ROUND_STEPS steps,
-    so a workspace of the largest block's size plus _ROUND_STEPS holds every
-    round; a round uses the first live * k entries of each buffer.  Besides
+    so a workspace of the pool's width plus _ROUND_STEPS holds every round;
+    a round uses the first live * k entries of each buffer.  Besides
     ``_draw_phases``'s buffers, whose boolean block is (cuts, size),
     ``cuts`` being the tilt's cut count (at most 12), ``steps`` takes each
     round's steps and ``walk`` the live paths' walk, and ``before`` logs
-    the walk before every passage of a block's top level, one per path, for
+    the walk before passages of the top level, one per path, for
     ``_RuinWeight.weights``.
     """
 
@@ -833,7 +890,7 @@ def _tilt(model: ModelSpec, u: float) -> _Tilt:
     by Wald's identity the claims to ruin average (alpha u + mean deficit) /
     mu_R, and the deficit at ruin is a tilted claim phase's overshoot, whose
     slowest phase has mean 1 / (1 - R) (exactly the deficit's mean at
-    theta = 0).  A block runs until its slowest path is ruined, and that
+    theta = 0).  A request runs until its slowest path is ruined, and that
     path runs past the mean by a few times the diffusion scale
     sigma_R^2 / (2 mu_R^2) of the claims' spread, which equals 1 / (R mu_R)
     within 1 % at loading 0.01 and below.  The budget bounds the mean plus
@@ -885,7 +942,7 @@ def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray):
     rows = np.flatnonzero(levels[pending] < depth)
     # Lower levels those rows passed by the end of the round: u_j < -min V.
     # Every level up to a row's pending one is among them, unless that is
-    # the top, whose passages the block finds separately: the count is then 0.
+    # the top, whose passages are found separately: the count is then 0.
     new = np.searchsorted(levels[:top], depth[rows])
     start = pending[rows]
     count = new - start
@@ -901,32 +958,51 @@ def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray):
     return level, at, low[pair, first] + levels[level]
 
 
-def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
-                      block: int, work: _Workspace) -> np.ndarray:
-    """Per level, sums over tilted paths of the plain and conditioned weights.
+def _run_survival(tilt: _Tilt, levels: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Per level, sums over n tilted paths of the plain and conditioned weights.
 
     ``levels`` are the initial surpluses u_j in claim units, in ascending
     order.  Every path walks V, the surplus gained from zero, and its first
     passage below -u_j is ruin from u_j, with post = u_j + V there.  A path
     retires once it passes the largest level; with one level, that is the
-    whole pass.  The rounds draw into ``work``, of at least size +
-    _ROUND_STEPS entries.  Returns a (4, levels) array: the sum and sum of
-    squares of the plain weights e^{R post}, then of the centred
-    conditioned ones (``_RuinWeight.weights``) at v = u_j + the walk
-    before the passage.  The lower levels' weights are conditioned round by
-    round; the top level's, one per path, once the block is done, from the
-    walk before each passage, logged in ``work``.
+    whole pass.  The paths walk in one pool (``_Pool``), each fresh one from
+    V = 0 with no level passed, and the rounds draw into one workspace.
+    Returns a (4, levels) array: the sum and sum of squares of the plain
+    weights e^{R post}, then of the centred conditioned ones
+    (``_RuinWeight.weights``) at v = u_j + the walk before the passage.
+    The lower levels' weights are conditioned round by round; the top
+    level's from the walk before each passage, logged in the workspace,
+    whenever the next round could overflow the log, and once the pool
+    drains.
     """
-    rng = _block_rng(seed, block)
+    width = min(n, _BLOCK_SIZE)
+    rng = np.random.default_rng(seed)
+    work, pool = _Workspace(width + _ROUND_STEPS, tilt.cuts.size), _Pool(n, width)
     top = levels.size - 1
     sums = np.zeros((4, levels.size))
-    walk = work.walk[:size]
-    walk.fill(0.0)
-    pending = np.zeros(size, dtype=np.intp) if top else None
-    drawn = ruined = 0
-    while walk.size:
+
+    def flush(count: int) -> None:
+        y = work.before[:count]
+        y += levels[top]
+        y = tilt.ruin.weights(y)
+        sums[2, top] += y.sum()
+        sums[3, top] += _dot(y, y)
+
+    walk = work.walk[:0]
+    pending = np.zeros(0, dtype=np.intp) if top else None
+    ruined = 0
+    while True:
         live = walk.size
-        k, drawn = _next_round(live, drawn)
+        fresh = pool.refill(live)
+        if fresh:
+            walk = work.walk[:live + fresh]
+            walk[live:] = 0.0
+            if top:
+                pending = np.concatenate((pending, np.zeros(fresh, dtype=np.intp)))
+            live += fresh
+        if not live:
+            break
+        k = pool.claims(live)
         steps = tilt.steps(rng, live * k, work).reshape(live, k)
         _walk(steps, walk)
         if top:
@@ -944,9 +1020,13 @@ def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
         y = np.exp(tilt.R * (steps.ravel()[at] + levels[top]))
         sums[0, top] += y.sum()
         sums[1, top] += _dot(y, y)
+        if ruined + at.size > work.before.size:
+            flush(ruined)
+            ruined = 0
         end = ruined + at.size
         _before(steps, walk, at, work.before[ruined:end])
         ruined = end
+        pool.retire(at, k)
         keep = ~fired
         # The steps and the walk have separate buffers, so the survivors'
         # last column is compressed straight into the walk's; every fired
@@ -955,11 +1035,7 @@ def _run_tilted_block(tilt: _Tilt, levels: np.ndarray, size: int, seed: int,
         np.compress(keep, steps[:, -1], out=walk)
         if top:
             pending = np.compress(keep, pending)
-    y = work.before[:size]
-    y += levels[top]
-    y = tilt.ruin.weights(y)
-    sums[2, top] = y.sum()
-    sums[3, top] = _dot(y, y)
+    flush(ruined)
     return sums
 
 
@@ -993,8 +1069,8 @@ def estimate_survival(
     the estimate is exact, with stderr 0.
     The estimate has no truncation bias and its relative error stays flat
     as u grows.  It is a deterministic function of (seed, n).  ``workers``
-    is kept for compatibility: it must be a positive integer, and the
-    blocks run one after another whatever its value.
+    is kept for compatibility: it must be a positive integer, and changes
+    nothing.
 
     ``u`` may be a number, giving one ``SimEstimate``, or a 1-D grid in any
     order, giving a list with one ``SimEstimate`` per level in input order.
@@ -1018,7 +1094,8 @@ def estimate_survival(
             theta near 1, where the weights underflow).  The gate reads the
             plain weights, not the conditioned ones, which vary far less
             (ESS about n at Erlang loading 1e4) and have no independent
-            check where the plain weights fail.
+            check where the plain weights fail; or if a path would draw
+            more than 1e6 claims (``_MAX_CLAIMS``).
     """
     levels, n, seed = _check_inputs(u, n, seed, workers)
     order = np.argsort(levels.ravel(), kind="stable")
@@ -1026,10 +1103,7 @@ def estimate_survival(
     tilt = _tilt(model, float(ascending[-1]))
     # Claim units; the largest level passed _tilt's budget, so none is inf.
     scaled = tilt.alpha * ascending
-    work = _Workspace(min(n, _BLOCK_SIZE) + _ROUND_STEPS, tilt.cuts.size)
-    total, total_sq, cond, cond_sq = sum(_map_blocks(
-        lambda size, block: _run_tilted_block(tilt, scaled, size, seed, block, work), n
-    ))
+    total, total_sq, cond, cond_sq = _run_survival(tilt, scaled, n, seed)
     ess = np.divide(total * total, total_sq, out=np.zeros_like(total), where=total_sq > 0.0)
     floor = min(_ESS_FLOOR, n / 100.0)
     low = np.flatnonzero(ess < floor)

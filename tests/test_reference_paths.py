@@ -14,10 +14,11 @@ the reference refuses, the same error type and message.
 
 The tilted Monte Carlo round has its plain form too: categories from one
 comparison per cut, boolean gathers of the passages and survivors, and
-``searchsorted`` on every live row for the lower levels of a grid.  A block
-must sum the same bits of the plain weights per level, on single levels,
-duplicate levels and a 41-level grid, and the weights conditioned on the
-walk before each passage to a measured tolerance.  That weight's closed
+``searchsorted`` on every live row for the lower levels of a grid.  A
+request must sum the same bits of the plain weights per level, on single
+levels, duplicate levels and a 41-level grid, in one pool and through a
+refilled one, and the weights conditioned on the walk before each passage
+to a measured tolerance.  That weight's closed
 form, from the arrival transforms, is pinned against 60-digit sums over the
 sampler's own category tables and against quadrature of the tilted pair
 law, which shares no code with the sampler.
@@ -31,7 +32,7 @@ import pytest
 from numpy.polynomial.polynomial import polyder, polyval
 from scipy import integrate, special
 
-from fgmruin import max_surplus
+from fgmruin import max_surplus, simulate
 from fgmruin.classical import _cleared_parts as classical_parts
 from fgmruin.erlang import (
     GrowthElimination,
@@ -60,14 +61,11 @@ from fgmruin.polyexp import (
     poly_roots,
 )
 from fgmruin.simulate import (
-    _ROUND_STEPS,
     _RuinWeight,
-    _Workspace,
-    _block_rng,
     _claims_per_round,
     _lundberg_root,
     _mixture,
-    _run_tilted_block,
+    _run_survival,
     _tilt,
 )
 
@@ -309,14 +307,15 @@ def _ref_conditioned(tilt, v):
     return ((1.0 - tilt.R) + (1.0 - 0.5 * tilt.R) * a * q) / (1.0 + a * q) - tilt.ruin.center
 
 
-def _ref_tilted_block(tilt, levels, size, seed, block):
+def _ref_tilted_pool(tilt, levels, n, seed):
     """Per level, sums and sums of squares of e^{R post} and of the conditioned
-    weights: every row searched, boolean gathers."""
-    rng = _block_rng(seed, block)
+    weights: every row searched, boolean gathers, and fresh paths appended to
+    the survivors up to ``_BLOCK_SIZE`` live."""
+    rng = np.random.default_rng(seed)
     top = levels.size - 1
     sums = np.zeros((4, levels.size))
-    walk = np.zeros(size)
-    pending = np.zeros(size, dtype=np.intp)
+    walk = np.zeros(0)
+    pending = np.zeros(0, dtype=np.intp)
 
     def add(level, v, at):
         w = _ref_conditioned(tilt, before[at] + levels[level])
@@ -324,8 +323,14 @@ def _ref_tilted_block(tilt, levels, size, seed, block):
             sums[row] += np.bincount(level, weights=x, minlength=levels.size)
         return np.exp(tilt.R * v)
 
-    while walk.size:
+    while True:
+        fresh = min(n, simulate._BLOCK_SIZE - walk.size)
+        n -= fresh
+        walk = np.concatenate([walk, np.zeros(fresh)])
+        pending = np.concatenate([pending, np.zeros(fresh, dtype=np.intp)])
         live = walk.size
+        if not live:
+            return sums
         k = _claims_per_round(live)
         steps = _ref_tilted_steps(tilt, rng, live * k).reshape(live, k)
         steps[:, 0] += walk
@@ -356,7 +361,6 @@ def _ref_tilted_block(tilt, levels, size, seed, block):
         sums[1, top] += np.einsum("i,i->", y, y)
         walk = steps[~fired, -1]
         pending = pending[~fired]
-    return sums
 
 
 # -- comparison --------------------------------------------------------------
@@ -522,17 +526,18 @@ def test_chi_gates_match_reference():
     ([0.0], 0.5, 4096), ([5.0], 0.5, 4096), ([0.0, 2.0, 2.0, 10.0], 0.5, 4096),
     (list(range(41)), 0.01, 256),
 ], ids=["u0", "u5", "duplicates", "41-levels"])
-def test_tilted_block_matches_reference(arrival, theta, levels, loading, size):
+def test_tilted_block_matches_reference(monkeypatch, arrival, theta, levels, loading, size):
     # Poisson(1) and Erlang(2, 2) with Exp(1) claims both have mean
     # inter-claim time 1, so c = 1 + loading; the levels are in claim units.
+    # The last run walks 3 size + 1 paths through a pool size wide.
     model = ModelSpec(1.0 + loading, ExpClaim(1.0), arrival, FgmParam(theta))
     levels = np.array(levels, dtype=float)
     tilt = _tilt(model, float(levels[-1]))
-    work = _Workspace(size + _ROUND_STEPS, tilt.cuts.size)
-    for seed, block in ((0, 0), (11, 3)):
-        got = _run_tilted_block(tilt, levels, size, seed, block, work)
-        want = _ref_tilted_block(tilt, levels, size, seed, block)
-        _assert_same("tilted block", seed, got[:2], want[:2])
+    for seed, n in ((0, size), (11, size), (5, 3 * size + 1)):
+        monkeypatch.setattr(simulate, "_BLOCK_SIZE", size)
+        got = _run_survival(tilt, levels, n, seed)
+        want = _ref_tilted_pool(tilt, levels, n, seed)
+        _assert_same("tilted pool", seed, got[:2], want[:2])
         # The conditioned sums: the ratio (B1 + B2 q) / (A1 + A2 q) against
         # scale / (e^v + a), bincount against a sum per round.  Measured apart
         # by at most 2e-12, and 2.5e-13 relative (on a sum of 2e-4).

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fgmruin import simulate
 from fgmruin.classical import survival_classical
 from fgmruin.erlang import solve_delta0, survival_erlang2
 from fgmruin.errors import ConditioningError, InputError
@@ -19,15 +20,13 @@ from fgmruin.simulate import (
     _ROUND_STEPS,
     SimEstimate,
     _Martingale,
-    _ReachLog,
     _Workspace,
-    _block_rng,
     _cgf,
     _claims_per_round,
     _lundberg_root,
     _mixture,
-    _run_block,
-    _run_tilted_block,
+    _run_reach,
+    _run_survival,
     _tilt,
     estimate_reach_prob,
     estimate_survival,
@@ -115,7 +114,7 @@ class TestEstimateReach:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = estimate_reach_prob(m, 0.0, 1.0, n=2000, seed=1)
-            sums = _reach_block(m, 0.0, 1.0, 2000, 1, 0)
+            sums = _reach(m, 0.0, 1.0, 2000, 1)
         assert sums[3] == 0.0
         assert est.value == sums[2] / 2000
         assert 0.0 < est.stderr <= 2e-15
@@ -273,8 +272,8 @@ class TestEstimateSurvival:
         assert time.perf_counter() - start < 1.0
 
     def test_small_loading_at_zero_surplus(self):
-        # At loading 0.01 a tilted path takes about a hundred claims, and a
-        # block's tail advances its few live paths many claims per round.
+        # At loading 0.01 a tilted path takes about a hundred claims, and the
+        # pool's tail advances its few live paths many claims per round.
         m = _poisson_model(0.5, c=1.01)
         start = time.perf_counter()
         est = estimate_survival(m, 0.0, n=20_000, seed=29)
@@ -674,7 +673,7 @@ class TestTiltedPairs:
     @pytest.mark.parametrize("make,theta", [(_poisson_model, 0.5), (_erlang_model, -1.0),
                                             (_erlang_model, 0.5)])
     def test_workspace_reuse_matches_fresh_draws(self, make, theta):
-        # One workspace reused over shrinking rounds, as a block reuses it,
+        # One workspace reused over rounds of any size, as a pool reuses it,
         # must draw what fresh arrays draw: no category, comparison or
         # exponential of a longer round may leak into a shorter one.  Erlang
         # at theta = 0.5 has the largest table, 13 categories; each table
@@ -739,38 +738,52 @@ def _claims_to_ruin(tilt, n, rng):
     return claims / n
 
 
-def _run_block_reference(walk, u, b, size, seed, block):
+def _refill(live, waiting, fresh_path):
+    """The pool after a round: ``live`` in order, then fresh paths up to its width."""
+    fresh = min(waiting, simulate._BLOCK_SIZE - len(live))
+    return live + [fresh_path] * fresh, waiting - fresh
+
+
+def _run_reach_reference(walk, u, b, n, seed):
     """The reach engine walked claim by claim in plain Python.
 
-    Each round draws the same tilted pairs as ``_run_block``; the
-    pre-claim level check comes before the ruin check at the same claim.
-    Returns the hit count and, path by path, the walk s before the step at
-    which the path stopped.
+    The survivors of a round keep their order and fresh paths from u join
+    at the end, up to ``_BLOCK_SIZE`` live, until all n have entered; each
+    round draws the same tilted pairs as ``_run_reach``, and the pre-claim
+    level check comes before the ruin check at the same claim.  Returns the
+    hit count, path by path the walk s before the step at which the path
+    stopped, the claims each stopped path drew after it entered, and the
+    rounds' claims per path summed.
     """
-    rng = _block_rng(seed, block)
+    rng = np.random.default_rng(seed)
     model = walk.model
-    live = [u] * size
-    reached = 0
-    stops = []
-    while live:
+    live, waiting = [], n  # (surplus, claims drawn since entering)
+    reached = clock = 0
+    stops, drawn = [], []
+    while True:
+        live, waiting = _refill(live, waiting, (u, 0))
+        if not live:
+            return reached, stops, drawn, clock
         k = _claims_per_round(len(live))
+        clock += k
         w, x = sample_pairs(model, rng, len(live) * k, walk.pairs)
         cw, x = (model.c * w).tolist(), x.tolist()
         survivors = []
-        for i, s in enumerate(live):
+        for i, (s, claims) in enumerate(live):
+            claims += k
             for j in range(i * k, (i + 1) * k):
                 before, s = s, s + (cw[j] - x[j])
                 if s + x[j] >= b:
                     reached += 1
-                    stops.append(before)
                     break
                 if s < 0.0:
-                    stops.append(before)
                     break
             else:
-                survivors.append(s)
+                survivors.append((s, claims))
+                continue
+            stops.append(before)
+            drawn.append(claims)
         live = survivors
-    return reached, stops
 
 
 def _integral(terms, lo, hi):
@@ -821,7 +834,7 @@ def _stopping_reference(walk, b, s):
 
 
 def _control_sums_reference(walk, b, hits, stops):
-    """The sums of ``_run_block`` from the walk before each stopping step, in plain Python.
+    """The moments of ``_run_reach`` from the walk before each stopping step, in plain Python.
 
     D / (1 - R) = 1 - (H- + g U0 H+) / ((1 - R) M) from ``_stopping_reference``.
     """
@@ -830,9 +843,9 @@ def _control_sums_reference(walk, b, hits, stops):
     for s in stops:
         h_plus, h_minus, m = _stopping_reference(walk, b, s)
         e.append(1.0 - (h_minus + g * u0 * h_plus) / (walk.gap * m))
-    size = len(e)
-    mean = math.fsum(e) / size
-    return [size, hits, math.fsum(e), math.fsum((v - mean) ** 2 for v in e)]
+    n = len(e)
+    mean = math.fsum(e) / n
+    return [n, hits, math.fsum(e), math.fsum((v - mean) ** 2 for v in e)]
 
 
 def _ruin_terms(masses, columns):
@@ -868,25 +881,34 @@ def _conditioned_weight(R, terms, v):
     return g / h
 
 
-def _run_tilted_block_reference(model, tilt, levels, size, seed, block):
+def _run_survival_reference(model, tilt, levels, n, seed):
     """The survival engine walked claim by claim in plain Python.
 
-    Returns per level the sums of the plain weights e^{R(V + u_j)} and
-    their squares, then of the conditioned weights, at the walk before
-    each passage, less the tilt's centre.
+    The pool refills as in ``_run_reach_reference``, with fresh paths from
+    zero.  Returns per level the sums of the plain weights e^{R(V + u_j)}
+    and their squares, then of the conditioned weights, at the walk before
+    each passage, less the tilt's centre; and the claims each path drew
+    after it entered, with the rounds' claims per path summed.
     """
-    rng = _block_rng(seed, block)
+    rng = np.random.default_rng(seed)
     args = _unit_args(model)
     terms = _ruin_terms(_mixture(*args, *_lundberg_root(*args))[0].tolist(),
                         tilt.phases.coef.T.tolist())
-    live = [(0.0, 0)] * size  # (surplus gained from zero, next level)
+    live, waiting = [], n  # (surplus gained from zero, next level, claims drawn)
     sums = [[0.0] * len(levels) for _ in range(4)]
-    work = _Workspace(size + _ROUND_STEPS, tilt.cuts.size)
-    while live:
+    drawn = []
+    clock = 0
+    work = _Workspace(n + _ROUND_STEPS, tilt.cuts.size)
+    while True:
+        live, waiting = _refill(live, waiting, (0.0, 0, 0))
+        if not live:
+            return sums, drawn, clock
         k = _claims_per_round(len(live))
+        clock += k
         steps = tilt.steps(rng, len(live) * k, work).tolist()
         survivors = []
-        for i, (v, j) in enumerate(live):
+        for i, (v, j, claims) in enumerate(live):
+            claims += k
             for at in range(i * k, (i + 1) * k):
                 before, v = v, v + steps[at]
                 while j < len(levels) and v < -levels[j]:
@@ -897,17 +919,27 @@ def _run_tilted_block_reference(model, tilt, levels, size, seed, block):
                         sums[row][j] += x
                     j += 1
                 if j == len(levels):
+                    drawn.append(claims)
                     break
             else:
-                survivors.append((v, j))
+                survivors.append((v, j, claims))
         live = survivors
-    return sums
 
 
-def _reach_block(model, u, b, size, seed, block):
-    """``_run_block`` of the unit-rate walk of model, with u and b in claim units."""
+def _reach(model, u, b, n, seed):
+    """``_run_reach`` of the unit-rate walk of model, with u and b in claim units."""
     walk = _Martingale.of(model)
-    return _run_block(walk, u, walk.stopping(b), size, seed, block, _ReachLog(size))
+    return _run_reach(walk, u, walk.stopping(b), n, seed)
+
+
+def _narrow_pool(monkeypatch, width=1000, round_steps=64):
+    """A pool ``width`` paths wide whose rounds aim at ``round_steps`` pairs.
+
+    Then a request of a few thousand paths refills the pool over many
+    rounds, with one claim per path while it is full.
+    """
+    monkeypatch.setattr(simulate, "_BLOCK_SIZE", width)
+    monkeypatch.setattr(simulate, "_ROUND_STEPS", round_steps)
 
 
 class TestRunBlock:
@@ -915,21 +947,35 @@ class TestRunBlock:
     @pytest.mark.parametrize("u,b", [(0.0, 5.0), (0.0, 45.0), (5.0, 5.0), (5.0, 45.0)])
     def test_compact_surplus_matches_index_array_loop(self, make, u, b):
         walk = _Martingale.of(make(0.5))
-        for seed, block in ((0, 0), (11, 3), (2024, 7)):
-            want, _ = _run_block_reference(walk, u, b, 4096, seed, block)
-            got = _run_block(walk, u, walk.stopping(b), 4096, seed, block, _ReachLog(4096))
-            assert got[1] == want
+        for seed in (0, 11, 2024):
+            want = _run_reach_reference(walk, u, b, 4096, seed)[0]
+            assert _run_reach(walk, u, walk.stopping(b), 4096, seed)[1] == want
 
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     @pytest.mark.parametrize("theta", [-1.0, 0.5])
     @pytest.mark.parametrize("u,b", [(0.0, 1.0), (0.0, 20.0), (3.0, 10.0)])
     def test_control_sums_match_claim_by_claim_walk(self, make, theta, u, b):
         walk = _Martingale.of(make(theta))
-        for seed, block in ((0, 0), (11, 3)):
-            hits, stops = _run_block_reference(walk, u, b, 3000, seed, block)
-            got = _run_block(walk, u, walk.stopping(b), 3000, seed, block, _ReachLog(3000))
+        for seed in (0, 11):
+            hits, stops, _, _ = _run_reach_reference(walk, u, b, 3000, seed)
+            got = _run_reach(walk, u, walk.stopping(b), 3000, seed)
             want = _control_sums_reference(walk, b, hits, stops)
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
+    @pytest.mark.parametrize("u,b", [(0.0, 1.0), (3.0, 20.0)])
+    def test_refilled_pool_matches_claim_by_claim_walk(self, monkeypatch, make, u, b):
+        # 3001 paths through a pool 1000 wide: it refills over many rounds
+        # and its log of stopping steps is flushed in chunks, whose moments
+        # are pooled.
+        _narrow_pool(monkeypatch)
+        walk = _Martingale.of(make(0.5))
+        for seed in (0, 11):
+            hits, stops, _, _ = _run_reach_reference(walk, u, b, 3001, seed)
+            got = _run_reach(walk, u, walk.stopping(b), 3001, seed)
+            assert got[1] == hits
+            np.testing.assert_allclose(got, _control_sums_reference(walk, b, hits, stops),
+                                       rtol=1e-12)
 
     def test_ruin_fraction_matches_theory(self):
         # At u = 0 the independent model ruins with probability 2/3; a
@@ -942,25 +988,28 @@ class TestRunBlock:
 
     def test_first_claim_ruin_is_reproducible(self):
         # A single path draws _claims_per_round(1) tilted pairs in its first
-        # round.  Block 0 of seed 0 draws a first pair with x > c w, so a
-        # single path from zero surplus is ruined by its first claim.
+        # round.  Seed 0 draws a first pair with x > c w (seed 0 is the
+        # smallest nonnegative seed that does), so a single path from zero
+        # surplus is ruined by its first claim.
         m = _poisson_model(0.0)
         walk = _Martingale.of(m)
-        w, x = sample_pairs(walk.model, _block_rng(0, 0), _claims_per_round(1), walk.pairs)
+        w, x = sample_pairs(walk.model, np.random.default_rng(0), _claims_per_round(1),
+                            walk.pairs)
         assert x[0] > m.c * w[0]
-        assert [_reach_block(m, 0.0, 60.0, 1, 0, 0)[1] for _ in range(2)] == [0, 0]
+        assert [_reach(m, 0.0, 60.0, 1, 0)[1] for _ in range(2)] == [0, 0]
 
     def test_level_crossed_before_first_claim(self):
-        # Block 0 of seed 3 draws a first tilted pair with c w >= 0.5 and
-        # x > c w (seed 3 is the smallest nonnegative seed that does; 6 and 8
+        # Seed 2 draws a first tilted pair with c w >= 0.5 and x > c w
+        # (seed 2 is the smallest nonnegative seed that does; 6, 7 and 8
         # also qualify): the premium income lifts u = 0 to b = 0.5 before
         # the claim that would ruin the path.
         m = _poisson_model(0.0)
         walk = _Martingale.of(m)
-        w, x = sample_pairs(walk.model, _block_rng(3, 0), _claims_per_round(1), walk.pairs)
+        w, x = sample_pairs(walk.model, np.random.default_rng(2), _claims_per_round(1),
+                            walk.pairs)
         assert m.c * w[0] >= 0.5
         assert x[0] > m.c * w[0]
-        assert _reach_block(m, 0.0, 0.5, 1, 3, 0)[1] == 1
+        assert _reach(m, 0.0, 0.5, 1, 2)[1] == 1
 
     def test_claims_per_round(self):
         # One claim per path while a round's pairs fill a full batch, then
@@ -979,15 +1028,90 @@ class TestRunTiltedBlock:
         m = make(theta)
         levels = np.array(levels)
         tilt = _tilt(m, float(levels[-1]))
-        for seed, block in ((0, 0), (11, 3)):
-            got = _run_tilted_block(tilt, levels, 4096, seed, block,
-                                    _Workspace(4096 + _ROUND_STEPS, tilt.cuts.size))
-            want = _run_tilted_block_reference(m, tilt, levels.tolist(), 4096, seed, block)
+        for seed in (0, 11):
+            got = _run_survival(tilt, levels, 4096, seed)
+            want = _run_survival_reference(m, tilt, levels.tolist(), 4096, seed)[0]
             np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, atol=0.0)
             # The centred sums are of order 100 and take either sign; the
             # reference's ratio g / h less the centre loses a few ulps of 1
             # per path.  Measured apart by at most 2.6e-14 relative.
             np.testing.assert_allclose(got[2:], want[2:], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("make,theta", [(_poisson_model, 0.5), (_erlang_model, -1.0)])
+    @pytest.mark.parametrize("levels", [[5.0], [0.0, 2.0, 2.0, 10.0]])
+    def test_refilled_pool_matches_claim_by_claim_walk(self, monkeypatch, make, theta, levels):
+        # 3001 paths through a pool 1000 wide, whose log of top-level
+        # passages is flushed into the conditioned sums in chunks.
+        _narrow_pool(monkeypatch)
+        m = make(theta)
+        levels = np.array(levels)
+        tilt = _tilt(m, float(levels[-1]))
+        for seed in (0, 11):
+            got = _run_survival(tilt, levels, 3001, seed)
+            want = _run_survival_reference(m, tilt, levels.tolist(), 3001, seed)[0]
+            np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got[2:], want[2:], rtol=1e-12, atol=1e-12)
+
+
+class TestClaimCap:
+    def test_cap_raises_by_name(self, monkeypatch):
+        # Tilted paths from u = 5 take a few claims each: under a cap of 3
+        # some path must draw past it, and either estimate names the cap.
+        monkeypatch.setattr(simulate, "_MAX_CLAIMS", 3)
+        m = _poisson_model(0.5)
+        with pytest.raises(ConditioningError, match="cap of 3 claims"):
+            estimate_survival(m, 5.0, n=1000, seed=1)
+        with pytest.raises(ConditioningError, match="cap of 3 claims"):
+            estimate_reach_prob(m, 5.0, 20.0, n=1000, seed=1)
+
+    @pytest.mark.parametrize("width,round_steps", [(1000, 64), (200, 1)])
+    def test_cap_counts_each_path_from_its_entry(self, monkeypatch, width, round_steps):
+        # A request of many rounds draws more claims per path in all than
+        # its longest path draws after it enters, so a cap of that longest
+        # path's claims would refuse it if the cap counted the request's
+        # claims.  It passes, with the uncapped bits; one claim less
+        # refuses.  The second pool advances one claim per round.
+        _narrow_pool(monkeypatch, width, round_steps)
+        m = _poisson_model(0.5)
+        levels = np.array([0.0, 5.0])
+        tilt = _tilt(m, 5.0)
+        walk = _Martingale.of(m)
+        _, drawn, clock = _run_survival_reference(m, tilt, levels.tolist(), 3001, 4)
+        reach = _run_reach_reference(walk, 0.0, 20.0, 3001, 4)
+        for run, longest, total in (
+                (lambda: _run_survival(tilt, levels, 3001, 4), max(drawn), clock),
+                (lambda: _run_reach(walk, 0.0, walk.stopping(20.0), 3001, 4),
+                 max(reach[2]), reach[3])):
+            assert longest < total
+            want = run()
+            monkeypatch.setattr(simulate, "_MAX_CLAIMS", longest)
+            assert np.array_equal(run(), want)
+            monkeypatch.setattr(simulate, "_MAX_CLAIMS", longest - 1)
+            with pytest.raises(ConditioningError, match=f"cap of {longest - 1} claims"):
+                run()
+
+
+class TestPastOnePool:
+    # 100 003 paths: three pools' width of them and a remainder, so the pool
+    # refills for many rounds and its logs are flushed more than once.
+    N = 100_003
+
+    def test_survival_grid_and_reach_match_closed_forms(self):
+        m = _poisson_model(0.5)
+        grid = [0.0, 5.0, 10.0]
+        for est, want in zip(estimate_survival(m, grid, n=self.N, seed=1),
+                             survival_classical(m)(grid).tolist()):
+            assert abs(est.value - want) <= 4.0 * est.stderr, (est, want)
+        est = estimate_reach_prob(m, 0.0, 20.0, n=self.N, seed=1)
+        want = float(chi(m, 0.0, 20.0))
+        assert abs(est.value - want) <= 4.0 * est.stderr, (est, want)
+
+    def test_same_seed_same_bits(self):
+        m = _erlang_model(-0.5)
+        assert (estimate_survival(m, [0.0, 3.0], n=self.N, seed=5)
+                == estimate_survival(m, [0.0, 3.0], n=self.N, seed=5))
+        assert (estimate_reach_prob(_poisson_model(-0.5), 1.0, 10.0, n=self.N, seed=5)
+                == estimate_reach_prob(_poisson_model(-0.5), 1.0, 10.0, n=self.N, seed=5))
 
 
 class TestDeterminism:
