@@ -160,7 +160,7 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     c, alpha = unit_rates(model, ExpPoisson)
     b = float(b)
     if not (b > 0.0) or not math.isfinite(b):
-        raise InputError(f"target level b must be positive, got {b!r}")
+        raise InputError(f"target level b must be positive and finite, got {b!r}")
     th = model.theta
     k = 2.0 / c
     b_unit = b * alpha

@@ -73,7 +73,7 @@ class ExpClaim:
 
     def __post_init__(self):
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
-            raise InputError(f"claim rate alpha must be positive, got {self.alpha!r}")
+            raise InputError(f"claim rate alpha must be positive and finite, got {self.alpha!r}")
 
     @property
     def mean(self) -> float:
@@ -105,7 +105,7 @@ class ExpPoisson:
 
     def __post_init__(self):
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
-            raise InputError(f"arrival rate lam must be positive, got {self.lam!r}")
+            raise InputError(f"arrival rate lam must be positive and finite, got {self.lam!r}")
 
     @property
     def mean(self) -> float:
@@ -162,7 +162,7 @@ class Erlang2:
 
     def __post_init__(self):
         if not (self.beta > 0.0) or not math.isfinite(self.beta):
-            raise InputError(f"arrival rate beta must be positive, got {self.beta!r}")
+            raise InputError(f"arrival rate beta must be positive and finite, got {self.beta!r}")
 
     @property
     def mean(self) -> float:
@@ -219,7 +219,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if not (self.c > 0.0) or not math.isfinite(self.c):
-            raise InputError(f"premium rate c must be positive, got {self.c!r}")
+            raise InputError(f"premium rate c must be positive and finite, got {self.c!r}")
         if self.c * self.arrival.mean <= self.claim.mean:
             raise LoadingError(
                 "positive loading violated: c * E[W] = "
@@ -517,6 +517,15 @@ class _Draws:
         self.cat = np.empty(size, dtype=np.intp)
 
 
+class _Pairs(_Draws):
+    """``_Draws`` buffers plus the time ``w`` and claim ``x`` of up to ``size`` pairs."""
+
+    def __init__(self, size: int, cuts: int):
+        super().__init__(size, cuts)
+        self.w = np.empty(size)
+        self.x = np.empty(size)
+
+
 def _draw_phases(rng: np.random.Generator, cuts: np.ndarray, tables: tuple,
                  outs: tuple, work: _Draws) -> None:
     """Draw from a mixture of sums of exponential phases into each array of ``outs``.
@@ -572,8 +581,8 @@ def _is_int(x) -> bool:
 
 
 def sample_pairs(model: ModelSpec, rng: np.random.Generator, n: int,
-                 tilt: PairTilt | None = None):
-    """Draw n dependent (w, x) pairs of ``model``, or of a tilted law of it, as fresh arrays.
+                 tilt: PairTilt | None = None, *, work: _Pairs | None = None):
+    """Draw n dependent (w, x) pairs of ``model``, or of a tilted law of it.
 
     Without a ``tilt`` the pairs follow the model's joint law f(x, w); with
     one (``PairTilt.of`` the same model) they follow the tilted law
@@ -581,12 +590,24 @@ def sample_pairs(model: ModelSpec, rng: np.random.Generator, n: int,
     ``PairTilt`` table, the model's own law being its R = 0 table: one
     uniform picks each pair's category, and its time and claim are sums of
     standard exponentials times the category's phase means
-    (``_draw_phases``).
+    (``_draw_phases``).  The pairs are fresh arrays, or, with ``work``
+    (``_Pairs`` built for the table's cut count), views of the first n
+    entries of its ``w`` and ``x``, drawn with the same bits.
+
+    Raises:
+        InputError: If n is not a nonnegative integer, or ``work`` holds
+            fewer than n pairs or was built for another cut count.
     """
     if not _is_int(n) or n < 0:
         raise InputError(f"sample count must be a nonnegative integer, got {n!r}")
     if tilt is None:
         tilt = PairTilt.of(model, 0.0, 1.0)
-    w, x = np.empty(n), np.empty(n)
-    _draw_phases(rng, tilt.cuts, (tilt.w, tilt.x), (w, x), _Draws(n, tilt.cuts.size))
+    cuts = tilt.cuts.size
+    if work is None:
+        work = _Pairs(n, cuts)
+    elif work.w.size < n or work.mask.shape[0] != cuts:
+        raise InputError(f"pair buffers for {work.w.size} pairs at {work.mask.shape[0]} cuts "
+                         f"cannot take {n} pairs at {cuts} cuts")
+    w, x = work.w[:n], work.x[:n]
+    _draw_phases(rng, tilt.cuts, (tilt.w, tilt.x), (w, x), work)
     return w, x

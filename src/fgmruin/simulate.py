@@ -8,7 +8,8 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
   Paths draw their pairs from Siegmund's tilted law, as survival does,
   exactly, through ``model.sample_pairs`` with a ``PairTilt``: a category
   from one uniform, then the time's and the claim's exponential phases,
-  by the kernel that draws the survival steps (``model._draw_phases``).
+  by the kernel that draws the survival steps (``model._draw_phases``),
+  into the request's buffers (``_ReachLog``).
   Under the tilt most paths are ruined within a few claims.  Each path
   contributes D, a closed form in the walk before its stopping step that
   combines the step's likelihood-weighted ruin and reach probabilities
@@ -51,7 +52,8 @@ rounds before it, so the paths are i.i.d. whatever round they enter in.
 Both walks find each path's first stopping event with one helper
 (``_first_events``), which in a round of one claim per path reads the
 events from a boolean column instead of gathering each row's first event,
-and the rounds of a request draw into one workspace of buffers.  A tilted
+and the rounds of a request draw into one workspace of buffers
+(``_Workspace`` for survival, ``_ReachLog`` for reach).  A tilted
 round draws a phase row only for the steps whose category uses it, where
 those carry under half the mass (``model._draw_phases``).  It picks its
 categories from one comparison block against the cuts, gathers its
@@ -76,7 +78,7 @@ import numpy as np
 
 from .errors import ConditioningError, InputError
 from .model import (Erlang2, ExpClaim, ModelSpec, PairTilt, _arrival_parts, _cgf, _Draws,
-                    _draw_phases, _is_int, _pair_categories, _Phases, sample_pairs,
+                    _draw_phases, _is_int, _pair_categories, _Pairs, _Phases, sample_pairs,
                     unit_rates)
 
 __all__ = [
@@ -471,22 +473,32 @@ class _Martingale(NamedTuple):
         return f
 
 
-class _ReachLog:
-    """Pool-wide buffers a reach request walks and logs its stopping steps into.
+class _ReachLog(_Pairs):
+    """Buffers a reach request draws its rounds into and logs its stopping steps into.
 
+    A round of ``live`` paths draws live * k < live + _ROUND_STEPS pairs,
+    so ``_Pairs``'s buffers, and the round's ``reach`` and ``event``
+    masks, take the pool's width plus _ROUND_STEPS entries, as
+    ``_Workspace``'s do; a round uses the first live * k of each.
     ``surplus`` holds the live paths' surplus, in pool order.  ``before``
     holds the walk s = S_{N-1} of each stopped path before the step at
     which it stopped, in stopping order, until the next round could
     overflow it, and ``spare`` is room for ``_Martingale.corrections``.
-    The spares are five arrays, not one (5, size) block: freeing a 768 KB
+    The spares are five arrays, not one (5, width) block: freeing a 768 KB
     block raised glibc's mmap threshold for the rest of the process, after
-    which every numpy temporary of a pool's width measured faster.
+    which every numpy temporary of a pool's width measured faster.  No
+    buffer here is larger than a (width + _ROUND_STEPS) float array, the
+    size of ``_Workspace``'s, which survival requests free as well.
     """
 
-    def __init__(self, size: int):
-        self.surplus = np.empty(size)
-        self.before = np.empty(size)
-        self.spare = tuple(np.empty(size) for _ in range(5))
+    def __init__(self, width: int, cuts: int):
+        size = width + _ROUND_STEPS
+        super().__init__(size, cuts)
+        self.reach = np.empty(size, dtype=bool)
+        self.event = np.empty(size, dtype=bool)
+        self.surplus = np.empty(width)
+        self.before = np.empty(width)
+        self.spare = tuple(np.empty(width) for _ in range(5))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -509,7 +521,7 @@ def _run_reach(walk: _Martingale, u: float, stop: _Stopping, n: int, seed: int) 
     """
     width = min(n, _BLOCK_SIZE)
     rng = np.random.default_rng(seed)
-    log, pool = _ReachLog(width), _Pool(n, width)
+    log, pool = _ReachLog(width, walk.pairs.cuts.size), _Pool(n, width)
     model = walk.model
     b = stop.b
     chunks = []  # (size, sum e, sum (e - mean e)^2) per chunk of the log
@@ -533,7 +545,7 @@ def _run_reach(walk: _Martingale, u: float, stop: _Stopping, n: int, seed: int) 
         if not live:
             break
         k = pool.claims(live)
-        w, x = sample_pairs(model, rng, live * k, walk.pairs)
+        w, x = sample_pairs(model, rng, live * k, walk.pairs, work=log)
         # The surplus rises linearly between claims, so it crosses b before
         # a claim if and only if the pre-claim surplus post + x reaches b;
         # that is checked before the same claim can ruin the path.
@@ -545,8 +557,8 @@ def _run_reach(walk: _Martingale, u: float, stop: _Stopping, n: int, seed: int) 
         _walk(post, surplus)
         top = x.reshape(live, k)
         top += post
-        reach = top >= b
-        event = post < 0.0
+        reach = np.greater_equal(top, b, out=log.reach[:live * k].reshape(live, k))
+        event = np.less(post, 0.0, out=log.event[:live * k].reshape(live, k))
         event |= reach
         fired, at = _first_events(event)
         # With one claim per path every reach is its path's first event.

@@ -274,7 +274,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("b", [0.0, -5.0, np.inf, np.nan])
     def test_bad_target_level_rejected(self, b):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="positive and finite"):
             solve_chi(_model(0.5), b)
 
     def test_oversized_target_reports_conditioning(self):

@@ -12,6 +12,7 @@ from fgmruin.model import (
     FgmParam,
     ModelSpec,
     PairTilt,
+    _Pairs,
     f_tilde,
     fgm_cdf,
     fgm_density,
@@ -116,13 +117,14 @@ class TestExpMargins:
         assert ar.mean == pytest.approx(2.0)
         assert ar.pdf(0.0) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
     def test_positive_rate_required(self, rate):
-        with pytest.raises(InputError):
+        # The message names both conditions: an infinite rate is positive.
+        with pytest.raises(InputError, match="finite"):
             ExpClaim(rate)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="finite"):
             ExpPoisson(rate)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="finite"):
             Erlang2(rate)
 
     def test_ppf_rejects_unit_quantile(self):
@@ -184,8 +186,9 @@ class TestModelSpec:
             ModelSpec(0.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(0.0))
 
     def test_invalid_premium_rate(self):
-        with pytest.raises(InputError):
-            ModelSpec(-1.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(0.0))
+        for c in (-1.5, np.inf):
+            with pytest.raises(InputError, match="positive and finite"):
+                ModelSpec(c, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(0.0))
 
 
 class TestJointDensity:
@@ -335,6 +338,26 @@ class TestSampling:
         w, x = sample_pairs(m, np.random.default_rng(0), 0)
         assert w.shape == (0,)
         assert x.shape == (0,)
+
+    @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
+    def test_buffers_must_fit_the_table(self, make):
+        # A buffer holding too few pairs, or built for another table's cut
+        # count, is refused before any draw.
+        m = make(0.5)
+        cuts = PairTilt.of(m, 0.0, 1.0).cuts.size
+        rng = np.random.default_rng(0)
+        with pytest.raises(InputError, match="10 pairs"):
+            sample_pairs(m, rng, 11, work=_Pairs(10, cuts))
+        for other in (cuts - 1, cuts + 1):
+            with pytest.raises(InputError, match=f"at {other} cuts"):
+                sample_pairs(m, rng, 5, work=_Pairs(10, other))
+        assert np.array_equal(rng.random(4), np.random.default_rng(0).random(4))
+
+    def test_buffer_pairs_are_views_of_it(self):
+        work = _Pairs(10, 2)
+        w, x = sample_pairs(_poisson_model(0.5), np.random.default_rng(0), 7, work=work)
+        assert w.shape == x.shape == (7,)
+        assert w.base is work.w and x.base is work.x
 
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     @pytest.mark.parametrize("theta", [-1.0, -1e-13, 0.0, 0.5, 1.0])

@@ -14,8 +14,8 @@ from fgmruin.classical import survival_classical
 from fgmruin.erlang import solve_delta0, survival_erlang2
 from fgmruin.errors import ConditioningError, InputError
 from fgmruin.max_surplus import chi
-from fgmruin.model import (Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, sample_pairs,
-                           unit_rates)
+from fgmruin.model import (Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, PairTilt, _Pairs,
+                           sample_pairs, unit_rates)
 from fgmruin.simulate import (
     _ROUND_STEPS,
     SimEstimate,
@@ -74,6 +74,18 @@ class TestEstimateReach:
                 assert abs(z) <= 4.0, (theta, u, b, est, z)
                 if theta == 0.0:
                     assert est.stderr <= 4.0 * np.finfo(float).eps, (u, b, est)
+
+    @pytest.mark.parametrize("model,u,b,value,stderr", [
+        (_poisson_model(-1.0), 0.0, 20.0, 0.2992542925196194, 2.99797116958733e-05),
+        (_poisson_model(0.5), 0.0, 20.0, 0.35500193020697596, 1.892535811270731e-05),
+        (_erlang_model(0.5, c=1.0, beta=1.0), 1.0, 5.0, 0.8477277705213505,
+         2.5786212727288926e-05),
+    ])
+    def test_pinned_bits(self, model, u, b, value, stderr):
+        # The exact bits of three reach requests, kept through changes of
+        # where the rounds draw their pairs.
+        est = estimate_reach_prob(model, u, b, n=200_000, seed=7)
+        assert (est.value, est.stderr) == (value, stderr)
 
     def test_matches_preset_point_value(self):
         m = _poisson_model(0.5)
@@ -656,6 +668,22 @@ class TestTiltedPairs:
         drift = -_cgf(*args, R, gap)[1]
         se = steps.std(ddof=1) / np.sqrt(n)
         assert abs(steps.mean() - drift) <= 4.0 * se, (steps.mean(), drift, se)
+
+    @pytest.mark.parametrize("make,theta,loading", _TILT_CELLS)
+    @pytest.mark.parametrize("tilted", [True, False], ids=["tilted", "R=0"])
+    def test_pair_buffers_draw_the_fresh_bits(self, make, theta, loading, tilted):
+        # A reach request draws its pairs into its own buffers: one buffer
+        # reused for rounds of any size, a larger one after a smaller and
+        # the other way round, draws what fresh arrays draw, bit for bit.
+        walk = _Martingale.of(make(theta, c=1.0 + loading))
+        table = walk.pairs if tilted else PairTilt.of(walk.model, 0.0, 1.0)
+        size = 3000
+        work = _Pairs(size, table.cuts.size)
+        fresh, reused = np.random.default_rng(5), np.random.default_rng(5)
+        for n in (0, 1, 1000, size, 7, size):
+            want = sample_pairs(walk.model, fresh, n, table)
+            got = sample_pairs(walk.model, reused, n, table, work=work)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), n
 
     @pytest.mark.parametrize("make,theta", _LOADING_HALF_CELLS)
     def test_tilted_weight_has_mean_one(self, make, theta):
