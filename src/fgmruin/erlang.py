@@ -322,8 +322,7 @@ class VariantRow:
     Attributes:
         variant: Sign variant the candidate was computed under.
         delta0: Candidate survival probability at zero surplus.
-        z_score: (delta0 - simulated) / simulated stderr; where the stderr
-            is 0, 0 if delta0 equals the simulated value and +-inf if not.
+        z_score: (delta0 - simulated) / simulated stderr.
         consistent: Whether |z_score| stayed within the acceptance band.
         elimination: Elimination that produced the candidate.  The exact
             INDIVIDUAL system can be unsolvable for an inconsistent
@@ -397,13 +396,7 @@ def sign_variant_report(
         except StructuralError:
             used = GrowthElimination.POOLED
             d0, _ = solve_delta0(model, v, used)
-        gap = d0 - est.value
-        if est.stderr > 0.0:
-            z = gap / est.stderr
-        else:
-            # An estimate with stderr 0 (all its weights equal): only an
-            # equal delta(0) is consistent with it.
-            z = math.copysign(math.inf, gap) if gap else 0.0
+        z = (d0 - est.value) / est.stderr
         rows.append(VariantRow(v, d0, z, bool(abs(z) <= z_crit), used))
     consistent = [r.variant for r in rows if r.consistent]
     selected = consistent[0] if len(consistent) == 1 else None

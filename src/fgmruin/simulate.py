@@ -18,17 +18,18 @@ happen at a claim instant, so a path is a random walk of i.i.d. dependent
 * survival: ruin never happens.  Siegmund's importance sampler draws the
   pairs from the exponentially tilted law e^{R(x - cw)} f(x, w), where R
   is the adjustment coefficient; under it ruin is certain, and each path
-  runs to ruin, where the plain weight e^{-R(u - post)} = e^{-R u} e^{-R D}
-  has all its randomness in the deficit D = -post below zero.  The tilted
-  law is a finite mixture of sums of exponential phases, so each step is
-  drawn exactly, with no rejection: one uniform picks a category, whose
-  coefficients, all of one sign, scale one to four standard exponentials
-  (``_mixture`` races the claim phases against the time phases).  The
-  estimate averages E[e^{-R D}] given the walk before the ruinous step, a
-  closed form in that walk alone whose one parameter comes from the
-  arrival transforms at c' and 2c' (``_RuinWeight``), in place of
-  e^{-R D}, from the same draws.  One walk from zero serves a whole grid
-  of initial surpluses: ruin from u is the walk's first passage below -u.
+  runs to ruin, where its likelihood ratio e^{-R(u - post)} =
+  e^{-R u} e^{-R D} has all its randomness in the deficit D = -post below
+  zero.  The tilted law is a finite mixture of sums of exponential phases,
+  so each step is drawn exactly, with no rejection: one uniform picks a
+  category, whose coefficients, all of one sign, scale one to four
+  standard exponentials (``_mixture`` races the claim phases against the
+  time phases).  The estimate averages E[e^{-R D}] given the walk before
+  the ruinous step, a closed form in that walk alone whose one parameter
+  comes from the arrival transforms at c' and 2c' (``_RuinWeight``), in
+  place of e^{-R D}, from the same draws; e^{-R D} itself is never formed.
+  One walk from zero serves a whole grid of initial surpluses: ruin from
+  u is the walk's first passage below -u.
 
 Both walk at unit rates, in the units of ``model.unit_rates`` (money in
 mean claims 1/alpha, time in 1/lam or 1/beta), where the walk, R and the
@@ -60,7 +61,7 @@ categories from one comparison block against the cuts, gathers its
 passages by index, and on a grid searches only the paths whose round
 minimum passed the level they had pending.  Each of these computes the
 same values in the same order as a comparison per cut, a boolean gather
-and a search of every path, so the plain weights keep their bits.  The
+and a search of every path, so the weights keep their bits.  The
 walk before each top-level passage, and the walk before each reach path's
 stopping step, are logged one per path, and their conditioned weights, or
 corrections, are computed in chunks, whenever the next round could
@@ -109,13 +110,12 @@ class SimEstimate:
     Attributes:
         value: Estimated probability.
         stderr: Standard error: for reach estimates the sample standard
-            error of the conditioned corrections D, scaled as the value,
-            floored at the rounding error of the value, which binds where
-            D is constant, as at theta = 0 with Poisson times; for survival
-            the sample standard error of the importance weights
-            conditioned on the walk before each ruinous step, floored at
-            what one path can move the mean (0 where every weight is
-            equal, as at theta = 0).
+            error of the conditioned corrections D, scaled as the value;
+            for survival that of the importance weights conditioned on the
+            walk before each ruinous step, floored at what one path can
+            move the mean.  Both are floored at the rounding error of the
+            value, which binds where the weights or corrections are
+            constant, as at theta = 0.
         n: Number of simulated paths.
         seed: Seed that reproduces the estimate exactly.
     """
@@ -665,22 +665,13 @@ _LUNDBERG_TOL = 1e-12
 # among them.
 _CLAIM_BUDGET = 3e4
 
-# Fewest effective paths, (sum w)^2 / sum w^2, a survival level may rest on
-# (n / 100 when that is smaller).  Where the gap alpha - R is tiny (loading
-# 100 and above with Erlang times or theta near 1) the deficit at ruin is of
-# order 1 / gap and almost every weight e^{-R deficit} underflows.  In the
-# measured table in README "Errors" every plain estimate more than 3 stderr
-# off has ESS below 4, and every one with ESS of 58 or more is within 2.7.
-# The gate reads these plain weights, never the conditioned ones.
-_ESS_FLOOR = 30.0
-
 # Largest relative loading the tilt is solved at.  The transforms in
 # ``_arrival_parts`` overflow from a loading of about 2.3e77 (Erlang,
 # (2 + c'R)^4) or 1.3e154 (Poisson, (2 + c'R)^2), and the claim phase
-# 1 / (1 - R) grows like loading^4 (Erlang, theta = 1: 1e298 at 1e75).  Far
-# below the bound the weights fail the ESS floor at any feasible n: ESS / n
-# is about 2 / loading with Poisson times at theta = 0, and smaller with
-# Erlang times or theta near 1 (README "Errors").
+# 1 / (1 - R) grows like loading^4 (Erlang, theta = 1: 1e298 at 1e75).  Up
+# to the bound the conditioned weights stay in (0, 1]: on the decades of
+# the loading from 1e-2 to 1e74 every survival estimate solves
+# (tests/test_units.py).
 _MAX_LOADING = 1e75
 
 
@@ -713,8 +704,7 @@ def _lundberg_root(c: float, theta: float, erlang: bool) -> tuple[float, float]:
     if loading > _MAX_LOADING:
         raise ConditioningError(
             f"survival at relative loading {loading:.3g} cannot be simulated: "
-            f"above loading {_MAX_LOADING:g} the importance weights underflow "
-            f"and the tilt nears the float range"
+            f"above loading {_MAX_LOADING:g} the tilt nears the float range"
         )
     gap = 0.5
     while _cgf(c, theta, erlang, 1.0 - gap, gap)[0] <= 0.0:
@@ -943,10 +933,9 @@ def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray):
     the index of the next level it has not yet passed, which is updated in
     place.  Only the rows whose round minimum drops below their pending
     level pass any level, so only those are searched.  Returns, row by row
-    and level by level, the level of each passage, the flat index of its
-    step in the round and V + u_j there.  A path first passes a level where
-    the walk drops below it, and there the walk equals its running minimum
-    over the round.
+    and level by level, the level of each passage and the flat index of its
+    step in the round.  A path first passes a level where the walk drops
+    below it, and there the walk equals its running minimum over the round.
     """
     top = levels.size - 1
     # -min V over the round: with one claim per round, the one column.
@@ -966,22 +955,20 @@ def _lower_passages(steps: np.ndarray, levels: np.ndarray, pending: np.ndarray):
     if low.shape[1] > 1:
         np.minimum.accumulate(low, axis=1, out=low)
     first = (low[pair] >= -levels[level, None]).sum(axis=1)
-    at = rows[pair] * steps.shape[1] + first
-    return level, at, low[pair, first] + levels[level]
+    return level, rows[pair] * steps.shape[1] + first
 
 
 def _run_survival(tilt: _Tilt, levels: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Per level, sums over n tilted paths of the plain and conditioned weights.
+    """Per level, sums over n tilted paths of the conditioned weights.
 
     ``levels`` are the initial surpluses u_j in claim units, in ascending
     order.  Every path walks V, the surplus gained from zero, and its first
-    passage below -u_j is ruin from u_j, with post = u_j + V there.  A path
-    retires once it passes the largest level; with one level, that is the
-    whole pass.  The paths walk in one pool (``_Pool``), each fresh one from
+    passage below -u_j is ruin from u_j.  A path retires once it passes the
+    largest level; with one level, that is the whole pass.  The paths walk in one pool (``_Pool``), each fresh one from
     V = 0 with no level passed, and the rounds draw into one workspace.
-    Returns a (4, levels) array: the sum and sum of squares of the plain
-    weights e^{R post}, then of the centred conditioned ones
-    (``_RuinWeight.weights``) at v = u_j + the walk before the passage.
+    Returns a (2, levels) array: the sum and sum of squares of the centred
+    conditioned weights (``_RuinWeight.weights``) at v = u_j + the walk
+    before the passage.
     The lower levels' weights are conditioned round by round; the top
     level's from the walk before each passage, logged in the workspace,
     whenever the next round could overflow the log, and once the pool
@@ -991,14 +978,14 @@ def _run_survival(tilt: _Tilt, levels: np.ndarray, n: int, seed: int) -> np.ndar
     rng = np.random.default_rng(seed)
     work, pool = _Workspace(width + _ROUND_STEPS, tilt.cuts.size), _Pool(n, width)
     top = levels.size - 1
-    sums = np.zeros((4, levels.size))
+    sums = np.zeros((2, levels.size))
 
     def flush(count: int) -> None:
         y = work.before[:count]
         y += levels[top]
         y = tilt.ruin.weights(y)
-        sums[2, top] += y.sum()
-        sums[3, top] += _dot(y, y)
+        sums[0, top] += y.sum()
+        sums[1, top] += _dot(y, y)
 
     walk = work.walk[:0]
     pending = np.zeros(0, dtype=np.intp) if top else None
@@ -1018,20 +1005,14 @@ def _run_survival(tilt: _Tilt, levels: np.ndarray, n: int, seed: int) -> np.ndar
         steps = tilt.steps(rng, live * k, work).reshape(live, k)
         _walk(steps, walk)
         if top:
-            level, at, v = _lower_passages(steps, levels, pending)
-            y = np.exp(tilt.R * v)
-            sums[0, :top] += np.bincount(level, weights=y, minlength=top)
-            sums[1, :top] += np.bincount(level, weights=y * y, minlength=top)
+            level, at = _lower_passages(steps, levels, pending)
             y = _before(steps, walk, at, np.empty(at.size))
             y += levels[level]
             y = tilt.ruin.weights(y)
-            sums[2, :top] += np.bincount(level, weights=y, minlength=top)
-            sums[3, :top] += np.bincount(level, weights=y * y, minlength=top)
+            sums[0, :top] += np.bincount(level, weights=y, minlength=top)
+            sums[1, :top] += np.bincount(level, weights=y * y, minlength=top)
         # The top level's passages: the rows whose walk first drops below it.
         fired, at = _first_events(steps < -levels[top])
-        y = np.exp(tilt.R * (steps.ravel()[at] + levels[top]))
-        sums[0, top] += y.sum()
-        sums[1, top] += _dot(y, y)
         if ruined + at.size > work.before.size:
             flush(ruined)
             ruined = 0
@@ -1074,11 +1055,22 @@ def estimate_survival(
     e^{-R D} in the measured cells, and 21 to 216 times less than the
     weight given the ruinous step's category and threshold (README "Monte
     Carlo").  The estimate is 1 minus e^{-R u} times the mean conditioned
-    weight; its standard error is the sample one, floored at e^{-R u}
-    times the spread of the weights a ruin can give over n (README
-    "Errors").  The weights lie in (0, 1], so the variance never exceeds
-    the binomial psi(1 - psi) / n; at theta = 0 they are all 1 - R and
-    the estimate is exact, with stderr 0.
+    weight.  The weights lie in (0, 1], so the variance never exceeds the
+    binomial psi(1 - psi) / n; at theta = 0 they are all 1 - R and the
+    estimate is exact.  The standard error is the sample one, floored
+    twice (README "Errors"):
+
+    * at e^{-R u} times the spread of the weights a ruin can give, over n:
+      how far one path can move the mean.  This floor keeps z honest where
+      rare paths dominate, as where a first step lands within u of ruin
+      and weighs thousands of times the typical path, which most runs
+      never draw; it overstates the error about 100 times at loading 1e4
+      and above.
+    * at the rounding error of the value itself, 4 ulps of the value plus
+      the scaled mean weight: 1 - psi rounds psi at about 1e-16, which
+      the sample stderr of a tiny psi, or of the exact estimate at
+      theta = 0, would not cover.
+
     The estimate has no truncation bias and its relative error stays flat
     as u grows.  It is a deterministic function of (seed, n).  ``workers``
     is kept for compatibility: it must be a positive integer, and changes
@@ -1097,17 +1089,12 @@ def estimate_survival(
     Raises:
         InputError: If u, n, seed or workers is out of its domain; n and
             workers must be positive integers, the seed a nonnegative one.
-        ConditioningError: If the relative loading exceeds 1e75, if a
-            tilted path from the largest u is predicted to need more claims
-            than the budget (loading near zero, or alpha u overflowing), if the
-            Lundberg equation is not solved to 1e-12, or if at some level
-            the plain weights' effective sample size (sum w)^2 / sum w^2,
-            w = e^{-R D}, falls below min(30, n / 100) (large loading with
-            theta near 1, where the weights underflow).  The gate reads the
-            plain weights, not the conditioned ones, which vary far less
-            (ESS about n at Erlang loading 1e4) and have no independent
-            check where the plain weights fail; or if a path would draw
-            more than 1e6 claims (``_MAX_CLAIMS``).
+        ConditioningError: If the relative loading exceeds 1e75
+            (``_MAX_LOADING``), if a tilted path from the largest u is
+            predicted to need more claims than the budget (loading near
+            zero, or alpha u overflowing), if the Lundberg equation is not
+            solved to 1e-12, or if a path would draw more than 1e6 claims
+            (``_MAX_CLAIMS``).
     """
     levels, n, seed = _check_inputs(u, n, seed, workers)
     order = np.argsort(levels.ravel(), kind="stable")
@@ -1115,24 +1102,17 @@ def estimate_survival(
     tilt = _tilt(model, float(ascending[-1]))
     # Claim units; the largest level passed _tilt's budget, so none is inf.
     scaled = tilt.alpha * ascending
-    total, total_sq, cond, cond_sq = _run_survival(tilt, scaled, n, seed)
-    ess = np.divide(total * total, total_sq, out=np.zeros_like(total), where=total_sq > 0.0)
-    floor = min(_ESS_FLOOR, n / 100.0)
-    low = np.flatnonzero(ess < floor)
-    if low.size:
-        j = low[0]
-        raise ConditioningError(
-            f"survival from u = {ascending[j]:g} cannot be estimated: the importance "
-            f"weights of {n} tilted paths have effective sample size {ess[j]:.3g}, "
-            f"below the floor of {floor:g}"
-        )
-    mean = cond / n
-    var = np.maximum(cond_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
+    total, total_sq = _run_survival(tilt, scaled, n, seed)
+    mean = total / n
+    var = np.maximum(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
     scale = np.exp(-tilt.R * scaled)
     value = 1.0 - scale * (tilt.ruin.center + mean)
-    # One path moves the mean by at most spread / n: a floor for the sample
-    # stderr where the weights hardly vary (README "Errors").
+    # One path moves the mean by at most spread / n, and the value rounds
+    # psi: the two floors of the sample stderr (README "Errors").
     stderr = scale * np.maximum(np.sqrt(var / n), tilt.ruin.spread / n)
+    rounding = 4.0 * float(np.finfo(float).eps) * (
+        np.abs(value) + scale * (tilt.ruin.center + np.abs(mean)))
+    stderr = np.maximum(stderr, rounding)
     estimates = [None] * ascending.size
     for i, j in enumerate(order.tolist()):
         estimates[j] = SimEstimate(float(value[i]), float(stderr[i]), n, seed)

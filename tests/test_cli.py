@@ -20,9 +20,8 @@ from fgmruin import (
     survival_classical,
     survival_erlang2,
 )
-from fgmruin import cli, simulate
+from fgmruin import cli
 from fgmruin.cli import main
-from fgmruin.simulate import SimEstimate
 
 
 def _run(capsys, *argv):
@@ -274,7 +273,6 @@ class TestSimulate:
         assert out1.splitlines()[0] == "u,value,stderr"
 
     def test_json_rows_report_value_and_stderr(self, capsys):
-        # At theta = 0 the survival estimate is exact, with stderr 0.
         code, out, _ = _run(
             capsys, "simulate", "--theta", "0.5", "--n", "2000", "--format", "json",
         )
@@ -459,21 +457,6 @@ class TestReproduce:
             assert block["n"] == 1
             assert block["mc_stderr"] > 0.0
             assert all(isinstance(r["z_score"], float) for r in block["rows"])
-
-    def test_example2_variant_report_at_zero_stderr(self, capsys, monkeypatch):
-        # JSON has no infinity: an exact estimate that misses delta(0)
-        # gives an infinite z, printed as null.
-        monkeypatch.setattr(simulate, "estimate_survival",
-                            lambda model, u, n, seed, workers: SimEstimate(1.0, 0.0, n, seed))
-        code, out, _ = _run(
-            capsys, "reproduce", "example2", "--variant-report",
-            "--format", "json", "--n", "10", "--seed", "5",
-        )
-        assert code == 0
-        for block in json.loads(out)["sign_variant"]:
-            assert block["mc_ci95"] == [1.0, 1.0]
-            assert [(r["z_score"], r["consistent"]) for r in block["rows"]] == [
-                (None, False), (None, False)]
 
 
 class TestErrorsAndOutput:

@@ -17,6 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mp_reference import reference_delta0
 
 from fgmruin import (
     ConditioningError,
@@ -201,67 +202,6 @@ def test_small_decaying_root_is_kept_apart_from_zero():
     assert abs(small - want) <= PHI0_REL_TOL * abs(want)
 
 
-def _mp_mul(*ps):
-    out = [mpmath.mpf(1)]
-    for p in ps:
-        prod = [mpmath.mpf(0)] * (len(out) + len(p) - 1)
-        for i, x in enumerate(out):
-            for j, y in enumerate(p):
-                prod[i + j] += x * y
-        out = prod
-    return out
-
-
-def _mp_add(*ps):
-    out = [mpmath.mpf(0)] * max(len(p) for p in ps)
-    for p in ps:
-        for i, x in enumerate(p):
-            out[i] += x
-    return out
-
-
-def _mp_scale(k, p):
-    return [k * x for x in p]
-
-
-def _reference_delta0(c, alpha, beta, theta):
-    """delta(0) of INDIVIDUAL elimination under PLUS, at 60 digits.
-
-    Rebuilds the cleared septic D and the five numerator basis columns
-    (delta(0), w, k0, k1, k2) from the formulas in ``fgmruin.erlang``,
-    then solves N = 0 at the four growing roots of D / s together with
-    N(0) = D'(0), the unit zero-pole residue.
-    """
-    with mpmath.workdps(60):
-        c, a, b, th = (mpmath.mpf(v) for v in (c, alpha, beta, theta))
-        s = [0, 1]
-        q = _mp_mul([a, 1], [2 * a, 1])
-        ker = [2 * b, -c]
-        ker3 = _mp_mul(ker, ker, ker)
-        cof = _mp_mul(ker3, q)
-        bracket = _mp_add(_mp_scale(b**2, ker3), [4 * b**5], _mp_scale(-6 * b**4, ker))
-        den = _mp_add(
-            _mp_mul([b**2, -2 * b * c, c**2], cof),
-            _mp_scale(-(b**2) * a, _mp_mul([2 * a, 1], ker3)),
-            _mp_scale(-th * a, _mp_mul(s, bracket)),
-        )
-        assert abs(den[0]) <= mpmath.mpf(10) ** -50 * max(abs(d) for d in den)
-        basis = [
-            _mp_scale(c**2, _mp_mul(s, cof)),
-            cof,
-            _mp_scale(th, q),
-            _mp_scale(th, _mp_mul(q, ker)),
-            _mp_scale(th, _mp_mul(q, ker, ker)),
-        ]
-        roots = mpmath.polyroots(den[:0:-1], maxsteps=400, extraprec=400)
-        growing = [r for r in roots if mpmath.re(r) > 0]
-        assert len(growing) == 4
-        rows = [[mpmath.polyval(p[::-1], g) for p in basis] for g in growing]
-        rows.append([p[0] for p in basis])
-        x = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix([0, 0, 0, 0, den[1]]))
-        return mpmath.re(x[0])
-
-
 @pytest.mark.parametrize(
     "c,alpha,beta,theta",
     [
@@ -280,7 +220,7 @@ def _reference_delta0(c, alpha, beta, theta):
     ],
 )
 def test_delta0_matches_high_precision_reference(c, alpha, beta, theta):
-    want = _reference_delta0(c, alpha, beta, theta)
+    want = reference_delta0(c, alpha, beta, theta)
     model = ModelSpec(c, ExpClaim(alpha), Erlang2(beta), FgmParam(theta))
     got = survival_erlang2(model, elimination=GrowthElimination.INDIVIDUAL).delta0
     assert abs(got - want) <= DELTA0_REL_TOL * abs(want), (got, want)

@@ -19,11 +19,9 @@ from fgmruin.erlang import (
     solve_delta0,
     survival_erlang2,
 )
-from fgmruin import simulate
 from fgmruin.errors import InputError, StructuralError
 from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
 from fgmruin.polyexp import RationalFn, poly_roots
-from fgmruin.simulate import SimEstimate
 
 INDIVIDUAL = GrowthElimination.INDIVIDUAL
 POOLED = GrowthElimination.POOLED
@@ -409,19 +407,6 @@ class TestSignVariants:
         assert all(math.isfinite(r.z_score) for r in report.rows)
         assert [r.consistent for r in report.rows] == [True, False]
         assert report.selected is PLUS
-
-    def test_report_at_zero_stderr(self, monkeypatch):
-        # An exact estimate is consistent only with an equal delta(0); any
-        # other gets an infinite z of the gap's sign.
-        d0, _ = solve_delta0(_model(0.5), PLUS)
-        for value, want in ((d0, [(0.0, True), (math.inf, False)]),
-                            (1.0, [(-math.inf, False), (-math.inf, False)])):
-            monkeypatch.setattr(simulate, "estimate_survival",
-                                lambda model, u, n, seed, workers, value=value:
-                                SimEstimate(value, 0.0, n, seed))
-            report = sign_variant_report(_model(0.5), n=10, seed=5)
-            assert [(r.z_score, r.consistent) for r in report.rows] == want
-            assert report.selected is (PLUS if value == d0 else None)
 
     @pytest.mark.parametrize("kwargs", [
         {"n": -5, "seed": 1}, {"n": 1000, "seed": 1.5}, {"n": 1000, "seed": -1},

@@ -15,13 +15,13 @@ the reference refuses, the same error type and message.
 The tilted Monte Carlo round has its plain form too: categories from one
 comparison per cut, boolean gathers of the passages and survivors, and
 ``searchsorted`` on every live row for the lower levels of a grid.  A
-request must sum the same bits of the plain weights per level, on single
-levels, duplicate levels and a 41-level grid, in one pool and through a
-refilled one, and the weights conditioned on the walk before each passage
-to a measured tolerance.  That weight's closed
-form, from the arrival transforms, is pinned against 60-digit sums over the
-sampler's own category tables and against quadrature of the tilted pair
-law, which shares no code with the sampler.
+request must sum the same bits of the weights conditioned on the walk
+before each passage per level, on single levels, duplicate levels and a
+41-level grid, in one pool and through a refilled one: the walk of every
+path, and so every passage, must be the engine's.  That weight's closed
+form, from the arrival transforms, is pinned on its own against 60-digit
+sums over the sampler's own category tables and against quadrature of the
+tilted pair law, which shares no code with the sampler.
 """
 
 import math
@@ -61,6 +61,7 @@ from fgmruin.polyexp import (
     poly_roots,
 )
 from fgmruin.simulate import (
+    _Martingale,
     _RuinWeight,
     _claims_per_round,
     _lundberg_root,
@@ -296,32 +297,31 @@ def _ref_tilted_steps(tilt, rng, n):
     return step
 
 
-def _ref_conditioned(tilt, v):
-    """E[e^{-R D} | the walk before the ruinous step] less the tilt's centre, as a ratio.
-
-    (B1 + B2 q) / (A1 + A2 q) at q = e^{-v}, with A1 = 1, A2 = a and
-    B_i = k_i A_i, k1 = 1 - R and k2 = 1 - R / 2.
-    """
-    q = np.exp(-v)
-    a = tilt.ruin.a
-    return ((1.0 - tilt.R) + (1.0 - 0.5 * tilt.R) * a * q) / (1.0 + a * q) - tilt.ruin.center
-
-
 def _ref_tilted_pool(tilt, levels, n, seed):
-    """Per level, sums and sums of squares of e^{R post} and of the conditioned
-    weights: every row searched, boolean gathers, and fresh paths appended to
-    the survivors up to ``_BLOCK_SIZE`` live."""
+    """Per level, the sum and sum of squares of the conditioned weights, summed as the engine sums them.
+
+    Every row is searched, passages and survivors are boolean gathers, and
+    fresh paths join the survivors up to ``_BLOCK_SIZE`` live.  The weights
+    are ``tilt.ruin.weights`` at the walk before each passage plus its
+    level: a lower level's are summed by one ``bincount`` per round, and
+    the top level's in the engine's chunks, the passages of whole rounds
+    until the next round could overflow a log of the pool's width plus
+    ``_ROUND_STEPS``, and once the pool drains.
+    """
     rng = np.random.default_rng(seed)
     top = levels.size - 1
-    sums = np.zeros((4, levels.size))
+    sums = np.zeros((2, levels.size))
+    room = min(n, simulate._BLOCK_SIZE) + simulate._ROUND_STEPS
+    log = []  # the walk before each logged top-level passage, round by round
     walk = np.zeros(0)
     pending = np.zeros(0, dtype=np.intp)
 
-    def add(level, v, at):
-        w = _ref_conditioned(tilt, before[at] + levels[level])
-        for row, x in enumerate((w, w * w), 2):
-            sums[row] += np.bincount(level, weights=x, minlength=levels.size)
-        return np.exp(tilt.R * v)
+    def flush():
+        y = tilt.ruin.weights(np.concatenate([np.zeros(0), *log]) + levels[top])
+        sums[0, top] += y.sum()
+        # The engine's non-BLAS dot, whose sum order sets the last bits.
+        sums[1, top] += np.einsum("i,i->", y, y)
+        log.clear()
 
     while True:
         fresh = min(n, simulate._BLOCK_SIZE - walk.size)
@@ -330,6 +330,7 @@ def _ref_tilted_pool(tilt, levels, n, seed):
         pending = np.concatenate([pending, np.zeros(fresh, dtype=np.intp)])
         live = walk.size
         if not live:
+            flush()
             return sums
         k = _claims_per_round(live)
         steps = _ref_tilted_steps(tilt, rng, live * k).reshape(live, k)
@@ -347,7 +348,7 @@ def _ref_tilted_pool(tilt, levels, n, seed):
                                                      count)
             low = np.minimum.accumulate(steps[rows], axis=1)
             first = (low[pair] >= -levels[level, None]).sum(axis=1)
-            y = add(level, low[pair, first] + levels[level], rows[pair] * k + first)
+            y = tilt.ruin.weights(before[rows[pair] * k + first] + levels[level])
             sums[0, :top] += np.bincount(level, weights=y, minlength=top)
             sums[1, :top] += np.bincount(level, weights=y * y, minlength=top)
             pending = new
@@ -355,10 +356,9 @@ def _ref_tilted_pool(tilt, levels, n, seed):
         first = below.argmax(axis=1)
         fired = below[np.arange(live), first]
         at = (np.arange(live) * k + first)[fired]
-        y = add(np.full(at.size, top), steps.ravel()[at] + levels[top], at)
-        sums[0, top] += y.sum()
-        # The engine's non-BLAS dot, whose sum order sets the last bits.
-        sums[1, top] += np.einsum("i,i->", y, y)
+        if sum(map(len, log)) + at.size > room:
+            flush()
+        log.append(before[at])
         walk = steps[~fired, -1]
         pending = pending[~fired]
 
@@ -536,12 +536,7 @@ def test_tilted_block_matches_reference(monkeypatch, arrival, theta, levels, loa
     for seed, n in ((0, size), (11, size), (5, 3 * size + 1)):
         monkeypatch.setattr(simulate, "_BLOCK_SIZE", size)
         got = _run_survival(tilt, levels, n, seed)
-        want = _ref_tilted_pool(tilt, levels, n, seed)
-        _assert_same("tilted pool", seed, got[:2], want[:2])
-        # The conditioned sums: the ratio (B1 + B2 q) / (A1 + A2 q) against
-        # scale / (e^v + a), bincount against a sum per round.  Measured apart
-        # by at most 2e-12, and 2.5e-13 relative (on a sum of 2e-4).
-        np.testing.assert_allclose(got[2:], want[2:], rtol=1e-12, atol=1e-12)
+        _assert_same("tilted pool", seed, got, _ref_tilted_pool(tilt, levels, n, seed))
 
 
 def _mp_ruin_weight(R, masses, coef, v):
@@ -661,3 +656,30 @@ def test_ruin_weight_is_one_minus_R_at_independence(arrival, c):
         c, 0.0, isinstance(arrival, Erlang2))[1]
     assert tilt.ruin.a == 0.0 and tilt.ruin.scale == 0.0 and tilt.ruin.spread == 0.0
     assert np.all(tilt.ruin.weights(np.array([0.0, 0.5, 3.0, 30.0])) == 0.0)
+
+
+@pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(1.0)], ids=["poisson", "erlang"])
+@pytest.mark.parametrize("theta", [-1.0, -0.5, 0.5, 1.0])
+@pytest.mark.parametrize("c", [1.5, 11.0, 101.0])
+def test_ruin_weight_is_the_far_level_limit_of_reach(arrival, theta, c):
+    # Reach's I' = H- / M, the ruin weight of its stopping step given the
+    # walk s before it, and D / (1 - R) = 1 - I' / (1 - R) - g U0 J' / (1 - R)
+    # with g = e^{-R b'}.  As b' grows, g and the reach mass vanish, and
+    # (1 - R)(1 - corrections) becomes survival's W'(s): the same law,
+    # derived twice, from ``_Martingale.stopping`` and ``_RuinWeight``.
+    # Measured apart by at most 2.3e-16 relative, except at theta = 1, where
+    # the masses of ``stopping`` lose about eps loading^2 (up to 6.4e-13 at
+    # Erlang c' = 101, loading 201).
+    erlang = isinstance(arrival, Erlang2)
+    walk = _Martingale.of(ModelSpec(c, ExpClaim(1.0), arrival, FgmParam(theta)))
+    R, gap = _lundberg_root(c, theta, erlang)
+    assert (walk.R, walk.gap) == (R, gap)
+    ruin = _RuinWeight.of(c, theta, erlang, R, gap)
+    s = np.linspace(0.0, 30.0, 61)
+    want = ruin.weights(s.copy()) + ruin.center
+    loading = (2.0 * c if erlang else c) - 1.0
+    rtol = max(4e-16, np.finfo(float).eps * loading**2) if theta == 1.0 else 4e-16
+    for b in (300.0, 600.0):
+        spare = [np.empty(s.size) for _ in range(5)]
+        corrections = walk.corrections(s.copy(), walk.stopping(b), spare)
+        np.testing.assert_allclose(gap * (1.0 - corrections), want, rtol=rtol, atol=0.0)

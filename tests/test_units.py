@@ -160,9 +160,8 @@ def test_rescaled_rates_give_the_unit_rate_estimate(erlang, theta):
 
 
 # Decades of the relative loading from 1e-2 to 1e308 (every other one) at
-# unit rates.  Measured at n = 2000: survival solves up to loading 10 in
-# every cell, fails the ESS floor from 1e2 or 1e3 up to 1e75 and is refused
-# by name above 1e75; reach solves everywhere.
+# unit rates.  Measured at n = 2000: survival solves up to 1e74 in every
+# cell and is refused by name above 1e75; reach solves everywhere.
 MC_LOADING_DECADES = range(-2, 309, 2)
 
 
@@ -181,9 +180,8 @@ def test_loading_axis_solves_or_refuses_by_name(erlang, theta):
             try:
                 got = estimate_survival(model, [0.0, 1.0], n=2000, seed=1)
             except ConditioningError as exc:
-                assert loading > 10.0, (e, exc)
-                why = ("relative loading" if loading > 1e75 else "effective sample size")
-                assert why in str(exc), (e, exc)
+                assert loading > 1e75 and "relative loading" in str(exc), (e, exc)
                 continue
-            assert loading <= 1e3, e
-            assert all(0.0 <= est.value <= 1.0 for est in got)
+            assert loading <= 1e75, e
+            assert all(0.0 <= est.value <= 1.0 and 0.0 < est.stderr < np.inf
+                       for est in got), (e, got)
