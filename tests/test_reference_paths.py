@@ -18,7 +18,10 @@ comparison per cut, boolean gathers of the passages and survivors, and
 request must sum the same bits of the weights conditioned on the walk
 before each passage per level, on single levels, duplicate levels and a
 41-level grid, in one pool and through a refilled one: the walk of every
-path, and so every passage, must be the engine's.  That weight's closed
+path, and so every passage, must be the engine's.  The reach round's plain
+form draws fresh pair arrays, walks by ``np.cumsum`` and finds each path's
+first stop by ``argmax``, and a reach request must give the same bits of the
+moments of its corrections.  The ruin weight's closed
 form, from the arrival transforms, is pinned on its own against 60-digit
 sums over the sampler's own category tables and against quadrature of the
 tilted pair law, which shares no code with the sampler.
@@ -46,7 +49,8 @@ from fgmruin.errors import (
     StructuralError,
     UnsupportedStructureError,
 )
-from fgmruin.model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, unit_rates
+from fgmruin.model import (Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec, sample_pairs,
+                           unit_rates)
 from fgmruin.polyexp import (
     _DECAY_REL,
     _DEGENERATE_REL,
@@ -66,6 +70,7 @@ from fgmruin.simulate import (
     _claims_per_round,
     _lundberg_root,
     _mixture,
+    _run_reach,
     _run_survival,
     _tilt,
 )
@@ -363,6 +368,61 @@ def _ref_tilted_pool(tilt, levels, n, seed):
         pending = pending[~fired]
 
 
+def _ref_reach_pool(walk, u, stop, n, seed):
+    """The sum and centred sum of squares of the corrections, pooled as the engine pools them.
+
+    Each round draws fresh ``sample_pairs`` arrays from the request's
+    stream, walks every row from its surplus with ``np.cumsum``, and finds
+    each row's first stop, its pre-claim surplus reaching b or its claim
+    ruining it, by ``argmax`` over the round's events; the walk before each
+    stop comes from a shifted copy of the round.  Fresh paths from u join
+    the survivors up to ``_BLOCK_SIZE`` live.  The walk before each stop is
+    logged, and turned into ``_Martingale.corrections`` in the engine's
+    chunks: the stops of whole rounds until the next round could overflow a
+    log of the pool's width, and once the pool drains.
+    """
+    rng = np.random.default_rng(seed)
+    room = min(n, simulate._BLOCK_SIZE)
+    log, chunks = [], []  # the walk before each stop, round by round; (size, sum, centred squares)
+    surplus = np.zeros(0)
+
+    def flush():
+        s = np.concatenate(log)
+        e = walk.corrections(s, stop, [np.empty(s.size) for _ in range(5)])
+        total = e.sum()
+        e -= total / s.size
+        chunks.append((s.size, total, np.einsum("i,i->", e, e)))
+        log.clear()
+
+    waiting = n
+    while True:
+        fresh = min(waiting, simulate._BLOCK_SIZE - surplus.size)
+        waiting -= fresh
+        surplus = np.concatenate([surplus, np.full(fresh, u)])
+        live = surplus.size
+        if not live:
+            flush()
+            break
+        k = _claims_per_round(live)
+        w, x = sample_pairs(walk.model, rng, live * k, walk.pairs)
+        steps = (walk.model.c * w - x).reshape(live, k)
+        steps[:, 0] += surplus
+        post = np.cumsum(steps, axis=1)
+        event = (post + x.reshape(live, k) >= stop.b) | (post < 0.0)
+        first = event.argmax(axis=1)
+        fired = event[np.arange(live), first]
+        at = (np.arange(live) * k + first)[fired]
+        before = np.concatenate([surplus[:, None], post[:, :-1]], axis=1).ravel()
+        if sum(map(len, log)) + at.size > room:
+            flush()
+        log.append(before[at])
+        surplus = post[~fired, -1]
+    size, total, sq = np.array(chunks).T
+    shift = total / size - total.sum() / n
+    return np.array([total.sum(), float(sq.sum()) + float(np.einsum("i,i->", size * shift, shift))])
+
+
+
 # -- comparison --------------------------------------------------------------
 
 
@@ -537,6 +597,22 @@ def test_tilted_block_matches_reference(monkeypatch, arrival, theta, levels, loa
         monkeypatch.setattr(simulate, "_BLOCK_SIZE", size)
         got = _run_survival(tilt, levels, n, seed)
         _assert_same("tilted pool", seed, got, _ref_tilted_pool(tilt, levels, n, seed))
+
+
+@pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(2.0)], ids=["poisson", "erlang"])
+@pytest.mark.parametrize("theta", [-1.0, 0.5])
+@pytest.mark.parametrize("u,b", [(0.0, 20.0), (3.0, 10.0)])
+def test_reach_pool_matches_reference(monkeypatch, arrival, theta, u, b):
+    # The reach counterpart of the tilted pool's pin, at c = 1.5 in claim
+    # units.  The last run walks 3 size + 1 paths through a pool size wide.
+    walk = _Martingale.of(ModelSpec(1.5, ExpClaim(1.0), arrival, FgmParam(theta)))
+    stop = walk.stopping(b)
+    size = 4096
+    for seed, n in ((0, size), (11, size), (5, 3 * size + 1)):
+        monkeypatch.setattr(simulate, "_BLOCK_SIZE", size)
+        # The moments, after the path and hit counts.
+        got = _run_reach(walk, u, stop, n, seed)[-2:]
+        _assert_same("reach pool", seed, got, _ref_reach_pool(walk, u, stop, n, seed))
 
 
 def _mp_ruin_weight(R, masses, coef, v):
