@@ -38,35 +38,32 @@ alpha b are in claim units, and the estimates do not depend on the
 model's units.
 
 Each request draws from one PCG64 stream built from its seed, so the
-result depends only on the seed and the path count.  It walks its paths in
-one pool at most ``_BLOCK_SIZE`` wide, in the calling thread; the
+result depends only on the seed and the path count.  Both estimators walk
+their paths through one loop (``_walk_pool``), in the calling thread; the
 ``workers`` argument is kept for compatibility, validated and otherwise
-ignored.  The pool keeps the walk of its live paths as one compact array.
-Each round it draws a (live, k) array of claims with
-k = ceil(_ROUND_STEPS / live), walks every row with one cumulative sum,
-and retires the paths whose stopping event fired in the row; the survivors
-keep their order and fresh paths join at the end, until all n have entered
-(``_Pool``).  So rounds run at full width, one claim per path, until the
-last paths enter, and the request drains only once, with many claims per
-path once few are live.  Every draw is fresh and its place fixed by the
-rounds before it, so the paths are i.i.d. whatever round they enter in.
-Both walks find each path's first stopping event with one helper
-(``_first_events``), which in a round of one claim per path reads the
-events from a boolean column instead of gathering each row's first event,
-and the rounds of a request draw into one workspace of buffers
-(``_Workspace`` for survival, ``_ReachLog`` for reach).  A tilted
-round draws a phase row only for the steps whose category uses it, where
-those carry under half the mass (``model._draw_phases``).  It picks its
-categories from one comparison block against the cuts, gathers its
-passages by index, and on a grid searches only the paths whose round
-minimum passed the level they had pending.  Each of these computes the
-same values in the same order as a comparison per cut, a boolean gather
-and a search of every path, so the weights keep their bits.  The
-walk before each top-level passage, and the walk before each reach path's
-stopping step, are logged one per path, and their conditioned weights, or
-corrections, are computed in chunks, whenever the next round could
-overflow the log.  Sums over a pool's length avoid BLAS, whose dot runs on
-every core.
+ignored.  The loop keeps the walk of its live paths, at most
+``_BLOCK_SIZE``, as one compact array.  Each round the estimator draws a
+(live, k) array of claims with k = ceil(_ROUND_STEPS / live), walks every
+row with one cumulative sum and marks the events that stop a path; the
+loop retires the paths whose event fired, the survivors keep their order
+and fresh paths join at the end, until all n have entered (``_Pool``).
+So rounds run at full width, one claim per path, until the last paths
+enter, and the request drains only once, with many claims per path once
+few are live.  Every draw is fresh and its place fixed by the rounds
+before it, so the paths are i.i.d. whatever round they enter in.  The
+walk before each path's stopping step is logged, one per path, and turned
+into conditioned weights (survival's top level) or corrections (reach) in
+chunks, whenever the next round could overflow the log.  The rounds of a
+request draw into one set of buffers (``_Workspace`` for survival,
+``_ReachLog`` for reach).  A tilted round draws a phase row only for the
+steps whose category uses it, where those carry under half the mass
+(``model._draw_phases``).  It picks its categories from one comparison
+block against the cuts, gathers its passages by index, and on a grid
+searches only the paths whose round minimum passed the level they had
+pending.  Each of these computes the same values in the same order as a
+comparison per cut, a boolean gather and a search of every path, so the
+weights keep their bits.  Sums over a pool's length avoid BLAS, whose dot
+runs on every core.
 """
 
 from __future__ import annotations
@@ -132,7 +129,8 @@ def _check_inputs(u, n: int, seed: int,
         levels = np.asarray(u, dtype=float)
     except (TypeError, ValueError):
         levels = np.empty(0)
-    if levels.ndim > 1 or levels.size == 0 or not np.all(
+    # float() reads a bool as 0 or 1, which is no surplus.
+    if levels.ndim > 1 or levels.size == 0 or np.asarray(u).dtype == bool or not np.all(
             (levels >= 0.0) & (levels < math.inf)):
         raise InputError(f"initial surplus must be a nonnegative number or 1-D grid of them, "
                          f"got {u!r}")
@@ -239,6 +237,54 @@ def _before(walk: np.ndarray, start: np.ndarray, at: np.ndarray,
     before = walk.take(at - 1, out=out, mode="clip")
     np.copyto(before, start[at // k], where=at % k == 0)
     return before
+
+
+def _walk_pool(n: int, seed: int, walk: np.ndarray, before: np.ndarray, start: float,
+               round_, flush, pending: bool = False) -> None:
+    """Walk n paths from ``start`` through one pool, logging the walk before each one's stop.
+
+    The paths draw from one PCG64 stream built from ``seed`` and walk in one
+    pool at most ``_BLOCK_SIZE`` wide (``_Pool``); ``walk`` holds the live
+    paths' walk, in pool order.  Each round, ``round_(rng, walk, k,
+    pending)`` draws k claims for each live path, turns each row into its
+    walk from ``walk`` in a buffer of its own, and returns that (live, k)
+    walk with the mask of the events that stop a path.  The walk before
+    each path's first event is logged into ``before``, in stopping order,
+    and the log is handed to ``flush`` whenever the next round could
+    overflow it, and once the pool drains.  With ``pending`` every path
+    carries an index, 0 when it enters, that ``round_`` may update in place
+    (survival's next level on a grid).
+    """
+    rng = np.random.default_rng(seed)
+    pool = _Pool(n, min(n, _BLOCK_SIZE))
+    index = np.zeros(0, dtype=np.intp) if pending else None
+    live = logged = 0
+    while True:
+        fresh = pool.refill(live)
+        if fresh:
+            walk[live:live + fresh] = start
+            if pending:
+                index = np.concatenate((index, np.zeros(fresh, dtype=np.intp)))
+            live += fresh
+        if not live:
+            break
+        k = pool.claims(live)
+        steps, event = round_(rng, walk[:live], k, index)
+        fired, at = _first_events(event)
+        if logged + at.size > before.size:
+            flush(before[:logged])
+            logged = 0
+        _before(steps, walk[:live], at, before[logged:logged + at.size])
+        logged += at.size
+        pool.retire(at, k)
+        keep = ~fired
+        live -= at.size
+        # np.compress, not a boolean index: about 1.7 times faster on a
+        # (32768, 1) round (numpy 2.4).
+        np.compress(keep, steps[:, -1], out=walk[:live])
+        if pending:
+            index = np.compress(keep, index)
+    flush(before[:logged])
 
 
 def _poly(coef: tuple, w: np.ndarray, out: np.ndarray):
@@ -507,76 +553,46 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _run_reach(walk: _Martingale, u: float, stop: _Stopping, n: int, seed: int) -> np.ndarray:
-    """Moments over n paths of the conditioned correction D / (1 - R).
+    """The sum over n paths of the conditioned correction D / (1 - R), and of its centred squares.
 
     u and the level ``stop.b`` are in claim units, and the paths walk
-    ``walk.model`` under the tilt ``walk.pairs``, in one pool (``_Pool``)
-    where each fresh path starts from u.  Each stopped path's S_{N-1} is
-    logged round by round, and the log is turned into corrections whenever
-    the next round could overflow it, and once the pool drains; the chunks'
-    centred sums are pooled by Chan, Golub and LeVeque's pairwise update.
-    Returns [n, hits, sum e, sum (e - mean e)^2] over the corrections e;
-    hits counts the tilted paths that reached b, which the estimate does
-    not use.
+    ``walk.model`` from u under the tilt ``walk.pairs`` (``_walk_pool``).
+    Each chunk of the log of the stopped paths' S_{N-1} is turned into
+    corrections e, and the chunks' centred sums are pooled by Chan, Golub
+    and LeVeque's pairwise update into [sum e, sum (e - mean e)^2].
     """
-    width = min(n, _BLOCK_SIZE)
-    rng = np.random.default_rng(seed)
-    log, pool = _ReachLog(width, walk.pairs.cuts.size), _Pool(n, width)
-    model = walk.model
-    b = stop.b
+    log = _ReachLog(min(n, _BLOCK_SIZE), walk.pairs.cuts.size)
+    model, b = walk.model, stop.b
     chunks = []  # (size, sum e, sum (e - mean e)^2) per chunk of the log
 
-    def flush(count: int) -> None:
-        e = walk.corrections(log.before[:count], stop, [a[:count] for a in log.spare])
-        total = e.sum()
-        e -= total / count
-        chunks.append((count, total, _dot(e, e)))
-
-    # Surplus of the live paths, in pool order.
-    surplus = log.surplus[:0]
-    stopped = hits = 0
-    while True:
+    def round_(rng, surplus, k, _):
         live = surplus.size
-        fresh = pool.refill(live)
-        if fresh:
-            surplus = log.surplus[:live + fresh]
-            surplus[live:] = u
-            live += fresh
-        if not live:
-            break
-        k = pool.claims(live)
         w, x = sample_pairs(model, rng, live * k, walk.pairs, work=log)
-        # The surplus rises linearly between claims, so it crosses b before
-        # a claim if and only if the pre-claim surplus post + x reaches b;
-        # that is checked before the same claim can ruin the path.
         post = w
         post *= model.c
         post -= x
         # post[i, j]: surplus of path i just after its j-th claim this round.
         post = post.reshape(live, k)
         _walk(post, surplus)
+        # The surplus rises linearly between claims, so it crosses b before
+        # a claim if and only if the pre-claim surplus post + x reaches b;
+        # the path then stops at that claim, whether or not it ruins.
         top = x.reshape(live, k)
         top += post
-        reach = np.greater_equal(top, b, out=log.reach[:live * k].reshape(live, k))
         event = np.less(post, 0.0, out=log.event[:live * k].reshape(live, k))
-        event |= reach
-        fired, at = _first_events(event)
-        # With one claim per path every reach is its path's first event.
-        hits += np.count_nonzero(reach if k == 1 else reach.take(at))
-        if stopped + at.size > log.before.size:
-            flush(stopped)
-            stopped = 0
-        end = stopped + at.size
-        _before(post, surplus, at, log.before[stopped:end])
-        stopped = end
-        pool.retire(at, k)
-        # np.compress, not a boolean index: about 1.7 times faster on a
-        # (32768, 1) round (numpy 2.4).
-        surplus = np.compress(~fired, post[:, -1], out=log.surplus[:live - at.size])
-    flush(stopped)
+        event |= np.greater_equal(top, b, out=log.reach[:live * k].reshape(live, k))
+        return post, event
+
+    def flush(s: np.ndarray) -> None:
+        e = walk.corrections(s, stop, [a[:s.size] for a in log.spare])
+        total = e.sum()
+        e -= total / s.size
+        chunks.append((s.size, total, _dot(e, e)))
+
+    _walk_pool(n, seed, log.surplus, log.before, u, round_, flush)
     size, total, sq = np.array(chunks).T
     shift = total / size - total.sum() / n
-    return np.array([n, hits, total.sum(), float(sq.sum()) + _dot(size * shift, shift)])
+    return np.array([total.sum(), float(sq.sum()) + _dot(size * shift, shift)])
 
 
 def estimate_reach_prob(
@@ -623,7 +639,7 @@ def estimate_reach_prob(
 
     Raises:
         InputError: If u, b, n, seed or workers is out of its domain; u
-            and b must be numbers, not grids or one-element arrays.
+            and b must be numbers, not bools, grids or one-element arrays.
         ConditioningError: If ``model.unit_rates`` refuses the premium at
             unit rates (c' overflowing, or a loading that rounds to 0), or
             a path would draw more than 1e6 claims (``_MAX_CLAIMS``).
@@ -633,6 +649,8 @@ def estimate_reach_prob(
         raise InputError(f"initial surplus must be a number, got {u!r}")
     u = float(levels)
     try:
+        if isinstance(b, bool) or getattr(b, "dtype", None) == bool:
+            raise TypeError
         b = float(b)
     except (TypeError, ValueError):
         raise InputError(f"target level must be a number, got {b!r}") from None
@@ -645,7 +663,7 @@ def estimate_reach_prob(
     # A surplus past the largest float (premiums near 1e308) overflows to
     # inf, which reaches b: the right outcome, so numpy need not warn.
     with np.errstate(over="ignore"):
-        _, _, total, sq = _run_reach(walk, start, stop, n, seed)
+        total, sq = _run_reach(walk, start, stop, n, seed)
     mean = float(total) / n
     spread = math.sqrt(sq) / n
     value = walk.chi(start, stop, mean)
@@ -962,46 +980,21 @@ def _run_survival(tilt: _Tilt, levels: np.ndarray, n: int, seed: int) -> np.ndar
     """Per level, sums over n tilted paths of the conditioned weights.
 
     ``levels`` are the initial surpluses u_j in claim units, in ascending
-    order.  Every path walks V, the surplus gained from zero, and its first
-    passage below -u_j is ruin from u_j.  A path retires once it passes the
-    largest level; with one level, that is the whole pass.  The paths walk in one pool (``_Pool``), each fresh one from
-    V = 0 with no level passed, and the rounds draw into one workspace.
-    Returns a (2, levels) array: the sum and sum of squares of the centred
-    conditioned weights (``_RuinWeight.weights``) at v = u_j + the walk
-    before the passage.
-    The lower levels' weights are conditioned round by round; the top
-    level's from the walk before each passage, logged in the workspace,
-    whenever the next round could overflow the log, and once the pool
-    drains.
+    order.  Every path walks V, the surplus gained from zero
+    (``_walk_pool``), and its first passage below -u_j is ruin from u_j; it
+    stops once it passes the largest level, and on a grid carries the index
+    of the next level it has not passed.  Returns a (2, levels) array: the
+    sum and sum of squares of the centred conditioned weights
+    (``_RuinWeight.weights``) at v = u_j + the walk before the passage.  The
+    lower levels' weights are conditioned round by round, the top level's
+    over the chunks of the log.
     """
-    width = min(n, _BLOCK_SIZE)
-    rng = np.random.default_rng(seed)
-    work, pool = _Workspace(width + _ROUND_STEPS, tilt.cuts.size), _Pool(n, width)
+    work = _Workspace(min(n, _BLOCK_SIZE) + _ROUND_STEPS, tilt.cuts.size)
     top = levels.size - 1
     sums = np.zeros((2, levels.size))
 
-    def flush(count: int) -> None:
-        y = work.before[:count]
-        y += levels[top]
-        y = tilt.ruin.weights(y)
-        sums[0, top] += y.sum()
-        sums[1, top] += _dot(y, y)
-
-    walk = work.walk[:0]
-    pending = np.zeros(0, dtype=np.intp) if top else None
-    ruined = 0
-    while True:
+    def round_(rng, walk, k, pending):
         live = walk.size
-        fresh = pool.refill(live)
-        if fresh:
-            walk = work.walk[:live + fresh]
-            walk[live:] = 0.0
-            if top:
-                pending = np.concatenate((pending, np.zeros(fresh, dtype=np.intp)))
-            live += fresh
-        if not live:
-            break
-        k = pool.claims(live)
         steps = tilt.steps(rng, live * k, work).reshape(live, k)
         _walk(steps, walk)
         if top:
@@ -1011,24 +1004,16 @@ def _run_survival(tilt: _Tilt, levels: np.ndarray, n: int, seed: int) -> np.ndar
             y = tilt.ruin.weights(y)
             sums[0, :top] += np.bincount(level, weights=y, minlength=top)
             sums[1, :top] += np.bincount(level, weights=y * y, minlength=top)
-        # The top level's passages: the rows whose walk first drops below it.
-        fired, at = _first_events(steps < -levels[top])
-        if ruined + at.size > work.before.size:
-            flush(ruined)
-            ruined = 0
-        end = ruined + at.size
-        _before(steps, walk, at, work.before[ruined:end])
-        ruined = end
-        pool.retire(at, k)
-        keep = ~fired
-        # The steps and the walk have separate buffers, so the survivors'
-        # last column is compressed straight into the walk's; every fired
-        # row gave one passage.
-        walk = work.walk[:live - at.size]
-        np.compress(keep, steps[:, -1], out=walk)
-        if top:
-            pending = np.compress(keep, pending)
-    flush(ruined)
+        # The top level's passages stop the paths.
+        return steps, steps < -levels[top]
+
+    def flush(y: np.ndarray) -> None:
+        y += levels[top]
+        y = tilt.ruin.weights(y)
+        sums[0, top] += y.sum()
+        sums[1, top] += _dot(y, y)
+
+    _walk_pool(n, seed, work.walk, work.before, 0.0, round_, flush, pending=top > 0)
     return sums
 
 
@@ -1087,8 +1072,9 @@ def estimate_survival(
     alone, not on the model's units.
 
     Raises:
-        InputError: If u, n, seed or workers is out of its domain; n and
-            workers must be positive integers, the seed a nonnegative one.
+        InputError: If u, n, seed or workers is out of its domain; u must
+            not be a bool, n and workers must be positive integers, the
+            seed a nonnegative one.
         ConditioningError: If the relative loading exceeds 1e75
             (``_MAX_LOADING``), if a tilted path from the largest u is
             predicted to need more claims than the budget (loading near

@@ -164,8 +164,8 @@ class TestEstimateReach:
             warnings.simplefilter("error")
             est = estimate_reach_prob(m, 0.0, 1.0, n=2000, seed=1)
             sums = _reach(m, 0.0, 1.0, 2000, 1)
-        assert sums[3] == 0.0
-        assert est.value == sums[2] / 2000
+        assert sums[1] == 0.0
+        assert est.value == sums[0] / 2000
         assert 0.0 < est.stderr <= 2e-15
 
     @pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
@@ -567,6 +567,21 @@ def test_counts_refused_by_type_unless_integers(call, value):
         call(_poisson_model(0.5), value)
 
 
+@pytest.mark.parametrize("u", [True, np.bool_(False), np.array(True), [False, True],
+                               np.array([True, False])])
+def test_survival_refuses_a_bool_surplus(u):
+    # float(True) is 1.0: the estimate ran at u = 1.
+    with pytest.raises(InputError, match="initial surplus must be"):
+        estimate_survival(_poisson_model(0.5), u, n=10)
+
+
+@pytest.mark.parametrize("u,b", [(True, 20.0), (np.bool_(True), 20.0), (1.0, True),
+                                 (0.0, np.bool_(True)), (0.0, np.array(True))])
+def test_reach_refuses_a_bool_level(u, b):
+    with pytest.raises(InputError, match="initial surplus must be|target level must be"):
+        estimate_reach_prob(_poisson_model(0.5), u, b, n=10)
+
+
 class TestAdjustmentCoefficient:
     @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_is_the_slowest_survival_rate(self, theta):
@@ -855,21 +870,21 @@ def _run_reach_reference(walk, u, b, n, seed):
 
     The survivors of a round keep their order and fresh paths from u join
     at the end, up to ``_BLOCK_SIZE`` live, until all n have entered; each
-    round draws the same tilted pairs as ``_run_reach``, and the pre-claim
-    level check comes before the ruin check at the same claim.  Returns the
-    hit count, path by path the walk s before the step at which the path
-    stopped, the claims each stopped path drew after it entered, and the
-    rounds' claims per path summed.
+    round draws the same tilted pairs as ``_run_reach``, and a path stops at
+    the claim before which its surplus reaches b, or which ruins it.
+    Returns, path by path, the walk s before the step at which the path
+    stopped and the claims it drew after it entered, and the rounds' claims
+    per path summed.
     """
     rng = np.random.default_rng(seed)
     model = walk.model
     live, waiting = [], n  # (surplus, claims drawn since entering)
-    reached = clock = 0
+    clock = 0
     stops, drawn = [], []
     while True:
         live, waiting = _refill(live, waiting, (u, 0))
         if not live:
-            return reached, stops, drawn, clock
+            return stops, drawn, clock
         k = _claims_per_round(len(live))
         clock += k
         w, x = sample_pairs(model, rng, len(live) * k, walk.pairs)
@@ -879,10 +894,7 @@ def _run_reach_reference(walk, u, b, n, seed):
             claims += k
             for j in range(i * k, (i + 1) * k):
                 before, s = s, s + (cw[j] - x[j])
-                if s + x[j] >= b:
-                    reached += 1
-                    break
-                if s < 0.0:
+                if s + x[j] >= b or s < 0.0:
                     break
             else:
                 survivors.append((s, claims))
@@ -939,7 +951,7 @@ def _stopping_reference(walk, b, s):
             _integral(m_reach, ws, math.inf) + _integral(m_ruin, 0.0, ws))
 
 
-def _control_sums_reference(walk, b, hits, stops):
+def _control_sums_reference(walk, b, stops):
     """The moments of ``_run_reach`` from the walk before each stopping step, in plain Python.
 
     D / (1 - R) = 1 - (H- + g U0 H+) / ((1 - R) M) from ``_stopping_reference``.
@@ -951,7 +963,21 @@ def _control_sums_reference(walk, b, hits, stops):
         e.append(1.0 - (h_minus + g * u0 * h_plus) / (walk.gap * m))
     n = len(e)
     mean = math.fsum(e) / n
-    return [n, hits, math.fsum(e), math.fsum((v - mean) ** 2 for v in e)]
+    return [math.fsum(e), math.fsum((v - mean) ** 2 for v in e)]
+
+
+def _log_moments(walk, b, stops):
+    """The moments ``_run_reach`` takes from one chunk of its log holding ``stops``, in its order.
+
+    The corrections come from ``_Martingale.corrections`` itself, so a
+    request whose log is one chunk, at most the pool's width of paths,
+    gives the same bits when its paths stop where ``stops`` says.
+    """
+    s = np.array(stops)
+    e = walk.corrections(s, walk.stopping(b), [np.empty(s.size) for _ in range(5)])
+    total = e.sum()
+    e -= total / s.size
+    return [total, float(np.einsum("i,i->", e, e))]
 
 
 def _ruin_terms(masses, columns):
@@ -1037,6 +1063,19 @@ def _reach(model, u, b, n, seed):
     return _run_reach(walk, u, walk.stopping(b), n, seed)
 
 
+def _logged_stops(monkeypatch):
+    """A list that records the walk before each stop ``_run_reach`` logs, chunk by chunk."""
+    logged = []
+    corrections = _Martingale.corrections
+
+    def record(self, s, stop, spare):
+        logged.extend(s.tolist())
+        return corrections(self, s, stop, spare)
+
+    monkeypatch.setattr(_Martingale, "corrections", record)
+    return logged
+
+
 def _narrow_pool(monkeypatch, width=1000, round_steps=64):
     """A pool ``width`` paths wide whose rounds aim at ``round_steps`` pairs.
 
@@ -1051,10 +1090,11 @@ class TestRunBlock:
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     @pytest.mark.parametrize("u,b", [(0.0, 5.0), (0.0, 45.0), (5.0, 5.0), (5.0, 45.0)])
     def test_compact_surplus_matches_index_array_loop(self, make, u, b):
+        # 4096 paths log their stops in one chunk, in the reference's order.
         walk = _Martingale.of(make(0.5))
         for seed in (0, 11, 2024):
-            want = _run_reach_reference(walk, u, b, 4096, seed)[0]
-            assert _run_reach(walk, u, walk.stopping(b), 4096, seed)[1] == want
+            want = _log_moments(walk, b, _run_reach_reference(walk, u, b, 4096, seed)[0])
+            assert list(_run_reach(walk, u, walk.stopping(b), 4096, seed)) == want
 
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     @pytest.mark.parametrize("theta", [-1.0, 0.5])
@@ -1062,9 +1102,9 @@ class TestRunBlock:
     def test_control_sums_match_claim_by_claim_walk(self, make, theta, u, b):
         walk = _Martingale.of(make(theta))
         for seed in (0, 11):
-            hits, stops, _, _ = _run_reach_reference(walk, u, b, 3000, seed)
+            stops = _run_reach_reference(walk, u, b, 3000, seed)[0]
             got = _run_reach(walk, u, walk.stopping(b), 3000, seed)
-            want = _control_sums_reference(walk, b, hits, stops)
+            want = _control_sums_reference(walk, b, stops)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
@@ -1076,10 +1116,9 @@ class TestRunBlock:
         _narrow_pool(monkeypatch)
         walk = _Martingale.of(make(0.5))
         for seed in (0, 11):
-            hits, stops, _, _ = _run_reach_reference(walk, u, b, 3001, seed)
+            stops = _run_reach_reference(walk, u, b, 3001, seed)[0]
             got = _run_reach(walk, u, walk.stopping(b), 3001, seed)
-            assert got[1] == hits
-            np.testing.assert_allclose(got, _control_sums_reference(walk, b, hits, stops),
+            np.testing.assert_allclose(got, _control_sums_reference(walk, b, stops),
                                        rtol=1e-12)
 
     def test_ruin_fraction_matches_theory(self):
@@ -1091,30 +1130,36 @@ class TestRunBlock:
         se = np.sqrt((2.0 / 3.0) * (1.0 / 3.0) / n)
         assert abs(frac - 2.0 / 3.0) <= 3.0 * se
 
-    def test_first_claim_ruin_is_reproducible(self):
+    def test_first_claim_ruin_is_reproducible(self, monkeypatch):
         # A single path draws _claims_per_round(1) tilted pairs in its first
         # round.  Seed 0 draws a first pair with x > c w (seed 0 is the
         # smallest nonnegative seed that does), so a single path from zero
-        # surplus is ruined by its first claim.
+        # surplus is ruined by its first claim, and logs s = 0.  At theta = 0
+        # with Poisson times every correction is 0.
         m = _poisson_model(0.0)
         walk = _Martingale.of(m)
         w, x = sample_pairs(walk.model, np.random.default_rng(0), _claims_per_round(1),
                             walk.pairs)
         assert x[0] > m.c * w[0]
-        assert [_reach(m, 0.0, 60.0, 1, 0)[1] for _ in range(2)] == [0, 0]
+        logged = _logged_stops(monkeypatch)
+        assert [list(_reach(m, 0.0, 60.0, 1, 0)) for _ in range(2)] == [[0.0, 0.0]] * 2
+        assert logged == [0.0, 0.0]
 
-    def test_level_crossed_before_first_claim(self):
+    def test_level_crossed_before_first_claim(self, monkeypatch):
         # Seed 2 draws a first tilted pair with c w >= 0.5 and x > c w
         # (seed 2 is the smallest nonnegative seed that does; 6, 7 and 8
         # also qualify): the premium income lifts u = 0 to b = 0.5 before
-        # the claim that would ruin the path.
+        # the claim that would ruin the path: either way the path stops at
+        # that claim and logs s = 0.
         m = _poisson_model(0.0)
         walk = _Martingale.of(m)
         w, x = sample_pairs(walk.model, np.random.default_rng(2), _claims_per_round(1),
                             walk.pairs)
         assert m.c * w[0] >= 0.5
         assert x[0] > m.c * w[0]
-        assert _reach(m, 0.0, 0.5, 1, 2)[1] == 1
+        logged = _logged_stops(monkeypatch)
+        assert list(_reach(m, 0.0, 0.5, 1, 2)) == [0.0, 0.0]
+        assert logged == [0.0]
 
     def test_claims_per_round(self):
         # One claim per path while a round's pairs fill a full batch, then
@@ -1184,7 +1229,7 @@ class TestClaimCap:
         for run, longest, total in (
                 (lambda: _run_survival(tilt, levels, 3001, 4), max(drawn), clock),
                 (lambda: _run_reach(walk, 0.0, walk.stopping(20.0), 3001, 4),
-                 max(reach[2]), reach[3])):
+                 max(reach[1]), reach[2])):
             assert longest < total
             want = run()
             monkeypatch.setattr(simulate, "_MAX_CLAIMS", longest)
