@@ -75,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .model import (Erlang2, ExpClaim, ModelSpec, PairTilt, _arrival_parts, _cgf, _Draws,
+from .model import (Erlang2, ExpClaim, ModelSpec, PairTilt, _cgf, _Draws,
                     _draw_phases, _is_int, _pair_categories, _Pairs, _Phases, sample_pairs,
                     unit_rates)
 
@@ -299,13 +299,14 @@ def _poly(coef: tuple, w: np.ndarray, out: np.ndarray):
     return out
 
 
-# Largest relative loading a reach walk is tilted at.  Near theta = 1 the
-# masses of ``_Martingale.stopping`` lose about eps loading (Poisson) or
-# eps loading^2 (Erlang) relative: 1.2e-10 and 1.5e-6 at 1e6 against
-# 60-digit quadrature, which moves chi by less than 1e-16 there, since D
-# carries the factor 1 - R (2e-12 and 1e-22); from 1e17 and 1e10 they read
-# 0 or garbage.  Past the bound the walk is the model's own, which stops at
-# its first claim on all but about 1 / loading of the paths.
+# Largest relative loading a reach walk is tilted at.  At theta = 1 the
+# masses of ``_Martingale.stopping`` lose up to 9.4e-11 (Poisson) and
+# 7.3e-12 (Erlang) relative at 1e6 against 60-digit quadrature, and 2.2e-9
+# at Erlang 1e4, which moves chi by less than 1e-16, since D carries the
+# factor 1 - R (D is off by 9.4e-17 and 2.9e-23).  Tilted past the bound
+# they stay within 1.7e-9 up to 1e17.  Past the bound the walk is the
+# model's own, which stops at its first claim on all but about 1 / loading
+# of the paths.
 _REACH_TILT_MAX = 1e6
 
 
@@ -431,8 +432,11 @@ class _Martingale(NamedTuple):
         d = theta U(1 + 2c) and d_p = 2 theta V(2 + 2c), the ruin mass is
         H- / p = t' [a - a_p]_0 - e^{-b} (a(w*) - p a_p(w*))
         + t' q [d_p - d]_0 - e^{-2b} (p d_p(w*) - d(w*)), t' = e^{w* - s},
-        and the ruin part of M / k1 is the same with its d terms times
-        1 - kappa = 2 (1 - R) / (2 - R).  Above w*,
+        whose whole-line constants [a - a_p]_0 = f~_W(c) (1 - theta rho(c))
+        and [d_p - d]_0 = theta f~_W(2c) rho(2c) come from ``_whole_line``:
+        as differences they lose about eps c (Poisson) or eps c^2 (Erlang)
+        relative near theta = 1.  The ruin part of M / k1 is the same with
+        its d terms times 1 - kappa = 2 (1 - R) / (2 - R).  Above w*,
         e^{-R P} = g e^{-R c (W - w*)}, and 1 - kappa tb =
         (1 + kappa theta) - 2 kappa theta Fbar_W, so with a1 = 1 + R c the
         reach part of M / k1 is g p [(1 + kappa theta) U(a1)(w*)
@@ -476,9 +480,9 @@ class _Martingale(NamedTuple):
             exact = (rc * (2.0 + rc) - math.expm1(-R * b)) / a1 / a1
         else:
             lead, exact = (kt / a1,), (rc - math.expm1(-R * b)) / a1
-        d0 = d_p[0] - d[0]
+        fc, q, fw, rho2 = _whole_line(c, theta, erlang)
         return _Stopping(
-            b, b * (1.0 / c + R) > 700.0, a[0] - a_p[0], keep, d0,
+            b, b * (1.0 / c + R) > 700.0, fc * q, keep, theta * (fc * fw) * rho2,
             add(r0, add(d, a, keep * e2, -e1)), add(r1, add(a_p, d_p, e1, -keep * e2)),
             add(lead, d, 1.0, -kappa * e2), add(r1, d_p, 1.0, kappa * e2), exact)
 
@@ -804,6 +808,31 @@ class _Workspace(_Draws):
         self.before = np.empty(size)
 
 
+def _whole_line(c: float, theta: float, erlang: bool) -> tuple[float, float, float, float]:
+    """f~_W(c), q = 1 - theta rho(c), f~_W(2c) / f~_W(c) and rho(2c) at unit rate, c the premium c'.
+
+    A ruinous step's mass over the whole line of W is a multiple of
+    f~_W(c) q plus one of theta f~_W(2c) rho(2c) e^{-v} (``_RuinWeight``'s
+    A1 and A2; ``_Stopping.a_inf`` and ``d0``).  rho is
+    ``model._arrival_parts``'s, free of cancellation, but overflows nowhere
+    a reach walk at R = 0 takes c (up to 1.8e308): the Poisson rho(2c) is
+    c / (1 + c), the same bits, and the Erlang(2) cubes stay powers, whose
+    bits the survival weights keep (a product of three moved about a
+    quarter of them by an ulp), below c = 1e100, above which rho is 1 and
+    1 - rho below 1e-199.  f~_W(2c) / f~_W(c) = (1 + c) / (1 + 2c), squared
+    for Erlang(2), is taken directly: the difference of the logarithms
+    loses log c ulps.
+    """
+    fw = (1.0 + c) / (1.0 + 2.0 * c)
+    if not erlang:
+        return 1.0 / (1.0 + c), (1.0 - theta) + theta * (2.0 / (2.0 + c)), fw, c / (1.0 + c)
+    one_minus_rho, rho2 = 0.0, 1.0
+    if c < 1e100:
+        one_minus_rho = 2.0 * (3.0 * c + 4.0) / (2.0 + c)**3
+        rho2 = 2.0 * c * (4.0 * c * c + 12.0 * c + 6.0) / (2.0 + 2.0 * c)**3
+    return 1.0 / (1.0 + c) / (1.0 + c), (1.0 - theta) + theta * one_minus_rho, fw * fw, rho2
+
+
 class _RuinWeight(NamedTuple):
     """The conditioned weight W'(v) = E[e^{-R D} | the walk before the ruinous step].
 
@@ -844,15 +873,7 @@ class _RuinWeight(NamedTuple):
 
     @classmethod
     def of(cls, c: float, theta: float, erlang: bool, R: float, gap: float) -> _RuinWeight:
-        one_minus_rho = _arrival_parts(erlang, c)[3]
-        rho2 = _arrival_parts(erlang, 2.0 * c)[2]
-        # f~_W(2c) / f~_W(c) = (1 + c) / (1 + 2c), squared for Erlang(2),
-        # taken directly: the difference of the logarithms loses log c ulps.
-        fw = (1.0 + c) / (1.0 + 2.0 * c)
-        if erlang:
-            fw *= fw
-        # 1 - theta rho(c), as _cgf's q, free of cancellation.
-        q = (1.0 - theta) + theta * one_minus_rho
+        _, q, fw, rho2 = _whole_line(c, theta, erlang)
         a = 2.0 * theta * (gap / (1.0 + gap)) * fw * rho2 / q
         return cls(gap, a, 0.5 * R * a)
 

@@ -741,15 +741,9 @@ def test_ruin_weight_is_the_far_level_limit_of_reach(arrival, theta, c):
     # walk s before it, and D / (1 - R) = 1 - I' / (1 - R) - g U0 J' / (1 - R)
     # with g = e^{-R b'}.  As b' grows, g and the reach mass vanish, and
     # (1 - R)(1 - corrections) becomes survival's W'(s): the same law,
-    # derived twice, from ``_Martingale.stopping`` and ``_RuinWeight``.
-    # Measured apart by at most 2.3e-16 relative, except at theta = 1, where
-    # the masses of ``stopping`` lose about eps loading^2 (up to 6.4e-13 at
-    # Erlang c' = 101, loading 201).  The loss is ``_Stopping.a_inf`` =
-    # a[0] - a_p[0]: taken as f~_W(c') q(c'), as ``_RuinWeight.of`` takes
-    # it, the worst gap here is 6.2e-16, but the Erlang c' = 11, theta = 1
-    # cell of ``TestStoppingMasses`` then reads 1.65e-14 against 1.05e-14,
-    # since the finite-level terms of ``stopping`` cancel against the old
-    # rounding: a shared helper must rewrite those terms with a_inf.
+    # derived twice, from ``_Martingale.stopping`` and ``_RuinWeight``,
+    # which share only their whole-line factors (``_whole_line``).
+    # Measured apart by at most 5.0e-16 relative (Erlang c' = 101, theta = 1).
     erlang = isinstance(arrival, Erlang2)
     walk = _Martingale.of(ModelSpec(c, ExpClaim(1.0), arrival, FgmParam(theta)))
     R, gap = _lundberg_root(c, theta, erlang)
@@ -757,9 +751,7 @@ def test_ruin_weight_is_the_far_level_limit_of_reach(arrival, theta, c):
     ruin = _RuinWeight.of(c, theta, erlang, R, gap)
     s = np.linspace(0.0, 30.0, 61)
     want = ruin.weights(s.copy()) + ruin.center
-    loading = (2.0 * c if erlang else c) - 1.0
-    rtol = max(4e-16, np.finfo(float).eps * loading**2) if theta == 1.0 else 4e-16
     for b in (300.0, 600.0):
         spare = [np.empty(s.size) for _ in range(5)]
         corrections = walk.corrections(s.copy(), walk.stopping(b), spare)
-        np.testing.assert_allclose(gap * (1.0 - corrections), want, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(gap * (1.0 - corrections), want, rtol=1e-15, atol=0.0)

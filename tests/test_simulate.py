@@ -113,10 +113,10 @@ class TestEstimateReach:
                     assert est.stderr <= 4.0 * np.finfo(float).eps, (u, b, est)
 
     @pytest.mark.parametrize("model,u,b,value,stderr", [
-        (_poisson_model(-1.0), 0.0, 20.0, 0.2992542925196194, 2.99797116958733e-05),
-        (_poisson_model(0.5), 0.0, 20.0, 0.35500193020697596, 1.892535811270731e-05),
+        (_poisson_model(-1.0), 0.0, 20.0, 0.2992542925196194, 2.9979711695873298e-05),
+        (_poisson_model(0.5), 0.0, 20.0, 0.35500193020697596, 1.8925358112707307e-05),
         (_erlang_model(0.5, c=1.0, beta=1.0), 1.0, 5.0, 0.8477277705213505,
-         2.5786212727288926e-05),
+         2.578621272728893e-05),
     ])
     def test_pinned_bits(self, model, u, b, value, stderr):
         # The exact bits of three reach requests, kept through changes of
@@ -653,10 +653,33 @@ def _u0(walk):
 # The closed forms of ``_Martingale.corrections`` against ``_stopping_quad``:
 # both arrivals, theta in {-1, -0.5, 0, 0.5, 1}, c' in {1.05, 1.5, 11},
 # b' in {1, 20} and s in {0, b'/2, b' - 1e-9}.  Measured apart by at most
-# 3.5e-15 (M) and 1.3e-15 (D / (1 - R), relative to 1 + |D / (1 - R)|),
-# except at Erlang c' = 11 (loading 21), where near theta = 1 the loading's
-# own conditioning, about eps loading^2, leaves 1.05e-14 on both.
+# 3.5e-15 (M) and 1.7e-15 (D / (1 - R), relative to 1 + |D / (1 - R)|),
+# except at Erlang c' = 11, theta = 1 (loading 21): 1.65e-14 and 1.58e-14,
+# where the finite-level terms of ``stopping``, differences of the
+# whole-line constants, lose about eps loading^2.
 _STOPPING_RTOL = 3e-14
+
+
+@pytest.mark.parametrize("erlang,c", [(True, 11.0), (True, 101.0), (True, 1e4),
+                                      (False, 101.0), (False, 1e6)])
+def test_whole_line_constants_match_50_digits(erlang, c):
+    # _Stopping.a_inf = f~_W(c') (1 - theta rho(c')) and
+    # d0 = theta f~_W(2c') rho(2c') at theta = 1, where the differences
+    # a[0] - a_p[0] and d_p[0] - d[0] lose about eps c' (Poisson) or eps c'^2
+    # (Erlang) relative.  Measured apart by at most 1.3e-16 and 4.4e-16.
+    arrival = Erlang2(1.0) if erlang else ExpPoisson(1.0)
+    stop = _Martingale.of(ModelSpec(c, ExpClaim(1.0), arrival, FgmParam(1.0))).stopping(20.0)
+    with mpmath.workdps(50):
+        cp = mpmath.mpf(c)
+
+        def f(s):
+            return 1 / (1 + s) ** 2 if erlang else 1 / (1 + s)
+
+        def rho(s):
+            return s * (s * s + 6 * s + 6) / (2 + s) ** 3 if erlang else s / (2 + s)
+
+        for got, want in ((stop.a_inf, f(cp) * (1 - rho(cp))), (stop.d0, f(2 * cp) * rho(2 * cp))):
+            assert abs(got - want) <= 1e-15 * want, (got, want)
 
 
 class TestStoppingMasses:
