@@ -103,8 +103,8 @@ class ClassicalSolution:
     phi0_candidates: tuple[complex, ...]
 
     def __call__(self, u):
-        if not (np.asarray(u, dtype=float) >= 0.0).all():
-            raise InputError("phi(u) needs u >= 0")
+        if np.asarray(u).dtype == bool or not (np.asarray(u, dtype=float) >= 0.0).all():
+            raise InputError("phi(u) needs numbers u >= 0, not bools")
         return self.phi(u)
 
 

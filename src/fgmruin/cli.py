@@ -36,7 +36,7 @@ from .erlang import (
     sign_variant_report,
     survival_erlang2,
 )
-from .errors import ConditioningError, InputError, LoadingError, StructuralError
+from .errors import InputError, LoadingError, RuinModelError
 from .max_surplus import solve_chi
 from .model import Erlang2, ExpClaim, ExpPoisson, FgmParam, ModelSpec
 from .simulate import estimate_reach_prob, estimate_survival
@@ -125,14 +125,15 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         raise InputError(f"RUIN_SEED must be an integer, got {env!r}") from exc
 
 
-def _classical_model(args: argparse.Namespace) -> ModelSpec:
-    return ModelSpec(args.c, ExpClaim(args.alpha), ExpPoisson(args.lam),
-                     FgmParam(args.theta))
-
-
-def _erlang_model(args: argparse.Namespace) -> ModelSpec:
-    return ModelSpec(args.c, ExpClaim(args.alpha), Erlang2(args.beta),
-                     FgmParam(args.theta))
+def _model(args: argparse.Namespace) -> ModelSpec:
+    """The model, its arrivals from whichever of --lambda and --beta the
+    subcommand defines (Poisson at rate 1 when neither is given)."""
+    lam, beta = getattr(args, "lam", None), getattr(args, "beta", None)
+    if lam is not None and beta is not None:
+        raise InputError("give either --lambda or --beta, not both")
+    claim = ExpClaim(args.alpha)
+    arrival = ExpPoisson(1.0 if lam is None else lam) if beta is None else Erlang2(beta)
+    return ModelSpec(args.c, claim, arrival, FgmParam(args.theta))
 
 
 def _model_payload(model: ModelSpec) -> dict:
@@ -240,7 +241,7 @@ def _curve_output(args, command: str, model: ModelSpec, grid, sol,
 
 
 def _cmd_survival_classical(args: argparse.Namespace) -> str:
-    model = _classical_model(args)
+    model = _model(args)
     grid = _parse_grid(args.u)
     sol = survival_classical(model)
     return _curve_output(args, "survival-classical", model, grid, sol,
@@ -248,7 +249,7 @@ def _cmd_survival_classical(args: argparse.Namespace) -> str:
 
 
 def _cmd_survival_erlang2(args: argparse.Namespace) -> str:
-    model = _erlang_model(args)
+    model = _model(args)
     grid = _parse_grid(args.u)
     variant = SignVariant(args.variant)
     elimination = GrowthElimination(args.elimination)
@@ -268,21 +269,14 @@ def _cmd_survival_erlang2(args: argparse.Namespace) -> str:
 
 
 def _cmd_max_surplus(args: argparse.Namespace) -> str:
-    model = _classical_model(args)
+    model = _model(args)
     grid = _parse_grid(args.u)
     sol = solve_chi(model, args.b)
     return _curve_output(args, "max-surplus", model, grid, sol, {"b": args.b})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    if args.beta is not None and args.lam is not None:
-        raise InputError("give either --lambda or --beta, not both")
-    if args.beta is not None:
-        arrival = Erlang2(args.beta)
-    else:
-        arrival = ExpPoisson(1.0 if args.lam is None else args.lam)
-    model = ModelSpec(args.c, ExpClaim(args.alpha), arrival,
-                      FgmParam(args.theta))
+    model = _model(args)
     grid = _parse_grid(args.u)
     seed = _resolve_seed(args)
     if args.b is None:
@@ -529,15 +523,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = args.handler(args)
-    except LoadingError as exc:
+    except RuinModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (StructuralError, ConditioningError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, InputError):
+            return 3 if isinstance(exc, LoadingError) else 2
         return 4
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         _emit(text, args.output)
     except OSError as exc:

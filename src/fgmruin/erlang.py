@@ -269,8 +269,8 @@ class ErlangSolution:
     consistency_residual: float
 
     def __call__(self, u):
-        if not (np.asarray(u, dtype=float) >= 0.0).all():
-            raise InputError("delta(u) needs u >= 0")
+        if np.asarray(u).dtype == bool or not (np.asarray(u, dtype=float) >= 0.0).all():
+            raise InputError("delta(u) needs numbers u >= 0, not bools")
         return self.delta(u)
 
 

@@ -131,8 +131,8 @@ class ChiSolution:
 
     def __call__(self, u):
         uu = np.asarray(u, dtype=float)
-        if not ((uu >= 0.0) & (uu <= self.b)).all():
-            raise InputError(f"chi(u, b) needs 0 <= u <= b = {self.b}")
+        if np.asarray(u).dtype == bool or not ((uu >= 0.0) & (uu <= self.b)).all():
+            raise InputError(f"chi(u, b) needs numbers 0 <= u <= b = {self.b}, not bools")
         return self.chi(u) + self.growing(uu - self.b)
 
     def xi(self, u):
@@ -158,9 +158,9 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
             coefficient complex beyond 1e-9.
     """
     c, alpha = unit_rates(model, ExpPoisson)
-    b = float(b)
-    if not (b > 0.0) or not math.isfinite(b):
+    if np.asarray(b).dtype == bool or not 0.0 < float(b) < math.inf:
         raise InputError(f"target level b must be positive and finite, got {b!r}")
+    b = float(b)
     th = model.theta
     k = 2.0 / c
     b_unit = b * alpha

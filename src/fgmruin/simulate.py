@@ -622,8 +622,9 @@ def estimate_reach_prob(
         chi = (1 - e^{-R alpha u} (1 - R - D-bar)) / (1 - g U0),
 
     clipped to [0, 1], with the standard error e^{-R alpha u} / (1 - g U0)
-    times D's sample standard error, the moments combined from the centred
-    sums of chunks of the paths (``_run_reach``).  Above relative loading
+    times D's sample standard error (n - 1 in its variance, as for
+    survival), the moments combined from the centred sums of chunks of
+    the paths (``_run_reach``).  Above relative loading
     1e6 (``_REACH_TILT_MAX``), or where ``_lundberg_root`` refuses, R is 0,
     the walk is the model's own and the estimate is the mean of the reach
     probability of each path's stopping step.  README "Monte Carlo"
@@ -632,10 +633,16 @@ def estimate_reach_prob(
     The standard error is floored at the rounding error of the value
     itself: 4 ulps of the value plus the scaled |D-bar|.  D is computed to
     a few ulps of itself (the closed forms agree with 30-digit quadrature
-    to 2e-15 relative), and so are its sums.  The floor binds only where
-    D is constant, as at theta = 0 with Poisson times, where it is 0 and
-    the estimate is exact: the sample standard error there is 0, against
-    which an estimate 1 ulp off would read |z| near 100.
+    to 2e-15 relative), and so are its sums.  The floor binds where D is
+    constant, as at theta = 0 with Poisson times, where it is 0 and the
+    estimate is exact: the sample standard error there is 0, against
+    which an estimate 1 ulp off would read |z| near 100.  Known defect
+    (ROADMAP item 31): it binds, or the sample term sits near it, also
+    where the paths that carry the mean are too rare to be drawn, and
+    there the error is far larger than the stderr: against ``solve_chi``
+    the estimate reads |z| 1.3e4 near the level (c = 1.5, theta = 0.5,
+    u = 19.999999, b = 20, n = 2e4, seed 1) and |z| 158 at loading 1e5
+    (theta = -1, u = 0, b = 1, n = 2e5, seed 1).
 
     The estimate is a deterministic function of (seed, n); n must be a
     positive integer and the seed a nonnegative one.  ``workers`` is kept
@@ -669,7 +676,7 @@ def estimate_reach_prob(
     with np.errstate(over="ignore"):
         total, sq = _run_reach(walk, start, stop, n, seed)
     mean = float(total) / n
-    spread = math.sqrt(sq) / n
+    spread = math.sqrt(sq / (n * max(n - 1, 1)))
     value = walk.chi(start, stop, mean)
     # The value's own rounding and that of the scaled mean of the corrections.
     unit = math.exp(-walk.R * start) * walk.gap / stop.exact

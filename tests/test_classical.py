@@ -225,10 +225,14 @@ class TestSurvivalFunction:
         u = np.array([0.0, 1.0, 5.0])
         assert np.allclose(sol(u), expsum_eval(sol.phi, u))
         assert sol(0.0) == pytest.approx(sol.phi0, abs=1e-12)
+        # A list mixing a bool with floats is a float grid, as for the estimators.
+        assert sol([True, 0.5]).tolist() == sol(np.array([1.0, 0.5])).tolist()
 
-    @pytest.mark.parametrize("u", [-1.0, -1e-300, np.nan, [0.0, 1.0, -2.0]])
+    @pytest.mark.parametrize("u", [-1.0, -1e-300, np.nan, [0.0, 1.0, -2.0], True,
+                                   np.bool_(False), np.array(True), [False, True]])
     def test_rejects_negative_or_nan_surplus(self, u):
-        # At theta = 0 the exponential sum reads 0.0696 at u = -1.
+        # At theta = 0 the exponential sum reads 0.0696 at u = -1, and a
+        # bool read as 0 or 1.
         sol = survival_classical(_model(0.0))
         with pytest.raises(InputError, match="u >= 0"):
             sol(u)

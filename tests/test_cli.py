@@ -15,6 +15,7 @@ from fgmruin import (
     ExpPoisson,
     FgmParam,
     ModelSpec,
+    estimate_reach_prob,
     estimate_survival,
     solve_chi,
     survival_classical,
@@ -307,11 +308,32 @@ class TestSimulate:
         assert [(r["value"], r["stderr"]) for r in rows] == [
             (e.value, e.stderr) for e in want]
 
-    def test_small_loading_survival_exits_4(self, capsys):
-        code, out, err = _run(capsys, "simulate", "--c", "1.001", "--n", "1000")
+    def test_reach_grid_rows_are_one_estimate_each(self, capsys):
+        # A descending grid: each row is the estimate at its own u.
+        grid = [float(u) for u in range(18, -1, -2)]
+        code, out, _ = _run(
+            capsys, "simulate", "--b", "20", "--theta", "-1",
+            "--u", ",".join(f"{u:g}" for u in grid), "--n", "4096", "--seed", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        model = ModelSpec(1.5, ExpClaim(1.0), ExpPoisson(1.0), FgmParam(-1.0))
+        assert [r["u"] for r in rows] == grid
+        assert [(r["value"], r["stderr"]) for r in rows] == [
+            (e.value, e.stderr)
+            for e in (estimate_reach_prob(model, u, 20.0, n=4096, seed=1) for u in grid)]
+
+    @pytest.mark.parametrize("argv,loading", [
+        (("--c", "1.001", "--n", "1000"), "0.001"),
+        # Refused by the claim budget before any path walks.
+        (("--c", "1.003", "--theta", "-1", "--n", "20000", "--seed", "1"), "0.003"),
+    ])
+    def test_small_loading_survival_exits_4(self, capsys, argv, loading):
+        code, out, err = _run(capsys, "simulate", *argv)
         assert code == 4
         assert out == ""
-        assert "relative loading 0.001" in err
+        assert f"relative loading {loading}" in err
 
     def test_erlang_arrivals_via_beta(self, capsys):
         code, out, _ = _run(
@@ -616,7 +638,10 @@ class TestEntryPoint:
           "--lambda", "2.253869437753701e-18", "--theta", "0", "--b", "1"), "loading 0.0"),
         (("survival-erlang2", *_HUGE_C, "--beta", "2.193236181193759e-164",
           "--theta", "0.5"), "not finite"),
-    ], ids=["classical", "max-surplus", "erlang2"])
+        # Not an extreme rate: the flipped variant's overdetermined system.
+        (("survival-erlang2", "--variant", "minus", "--theta", "-1"),
+         "elimination equations for"),
+    ], ids=["classical", "max-surplus", "erlang2", "erlang2-minus"])
     def test_extreme_rates_print_one_error_line(self, argv, reason):
         proc = self._module(*argv, "--u", "0:1:1")
         assert (proc.returncode, proc.stdout) == (4, "")

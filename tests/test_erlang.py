@@ -262,6 +262,8 @@ class TestSolution:
         assert len(sol.boundary_constants) == 4
         assert sol.consistency_residual < 1e-5
         assert sol(0.0) == pytest.approx(sol.delta0, abs=1e-9)
+        # A list mixing a bool with floats is a float grid, as for the estimators.
+        assert sol([True, 0.5]).tolist() == sol(np.array([1.0, 0.5])).tolist()
 
     def test_fields_pooled_elimination(self):
         sol = survival_erlang2(_model(-1.0), elimination=POOLED)
@@ -269,9 +271,11 @@ class TestSolution:
         assert sol.boundary_constants is None
 
     @pytest.mark.parametrize("elimination", [INDIVIDUAL, POOLED])
-    @pytest.mark.parametrize("u", [-3.0, -1e-300, np.nan, [0.0, 1.0, -2.0]])
+    @pytest.mark.parametrize("u", [-3.0, -1e-300, np.nan, [0.0, 1.0, -2.0], True,
+                                   np.bool_(False), np.array(True), [False, True]])
     def test_rejects_negative_or_nan_surplus(self, u, elimination):
-        # At theta = 0.5 the exponential sum reads -5.34 at u = -3.
+        # At theta = 0.5 the exponential sum reads -5.34 at u = -3, and a
+        # bool read as 0 or 1.
         sol = survival_erlang2(_model(0.5), elimination=elimination)
         with pytest.raises(InputError, match="u >= 0"):
             sol(u)

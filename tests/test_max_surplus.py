@@ -266,14 +266,20 @@ class TestValidation:
             sol(10.5)
 
     def test_negative_surplus_rejected(self):
-        # NaN fails every comparison, so it is rejected with the negatives.
+        # NaN fails every comparison, so it is rejected with the negatives;
+        # a bool read as 0 or 1.  A list mixing a bool with floats is a
+        # float grid, as for the estimators.
         sol = solve_chi(_model(0.5), 10.0)
-        for u in (-0.1, np.nan, [1.0, np.nan]):
+        for u in (-0.1, np.nan, [1.0, np.nan], True, np.bool_(False), np.array(True),
+                  [False, True]):
             with pytest.raises(InputError):
                 sol(u)
+        assert sol([True, 0.5]).tolist() == sol(np.array([1.0, 0.5])).tolist()
 
-    @pytest.mark.parametrize("b", [0.0, -5.0, np.inf, np.nan])
+    @pytest.mark.parametrize("b", [0.0, -5.0, np.inf, np.nan, True, np.bool_(True),
+                                   np.array(True)])
     def test_bad_target_level_rejected(self, b):
+        # A bool level solved at b = 1.
         with pytest.raises(InputError, match="positive and finite"):
             solve_chi(_model(0.5), b)
 

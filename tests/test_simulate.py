@@ -113,16 +113,32 @@ class TestEstimateReach:
                     assert est.stderr <= 4.0 * np.finfo(float).eps, (u, b, est)
 
     @pytest.mark.parametrize("model,u,b,value,stderr", [
-        (_poisson_model(-1.0), 0.0, 20.0, 0.2992542925196194, 2.9979711695873298e-05),
-        (_poisson_model(0.5), 0.0, 20.0, 0.35500193020697596, 1.8925358112707307e-05),
+        (_poisson_model(-1.0), 0.0, 20.0, 0.2992542925196194, 2.9979786645433596e-05),
+        (_poisson_model(0.5), 0.0, 20.0, 0.35500193020697596, 1.8925405426280014e-05),
         (_erlang_model(0.5, c=1.0, beta=1.0), 1.0, 5.0, 0.8477277705213505,
-         2.578621272728893e-05),
+         2.5786277193062493e-05),
     ])
     def test_pinned_bits(self, model, u, b, value, stderr):
         # The exact bits of three reach requests, kept through changes of
-        # where the rounds draw their pairs.
+        # where the rounds draw their pairs.  The stderrs are the sample
+        # form, n - 1 in the variance.
         est = estimate_reach_prob(model, u, b, n=200_000, seed=7)
         assert (est.value, est.stderr) == (value, stderr)
+
+    @pytest.mark.parametrize("model,u,b,n", [
+        (_poisson_model(0.5), 0.0, 20.0, 2000),
+        (_poisson_model(-1.0, c=2.0), 3.0, 10.0, 2),
+        (_erlang_model(-1.0), 1.0, 5.0, 2000),
+    ])
+    def test_stderr_is_the_sample_standard_error(self, model, u, b, n):
+        # D's variance divides its centred squares by n - 1, as survival's
+        # does, then by n for the mean's.
+        walk = _Martingale.of(model)
+        start, stop = walk.alpha * u, walk.stopping(walk.alpha * b)
+        _, sq = _run_reach(walk, start, stop, n, 1)
+        unit = math.exp(-walk.R * start) * walk.gap / stop.exact
+        est = estimate_reach_prob(model, u, b, n=n, seed=1)
+        assert est.stderr == unit * math.sqrt(sq / (n * max(n - 1, 1)))
 
     def test_matches_preset_point_value(self):
         m = _poisson_model(0.5)
