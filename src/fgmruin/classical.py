@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .model import ExpPoisson, ModelSpec, unit_rates
+from .model import ExpPoisson, ModelSpec, _surplus_levels, unit_rates
 from .polyexp import (
     RESIDUE_DROP_REL,
     ExpSum,
@@ -84,7 +83,9 @@ def classical_lt(model: ModelSpec) -> ParametricRational:
 class ClassicalSolution:
     """Closed-form survival probability for the compound Poisson model.
 
-    Calling it evaluates phi(u); u below 0 or NaN raises InputError.
+    Calling it evaluates phi(u) at a number or array u >= 0.  A level below
+    0, NaN, a bool or bool array, and what does not convert to floats
+    (None, "x") raise InputError, whose message names the input.
 
     Attributes:
         model: Input model.
@@ -103,9 +104,7 @@ class ClassicalSolution:
     phi0_candidates: tuple[complex, ...]
 
     def __call__(self, u):
-        if np.asarray(u).dtype == bool or not (np.asarray(u, dtype=float) >= 0.0).all():
-            raise InputError("phi(u) needs numbers u >= 0, not bools")
-        return self.phi(u)
+        return self.phi(_surplus_levels(u, "phi(u) needs numbers u >= 0"))
 
 
 def _eliminate(model: ModelSpec):

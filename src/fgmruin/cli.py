@@ -7,9 +7,14 @@ their reference values.  Tables are emitted as CSV (header ``u,value``
 or ``u,value,stderr``, numbers as C ``%.6g``, LF line endings) or as
 canonical JSON (sorted keys, full float precision) that re-serializes to
 identical bytes after parsing.  Every command hands its writer the table
-as columns, a mapping from column name to a float or string column, and
-either writer prints the body with one ``%`` over a flat tuple of the
-columns' cells interleaved row by row.  A ``start:stop:step``
+as columns, a mapping from column name to a float or string column.  The
+JSON writer prints the body with one ``%`` over a flat tuple of the
+columns' cells interleaved row by row.  The CSV writer formats each float
+column, a block of rows at a time, as one numpy array: a cell that prints in
+``%g``'s fixed notation, well clear of a rounding tie, gets its digits
+from its rounded six-digit mantissa, and every other cell (zero, -0, nan,
+inf, subnormals, exponent notation, near-ties) prints through
+``'%.6g' % x``, so every byte is C's.  A ``start:stop:step``
 surplus grid holds at most ``_MAX_GRID_POINTS`` (one million) points.
 
 Exit codes: 0 success, 2 usage or domain errors, 3 violation of the
@@ -149,47 +154,179 @@ def _model_payload(model: ModelSpec) -> dict:
     }
 
 
-def _fill_rows(table: dict, keys: list, as_json: bool, row, sep: str) -> str:
-    """The table's rows, ``sep`` between them, filled by one ``%``.
+def _columns(table: dict, keys: list) -> list:
+    """The table's columns in ``keys`` order.
 
     ``table`` maps each key to a column: a non-empty sequence of floats
-    (np.float64 included) or of strings, all of one length.  ``row(specs)``
-    is the row template for the columns' ``%`` specs in ``keys`` order.
-    Float cells print as ``%r`` (float.__repr__, what json prints) with
-    ``as_json`` and as C ``%.6g`` without; string cells print as
-    ``json.dumps`` gives them with ``as_json`` and as they are without.
+    (np.float64 included) or of strings, all of one length.
     """
     columns = [table[k] for k in keys]
-    count = len(columns[0])
-    if any(len(col) != count for col in columns):
+    if any(len(col) != len(columns[0]) for col in columns):
         raise ValueError("table columns differ in length")
+    return columns
+
+
+def _fill_rows(table: dict, keys: list, row, sep: str) -> str:
+    """The table's JSON rows, ``sep`` between them, filled by one ``%``.
+
+    ``row(specs)`` is the row template for the columns' ``%`` specs in
+    ``keys`` order.  Float cells print as ``%r`` (float.__repr__, what json
+    prints) and string cells as ``json.dumps`` gives them.
+    """
+    columns = _columns(table, keys)
     specs = []
-    cells = [None] * (count * len(columns))
+    cells = [None] * (len(columns[0]) * len(columns))
     for j, col in enumerate(columns):
         if isinstance(col[0], str):
             specs.append("%s")
-            if as_json:
-                col = list(map(json.dumps, col))
+            col = list(map(json.dumps, col))
         else:
             col = np.asarray(col, dtype=float)
-            if as_json and not np.isfinite(col).all():
+            if not np.isfinite(col).all():
                 raise ValueError("Out of range float values are not JSON compliant")
-            specs.append("%r" if as_json else "%.6g")
+            specs.append("%r")
             # Python floats, so that %r prints 0.5 and not np.float64(0.5).
             col = col.tolist()
         cells[j::len(columns)] = col
-    return sep.join([row(specs)] * count) % tuple(cells)
+    return sep.join([row(specs)] * len(columns[0])) % tuple(cells)
+
+
+# The CSV writer lays each cell out as a 16-byte record (two uint64 words)
+# and then deletes the filler byte 0xFF, which UTF-8 text never holds.  A
+# record starts with the separator before its cell, ',' or the '\n' that
+# ends the row above.  The record of a number in %g's fixed notation,
+# decimal exponent X in [-4, 5] and six-digit mantissa d0..d5, holds by
+# byte: 0 the separator, 1 the sign, 2-6 the "0.000" that leads X < 0,
+# 7 filler, 8-11 d0 d1 d2 and 12-15 d3 d4 d5, each three with the point
+# if X puts it among them, else with a filler.  It is the OR of a frame,
+# which fills bytes 0-7 and masks bytes 8-15, and of two digit words.
+_FILLER = b"\xff"
+_POW10 = np.array([float(10 ** k) for k in range(11)])
+# Rows of a table formatted at once: 2 MB of records at two float columns.
+_CSV_BLOCK = 1 << 16
+
+
+def _csv_tables() -> tuple:
+    """Frame words 0 and 1, high and low digit words, trailing-zero counts.
+
+    Frame ((newline·10 + X + 4)·6 + last)·2 + negative, ``last`` the
+    index of the mantissa's last nonzero digit, masks bytes 8-15 with 0
+    to keep a digit or the point and with the filler to drop a trailing
+    zero after the integer part, or a point that nothing follows.  Digit
+    word 1000·(X + 4) + g holds the three digits of g, and the point, at
+    bytes 8-11 (high) or 12-15 (low).  ``zeros[g]`` counts g's trailing
+    zeros, 3 for 000.
+    """
+    filler = ord(_FILLER)
+    # What X puts in bytes 8-15: digit k, the point (-1) or nothing (-2).
+    layouts = []
+    for x in range(-4, 6):
+        chunks = [[0, 1, 2], [3, 4, 5]]
+        if 0 <= x < 5:
+            chunks[x // 3].insert(x % 3 + 1, -1)
+        layouts.append([slot for chunk in chunks for slot in chunk + [-2] * (4 - len(chunk))])
+    layouts = np.array(layouts)
+    code = np.arange(240)[:, None]
+    negative, last, x, newline = code % 2, code // 2 % 6, code // 12 % 10 - 4, code // 120
+    slot = layouts[x[:, 0] + 4]
+    keep = ((slot >= 0) & (slot <= np.maximum(x, last))) | ((slot == -1) & (last > x))
+    k = np.arange(5)
+    frames = np.full((240, 16), filler, np.uint8)
+    frames[:, 0:1] = np.where(newline, ord("\n"), ord(","))
+    frames[:, 1:2] = np.where(negative, ord("-"), filler)
+    frames[:, 2:7] = np.where((x < 0) & (k <= -x), np.where(k == 1, ord("."), ord("0")), filler)
+    frames[:, 8:16] = np.where(keep, 0, filler)
+    frames = frames.view(np.uint64)
+    group = np.arange(1000)
+    digits = (group[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    words = np.zeros((2, 10, 1000, 8), np.uint8)
+    for half in (0, 1):
+        slot = layouts[:, None, 4 * half:4 * half + 4]
+        chars = digits[:, np.clip(slot[:, 0] - 3 * half, 0, 2)].transpose(1, 0, 2)
+        words[half, ..., 4 * half:4 * half + 4] = np.where(
+            slot >= 0, chars, np.where(slot == -1, np.uint8(ord(".")), np.uint8(filler)))
+    zeros = (group % 10 == 0).astype(np.intp) + (group % 100 == 0) + (group == 0)
+    return (frames[:, 0].copy(), frames[:, 1].copy(), words[0].view(np.uint64).ravel(),
+            words[1].view(np.uint64).ravel(), zeros)
+
+
+_FRAME0, _FRAME1, _HIGH, _LOW, _ZEROS = _csv_tables()
+
+
+def _float_records(values: np.ndarray, newline: bool) -> np.ndarray:
+    """(rows, 2) uint64 records of a float column.
+
+    A cell takes the vectorized path only if it prints in fixed notation
+    and is well clear of a rounding tie; every other cell (0, -0, nan,
+    inf, subnormals, exponent notation, near-ties) prints through
+    ``'%.6g' % x``.
+    """
+    size = np.abs(values)
+    fixed = (size >= 1e-5) & (size < 1e6)
+    size = np.where(fixed, size, 1.0)
+    e = np.clip(np.floor(np.log10(size)).astype(np.intp), -5, 5)
+    # s = |x|·10^(5 - e) in [1e5, 1e6) takes one rounding, at most 6e-11.
+    # An e one off next to a power of ten leaves s a hair below 1e5 or at
+    # 1e6, which rint and the carry below put right.
+    s = size * _POW10.take(5 - e)
+    m = np.rint(s)
+    fast = fixed & (np.abs(s - m) < 0.499999)
+    carry = m == 1e6
+    m[carry] = 1e5
+    e += carry
+    fast &= (e >= -4) & (e <= 5)
+    m = m.astype(np.intp)
+    high = m // 1000
+    low = m - 1000 * high
+    zeros = _ZEROS.take(low)
+    zeros += (low == 0) * _ZEROS.take(high)
+    frame = ((10 * newline + e + 4) * 6 + 5 - zeros) * 2 + (values < 0)
+    shift = 1000 * (e + 4)
+    # Indices out of range belong to slow cells, which are overwritten.
+    word = _FRAME1.take(frame, mode="clip")
+    word |= _HIGH.take(high + shift, mode="clip")
+    word |= _LOW.take(low + shift, mode="clip")
+    records = np.column_stack([_FRAME0.take(frame, mode="clip"), word])
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        end = "\n" if newline else ","
+        text = b"".join([(end + "%.6g" % cell).encode().ljust(16, _FILLER)
+                         for cell in values[slow].tolist()])
+        records[slow] = np.frombuffer(text, np.uint64).reshape(-1, 2)
+    return records
+
+
+def _string_records(cells, end: str) -> np.ndarray:
+    """(rows, words) uint64 records of string cells, each after ``end``."""
+    cells = [(end + cell).encode() for cell in cells]
+    width = -(-max(map(len, cells)) // 8) * 8
+    text = b"".join([cell.ljust(width, _FILLER) for cell in cells])
+    return np.frombuffer(text, np.uint64).reshape(len(cells), -1)
 
 
 def _csv_table(table: dict) -> str:
     """CSV text of a column table, the header in the table's key order.
 
     String cells print as they are and numbers as C ``%.6g``, which is
-    ``'{:.6g}'.format(x)``.
+    ``'{:.6g}'.format(x)``.  Each float column is formatted in blocks of
+    at most ``_CSV_BLOCK`` rows as one numpy array: the cells that print
+    in fixed notation clear of a rounding tie by arithmetic on the
+    six-digit mantissa and digit tables, the rest by ``'%.6g' % x``.
     """
     keys = list(table)
-    body = _fill_rows(table, keys, False, lambda specs: ",".join(specs) + "\n", "")
-    return ",".join(keys) + "\n" + body
+    columns = _columns(table, keys)
+    strings = [isinstance(col[0], str) for col in columns]
+    columns = [col if text else np.asarray(col, dtype=float)
+               for col, text in zip(columns, strings)]
+    parts = [",".join(keys)]
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        rows = slice(start, start + _CSV_BLOCK)
+        block = [_string_records(col[rows], "," if j else "\n") if text
+                 else _float_records(col[rows], j == 0)
+                 for j, (col, text) in enumerate(zip(columns, strings))]
+        parts.append(np.hstack(block).tobytes().translate(None, _FILLER).decode())
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _json_text(payload: dict) -> str:
@@ -212,7 +349,7 @@ def _json_text(payload: dict) -> str:
                             for k, spec in zip(keys, specs))
         return "    {\n" + fields + "\n    }"
 
-    rows = "[\n" + _fill_rows(table, keys, True, row, ",\n") + "\n  ]"
+    rows = "[\n" + _fill_rows(table, keys, row, ",\n") + "\n  ]"
     marker = "\x00rows\x00"
     text = json.dumps({**payload, "rows": marker}, sort_keys=True, indent=2,
                       allow_nan=False)

@@ -59,8 +59,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InputError, StructuralError
-from .model import Erlang2, ModelSpec, unit_rates
+from .errors import StructuralError
+from .model import Erlang2, ModelSpec, _surplus_levels, unit_rates
 from .polyexp import (
     ExpSum,
     ParametricRational,
@@ -240,7 +240,9 @@ def solve_delta0(
 class ErlangSolution:
     """Closed-form survival probability for the Erlang(2) renewal model.
 
-    Calling it evaluates delta(u); u below 0 or NaN raises InputError.
+    Calling it evaluates delta(u) at a number or array u >= 0.  A level below
+    0, NaN, a bool or bool array, and what does not convert to floats
+    (None, "x") raise InputError, whose message names the input.
 
     Attributes:
         model: Input model.
@@ -269,9 +271,7 @@ class ErlangSolution:
     consistency_residual: float
 
     def __call__(self, u):
-        if np.asarray(u).dtype == bool or not (np.asarray(u, dtype=float) >= 0.0).all():
-            raise InputError("delta(u) needs numbers u >= 0, not bools")
-        return self.delta(u)
+        return self.delta(_surplus_levels(u, "delta(u) needs numbers u >= 0"))
 
 
 def survival_erlang2(

@@ -73,7 +73,7 @@ from .classical import (
     survival_classical,  # noqa: F401  (bench/tracer.py wraps this module's binding)
 )
 from .errors import ConditioningError, InputError, StructuralError
-from .model import ExpPoisson, ModelSpec, unit_rates
+from .model import ExpPoisson, ModelSpec, _surplus_levels, unit_rates
 from .polyexp import ExpSum, RootSet, poly_roots
 
 __all__ = ["ChiSolution", "chi_characteristic", "solve_chi", "chi", "xi"]
@@ -108,6 +108,11 @@ def chi_characteristic(model: ModelSpec) -> Polynomial:
 class ChiSolution:
     """Reach-before-ruin probabilities at a fixed target level.
 
+    Calling it evaluates chi(u, b) at a number or array 0 <= u <= b.  A
+    level outside [0, b], NaN, a bool or bool array, and what does not
+    convert to floats (None, "x") raise InputError, whose message names
+    the input.
+
     Attributes:
         model: Input model.
         b: Target surplus level.
@@ -130,10 +135,8 @@ class ChiSolution:
     assembly_defect: float
 
     def __call__(self, u):
-        uu = np.asarray(u, dtype=float)
-        if np.asarray(u).dtype == bool or not ((uu >= 0.0) & (uu <= self.b)).all():
-            raise InputError(f"chi(u, b) needs numbers 0 <= u <= b = {self.b}, not bools")
-        return self.chi(u) + self.growing(uu - self.b)
+        uu = _surplus_levels(u, f"chi(u, b) needs numbers 0 <= u <= b = {self.b}", self.b)
+        return self.chi(uu) + self.growing(uu - self.b)
 
     def xi(self, u):
         """Probability of ruin without first reaching b."""
@@ -147,7 +150,8 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     """Coefficients of chi(u, b) for one target level b.
 
     Raises:
-        InputError: For non-exponential arrivals or a non-positive level.
+        InputError: For non-exponential arrivals, or a level b that is not
+            a positive finite number: a bool, None or "x" included.
         UnsupportedStructureError: If characteristic roots repeat.
         ConditioningError: If the loading rounds to zero at unit rates, a
             row of the system vanishes (below the smallest normal float) or
@@ -158,9 +162,15 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
             coefficient complex beyond 1e-9.
     """
     c, alpha = unit_rates(model, ExpPoisson)
-    if np.asarray(b).dtype == bool or not 0.0 < float(b) < math.inf:
+    try:
+        if np.asarray(b).dtype == bool:
+            raise TypeError
+        level = float(b)
+    except (TypeError, ValueError):
+        level = math.nan
+    if not 0.0 < level < math.inf:
         raise InputError(f"target level b must be positive and finite, got {b!r}")
-    b = float(b)
+    b = level
     th = model.theta
     k = 2.0 / c
     b_unit = b * alpha

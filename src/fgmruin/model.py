@@ -254,6 +254,25 @@ def unit_rates(model: ModelSpec, law: type) -> tuple[float, float]:
     return c, model.claim.alpha
 
 
+def _surplus_levels(u, what: str, b: float = math.inf) -> np.ndarray:
+    """``u`` as a float array of levels in [0, b].
+
+    Raises InputError ``what``, naming ``u``, for a bool or bool array
+    (float() reads one as 0 or 1), for what does not convert to floats
+    (None, "x"), for NaN and for a level outside [0, b].  A list mixing
+    a bool with floats is a float array, as for the estimators.
+    """
+    try:
+        if np.asarray(u).dtype == bool:
+            raise TypeError
+        levels = np.asarray(u, dtype=float)
+    except (TypeError, ValueError):
+        levels = np.array(np.nan)
+    if not ((levels >= 0.0) & (levels <= b)).all():
+        raise InputError(f"{what}, got {u!r}")
+    return levels
+
+
 def fgm_cdf(u, v, theta: Union[float, FgmParam]):
     """FGM copula C(u, v) = u v + theta u v (1-u)(1-v) on [0, 1]^2."""
     th = _theta_of(theta)

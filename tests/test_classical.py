@@ -229,13 +229,15 @@ class TestSurvivalFunction:
         assert sol([True, 0.5]).tolist() == sol(np.array([1.0, 0.5])).tolist()
 
     @pytest.mark.parametrize("u", [-1.0, -1e-300, np.nan, [0.0, 1.0, -2.0], True,
-                                   np.bool_(False), np.array(True), [False, True]])
+                                   np.bool_(False), np.array(True), [False, True],
+                                   "x", None, [0.5, "x"]])
     def test_rejects_negative_or_nan_surplus(self, u):
         # At theta = 0 the exponential sum reads 0.0696 at u = -1, and a
-        # bool read as 0 or 1.
+        # bool read as 0 or 1; the message names the input.
         sol = survival_classical(_model(0.0))
-        with pytest.raises(InputError, match="u >= 0"):
+        with pytest.raises(InputError, match="u >= 0") as info:
             sol(u)
+        assert str(info.value).endswith(f"got {u!r}")
 
 
 @given(

@@ -213,9 +213,50 @@ class TestTableWriters:
         table = {"u": kind(columns[0]), "value": kind(columns[1])}
         assert cli._csv_table(table) == _reference_csv(table)
 
+    def test_csv_cells_match_format_spec(self):
+        # The cells a vectorized %.6g gets wrong first: every decade, the
+        # powers of ten and the values that round up to them, 7th-digit
+        # ties (exact ones from n + k/2^j) and their float neighbours, in
+        # a table longer than one block.
+        rng = np.random.default_rng(11)
+        mantissas = rng.uniform(1.0, 10.0, 60).tolist()
+        cells = [float(f"{a!r}e{d}") for d in range(-310, 308) for a in mantissas]
+        cells += [float(f"{a!r}e308") for a in np.divide(mantissas, 6.0).tolist()]
+        edges = [float(f"{a}e{d}") for d in range(-323, 308)
+                 for a in ("1", "9.999995", "9.9999949", "9.9999951")]
+        sixes = rng.integers(100_000, 1_000_000, 3000).astype(str)
+        ties = [float(f"{s[0]}.{s[1:]}5e{d}") for s, d in
+                zip(sixes, rng.integers(-12, 12, sixes.size))]
+        exact_ties = np.concatenate([
+            rng.integers(100_000, 1_000_000, 300) + 0.5,
+            rng.integers(10_000, 100_000, 300) + rng.choice([0.25, 0.75], 300),
+            rng.integers(1_000, 10_000, 300) + rng.choice([0.125, 0.375, 0.625, 0.875], 300),
+        ])
+        near = np.array(edges + ties + exact_ties.tolist())
+        near = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
+        values = np.concatenate([cells, near, [-0.0, 5e-324, np.nan, np.inf, -np.inf]])
+        values = np.concatenate([values, -values])
+        assert values.size > cli._CSV_BLOCK
+        table = {"x": values, "y": rng.permutation(values)}
+        assert cli._csv_table(table) == _reference_csv(table)
+
+    @pytest.mark.parametrize("theta", ["-1.0", "-0.5", "0.0", "0.5", "1.0"])
+    @pytest.mark.parametrize("argv", [
+        ("survival-classical", "--lambda", "1", "--u", "0:50:0.01"),
+        ("max-surplus", "--lambda", "1", "--b", "20", "--u", "0:20:0.004"),
+    ], ids=["classical", "max-surplus"])
+    def test_csv_curve_grids(self, capsys, monkeypatch, argv, theta):
+        # The CSV requests of the benchmark's curve workload.
+        argv = (*argv, "--c", "1.5", "--alpha", "1", "--theta", theta)
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(cli, "_csv_table", _reference_csv)
+        assert _run(capsys, *argv) == (0, out, "")
+
     def test_csv_strings_next_to_numpy_floats(self):
-        # The shape of reproduce tables; a % in a string cell is printed as is.
-        table = {"name": ("theta=-1.0 phi0", "a%sb %d"),
+        # The shape of reproduce tables; a % or a NUL in a string cell is
+        # printed as is.
+        table = {"name": ("theta=-1.0 phi0", "a%sb %d\x00 é"),
                  "computed": (np.float64(0.31470004), 1.0),
                  "reference": (0.3147, np.float64(-0.0)),
                  "deviation": (np.float64(4.4e-09), 2.5e-300)}

@@ -272,13 +272,15 @@ class TestSolution:
 
     @pytest.mark.parametrize("elimination", [INDIVIDUAL, POOLED])
     @pytest.mark.parametrize("u", [-3.0, -1e-300, np.nan, [0.0, 1.0, -2.0], True,
-                                   np.bool_(False), np.array(True), [False, True]])
+                                   np.bool_(False), np.array(True), [False, True],
+                                   "x", None, [0.5, "x"]])
     def test_rejects_negative_or_nan_surplus(self, u, elimination):
         # At theta = 0.5 the exponential sum reads -5.34 at u = -3, and a
-        # bool read as 0 or 1.
+        # bool read as 0 or 1; the message names the input.
         sol = survival_erlang2(_model(0.5), elimination=elimination)
-        with pytest.raises(InputError, match="u >= 0"):
+        with pytest.raises(InputError, match="u >= 0") as info:
             sol(u)
+        assert str(info.value).endswith(f"got {u!r}")
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_monotone_and_bounded(self, theta):

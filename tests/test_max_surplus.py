@@ -271,17 +271,20 @@ class TestValidation:
         # float grid, as for the estimators.
         sol = solve_chi(_model(0.5), 10.0)
         for u in (-0.1, np.nan, [1.0, np.nan], True, np.bool_(False), np.array(True),
-                  [False, True]):
-            with pytest.raises(InputError):
+                  [False, True], "x", None, [0.5, "x"]):
+            with pytest.raises(InputError, match="0 <= u <= b") as info:
                 sol(u)
+            assert str(info.value).endswith(f"got {u!r}")
         assert sol([True, 0.5]).tolist() == sol(np.array([1.0, 0.5])).tolist()
 
     @pytest.mark.parametrize("b", [0.0, -5.0, np.inf, np.nan, True, np.bool_(True),
-                                   np.array(True)])
+                                   np.array(True), "x", None, [2.0, 3.0]])
     def test_bad_target_level_rejected(self, b):
-        # A bool level solved at b = 1.
-        with pytest.raises(InputError, match="positive and finite"):
+        # A bool level solved at b = 1; None, "x" and a list raised a bare
+        # TypeError or ValueError.
+        with pytest.raises(InputError, match="positive and finite") as info:
             solve_chi(_model(0.5), b)
+        assert str(info.value).endswith(f"got {b!r}")
 
     def test_oversized_target_reports_conditioning(self):
         # e^{s b} overflows long before b = 200, but the growing term is
