@@ -20,11 +20,16 @@ and numerator
 
 where w collects first-derivative boundary data of delta at zero and the
 quadratic bracket collects the constants introduced by the operator
-responsible for the 1/(2 - c' s) kernels.  The sign sigma of the
-last kernel correction in D is ambiguous between two candidate
-conventions, kept as ``SignVariant.PLUS`` (sigma = +1) and
-``SignVariant.MINUS`` (sigma = -1); simulation singles out PLUS (see
-``sign_variant_report``), so it is the default.
+responsible for the 1/(2 - c' s) kernels.  D is the model's Lundberg
+function cleared: with M(r) = E[e^{r(X - c'W)}] at unit rates,
+D = (1 - M(-s)) (1 + s)(2 + s)(1 - c' s)^2 (2 - c' s)^3 exactly when
+sigma = +1, since the bracket (2 + y)^3 + 4 - 6 sigma (2 + y) at y = c'r
+is then y (y^2 + 6y + 6), the numerator of the arrival's rho(y).  So
+``SignVariant.PLUS`` (sigma = +1) is the generalized Lundberg equation of
+the renewal model and the default; ``SignVariant.MINUS`` (sigma = -1)
+differs from it by -12 theta s (2 - c' s), solves no model, and is kept
+with ``sign_variant_report``'s simulation for comparison
+(tests/test_erlang.py builds D from the transforms alone).
 
 The model's delta(u) is the unit-rate one at alpha u: on the way out the
 roots and rates are multiplied by alpha.  ``erlang_lt`` gives the model's

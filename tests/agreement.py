@@ -136,6 +136,17 @@ CELLS = [
     Cell("Erlang survival at positive dependence agrees with the closed form",
          "--beta 2 --theta 0.5 --u 0:5:5 --n 200000 --seed 1",
          (0.0, 5.0), erlang2, (4e-5, 3e-6)),
+    # Levels past u = 0 whose first claim ruins or stops a path with mass
+    # h(u) from 0.61 down to 0.18 (survival) and q(u) 0.60, 0.29 and 0.62
+    # (reach), each estimate post-stratified on it.  Stderr bounds at about
+    # twice the measured 4.84e-5, 4.81e-5, 4.56e-5, 4.26e-5, 3.84e-5 and
+    # 3.75e-5, 3.30e-5, 6.05e-8.
+    Cell("Survival post-stratified on the first claim past u = 0",
+         "--theta -1 --u 0:2:0.5 --n 20000 --seed 1",
+         (0.0, 0.5, 1.0, 1.5, 2.0), classical, (1e-4, 1e-4, 9e-5, 9e-5, 8e-5)),
+    Cell("Reach post-stratified on the first claim past u = 0",
+         "--theta 0.5 --b 20 --u 0,1,19.5 --n 20000 --seed 1",
+         (0.0, 1.0, 19.5), chi, (8e-5, 7e-5, 1.2e-7)),
 ]
 
 

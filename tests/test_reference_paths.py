@@ -302,7 +302,7 @@ def _ref_tilted_steps(tilt, rng, n):
     return step
 
 
-def _ref_tilted_pool(tilt, levels, n, seed):
+def _ref_tilted_pool(tilt, levels, n, seed, split):
     """Per level, the sum and sum of squares of the conditioned weights, summed as the engine sums them.
 
     Every row is searched, passages and survivors are boolean gathers, and
@@ -311,15 +311,18 @@ def _ref_tilted_pool(tilt, levels, n, seed):
     level: a lower level's are summed by one ``bincount`` per round, and
     the top level's in the engine's chunks, the passages of whole rounds
     until the next round could overflow a log of the pool's width plus
-    ``_ROUND_STEPS``, and once the pool drains.
+    ``_ROUND_STEPS``, and once the pool drains.  At the levels ``split``
+    marks, the passages at a path's first claim are counted in a third
+    row, not summed.
     """
     rng = np.random.default_rng(seed)
     top = levels.size - 1
-    sums = np.zeros((2, levels.size))
+    sums = np.zeros((3, levels.size))
     room = min(n, simulate._BLOCK_SIZE) + simulate._ROUND_STEPS
     log = []  # the walk before each logged top-level passage, round by round
     walk = np.zeros(0)
     pending = np.zeros(0, dtype=np.intp)
+    walked = np.zeros(0, dtype=np.intp)  # claims each live path has walked
 
     def flush():
         y = tilt.ruin.weights(np.concatenate([np.zeros(0), *log]) + levels[top])
@@ -333,6 +336,7 @@ def _ref_tilted_pool(tilt, levels, n, seed):
         n -= fresh
         walk = np.concatenate([walk, np.zeros(fresh)])
         pending = np.concatenate([pending, np.zeros(fresh, dtype=np.intp)])
+        walked = np.concatenate([walked, np.zeros(fresh, dtype=np.intp)])
         live = walk.size
         if not live:
             flush()
@@ -353,22 +357,28 @@ def _ref_tilted_pool(tilt, levels, n, seed):
                                                      count)
             low = np.minimum.accumulate(steps[rows], axis=1)
             first = (low[pair] >= -levels[level, None]).sum(axis=1)
-            y = tilt.ruin.weights(before[rows[pair] * k + first] + levels[level])
+            once = (walked[rows[pair]] == 0) & (first == 0) & split[level]
+            sums[2, :top] += np.bincount(level[once], minlength=top)
+            at, level = (rows[pair] * k + first)[~once], level[~once]
+            y = tilt.ruin.weights(before[at] + levels[level])
             sums[0, :top] += np.bincount(level, weights=y, minlength=top)
             sums[1, :top] += np.bincount(level, weights=y * y, minlength=top)
             pending = new
         below = steps < -levels[top]
         first = below.argmax(axis=1)
         fired = below[np.arange(live), first]
-        at = (np.arange(live) * k + first)[fired]
+        once = fired & (walked == 0) & (first == 0) & split[top]
+        sums[2, top] += np.count_nonzero(once)
+        at = (np.arange(live) * k + first)[fired & ~once]
         if sum(map(len, log)) + at.size > room:
             flush()
         log.append(before[at])
         walk = steps[~fired, -1]
         pending = pending[~fired]
+        walked = walked[~fired] + k
 
 
-def _ref_reach_pool(walk, u, stop, n, seed):
+def _ref_reach_pool(walk, u, stop, n, seed, split):
     """The sum and centred sum of squares of the corrections, pooled as the engine pools them.
 
     Each round draws fresh ``sample_pairs`` arrays from the request's
@@ -379,15 +389,20 @@ def _ref_reach_pool(walk, u, stop, n, seed):
     the survivors up to ``_BLOCK_SIZE`` live.  The walk before each stop is
     logged, and turned into ``_Martingale.corrections`` in the engine's
     chunks: the stops of whole rounds until the next round could overflow a
-    log of the pool's width, and once the pool drains.
+    log of the pool's width, and once the pool drains.  With ``split`` the
+    stops at a path's first claim are counted, not logged.
     """
     rng = np.random.default_rng(seed)
     room = min(n, simulate._BLOCK_SIZE)
     log, chunks = [], []  # the walk before each stop, round by round; (size, sum, centred squares)
     surplus = np.zeros(0)
+    walked = np.zeros(0, dtype=np.intp)  # claims each live path has walked
+    firsts = 0
 
     def flush():
         s = np.concatenate(log)
+        if not s.size:
+            return
         e = walk.corrections(s, stop, [np.empty(s.size) for _ in range(5)])
         total = e.sum()
         e -= total / s.size
@@ -399,6 +414,7 @@ def _ref_reach_pool(walk, u, stop, n, seed):
         fresh = min(waiting, simulate._BLOCK_SIZE - surplus.size)
         waiting -= fresh
         surplus = np.concatenate([surplus, np.full(fresh, u)])
+        walked = np.concatenate([walked, np.zeros(fresh, dtype=np.intp)])
         live = surplus.size
         if not live:
             flush()
@@ -411,15 +427,19 @@ def _ref_reach_pool(walk, u, stop, n, seed):
         event = (post + x.reshape(live, k) >= stop.b) | (post < 0.0)
         first = event.argmax(axis=1)
         fired = event[np.arange(live), first]
-        at = (np.arange(live) * k + first)[fired]
+        once = fired & (walked == 0) & (first == 0) & split
+        firsts += int(np.count_nonzero(once))
+        at = (np.arange(live) * k + first)[fired & ~once]
         before = np.concatenate([surplus[:, None], post[:, :-1]], axis=1).ravel()
         if sum(map(len, log)) + at.size > room:
             flush()
         log.append(before[at])
         surplus = post[~fired, -1]
+        walked = walked[~fired] + k
     size, total, sq = np.array(chunks).T
-    shift = total / size - total.sum() / n
-    return np.array([total.sum(), float(sq.sum()) + float(np.einsum("i,i->", size * shift, shift))])
+    shift = total / size - total.sum() / (n - firsts)
+    return np.array([total.sum(), float(sq.sum()) + float(np.einsum("i,i->", size * shift, shift)),
+                     firsts])
 
 
 
@@ -593,10 +613,12 @@ def test_tilted_block_matches_reference(monkeypatch, arrival, theta, levels, loa
     model = ModelSpec(1.0 + loading, ExpClaim(1.0), arrival, FgmParam(theta))
     levels = np.array(levels, dtype=float)
     tilt = _tilt(model, float(levels[-1]))
-    for seed, n in ((0, size), (11, size), (5, 3 * size + 1)):
+    # No level split on the first claim, every level, and every other one.
+    for seed, n, split in ((0, size, levels < 0.0), (11, size, levels >= 0.0),
+                           (5, 3 * size + 1, np.arange(levels.size) % 2 == 0)):
         monkeypatch.setattr(simulate, "_BLOCK_SIZE", size)
-        got = _run_survival(tilt, levels, n, seed)
-        _assert_same("tilted pool", seed, got, _ref_tilted_pool(tilt, levels, n, seed))
+        got = _run_survival(tilt, levels, n, seed, split)
+        _assert_same("tilted pool", seed, got, _ref_tilted_pool(tilt, levels, n, seed, split))
 
 
 @pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(2.0)], ids=["poisson", "erlang"])
@@ -608,10 +630,11 @@ def test_reach_pool_matches_reference(monkeypatch, arrival, theta, u, b):
     walk = _Martingale.of(ModelSpec(1.5, ExpClaim(1.0), arrival, FgmParam(theta)))
     stop = walk.stopping(b)
     size = 4096
-    for seed, n in ((0, size), (11, size), (5, 3 * size + 1)):
+    # Unsplit, then split on the first claim.
+    for seed, n, split in ((0, size, False), (11, size, True), (5, 3 * size + 1, True)):
         monkeypatch.setattr(simulate, "_BLOCK_SIZE", size)
-        got = _run_reach(walk, u, stop, n, seed)
-        _assert_same("reach pool", seed, got, _ref_reach_pool(walk, u, stop, n, seed))
+        got = _run_reach(walk, u, stop, n, seed, split)
+        _assert_same("reach pool", seed, got, _ref_reach_pool(walk, u, stop, n, seed, split))
 
 
 def _mp_ruin_weight(R, masses, coef, v):
@@ -667,8 +690,8 @@ def test_ruin_weight_matches_60_digit_form(arrival, theta, c):
     assert abs(got[0] - ruin.center) == pytest.approx(ruin.spread, rel=1e-15)
 
 
-def _quad_ruin_weight(model, R, gap, v):
-    """g(v) / h(v) from the tilted pair law at unit rates, by quadrature over the time.
+def _quad_step(model, R, gap, v, w_star=math.inf):
+    """(h, g, reach) of the tilted step from v at unit rates, by quadrature over the time.
 
     The tilted density of (X, W) is e^{R(x - c w)} e^{-x} f_W(w)
     [1 + theta (2 e^{-x} - 1) b(w)], b = 1 - 2 F_W(w).  A step ruins from v
@@ -676,7 +699,11 @@ def _quad_ruin_weight(model, R, gap, v):
     e^{-R c w} f_W(w) [(1 - theta b) e^{-gap t} / gap
     + 2 theta b e^{-(1 + gap) t} / (1 + gap)], and the density times
     e^{-R(x - t)} gives e^{R v} f_W(w) [(1 - theta b) e^{-t} + theta b e^{-2t}].
-    Each is integrated over y = c w by quad.
+    Each is integrated over y = c w < c w* by quad: h is the mass with
+    which the step ruins before w*, g its mean of e^{-R D}.  Over every x,
+    the density gives e^{-R c w} f_W(w) [(1 - theta b) / gap
+    + 2 theta b / (1 + gap)], integrated over w >= w* (not y, whose scale
+    c is up to 1e7 here) into reach.
     """
     c, theta = model.c, model.theta
     # The density and the distribution function F_W, free of cancellation
@@ -688,18 +715,28 @@ def _quad_ruin_weight(model, R, gap, v):
         def law(w):
             return math.exp(-w), -math.expm1(-w)
 
-    def parts(y):
+    def parts(y, t):
         density, cdf = law(y / c)
-        tb = theta * (1.0 - 2.0 * cdf)
-        t = v + y
-        h = (((1.0 - theta) + 2.0 * theta * cdf) * math.exp(-gap * t) / gap
+        keep, tb = (1.0 - theta) + 2.0 * theta * cdf, theta * (1.0 - 2.0 * cdf)
+        h = (keep * math.exp(-gap * t) / gap
              + 2.0 * tb * math.exp(-(1.0 + gap) * t) / (1.0 + gap)) * math.exp(-R * y)
-        g = (((1.0 - theta) + 2.0 * theta * cdf) * math.exp(-t) + tb * math.exp(-2.0 * t)) * math.exp(R * v)
+        g = (keep * math.exp(-t) + tb * math.exp(-2.0 * t)) * math.exp(R * v)
         return density / c * h, density / c * g
 
-    h = integrate.quad(lambda y: parts(y)[0], 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
-    g = integrate.quad(lambda y: parts(y)[1], 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
-    return g[0] / h[0]
+    def quad(f, lo, hi):
+        return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    top = c * w_star
+    h = quad(lambda y: parts(y, v + y)[0], 0.0, top)
+    g = quad(lambda y: parts(y, v + y)[1], 0.0, top)
+    reach = quad(lambda w: c * parts(c * w, 0.0)[0], w_star, math.inf) if top < math.inf else 0.0
+    return h, g, reach
+
+
+def _quad_ruin_weight(model, R, gap, v):
+    """g(v) / h(v) from the tilted pair law at unit rates (``_quad_step``)."""
+    h, g, _ = _quad_step(model, R, gap, v)
+    return g / h
 
 
 @pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(1.0)], ids=["poisson", "erlang"])
@@ -718,6 +755,62 @@ def test_ruin_weight_matches_quadrature(arrival, theta, c):
     got = tilt.ruin.weights(v.copy()) + tilt.ruin.center
     want = [_quad_ruin_weight(model, R, gap, x) for x in v]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(1.0)], ids=["poisson", "erlang"])
+@pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
+@pytest.mark.parametrize("c", [1.5, 11.0])
+def test_first_claim_masses_match_the_step_table_and_quadrature(arrival, theta, c):
+    # The masses the estimators post-stratify on.  Survival's h(v), with
+    # which a tilted step from v ruins, is at v = 0 the mass of the step
+    # table's negative categories (``_mixture``), measured within 3 ulps,
+    # and past 0 the tail of the tilted step, measured within 1.4e-15
+    # relative of quadrature.  Reach's e^{R s} M(s), with which the tilted
+    # step from s stops, is the tilted pair law's mass over W >= w* plus
+    # that of ruin before w*, measured within 2.8e-14 relative (Erlang,
+    # theta = 1, c' = 11, s = 0.99 b) over b in {1, 20} and s in
+    # {0, b/2, 0.99 b}.
+    erlang = isinstance(arrival, Erlang2)
+    model = ModelSpec(c, ExpClaim(1.0), arrival, FgmParam(theta))
+    R, gap = _lundberg_root(c, theta, erlang)
+    ruin = _RuinWeight.of(c, theta, erlang, R, gap)
+    masses, coef = _mixture(c, theta, erlang, R, gap)
+    negative = masses[(coef <= 0.0).all(axis=0)].sum()
+    h = ruin.mass(np.array([0.0, 0.5, 3.0, 30.0]))
+    assert abs(h[0] - negative) <= 4 * np.spacing(negative)
+    want = [_quad_step(model, R, gap, v)[0] for v in (0.5, 3.0, 30.0)]
+    np.testing.assert_allclose(h[1:], want, rtol=5e-15, atol=0.0)
+    walk = _Martingale.of(model)
+    for b in (1.0, 20.0):
+        stop = walk.stopping(b)
+        for s in (0.0, b / 2.0, 0.99 * b):
+            ruin_mass, _, reach = _quad_step(model, R, gap, s, (b - s) / c)
+            assert walk.first_mass(s, stop) == pytest.approx(ruin_mass + reach, rel=1e-13, abs=0)
+
+
+def test_first_claim_ruin_mass_is_the_table_mass_to_the_bit():
+    # At the benchmark's Poisson theta = 0.5 cell both read 0.5984802785920904.
+    R, gap = _lundberg_root(1.5, 0.5, False)
+    masses, coef = _mixture(1.5, 0.5, False, R, gap)
+    h = _RuinWeight.of(1.5, 0.5, False, R, gap).mass(np.array([0.0]))[0]
+    assert h == masses[(coef <= 0.0).all(axis=0)].sum() == 0.5984802785920904
+
+
+@pytest.mark.parametrize("arrival,c", [(ExpPoisson(1.0), 1e7), (Erlang2(1.0), 5e6)],
+                         ids=["poisson", "erlang"])
+@pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
+def test_first_claim_stopping_mass_past_the_tilt_bound(arrival, c, theta):
+    # Loading 1e7 - 1, past _REACH_TILT_MAX: R = 0 and the mass is the
+    # model's own law's, within 1 - 1e-7 of 1.  Measured within 4.4e-16
+    # relative of quadrature.
+    model = ModelSpec(c, ExpClaim(1.0), arrival, FgmParam(theta))
+    walk = _Martingale.of(model)
+    assert walk.R == 0.0
+    for b in (1.0, 20.0):
+        stop = walk.stopping(b)
+        for s in (0.0, b / 2.0, 0.99 * b):
+            ruin_mass, _, reach = _quad_step(model, 0.0, 1.0, s, (b - s) / c)
+            assert walk.first_mass(s, stop) == pytest.approx(ruin_mass + reach, rel=2e-15, abs=0)
 
 
 @pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(1.0)], ids=["poisson", "erlang"])
@@ -755,3 +848,10 @@ def test_ruin_weight_is_the_far_level_limit_of_reach(arrival, theta, c):
         spare = [np.empty(s.size) for _ in range(5)]
         corrections = walk.corrections(s.copy(), walk.stopping(b), spare)
         np.testing.assert_allclose(gap * (1.0 - corrections), want, rtol=1e-15, atol=0.0)
+    # So does the first claim's stopping mass e^{R s} M(s) become the ruin
+    # mass h(s), also at b' = 1e200, where the powers of w* would overflow.
+    # Measured apart by at most 3.0e-16 relative.
+    for b in (300.0, 1e200):
+        stop = walk.stopping(b)
+        masses = [walk.first_mass(x, stop) for x in s[::10]]
+        np.testing.assert_allclose(masses, ruin.mass(s[::10]), rtol=1e-15, atol=0.0)

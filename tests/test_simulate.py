@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo path engine and estimators."""
 
+import dataclasses
 import math
 import re
 import time
@@ -8,6 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import strata_ratios
 from mp_reference import reference_psi
 
 from fgmruin import simulate
@@ -113,32 +115,37 @@ class TestEstimateReach:
                     assert est.stderr <= 4.0 * np.finfo(float).eps, (u, b, est)
 
     @pytest.mark.parametrize("model,u,b,value,stderr", [
-        (_poisson_model(-1.0), 0.0, 20.0, 0.2992542925196194, 2.9979786645433596e-05),
-        (_poisson_model(0.5), 0.0, 20.0, 0.35500193020697596, 1.8925405426280014e-05),
-        (_erlang_model(0.5, c=1.0, beta=1.0), 1.0, 5.0, 0.8477277705213505,
-         2.5786277193062493e-05),
+        (_poisson_model(-1.0), 0.0, 20.0, 0.2992375492047455, 1.7282125034873048e-05),
+        (_poisson_model(0.5), 0.0, 20.0, 0.35499953153092756, 1.2054227756978931e-05),
+        (_erlang_model(0.5, c=1.0, beta=1.0), 1.0, 5.0, 0.8477173301642658,
+         2.442663387727235e-05),
     ])
     def test_pinned_bits(self, model, u, b, value, stderr):
         # The exact bits of three reach requests, kept through changes of
         # where the rounds draw their pairs.  The stderrs are the sample
-        # form, n - 1 in the variance.
+        # form, n - 1 in the variance, post-stratified on the first claim.
         est = estimate_reach_prob(model, u, b, n=200_000, seed=7)
         assert (est.value, est.stderr) == (value, stderr)
 
-    @pytest.mark.parametrize("model,u,b,n", [
-        (_poisson_model(0.5), 0.0, 20.0, 2000),
-        (_poisson_model(-1.0, c=2.0), 3.0, 10.0, 2),
-        (_erlang_model(-1.0), 1.0, 5.0, 2000),
+    @pytest.mark.parametrize("model,u,b,n,split", [
+        (_poisson_model(0.5), 0.0, 20.0, 2000, False),
+        (_poisson_model(-1.0, c=2.0), 3.0, 10.0, 2, False),
+        (_erlang_model(-1.0), 1.0, 5.0, 2000, True),
+        (_poisson_model(0.5), 0.0, 20.0, 20_000, True),
     ])
-    def test_stderr_is_the_sample_standard_error(self, model, u, b, n):
+    def test_stderr_is_the_sample_standard_error(self, model, u, b, n, split):
         # D's variance divides its centred squares by n - 1, as survival's
-        # does, then by n for the mean's.
+        # does, then by n for the mean's.  Split on the first claim, of
+        # mass q, the rest's N variance is scaled by (1 - q).
         walk = _Martingale.of(model)
         start, stop = walk.alpha * u, walk.stopping(walk.alpha * b)
-        _, sq = _run_reach(walk, start, stop, n, 1)
+        q = walk.first_mass(start, stop)
+        assert ((1.0 - q) * n >= simulate._MIN_REST) == split
+        _, sq, first = _run_reach(walk, start, stop, n, 1, split)
+        rest, q = n - int(first), q if split else 0.0
         unit = math.exp(-walk.R * start) * walk.gap / stop.exact
         est = estimate_reach_prob(model, u, b, n=n, seed=1)
-        assert est.stderr == unit * math.sqrt(sq / (n * max(n - 1, 1)))
+        assert est.stderr == unit * ((1.0 - q) * math.sqrt(sq / (rest * max(rest - 1, 1))))
 
     def test_matches_preset_point_value(self):
         m = _poisson_model(0.5)
@@ -372,6 +379,30 @@ class TestEstimateSurvival:
             assert abs(est.value - phi) <= 1e-12, (u, est)
             assert 0.0 < est.stderr <= floor, (u, est)
 
+    @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
+    def test_independence_skips_the_walk_with_its_bits(self, monkeypatch, make):
+        # At theta = 0, a = 0 and every centred weight is 0, so the estimate
+        # takes zero sums without walking.  The walk itself runs where a is
+        # the smallest float: the weights' scale R a / 2 and every weight
+        # still round to 0, and h(u) and the spread keep their bits.
+        m = make(0.0)
+        grid = [0.0, 2.5, 10.0]
+        walked = []
+        run, tilt_of = simulate._run_survival, simulate._tilt
+        monkeypatch.setattr(simulate, "_run_survival",
+                            lambda *args: walked.append(args) or run(*args))
+        skipped = estimate_survival(m, grid, n=2000, seed=1)
+        assert not walked
+
+        def tiny(model, u):
+            tilt = tilt_of(model, u)
+            return dataclasses.replace(tilt, ruin=tilt.ruin._replace(a=5e-324))
+
+        monkeypatch.setattr(simulate, "_tilt", tiny)
+        assert tiny(m, 10.0).ruin.scale == 0.0
+        assert estimate_survival(m, grid, n=2000, seed=1) == skipped
+        assert len(walked) == 1
+
     def test_stderr_covers_the_rounding_of_the_value(self):
         # psi(100) is 1.6e-25 at loading 1, so the value rounds to 1, while
         # the sample stderr of psi is 2.9e-29: without the rounding floor
@@ -527,6 +558,61 @@ def _unit_args(model):
     """(c', theta, Erlang times?): the tilt helpers' arguments, as ``_tilt`` forms them."""
     return (unit_rates(model, type(model.arrival))[0], model.theta,
             isinstance(model.arrival, Erlang2))
+
+
+# The benchmark's six survival-at-0 and reach cells.  The Poisson
+# theta = -1 survival cell is the first level of a grid whose first-claim
+# ruin mass h(u) runs from 0.61 down to 0.15.
+_STRATA_CELLS = {
+    "poisson -1": (_poisson_model(-1.0), [0.0, 0.5, 1.0, 1.5, 2.0]),
+    "poisson 0.5": (_poisson_model(0.5), [0.0]),
+    "erlang -1": (_erlang_model(-1.0), [0.0]),
+    "erlang 0.5": (_erlang_model(0.5), [0.0]),
+    "reach -1": (_poisson_model(-1.0), 20.0),
+    "reach 0.5": (_poisson_model(0.5), 20.0),
+}
+
+
+def _strata_z(name):
+    """z against the closed form at n = 2e4, seeds 1 - 32, as a (seeds, levels) array."""
+    model, arg = _STRATA_CELLS[name]
+    if name.startswith("reach"):
+        want = [float(chi(model, 0.0, arg))]
+        runs = [[estimate_reach_prob(model, 0.0, arg, n=20_000, seed=seed)]
+                for seed in range(1, 33)]
+    else:
+        solve = survival_erlang2 if isinstance(model.arrival, Erlang2) else survival_classical
+        want = solve(model)(np.array(arg)).tolist()
+        runs = [estimate_survival(model, arg, n=20_000, seed=seed) for seed in range(1, 33)]
+    return np.array([[(e.value - w) / e.stderr for e, w in zip(run, want)] for run in runs])
+
+
+@pytest.fixture(scope="module")
+def strata_z():
+    return {name: _strata_z(name) for name in _STRATA_CELLS}
+
+
+class TestFirstClaimStrata:
+    @pytest.mark.parametrize("name", list(_STRATA_CELLS))
+    def test_stderr_covers_the_error_over_seeds(self, name, strata_z):
+        # Post-stratified on the first claim.  Measured RMS z 0.88 - 1.15 per
+        # level and 30 to 32 of the 32 seeds within 2 stderr.
+        z = strata_z[name]
+        assert np.all(np.sqrt(np.mean(z * z, axis=0)) <= 1.3), z
+        assert np.all(np.mean(np.abs(z) <= 2.0, axis=0) >= 0.875), z
+
+    @pytest.mark.parametrize("name", list(_STRATA_CELLS))
+    def test_strata_at_least_halve_the_variance(self, name):
+        # The plain variance over the post-stratified one, from the same
+        # paths at seed 1 (tests/strata_ratios.py measured 2.5 - 3.5 at
+        # n = 2e5).  The same paths, with the first claim's mass replaced
+        # by the share that stopped there, give the plain estimate within
+        # 4 ulps.
+        model, arg = _STRATA_CELLS[name]
+        b = arg if name.startswith("reach") else None
+        mass, share, ratio, ulps = strata_ratios.measure(model, 0.0, b, 20_000, 1)
+        assert 0.55 < mass < 0.65 and abs(share - mass) < 0.01
+        assert ratio >= 2.0 and ulps <= 4.0, (ratio, ulps)
 
 
 @pytest.mark.parametrize("estimate", [
@@ -912,34 +998,36 @@ def _run_reach_reference(walk, u, b, n, seed):
     round draws the same tilted pairs as ``_run_reach``, and a path stops at
     the claim before which its surplus reaches b, or which ruins it.
     Returns, path by path, the walk s before the step at which the path
-    stopped and the claims it drew after it entered, and the rounds' claims
-    per path summed.
+    stopped and the claims it drew after it entered, the rounds' claims per
+    path summed, and, path by path, whether that step was its first claim.
     """
     rng = np.random.default_rng(seed)
     model = walk.model
-    live, waiting = [], n  # (surplus, claims drawn since entering)
+    live, waiting = [], n  # (surplus, claims drawn since entering, claims walked)
     clock = 0
-    stops, drawn = [], []
+    stops, drawn, first = [], [], []
     while True:
-        live, waiting = _refill(live, waiting, (u, 0))
+        live, waiting = _refill(live, waiting, (u, 0, 0))
         if not live:
-            return stops, drawn, clock
+            return stops, drawn, clock, first
         k = _claims_per_round(len(live))
         clock += k
         w, x = sample_pairs(model, rng, len(live) * k, walk.pairs)
         cw, x = (model.c * w).tolist(), x.tolist()
         survivors = []
-        for i, (s, claims) in enumerate(live):
+        for i, (s, claims, walked) in enumerate(live):
             claims += k
             for j in range(i * k, (i + 1) * k):
                 before, s = s, s + (cw[j] - x[j])
+                walked += 1
                 if s + x[j] >= b or s < 0.0:
                     break
             else:
-                survivors.append((s, claims))
+                survivors.append((s, claims, walked))
                 continue
             stops.append(before)
             drawn.append(claims)
+            first.append(walked == 1)
         live = survivors
 
 
@@ -1052,21 +1140,24 @@ def _conditioned_weight(R, terms, v):
     return g / h
 
 
-def _run_survival_reference(model, tilt, levels, n, seed):
+def _run_survival_reference(model, tilt, levels, n, seed, split=None):
     """The survival engine walked claim by claim in plain Python.
 
     The pool refills as in ``_run_reach_reference``, with fresh paths from
     zero.  Returns per level the sums of the conditioned weights, at the
-    walk before each passage, less the tilt's centre, and of their
-    squares; and the claims each path drew after it entered, with the
-    rounds' claims per path summed.
+    walk before each passage, less the tilt's centre, and of their squares,
+    and the count of passages at a path's first claim, which the sums
+    leave out at the levels ``split`` marks (none by default); and the
+    claims each path drew after it entered, with the rounds' claims per
+    path summed.
     """
     rng = np.random.default_rng(seed)
     args = _unit_args(model)
     terms = _ruin_terms(_mixture(*args, *_lundberg_root(*args))[0].tolist(),
                         tilt.phases.coef.T.tolist())
+    split = [False] * len(levels) if split is None else list(split)
     live, waiting = [], n  # (surplus gained from zero, next level, claims drawn)
-    sums = [[0.0] * len(levels) for _ in range(2)]
+    sums = [[0.0] * len(levels) for _ in range(3)]
     drawn = []
     clock = 0
     work = _Workspace(n + _ROUND_STEPS, tilt.cuts.size)
@@ -1079,14 +1170,18 @@ def _run_survival_reference(model, tilt, levels, n, seed):
         steps = tilt.steps(rng, len(live) * k, work).tolist()
         survivors = []
         for i, (v, j, claims) in enumerate(live):
-            claims += k
+            walked, claims = claims, claims + k
             for at in range(i * k, (i + 1) * k):
                 before, v = v, v + steps[at]
+                walked += 1
                 while j < len(levels) and v < -levels[j]:
-                    w = _conditioned_weight(tilt.R, terms, before + levels[j])
-                    w -= tilt.ruin.center
-                    sums[0][j] += w
-                    sums[1][j] += w * w
+                    if walked == 1 and split[j]:
+                        sums[2][j] += 1
+                    else:
+                        w = _conditioned_weight(tilt.R, terms, before + levels[j])
+                        w -= tilt.ruin.center
+                        sums[0][j] += w
+                        sums[1][j] += w * w
                     j += 1
                 if j == len(levels):
                     drawn.append(claims)
@@ -1133,18 +1228,22 @@ class TestRunBlock:
         walk = _Martingale.of(make(0.5))
         for seed in (0, 11, 2024):
             want = _log_moments(walk, b, _run_reach_reference(walk, u, b, 4096, seed)[0])
-            assert list(_run_reach(walk, u, walk.stopping(b), 4096, seed)) == want
+            assert list(_run_reach(walk, u, walk.stopping(b), 4096, seed)) == want + [0.0]
 
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     @pytest.mark.parametrize("theta", [-1.0, 0.5])
     @pytest.mark.parametrize("u,b", [(0.0, 1.0), (0.0, 20.0), (3.0, 10.0)])
     def test_control_sums_match_claim_by_claim_walk(self, make, theta, u, b):
+        # Split, the paths that stop at their first claim are counted and
+        # left out of the sums; unsplit, every path is summed.
         walk = _Martingale.of(make(theta))
-        for seed in (0, 11):
-            stops = _run_reach_reference(walk, u, b, 3000, seed)[0]
-            got = _run_reach(walk, u, walk.stopping(b), 3000, seed)
-            want = _control_sums_reference(walk, b, stops)
+        for seed, split in ((0, False), (11, True)):
+            stops, _, _, first = _run_reach_reference(walk, u, b, 3000, seed)
+            got = _run_reach(walk, u, walk.stopping(b), 3000, seed, split)
+            rest = [s for s, f in zip(stops, first) if not (split and f)]
+            want = _control_sums_reference(walk, b, rest) + [3000 - len(rest)]
             np.testing.assert_allclose(got, want, rtol=1e-12)
+            assert 0 < got[2] < 3000 if split else got[2] == 0
 
     @pytest.mark.parametrize("make", [_poisson_model, _erlang_model])
     @pytest.mark.parametrize("u,b", [(0.0, 1.0), (3.0, 20.0)])
@@ -1155,10 +1254,11 @@ class TestRunBlock:
         _narrow_pool(monkeypatch)
         walk = _Martingale.of(make(0.5))
         for seed in (0, 11):
-            stops = _run_reach_reference(walk, u, b, 3001, seed)[0]
-            got = _run_reach(walk, u, walk.stopping(b), 3001, seed)
-            np.testing.assert_allclose(got, _control_sums_reference(walk, b, stops),
-                                       rtol=1e-12)
+            stops, _, _, first = _run_reach_reference(walk, u, b, 3001, seed)
+            got = _run_reach(walk, u, walk.stopping(b), 3001, seed, split=True)
+            rest = [s for s, f in zip(stops, first) if not f]
+            np.testing.assert_allclose(
+                got, _control_sums_reference(walk, b, rest) + [3001 - len(rest)], rtol=1e-12)
 
     def test_ruin_fraction_matches_theory(self):
         # At u = 0 the independent model ruins with probability 2/3; a
@@ -1181,7 +1281,12 @@ class TestRunBlock:
                             walk.pairs)
         assert x[0] > m.c * w[0]
         logged = _logged_stops(monkeypatch)
-        assert [list(_reach(m, 0.0, 60.0, 1, 0)) for _ in range(2)] == [[0.0, 0.0]] * 2
+        assert [list(_reach(m, 0.0, 60.0, 1, 0)) for _ in range(2)] == [[0.0, 0.0, 0.0]] * 2
+        assert logged == [0.0, 0.0]
+        # Split, the path is counted as a first-claim stop, and nothing is logged.
+        walk = _Martingale.of(m)
+        assert list(_run_reach(walk, 0.0, walk.stopping(60.0), 1, 0, split=True)) == [
+            0.0, 0.0, 1.0]
         assert logged == [0.0, 0.0]
 
     def test_level_crossed_before_first_claim(self, monkeypatch):
@@ -1197,7 +1302,7 @@ class TestRunBlock:
         assert m.c * w[0] >= 0.5
         assert x[0] > m.c * w[0]
         logged = _logged_stops(monkeypatch)
-        assert list(_reach(m, 0.0, 0.5, 1, 2)) == [0.0, 0.0]
+        assert list(_reach(m, 0.0, 0.5, 1, 2)) == [0.0, 0.0, 0.0]
         assert logged == [0.0]
 
     def test_claims_per_round(self):
@@ -1217,9 +1322,10 @@ class TestRunTiltedBlock:
         m = make(theta)
         levels = np.array(levels)
         tilt = _tilt(m, float(levels[-1]))
-        for seed in (0, 11):
-            got = _run_survival(tilt, levels, 4096, seed)
-            want = _run_survival_reference(m, tilt, levels.tolist(), 4096, seed)[0]
+        # Unsplit, then every level split on the first claim.
+        for seed, split in ((0, levels < 0.0), (11, levels >= 0.0)):
+            got = _run_survival(tilt, levels, 4096, seed, split)
+            want = _run_survival_reference(m, tilt, levels.tolist(), 4096, seed, split)[0]
             # The centred sums are of order 100 and take either sign; the
             # reference's ratio g / h less the centre loses a few ulps of 1
             # per path.  Measured apart by at most 2.6e-14 relative.
@@ -1234,9 +1340,10 @@ class TestRunTiltedBlock:
         m = make(theta)
         levels = np.array(levels)
         tilt = _tilt(m, float(levels[-1]))
-        for seed in (0, 11):
-            got = _run_survival(tilt, levels, 3001, seed)
-            want = _run_survival_reference(m, tilt, levels.tolist(), 3001, seed)[0]
+        # Every level split, then every other one.
+        for seed, split in ((0, levels >= 0.0), (11, np.arange(levels.size) % 2 == 1)):
+            got = _run_survival(tilt, levels, 3001, seed, split)
+            want = _run_survival_reference(m, tilt, levels.tolist(), 3001, seed, split)[0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
