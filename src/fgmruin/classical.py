@@ -50,20 +50,19 @@ __all__ = ["ClassicalSolution", "classical_lt", "solve_phi0", "survival_classica
 _CONSTANT_TOL = 1e-8
 
 
-# An overflowing premium leaves non-finite coefficients, which poly_roots
-# refuses; the numpy warnings on the way would say nothing more.
-@np.errstate(over="ignore", invalid="ignore")
 def _cleared_parts(c: float, th: float):
     """Ascending (den, num_const, num_slope) at unit rates and premium c.
 
     den is an array, its constant exactly 0 (4 - 4); the others are lists.
+    After ``np.convolve`` the corrections run on Python floats, which give
+    numpy's bits and overflow to inf or nan without a warning; poly_roots
+    refuses the non-finite coefficients an overflowing premium leaves.
     """
     c2 = c * c
     q = [2.0, 3.0, 1.0]  # (1 + s)(2 + s)
-    den = np.convolve([2.0, -3.0 * c, c2], q)
-    den[:2] -= [4.0, 2.0]
-    den[1:3] += [2.0 * c, c]  # c s (2 + s): one place up
-    den[2] += th * c
+    d0, d1, d2, d3, d4 = np.convolve([2.0, -3.0 * c, c2], q).tolist()
+    # Less 2 (2 + s), plus c s (2 + s) one place up, plus theta c s^2.
+    den = np.array([d0 - 4.0, (d1 - 2.0) + 2.0 * c, (d2 + c) + th * c, d3, d4])
     w = 2.0 - 2.0 * c
     num_const = [x * w for x in q]
     num_slope = [x * c2 for x in (0.0, *q)]  # times s

@@ -140,9 +140,6 @@ class GrowthElimination(Enum):
 DEFAULT_ELIMINATION = GrowthElimination.INDIVIDUAL
 
 
-# An overflowing premium leaves non-finite coefficients, which poly_roots
-# refuses; the numpy warnings on the way would say nothing more.
-@np.errstate(over="ignore", invalid="ignore")
 def _cleared_parts(c: float, th: float, variant: SignVariant):
     """D at unit rates and premium c, and the numerator basis, as arrays.
 
@@ -151,29 +148,33 @@ def _cleared_parts(c: float, th: float, variant: SignVariant):
     delta(0), w, k0, k1, k2.  For |theta| below 1e-9 the theta corrections
     are dropped and the transform is cleared by (1 + s) alone, which
     keeps the kernel root at 2/c out of the denominator entirely; only the
-    delta(0) and w rows remain in that branch.
+    delta(0) and w rows remain in that branch.  Every sum and product but
+    ``np.convolve``'s runs on Python floats, which give numpy's bits and
+    overflow to inf or nan without a warning; poly_roots refuses the
+    non-finite coefficients an overflowing premium leaves.
     """
     # Multiplying by s shifts the coefficients one place up.
     c2 = c * c
     base2 = [1.0, -2.0 * c, c2]
 
     if abs(th) < _SMALL_THETA:
-        den = np.array(times_linear(base2, 1.0, 1.0))
-        den[0] -= 1.0
+        d0, *rest = times_linear(base2, 1.0, 1.0)
         basis = coeff_rows([x * c2 for x in (0.0, 1.0, 1.0)], [1.0, 1.0])
-        return den, basis
+        return np.array([d0 - 1.0, *rest]), basis
 
     ker = [2.0, -c]  # the kernel factor 2 - c s
     ker3 = times_linear(times_linear(ker, *ker), *ker)
     q = [2.0, 3.0, 1.0]  # (1 + s)(2 + s)
     cof = times_linear(times_linear(ker3, 1.0, 1.0), 2.0, 1.0)
     qk = times_linear(q, *ker)
-    bracket = np.array(ker3)
-    bracket[0] += 4.0
-    bracket[:2] -= np.multiply(ker, variant.sigma * 6.0)
-    den = np.convolve(base2, cof)
-    den[:5] -= times_linear(ker3, 2.0, 1.0)
-    den[1:5] -= bracket * th
+    six = variant.sigma * 6.0
+    bracket = [(ker3[0] + 4.0) - ker[0] * six, ker3[1] - ker[1] * six, *ker3[2:]]
+    den = np.convolve(base2, cof).tolist()
+    for i, x in enumerate(times_linear(ker3, 2.0, 1.0)):
+        den[i] -= x
+    for i, x in enumerate(bracket, 1):
+        den[i] -= x * th
+    den = np.array(den)
     qkk = times_linear(qk, *ker)
     basis = coeff_rows([x * c2 for x in (0.0, *cof)], cof,
                        [x * th for x in q], [x * th for x in qk], [x * th for x in qkk])

@@ -4,12 +4,17 @@ The survival solvers work with Laplace transforms that are rational in s
 after clearing denominators.  The solvers keep them as ascending
 coefficients from assembly to elimination, the denominator as an array;
 the public transform functions return them as
-``numpy.polynomial.Polynomial``.  numpy computes every value that reaches
-a result or a gate.  The decisions on the 3 to 8 roots and weights
+``numpy.polynomial.Polynomial``.  Real sums and products of a few
+coefficients (the clearing corrections, D', products with a linear factor)
+run on Python floats, which round as numpy does and overflow to inf or nan
+without a warning; numpy computes every other value that reaches a result
+or a gate: complex products and quotients, eigenvalues, exponentials,
+moduli and solves.  The decisions on the 3 to 8 roots and weights
 (finiteness, order, class, the elimination gates, the kept terms) run on
 Python lists of those values, cheaper than a numpy call each; they read
-moduli from ``np.abs``, whose last bit Python's complex ``abs`` can miss,
-and do no complex arithmetic.  This module supplies the shared machinery:
+moduli and distances from ``np.abs``, whose last bit Python's complex
+``abs`` can miss, and take no complex product.  This module supplies the
+shared machinery:
 
 * ``times_linear`` and ``coeff_rows``: products with a linear factor in
   plain float arithmetic, with ``np.convolve``'s bits, and zero-padded
@@ -18,10 +23,11 @@ and do no complex arithmetic.  This module supplies the shared machinery:
   latter with a numerator that is affine in one scalar parameter.
 * ``poly_roots``: simple roots only, as arrays in a ``RootSet``.  The exact
   zero root is divided out, the rest are companion-matrix eigenvalues, and
-  two closer than ``SEP`` times the larger modulus raise.  LAPACK returns
-  each complex pair consecutive and exactly conjugate, upper member first;
-  one stable sort on (real part, -|imaginary part|) orders the roots, and
-  one comparison classifies them by the sign of the real part.  Non-finite
+  two closer than ``SEP`` times the larger modulus raise; only pairs that
+  close in both parts are measured.  LAPACK returns each complex pair
+  consecutive and exactly conjugate, upper member first; one stable sort
+  on (real part, -|imaginary part|) orders the roots, and one comparison
+  classifies them by the sign of the real part.  Non-finite
   coefficients, as an overflowing premium gives, raise ``ConditioningError``.
   ``RootSet.scaled`` takes unit-rate roots to model units.
 * ``partial_fractions`` / ``ExpSum``: simple-pole expansion and the
@@ -42,7 +48,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     ConditioningError,
@@ -142,7 +147,7 @@ class RootSet:
     def scaled(self, alpha: float) -> "RootSet":
         """The roots times alpha; ConditioningError if one overflows."""
         # numpy scales each part alone, so this is exactly its overflow test.
-        top = max(max(abs(v.real), abs(v.imag)) for v in self.poles.tolist())
+        top = max(map(abs, self.poles.real.tolist() + self.poles.imag.tolist()))
         if not top * abs(alpha) < math.inf:
             raise ConditioningError(f"roots times alpha = {alpha!r} overflow")
         return RootSet(self.poles * alpha, self.zero, self.growing)
@@ -160,15 +165,21 @@ def poly_roots(p) -> RootSet:
     last one nonzero.  One exact zero low-order coefficient gives the zero
     root by construction and is divided out, so small nonzero roots are
     never confused with it.  The quotient's roots are the eigenvalues of its
-    companion matrix, built as ``np.roots`` builds it.  LAPACK's real
+    companion matrix, with the entries ``np.roots`` gives it.  LAPACK's real
     eigensolver returns each complex pair as (wr + i wi, wr - i wi) with
     wi > 0: consecutive and exactly conjugate, up to the sign of a zero
-    wr, which adding 0j settles.  numpy gives their moduli and distances,
-    and Python lists of those values take the decisions.  One stable sort
-    on (real part, -|imaginary part|) orders them; each pair keeps its
-    upper member first and sits where its lower member falls in
-    ``np.sort_complex`` order.  A root decays when its real part is below
-    -1e-9 times its modulus and grows otherwise.
+    wr, which adding 0j settles.  numpy gives their moduli, and Python
+    lists of those values take the decisions.  One stable sort on (real
+    part, -|imaginary part|) orders them; each pair keeps its upper member
+    first and sits where its lower member falls in ``np.sort_complex``
+    order.  Two roots repeat when np.abs of their difference is below SEP
+    times the larger modulus.  That distance is at least the modulus of
+    either part of the difference, so the scan of the later roots in this
+    order stops at the first whose real part is SEP max |z| or more away,
+    and np.abs measures only a pair closer than SEP times its larger
+    modulus in both parts: the decisions of the full distance matrix, ties
+    included.  A root decays when its real part is below -1e-9 times its
+    modulus and grows otherwise.
 
     Raises:
         InputError: If p has degree below 1 or a zero leading coefficient.
@@ -201,21 +212,26 @@ def poly_roots(p) -> RootSet:
             raise ConditioningError(
                 f"companion row -q[1:] / q[0] overflows: leading coefficient "
                 f"{lead!r} against largest coefficient {top!r}")
-        companion = np.eye(n, k=-1)
+        # np.eye(n, k=-1): ones on the subdiagonal.
+        companion = np.zeros((n, n))
+        companion.flat[n :: n + 1] = 1.0
         # -q[1:] / q[0] for q = c[k:][::-1]: x / -y rounds as -x / y.
         companion[0] = c[k:-1][::-1] / -lead
         # A pair's real parts may come back as -0.0 and 0.0; adding 0j makes
         # both 0.0, and the roots complex when all are real.
         z = np.linalg.eigvals(companion) + 0j
-        # |z_i - z_j| < SEP max(|z_i|, |z_j|) for some pair exactly when
-        # |z_i - z_j| < SEP |z_i| for some ordered pair, as the distance is
-        # symmetric: each row's nearest other root decides (fmin skips NaN).
         mod = np.abs(z).tolist()
-        dist = np.abs(z[:, None] - z)
-        dist.flat[:: n + 1] = np.inf
-        if any(d < SEP * m for d, m in zip(np.fmin.reduce(dist, axis=1).tolist(), mod)):
-            raise UnsupportedStructureError("repeated poles are not supported")
         ranked = sorted(zip(z.tolist(), mod), key=lambda vm: (vm[0].real, -abs(vm[0].imag)))
+        # The repeated-root scan of the docstring: |z_i - z_j| against
+        # SEP max(|z_i|, |z_j|) for the pairs that close in both parts.
+        gap = SEP * max(mod)
+        for i, (v, m) in enumerate(ranked):
+            for w, m_w in ranked[i + 1:]:
+                if not w.real - v.real < gap:
+                    break
+                tol = SEP * max(m, m_w)
+                if abs(w.imag - v.imag) < tol and np.abs([w - v])[0] < tol:
+                    raise UnsupportedStructureError("repeated poles are not supported")
         poles += [v for v, _ in ranked]
         # Each upper member must be followed by its exact conjugate, which
         # the loop then skips; a lower member met on its own has no partner.
@@ -417,7 +433,12 @@ class Elimination:
 
 
 def _solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Real solution of a square equilibrated system under the residual gate."""
+    """Real solution of a square equilibrated system under the residual gate.
+
+    numpy computes the row scales, the solution and its residual; the
+    degenerate-row, residual and realness gates decide on Python floats of
+    them.
+    """
     if rows.shape[0] != rows.shape[1]:
         raise StructuralError(f"{rows.shape[0]} elimination equations for "
                               f"{rows.shape[1]} unknown weights")
@@ -458,12 +479,14 @@ def eliminate_growing(
     residues sum to zero).  A zero-pole residue of 1, the survival
     function's limit, joins the equations when it involves an unknown
     weight; otherwise the solution's constant is left for the caller to
-    check.  The basis rows and D' = sum(i den[i] s**(i-1)) are laid out as
-    the columns of one coefficient block and evaluated at all roots in one
-    ``polyval`` call, the equilibrated square system is solved exactly, and
-    the residues of the solved numerator are collected in one pass.  numpy
-    computes these values; the masks, the solve's gates and the kept terms
-    are decided on Python lists of them.  ``roots`` come from ``poly_roots(den)``.
+    check.  The basis rows and D' = sum(i den[i] s**(i-1)), formed in
+    Python floats with ``polyder``'s bits, are laid out as the columns of
+    one complex coefficient block and evaluated at all roots by
+    ``polyval``'s Horner steps, taken inline; the equilibrated square
+    system is solved exactly, and the residues of the solved numerator are
+    collected in one pass.  numpy computes these values; the masks, the
+    solve's gates and the kept terms are decided on Python lists of them.
+    ``roots`` come from ``poly_roots(den)``.
 
     Raises:
         ConditioningError: If a basis row, D' or a residue overflows at a
@@ -477,13 +500,20 @@ def eliminate_growing(
         raise StructuralError("no growing denominator root to eliminate")
     k = int(roots.zero[0])  # 1 with the zero root, which then comes first
     nb, width = basis.shape
-    cols = np.zeros((len(den) - 1, nb + 1))
+    cols = np.zeros((len(den) - 1, nb + 1), dtype=complex)
     cols[:width, :nb] = basis.T
+    # D' = sum(i den[i] s**(i-1)) in Python floats, with polyder's bits.
+    cols[:, nb] = [x * i for i, x in enumerate(den.tolist()[1:], 1)]
     # D' and the roots' powers can overflow, which the finiteness check
-    # refuses; the numpy warnings on the way would say nothing more.
+    # refuses; the numpy warnings on the way would say nothing more.  A
+    # bound that proves no overflow (the largest coefficient and root, the
+    # smallest |D'| at a root) costs more numpy calls than this state.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cols[:, nb] = den[1:] * np.arange(1, len(den))
-        at_roots = polyval(poles, cols)
+        # polyval's Horner steps, each coefficient row against every root.
+        block = cols[:, :, None]
+        at_roots = block[-1] + poles * 0
+        for row in block[-2::-1]:
+            at_roots = row + at_roots * poles
         basis_at_roots = at_roots[:-1]
         basis_residues = basis_at_roots / at_roots[-1]
     if not (np.isfinite(at_roots).all() and np.isfinite(basis_residues).all()):

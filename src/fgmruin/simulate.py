@@ -543,11 +543,14 @@ class _Martingale(NamedTuple):
         np.subtract(t, s, out=s)
         np.exp(t, out=t)
         np.exp(s, out=s)
-        # p, in f until the p terms are taken.
+        # p, in f until the p terms are taken.  Past w* = 746, p is 0 and so
+        # are the p terms, whose quadratics in w* overflow from about 1e154 on:
+        # past a level of 746 c they are taken at min(w*, 746).
         np.negative(w, out=f)
         np.exp(f, out=f)
-        np.multiply(f, _poly(stop.m1, w, x), out=d)
-        f *= _poly(stop.f1, w, x)
+        near = np.minimum(w, 746.0) if stop.b > 746.0 * c else w
+        np.multiply(f, _poly(stop.m1, near, x), out=d)
+        f *= _poly(stop.f1, near, x)
         d += _poly(stop.m0, w, x)
         f += _poly(stop.f0, w, x)
         t *= stop.a_inf

@@ -37,10 +37,12 @@ from scipy import integrate, special
 
 from fgmruin import max_surplus, simulate
 from fgmruin.classical import _cleared_parts as classical_parts
+from fgmruin.classical import survival_classical
 from fgmruin.erlang import (
     GrowthElimination,
     SignVariant,
     _cleared_parts as erlang_parts,
+    survival_erlang2,
 )
 from fgmruin.errors import (
     ConditioningError,
@@ -598,6 +600,225 @@ def test_chi_gates_match_reference():
             # Past the condition gate only the unchanged boundary gate refuses.
             assert got[2].startswith("solution misses the boundary value"), (i, got)
     assert solved >= len(MODELS) // 2
+
+
+# -- near ties and overflows -------------------------------------------------
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def _modulus(z):
+    """np.abs of one complex number, through an array as poly_roots takes it."""
+    return float(np.abs(np.array([z]))[0])
+
+
+def _conjugate_tie():
+    """(x, y): SEP |x + iy| rounds to exactly 2 y, the pair's distance."""
+    x, y = 1.0, SEP / 2.0
+    for _ in range(10):
+        if 2.0 * y == SEP * _modulus(complex(x, y)):
+            return x, y
+        y = SEP * _modulus(complex(x, y)) / 2.0
+    raise AssertionError("no conjugate pair at the threshold")
+
+
+def _crossing(base, u):
+    """The scale s at which base + s SEP |base| u leaves SEP times the larger modulus."""
+    lo, hi = 0.5, 2.0
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        far = base + mid * SEP * abs(base) * u
+        d = _modulus(far - base)
+        if d < SEP * max(_modulus(base), _modulus(far)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _real_tie():
+    """(a, b): b = a - SEP a with no rounding, so the pair is exactly SEP a apart."""
+    a = 2.0**20
+    while a - (a - SEP * a) != SEP * a:
+        a = float(np.nextafter(a, math.inf))
+    return a, a - SEP * a
+
+
+def _near_threshold_sets():
+    """Eigenvalue sets whose closest pair lies within a few ulps of SEP times
+    the larger modulus, on both sides and at it: a conjugate pair, 2 y
+    apart, a real pair, whose distance is exact (Sterbenz), a real root
+    exactly 5d from a pair (a 3-4-5 triangle), and pairs of pairs in 24
+    directions, whose distance np.abs rounds, with a pair whose real part
+    lies between theirs and whose imaginary part is far."""
+    sets = []
+    x, y = _conjugate_tie()
+    for j in range(-4, 5):
+        yj = y * (1.0 + j * EPS)
+        sets.append([complex(x, yj), complex(x, -yj), -3.0 + 0j])
+    a, b = _real_tie()
+    for j in range(-4, 5):
+        bj = b + j * float(np.spacing(b))
+        sets.append([-5.0 + 0j, complex(bj), complex(a)])
+    # A root a and the pair a - (3 -+ 4i) d, d a power of two: np.abs of
+    # 3d + 4di is exactly 5d, and SEP a rounds to 5d, so the tie reaches
+    # np.abs through both part gates.
+    d = 2.0 ** math.floor(math.log2(SEP / 5.0))
+    a = 5.0 * d / SEP
+    assert SEP * a == 5.0 * d == _modulus(complex(3.0 * d, 4.0 * d))
+    for j in range(-2, 3):
+        aj = a + j * float(np.spacing(a))
+        pair = complex(a - 3.0 * d, 4.0 * d)
+        sets.append([pair, pair.conjugate(), complex(aj)])
+    base = complex(1.0, 0.3)
+    for angle in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
+        u = complex(math.cos(angle), math.sin(angle))
+        s = _crossing(base, u)
+        for j in range(-8, 9):
+            far = base + s * (1.0 + j * EPS) * SEP * abs(base) * u
+            mid = complex((base.real + far.real) / 2.0, 5.0)
+            sets.append([base, base.conjugate(), mid, mid.conjugate(), far, far.conjugate()])
+    return sets
+
+
+def test_repeated_root_decision_matches_distance_matrix_near_its_threshold(monkeypatch):
+    # The eigenvalues are set, not computed, so both decisions see the same
+    # roots: each pair of the sets above is measured only when it is within
+    # SEP max |z| in both parts, then by np.abs of its difference.
+    outcomes = set()
+    for i, z in enumerate(_near_threshold_sets()):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a, z=z: np.array(z))
+        coef = np.ones(len(z) + 1)
+        want = _outcome(_ref_poly_roots, coef)
+        _assert_same("near-tie roots", i, _outcome(_roots, coef), want)
+        outcomes.add(want[0] == "error")
+    assert outcomes == {True, False}
+
+
+def test_repeated_root_decision_matches_distance_matrix_on_built_pairs():
+    # Polynomials with a root pair 1e-4 (1 + j 1e-3) apart, relative to the
+    # larger modulus, along five directions: the computed eigenvalues land
+    # within about 1e-12 of the designed distance, on either side.
+    outcomes = set()
+    for i, (j, phase) in enumerate((j, p) for j in range(-3, 4) for p in range(5)):
+        z = np.exp(0.7j * phase) * (2.0 + phase)
+        step = SEP * abs(z) * (1.0 + j * 1e-3)
+        second = z - step * np.exp(0.3j * phase)
+        roots = [z, second, -7.0] if z.imag == 0.0 else [z, z.conjugate(), second,
+                                                          second.conjugate()]
+        coef = np.polynomial.polynomial.polyfromroots(roots).real
+        want = _outcome(_ref_poly_roots, coef)
+        _assert_same("built pair roots", i, _outcome(_roots, coef), want)
+        outcomes.add(want[0] == "error")
+    assert outcomes == {True, False}
+
+
+def _ref_chi_rows(model, b):
+    """The chi rows' largest moduli through the row gate, plain numpy, quiet."""
+    c, alpha = unit_rates(model, ExpPoisson)
+    k, b = 2.0 / c, b * alpha
+    poles, zero, _ = _ref_poly_roots(_ref_classical_parts(c, model.theta)[0])
+    r = np.concatenate(([0.0], poles[~zero]))
+    with np.errstate(all="ignore"):
+        g = (1.0 + r) * (2.0 + r) * (k - r)
+        shift = b * (np.arange(4) == int(np.argmax(r.real)))
+        mat = np.array([g * np.exp(r * (b - shift)), (2.0 + r) * (k - r) * np.exp(-r * shift),
+                        2.0 * (1.0 + r) * (k - r) * np.exp(-r * shift),
+                        r * np.exp(r * (b - shift))])
+        norms = np.max(np.abs(mat), axis=1).tolist()
+    for what, norm in zip(max_surplus._ROWS, norms):
+        if not float(np.finfo(float).tiny) <= norm < math.inf:
+            raise ConditioningError(f"coefficient system row for {what} vanished or "
+                                    f"overflowed (row norm {norm!r})")
+    return norms
+
+
+def _ref_chi_outcome(model, b):
+    """The plain chi gates in the solver's order: defect, rows, condition."""
+    with np.errstate(all="ignore"):
+        gates = _outcome(_ref_chi_gates, model, b)
+    if gates[0] == "error" and gates[2].startswith("assembly"):
+        return gates
+    rows = _outcome(_ref_chi_rows, model, b)
+    return rows if rows[0] == "error" else gates
+
+
+def _poisson(c, alpha=1.0, lam=1.0, theta=0.5):
+    return ModelSpec(c, ExpClaim(alpha), ExpPoisson(lam), FgmParam(theta))
+
+
+# Premiums whose transform or elimination leaves the float range: classical
+# D' and Horner overflow from c' = 4.5e153, its c'^2 from 1.4e154; Erlang's
+# from c' = 2.2e61 and its c'^5 from 3e61 (with theta, 1.4e154 without); and
+# the growing root lost to 0.0 at alpha = 1e40 and 1e50.
+_OVERFLOWING = [
+    *[_poisson(c, theta=th) for c in (4.5e153, 5e153, 7.7e153, 2e154)
+      for th in (0.5, -1.0, 1e-10)],
+    *[ModelSpec(c, ExpClaim(1.0), Erlang2(1.0), FgmParam(th))
+      for c in (2.25e61, 2.5e61, 3e61, 1e62, 1.3e154) for th in (0.5, -1.0, 1e-10)],
+    _poisson(2.0, alpha=1e40), _poisson(2.0, alpha=1e50),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_solves_refuse_as_the_reference_without_warnings():
+    for i, model in enumerate(_OVERFLOWING):
+        c, alpha = unit_rates(model, type(model.arrival))
+        if isinstance(model.arrival, Erlang2):
+            parts = _outcome(erlang_parts, c, model.theta, SignVariant.PLUS)
+            _assert_same("overflow Erlang parts", i, parts,
+                         _outcome(_ref_erlang_parts, c, model.theta, SignVariant.PLUS))
+            den, basis = parts[1]
+            weights, solve = (None,) * len(basis), survival_erlang2
+        else:
+            den, num_const, num_slope = classical_parts(c, model.theta)
+            _assert_same("overflow classical parts", i,
+                         (den, np.array(num_const), np.array(num_slope)),
+                         _ref_classical_parts(c, model.theta))
+            basis, weights = coeff_rows(num_slope, num_const), (None, 1.0)
+            solve = survival_classical
+        want = _outcome(_ref_poly_roots, den)
+        _assert_same("overflow roots", i, _outcome(_roots, den), want)
+        if want[0] == "ok":
+            with np.errstate(all="ignore"):
+                want = _outcome(_ref_eliminate, den, want[1], basis, weights)
+            # The reference tests the values at the roots and not the
+            # residues, and its refusal names the values alone.
+            if want[1:] == ("ConditioningError", "basis values at the roots overflow"):
+                want = ("error", "ConditioningError",
+                        "basis values or residues at the roots overflow")
+            got = _outcome(eliminate_growing, den, poly_roots(den), basis, weights)
+            if got[0] == "ok":
+                got = ("ok", _elimination_tuple(got[1]))
+            _assert_same("overflow elimination", i, got, want)
+        # Every one is refused, by the solver as by the reference.
+        assert want[0] == "error", (i, want)
+        _assert_same("overflow refusal", i, _outcome(solve, model), want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model,b", [
+    (_poisson(2.0, alpha=1e50), 10.0),
+    (_poisson(2.0, alpha=1e100), 10.0),
+    (_poisson(2.0, alpha=1e-105, lam=1e-105), 1e106),
+    (_poisson(1.001e-300, alpha=1e300), 1e106),
+    (_poisson(2.0), 100.0),
+    (_poisson(2.0), 1e3),
+    (_poisson(2.0), 1e300),
+    (_poisson(1e99), 10.0),
+    (_poisson(1e101), 10.0),
+    (_poisson(4.5e153), 10.0),
+], ids=["alpha=1e50", "alpha=1e100", "alpha=lam=1e-105", "b'=inf", "b'=100", "b'=1e3",
+        "b'=1e300", "c'=1e99", "c'=1e101", "c'=4.5e153"])
+def test_chi_past_its_magnitude_bounds_matches_reference_without_warnings(model, b):
+    # Inside and outside the bounds on |r|, c' and |r| b' under which
+    # solve_chi leaves numpy's warning state alone, the gates and refusals
+    # are the plain reference's.
+    got = _outcome(max_surplus.solve_chi, model, b)
+    if got[0] == "ok":
+        got = ("ok", (got[1].assembly_defect, got[1].condition))
+    _assert_same("chi bounds", 0, got, _ref_chi_outcome(model, b))
 
 
 @pytest.mark.parametrize("arrival", [ExpPoisson(1.0), Erlang2(2.0)], ids=["poisson", "erlang"])

@@ -176,6 +176,22 @@ class TestEstimateReach:
         assert math.isfinite(est.value) and 0.0 <= est.value <= 1.0
         assert math.isfinite(est.stderr)
 
+    @pytest.mark.parametrize("make", [_poisson_model, _erlang_model], ids=["poisson", "erlang"])
+    def test_level_past_the_square_of_w_star_stays_finite(self, make):
+        # From u = 0 every stopping step has w* near b / c.  With Erlang
+        # times the p terms are quadratics in w*, which overflow past
+        # b = 1e154 where p = e^{-w*} is 0: 0 * inf gave nan.  Every path's
+        # p terms are 0 from b = 1e154 on, so the three estimates share
+        # their bits (n = 2000, seed 1: 0.35506683686492446 Poisson,
+        # 0.45536269792608675 Erlang, with stderr 1.9e-4).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near, *far = (estimate_reach_prob(make(0.5), 0.0, b, n=2000, seed=1)
+                          for b in (1e154, 1e155, 1e200))
+        assert math.isfinite(near.value) and 0.0 < near.stderr < 1e-3
+        for est in far:
+            assert (est.value, est.stderr) == (near.value, near.stderr)
+
     def test_refused_root_gives_the_mean_of_the_conditioned_indicator(self):
         # Above loading 1e6 the walk is the model's own (R = 0) and each
         # path contributes the reach probability of its stopping step, here
