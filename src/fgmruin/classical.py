@@ -54,10 +54,12 @@ def _cleared_parts(c: float, th: float):
     """Ascending (den, num_const, num_slope) at unit rates and premium c.
 
     den is an array, its constant exactly 0 (4 - 4); the others are lists.
-    After ``np.convolve`` the corrections run on Python floats, which give
-    numpy's bits and overflow to inf or nan without a warning; poly_roots
-    refuses the non-finite coefficients an overflowing premium leaves.
+    c and th are taken as Python floats, numpy scalars included, and after
+    ``np.convolve`` the corrections run on Python floats, which give numpy's
+    bits and overflow to inf or nan without a warning; poly_roots refuses
+    the non-finite coefficients an overflowing premium leaves.
     """
+    c, th = float(c), float(th)
     c2 = c * c
     q = [2.0, 3.0, 1.0]  # (1 + s)(2 + s)
     d0, d1, d2, d3, d4 = np.convolve([2.0, -3.0 * c, c2], q).tolist()

@@ -148,11 +148,13 @@ def _cleared_parts(c: float, th: float, variant: SignVariant):
     delta(0), w, k0, k1, k2.  For |theta| below 1e-9 the theta corrections
     are dropped and the transform is cleared by (1 + s) alone, which
     keeps the kernel root at 2/c out of the denominator entirely; only the
-    delta(0) and w rows remain in that branch.  Every sum and product but
+    delta(0) and w rows remain in that branch.  c and th are taken as
+    Python floats, numpy scalars included, and every sum and product but
     ``np.convolve``'s runs on Python floats, which give numpy's bits and
     overflow to inf or nan without a warning; poly_roots refuses the
     non-finite coefficients an overflowing premium leaves.
     """
+    c, th = float(c), float(th)
     # Multiplying by s shifts the coefficients one place up.
     c2 = c * c
     base2 = [1.0, -2.0 * c, c2]

@@ -61,7 +61,6 @@ claims.)
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -144,6 +143,9 @@ class ChiSolution:
         return 1.0 - self(u)
 
 
+# Entries that leave the float range fail the defect, row, condition or
+# boundary gate; the numpy warnings on the way would say nothing more.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
     """Coefficients of chi(u, b) for one target level b.
 
@@ -175,96 +177,86 @@ def solve_chi(model: ModelSpec, b: float) -> ChiSolution:
 
     roots = poly_roots(_cleared_parts(c, th)[0])
     # Columns: the constant (rate 0; D(0) is exactly 0) and the three nonzero roots.
-    r, values = roots.poles, roots.poles.tolist()
-    # Entries that leave the float range fail the defect, row, condition or
-    # boundary gate; numpy's warnings would say nothing more.  With c' > 1
-    # and |theta| <= 1, |r| < 1e20, c' < 1e100 and |r| b' < 200 leave none:
-    # the summands stay below 1e81, the exponentials below e^200, the rows
-    # below 1e147, and a coefficient, at most 1e12 (the condition gate) times
-    # c' / 4 (the boundary row's entry at the zero root is 4 / c') times |g|,
-    # below 1e172.  Only outside them is numpy's warning state changed.
-    top = max(map(abs, values))
-    with (contextlib.nullcontext() if top < 1e20 and c < 1e100 and top * b_unit < 200.0
-          else np.errstate(over="ignore", invalid="ignore")):
-        plus_1, plus_2, k_minus = 1.0 + r, 2.0 + r, k - r
-        g = plus_1 * plus_2 * k_minus
+    r = roots.poles
+    plus_1, plus_2, k_minus = 1.0 + r, 2.0 + r, k - r
+    g = plus_1 * plus_2 * k_minus
 
-        # At every root the rates 0 and s_i cancel identically; a visible
-        # remainder means the rows below do not match the solution form.
-        mu = 1.0 / c
-        summands = np.array([
-            2.0 * th / c**2 * r,
-            -mu * plus_2 * k_minus,
-            -(th / c) * r * k_minus,
-            -(r - mu) * g,
-        ])
-        size = np.abs(summands)
-        defect = float((np.abs(summands.sum(axis=0))
-                        / np.maximum(1.0, size.max(axis=0))).max())
-        # Written so that a NaN defect fails the gate.
-        if not defect <= _ASSEMBLY_TOL:
-            raise StructuralError(
-                f"assembly left relative defect {defect:.3e} on identity rates"
-            )
+    # At every root the rates 0 and s_i cancel identically; a visible
+    # remainder means the rows below do not match the solution form.
+    mu = 1.0 / c
+    summands = np.array([
+        2.0 * th / c**2 * r,
+        -mu * plus_2 * k_minus,
+        -(th / c) * r * k_minus,
+        -(r - mu) * g,
+    ])
+    size = np.abs(summands)
+    defect = float((np.abs(summands.sum(axis=0))
+                    / np.maximum(1.0, size.max(axis=0))).max())
+    # Written so that a NaN defect fails the gate.
+    if not defect <= _ASSEMBLY_TOL:
+        raise StructuralError(
+            f"assembly left relative defect {defect:.3e} on identity rates"
+        )
 
-        # Rows: the boundary value chi(b', b') = 1, then the coefficients of
-        # the rates -1, -2 and k, each up to a nonzero common factor that
-        # equilibration cancels.  The growing column is anchored at b', so
-        # its unknown weighs e^{s (u - b')}.
-        reals = [v.real for v in values]
-        grow = reals.index(max(reals))
-        shift = np.array([b_unit * (j == grow) for j in range(4)])
-        at_b, at_shift = np.exp(r * (b_unit - shift)), np.exp(-r * shift)
-        mat = np.array([
-            g * at_b,
-            plus_2 * k_minus * at_shift,
-            2.0 * plus_1 * k_minus * at_shift,
-            r * at_b,
-        ])
-        row_norm = np.abs(mat).max(axis=1)
-        # A row that underflows in every column, to zero or to subnormals, or
-        # that overflows leaves nothing to equilibrate.
-        for what, norm in zip(_ROWS, row_norm.tolist()):
-            if not _NORMAL_MIN <= norm < math.inf:
-                raise ConditioningError(
-                    f"coefficient system row for {what} vanished or overflowed "
-                    f"(row norm {norm!r})"
-                )
-        mat = mat / row_norm[:, None]
-        rhs = np.array([1.0, 0.0, 0.0, 0.0]) / row_norm
-
-        # The 2-norm condition number, as np.linalg.cond computes it: a NaN or
-        # zero smallest singular value counts as an infinite condition.
-        try:
-            sv = np.linalg.svd(mat, compute_uv=False).tolist()
-        except np.linalg.LinAlgError:
-            sv = [math.nan]
-        condition = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
-        if not condition <= _COND_LIMIT:
+    # Rows: the boundary value chi(b', b') = 1, then the coefficients of
+    # the rates -1, -2 and k, each up to a nonzero common factor that
+    # equilibration cancels.  The growing column is anchored at b', so
+    # its unknown weighs e^{s (u - b')}.
+    reals = [v.real for v in r.tolist()]
+    grow = reals.index(max(reals))
+    shift = np.array([b_unit * (j == grow) for j in range(4)])
+    at_b, at_shift = np.exp(r * (b_unit - shift)), np.exp(-r * shift)
+    mat = np.array([
+        g * at_b,
+        plus_2 * k_minus * at_shift,
+        2.0 * plus_1 * k_minus * at_shift,
+        r * at_b,
+    ])
+    row_norm = np.abs(mat).max(axis=1)
+    # A row that underflows in every column, to zero or to subnormals, or
+    # that overflows leaves nothing to equilibrate.
+    for what, norm in zip(_ROWS, row_norm.tolist()):
+        if not _NORMAL_MIN <= norm < math.inf:
             raise ConditioningError(
-                f"coefficient system condition {condition:.3e} exceeds "
-                f"{_COND_LIMIT:.0e}"
+                f"coefficient system row for {what} vanished or overflowed "
+                f"(row norm {norm!r})"
             )
-        coef = (np.linalg.solve(mat, rhs) * g).tolist()
-        roots = roots.scaled(alpha)
-        rates = roots.poles.tolist()
+    mat = mat / row_norm[:, None]
+    rhs = np.array([1.0, 0.0, 0.0, 0.0]) / row_norm
 
-        # A conjugate pair of roots enters the sum once, by its upper member.
-        terms = sorted(
-            ((coef[j], rates[j]) for j in range(1, 4) if j != grow and rates[j].imag >= 0.0),
-            key=lambda t: -t[1].real,
+    # The 2-norm condition number, as np.linalg.cond computes it: a NaN or
+    # zero smallest singular value counts as an infinite condition.
+    try:
+        sv = np.linalg.svd(mat, compute_uv=False).tolist()
+    except np.linalg.LinAlgError:
+        sv = [math.nan]
+    condition = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
+    if not condition <= _COND_LIMIT:
+        raise ConditioningError(
+            f"coefficient system condition {condition:.3e} exceeds "
+            f"{_COND_LIMIT:.0e}"
         )
-        decaying = ExpSum(coef[0], tuple(terms))
-        growing = ExpSum(0.0, ((coef[grow], rates[grow]),))
+    coef = (np.linalg.solve(mat, rhs) * g).tolist()
+    roots = roots.scaled(alpha)
+    rates = roots.poles.tolist()
 
-        residual = abs(decaying(b) + growing(0.0) - 1.0)
-        if not residual <= _BOUNDARY_TOL:
-            raise StructuralError(
-                f"solution misses the boundary value by {residual:.3e}"
-            )
-        return ChiSolution(
-            model, b, decaying, growing, roots, condition, residual, defect
+    # A conjugate pair of roots enters the sum once, by its upper member.
+    terms = sorted(
+        ((coef[j], rates[j]) for j in range(1, 4) if j != grow and rates[j].imag >= 0.0),
+        key=lambda t: -t[1].real,
+    )
+    decaying = ExpSum(coef[0], tuple(terms))
+    growing = ExpSum(0.0, ((coef[grow], rates[grow]),))
+
+    residual = abs(decaying(b) + growing(0.0) - 1.0)
+    if not residual <= _BOUNDARY_TOL:
+        raise StructuralError(
+            f"solution misses the boundary value by {residual:.3e}"
         )
+    return ChiSolution(
+        model, b, decaying, growing, roots, condition, residual, defect
+    )
 
 
 def chi(model: ModelSpec, u, b: float):

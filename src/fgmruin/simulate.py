@@ -529,7 +529,8 @@ class _Martingale(NamedTuple):
 
         Computed in place over ``s`` and the first four arrays of
         ``spare`` (Erlang(2) times use a fifth), with one division per
-        path.
+        path; only min(w*, 746), at which the p terms are taken, is a new
+        array.
         """
         f, d, t, w, x = spare[:5]
         c = self.model.c
@@ -544,11 +545,11 @@ class _Martingale(NamedTuple):
         np.exp(t, out=t)
         np.exp(s, out=s)
         # p, in f until the p terms are taken.  Past w* = 746, p is 0 and so
-        # are the p terms, whose quadratics in w* overflow from about 1e154 on:
-        # past a level of 746 c they are taken at min(w*, 746).
+        # are the p terms, whose quadratics in w* overflow from about 1e154 on,
+        # so they are taken at min(w*, 746), which is w* wherever p is not 0.
         np.negative(w, out=f)
         np.exp(f, out=f)
-        near = np.minimum(w, 746.0) if stop.b > 746.0 * c else w
+        near = np.minimum(w, 746.0)
         np.multiply(f, _poly(stop.m1, near, x), out=d)
         f *= _poly(stop.f1, near, x)
         d += _poly(stop.m0, w, x)

@@ -715,18 +715,17 @@ def test_repeated_root_decision_matches_distance_matrix_on_built_pairs():
 
 
 def _ref_chi_rows(model, b):
-    """The chi rows' largest moduli through the row gate, plain numpy, quiet."""
+    """The chi rows' largest moduli through the row gate, plain numpy."""
     c, alpha = unit_rates(model, ExpPoisson)
     k, b = 2.0 / c, b * alpha
     poles, zero, _ = _ref_poly_roots(_ref_classical_parts(c, model.theta)[0])
     r = np.concatenate(([0.0], poles[~zero]))
-    with np.errstate(all="ignore"):
-        g = (1.0 + r) * (2.0 + r) * (k - r)
-        shift = b * (np.arange(4) == int(np.argmax(r.real)))
-        mat = np.array([g * np.exp(r * (b - shift)), (2.0 + r) * (k - r) * np.exp(-r * shift),
-                        2.0 * (1.0 + r) * (k - r) * np.exp(-r * shift),
-                        r * np.exp(r * (b - shift))])
-        norms = np.max(np.abs(mat), axis=1).tolist()
+    g = (1.0 + r) * (2.0 + r) * (k - r)
+    shift = b * (np.arange(4) == int(np.argmax(r.real)))
+    mat = np.array([g * np.exp(r * (b - shift)), (2.0 + r) * (k - r) * np.exp(-r * shift),
+                    2.0 * (1.0 + r) * (k - r) * np.exp(-r * shift),
+                    r * np.exp(r * (b - shift))])
+    norms = np.max(np.abs(mat), axis=1).tolist()
     for what, norm in zip(max_surplus._ROWS, norms):
         if not float(np.finfo(float).tiny) <= norm < math.inf:
             raise ConditioningError(f"coefficient system row for {what} vanished or "
@@ -738,9 +737,9 @@ def _ref_chi_outcome(model, b):
     """The plain chi gates in the solver's order: defect, rows, condition."""
     with np.errstate(all="ignore"):
         gates = _outcome(_ref_chi_gates, model, b)
-    if gates[0] == "error" and gates[2].startswith("assembly"):
-        return gates
-    rows = _outcome(_ref_chi_rows, model, b)
+        if gates[0] == "error" and gates[2].startswith("assembly"):
+            return gates
+        rows = _outcome(_ref_chi_rows, model, b)
     return rows if rows[0] == "error" else gates
 
 
@@ -761,21 +760,36 @@ _OVERFLOWING = [
 ]
 
 
+def _as_numpy(model):
+    """The same model with every parameter a numpy float64, as numpy draws them."""
+    arrival = (ExpPoisson(np.float64(model.arrival.lam)) if isinstance(model.arrival, ExpPoisson)
+               else Erlang2(np.float64(model.arrival.beta)))
+    return ModelSpec(np.float64(model.c), ExpClaim(np.float64(model.claim.alpha)), arrival,
+                     FgmParam(np.float64(model.theta)))
+
+
+# The models store their parameters as given, so a premium drawn by numpy
+# reaches the clearings as a numpy scalar, whose overflow warns.
+_OVERFLOWING += [_as_numpy(model) for model in _OVERFLOWING]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_solves_refuse_as_the_reference_without_warnings():
     for i, model in enumerate(_OVERFLOWING):
         c, alpha = unit_rates(model, type(model.arrival))
         if isinstance(model.arrival, Erlang2):
             parts = _outcome(erlang_parts, c, model.theta, SignVariant.PLUS)
-            _assert_same("overflow Erlang parts", i, parts,
-                         _outcome(_ref_erlang_parts, c, model.theta, SignVariant.PLUS))
+            with np.errstate(all="ignore"):
+                want = _outcome(_ref_erlang_parts, c, model.theta, SignVariant.PLUS)
+            _assert_same("overflow Erlang parts", i, parts, want)
             den, basis = parts[1]
             weights, solve = (None,) * len(basis), survival_erlang2
         else:
             den, num_const, num_slope = classical_parts(c, model.theta)
+            with np.errstate(all="ignore"):
+                want = _ref_classical_parts(c, model.theta)
             _assert_same("overflow classical parts", i,
-                         (den, np.array(num_const), np.array(num_slope)),
-                         _ref_classical_parts(c, model.theta))
+                         (den, np.array(num_const), np.array(num_slope)), want)
             basis, weights = coeff_rows(num_slope, num_const), (None, 1.0)
             solve = survival_classical
         want = _outcome(_ref_poly_roots, den)
@@ -798,6 +812,7 @@ def test_overflowing_solves_refuse_as_the_reference_without_warnings():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scalar", [float, np.float64], ids=["float", "float64"])
 @pytest.mark.parametrize("model,b", [
     (_poisson(2.0, alpha=1e50), 10.0),
     (_poisson(2.0, alpha=1e100), 10.0),
@@ -811,10 +826,13 @@ def test_overflowing_solves_refuse_as_the_reference_without_warnings():
     (_poisson(4.5e153), 10.0),
 ], ids=["alpha=1e50", "alpha=1e100", "alpha=lam=1e-105", "b'=inf", "b'=100", "b'=1e3",
         "b'=1e300", "c'=1e99", "c'=1e101", "c'=4.5e153"])
-def test_chi_past_its_magnitude_bounds_matches_reference_without_warnings(model, b):
-    # Inside and outside the bounds on |r|, c' and |r| b' under which
-    # solve_chi leaves numpy's warning state alone, the gates and refusals
-    # are the plain reference's.
+def test_chi_far_from_unit_scale_matches_reference_without_warnings(model, b, scalar):
+    # Roots, levels and premiums whose rows, exponentials or coefficients
+    # leave the float range, and ordinary ones: the gates and refusals are
+    # the plain reference's, with the parameters as Python floats or as
+    # numpy scalars, and no numpy warning reaches the caller.
+    if scalar is np.float64:
+        model, b = _as_numpy(model), np.float64(b)
     got = _outcome(max_surplus.solve_chi, model, b)
     if got[0] == "ok":
         got = ("ok", (got[1].assembly_defect, got[1].condition))
